@@ -26,20 +26,31 @@ type Graph = engine.Graph
 
 // Betweenness computes exact betweenness centrality for every node using
 // Brandes' algorithm: one breadth-first search per source with shortest-path
-// counting, followed by reverse-order dependency accumulation. Runtime is
-// O(n·m) for unweighted graphs; sources are sharded across opts.Workers,
-// each worker traversing with one reused arena.
+// counting, followed by reverse-order dependency accumulation. Sources are
+// twin classes, not nodes (see twins): each class's representative
+// accumulates with the class size as its weight, so runtime is O(c·m) for c
+// distinct neighbor lists, and classes are sharded across opts.Workers, each
+// worker traversing with one reused arena.
 func Betweenness(g Graph, opts engine.Opts) []float64 {
-	n := g.NumNodes()
-	sources := make([]int32, n)
-	for i := range sources {
-		sources[i] = int32(i)
-	}
-	bc := accumulate(g, sources, opts, 1.0)
+	bc := exactBetweenness(g, nil, opts)
 	if opts.Normalized {
-		normalize(bc, n)
+		normalize(bc, g.NumNodes())
 	}
 	return bc
+}
+
+// exactBetweenness is the one source plan of every exact Brandes entry point:
+// raw scores from the twin-class representatives of g. A non-nil affected
+// mask skips the classes outside it; since it filters inside the shards, the
+// shard boundaries — and with them the float summation grouping — stay those
+// of the full run.
+func exactBetweenness(g Graph, affected []bool, opts engine.Opts) []float64 {
+	split := 0
+	if opts.EndpointsValuesOnly {
+		split = opts.ValueNodeCount
+	}
+	t := twinClasses(g, split)
+	return accumulate(g, t.reps, t.weight, affected, opts)
 }
 
 // ApproxBetweenness estimates betweenness centrality from a random sample of
@@ -63,7 +74,11 @@ func ApproxBetweenness(g Graph, opts engine.Opts) []float64 {
 	} else {
 		sources = sampleUniform(n, s, rng)
 	}
-	bc := accumulate(g, sources, opts, float64(n)/float64(s))
+	weight := make([]float64, s)
+	for i := range weight {
+		weight[i] = float64(n) / float64(s)
+	}
+	bc := accumulate(g, sources, weight, nil, opts)
 	if opts.Normalized {
 		normalize(bc, n)
 	}
@@ -127,21 +142,22 @@ func normalize(bc []float64, n int) {
 }
 
 // accumulate runs Brandes' dependency accumulation from the given sources,
-// scaling each source's contribution by scale, sharded across workers. Each
-// worker owns one pooled arena and one partial result vector, so total
-// scratch is O(workers·n) regardless of the source count.
-func accumulate(g Graph, sources []int32, opts engine.Opts, scale float64) []float64 {
+// scaling source i's contribution by weight[i], sharded across workers. A
+// non-nil affected mask skips the sources outside it without moving the
+// shard boundaries. Each worker owns one pooled arena and one partial result
+// vector, so total scratch is O(workers·n) regardless of the source count.
+func accumulate(g Graph, sources []int32, weight []float64, affected []bool, opts engine.Opts) []float64 {
 	return engine.ShardSumCtx(opts.Context(), opts.Workers, g.NumNodes(), len(sources),
 		func(a *engine.Arena, lo, hi int, out []float64) {
-			brandesShard(g, sources[lo:hi], opts, scale, a, out)
+			brandesShard(g, sources[lo:hi], weight[lo:hi], affected, opts, a, out)
 		})
 }
 
-// brandesShard processes a slice of sources, adding dependency contributions
-// into bc. All scratch lives in the arena; the BFS queue is consumed by
-// cursor (not by reslicing) so it doubles as the visit order for the reverse
-// pass and never reallocates after warm-up.
-func brandesShard(g Graph, sources []int32, opts engine.Opts, scale float64, a *engine.Arena, bc []float64) {
+// brandesShard processes a slice of sources, adding weighted dependency
+// contributions into bc. All scratch lives in the arena; the BFS queue is
+// consumed by cursor (not by reslicing) so it doubles as the visit order for
+// the reverse pass and never reallocates after warm-up.
+func brandesShard(g Graph, sources []int32, weight []float64, affected []bool, opts engine.Opts, a *engine.Arena, bc []float64) {
 	endpointOK := func(u int32) bool {
 		if !opts.EndpointsValuesOnly {
 			return true
@@ -150,12 +166,17 @@ func brandesShard(g Graph, sources []int32, opts engine.Opts, scale float64, a *
 	}
 
 	dist, sigma, delta := a.Dist, a.Sigma, a.Delta
-	for _, s := range sources {
+	for i, s := range sources {
 		// Cancellation is polled once per source: each source is a whole BFS
 		// plus a reverse pass, so the check is off the inner loops, and a
 		// cancelled warm abandons the shard between traversals.
 		if opts.Cancelled() {
 			return
+		}
+		// Sources outside the affected mask are clean; under the endpoint
+		// restriction only value sources contribute at all.
+		if (affected != nil && !affected[s]) || !endpointOK(s) {
+			continue
 		}
 		// Reset only the nodes the previous source touched.
 		a.ResetTouched()
@@ -179,14 +200,11 @@ func brandesShard(g Graph, sources []int32, opts engine.Opts, scale float64, a *
 			}
 		}
 
-		// Reverse-order dependency accumulation over the visit order. When
-		// endpoints are restricted to value nodes, only such targets seed
-		// dependency mass, and only value sources contribute at all.
-		if !endpointOK(s) {
-			continue
-		}
-		for i := len(a.Queue) - 1; i >= 0; i-- {
-			w := a.Queue[i]
+		// Reverse-order dependency accumulation over the visit order. Under
+		// the endpoint restriction only value targets seed dependency mass.
+		scale := weight[i]
+		for qi := len(a.Queue) - 1; qi >= 0; qi-- {
+			w := a.Queue[qi]
 			seed := 0.0
 			if endpointOK(w) {
 				seed = 1.0

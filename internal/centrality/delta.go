@@ -15,19 +15,22 @@ import (
 // Float determinism is measure-specific and documented per scorer:
 //
 //   - Harmonic writes each source's own output entry, no cross-source
-//     summation — incremental results are bit-identical to a from-scratch
-//     recompute, for any worker count.
+//     summation, and copies it to the source's twins (harmonicExact) —
+//     incremental results are bit-identical to a from-scratch recompute,
+//     for any worker count.
 //   - Betweenness folds per-source dependency vectors through per-shard
 //     partial sums, so its bits depend on the shard grouping (as they
-//     already do on the worker count). The delta path re-scores affected
-//     components under the full run's own shard boundaries
-//     (accumulateMasked), making rescored entries bit-identical to a
-//     recompute at the same worker count; carried entries were summed under
-//     the previous graph's boundaries and can differ from a cold recompute
-//     in the last ulps when the node count changed. The values are
-//     identical as real numbers — the drift is summation grouping only —
-//     and when the delta is empty with an unchanged node universe (the
-//     single-table republish case) the carry is bit-identical too.
+//     already do on the worker count). Full and delta runs shard over the
+//     same twin-class representatives of the new graph (exactBetweenness),
+//     the delta run skipping clean classes inside its shards — a class lies
+//     in one component, so it is wholly affected or wholly clean. Rescored
+//     entries are therefore bit-identical to a recompute at the same worker
+//     count; carried entries were summed under the previous graph's classes
+//     and boundaries and can differ from a cold recompute in the last ulps
+//     when the graph changed. The values are identical as real numbers —
+//     the drift is summation grouping only — and when the delta is empty
+//     with an unchanged node universe (the single-table republish case) the
+//     carry is bit-identical too.
 //
 // Normalization is deliberately left out of the carry: raw scores are
 // carried and the (n-dependent) normalization is applied to the final
@@ -60,38 +63,21 @@ func finishBetweenness(raw []float64, n int, opts engine.Opts) (scores, carry []
 // ScoreFull implements engine.DeltaScorer: a from-scratch computation that
 // also returns the raw carry for a later ScoreDelta.
 func (BetweennessExact) ScoreFull(g Graph, opts engine.Opts) (scores, carry []float64) {
-	n := g.NumNodes()
-	sources := make([]int32, n)
-	for i := range sources {
-		sources[i] = int32(i)
-	}
-	raw := accumulate(g, sources, opts, 1.0)
-	return finishBetweenness(raw, n, opts)
+	return finishBetweenness(exactBetweenness(g, nil, opts), g.NumNodes(), opts)
 }
 
-// accumulateMasked is accumulate over the full ascending source space
-// [0, n) with clean sources skipped. Sharding over n items — not over the
-// affected subset — keeps the shard boundaries, and with them the float
-// summation grouping of the per-shard partial vectors, exactly those of a
-// full computation at the same worker count: a rescored component's sums
-// are bit-identical to what ScoreFull would produce on this graph.
-func accumulateMasked(g Graph, affected []bool, opts engine.Opts, scale float64) []float64 {
-	n := g.NumNodes()
-	return engine.ShardSumCtx(opts.Context(), opts.Workers, n, n,
-		func(a *engine.Arena, lo, hi int, out []float64) {
-			srcs := make([]int32, 0, hi-lo)
-			for s := lo; s < hi; s++ {
-				if affected[s] {
-					srcs = append(srcs, int32(s))
-				}
-			}
-			brandesShard(g, srcs, opts, scale, a, out)
-		})
+// affectedMask marks the nodes the plan must rescore.
+func affectedMask(plan *engine.DeltaPlan, n int) []bool {
+	mask := make([]bool, n)
+	for _, u := range plan.Affected {
+		mask[u] = true
+	}
+	return mask
 }
 
 // ScoreDelta implements engine.DeltaScorer: Brandes re-runs only from the
-// sources of components the delta touched, every other node carries its raw
-// prior. ok=false under the endpoint ablation (the carry was not built for
+// twin classes of components the delta touched, every other node carries its
+// raw prior. ok=false under the endpoint ablation (the carry was not built for
 // it), on malformed deltas, or past the plan's churn threshold. Like Score,
 // a cancelled opts.Ctx yields a partial result the caller must discard.
 func (BetweennessExact) ScoreDelta(g Graph, d *engine.Delta, opts engine.Opts) (scores, carry []float64, ok bool) {
@@ -107,11 +93,7 @@ func (BetweennessExact) ScoreDelta(g Graph, d *engine.Delta, opts engine.Opts) (
 	if plan.NumAffected() == 0 {
 		raw = make([]float64, n) // pure carry: no BFS, no sharded scan
 	} else {
-		mask := make([]bool, n)
-		for _, s := range plan.Affected {
-			mask[s] = true
-		}
-		raw = accumulateMasked(g, mask, opts, 1.0)
+		raw = exactBetweenness(g, affectedMask(plan, n), opts)
 	}
 	for u, p := range plan.PrevOf {
 		if p >= 0 {
@@ -145,8 +127,8 @@ func (h HarmonicScorer) ScoreFull(g Graph, opts engine.Opts) (scores, carry []fl
 	return out, out
 }
 
-// ScoreDelta implements engine.DeltaScorer: each affected source re-runs its
-// BFS, every clean source carries its prior Σ 1/d. The sampled estimator
+// ScoreDelta implements engine.DeltaScorer: each affected twin class re-runs
+// one BFS, every clean source carries its prior Σ 1/d. The sampled estimator
 // draws sources globally and cannot decompose by component, so ScoreDelta
 // only applies on the exact path (Samples == 0 or >= n).
 func (HarmonicScorer) ScoreDelta(g Graph, d *engine.Delta, opts engine.Opts) (scores, carry []float64, ok bool) {
@@ -164,16 +146,8 @@ func (HarmonicScorer) ScoreDelta(g Graph, d *engine.Delta, opts engine.Opts) (sc
 			out[u] = d.PrevCarry[p]
 		}
 	}
-	aff := plan.Affected
-	engine.ParallelCtx(opts.Context(), opts.EffectiveWorkers(len(aff)), len(aff), func(_, lo, hi int) {
-		a := engine.AcquireArena(n)
-		defer a.Release()
-		for i := lo; i < hi; i++ {
-			if opts.Cancelled() {
-				return
-			}
-			out[aff[i]] = harmonicFromSource(g, aff[i], a)
-		}
-	})
+	if plan.NumAffected() > 0 {
+		harmonicExact(g, affectedMask(plan, n), out, opts)
+	}
 	return out, out, true
 }

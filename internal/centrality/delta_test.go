@@ -44,11 +44,11 @@ func deltaFixture(t *testing.T, carry []float64) (prev, next *sliceGraph, d *eng
 	return prev, next, d
 }
 
-// TestBetweennessDeltaBitIdenticalToFull: with an unchanged node universe
-// the delta path's masked accumulation shards over the same [0, n) source
-// space as a full run, so both rescored and carried entries are bit-equal
-// to ScoreFull at the same worker count. (When the node count changes,
-// carried entries are only real-identical — see the package comment.)
+// TestBetweennessDeltaBitIdenticalToFull: the fixture's rewire changes no
+// twin class, so both graphs have the same representative list and shard
+// boundaries, and both rescored and carried entries are bit-equal
+// to ScoreFull at the same worker count. (When the classes change, carried
+// entries are only real-identical — see the package comment.)
 func TestBetweennessDeltaBitIdenticalToFull(t *testing.T) {
 	for _, normalized := range []bool{false, true} {
 		for _, workers := range []int{1, 3} {

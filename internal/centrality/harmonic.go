@@ -2,6 +2,7 @@ package centrality
 
 import (
 	"math/rand"
+	"slices"
 
 	"domainnet/internal/engine"
 )
@@ -10,23 +11,42 @@ import (
 // the sum of 1/d(u,v) over all other nodes, which handles disconnected
 // lakes gracefully (unreachable pairs contribute zero). It is not part of
 // the paper's method — homographs are bridges, not hubs — and exists as an
-// additional ablation baseline alongside Degree. Sources are sharded across
-// opts.Workers; each source writes only its own output entry, so the
-// parallel result is bit-identical to the serial one.
+// additional ablation baseline alongside Degree. One BFS runs per twin class
+// (see twins), sharded across opts.Workers; each writes only its own output
+// entry, so the parallel result is bit-identical to the serial one.
 func Harmonic(g Graph, opts engine.Opts) []float64 {
+	out := make([]float64, g.NumNodes())
+	harmonicExact(g, nil, out, opts)
+	return out
+}
+
+// harmonicExact writes Σ 1/d into out for every node the affected mask
+// admits (nil admits all): one BFS from each twin-class representative, its
+// sum copied to the class's twins. The copy is bit-identical to a twin's own
+// BFS, since a BFS adds its terms level by level and every term of a level
+// is the same 1/d.
+func harmonicExact(g Graph, affected []bool, out []float64, opts engine.Opts) {
 	n := g.NumNodes()
-	out := make([]float64, n)
-	engine.ParallelCtx(opts.Context(), opts.EffectiveWorkers(n), n, func(_, lo, hi int) {
+	t := twinClasses(g, 0)
+	reps := t.reps
+	if affected != nil {
+		reps = slices.DeleteFunc(slices.Clone(reps), func(r int32) bool { return !affected[r] })
+	}
+	engine.ParallelCtx(opts.Context(), opts.EffectiveWorkers(len(reps)), len(reps), func(_, lo, hi int) {
 		a := engine.AcquireArena(n)
 		defer a.Release()
-		for s := lo; s < hi; s++ {
+		for _, s := range reps[lo:hi] {
 			if opts.Cancelled() {
 				return
 			}
-			out[s] = harmonicFromSource(g, int32(s), a)
+			out[s] = harmonicFromSource(g, s, a)
 		}
 	})
-	return out
+	for u, r := range t.repOf {
+		if int32(u) != r && (affected == nil || affected[u]) {
+			out[u] = out[r]
+		}
+	}
 }
 
 // harmonicFromSource runs one BFS and returns Σ 1/d(s,v).
@@ -53,7 +73,7 @@ func harmonicFromSource(g Graph, s int32, a *engine.Arena) float64 {
 }
 
 // ApproxHarmonic estimates harmonic centrality from a uniform sample of
-// opts.Samples BFS sources, scaled by n/s; used when the exact O(n·m) pass
+// opts.Samples BFS sources, scaled by n/s; used when the exact O(c·m) pass
 // is too expensive. Sampled sources are sharded across opts.Workers with
 // per-worker partial vectors.
 func ApproxHarmonic(g Graph, opts engine.Opts) []float64 {

@@ -7,15 +7,13 @@ import "domainnet/internal/engine"
 // σ_st(u)/σ_st where σ_st(u) = σ_su·σ_ut when u lies on a shortest s–t path.
 // It materializes all-pairs distances and path counts, costing O(n·m) time
 // and O(n²) space, and — crucially for its role as a test oracle — shares no
-// code with Brandes' dependency accumulation (nor with the arena substrate).
+// code with Brandes' dependency accumulation (nor with the arena substrate
+// or the twin-class source plan).
 func NaiveBetweenness(g Graph, opts engine.Opts) []float64 {
 	n := g.NumNodes()
 	dist := make([][]int32, n)
 	sigma := make([][]float64, n)
 	for s := 0; s < n; s++ {
-		if opts.Cancelled() {
-			return make([]float64, n)
-		}
 		dist[s], sigma[s] = bfsCounts(g, int32(s))
 	}
 
@@ -28,12 +26,6 @@ func NaiveBetweenness(g Graph, opts engine.Opts) []float64 {
 
 	bc := make([]float64, n)
 	for s := 0; s < n; s++ {
-		// The oracle is cancellable like every production scorer: a
-		// superseded warm must not burn an O(n·m) definitional recompute.
-		// A cancelled run's partial scores are never installed by callers.
-		if opts.Cancelled() {
-			return bc
-		}
 		if !endpointOK(s) {
 			continue
 		}
@@ -83,15 +75,4 @@ func bfsCounts(g Graph, s int32) ([]int32, []float64) {
 		}
 	}
 	return dist, sigma
-}
-
-// Degree returns the degree of every node, the cheapest possible centrality
-// baseline used in the ablation benchmarks.
-func Degree(g Graph) []float64 {
-	n := g.NumNodes()
-	d := make([]float64, n)
-	for u := 0; u < n; u++ {
-		d[u] = float64(len(g.Neighbors(int32(u))))
-	}
-	return d
 }

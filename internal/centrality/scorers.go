@@ -34,6 +34,17 @@ func bipartiteView(g Graph, name string) Bipartite {
 	return bg
 }
 
+// Degree returns the degree of every node, the cheapest possible centrality
+// baseline used in the ablation benchmarks.
+func Degree(g Graph) []float64 {
+	n := g.NumNodes()
+	d := make([]float64, n)
+	for u := 0; u < n; u++ {
+		d[u] = float64(len(g.Neighbors(int32(u))))
+	}
+	return d
+}
+
 func init() {
 	engine.Register(BetweennessExact{})
 	engine.Register(scorerFunc{NameBetweennessApprox, func(g Graph, opts engine.Opts) []float64 {

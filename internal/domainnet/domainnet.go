@@ -35,7 +35,9 @@ const (
 	// BetweennessApprox is sampled betweenness centrality, the measure the
 	// paper recommends for real lakes (§5.4). Homographs rank high.
 	BetweennessApprox Measure = iota
-	// BetweennessExact is full Brandes betweenness; O(n·m), for small lakes.
+	// BetweennessExact is full Brandes betweenness; O(c·m), where c is the
+	// number of distinct neighbor lists: values that occur in exactly the
+	// same attributes share one BFS.
 	BetweennessExact
 	// LCC is the exact local clustering coefficient of Eq. 1.
 	// Homographs are hypothesized to rank low (Hypothesis 3.4).

@@ -1,11 +1,13 @@
 package domainnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"domainnet/internal/bipartite"
 	"domainnet/internal/datagen"
+	"domainnet/internal/eval"
 )
 
 // TestExample36BetweennessScores reproduces the paper's Example 3.6 on the
@@ -58,6 +60,20 @@ func TestExample36LCCOrdering(t *testing.T) {
 	}
 	if math.Abs(toyota-panda) > 0.01 {
 		t.Errorf("Toyota and Panda should score nearly equal: %.3f vs %.3f", toyota, panda)
+	}
+}
+
+// TestSBExactBetweennessAnchor pins the paper's Figure 6 run: exact
+// betweenness on SB seed 1 puts BUFFALO and JACKSON on top with these
+// normalized scores and finds 38 of the 55 planted homographs in its top 55.
+func TestSBExactBetweennessAnchor(t *testing.T) {
+	sb := datagen.NewSB(1)
+	top := New(sb.Lake, Config{Measure: BetweennessExact}).TopK(55)
+	if got := fmt.Sprintf("%s %.6f %s %.6f", top[0].Value, top[0].Score, top[1].Value, top[1].Score); got != "BUFFALO 0.167244 JACKSON 0.127816" {
+		t.Errorf("top 2 = %s, want BUFFALO 0.167244 JACKSON 0.127816", got)
+	}
+	if hits := eval.HitsAtK(top, sb.HomographSet(), 55); hits != 38 {
+		t.Errorf("%d planted homographs in the top 55, want 38", hits)
 	}
 }
 
