@@ -91,7 +91,7 @@ func TestEmitBenchJSON(t *testing.T) {
 		}},
 		{"incremental_rebuild_sb", func(b *testing.B) {
 			// Single-table churn: replace one SB table with a modified
-			// variant every iteration, so Changed is non-empty and Rebuild
+			// variant every iteration, so Changed is non-empty and RebuildDiff
 			// runs real delta surgery (dirty-attribute refill, occurrence
 			// deltas, CSR re-stitch) — never its no-op fast path. Compare
 			// ns/op against graph_build_sb for the delta-pricing win.
@@ -114,7 +114,7 @@ func TestEmitBenchJSON(t *testing.T) {
 				churn.Lake.RemoveTable(orig.Name)
 				churn.Lake.MustAdd(variants[(i+1)%2])
 				attrs := churn.Lake.Attributes()
-				g = bipartite.Rebuild(g, attrs, bipartite.Changed(g, attrs), bipartite.Options{})
+				g, _ = bipartite.RebuildDiff(g, attrs, bipartite.Changed(g, attrs), bipartite.Options{})
 			}
 		}},
 		{"cold_start_sb", func(b *testing.B) {
@@ -222,7 +222,7 @@ func TestEmitBenchJSON(t *testing.T) {
 					b.Fatal(err)
 				}
 				attrs := l.Attributes()
-				if g := bipartite.Rebuild(baseGraph, attrs, bipartite.Changed(baseGraph, attrs),
+				if g, _ := bipartite.RebuildDiff(baseGraph, attrs, bipartite.Changed(baseGraph, attrs),
 					bipartite.Options{}); g.NumEdges() == 0 {
 					b.Fatal("empty graph")
 				}

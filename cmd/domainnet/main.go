@@ -50,7 +50,7 @@ func main() {
 
 	m, ok := domainnet.ParseMeasure(*measure)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown measure %q (valid: %s; scorer registry: %s)\n",
+		fmt.Fprintf(os.Stderr, "unknown measure %q (valid: %s; display names: %s)\n",
 			*measure, strings.Join(domainnet.MeasureNames(), ", "), strings.Join(domainnet.Scorers(), ", "))
 		os.Exit(2)
 	}

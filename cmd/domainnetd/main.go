@@ -139,13 +139,6 @@ func parseFlags(args []string) (*config, error) {
 		return nil, fmt.Errorf("unknown measure %q (valid: %s)",
 			measure, strings.Join(domainnet.MeasureNames(), ", "))
 	}
-	// A parseable measure name can still lack a scorer (the enum and the
-	// scorer registry are separate layers); refusing to start beats a daemon
-	// whose every read 500s.
-	if !m.Registered() {
-		return nil, fmt.Errorf("measure %q has no registered scorer (registered: %s)",
-			m, strings.Join(domainnet.Scorers(), ", "))
-	}
 	c.measure = m
 	if warmMeasures != "" {
 		seen := make(map[domainnet.Measure]bool)
@@ -155,10 +148,6 @@ func parseFlags(args []string) (*config, error) {
 			if !ok {
 				return nil, fmt.Errorf("-warm-measures: unknown measure %q (valid: %s)",
 					name, strings.Join(domainnet.MeasureNames(), ", "))
-			}
-			if !wm.Registered() {
-				return nil, fmt.Errorf("-warm-measures: measure %q has no registered scorer (registered: %s)",
-					wm, strings.Join(domainnet.Scorers(), ", "))
 			}
 			if seen[wm] {
 				continue // "bc,bc" warms once, not twice
@@ -396,7 +385,7 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 				// up to the replayed mutations incrementally so the serving
 				// layer still warm-starts without a full build.
 				attrs := l.Attributes()
-				warmGraph = bipartite.Rebuild(warmGraph, attrs, bipartite.Changed(warmGraph, attrs),
+				warmGraph, _ = bipartite.RebuildDiff(warmGraph, attrs, bipartite.Changed(warmGraph, attrs),
 					bipartite.Options{KeepSingletons: c.keep, Workers: c.workers})
 			}
 		}

@@ -74,9 +74,8 @@ func TestParseFlagsValidation(t *testing.T) {
 }
 
 func TestParseFlagsMeasuresAreRegistered(t *testing.T) {
-	// parseFlags now cross-checks every measure against the scorer
-	// registry: each spelling ParseMeasure accepts must resolve to a
-	// registered scorer, or a documented flag value would fail at startup.
+	// Every spelling the error messages advertise must be accepted by both
+	// measure flags, or a documented flag value would fail at startup.
 	for _, name := range domainnet.MeasureNames() {
 		if _, err := parseFlags([]string{"-measure", name, "-warm-measures", name}); err != nil {
 			t.Errorf("parseFlags(-measure %s -warm-measures %s) = %v, want success", name, name, err)

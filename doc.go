@@ -10,11 +10,11 @@
 // # Architecture
 //
 // internal/engine is the execution substrate shared by every layer: the
-// Graph view, the single engine.Opts options struct, the Scorer interface
-// with its process-wide registry, the pooled per-worker BFS Arena, and the
-// Parallel shard driver. internal/centrality implements the measures as
-// registered Scorers; internal/bipartite builds the DomainNet graph in
-// parallel; internal/domainnet dispatches measures through the registry.
+// Graph view, the single engine.Opts options struct, the Scorer interface,
+// the pooled per-worker BFS Arena, and the Parallel shard driver.
+// internal/centrality implements the measures as exported Scorer values;
+// internal/bipartite builds the DomainNet graph in parallel;
+// internal/domainnet dispatches measures through one static table.
 //
 // # Node numbering
 //

@@ -63,7 +63,7 @@ func main() {
 	changed := bipartite.Changed(sn.Graph, attrs)
 	fmt.Printf("after adding T5: %d of %d attributes changed — delta-priced rebuild\n",
 		len(changed), len(attrs))
-	g := bipartite.Rebuild(sn.Graph, attrs, changed, bipartite.Options{KeepSingletons: true})
+	g, _ := bipartite.RebuildDiff(sn.Graph, attrs, changed, bipartite.Options{KeepSingletons: true})
 	show("after post-restart update", domainnet.FromGraph(g, cfg))
 }
 

@@ -19,9 +19,9 @@ func main() {
 	lake := datagen.Figure1Lake()
 	fmt.Printf("data lake %q: %s\n", lake.Name, lake.Stats())
 
-	// Every measure is a Scorer in the engine registry; the Measure constants
-	// below are names into it.
-	fmt.Printf("registered scorers: %v\n\n", domainnet.Scorers())
+	// Every Measure constant below is a row of the detector's measure table;
+	// these are their display names.
+	fmt.Printf("measures: %v\n\n", domainnet.Scorers())
 
 	// Step 1+2: build the bipartite value/attribute graph and score every
 	// value node with exact betweenness centrality (the lake is tiny).

@@ -37,15 +37,15 @@ type Graph struct {
 
 	valueIndex map[string]int32
 
-	// Incremental-rebuild support (see Rebuild). srcAttrs aliases the
+	// Incremental-rebuild support (see RebuildDiff). srcAttrs aliases the
 	// attribute slice the graph was built from, occ holds the total cell
 	// count of every value — including values the singleton filter dropped,
 	// since an update can push them over the threshold — and keepSingletons
 	// records the Options the build used. incremental marks graphs whose
-	// delta state is populated: every FromAttributes and Rebuild output,
+	// delta state is populated: every FromAttributes and RebuildDiff output,
 	// including the graphs Subgraph derives through FromAttributes (their
 	// delta state is self-consistent against the induced attribute list).
-	// The tripartite builder leaves it unset, so Rebuild falls back to a
+	// The tripartite builder leaves it unset, so RebuildDiff falls back to a
 	// full build there.
 	srcAttrs       []lake.Attribute
 	occ            map[string]int64
@@ -239,7 +239,7 @@ func FromAttributes(attrs []lake.Attribute, opts Options) *Graph {
 // countAndRetain runs the occurrence-counting pass — total cell count per
 // value (a nil Freqs counts one cell per attribute occurrence) — and returns
 // the values passing the singleton filter (in no particular order) together
-// with the full count map, which the graph retains so later Rebuild calls
+// with the full count map, which the graph retains so later RebuildDiff calls
 // can delta-update it instead of recounting the lake.
 //
 // With one worker it is a single map scan. In parallel, each worker scans a

@@ -10,14 +10,14 @@ import (
 	"domainnet/internal/lake"
 )
 
-// rebuildMaxChurn caps the attribute churn Rebuild handles incrementally:
+// rebuildMaxChurn caps the attribute churn RebuildDiff handles incrementally:
 // when more than 1/rebuildMaxChurn of the combined old+new attribute count
 // is dirty or removed, a from-scratch build is cheaper than delta surgery.
 const rebuildMaxChurn = 4
 
 // Changed compares attrs against the source attributes of prev and returns
 // the indices (into attrs) of attributes that are new or modified — exactly
-// the set Rebuild may not reuse from prev. Matching is by attribute ID;
+// the set RebuildDiff may not reuse from prev. Matching is by attribute ID;
 // content identity is established by backing-array pointer equality first
 // (lake.Attributes hands back the same arrays for untouched tables) with an
 // element-wise comparison as fallback. With a nil or non-incremental prev
@@ -69,28 +69,25 @@ type Diff struct {
 	Dirty     []int32
 }
 
-// Rebuild builds the graph of attrs, reusing as much of prev as the update
-// allows: the interned value strings, the value-index map (when the retained
-// value set is unchanged), and the adjacency spans of every attribute that is
-// neither in changed nor touched by a value flipping across the singleton
-// threshold. The output is bit-identical to FromAttributes(attrs, opts) —
-// incremental construction is a performance choice, never a semantic one.
+// RebuildDiff builds the graph of attrs, reusing as much of prev as the
+// update allows: the interned value strings, the value-index map (when the
+// retained value set is unchanged), and the adjacency spans of every
+// attribute that is neither in changed nor touched by a value flipping across
+// the singleton threshold. The output is bit-identical to
+// FromAttributes(attrs, opts) — incremental construction is a performance
+// choice, never a semantic one.
 //
 // changed lists the indices (into attrs) of new or modified attributes;
 // Changed computes it. Attributes of prev absent from attrs are detected
-// internally and their contributions subtracted. Rebuild falls back to the
-// full parallel build when prev cannot support delta surgery (nil, tripartite,
-// differing KeepSingletons, duplicate attribute IDs, reordered survivors) or
-// when the churn exceeds rebuildMaxChurn's threshold.
-func Rebuild(prev *Graph, attrs []lake.Attribute, changed []int, opts Options) *Graph {
-	g, _ := RebuildDiff(prev, attrs, changed, opts)
-	return g
-}
-
-// RebuildDiff is Rebuild plus a structural Diff describing what the update
-// touched, so scoring layers can carry prior per-node results. The returned
-// Diff is nil exactly when the update is a no-op and prev itself is returned;
-// it has Full set on every path that rebuilt from scratch.
+// internally and their contributions subtracted. RebuildDiff falls back to
+// the full parallel build when prev cannot support delta surgery (nil,
+// tripartite, differing KeepSingletons, duplicate attribute IDs, reordered
+// survivors) or when the churn exceeds rebuildMaxChurn's threshold.
+//
+// The returned Diff describes what the update touched, so scoring layers can
+// carry prior per-node results. It is nil exactly when the update is a no-op
+// and prev itself is returned; it has Full set on every path that rebuilt
+// from scratch.
 func RebuildDiff(prev *Graph, attrs []lake.Attribute, changed []int, opts Options) (*Graph, *Diff) {
 	full := func() (*Graph, *Diff) {
 		return FromAttributes(attrs, opts), &Diff{Full: true}

@@ -29,7 +29,8 @@ func rebuildLake(t *testing.T) *lake.Lake {
 func rebuildAfter(t *testing.T, prev *Graph, l *lake.Lake, opts Options) *Graph {
 	t.Helper()
 	attrs := l.Attributes()
-	return Rebuild(prev, attrs, Changed(prev, attrs), opts)
+	g, _ := RebuildDiff(prev, attrs, Changed(prev, attrs), opts)
+	return g
 }
 
 func TestRebuildMatchesScratchOnAdd(t *testing.T) {
@@ -84,7 +85,7 @@ func TestRebuildDuplicateChangedIndices(t *testing.T) {
 	// A sloppy caller repeating indices must not double-count cells in the
 	// occurrence deltas.
 	changed = append(changed, changed...)
-	inc := Rebuild(prev, attrs, changed, Options{})
+	inc, _ := RebuildDiff(prev, attrs, changed, Options{})
 	if scratch := FromAttributes(attrs, Options{}); !inc.Equal(scratch) {
 		t.Fatal("duplicate changed indices corrupted the rebuild")
 	}
@@ -94,7 +95,7 @@ func TestRebuildNoChangeReturnsPrev(t *testing.T) {
 	l := rebuildLake(t)
 	prev := FromLake(l, Options{})
 	if got := rebuildAfter(t, prev, l, Options{}); got != prev {
-		t.Error("Rebuild without changes should return the previous graph")
+		t.Error("RebuildDiff without changes should return the previous graph")
 	}
 }
 
@@ -104,18 +105,18 @@ func TestRebuildFallsBackSafely(t *testing.T) {
 	scratch := FromAttributes(attrs, Options{})
 
 	// Nil previous graph.
-	if g := Rebuild(nil, attrs, Changed(nil, attrs), Options{}); !g.Equal(scratch) {
-		t.Error("nil-prev Rebuild differs from scratch build")
+	if g, _ := RebuildDiff(nil, attrs, Changed(nil, attrs), Options{}); !g.Equal(scratch) {
+		t.Error("nil-prev RebuildDiff differs from scratch build")
 	}
 	// KeepSingletons mismatch.
 	prevKeep := FromAttributes(attrs, Options{KeepSingletons: true})
-	if g := Rebuild(prevKeep, attrs, nil, Options{}); !g.Equal(scratch) {
-		t.Error("option-mismatch Rebuild differs from scratch build")
+	if g, _ := RebuildDiff(prevKeep, attrs, nil, Options{}); !g.Equal(scratch) {
+		t.Error("option-mismatch RebuildDiff differs from scratch build")
 	}
 	// Tripartite previous graph.
 	tri := FromLakeWithRows(l, Options{})
-	if g := Rebuild(tri, attrs, Changed(tri, attrs), Options{}); !g.Equal(scratch) {
-		t.Error("tripartite-prev Rebuild differs from scratch build")
+	if g, _ := RebuildDiff(tri, attrs, Changed(tri, attrs), Options{}); !g.Equal(scratch) {
+		t.Error("tripartite-prev RebuildDiff differs from scratch build")
 	}
 }
 
@@ -134,7 +135,7 @@ func TestChangedDetectsIdenticalAttributes(t *testing.T) {
 }
 
 // TestRebuildRandomChurn drives a long random add/remove sequence through
-// Rebuild and checks bit-identity against a scratch build at every step,
+// RebuildDiff and checks bit-identity against a scratch build at every step,
 // across worker counts and the singleton-filter setting.
 func TestRebuildRandomChurn(t *testing.T) {
 	vocab := []string{
@@ -175,7 +176,7 @@ func TestRebuildRandomChurn(t *testing.T) {
 						addRandom()
 					}
 					attrs := l.Attributes()
-					g = Rebuild(g, attrs, Changed(g, attrs), opts)
+					g, _ = RebuildDiff(g, attrs, Changed(g, attrs), opts)
 					scratch := FromAttributes(attrs, opts)
 					if !g.Equal(scratch) {
 						t.Fatalf("step %d: incremental graph diverged from scratch build", step)

@@ -53,7 +53,7 @@ func (g *Graph) KeepsSingletons() bool { return g.keepSingletons }
 // order (the loader obtains it from the rehydrated lake). The state is
 // validated structurally: attribute count and IDs must match srcAttrs, the
 // offsets must be a monotone prefix-sum over all nodes, and every adjacency
-// entry must be in range. The resulting graph supports Rebuild exactly like
+// entry must be in range. The resulting graph supports RebuildDiff exactly like
 // the graph that was exported.
 func FromState(s *State, srcAttrs []lake.Attribute) (*Graph, error) {
 	nVal, nAttr := len(s.Values), len(s.AttrIDs)

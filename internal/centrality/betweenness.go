@@ -6,11 +6,11 @@
 // All algorithms operate on the minimal engine.Graph interface so they run
 // unchanged over the bipartite DomainNet graph, the tripartite row variant,
 // and the unipartite co-occurrence graph. Every measure takes the single
-// engine.Opts struct and is registered as an engine.Scorer (see scorers.go),
-// so the detector and any future caller dispatch by name rather than by
-// hard-coded switches. BFS scratch state comes from the shared per-worker
-// engine.Arena pool: one arena per worker, reused across all of that
-// worker's sources, instead of per-source (or per-call) heap allocation.
+// engine.Opts struct and is exported as an engine.Scorer value (see
+// scorers.go), which the detector's measure table points at. BFS scratch
+// state comes from the shared per-worker engine.Arena pool: one arena per
+// worker, reused across all of that worker's sources, instead of per-source
+// (or per-call) heap allocation.
 package centrality
 
 import (
@@ -56,13 +56,14 @@ func exactBetweenness(g Graph, affected []bool, opts engine.Opts) []float64 {
 // ApproxBetweenness estimates betweenness centrality from a random sample of
 // opts.Samples BFS sources (uniform, or degree-proportional under
 // opts.DegreeBiased), scaling accumulated dependencies by n/s so the
-// estimate is unbiased for the exact (raw) score. With Samples >= n it
-// degenerates to the exact computation.
+// estimate is unbiased for the exact (raw) score. Samples <= 0 selects 1% of
+// the node count, min 100 (the §5.4 footnote 7 heuristic). With Samples >= n
+// it degenerates to the exact computation.
 func ApproxBetweenness(g Graph, opts engine.Opts) []float64 {
 	n := g.NumNodes()
 	s := opts.Samples
 	if s <= 0 {
-		panic("centrality: ApproxBetweenness requires Samples > 0")
+		s = max(n/100, 100)
 	}
 	if s >= n {
 		return Betweenness(g, opts)

@@ -5,6 +5,7 @@ import (
 
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -190,6 +191,19 @@ func TestApproxFullSampleEqualsExact(t *testing.T) {
 	for u := range exact {
 		if !almostEqual(exact[u], over[u], 1e-9) {
 			t.Fatalf("node %d: exact %v approx(over) %v", u, exact[u], over[u])
+		}
+	}
+}
+
+// TestApproxDefaultSamples pins the §5.4 default budget, 1% of the nodes but
+// at least 100, on both sides of the 10,000-node crossover.
+func TestApproxDefaultSamples(t *testing.T) {
+	for _, g := range []*sliceGraph{randomGraph(300, 0.03, rand.New(rand.NewSource(4))), pathGraph(12000)} {
+		n := g.NumNodes()
+		def := ApproxBetweenness(g, engine.Opts{Seed: 8})
+		explicit := ApproxBetweenness(g, engine.Opts{Seed: 8, Samples: max(n/100, 100)})
+		if !slices.Equal(def, explicit) {
+			t.Errorf("n=%d: Samples 0 differs from Samples %d", n, max(n/100, 100))
 		}
 	}
 }

@@ -30,7 +30,7 @@ func allZero(s []float64) bool {
 	return true
 }
 
-// TestPreCancelledScorersDoNoWork runs every registered traversal scorer
+// TestPreCancelledScorersDoNoWork runs every traversal scorer
 // with an already-cancelled context: each must return an all-zero vector
 // (no source was ever traversed) on a graph where the uncancelled run is
 // provably non-zero.

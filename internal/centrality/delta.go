@@ -36,12 +36,9 @@ import (
 // carried and the (n-dependent) normalization is applied to the final
 // vector, so node-count drift between rounds cannot skew carried entries.
 
-// BetweennessExact is the registry's exact-Brandes scorer; it implements
+// BetweennessExact is the exact-Brandes scorer; it implements
 // engine.DeltaScorer.
 type BetweennessExact struct{}
-
-// Name implements engine.Scorer.
-func (BetweennessExact) Name() string { return NameBetweennessExact }
 
 // Score implements engine.Scorer.
 func (BetweennessExact) Score(g Graph, opts engine.Opts) []float64 {
@@ -104,13 +101,9 @@ func (BetweennessExact) ScoreDelta(g Graph, d *engine.Delta, opts engine.Opts) (
 	return scores, carry, true
 }
 
-// HarmonicScorer is the registry's harmonic scorer (exact by default,
-// sampled when opts.Samples is set); it implements engine.DeltaScorer for
-// the exact path.
+// HarmonicScorer is the harmonic scorer (exact by default, sampled when
+// opts.Samples is set); it implements engine.DeltaScorer for the exact path.
 type HarmonicScorer struct{}
-
-// Name implements engine.Scorer.
-func (HarmonicScorer) Name() string { return NameHarmonic }
 
 // Score implements engine.Scorer.
 func (HarmonicScorer) Score(g Graph, opts engine.Opts) []float64 {

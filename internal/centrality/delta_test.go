@@ -135,23 +135,21 @@ func TestScoreDeltaBailsOnUnsupportedOptions(t *testing.T) {
 }
 
 func TestRegisteredDeltaScorers(t *testing.T) {
-	for _, name := range []string{NameBetweennessExact, NameHarmonic} {
-		s, ok := engine.Lookup(name)
-		if !ok {
-			t.Fatalf("scorer %q not registered", name)
-		}
+	for _, s := range []engine.Scorer{BetweennessExact{}, HarmonicScorer{}} {
 		if _, ok := s.(engine.DeltaScorer); !ok {
-			t.Errorf("scorer %q does not implement engine.DeltaScorer", name)
+			t.Errorf("scorer %T does not implement engine.DeltaScorer", s)
 		}
 	}
 	// The sampled/approximate measures deliberately have no delta path.
-	for _, name := range []string{NameBetweennessApprox, NameBetweennessEpsilon, NameLCC, NameDegree} {
-		s, ok := engine.Lookup(name)
-		if !ok {
-			t.Fatalf("scorer %q not registered", name)
-		}
+	for name, s := range map[string]engine.Scorer{
+		"ApproxBetweennessScorer":  ApproxBetweennessScorer,
+		"EpsilonBetweennessScorer": EpsilonBetweennessScorer,
+		"LCCScorer":                LCCScorer,
+		"LCCAttrScorer":            LCCAttrScorer,
+		"DegreeScorer":             DegreeScorer,
+	} {
 		if _, ok := s.(engine.DeltaScorer); ok {
-			t.Errorf("scorer %q unexpectedly implements engine.DeltaScorer", name)
+			t.Errorf("%s unexpectedly implements engine.DeltaScorer", name)
 		}
 	}
 }

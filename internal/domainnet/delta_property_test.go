@@ -12,27 +12,19 @@ import (
 	"domainnet/internal/table"
 )
 
-// deltaCapableMeasures resolves, through the scorer registry, the measures
-// whose scorers implement the incremental path — the set the equivalence
-// property below must hold for.
+// deltaCapableMeasures reads from the measure table the measures whose
+// scorers implement the incremental path — the set the equivalence property
+// below must hold for.
 func deltaCapableMeasures(t *testing.T) []Measure {
 	t.Helper()
-	all := []Measure{
-		BetweennessApprox, BetweennessExact, LCC, LCCAttr,
-		DegreeBaseline, BetweennessEpsilon, HarmonicBaseline,
-	}
 	var out []Measure
-	for _, m := range all {
-		s, ok := engine.Lookup(m.String())
-		if !ok {
-			continue
-		}
-		if _, ok := s.(engine.DeltaScorer); ok {
-			out = append(out, m)
+	for m := range measures {
+		if _, ok := measures[m].scorer.(engine.DeltaScorer); ok {
+			out = append(out, Measure(m))
 		}
 	}
 	if len(out) == 0 {
-		t.Fatal("no delta-capable measures registered")
+		t.Fatal("no delta-capable measures in the table")
 	}
 	return out
 }

@@ -1,14 +1,14 @@
 package domainnet
 
 // Edge-case coverage for the Detector and the Measure enum: oversized TopK,
-// empty lakes, absent values, and the registry wiring of every measure.
+// empty lakes, absent values, and the measure table row of every measure.
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"domainnet/internal/datagen"
-	"domainnet/internal/engine"
 	"domainnet/internal/lake"
 	"domainnet/internal/rank"
 )
@@ -82,20 +82,37 @@ func TestMeasureOrderAllVariants(t *testing.T) {
 	}
 }
 
+// TestEveryMeasureHasRegisteredScorer checks each measure's table row: a
+// non-nil scorer, a unique spelling and name, and both resolving back
+// through ParseMeasure. TestMeasureRegistered covers the table's extent.
 func TestEveryMeasureHasRegisteredScorer(t *testing.T) {
+	spellings, names := map[string]bool{}, map[string]bool{}
 	for _, m := range allMeasures {
-		s, ok := engine.Lookup(m.String())
-		if !ok {
-			t.Errorf("no scorer registered under %q", m.String())
-			continue
+		row := measures[m]
+		if row.scorer == nil || row.spelling == "" || row.name == "" {
+			t.Errorf("measure %d has an incomplete row %+v", int(m), row)
 		}
-		if s.Name() != m.String() {
-			t.Errorf("scorer name %q != measure name %q", s.Name(), m.String())
+		if spellings[row.spelling] || names[row.name] {
+			t.Errorf("measure %d reuses spelling %q or name %q", int(m), row.spelling, row.name)
+		}
+		spellings[row.spelling], names[row.name] = true, true
+		for _, s := range []string{row.spelling, row.name} {
+			if got, ok := ParseMeasure(s); !ok || got != m {
+				t.Errorf("ParseMeasure(%q) = %v, %v; want %v", s, got, ok, m)
+			}
 		}
 	}
-	// The detector's menu must include at least the seven built-ins.
-	if got := len(Scorers()); got < len(allMeasures) {
-		t.Errorf("Scorers() lists %d names, want >= %d", got, len(allMeasures))
+	// Both lists are wire output (/scorers, CLI errors): pin them exactly.
+	wantSpellings := []string{"bc", "bc-eps", "bc-exact", "degree", "harmonic", "lcc", "lcc-attr"}
+	if got := MeasureNames(); !slices.Equal(got, wantSpellings) {
+		t.Errorf("MeasureNames() = %q, want %q", got, wantSpellings)
+	}
+	wantNames := []string{
+		"betweenness(approx)", "betweenness(epsilon)", "betweenness(exact)",
+		"degree", "harmonic", "lcc", "lcc(attr-jaccard)",
+	}
+	if got := Scorers(); !slices.Equal(got, wantNames) {
+		t.Errorf("Scorers() = %q, want %q", got, wantNames)
 	}
 }
 
@@ -113,13 +130,13 @@ func TestUnknownMeasureFallsBackToDefault(t *testing.T) {
 }
 
 func TestScoresDispatchMatchesDirectCall(t *testing.T) {
-	// Registry dispatch must be exactly the registered scorer: same graph,
-	// same opts, bit-identical output.
+	// Dispatch must be exactly the table's scorer: same graph, same opts,
+	// bit-identical output.
 	g := New(datagen.Figure1Lake(), Config{KeepSingletons: true}).Graph()
 	for _, m := range allMeasures {
 		cfg := Config{Measure: m, Seed: 7, Samples: 5, Epsilon: 0.1}
 		det := FromGraph(g, cfg)
-		direct := engine.MustLookup(m.String()).Score(g, cfg.engineOpts(context.Background()))
+		direct := measures[m].scorer.Score(g, cfg.engineOpts(context.Background()))
 		got := det.Scores()
 		if len(got) != len(direct) {
 			t.Fatalf("%v: score length %d != %d", m, len(got), len(direct))

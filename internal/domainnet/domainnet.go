@@ -6,18 +6,16 @@
 // The package is the library's primary entry point; examples and binaries
 // use it rather than wiring the substrates together by hand.
 //
-// Measures are dispatched through the engine's scorer registry: each Measure
-// constant names an engine.Scorer registered by internal/centrality, and the
+// Every Measure is one row of a static table holding its short spelling,
+// display name, engine.Scorer from internal/centrality and rank order; the
 // Config is translated into the one engine.Opts struct every scorer shares.
-// New measures therefore plug in by registration, with no dispatch code to
-// edit here (see Scorers for the live menu).
+// Adding a measure means adding a constant and its row.
 package domainnet
 
 import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -55,76 +53,64 @@ const (
 	HarmonicBaseline
 )
 
-// measureScorer maps each Measure constant to the registry name of its
-// engine.Scorer implementation. The table (not a switch) is the single point
-// a new built-in measure is wired in; out-of-tree measures skip even this by
-// registering with the engine and being addressed by name.
-var measureScorer = map[Measure]string{
-	BetweennessApprox:  centrality.NameBetweennessApprox,
-	BetweennessExact:   centrality.NameBetweennessExact,
-	LCC:                centrality.NameLCC,
-	LCCAttr:            centrality.NameLCCAttr,
-	DegreeBaseline:     centrality.NameDegree,
-	BetweennessEpsilon: centrality.NameBetweennessEpsilon,
-	HarmonicBaseline:   centrality.NameHarmonic,
+// measureInfo is one row of the measure table.
+type measureInfo struct {
+	spelling string        // short form the CLI and HTTP service accept
+	name     string        // display name: /topk bodies, ETags, /scorers
+	scorer   engine.Scorer // computes the per-node scores
+	order    rank.Order    // ranking direction that puts homographs first
 }
 
-// ascendingMeasures lists the measures under which homograph candidates rank
-// low rather than high (Hypothesis 3.4: homographs scatter their neighbors).
-var ascendingMeasures = map[Measure]bool{LCC: true, LCCAttr: true}
+// measures describes every Measure, indexed by the constant.
+var measures = [...]measureInfo{
+	BetweennessApprox:  {"bc", "betweenness(approx)", centrality.ApproxBetweennessScorer, rank.Descending},
+	BetweennessExact:   {"bc-exact", "betweenness(exact)", centrality.BetweennessExact{}, rank.Descending},
+	LCC:                {"lcc", "lcc", centrality.LCCScorer, rank.Ascending},
+	LCCAttr:            {"lcc-attr", "lcc(attr-jaccard)", centrality.LCCAttrScorer, rank.Ascending},
+	DegreeBaseline:     {"degree", "degree", centrality.DegreeScorer, rank.Descending},
+	BetweennessEpsilon: {"bc-eps", "betweenness(epsilon)", centrality.EpsilonBetweennessScorer, rank.Descending},
+	HarmonicBaseline:   {"harmonic", "harmonic", centrality.HarmonicScorer{}, rank.Descending},
+}
 
-// String returns the measure's display name — the scorer registry key.
-func (m Measure) String() string {
-	if name, ok := measureScorer[m]; ok {
-		return name
+// info returns the measure's table row. An out-of-range Measure (a stale
+// config, a future constant) gets the row of the zero value, the
+// recommended sampled betweenness.
+func (m Measure) info() *measureInfo {
+	if m < 0 || int(m) >= len(measures) {
+		m = BetweennessApprox
 	}
-	return fmt.Sprintf("Measure(%d)", int(m))
+	return &measures[m]
 }
 
-// Registered reports whether the measure's scorer is actually present in
-// the engine registry — the fail-fast startup validation cmd/domainnetd
-// applies to -measure and -warm-measures, instead of discovering an
-// unregistered measure when the first computation dispatches.
-func (m Measure) Registered() bool {
-	_, ok := engine.Lookup(m.String())
-	return ok
+// String returns the measure's display name; an out-of-range Measure prints
+// as Measure(N).
+func (m Measure) String() string {
+	if m < 0 || int(m) >= len(measures) {
+		return fmt.Sprintf("Measure(%d)", int(m))
+	}
+	return measures[m].name
 }
 
 // order reports the ranking direction under which the measure places
 // homograph candidates first.
-func (m Measure) order() rank.Order {
-	if ascendingMeasures[m] {
-		return rank.Ascending
+func (m Measure) order() rank.Order { return m.info().order }
+
+// Scorers returns the sorted display names of every measure.
+func Scorers() []string {
+	out := make([]string, len(measures))
+	for i := range measures {
+		out[i] = measures[i].name
 	}
-	return rank.Descending
-}
-
-// Scorers returns the names of every registered scoring measure, the full
-// menu a caller can dispatch on (built-ins plus any externally registered
-// engine.Scorer implementations).
-func Scorers() []string { return engine.Names() }
-
-// measureSpellings maps the short spellings the CLI and HTTP service accept
-// to detector measures; every entry resolves to a Scorer in the registry.
-var measureSpellings = map[string]Measure{
-	"bc":       BetweennessApprox,
-	"bc-exact": BetweennessExact,
-	"bc-eps":   BetweennessEpsilon,
-	"lcc":      LCC,
-	"lcc-attr": LCCAttr,
-	"degree":   DegreeBaseline,
-	"harmonic": HarmonicBaseline,
+	slices.Sort(out)
+	return out
 }
 
 // ParseMeasure resolves a measure from its short spelling (bc, bc-exact,
-// bc-eps, lcc, lcc-attr, degree, harmonic) or its registry display name.
+// bc-eps, lcc, lcc-attr, degree, harmonic) or its display name.
 func ParseMeasure(name string) (Measure, bool) {
-	if m, ok := measureSpellings[name]; ok {
-		return m, true
-	}
-	for m, reg := range measureScorer {
-		if reg == name {
-			return m, true
+	for m := range measures {
+		if measures[m].spelling == name || measures[m].name == name {
+			return Measure(m), true
 		}
 	}
 	return 0, false
@@ -133,11 +119,11 @@ func ParseMeasure(name string) (Measure, bool) {
 // MeasureNames returns the sorted short spellings ParseMeasure accepts,
 // for flag and API error messages.
 func MeasureNames() []string {
-	out := make([]string, 0, len(measureSpellings))
-	for name := range measureSpellings {
-		out = append(out, name)
+	out := make([]string, len(measures))
+	for i := range measures {
+		out[i] = measures[i].spelling
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -256,7 +242,7 @@ func FromGraphWithPrior(g *bipartite.Graph, cfg Config, prev *Detector, diff *bi
 }
 
 // Update returns a detector reflecting the lake's current state, rebuilding
-// the graph incrementally from the receiver's snapshot (bipartite.Rebuild):
+// the graph incrementally from the receiver's snapshot (bipartite.RebuildDiff):
 // unchanged attributes keep their interned values and adjacency, so
 // single-table churn costs far less than New. When nothing structural
 // changed the receiver itself is returned, score and ranking caches intact
@@ -285,9 +271,8 @@ func (d *Detector) Graph() *bipartite.Graph { return d.graph }
 
 // Scores computes (once) and returns the per-node score slice, indexed by
 // node id; only value-node entries are meaningful for LCC measures. The
-// measure is resolved through the engine's scorer registry — no per-measure
-// dispatch lives here — and every scorer receives the same engine.Opts
-// derived from the Config. Concurrent callers block on one shared
+// scorer comes from the measure table, and every scorer receives the same
+// engine.Opts derived from the Config. Concurrent callers block on one shared
 // computation; the returned slice is shared and must not be modified.
 func (d *Detector) Scores() []float64 {
 	s, _ := d.ScoresContext(context.Background()) // background ctx: never fails
@@ -313,13 +298,7 @@ func (d *Detector) ScoresContext(ctx context.Context) ([]float64, error) {
 	if err := ctx.Err(); err != nil { // cancelled while queued on the latch
 		return nil, err
 	}
-	scorer, ok := engine.Lookup(d.cfg.Measure.String())
-	if !ok {
-		// Unknown measures fall back to the recommended default, matching
-		// order()'s graceful handling (and the zero-value Config).
-		scorer = engine.MustLookup(centrality.NameBetweennessApprox)
-	}
-	scores, carry, incremental, dirtySize := d.computeScores(scorer, d.cfg.engineOpts(ctx))
+	scores, carry, incremental, dirtySize := d.computeScores(d.cfg.Measure.info().scorer, d.cfg.engineOpts(ctx))
 	if err := ctx.Err(); err != nil {
 		return nil, err // possibly partial: do not poison the cache (prior kept for the retry)
 	}

@@ -154,14 +154,27 @@ func TestMeasureString(t *testing.T) {
 	}
 }
 
+// TestMeasureRegistered checks that the measure table holds exactly one row
+// per built-in measure and nothing else: an out-of-range Measure has no row
+// of its own and resolves to the default's, and unknown spellings parse to
+// nothing.
 func TestMeasureRegistered(t *testing.T) {
-	for m := range measureScorer {
-		if !m.Registered() {
-			t.Errorf("built-in measure %s has no registered scorer", m)
+	if len(measures) != len(allMeasures) {
+		t.Fatalf("measure table has %d rows, want %d", len(measures), len(allMeasures))
+	}
+	for i, m := range allMeasures {
+		if int(m) != i {
+			t.Errorf("allMeasures[%d] = %d: the table index and constant disagree", i, int(m))
 		}
 	}
-	if Measure(99).Registered() {
-		t.Error("Measure(99) reports a registered scorer")
+	if got := Measure(99).String(); got != "Measure(99)" {
+		t.Errorf("Measure(99).String() = %q, want Measure(99)", got)
+	}
+	if Measure(99).info() != BetweennessApprox.info() || Measure(-1).info() != BetweennessApprox.info() {
+		t.Error("an out-of-range Measure does not resolve to the default row")
+	}
+	if _, ok := ParseMeasure("pagerank"); ok {
+		t.Error("ParseMeasure accepted an unknown spelling")
 	}
 }
 

@@ -112,7 +112,7 @@ func TestIncrementalUpdateTracksScratch(t *testing.T) {
 }
 
 // TestIncrementalPropertyRandomChurn is the end-to-end equivalence property:
-// for a random Add/RemoveTable sequence, Detector.Update (bipartite.Rebuild
+// for a random Add/RemoveTable sequence, Detector.Update (bipartite.RebuildDiff
 // underneath) produces graphs and rankings bit-identical to a cold New at
 // every step. The vocabulary is small so values keep crossing the singleton
 // threshold in both directions.

@@ -1,9 +1,8 @@
 // Package engine is the shared execution substrate of the DomainNet scoring
 // pipeline. It defines the minimal graph view the centrality algorithms
 // consume, the single options struct every measure is parameterized by, the
-// Scorer interface with its process-wide registry (so new measures plug in
-// without editing dispatch code), and the reusable per-worker BFS arena that
-// makes repeated graph traversals allocation-free.
+// Scorer interface every measure implements, and the reusable per-worker BFS
+// arena that makes repeated graph traversals allocation-free.
 //
 // The package has no dependencies beyond the standard library and imports
 // nothing else from this repository, so every layer — centrality algorithms,
@@ -13,10 +12,7 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 )
 
 // Graph is the read-only adjacency view scoring algorithms need.
@@ -100,60 +96,10 @@ func (o Opts) EffectiveWorkers(items int) int {
 	return w
 }
 
-// Scorer is a pluggable scoring measure. Score returns one score per node,
-// indexed by node id; measures defined only on a node prefix (such as the
-// value-node LCC) still return a slice the caller can index by node id for
-// that prefix.
+// Scorer is a scoring measure. Score computes the measure over g under opts
+// and returns one score per node, indexed by node id; measures defined only
+// on a node prefix (such as the value-node LCC) still return a slice the
+// caller can index by node id for that prefix.
 type Scorer interface {
-	// Name is the stable registry key, also used for display.
-	Name() string
-	// Score computes the measure over g under opts.
 	Score(g Graph, opts Opts) []float64
-}
-
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Scorer)
-)
-
-// Register adds a Scorer to the process-wide registry. It panics on a
-// duplicate name: two measures silently shadowing each other is a bug.
-func Register(s Scorer) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	name := s.Name()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("engine: duplicate scorer %q", name))
-	}
-	registry[name] = s
-}
-
-// Lookup returns the Scorer registered under name, if any.
-func Lookup(name string) (Scorer, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
-}
-
-// MustLookup returns the Scorer registered under name and panics when it is
-// absent — the failure mode of dispatching on an unregistered measure.
-func MustLookup(name string) Scorer {
-	s, ok := Lookup(name)
-	if !ok {
-		panic(fmt.Sprintf("engine: no scorer registered under %q", name))
-	}
-	return s
-}
-
-// Names returns the sorted names of all registered scorers.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

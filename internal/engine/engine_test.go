@@ -6,50 +6,6 @@ import (
 	"testing"
 )
 
-type fakeScorer struct{ name string }
-
-func (f fakeScorer) Name() string                    { return f.name }
-func (f fakeScorer) Score(g Graph, o Opts) []float64 { return make([]float64, g.NumNodes()) }
-
-func TestRegistryLookup(t *testing.T) {
-	Register(fakeScorer{name: "test-scorer-a"})
-	s, ok := Lookup("test-scorer-a")
-	if !ok || s.Name() != "test-scorer-a" {
-		t.Fatalf("Lookup(test-scorer-a) = %v, %v", s, ok)
-	}
-	if _, ok := Lookup("no-such-scorer"); ok {
-		t.Error("Lookup of unregistered name succeeded")
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "test-scorer-a" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Names() = %v, missing test-scorer-a", Names())
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	Register(fakeScorer{name: "test-scorer-dup"})
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register(fakeScorer{name: "test-scorer-dup"})
-}
-
-func TestMustLookupPanicsOnMissing(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustLookup of missing scorer did not panic")
-		}
-	}()
-	MustLookup("definitely-not-registered")
-}
-
 func TestEffectiveWorkers(t *testing.T) {
 	cases := []struct {
 		workers, items, wantMax int

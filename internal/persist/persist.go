@@ -6,7 +6,7 @@
 // What is persisted is deliberately the *derived* state, not just the data:
 // the graph's interned value strings, CSR adjacency spans and occurrence
 // counts are the expensive part of startup, and they are exactly what the
-// incremental rebuild path (bipartite.Rebuild) needs to keep pricing updates
+// incremental rebuild path (bipartite.RebuildDiff) needs to keep pricing updates
 // by their delta after the restart. The lake's raw tables ride along so the
 // loader can re-wire the graph to a live lake.Attributes() slice, restoring
 // the pointer-identity change detection of bipartite.Changed.

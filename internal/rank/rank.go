@@ -33,8 +33,8 @@ const (
 // value so rankings are deterministic.
 //
 // NaN scores sort last under either order, among themselves by value. The
-// built-in measures never emit NaN (their divisions are guarded), but an
-// externally registered engine.Scorer can, and a comparator that answers
+// detector's measures never emit NaN (their divisions are guarded), but
+// scores from a caller or a new measure can, and a comparator that answers
 // false for every NaN comparison violates sort.Slice's strict-weak-ordering
 // contract, making the whole ranking nondeterministic — not just the NaN
 // entries.

@@ -6,7 +6,7 @@
 // (/topk, /score, /stats, /scorers) load the snapshot pointer and never take
 // a lock, never block, and never observe a half-applied update. Writers
 // (POST/DELETE /tables) serialize on a mutex, mutate the lake, rebuild the
-// graph incrementally from the previous snapshot (bipartite.Rebuild — only
+// graph incrementally from the previous snapshot (bipartite.RebuildDiff — only
 // the touched table's attributes are re-processed), and publish the result
 // with one atomic store. In-flight readers keep the old snapshot alive until
 // they finish; new requests see the new version.
@@ -416,14 +416,9 @@ func (s *Server) publish() {
 	var g *bipartite.Graph
 	var diff *bipartite.Diff
 	bopts := bipartite.Options{KeepSingletons: s.cfg.KeepSingletons, Workers: s.cfg.Workers}
-	switch {
-	case prev == nil:
+	if prev == nil {
 		g = bipartite.FromAttributes(attrs, bopts)
-	case len(s.warmMeasures) == 0:
-		// Without a warmer there is no prior-score consumer; skip the diff
-		// assembly so the unwarmed write path stays exactly as before.
-		g = bipartite.Rebuild(prev.graph, attrs, bipartite.Changed(prev.graph, attrs), bopts)
-	default:
+	} else {
 		g, diff = bipartite.RebuildDiff(prev.graph, attrs, bipartite.Changed(prev.graph, attrs), bopts)
 	}
 	s.publishGraphDiff(g, diff)
