@@ -6,6 +6,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"domainnet/internal/lint"
 )
 
 const seededFixture = "./internal/lint/testdata/src/ctxcancel"
@@ -104,8 +106,8 @@ func TestListCatalogJSON(t *testing.T) {
 	if err := json.Unmarshal(stdout.Bytes(), &entries); err != nil {
 		t.Fatalf("-list -json output is not JSON: %v\n%s", err, stdout.String())
 	}
-	if len(entries) != 8 {
-		t.Fatalf("catalog has %d entries, want 8: %+v", len(entries), entries)
+	if want := len(lint.All()); len(entries) != want {
+		t.Fatalf("catalog has %d entries, want %d: %+v", len(entries), want, entries)
 	}
 	interp := map[string]bool{}
 	for _, e := range entries {
@@ -114,7 +116,7 @@ func TestListCatalogJSON(t *testing.T) {
 		}
 		interp[e.Name] = e.Interprocedural
 	}
-	if !interp["lockorder"] || interp["versionheader"] {
+	if _, ok := interp["decodenopanic"]; !ok || !interp["lockorder"] || interp["decodenopanic"] {
 		t.Fatalf("interprocedural flags wrong: %+v", interp)
 	}
 }

@@ -17,7 +17,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -125,23 +124,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
-}
-
-// stringConstant returns the compile-time string value of expr, if any.
-func stringConstant(info *types.Info, expr ast.Expr) (string, bool) {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
-}
-
-// intConstant returns the compile-time integer value of expr, if any.
-func intConstant(info *types.Info, expr ast.Expr) (int64, bool) {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	v, exact := constant.Int64Val(tv.Value)
-	return v, exact
 }

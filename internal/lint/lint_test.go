@@ -100,10 +100,6 @@ func TestCtxCancelFixture(t *testing.T) {
 	testAnalyzerFixture(t, "ctxcancel", lint.CtxCancel{})
 }
 
-func TestVersionHeaderFixture(t *testing.T) {
-	testAnalyzerFixture(t, "versionheader", lint.VersionHeader{})
-}
-
 func TestLockHoldFixture(t *testing.T) {
 	testAnalyzerFixture(t, "lockhold", lint.LockHold{})
 }

@@ -98,5 +98,29 @@ func (p *PromWriter) Histogram(name string, h HistSnapshot, labels ...string) {
 	p.series(name, "_count", labels, strconv.FormatInt(h.Count, 10))
 }
 
+// EndpointFamilies renders one endpoint map as the four per-endpoint
+// families under prefix — requests, errors, 304s and the latency histogram —
+// each family contiguous, endpoints in sorted-name order so scrapes are
+// diffable.
+func (p *PromWriter) EndpointFamilies(prefix string, m map[string]EndpointMetrics) {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		p.Counter(prefix+"_requests_total", m[name].Count, "endpoint", name)
+	}
+	for _, name := range names {
+		p.Counter(prefix+"_request_errors_total", m[name].Errors, "endpoint", name)
+	}
+	for _, name := range names {
+		p.Counter(prefix+"_not_modified_total", m[name].NotModified, "endpoint", name)
+	}
+	for _, name := range names {
+		p.Histogram(prefix+"_request_seconds", m[name].Hist, "endpoint", name)
+	}
+}
+
 // Bytes returns the rendered exposition.
 func (p *PromWriter) Bytes() []byte { return []byte(p.b.String()) }

@@ -254,7 +254,7 @@ func TestRawBootstrapToggle(t *testing.T) {
 }
 
 func TestSnapshotEndpointProtocol(t *testing.T) {
-	_, _, ts := newLeader(t)
+	leader, _, ts := newLeader(t)
 	get := func(path, acceptEnc string) *http.Response {
 		t.Helper()
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
@@ -276,6 +276,9 @@ func TestSnapshotEndpointProtocol(t *testing.T) {
 	}
 	if legacy.ContentLength <= 0 {
 		t.Errorf("plain snapshot lost its Content-Length (%d)", legacy.ContentLength)
+	}
+	if got, want := legacy.Header.Get(VersionHeader), strconv.FormatUint(leader.Version(), 10); got != want {
+		t.Errorf("plain snapshot %s = %q, want %s", VersionHeader, got, want)
 	}
 
 	chunked := get("/repl/snapshot?chunked=1", "gzip")
@@ -377,6 +380,27 @@ func TestChangesIdlePollCarriesVersion(t *testing.T) {
 	}
 	if got := resp.Header.Get(VersionHeader); got != ver {
 		t.Errorf("204 version header = %q, want %s — followers derive lag from it", got, ver)
+	}
+}
+
+// TestChangesFramesCarryLastVersion: a change-feed response carrying frames
+// is stamped with its last frame's version, not the version the request
+// started from.
+func TestChangesFramesCarryLastVersion(t *testing.T) {
+	leader, _, ts := newLeader(t)
+	from := strconv.FormatUint(leader.Version(), 10)
+	addTable(t, leader, "feed-1")
+	last := addTable(t, leader, "feed-2")
+	resp, err := http.Get(ts.URL + "/repl/changes?from=" + from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("poll behind two bursts = %d, want 200", resp.StatusCode)
+	}
+	if got, want := resp.Header.Get(VersionHeader), strconv.FormatUint(last, 10); got != want {
+		t.Errorf("frames response %s = %q, want the last frame's %s", VersionHeader, got, want)
 	}
 }
 

@@ -211,6 +211,7 @@ func TestObsLbMetricsProm(t *testing.T) {
 		`domainnet_lb_requests_total{endpoint="topk"} 1`,
 		"domainnet_lb_leader_version",
 		"domainnet_lb_backends_admitted 1",
+		`domainnet_lb_traces_total{stage="evicted"} 0`,
 		`le="+Inf"`,
 	} {
 		if !strings.Contains(body, want) {

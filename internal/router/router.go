@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -545,37 +544,16 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// promEndpointFamilies renders one endpoint map as prom families under the
-// given prefix, keeping each family's series contiguous.
-func promEndpointFamilies(pw *obs.PromWriter, prefix string, m map[string]obs.EndpointMetrics) {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pw.Counter(prefix+"_requests_total", m[name].Count, "endpoint", name)
-	}
-	for _, name := range names {
-		pw.Counter(prefix+"_request_errors_total", m[name].Errors, "endpoint", name)
-	}
-	for _, name := range names {
-		pw.Counter(prefix+"_not_modified_total", m[name].NotModified, "endpoint", name)
-	}
-	for _, name := range names {
-		pw.Histogram(prefix+"_request_seconds", m[name].Hist, "endpoint", name)
-	}
-}
-
 func (rt *Router) writeProm(w http.ResponseWriter, fleet, local map[string]obs.EndpointMetrics, fs FleetStatus) {
 	pw := &obs.PromWriter{}
-	promEndpointFamilies(pw, "domainnet_fleet", fleet)
-	promEndpointFamilies(pw, "domainnet_lb", local)
+	pw.EndpointFamilies("domainnet_fleet", fleet)
+	pw.EndpointFamilies("domainnet_lb", local)
 	pw.Gauge("domainnet_lb_leader_version", float64(fs.LeaderVersion))
 	pw.Gauge("domainnet_lb_backends_admitted", float64(fs.Admitted))
 	ts := rt.tracer.Stats()
 	pw.Counter("domainnet_lb_traces_total", ts.Started, "stage", "started")
 	pw.Counter("domainnet_lb_traces_total", ts.Captured, "stage", "captured")
+	pw.Counter("domainnet_lb_traces_total", ts.Evicted, "stage", "evicted")
 	rs := obs.ReadRuntime()
 	pw.Gauge("domainnet_lb_goroutines", float64(rs.Goroutines))
 	pw.Gauge("domainnet_lb_heap_bytes", float64(rs.HeapBytes))

@@ -24,10 +24,14 @@
 //
 // The read hot path caches fully encoded /topk responses per (snapshot,
 // measure, k) with a strong ETag, answering If-None-Match revalidations
-// with 304 and no body (see respcache.go), and every read endpoint stamps
-// the snapshot version it served from in the X-Domainnet-Version header so
-// routers and clients can detect cross-replica staleness without parsing
-// bodies.
+// with 304 and no body (see respcache.go).
+//
+// Every GET route is mounted through Server.read, and only through it: read
+// loads the snapshot once, stamps its version in the X-Domainnet-Version
+// header, and hands the snapshot to the handler, which has no other way to
+// reach one. Every read response therefore carries the version it was served
+// from, so routers and clients can detect cross-replica staleness without
+// parsing bodies.
 package serve
 
 import (
@@ -41,7 +45,6 @@ import (
 	"mime/multipart"
 	"net/http"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,10 +62,11 @@ import (
 // multipart batch).
 const maxUpload = 64 << 20
 
-// VersionHeader stamps every read response with the snapshot version it was
-// served from, so routers and clients can detect cross-replica staleness
-// from headers alone — no body parse, and on a 304 no body at all. The
-// replication layer reuses the same header on its wire protocol.
+// VersionHeader stamps every read response (Server.read sets it) with the
+// snapshot version it was served from, so routers and clients can detect
+// cross-replica staleness from headers alone — no body parse, and on a 304
+// no body at all. The replication layer reuses the same header on its wire
+// protocol.
 const VersionHeader = "X-Domainnet-Version"
 
 // Sentinel errors of the batch mutation path, so HTTP handlers can map
@@ -316,12 +320,12 @@ func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /topk", s.instrument("topk", s.handleTopK))
-	mux.HandleFunc("GET /score", s.instrument("score", s.handleScore))
-	mux.HandleFunc("GET /stats", s.instrument("stats", s.handleStats))
-	mux.HandleFunc("GET /scorers", s.instrument("scorers", s.handleScorers))
-	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("GET /debug/traces", s.instrument("debug_traces", s.handleTraces))
+	mux.HandleFunc("GET /topk", s.read("topk", s.handleTopK))
+	mux.HandleFunc("GET /score", s.read("score", s.handleScore))
+	mux.HandleFunc("GET /stats", s.read("stats", s.handleStats))
+	mux.HandleFunc("GET /scorers", s.read("scorers", s.handleScorers))
+	mux.HandleFunc("GET /metrics", s.read("metrics", s.handleMetrics))
+	mux.HandleFunc("GET /debug/traces", s.read("debug_traces", s.handleTraces))
 	mux.HandleFunc("POST /tables", s.instrument("batch_add", s.handleBatchAdd))
 	mux.HandleFunc("POST /tables/{name}", s.instrument("add_table", s.handleAddTable))
 	mux.HandleFunc("DELETE /tables/{name}", s.instrument("remove_table", s.handleRemoveTable))
@@ -334,6 +338,23 @@ func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
 // /metrics percentiles, and slow-request capture.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return obs.Instrumented(s.obs, s.tracer, name, h)
+}
+
+// readHandler serves one GET request from the snapshot read hands it.
+type readHandler func(w http.ResponseWriter, r *http.Request, sn *snapshot)
+
+// read mounts a GET route: under the endpoint's instrumentation it loads the
+// published snapshot once, stamps its version in VersionHeader, and only then
+// runs h on it. Every response of the route — 200, 304 or error — carries the
+// version of the one snapshot its body was built from.
+func (s *Server) read(name string, h readHandler) http.HandlerFunc {
+	return s.instrument(name, func(w http.ResponseWriter, r *http.Request) {
+		sp := traceActive(w).StartSpan("snapshot")
+		sn := s.snap.Load()
+		sp.End()
+		w.Header().Set(VersionHeader, sn.verStr)
+		h(w, r, sn)
+	})
 }
 
 // traceActive extracts the request's in-flight trace from the instrumented
@@ -660,7 +681,7 @@ func toScoredJSON(in []rank.Scored) []scoredJSON {
 // on the snapshot, and a request presenting the entry's ETag back through
 // If-None-Match is answered 304 with no body. A router-fronted fleet serving
 // repeat queries does a few header writes per request and nothing else.
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, sn *snapshot) {
 	a := traceActive(w)
 	sp := a.StartSpan("parse")
 	mname, kstr, fast := fastTopKQuery(r.URL.RawQuery)
@@ -685,10 +706,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sp.End()
-	sp = a.StartSpan("snapshot")
-	sn := s.snap.Load()
 	e := sn.topk.load(topkKey{m, k})
-	sp.End()
 	if e != nil {
 		// The entry exists only because a previous request computed the
 		// ranking, so a cache hit is by definition a warm read.
@@ -698,7 +716,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	h.Set("ETag", e.etag)
-	h.Set(VersionHeader, sn.verStr)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, e.etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -736,7 +753,7 @@ func (s *Server) encodeTopK(a *obs.Active, sn *snapshot, m domainnet.Measure, k 
 	return sn.topk.store(topkKey{m, k}, &topkEntry{body: buf.Bytes(), etag: topkETag(sn.version, m, k)})
 }
 
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, sn *snapshot) {
 	m, ok := s.measure(w, r)
 	if !ok {
 		return
@@ -747,8 +764,6 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := table.Normalize(raw)
-	sn := s.snap.Load()
-	w.Header().Set(VersionHeader, sn.verStr)
 	d := sn.detector(m, s.cfg)
 	if d.ScoresReady() { // a point lookup needs only the score cache
 		s.warmHits.Add(1)
@@ -767,9 +782,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	sn := s.snap.Load()
-	w.Header().Set(VersionHeader, sn.verStr)
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, sn *snapshot) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"version": sn.version,
 		"lake": map[string]int{
@@ -789,8 +802,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleScorers(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(VersionHeader, s.snap.Load().verStr)
+func (s *Server) handleScorers(w http.ResponseWriter, r *http.Request, _ *snapshot) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"default":  s.cfg.Measure.String(),
 		"measures": domainnet.MeasureNames(),
@@ -807,11 +819,10 @@ func (s *Server) handleScorers(w http.ResponseWriter, r *http.Request) {
 // format. It is the observability face of the warm pipeline: warm.cancelled
 // rising under churn is the warmer shedding superseded work, and
 // endpoints.topk p99_ns collapsing after enabling WarmMeasures is the point
-// of it.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(VersionHeader, s.snap.Load().verStr)
+// of it. The reported version is sn's, the one in the response header.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, sn *snapshot) {
 	if r.URL.Query().Get("format") == "prom" {
-		s.writeProm(w)
+		s.writeProm(w, sn)
 		return
 	}
 	warmed := s.warmed
@@ -823,7 +834,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		dirtyHist[name] = s.dirtyHist[i].Load()
 	}
 	payload := map[string]any{
-		"version":   s.Version(),
+		"version":   sn.version,
 		"publishes": s.Publishes(),
 		"warm": map[string]any{
 			"measures":      warmed,
@@ -848,29 +859,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeProm renders /metrics in the Prometheus text exposition format —
-// hand-rendered by obs.PromWriter, no client library. Endpoint families are
-// emitted in sorted-name order so scrapes are diffable.
-func (s *Server) writeProm(w http.ResponseWriter) {
-	em := s.obs.Metrics()
-	names := make([]string, 0, len(em))
-	for name := range em {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// hand-rendered by obs.PromWriter, no client library — carrying every
+// counter the JSON view reports.
+func (s *Server) writeProm(w http.ResponseWriter, sn *snapshot) {
 	var p obs.PromWriter
-	for _, name := range names {
-		p.Counter("domainnet_requests_total", em[name].Count, "endpoint", name)
-	}
-	for _, name := range names {
-		p.Counter("domainnet_request_errors_total", em[name].Errors, "endpoint", name)
-	}
-	for _, name := range names {
-		p.Counter("domainnet_not_modified_total", em[name].NotModified, "endpoint", name)
-	}
-	for _, name := range names {
-		p.Histogram("domainnet_request_seconds", em[name].Hist, "endpoint", name)
-	}
-	p.Gauge("domainnet_snapshot_version", float64(s.Version()))
+	p.EndpointFamilies("domainnet", s.obs.Metrics())
+	p.Gauge("domainnet_snapshot_version", float64(sn.version))
 	p.Counter("domainnet_publishes_total", s.Publishes())
 	ws := s.WarmStats()
 	p.Counter("domainnet_warms_total", ws.Started, "result", "started")
@@ -878,9 +872,15 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 	p.Counter("domainnet_warms_total", ws.Cancelled, "result", "cancelled")
 	p.Counter("domainnet_warm_reads_total", ws.Hits, "cache", "hit")
 	p.Counter("domainnet_warm_reads_total", ws.Misses, "cache", "miss")
+	p.Counter("domainnet_warm_paths_total", ws.Incremental, "path", "incremental")
+	p.Counter("domainnet_warm_paths_total", ws.FullFallback, "path", "full_fallback")
+	for i, name := range dirtyBucketNames {
+		p.Counter("domainnet_warm_dirty_total", s.dirtyHist[i].Load(), "bucket", name)
+	}
 	ts := s.tracer.Stats()
 	p.Counter("domainnet_traces_total", ts.Started, "stage", "started")
 	p.Counter("domainnet_traces_total", ts.Captured, "stage", "captured")
+	p.Counter("domainnet_traces_total", ts.Evicted, "stage", "evicted")
 	rs := obs.ReadRuntime()
 	p.Gauge("domainnet_goroutines", float64(rs.Goroutines))
 	p.Gauge("domainnet_heap_bytes", float64(rs.HeapBytes))
@@ -904,8 +904,7 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 // counters — the debugging view of recent slow requests, each with its
 // propagated ID, per-phase spans, and (on a router-forwarded request) the
 // backend that served it.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(VersionHeader, s.snap.Load().verStr)
+func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request, _ *snapshot) {
 	traces := s.tracer.Traces()
 	if traces == nil {
 		traces = []*obs.Trace{}

@@ -9,6 +9,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -318,13 +319,13 @@ func TestMutationStormServesFreshRankings(t *testing.T) {
 	}
 }
 
-// TestWarmIncrementalPathAndMetrics drives the delta warm path end to end:
-// a publish whose rebuild diff is structurally clean — an appended value
-// that stays under the singleton filter changes the table but not the
-// graph's adjacency — must warm through the incremental scoring path, tick
-// the incremental counter into the "0" dirty-size bucket, and surface all
-// of it through /metrics.
-func TestWarmIncrementalPathAndMetrics(t *testing.T) {
+// warmIncrementally drives a warmed server through the delta warm path: a
+// publish whose rebuild diff is structurally clean — an appended value that
+// stays under the singleton filter changes the table but not the graph's
+// adjacency — must warm through the incremental scoring path. It checks the
+// path counters along the way and returns once that warm has completed.
+func warmIncrementally(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
 	measure := domainnet.BetweennessExact
 	cfg := domainnet.Config{Measure: measure} // singleton filtering on: the stray row stays out of the graph
 	s := NewWithOptions(datagen.Figure1Lake(), cfg,
@@ -365,10 +366,17 @@ func TestWarmIncrementalPathAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitWarm(t, s, "incremental warm", func(w WarmStats) bool { return w.Completed == 3 })
-	w := s.WarmStats()
-	if w.Incremental != 1 {
+	if w := s.WarmStats(); w.Incremental != 1 {
 		t.Fatalf("clean publish counted incremental=%d (full=%d), want 1", w.Incremental, w.FullFallback)
 	}
+	return s, ts
+}
+
+// TestWarmIncrementalPathAndMetrics: the incremental warm ticks the
+// incremental counter into the "0" dirty-size bucket, all of it surfaces
+// through /metrics, and the carried ranking equals a cold build's.
+func TestWarmIncrementalPathAndMetrics(t *testing.T) {
+	s, ts := warmIncrementally(t)
 
 	// The counters must round-trip through /metrics, dirty histogram included.
 	metrics := getJSON(t, ts.URL+"/metrics", http.StatusOK)
@@ -396,13 +404,68 @@ func TestWarmIncrementalPathAndMetrics(t *testing.T) {
 	}
 
 	// The carried ranking must match a cold build of the same lake exactly.
-	cold := httptest.NewServer(New(s.lake, cfg))
+	cold := httptest.NewServer(New(s.lake, s.cfg))
 	t.Cleanup(cold.Close)
 	got := getJSON(t, ts.URL+"/topk?k=10", http.StatusOK)
 	want := getJSON(t, cold.URL+"/topk?k=10", http.StatusOK)
 	if !reflect.DeepEqual(got["results"], want["results"]) {
 		t.Errorf("incremental ranking diverged from cold build:\ngot  %v\nwant %v",
 			got["results"], want["results"])
+	}
+}
+
+// TestWarmPromMatchesJSON: after an incremental warm, the Prometheus view
+// carries every warm counter and dirty-histogram bucket the JSON /metrics
+// reports, with the same value, and every tracer stage.
+func TestWarmPromMatchesJSON(t *testing.T) {
+	_, ts := warmIncrementally(t)
+	metrics := getJSON(t, ts.URL+"/metrics", http.StatusOK)
+	resp, err := http.Get(ts.URL + "/metrics?format=prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := "\n" + string(body)
+
+	series := map[string]string{
+		"started":       `domainnet_warms_total{result="started"}`,
+		"completed":     `domainnet_warms_total{result="completed"}`,
+		"cancelled":     `domainnet_warms_total{result="cancelled"}`,
+		"hits":          `domainnet_warm_reads_total{cache="hit"}`,
+		"misses":        `domainnet_warm_reads_total{cache="miss"}`,
+		"incremental":   `domainnet_warm_paths_total{path="incremental"}`,
+		"full_fallback": `domainnet_warm_paths_total{path="full_fallback"}`,
+	}
+	want := func(line string) {
+		t.Helper()
+		if !strings.Contains(prom, "\n"+line) {
+			t.Errorf("prom exposition lacks %q:\n%s", line, body)
+		}
+	}
+	for key, v := range metrics["warm"].(map[string]any) {
+		switch key {
+		case "measures":
+		case "dirty_hist":
+			for bucket, n := range v.(map[string]any) {
+				want(fmt.Sprintf("domainnet_warm_dirty_total{bucket=%q} %d\n", bucket, int64(n.(float64))))
+			}
+		default:
+			name, ok := series[key]
+			if !ok {
+				t.Errorf("JSON warm counter %q has no Prometheus series", key)
+				continue
+			}
+			want(fmt.Sprintf("%s %d\n", name, int64(v.(float64))))
+		}
+	}
+	for stage := range metrics["tracer"].(map[string]any) {
+		if stage != "threshold_ns" {
+			want(fmt.Sprintf("domainnet_traces_total{stage=%q} ", stage))
+		}
 	}
 }
 
