@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // DefaultChunkBytes is the raw size the leader cuts snapshot chunks at. Big
@@ -112,8 +113,8 @@ func (cw *ChunkWriter) WriteChunk(raw []byte, compress bool) error {
 
 // WriteChunked cuts buf into chunkBytes-sized chunks (DefaultChunkBytes when
 // non-positive) starting at raw offset from, and frames each onto w. It
-// returns the framed byte count. The leader's snapshot handler is this plus
-// HTTP headers.
+// returns the framed byte count. The leader's snapshot handler serves these
+// bytes from a cached FrameChunks stream.
 func WriteChunked(w io.Writer, buf []byte, from int, chunkBytes int, compress bool) (int64, error) {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
@@ -128,65 +129,104 @@ func WriteChunked(w io.Writer, buf []byte, from int, chunkBytes int, compress bo
 	return cw.Wire, nil
 }
 
+// ChunkStream is a buffer framed whole, exactly as WriteChunked writes it
+// from offset zero: the exact-size wire bytes, and where each chunk's frame
+// starts in them plus a final len(Wire), so the frames from raw offset
+// k*chunkBytes onward are Wire[Starts[k]:].
+type ChunkStream struct {
+	Wire   []byte
+	Starts []int
+}
+
+// FrameChunks frames all of buf into a ChunkStream, cut as WriteChunked is.
+func FrameChunks(buf []byte, chunkBytes int, compress bool) (*ChunkStream, error) {
+	if chunkBytes <= 0 {
+		chunkBytes = DefaultChunkBytes
+	}
+	var out bytes.Buffer
+	cw := NewChunkWriter(&out)
+	starts := make([]int, 0, len(buf)/chunkBytes+2)
+	for off := 0; off < len(buf); off += chunkBytes {
+		starts = append(starts, out.Len())
+		if err := cw.WriteChunk(buf[off:min(off+chunkBytes, len(buf))], compress); err != nil {
+			return nil, err
+		}
+	}
+	return &ChunkStream{Wire: bytes.Clone(out.Bytes()), Starts: append(starts, out.Len())}, nil
+}
+
 // ReadChunk reads one chunk frame from r, verifies its CRC, and returns the
 // decoded raw payload plus the number of wire bytes the frame occupied. A
 // clean end of stream (no bytes at all) returns io.EOF; a frame cut short or
 // failing its checksum returns a descriptive error — the resume signal.
 func ReadChunk(r io.Reader) (raw []byte, wire int, err error) {
+	var cr ChunkReader
+	return cr.AppendChunk(nil, r)
+}
+
+// ChunkReader decodes chunk frames, reusing one gzip decoder and one
+// payload buffer across chunks. The zero value is ready to use.
+type ChunkReader struct {
+	gz   gzip.Reader
+	src  bytes.Reader
+	body bytes.Buffer
+}
+
+// AppendChunk reads and verifies one chunk frame from r like ReadChunk and
+// inflates its raw bytes straight onto the end of dst. Any error, io.EOF at
+// a clean end of stream included, returns dst at its original length.
+func (cr *ChunkReader) AppendChunk(dst []byte, r io.Reader) (out []byte, wire int, err error) {
 	var head [9]byte
 	if _, err := io.ReadFull(r, head[:1]); err != nil {
 		if err == io.EOF {
-			return nil, 0, io.EOF
+			return dst, 0, io.EOF
 		}
-		return nil, 0, fmt.Errorf("persist: truncated chunk header: %w", err)
+		return dst, 0, fmt.Errorf("persist: truncated chunk header: %w", err)
 	}
 	flag := head[0]
 	if flag != chunkStored && flag != chunkGzip {
-		return nil, 0, fmt.Errorf("persist: unknown chunk flag %d", flag)
+		return dst, 0, fmt.Errorf("persist: unknown chunk flag %d", flag)
 	}
 	if _, err := io.ReadFull(r, head[1:]); err != nil {
-		return nil, 0, fmt.Errorf("persist: truncated chunk header: %w", err)
+		return dst, 0, fmt.Errorf("persist: truncated chunk header: %w", err)
 	}
 	rawLen := binary.LittleEndian.Uint32(head[1:5])
 	encLen := binary.LittleEndian.Uint32(head[5:9])
 	if rawLen > maxChunkBytes || encLen > maxChunkBytes {
-		return nil, 0, fmt.Errorf("persist: chunk lengths %d/%d exceed limit %d", rawLen, encLen, maxChunkBytes)
+		return dst, 0, fmt.Errorf("persist: chunk lengths %d/%d exceed limit %d", rawLen, encLen, maxChunkBytes)
 	}
 	// Grow with the bytes that actually arrive rather than trusting the
 	// length prefix: a lying prefix on a short stream must fail after
 	// reading what exists, not allocate tens of megabytes first.
-	var body bytes.Buffer
-	if _, err := io.CopyN(&body, r, int64(encLen)+4); err != nil {
-		return nil, 0, fmt.Errorf("persist: truncated chunk body: %w", err)
+	cr.body.Reset()
+	if _, err := io.CopyN(&cr.body, r, int64(encLen)+4); err != nil {
+		return dst, 0, fmt.Errorf("persist: truncated chunk body: %w", err)
 	}
-	buf := body.Bytes()
+	buf := cr.body.Bytes()
 	payload, crc := buf[:encLen], binary.LittleEndian.Uint32(buf[encLen:])
 	if got := crc32.ChecksumIEEE(payload); got != crc {
-		return nil, 0, fmt.Errorf("persist: chunk checksum mismatch")
+		return dst, 0, fmt.Errorf("persist: chunk checksum mismatch")
 	}
 	wire = 9 + int(encLen) + 4
 	if flag == chunkStored {
 		if rawLen != encLen {
-			return nil, 0, fmt.Errorf("persist: stored chunk lengths disagree (%d raw, %d encoded)", rawLen, encLen)
+			return dst, 0, fmt.Errorf("persist: stored chunk lengths disagree (%d raw, %d encoded)", rawLen, encLen)
 		}
-		return payload, wire, nil
+		return append(dst, payload...), wire, nil
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(payload))
-	if err != nil {
-		return nil, 0, fmt.Errorf("persist: chunk decompress: %w", err)
+	cr.src.Reset(payload)
+	if err := cr.gz.Reset(&cr.src); err != nil {
+		return dst, 0, fmt.Errorf("persist: chunk decompress: %w", err)
 	}
-	raw = make([]byte, 0, rawLen)
-	out := bytes.NewBuffer(raw)
-	// +1 so a payload inflating past its declared rawLen is detected rather
-	// than silently truncated.
-	if _, err := io.Copy(out, io.LimitReader(zr, int64(rawLen)+1)); err != nil {
-		return nil, 0, fmt.Errorf("persist: chunk decompress: %w", err)
+	// Ask for one byte past rawLen: gzip checks its trailer only on reaching
+	// EOF, and a payload inflating past rawLen must not be silently cut.
+	out = slices.Grow(dst, int(rawLen)+1)
+	n, err := io.ReadFull(&cr.gz, out[len(dst):len(dst)+int(rawLen)+1])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return dst, 0, fmt.Errorf("persist: chunk decompress: %w", err)
 	}
-	if err := zr.Close(); err != nil {
-		return nil, 0, fmt.Errorf("persist: chunk decompress: %w", err)
+	if n != int(rawLen) {
+		return dst, 0, fmt.Errorf("persist: chunk inflated to %d bytes, header claims %d", n, rawLen)
 	}
-	if out.Len() != int(rawLen) {
-		return nil, 0, fmt.Errorf("persist: chunk inflated to %d bytes, header claims %d", out.Len(), rawLen)
-	}
-	return out.Bytes(), wire, nil
+	return out[:len(dst)+n], wire, nil
 }

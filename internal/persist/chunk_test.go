@@ -2,6 +2,10 @@ package persist
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
@@ -80,6 +84,15 @@ func TestChunkResumeOffset(t *testing.T) {
 	if !bytes.Equal(got, payload[resumeAt:]) {
 		t.Fatal("resumed stream does not continue from the requested raw offset")
 	}
+	// A stream framed whole resumes by slicing at the chunk's frame start.
+	cs, err := FrameChunks(payload, chunk, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cs.Wire, full.Bytes()) || !bytes.Equal(cs.Wire[cs.Starts[2]:], rest.Bytes()) ||
+		len(cs.Starts) != 5 || cs.Starts[4] != len(cs.Wire) {
+		t.Fatalf("FrameChunks starts %v over %d wire bytes disagree with WriteChunked", cs.Starts, len(cs.Wire))
+	}
 }
 
 func TestChunkStoredFallback(t *testing.T) {
@@ -104,6 +117,56 @@ func TestChunkStoredFallback(t *testing.T) {
 	}
 }
 
+// frame builds one chunk frame by hand, with a correct CRC over payload, so
+// tests can make the lengths lie while the checksum still passes.
+func frame(flag byte, rawLen int, payload []byte) []byte {
+	b := []byte{flag}
+	b = binary.LittleEndian.AppendUint32(b, uint32(rawLen))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+}
+
+func gzipped(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	zw := gzip.NewWriter(&b)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+type chunkDecoder func(io.Reader) ([]byte, int, error)
+
+// chunkDecoders are the two ways to decode a frame: the one-shot ReadChunk
+// and a ChunkReader, shared across every case so state left over from a
+// failed frame would show up in the next. The ChunkReader appends after a
+// prefix, which an error must leave exactly as it was.
+func chunkDecoders() []struct {
+	name   string
+	decode chunkDecoder
+} {
+	var cr ChunkReader
+	return []struct {
+		name   string
+		decode chunkDecoder
+	}{
+		{"ReadChunk", ReadChunk},
+		{"ChunkReader", func(r io.Reader) ([]byte, int, error) {
+			prefix := []byte("kept")
+			out, wire, err := cr.AppendChunk(prefix, r)
+			if !bytes.Equal(out[:len(prefix)], prefix) || (err != nil && len(out) != len(prefix)) {
+				return nil, 0, errors.New("ChunkReader did not keep the bytes before the chunk")
+			}
+			return out[len(prefix):], wire, err
+		}},
+	}
+}
+
 func TestChunkCorruption(t *testing.T) {
 	payload := chunkPayload(512)
 	var out bytes.Buffer
@@ -111,43 +174,125 @@ func TestChunkCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := out.Bytes()
+	z := gzipped(t, payload)
+	badTrailer := append([]byte(nil), z...)
+	badTrailer[len(badTrailer)-8] ^= 0x01 // gzip's own CRC-32 of the raw bytes
+
+	decoders := chunkDecoders()
+	// each runs check once per decoder, as a subtest named after it.
+	each := func(t *testing.T, check func(t *testing.T, readChunk chunkDecoder)) {
+		for _, dec := range decoders {
+			t.Run(dec.name, func(t *testing.T) { check(t, dec.decode) })
+		}
+	}
 
 	t.Run("bit flip fails the checksum", func(t *testing.T) {
 		bad := append([]byte(nil), stream...)
 		bad[len(bad)/2] ^= 0x40
-		if _, _, err := ReadChunk(bytes.NewReader(bad)); err == nil {
-			t.Fatal("corrupted chunk decoded cleanly")
-		}
+		each(t, func(t *testing.T, readChunk chunkDecoder) {
+			if _, _, err := readChunk(bytes.NewReader(bad)); err == nil {
+				t.Fatal("corrupted chunk decoded cleanly")
+			}
+		})
 	})
 	t.Run("truncation is an error, not EOF", func(t *testing.T) {
 		// Clean end is the io.EOF identity; a torn frame must be anything
 		// else (it may wrap io.EOF for context, but never equal it).
-		for _, cut := range []int{1, 5, len(stream) / 2, len(stream) - 1} {
-			_, _, err := ReadChunk(bytes.NewReader(stream[:cut]))
-			if err == nil || err == io.EOF {
-				t.Fatalf("chunk cut at %d bytes returned %v, want a descriptive error", cut, err)
+		each(t, func(t *testing.T, readChunk chunkDecoder) {
+			for _, cut := range []int{1, 5, len(stream) / 2, len(stream) - 1} {
+				_, _, err := readChunk(bytes.NewReader(stream[:cut]))
+				if err == nil || err == io.EOF {
+					t.Fatalf("chunk cut at %d bytes returned %v, want a descriptive error", cut, err)
+				}
 			}
-		}
+		})
 	})
 	t.Run("clean end is io.EOF", func(t *testing.T) {
-		if _, _, err := ReadChunk(bytes.NewReader(nil)); err != io.EOF {
-			t.Fatalf("empty stream = %v, want io.EOF", err)
-		}
+		each(t, func(t *testing.T, readChunk chunkDecoder) {
+			if _, _, err := readChunk(bytes.NewReader(nil)); err != io.EOF {
+				t.Fatalf("empty stream = %v, want io.EOF", err)
+			}
+		})
 	})
-	t.Run("lying length prefix fails without huge allocation", func(t *testing.T) {
-		bad := []byte{chunkStored, 0xff, 0xff, 0xff, 0x03, 0xff, 0xff, 0xff, 0x03, 'x'}
-		if _, _, err := ReadChunk(bytes.NewReader(bad)); err == nil ||
-			!strings.Contains(err.Error(), "truncated") {
-			t.Fatalf("lying prefix = %v, want a truncation error", err)
-		}
+	for _, c := range []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"lying length prefix fails without huge allocation", "truncated",
+			[]byte{chunkStored, 0xff, 0xff, 0xff, 0x03, 0xff, 0xff, 0xff, 0x03, 'x'}},
+		{"oversized claim is rejected", "limit",
+			[]byte{chunkStored, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
+		{"unknown flag is rejected", "flag", frame(7, 2, []byte("xy"))},
+		{"stored lengths must agree", "disagree", frame(chunkStored, 3, []byte("xy"))},
+		{"inflating past rawLen is detected", "inflated to", frame(chunkGzip, len(payload)-1, z)},
+		{"inflating short of rawLen is detected", "inflated to", frame(chunkGzip, len(payload)+1, z)},
+		{"gzip trailer checksum is verified", "checksum", frame(chunkGzip, len(payload), badTrailer)},
+		{"gzip header is verified", "decompress", frame(chunkGzip, 2, []byte("xy"))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			each(t, func(t *testing.T, readChunk chunkDecoder) {
+				if _, _, err := readChunk(bytes.NewReader(c.frame)); err == nil ||
+					!strings.Contains(err.Error(), c.want) {
+					t.Fatalf("got %v, want an error mentioning %q", err, c.want)
+				}
+			})
+		})
+	}
+	t.Run("a valid frame decodes after the failures", func(t *testing.T) {
+		each(t, func(t *testing.T, readChunk chunkDecoder) {
+			got, _, err := readChunk(bytes.NewReader(frame(chunkGzip, len(payload), z)))
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("valid frame after corrupt ones: %v", err)
+			}
+		})
 	})
-	t.Run("oversized claim is rejected", func(t *testing.T) {
-		bad := []byte{chunkStored, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-		if _, _, err := ReadChunk(bytes.NewReader(bad)); err == nil ||
-			!strings.Contains(err.Error(), "limit") {
-			t.Fatalf("oversized claim = %v, want a limit error", err)
+}
+
+func TestChunkReaderAppends(t *testing.T) {
+	// One ChunkReader decodes a whole stream into one growing buffer; a
+	// failed frame leaves the buffer at its last whole chunk.
+	payload := chunkPayload(3*DefaultChunkBytes - 7)
+	for _, compress := range []bool{false, true} {
+		var out bytes.Buffer
+		if _, err := WriteChunked(&out, payload, 0, 0, compress); err != nil {
+			t.Fatal(err)
 		}
-	})
+		stream := out.Bytes()
+		var cr ChunkReader
+		prefix := []byte("kept:")
+		buf, wire := append([]byte(nil), prefix...), 0
+		r := bytes.NewReader(stream)
+		for {
+			var n int
+			var err error
+			buf, n, err = cr.AppendChunk(buf, r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire += n
+		}
+		if !bytes.Equal(buf, append(prefix, payload...)) || wire != len(stream) {
+			t.Fatalf("compress %v: appended stream corrupted (wire %d of %d)", compress, wire, len(stream))
+		}
+		torn := stream[:len(stream)-1]
+		r = bytes.NewReader(torn)
+		buf = buf[:0]
+		for {
+			var err error
+			if buf, _, err = cr.AppendChunk(buf, r); err != nil {
+				if err == io.EOF {
+					t.Fatal("torn stream ended cleanly")
+				}
+				break
+			}
+		}
+		if want := 2 * DefaultChunkBytes; len(buf) != want || !bytes.Equal(buf, payload[:want]) {
+			t.Fatalf("compress %v: torn stream left %d bytes, want the %d of its whole chunks", compress, len(buf), want)
+		}
+	}
 }
 
 func FuzzReadChunk(f *testing.F) {
@@ -160,10 +305,22 @@ func FuzzReadChunk(f *testing.F) {
 	f.Add([]byte{chunkGzip, 4, 0, 0, 0, 2, 0, 0, 0, 'x', 'y', 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The decoder must never panic and never allocate unboundedly, no
-		// matter the input; errors are the expected outcome for junk.
-		r := bytes.NewReader(data)
+		// matter the input; errors are the expected outcome for junk. A
+		// reused ChunkReader must agree with ReadChunk frame by frame.
+		one, reused := bytes.NewReader(data), bytes.NewReader(data)
+		var cr ChunkReader
+		var buf []byte
 		for {
-			if _, _, err := ReadChunk(r); err != nil {
+			raw, wire, err := ReadChunk(one)
+			prev := len(buf)
+			var wire2 int
+			var err2 error
+			buf, wire2, err2 = cr.AppendChunk(buf, reused)
+			if (err == nil) != (err2 == nil) || wire != wire2 || !bytes.Equal(raw, buf[prev:]) {
+				t.Fatalf("ReadChunk = (%d bytes, %d, %v), ChunkReader = (%d bytes, %d, %v)",
+					len(raw), wire, err, len(buf)-prev, wire2, err2)
+			}
+			if err != nil {
 				break
 			}
 		}

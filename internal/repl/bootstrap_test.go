@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"domainnet/internal/persist"
 	"domainnet/internal/serve"
 	"domainnet/internal/table"
 )
@@ -290,12 +292,27 @@ func TestSnapshotEndpointProtocol(t *testing.T) {
 		t.Error("chunked response is missing size or version headers")
 	}
 
-	identity := get("/repl/snapshot?chunked=1", "identity")
-	if identity.Header.Get(SnapshotEncodingHeader) != "identity" {
-		t.Errorf("identity request negotiated %q", identity.Header.Get(SnapshotEncodingHeader))
-	}
-	if q0 := get("/repl/snapshot?chunked=1", "gzip;q=0"); q0.Header.Get(SnapshotEncodingHeader) != "identity" {
-		t.Errorf("gzip;q=0 negotiated %q", q0.Header.Get(SnapshotEncodingHeader))
+	// The negotiated encoding keys the leader's chunk-stream cache, so every
+	// spelling must land on the right one.
+	for _, c := range []struct{ accept, want string }{
+		{"identity", "identity"},
+		{"gzip;q=0", "identity"},
+		{"gzip;q=0, *", "identity"}, // an explicit refusal beats the wildcard
+		{"*", "gzip"},
+		{"*;q=0", "identity"},
+		{"deflate, *;q=0", "identity"},
+		{"deflate, *", "gzip"},
+		{"GZIP", "gzip"}, // coding names are case-insensitive
+		{"x-gzip", "gzip"},
+		{"X-Gzip;Q=0", "identity"},
+		{"x-gzip, gzip;q=0", "gzip"}, // either alias accepting is enough
+		{"br;q=1.0, gzip;q=0.5", "gzip"},
+		{"*;q=0, gzip", "gzip"},
+	} {
+		resp := get("/repl/snapshot?chunked=1", c.accept)
+		if got := resp.Header.Get(SnapshotEncodingHeader); got != c.want {
+			t.Errorf("Accept-Encoding %q negotiated %q, want %q", c.accept, got, c.want)
+		}
 	}
 
 	if resp := get("/repl/snapshot?chunked=1&offset=512", ""); resp.StatusCode != http.StatusBadRequest {
@@ -307,6 +324,141 @@ func TestSnapshotEndpointProtocol(t *testing.T) {
 	cur := chunked.Header.Get(VersionHeader)
 	if resp := get("/repl/snapshot?chunked=1&offset=7&version="+cur, ""); resp.StatusCode != http.StatusConflict {
 		t.Errorf("misaligned offset = %d, want 409", resp.StatusCode)
+	}
+}
+
+// firstByteWriter records the address of the first body byte written, so a
+// test can tell which cached buffer a response was served from.
+type firstByteWriter struct {
+	*httptest.ResponseRecorder
+	first *byte
+}
+
+func (w *firstByteWriter) Write(p []byte) (int, error) {
+	if w.first == nil && len(p) > 0 {
+		w.first = &p[0]
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+func TestSnapshotStormEncodesOncePerVersion(t *testing.T) {
+	leader, ld, _ := newLeader(t)
+	const chunk = 512
+	ld.SnapshotChunkBytes = chunk
+	growLake(t, leader, 10)
+	get := func(query, accept string) *firstByteWriter {
+		req := httptest.NewRequest(http.MethodGet, "/repl/snapshot"+query, nil)
+		req.Header.Set("Accept-Encoding", accept)
+		w := &firstByteWriter{ResponseRecorder: httptest.NewRecorder()}
+		ld.handleSnapshot(w, req)
+		if w.Code != http.StatusOK || w.first == nil {
+			t.Errorf("GET /repl/snapshot%s (%s) = %d with %d body bytes", query, accept, w.Code, w.Body.Len())
+		}
+		return w
+	}
+
+	// A storm of fresh gzip joiners, an identity joiner, a resume and a raw
+	// request, all at one version. Every marshal or encode allocates a new
+	// buffer, so one of each shows as every response sharing its buffer.
+	const storm = 16
+	resume := fmt.Sprintf("?chunked=1&offset=%d&version=%d", 2*chunk, leader.Version())
+	gz := make([]*firstByteWriter, storm)
+	var identity, resumed, raw *firstByteWriter
+	var wg sync.WaitGroup
+	for i := range gz {
+		wg.Add(1)
+		go func() { defer wg.Done(); gz[i] = get("?chunked=1", "gzip") }()
+	}
+	wg.Add(3)
+	go func() { defer wg.Done(); identity = get("?chunked=1", "identity") }()
+	go func() { defer wg.Done(); resumed = get(resume, "gzip") }()
+	go func() { defer wg.Done(); raw = get("", "gzip") }()
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	enc := ld.snapEnc
+	if enc[false] == nil || enc[true] == nil {
+		t.Fatalf("storm left cached encodings identity=%v gzip=%v, want both", enc[false] != nil, enc[true] != nil)
+	}
+	for i, w := range gz {
+		if w.first != &enc[true].Wire[0] {
+			t.Errorf("gzip joiner %d was not served from the one cached gzip stream", i)
+		}
+	}
+	if identity.first != &enc[false].Wire[0] {
+		t.Error("identity joiner was not served from the cached identity stream")
+	}
+	if resumed.first != &enc[true].Wire[enc[true].Starts[2]] {
+		t.Error("resume at chunk 2 was not served from the cached gzip stream at chunk 2's frame")
+	}
+	if raw.first != &ld.snapRaw[0] {
+		t.Error("raw request was not served from the one cached marshal")
+	}
+
+	// One write: the next gzip request encodes exactly once more, and the
+	// old version's encodings are gone.
+	addTable(t, leader, "storm")
+	first := get("?chunked=1", "gzip")
+	if first.first == gz[0].first {
+		t.Fatal("request after a write was served the previous version's stream")
+	}
+	if ld.snapEnc[false] != nil {
+		t.Error("a new version kept the previous version's identity stream")
+	}
+	if again := get("?chunked=1", "gzip"); again.first != first.first {
+		t.Error("second request at the new version encoded again")
+	}
+}
+
+// TestSnapshotChunkedWireMatchesWriteChunked: the cached stream is served
+// byte for byte as persist.WriteChunked frames it, from every chunk-aligned
+// offset (the snapshot's end included) in both encodings.
+func TestSnapshotChunkedWireMatchesWriteChunked(t *testing.T) {
+	leader, ld, ts := newLeader(t)
+	growLake(t, leader, 10)
+	// 512-byte chunks, then one chunk spanning the whole snapshot so that
+	// resuming exactly at its end is a chunk boundary. A write between the
+	// two drops the cached streams.
+	for i, chunkOf := range []func(int) int{
+		func(int) int { return 512 },
+		func(n int) int { return n },
+	} {
+		if i > 0 {
+			addTable(t, leader, "rechunk")
+		}
+		raw := []byte(body(t, ts.URL+"/repl/snapshot"))
+		chunk := chunkOf(len(raw))
+		ld.SnapshotChunkBytes = chunk
+		for _, compress := range []bool{false, true} {
+			accept := "identity"
+			if compress {
+				accept = "gzip"
+			}
+			for off := 0; off <= len(raw); off += chunk {
+				url := fmt.Sprintf("%s/repl/snapshot?chunked=1&offset=%d&version=%d", ts.URL, off, leader.Version())
+				req, _ := http.NewRequest(http.MethodGet, url, nil)
+				req.Header.Set("Accept-Encoding", accept)
+				resp, err := http.DefaultTransport.RoundTrip(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: status %d, %v", url, resp.StatusCode, err)
+				}
+				var want bytes.Buffer
+				if _, err := persist.WriteChunked(&want, raw, off, chunk, compress); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Errorf("chunk %d, %s, offset %d: served %d bytes differ from WriteChunked's %d",
+						chunk, accept, off, len(got), want.Len())
+				}
+			}
+		}
 	}
 }
 

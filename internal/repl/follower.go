@@ -350,6 +350,7 @@ func (f *Follower) bootstrapChunked(ctx context.Context) error {
 		buf     []byte // whole chunks accumulated so far (always chunk-aligned)
 		version uint64 // snapshot version the accumulated chunks belong to
 		total   = -1   // raw snapshot size from SnapshotSizeHeader
+		chunks  persist.ChunkReader
 	)
 	// Every retry inside this loop must be justified by progress: a failure
 	// with no new bytes since the previous failure returns to the caller
@@ -418,7 +419,8 @@ func (f *Follower) bootstrapChunked(ctx context.Context) error {
 		version, _ = strconv.ParseUint(resp.Header.Get(VersionHeader), 10, 64)
 		var readErr error
 		for {
-			chunk, wire, err := persist.ReadChunk(resp.Body)
+			next, wire, err := chunks.AppendChunk(buf, resp.Body)
+			buf = next // whole chunks only: an error leaves buf as it was
 			if err == io.EOF {
 				break
 			}
@@ -426,7 +428,6 @@ func (f *Follower) bootstrapChunked(ctx context.Context) error {
 				readErr = err
 				break
 			}
-			buf = append(buf, chunk...)
 			f.bootWire.Add(int64(wire))
 			progressed = true
 		}

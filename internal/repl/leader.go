@@ -15,9 +15,10 @@
 //	GET /repl/snapshot                 streams the persist codec (the same
 //	                                   bytes a disk checkpoint writes);
 //	                                   with ?chunked=1[&offset=N&version=V]
-//	                                   the codec is framed into CRC'd,
-//	                                   per-chunk-gzipped chunks resumable at
-//	                                   raw offset N (409 when V moved)
+//	                                   the codec is framed (once per version
+//	                                   and encoding) into CRC'd, gzipped
+//	                                   chunks resumable at raw offset N (409
+//	                                   when V moved)
 //	GET /repl/status                   served by followers: applied version,
 //	                                   last seen leader version, lag, and
 //	                                   bootstrap progress — the read-router's
@@ -86,20 +87,22 @@ type Leader struct {
 	// first commit.
 	TailCache int
 	// SnapshotChunkBytes overrides persist.DefaultChunkBytes for the chunked
-	// snapshot stream when positive. Tests use small chunks to exercise
-	// resume without megabyte fixtures; production leaves the default.
+	// snapshot stream when positive; set it before the first snapshot
+	// request. Tests use small chunks to exercise resume without megabyte
+	// fixtures; production leaves the default.
 	SnapshotChunkBytes int
 
 	mu   sync.Mutex
 	ch   chan struct{} // closed and replaced on every commit (broadcast)
 	tail []tailEntry   // ring of the most recent commits, oldest first
 
-	// snapMu guards the marshaled-snapshot cache below. A bootstrap storm (a
-	// fleet joining at once, or one follower resuming a torn stream several
-	// times) marshals the snapshot once per version, not once per request.
+	// snapMu guards one version's marshaled bytes and chunk stream per
+	// encoding (keyed by compress), each built by the first request needing
+	// it while concurrent joiners wait; a new version drops them all.
 	snapMu  sync.Mutex
 	snapVer uint64
 	snapRaw []byte
+	snapEnc map[bool]*persist.ChunkStream
 }
 
 // tailEntry is one ring slot: the burst's version stamps plus its frame
@@ -299,82 +302,99 @@ func (ld *Leader) handleChanges(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// snapshotBytes returns the persist codec bytes of the leader's current
-// state, marshaling at most once per version: the marshal itself runs under
-// the server's write lock (Checkpoint), so the bytes are a consistent
+// snapshot returns the persist codec bytes of the leader's current state,
+// marshaling at most once per version: the marshal itself runs under the
+// server's write lock (Checkpoint), so the bytes are a consistent
 // burst-boundary snapshot, and repeat requests at the same version — a fleet
 // bootstrapping at once, a follower resuming a torn stream — are served from
-// the cached buffer. The buffer is immutable once cached; handlers slice it
-// but never write through it.
-func (ld *Leader) snapshotBytes() ([]byte, uint64, error) {
+// the cached buffer. When chunked, it also returns that version's chunk
+// stream in the requested encoding, framed by the first such request once
+// Checkpoint has released the write lock. Cached buffers are immutable.
+func (ld *Leader) snapshot(chunked, compress bool, chunk int) ([]byte, uint64, *persist.ChunkStream, error) {
 	ld.snapMu.Lock()
 	defer ld.snapMu.Unlock()
-	if ld.snapRaw != nil && ld.snapVer == ld.srv.Version() {
-		return ld.snapRaw, ld.snapVer, nil
+	if ld.snapRaw == nil || ld.snapVer != ld.srv.Version() {
+		var buf []byte
+		var version uint64
+		err := ld.srv.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
+			version = l.Version()
+			buf = persist.Marshal(l, g)
+			return nil
+		})
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		ld.snapRaw, ld.snapVer, ld.snapEnc = buf, version, map[bool]*persist.ChunkStream{}
 	}
-	var buf []byte
-	var version uint64
-	err := ld.srv.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
-		version = l.Version()
-		buf = persist.Marshal(l, g)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
+	if chunked && ld.snapEnc[compress] == nil {
+		cs, err := persist.FrameChunks(ld.snapRaw, chunk, compress)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		ld.snapEnc[compress] = cs
 	}
-	ld.snapRaw, ld.snapVer = buf, version
-	return buf, version, nil
+	return ld.snapRaw, ld.snapVer, ld.snapEnc[compress], nil
 }
 
-// acceptsGzip reports whether an Accept-Encoding header admits gzip: a
-// "gzip" or "*" member whose quality is not explicitly zero.
+// acceptsGzip reports whether an Accept-Encoding header admits gzip. An
+// explicit gzip (or its alias x-gzip) member decides by its quality, else a
+// "*" member does; a quality of zero refuses. Coding names are
+// case-insensitive (RFC 9110 §8.4.1).
 func acceptsGzip(header string) bool {
-	for header != "" {
-		var part string
-		part, header, _ = strings.Cut(header, ",")
-		name, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if name = strings.TrimSpace(name); name != "gzip" && name != "*" {
-			continue
-		}
-		if q, ok := strings.CutPrefix(strings.TrimSpace(params), "q="); ok {
+	gzip, star := -1, -1 // -1 unlisted, 0 refused, 1 accepted
+	for _, part := range strings.Split(strings.ToLower(header), ",") {
+		name, params, _ := strings.Cut(part, ";")
+		ok := 1
+		if q, found := strings.CutPrefix(strings.TrimSpace(params), "q="); found {
 			if v, err := strconv.ParseFloat(strings.TrimSpace(q), 64); err == nil && v == 0 {
-				continue
+				ok = 0
 			}
 		}
-		return true
+		switch strings.TrimSpace(name) {
+		case "gzip", "x-gzip":
+			gzip = max(gzip, ok)
+		case "*":
+			star = max(star, ok)
+		}
 	}
-	return false
+	if gzip < 0 {
+		gzip = star
+	}
+	return gzip == 1
 }
 
-// handleSnapshot streams the leader's full state in the persist codec,
-// marshaled at most once per version (snapshotBytes); the network write
-// happens outside the server's write lock.
+// handleSnapshot streams the leader's full state in the persist codec from
+// the per-version cache (snapshot), outside the write lock and snapMu.
 //
 // A plain request gets the raw codec with a Content-Length, exactly as
 // before. With ?chunked=1 the body is framed by the persist chunk codec —
 // every chunk independently CRC'd and, when the request advertises
-// Accept-Encoding: gzip, independently compressed — and ?offset=N&version=V
-// resumes a torn transfer at raw offset N. The answer is 409 Conflict when
-// the leader's snapshot has moved past V or N does not land on a chunk
-// boundary; the follower restarts from offset zero.
+// Accept-Encoding: gzip, independently compressed — and encoded once per
+// version and encoding, on the first request for it. ?offset=N&version=V
+// resumes a torn transfer at raw offset N by writing the cached stream from
+// chunk N/chunk onward. The answer is 409 Conflict when the leader's
+// snapshot has moved past V or N does not land on a chunk boundary; the
+// follower restarts from offset zero.
 func (ld *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	buf, version, err := ld.snapshotBytes()
+	q := r.URL.Query()
+	chunked := q.Get("chunked") != ""
+	compress := acceptsGzip(r.Header.Get("Accept-Encoding"))
+	chunk := ld.SnapshotChunkBytes
+	if chunk <= 0 {
+		chunk = persist.DefaultChunkBytes
+	}
+	buf, version, stream, err := ld.snapshot(chunked, compress, chunk)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	q := r.URL.Query()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(VersionHeader, strconv.FormatUint(version, 10))
 	w.Header().Set(SnapshotSizeHeader, strconv.Itoa(len(buf)))
-	if q.Get("chunked") == "" {
+	if !chunked {
 		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 		w.Write(buf) //nolint:errcheck // the response is already committed
 		return
-	}
-	chunk := ld.SnapshotChunkBytes
-	if chunk <= 0 {
-		chunk = persist.DefaultChunkBytes
 	}
 	offset := 0
 	if s := q.Get("offset"); s != "" {
@@ -402,12 +422,11 @@ func (ld *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	compress := acceptsGzip(r.Header.Get("Accept-Encoding"))
 	w.Header().Set(SnapshotChunkedHeader, "1")
 	enc := "identity"
 	if compress {
 		enc = "gzip"
 	}
 	w.Header().Set(SnapshotEncodingHeader, enc)
-	persist.WriteChunked(w, buf, offset, chunk, compress) //nolint:errcheck // the response is already committed
+	w.Write(stream.Wire[stream.Starts[offset/chunk]:]) //nolint:errcheck // the response is already committed
 }
