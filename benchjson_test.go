@@ -433,11 +433,14 @@ func TestEmitBenchJSON(t *testing.T) {
 		{"topk_cold_after_mutation_sb", func(b *testing.B) {
 			// The post-mutation read-latency cliff the warmer exists to
 			// remove: a graph-changing publish discards every warm detector,
-			// so the first /topk afterwards pays the full exact-betweenness
-			// recompute on its own request goroutine. Each iteration mutates
-			// (untimed) and times that first cold read through the HTTP path.
+			// so the first /topk afterwards of a measure nobody warms pays
+			// the full exact-betweenness recompute on its own request
+			// goroutine. The server warms only its default, degree. Each
+			// iteration mutates and lets that warm finish (untimed), then
+			// times the first bc-exact read through the HTTP path.
 			churn := datagen.NewSB(1)
-			srv := serve.New(churn.Lake, domainnet.Config{Measure: domainnet.BetweennessExact})
+			srv := serve.New(churn.Lake, domainnet.Config{Measure: domainnet.DegreeBaseline})
+			defer srv.Close()
 			orig := churn.Lake.Tables()[0]
 			variant := table.New(orig.Name)
 			for _, col := range orig.Columns {
@@ -452,11 +455,18 @@ func TestEmitBenchJSON(t *testing.T) {
 				if _, err := srv.Apply([]*table.Table{variants[(i+1)%2]}, []string{orig.Name}); err != nil {
 					b.Fatal(err)
 				}
+				for ws := srv.WarmStats(); ws.Started != ws.Completed+ws.Cancelled; ws = srv.WarmStats() {
+					time.Sleep(time.Millisecond)
+				}
+				misses := srv.WarmStats().Misses
 				b.StartTimer()
 				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/topk?k=10", nil))
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/topk?k=10&measure=bc-exact", nil))
 				if rec.Code != http.StatusOK {
 					b.Fatalf("cold /topk = %d", rec.Code)
+				}
+				if srv.WarmStats().Misses != misses+1 {
+					b.Fatal("cold stage read a computed cache; the comparison is void")
 				}
 			}
 		}},

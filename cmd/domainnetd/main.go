@@ -39,10 +39,11 @@
 // obsolete. Without -wal, a crash loses the mutations since the last
 // checkpoint; without either flag, the lake is memory-only.
 //
-// Pre-warming: with -warm-measures, every publish schedules a background
-// precompute of the listed measures on the new snapshot (a newer publish
-// cancels the superseded warm), so the first read after a mutation does not
-// pay the centrality recompute inline; GET /metrics shows the counters.
+// Pre-warming: every publish schedules a background precompute of the
+// -measure ranking on the new snapshot, plus any measures -warm-measures
+// adds (a newer publish cancels the superseded warm), so the first read
+// after a mutation does not pay the centrality recompute inline; GET
+// /metrics shows the counters.
 //
 // Replication: -wal also enables the leader endpoints under /repl/.
 // A replica runs `domainnetd -follow http://leader:8080`: it bootstraps from
@@ -123,7 +124,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&c.walDir, "wal", "", "write-ahead log directory: fsync every mutation burst before acknowledging it, replay on startup, serve /repl/ to followers")
 	fs.StringVar(&c.follow, "follow", "", "run as a read-only replica of the leader at this base URL (conflicts with the mutation/durability flags)")
 	fs.StringVar(&measure, "measure", "bc", "default scoring measure")
-	fs.StringVar(&warmMeasures, "warm-measures", "", "comma-separated measures to pre-warm in the background after every publish (empty disables the warmer)")
+	fs.StringVar(&warmMeasures, "warm-measures", "", "comma-separated measures to pre-warm in the background after every publish, in addition to -measure, which is always warmed")
 	fs.IntVar(&c.samples, "samples", 0, "approximate-BC sample count (0 = 1% of nodes)")
 	fs.Int64Var(&c.seed, "seed", 1, "random seed for sampling")
 	fs.IntVar(&c.workers, "workers", 0, "parallelism for graph build and scoring (0 = all CPUs)")
@@ -141,7 +142,6 @@ func parseFlags(args []string) (*config, error) {
 	}
 	c.measure = m
 	if warmMeasures != "" {
-		seen := make(map[domainnet.Measure]bool)
 		for _, name := range strings.Split(warmMeasures, ",") {
 			name = strings.TrimSpace(name)
 			wm, ok := domainnet.ParseMeasure(name)
@@ -149,10 +149,6 @@ func parseFlags(args []string) (*config, error) {
 				return nil, fmt.Errorf("-warm-measures: unknown measure %q (valid: %s)",
 					name, strings.Join(domainnet.MeasureNames(), ", "))
 			}
-			if seen[wm] {
-				continue // "bc,bc" warms once, not twice
-			}
-			seen[wm] = true
 			c.warmMeasures = append(c.warmMeasures, wm)
 		}
 	}

@@ -84,11 +84,12 @@ func TestParseFlagsMeasuresAreRegistered(t *testing.T) {
 }
 
 func TestParseWarmMeasures(t *testing.T) {
-	c, err := parseFlags([]string{"-warm-measures", " bc, lcc ,bc"})
+	c, err := parseFlags([]string{"-warm-measures", " bc, lcc "})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spellings are trimmed and duplicates collapse: each measure warms once.
+	// Spellings are trimmed and order is kept. Duplicates, and the default
+	// measure, are dropped by the server (TestWarmSetDedupes in serve).
 	want := []domainnet.Measure{domainnet.BetweennessApprox, domainnet.LCC}
 	if len(c.warmMeasures) != len(want) {
 		t.Fatalf("warmMeasures = %v, want %v", c.warmMeasures, want)

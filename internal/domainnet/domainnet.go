@@ -227,15 +227,16 @@ func FromGraph(g *bipartite.Graph, cfg Config) *Detector {
 }
 
 // FromGraphWithPrior wraps a rebuilt graph and, when the rebuild produced a
-// usable structural diff against a predecessor whose scores are already
-// computed, attaches that predecessor as the delta-scoring prior: the first
+// usable structural diff against a predecessor that holds a computed carry
+// vector, attaches that predecessor as the delta-scoring prior: the first
 // score computation then re-runs BFS only from the diff's affected
 // components and carries everything else. The prior is best-effort — a Full
-// diff, a missing predecessor score cache, or a measure without a delta
-// implementation all degrade silently to the usual full computation.
+// diff, a predecessor whose scores are not computed, or a measure without a
+// delta implementation all degrade silently to the usual full computation,
+// and in those cases the predecessor is not retained.
 func FromGraphWithPrior(g *bipartite.Graph, cfg Config, prev *Detector, diff *bipartite.Diff) *Detector {
 	d := FromGraph(g, cfg)
-	if prev != nil && diff != nil && !diff.Full && prev.ScoresReady() {
+	if prev != nil && diff != nil && !diff.Full && prev.ScoresReady() && prev.carry != nil {
 		d.prior = &scorePrior{prev: prev, diff: diff}
 	}
 	return d

@@ -16,10 +16,10 @@ import (
 // An order edge A → B is recorded whenever lock class B is acquired while a
 // lock of class A is held: directly, via a callee whose summary says it
 // acquires B, or via a helper that returns still holding B. Lock classes
-// are instance-blind (pkg.Type.field), so the serving detCache's deliberate
-// newer→older chaining of two locks of the same class is not an edge:
-// same-class ordering is an instance property, handled by lockhold's
-// re-entrancy rules, not by the class-level order graph.
+// are instance-blind (pkg.Type.field), so taking a second lock of the class
+// already held — instance chaining, such as a linked list's node locks taken
+// in list order — is not an edge: same-class ordering is an instance
+// property, outside the class-level order graph.
 type LockOrder struct{}
 
 func (LockOrder) Name() string { return "lockorder" }

@@ -55,8 +55,8 @@ func (c *consistent) second() {
 	c.n++
 }
 
-// chain holds two locks of the same class (newer→older instance chaining,
-// the serve detCache shape). Class-level ordering ignores same-class edges.
+// chain holds two locks of the same class (instance chaining along a linked
+// list). Class-level ordering ignores same-class edges.
 type chain struct {
 	mu   sync.Mutex
 	prev *chain

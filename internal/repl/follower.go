@@ -62,10 +62,9 @@ type Follower struct {
 	RetryDelay time.Duration
 	// MaxRetryDelay caps the backoff; default DefaultMaxRetryDelay.
 	MaxRetryDelay time.Duration
-	// WarmMeasures enables the replica's background ranking warmer, exactly
-	// like serve.Options.WarmMeasures on a primary: a read-only replica is
-	// the read-heavy deployment shape, so pre-warming after every applied
-	// burst is where the warmer pays off most.
+	// WarmMeasures adds measures to the replica's warm set, exactly like
+	// serve.Options.WarmMeasures on a primary: every replica server warms
+	// Config.Measure after each applied burst, and these measures too.
 	WarmMeasures []domainnet.Measure
 	// RawBootstrap forces the legacy whole-snapshot raw stream instead of
 	// the chunked resumable transfer: the bench baseline, and an escape

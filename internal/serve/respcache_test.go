@@ -163,6 +163,9 @@ func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 
 func TestTopKCachedPathAllocBudget(t *testing.T) {
 	s := newCacheServer()
+	// AllocsPerRun counts every goroutine's allocations: let the initial
+	// warm finish first.
+	waitWarm(t, s, "initial warm", func(w WarmStats) bool { return w.Completed == 1 })
 	warm := getTopK(t, s, "/topk?k=5&measure=degree", nil)
 	etag := warm.Header().Get("ETag")
 	req := httptest.NewRequest(http.MethodGet, "/topk?k=5&measure=degree", nil)

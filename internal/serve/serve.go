@@ -11,16 +11,17 @@
 // with one atomic store. In-flight readers keep the old snapshot alive until
 // they finish; new requests see the new version.
 //
-// Scores and rankings are computed lazily per (snapshot, measure) the first
-// time a request asks for them, behind the Detector's once-latches, so
-// concurrent requests for the same measure share one computation and
-// requests for other measures or other versions are not blocked by it.
-//
-// With Options.WarmMeasures set, a background warmer precomputes those
-// measures after every publish and cancels the warm of any snapshot a newer
-// publish supersedes, converting the post-mutation read-latency cliff into a
-// bounded background cost; GET /metrics exposes the warmer's counters and
-// per-endpoint latency accounting.
+// Every publish is warm: a background warmer precomputes the default measure
+// (and any Options.WarmMeasures) on the new snapshot and cancels the warm of
+// any snapshot a newer publish supersedes, so the post-mutation recompute is
+// a bounded background cost rather than a reader's. A warmed measure's
+// detector is created at publish, linked to the previous snapshot's detector
+// of that measure (FromGraphWithPrior), so the warm can carry prior scores
+// across the rebuild diff. Scores and rankings sit behind the Detector's
+// once-latches: a read that arrives before the warm finishes waits on it,
+// and a measure nobody warms is computed on the first request for it,
+// shared by concurrent requests. GET /metrics exposes the warmer's counters
+// and per-endpoint latency accounting.
 //
 // The read hot path caches fully encoded /topk responses per (snapshot,
 // measure, k) with a strong ETag, answering If-None-Match revalidations
@@ -45,6 +46,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -100,12 +102,11 @@ type Server struct {
 	mux  *http.ServeMux
 
 	// The background ranking warmer. Every publish of a changed graph
-	// discards the previous snapshot's warm detectors, so without the warmer
-	// the first reader after any mutation pays the full centrality recompute
-	// on its own request goroutine. With WarmMeasures configured, each
-	// publish instead schedules a background precompute of those measures on
-	// the new snapshot — and cancels the in-flight warm of the snapshot it
-	// superseded, so a churn burst never stacks wasted centrality runs.
+	// discards the previous snapshot's warm detectors, so each publish
+	// schedules a background precompute of the warm set on the new snapshot
+	// — and cancels the in-flight warm of the snapshot it superseded, so a
+	// churn burst never stacks wasted centrality runs. The warm set is the
+	// default measure, then Options.WarmMeasures, without duplicates.
 	warmMeasures []domainnet.Measure
 	warmMu       sync.Mutex         // guards warmCtx, warmCancel and warmGate
 	warmCtx      context.Context    // scope of the in-flight warm(s), if any
@@ -116,11 +117,11 @@ type Server struct {
 	// assertable without timing games.
 	warmGate func(version uint64)
 
-	warmsStarted   atomic.Int64 // warms scheduled (one per publish with warming on)
-	warmsCompleted atomic.Int64 // warms that precomputed every configured measure
+	warmsStarted   atomic.Int64 // warms scheduled (one per publish)
+	warmsCompleted atomic.Int64 // warms that precomputed every warmed measure
 	warmsCancelled atomic.Int64 // warms abandoned because a newer publish superseded them
 	warmHits       atomic.Int64 // reads served from an already-computed cache
-	coldMisses     atomic.Int64 // reads that had to compute scores/ranking inline
+	coldMisses     atomic.Int64 // reads whose cache was not computed on arrival
 
 	// Warm path accounting (one count per measure per rebuilt snapshot):
 	// whether a warmed measure's score computation took the incremental
@@ -167,11 +168,12 @@ type Options struct {
 	// through the leader's change feed. Direct Apply calls — the follower's
 	// own replication path — still work.
 	ReadOnly bool
-	// WarmMeasures, when non-empty, enables the background ranking warmer:
-	// after every snapshot publish (including the initial one) a goroutine
-	// precomputes these measures' scores and rankings on the new snapshot,
-	// so post-mutation reads find warm caches instead of paying the
-	// centrality recompute inline. A newer publish cancels the in-flight
+	// WarmMeasures adds measures to the warm set. After every snapshot
+	// publish (including the initial one) a goroutine precomputes the
+	// default measure's scores and ranking on the new snapshot, then those
+	// of these measures, so post-mutation reads find warm caches instead of
+	// paying the centrality recompute inline. Duplicates, and the default
+	// measure itself, are warmed once. A newer publish cancels the in-flight
 	// warm of the snapshot it supersedes (see WarmStats for the counters).
 	WarmMeasures []domainnet.Measure
 	// Obs, when non-nil, is the endpoint-accounting registry the server
@@ -221,48 +223,23 @@ type snapshot struct {
 	topk topkCache
 }
 
-// detCache lazily creates one detector per measure over one graph. The lock
-// covers only the map access; scoring happens in the detector's own
-// once-latch, so concurrent callers of the same measure share one
-// computation.
+// detCache holds one detector per measure over one graph. The publish that
+// creates it fills in the warmed measures; any other measure's detector is
+// created on first use. The lock covers only the map access; scoring happens
+// in the detector's own once-latch, so concurrent callers of the same
+// measure share one computation.
 type detCache struct {
 	mu   sync.Mutex
 	dets map[domainnet.Measure]*domainnet.Detector
-	// prior, when set, is the delta-scoring link to the superseded
-	// snapshot's cache: a detector created here hands the previous
-	// detector of its measure (with the rebuild diff) to
-	// domainnet.FromGraphWithPrior, so its first score computation can
-	// carry prior scores. Set only on warmed servers and dropped once the
-	// snapshot's warm finishes, so old snapshots are not retained beyond
-	// one generation.
-	prior *snapPrior
 	// counted marks measures whose warm path (incremental vs fallback) has
 	// been recorded, so re-warms of a carried snapshot are not double
 	// counted.
 	counted map[domainnet.Measure]bool
 }
 
-// snapPrior pairs the previous snapshot's detector cache with the
-// structural diff of the rebuild that superseded it.
-type snapPrior struct {
-	prev *detCache
-	diff *bipartite.Diff
-}
-
-// lookup returns the cached detector for m, if any, without creating one.
-func (dc *detCache) lookup(m domainnet.Measure) *domainnet.Detector {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return dc.dets[m]
-}
-
-// clearPrior severs the delta link to the previous snapshot's cache.
-func (dc *detCache) clearPrior() {
-	dc.mu.Lock()
-	dc.prior = nil
-	dc.mu.Unlock()
-}
-
+// detector returns sn's detector for m. Only a measure nobody warms reaches
+// the creation branch, so it starts without a delta prior and computes in
+// full on its first read.
 func (sn *snapshot) detector(m domainnet.Measure, base domainnet.Config) *domainnet.Detector {
 	dc := sn.dc
 	dc.mu.Lock()
@@ -271,17 +248,7 @@ func (sn *snapshot) detector(m domainnet.Measure, base domainnet.Config) *domain
 	if !ok {
 		cfg := base
 		cfg.Measure = m
-		if p := dc.prior; p != nil {
-			// Lock order is always newer cache → older cache (prior links
-			// point strictly backwards in publish order), so nesting
-			// lookup's lock under ours cannot deadlock.
-			if pd := p.prev.lookup(m); pd != nil {
-				d = domainnet.FromGraphWithPrior(sn.graph, cfg, pd, p.diff)
-			}
-		}
-		if d == nil {
-			d = domainnet.FromGraph(sn.graph, cfg)
-		}
+		d = domainnet.FromGraph(sn.graph, cfg)
 		dc.dets[m] = d
 	}
 	return d
@@ -302,16 +269,18 @@ func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
 	l.Workers = cfg.Workers
 	s := &Server{cfg: cfg, lake: l, afterPublish: opts.AfterPublish,
 		onCommit: opts.OnCommit, readOnly: opts.ReadOnly,
-		warmMeasures: opts.WarmMeasures,
-		obs:          opts.Obs, tracer: opts.Tracer, replLag: opts.ReplLag}
+		obs: opts.Obs, tracer: opts.Tracer, replLag: opts.ReplLag}
 	if s.obs == nil {
 		s.obs = &obs.Endpoints{}
 	}
 	if s.tracer == nil {
 		s.tracer = &obs.Tracer{}
 	}
-	for _, m := range s.warmMeasures {
-		s.warmed = append(s.warmed, m.String())
+	for _, m := range append([]domainnet.Measure{cfg.Measure}, opts.WarmMeasures...) {
+		if !slices.Contains(s.warmMeasures, m) {
+			s.warmMeasures = append(s.warmMeasures, m)
+			s.warmed = append(s.warmed, m.String())
+		}
 	}
 	if g := opts.Graph; g != nil && g.KeepsSingletons() == cfg.KeepSingletons {
 		s.publishGraph(g)
@@ -451,7 +420,7 @@ func (s *Server) publishGraph(g *bipartite.Graph) { s.publishGraphDiff(g, nil) }
 
 // publishGraphDiff is publishGraph with the structural diff of the rebuild
 // that produced g against the previous snapshot's graph (nil when unknown),
-// which seeds the new snapshot's delta-scoring prior.
+// which links each warmed detector to its predecessor for delta scoring.
 func (s *Server) publishGraphDiff(g *bipartite.Graph, diff *bipartite.Diff) {
 	attrs := s.lake.Attributes()
 	prev := s.snap.Load()
@@ -479,13 +448,20 @@ func (s *Server) publishGraphDiff(g *bipartite.Graph, diff *bipartite.Diff) {
 		// entries and in-flight computations included.
 		next.dc = prev.dc
 	} else {
+		// The one delta link: each warmed detector may carry its
+		// predecessor's scores across the diff. FromGraphWithPrior keeps the
+		// predecessor only while it holds a carry, and the new detector drops
+		// it on its first score computation, so at most one superseded
+		// snapshot is retained.
 		next.dc = &detCache{dets: make(map[domainnet.Measure]*domainnet.Detector)}
-		if prev != nil && diff != nil && !diff.Full && len(s.warmMeasures) > 0 {
-			// Seed the delta-scoring path: detectors of this snapshot may
-			// carry the previous snapshot's scores across the diff. Gated
-			// on warming so unwarmed servers keep the pure full-recompute
-			// cold path (and never retain a superseded snapshot's cache).
-			next.dc.prior = &snapPrior{prev: prev.dc, diff: diff}
+		for _, m := range s.warmMeasures {
+			var pd *domainnet.Detector
+			if prev != nil {
+				pd = prev.detector(m, s.cfg)
+			}
+			cfg := s.cfg
+			cfg.Measure = m
+			next.dc.dets[m] = domainnet.FromGraphWithPrior(g, cfg, pd, diff)
 		}
 	}
 	s.publishes.Add(1)
@@ -496,8 +472,8 @@ func (s *Server) publishGraphDiff(g *bipartite.Graph, diff *bipartite.Diff) {
 	}
 }
 
-// scheduleWarm starts the background precompute of the configured measures
-// on the just-published snapshot. A publish whose graph changed supersedes
+// scheduleWarm starts the background precompute of the warm set on the
+// just-published snapshot. A publish whose graph changed supersedes
 // the previous snapshot, so its in-flight warm (stale work) is cancelled
 // first: under churn, only the newest snapshot's warm ever runs to
 // completion. A carried publish shares the previous snapshot's detectors,
@@ -507,9 +483,6 @@ func (s *Server) publishGraphDiff(g *bipartite.Graph, diff *bipartite.Diff) {
 // Called with writeMu held (publishes are serialized), so schedules are
 // ordered; the goroutine itself runs outside all locks.
 func (s *Server) scheduleWarm(sn *snapshot, carried bool) {
-	if len(s.warmMeasures) == 0 {
-		return
-	}
 	s.warmMu.Lock()
 	ctx := s.warmCtx
 	if !carried || ctx == nil || ctx.Err() != nil {
@@ -547,9 +520,6 @@ func (s *Server) scheduleWarm(sn *snapshot, carried bool) {
 			}
 			s.recordWarmPath(sn.dc, m, d)
 		}
-		// Every configured measure is computed; the previous snapshot's
-		// cache has nothing left to contribute.
-		sn.dc.clearPrior()
 		s.warmsCompleted.Add(1)
 		s.tracer.Finish(wa, http.StatusOK)
 	}()
@@ -619,7 +589,10 @@ func (s *Server) Close() {
 // WarmStats is a point-in-time reading of the warmer's counters. Started −
 // Completed − Cancelled warms are still in flight. Hits and Misses count
 // /topk and /score reads by whether the cache they needed was already
-// computed (by the warmer or an earlier read) when the request arrived.
+// computed (by the warmer or an earlier read) when the request arrived. A
+// miss need not have computed anything: a read that arrives while a warm
+// or another read is computing its cache waits on that computation's latch,
+// and counts as a miss all the same.
 type WarmStats struct {
 	Started   int64 `json:"started"`
 	Completed int64 `json:"completed"`
@@ -817,17 +790,13 @@ func (s *Server) handleScorers(w http.ResponseWriter, r *http.Request, _ *snapsh
 // runtime telemetry, tracer counters, and — on replicas — replication lag.
 // ?format=prom renders the same data in the Prometheus text exposition
 // format. It is the observability face of the warm pipeline: warm.cancelled
-// rising under churn is the warmer shedding superseded work, and
-// endpoints.topk p99_ns collapsing after enabling WarmMeasures is the point
-// of it. The reported version is sn's, the one in the response header.
+// rising under churn is the warmer shedding superseded work, and warm.misses
+// rising is reads arriving before their cache was warm. The reported
+// version is sn's, the one in the response header.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, sn *snapshot) {
 	if r.URL.Query().Get("format") == "prom" {
 		s.writeProm(w, sn)
 		return
-	}
-	warmed := s.warmed
-	if warmed == nil {
-		warmed = []string{}
 	}
 	dirtyHist := make(map[string]int64, len(dirtyBucketNames))
 	for i, name := range dirtyBucketNames {
@@ -837,7 +806,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, sn *snaps
 		"version":   sn.version,
 		"publishes": s.Publishes(),
 		"warm": map[string]any{
-			"measures":      warmed,
+			"measures":      s.warmed,
 			"started":       s.warmsStarted.Load(),
 			"completed":     s.warmsCompleted.Load(),
 			"cancelled":     s.warmsCancelled.Load(),

@@ -329,11 +329,19 @@ func TestBatchPartWithoutNameRejected(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	ts := newTestServer(t)
+	s := New(datagen.Figure1Lake(), domainnet.Config{
+		Measure:        domainnet.BetweennessExact,
+		KeepSingletons: true,
+	})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	waitWarm(t, s, "initial warm", func(w WarmStats) bool { return w.Completed == 1 })
 
-	getJSON(t, ts.URL+"/topk?k=2", http.StatusOK)      // cold miss
-	getJSON(t, ts.URL+"/topk?k=2", http.StatusOK)      // warm hit (cache primed)
-	getJSON(t, ts.URL+"/score", http.StatusBadRequest) // counted error
+	getJSON(t, ts.URL+"/topk?k=2", http.StatusOK)             // hit: the warmer computed it
+	getJSON(t, ts.URL+"/topk?k=2", http.StatusOK)             // hit: response cache
+	getJSON(t, ts.URL+"/topk?k=2&measure=lcc", http.StatusOK) // miss: nobody warms lcc
+	getJSON(t, ts.URL+"/score", http.StatusBadRequest)        // counted error
 	getJSON(t, ts.URL+"/topk?k=-1", http.StatusBadRequest)
 
 	m := getJSON(t, ts.URL+"/metrics", http.StatusOK)
@@ -342,8 +350,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	eps := m["endpoints"].(map[string]any)
 	topk := eps["topk"].(map[string]any)
-	if topk["count"].(float64) != 3 || topk["errors"].(float64) != 1 {
-		t.Errorf("topk count/errors = %v/%v, want 3/1", topk["count"], topk["errors"])
+	if topk["count"].(float64) != 4 || topk["errors"].(float64) != 1 {
+		t.Errorf("topk count/errors = %v/%v, want 4/1", topk["count"], topk["errors"])
 	}
 	if topk["max_ns"].(float64) <= 0 || topk["total_ns"].(float64) < topk["max_ns"].(float64) {
 		t.Errorf("topk latency accounting implausible: %v", topk)
@@ -353,17 +361,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("score count/errors = %v/%v, want 1/1", score["count"], score["errors"])
 	}
 	warm := m["warm"].(map[string]any)
-	// No warmer configured: lifecycle counters stay zero, but the hit/miss
-	// accounting still tracks the lazy caches (first /topk cold, second warm;
-	// the k=-1 request errors before touching a detector).
-	if warm["started"].(float64) != 0 {
-		t.Errorf("warm.started = %v, want 0 (no warmer)", warm["started"])
+	// No WarmMeasures: the default measure is warmed all the same. The
+	// k=-1 request errors before touching a detector.
+	if warm["started"].(float64) != 1 || warm["completed"].(float64) != 1 {
+		t.Errorf("warm started/completed = %v/%v, want 1/1", warm["started"], warm["completed"])
 	}
-	if warm["misses"].(float64) != 1 || warm["hits"].(float64) != 1 {
-		t.Errorf("warm hits/misses = %v/%v, want 1/1", warm["hits"], warm["misses"])
+	if warm["misses"].(float64) != 1 || warm["hits"].(float64) != 2 {
+		t.Errorf("warm hits/misses = %v/%v, want 2/1", warm["hits"], warm["misses"])
 	}
-	if ms := warm["measures"].([]any); len(ms) != 0 {
-		t.Errorf("warm.measures = %v, want empty", ms)
+	if ms := warm["measures"].([]any); len(ms) != 1 || ms[0] != domainnet.BetweennessExact.String() {
+		t.Errorf("warm.measures = %v, want [%s]", ms, domainnet.BetweennessExact)
 	}
 }
 

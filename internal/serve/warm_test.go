@@ -1,10 +1,12 @@
 package serve
 
 // Coverage for the background ranking warmer and the /metrics endpoint: a
-// publish pre-warms the new snapshot, a newer publish provably cancels the
-// superseded warm (counter-asserted, never timing-asserted), a mutation
-// storm with the warmer active never serves a stale snapshot's ranking, and
-// Checkpoint stays consistent while a coalesced burst races the warmer.
+// publish pre-warms the new snapshot, with or without Options.WarmMeasures,
+// and the warm set holds each measure once; a newer publish provably cancels
+// the superseded warm (counter-asserted, never timing-asserted); superseded
+// snapshots are released; a mutation storm with the warmer active never
+// serves a stale snapshot's ranking; and Checkpoint stays consistent while a
+// coalesced burst races the warmer.
 
 import (
 	"encoding/json"
@@ -13,10 +15,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"domainnet/internal/bipartite"
 	"domainnet/internal/datagen"
@@ -39,12 +43,14 @@ func waitWarm(t *testing.T, s *Server, what string, cond func(WarmStats) bool) {
 	}
 }
 
+// TestWarmerPrewarmsEveryPublish: a server built by New, with no options,
+// warms its default measure after every publish.
 func TestWarmerPrewarmsEveryPublish(t *testing.T) {
 	measure := domainnet.BetweennessExact
-	s := NewWithOptions(datagen.Figure1Lake(), domainnet.Config{
+	s := New(datagen.Figure1Lake(), domainnet.Config{
 		Measure:        measure,
 		KeepSingletons: true,
-	}, Options{WarmMeasures: []domainnet.Measure{measure}})
+	})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	t.Cleanup(s.Close)
@@ -78,6 +84,38 @@ func TestWarmerPrewarmsEveryPublish(t *testing.T) {
 	getJSON(t, ts.URL+"/topk?k=3", http.StatusOK)
 	if w := s.WarmStats(); w.Hits != 1 || w.Misses != 0 {
 		t.Errorf("post-warm read counted hits=%d misses=%d, want 1/0", w.Hits, w.Misses)
+	}
+}
+
+// TestWarmSetDedupes: WarmMeasures naming the default measure (twice) adds
+// nothing to it, so a publish warms exactly two measures, default first.
+func TestWarmSetDedupes(t *testing.T) {
+	def := domainnet.BetweennessExact
+	s := NewWithOptions(datagen.Figure1Lake(), domainnet.Config{
+		Measure:        def,
+		KeepSingletons: true,
+	}, Options{WarmMeasures: []domainnet.Measure{def, def, domainnet.LCC}})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.Close)
+	waitWarm(t, s, "initial warm", func(w WarmStats) bool { return w.Completed == 1 })
+
+	sn := s.snap.Load()
+	sn.dc.mu.Lock()
+	n := len(sn.dc.dets)
+	for m, d := range sn.dc.dets {
+		if !d.Ready() {
+			t.Errorf("warmed measure %s is not ready", m)
+		}
+	}
+	sn.dc.mu.Unlock()
+	if n != 2 {
+		t.Errorf("the warm built %d detectors, want 2", n)
+	}
+	warm := getJSON(t, ts.URL+"/metrics", http.StatusOK)["warm"].(map[string]any)
+	want := []any{def.String(), domainnet.LCC.String()}
+	if got := warm["measures"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("warm.measures = %v, want %v", got, want)
 	}
 }
 
@@ -148,6 +186,94 @@ func TestSupersededWarmIsCancelled(t *testing.T) {
 	}
 	if s.Version() != snB.version {
 		t.Errorf("served version = %d, want %d", s.Version(), snB.version)
+	}
+}
+
+// collected runs the garbage collector until the graph behind wp is freed,
+// reporting false if it is still alive after a generous deadline. A warm
+// goroutine that has just ticked its counter may hold its snapshot for a
+// moment longer, so one GC is not always enough; a leak never frees.
+func collected(wp weak.Pointer[bipartite.Graph]) bool {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		runtime.GC()
+		if wp.Value() == nil {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+}
+
+// TestWarmReleasesSupersededSnapshot checks the one-generation bound of the
+// delta prior: a warmed detector links to its predecessor only until its
+// own scores are computed, so two publishes past snapshot N−1 leave nothing
+// holding N−1's graph. The gated variant holds snapshot N's warm in flight
+// until N+1 cancels it: the cancelled N, and the N−1 its detector links to,
+// must both be released.
+func TestWarmReleasesSupersededSnapshot(t *testing.T) {
+	// Singleton filtering on: a stray row of fresh values changes the table
+	// but not the adjacency, so each rewrite of W1 warms incrementally — the
+	// path that actually attaches a predecessor.
+	mkW1 := func(stray string) *table.Table {
+		return table.New("W1").AddColumn("animal", "Jaguar", "Puma", stray+"Beast").
+			AddColumn("city", "Memphis", "Lima", stray+"Town")
+	}
+	for _, gated := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gated=%v", gated), func(t *testing.T) {
+			s := New(datagen.Figure1Lake(), domainnet.Config{Measure: domainnet.BetweennessExact})
+			t.Cleanup(s.Close)
+			waitWarm(t, s, "initial warm", func(w WarmStats) bool { return w.Completed == 1 })
+			if _, err := s.Apply([]*table.Table{mkW1("A")}, nil); err != nil {
+				t.Fatal(err)
+			}
+			waitWarm(t, s, "warm of N-1", func(w WarmStats) bool { return w.Completed == 2 })
+			older := weak.Make(s.snap.Load().graph)
+
+			entered := make(chan uint64, 2) // the warms of N and N+1
+			release := make(chan struct{})
+			if gated {
+				s.warmMu.Lock()
+				s.warmGate = func(v uint64) {
+					entered <- v
+					<-release
+				}
+				s.warmMu.Unlock()
+			}
+			if _, err := s.Apply([]*table.Table{mkW1("B")}, []string{"W1"}); err != nil {
+				t.Fatal(err)
+			}
+			middle := weak.Make(s.snap.Load().graph)
+			if gated {
+				<-entered // N's warm holds at the gate
+			} else {
+				waitWarm(t, s, "warm of N", func(w WarmStats) bool { return w.Completed == 3 })
+			}
+			if _, err := s.Apply([]*table.Table{mkW1("C")}, []string{"W1"}); err != nil {
+				t.Fatal(err)
+			}
+			if gated {
+				<-entered
+				close(release)
+			}
+			waitWarm(t, s, "warms to settle", func(w WarmStats) bool {
+				return w.Started == 4 && w.Completed+w.Cancelled == 4
+			})
+			ws := s.WarmStats()
+			if gated && (ws.Cancelled != 1 || ws.Incremental != 0) {
+				t.Errorf("gated run counted cancelled=%d incremental=%d, want 1/0", ws.Cancelled, ws.Incremental)
+			}
+			if !gated && ws.Incremental != 2 {
+				t.Errorf("both rewrites should warm through the prior: incremental=%d, want 2", ws.Incremental)
+			}
+
+			if !collected(older) {
+				t.Error("snapshot N-1's graph is still reachable after two superseding publishes")
+			}
+			if gated && !collected(middle) {
+				t.Error("the cancelled snapshot N's graph is still reachable")
+			}
+		})
 	}
 }
 
