@@ -7,7 +7,6 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
@@ -15,7 +14,7 @@ import (
 
 	"domainnet/internal/datagen"
 	"domainnet/internal/experiments"
-	"domainnet/internal/lake"
+	"domainnet/internal/table"
 	"domainnet/internal/union"
 )
 
@@ -73,66 +72,29 @@ func main() {
 // saveAttrs writes generator attributes as one CSV per table, repeating
 // values per their frequency so a reload reproduces the same graph.
 func saveAttrs(gt *union.GroundTruth, dir string) error {
-	byTable := map[string][]lake.Attribute{}
-	var order []string
+	tables := map[string]*table.Table{}
+	var order []*table.Table
 	for _, a := range gt.Attrs {
-		if _, ok := byTable[a.Table]; !ok {
-			order = append(order, a.Table)
+		t, ok := tables[a.Table]
+		if !ok {
+			t = table.New(a.Table)
+			tables[a.Table] = t
+			order = append(order, t)
 		}
-		byTable[a.Table] = append(byTable[a.Table], a)
+		var cells []string
+		for j, v := range a.Values {
+			n := 1
+			if a.Freqs != nil {
+				n = a.Freqs[j]
+			}
+			for r := 0; r < n; r++ {
+				cells = append(cells, v)
+			}
+		}
+		t.AddColumn(a.Column, cells...)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, name := range order {
-		attrs := byTable[name]
-		f, err := os.Create(filepath.Join(dir, name+".csv"))
-		if err != nil {
-			return err
-		}
-		w := csv.NewWriter(f)
-		header := make([]string, len(attrs))
-		cols := make([][]string, len(attrs))
-		rows := 0
-		for i, a := range attrs {
-			header[i] = a.Column
-			for j, v := range a.Values {
-				n := 1
-				if a.Freqs != nil {
-					n = a.Freqs[j]
-				}
-				for r := 0; r < n; r++ {
-					cols[i] = append(cols[i], v)
-				}
-			}
-			if len(cols[i]) > rows {
-				rows = len(cols[i])
-			}
-		}
-		if err := w.Write(header); err != nil {
-			f.Close()
-			return err
-		}
-		rec := make([]string, len(attrs))
-		for r := 0; r < rows; r++ {
-			for i := range cols {
-				if r < len(cols[i]) {
-					rec[i] = cols[i][r]
-				} else {
-					rec[i] = ""
-				}
-			}
-			if err := w.Write(rec); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		w.Flush()
-		if err := w.Error(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+	for _, t := range order {
+		if err := t.WriteCSVFile(filepath.Join(dir, t.Name+".csv")); err != nil {
 			return err
 		}
 	}

@@ -1,8 +1,11 @@
-// Package bench anchors the repository root and hosts the benchmark harness
-// (bench_test.go, bench_engine_test.go) that regenerates every table and
-// figure of the paper's evaluation, plus the machine-readable snapshot
-// emitter (benchjson_test.go, opt-in via DOMAINNET_BENCH_JSON=1) that writes
-// BENCH_<date>.json with ns/op per pipeline stage.
+// Package bench anchors the repository root and documents its layout.
+//
+// There are two ways to get a number out of the repository. `bash
+// benchmark/run.sh` runs the seeded end-to-end workloads of the separate
+// benchmark module and gives performance numbers, per workload and per
+// layer. `go run ./cmd/experiments` renders the paper's evaluation tables
+// and figures (§5); internal/experiments' tests pin each of their quality
+// numbers at small scale.
 //
 // The library itself lives under internal/; binaries under cmd/; runnable
 // examples under examples/.

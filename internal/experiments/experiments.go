@@ -2,12 +2,13 @@
 // evaluation (§5). Each experiment has one entry point returning a typed
 // result plus a Render method producing the table the paper prints.
 //
-// Scales are configurable: unit tests run reduced configurations, the
-// benchmark harness (bench_test.go) and cmd/experiments run paper-comparable
-// ones. Absolute runtimes differ from the paper (single-core Go vs. the
-// authors' parallel C++ library); the comparisons the paper draws — method
-// orderings, precision plateaus, linear scaling — are preserved. See
-// EXPERIMENTS.md for paper-vs-measured numbers.
+// Scales are configurable: unit tests run reduced configurations and pin
+// each quality number EXPERIMENTS.md records; cmd/experiments, the one
+// renderer of these tables, runs paper-comparable ones. Absolute runtimes
+// differ from the paper (single-core Go vs. the authors' parallel C++
+// library); the comparisons the paper draws — method orderings, precision
+// plateaus, linear scaling — are preserved. See EXPERIMENTS.md for
+// paper-vs-measured numbers.
 package experiments
 
 import (
@@ -23,7 +24,8 @@ const (
 	ScaleSmall Scale = iota
 	// ScaleMedium is the default for cmd/experiments.
 	ScaleMedium
-	// ScaleFull approaches the paper's dataset sizes; benchmark-only.
+	// ScaleFull approaches the paper's dataset sizes (cmd/experiments
+	// -scale full).
 	ScaleFull
 )
 

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,6 +43,46 @@ func TestObsEndpointRecord(t *testing.T) {
 	all := es.Metrics()
 	if len(all) != 1 || all["topk"].Count != 4 {
 		t.Fatalf("registry metrics = %+v", all)
+	}
+}
+
+// discardWriter is the leanest possible ResponseWriter: the allocation
+// budget below must measure the middleware, not the recorder.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+
+// TestInstrumentedAllocBudget: the middleware's per-request cost — the
+// status wrapper, one histogram observation, the counters, and a pooled
+// trace with one span that recycles uncaptured under the default slow gate
+// — is at most 2 allocations, and the accounting loses no request.
+func TestInstrumentedAllocBudget(t *testing.T) {
+	es := &Endpoints{}
+	tr := &Tracer{}
+	h := Instrumented(es, tr, "noop", func(w http.ResponseWriter, r *http.Request) {
+		sp := ActiveFrom(w).StartSpan("work")
+		sp.End()
+		w.WriteHeader(http.StatusOK)
+	})
+	req := httptest.NewRequest(http.MethodGet, "/noop", nil)
+	w := &discardWriter{h: make(http.Header)}
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, func() { h(w, req) }); allocs > 2 {
+		t.Errorf("instrumented no-op request costs %.0f allocs/op, budget is 2", allocs)
+	}
+	if w.code != http.StatusOK {
+		t.Fatalf("status = %d, want 200", w.code)
+	}
+	if m := es.Get("noop").Metrics(); m.Count < runs || m.P99NS <= 0 {
+		t.Errorf("accounting lost requests after %d runs: %+v", runs, m)
+	}
+	if st := tr.Stats(); st.Captured != 0 {
+		t.Errorf("default slow gate captured %d fast traces", st.Captured)
 	}
 }
 

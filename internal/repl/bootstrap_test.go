@@ -14,6 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"domainnet/internal/datagen"
+	"domainnet/internal/domainnet"
+	"domainnet/internal/lake"
 	"domainnet/internal/persist"
 	"domainnet/internal/serve"
 	"domainnet/internal/table"
@@ -101,28 +104,42 @@ func growLake(t *testing.T, s *serve.Server, n int) {
 	}
 }
 
+// TestChunkedBootstrapCompressesWire: the chunked gzip bootstrap moves
+// fewer bytes than the codec it frames, and on the SB lake at least 2x fewer.
 func TestChunkedBootstrapCompressesWire(t *testing.T) {
-	leader, _, ts := newLeader(t)
-	f := newFollower(ts)
-	if err := f.Bootstrap(context.Background()); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name      string
+		lake      *lake.Lake
+		cfg       domainnet.Config
+		minShrink float64
+	}{
+		{"figure1", datagen.Figure1Lake(), domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true}, 1},
+		{"sb", datagen.NewSB(1).Lake, domainnet.Config{Measure: domainnet.DegreeBaseline}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			leader, _, ts := newLeaderOver(t, c.lake, c.cfg)
+			f := &Follower{Leader: ts.URL, Config: c.cfg}
+			if err := f.Bootstrap(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if f.Version() != leader.Version() {
+				t.Fatalf("bootstrap version %d, leader at %d", f.Version(), leader.Version())
+			}
+			st := f.BootstrapStats()
+			if st.RawBytes == 0 || st.WireBytes == 0 {
+				t.Fatalf("bootstrap stats not recorded: %+v", st)
+			}
+			shrink := float64(st.RawBytes) / float64(st.WireBytes)
+			if shrink <= 1 || shrink < c.minShrink {
+				t.Errorf("chunked gzip bootstrap moved %d wire bytes for %d raw bytes (%.2fx), want more than 1x and at least %.0fx",
+					st.WireBytes, st.RawBytes, shrink, c.minShrink)
+			}
+			if st.Resumes != 0 || st.Restarts != 0 {
+				t.Errorf("clean bootstrap recorded %d resumes, %d restarts", st.Resumes, st.Restarts)
+			}
+			t.Logf("bootstrap moved %d wire bytes for %d raw bytes (%.1fx)", st.WireBytes, st.RawBytes, shrink)
+		})
 	}
-	if f.Version() != leader.Version() {
-		t.Fatalf("bootstrap version %d, leader at %d", f.Version(), leader.Version())
-	}
-	st := f.BootstrapStats()
-	if st.RawBytes == 0 || st.WireBytes == 0 {
-		t.Fatalf("bootstrap stats not recorded: %+v", st)
-	}
-	if st.WireBytes >= st.RawBytes {
-		t.Errorf("chunked gzip bootstrap moved %d wire bytes for %d raw bytes — no compression",
-			st.WireBytes, st.RawBytes)
-	}
-	if st.Resumes != 0 || st.Restarts != 0 {
-		t.Errorf("clean bootstrap recorded %d resumes, %d restarts", st.Resumes, st.Restarts)
-	}
-	t.Logf("bootstrap moved %d wire bytes for %d raw bytes (%.1fx)",
-		st.WireBytes, st.RawBytes, float64(st.RawBytes)/float64(st.WireBytes))
 }
 
 func TestBootstrapResumesTornStream(t *testing.T) {
@@ -238,19 +255,28 @@ func TestBootstrapFailsWithoutProgress(t *testing.T) {
 	}
 }
 
-func TestRawBootstrapToggle(t *testing.T) {
-	leader, _, ts := newLeader(t)
-	f := newFollower(ts)
-	f.RawBootstrap = true
+// TestBootstrapFromLegacyLeader: a leader that predates the chunk protocol
+// ignores ?chunked=1 and answers with the raw codec stream; the follower
+// decodes that answer as-is, and every byte on the wire is a codec byte.
+func TestBootstrapFromLegacyLeader(t *testing.T) {
+	leader, _, _ := newLeader(t)
+	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		q.Del("chunked")
+		r.URL.RawQuery = q.Encode()
+		leader.ServeHTTP(w, r)
+	}))
+	t.Cleanup(legacy.Close)
+	f := newFollower(legacy)
 	if err := f.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if f.Version() != leader.Version() {
-		t.Fatalf("raw bootstrap version %d, leader at %d", f.Version(), leader.Version())
+		t.Fatalf("legacy bootstrap version %d, leader at %d", f.Version(), leader.Version())
 	}
 	st := f.BootstrapStats()
 	if st.WireBytes == 0 || st.WireBytes != st.RawBytes {
-		t.Errorf("raw bootstrap should move exactly the codec bytes, got wire %d raw %d",
+		t.Errorf("raw answer should move exactly the codec bytes, got wire %d raw %d",
 			st.WireBytes, st.RawBytes)
 	}
 }

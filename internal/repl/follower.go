@@ -33,7 +33,7 @@ var ErrDiverged = fmt.Errorf("repl: follower state diverged from the leader")
 const DefaultMaxRetryDelay = 30 * time.Second
 
 // Follower replicates a leader's lake: it bootstraps from /repl/snapshot
-// (chunked, per-chunk-gzipped and resumable by default — a transfer torn at
+// (chunked, per-chunk-gzipped and resumable — a transfer torn at
 // raw offset N re-requests from N instead of starting over), then tails
 // /repl/changes and applies each burst through serve.Apply — the same
 // validation and incremental-rebuild path the leader's writes took, so
@@ -66,11 +66,6 @@ type Follower struct {
 	// serve.Options.WarmMeasures on a primary: every replica server warms
 	// Config.Measure after each applied burst, and these measures too.
 	WarmMeasures []domainnet.Measure
-	// RawBootstrap forces the legacy whole-snapshot raw stream instead of
-	// the chunked resumable transfer: the bench baseline, and an escape
-	// hatch. (A leader predating the chunk protocol needs no flag — the
-	// default path detects the raw response and decodes it as-is.)
-	RawBootstrap bool
 	// Obs, when non-nil, is the endpoint-accounting registry shared with
 	// every replica server this follower installs. Nil gets a private
 	// registry created on first use. Either way the registry outlives
@@ -284,54 +279,8 @@ func (f *Follower) install(sn *persist.Snapshot) {
 		f.Leader, srv.Version(), sn.Lake.NumTables())
 }
 
-// Bootstrap fetches a full snapshot from the leader and replaces the
-// replica with it. Deltas past the snapshot arrive through the next Poll.
-//
-// The default transfer is chunked: the leader frames the snapshot codec
-// into CRC'd, individually gzipped chunks, and a stream torn mid-transfer
-// is re-requested from the last whole chunk's raw offset instead of from
-// zero. Internal resume attempts must make progress — two failures in a row
-// with no new bytes in between surface the error to the caller, whose
-// backoff takes over.
-func (f *Follower) Bootstrap(ctx context.Context) error {
-	f.bootWire.Store(0)
-	f.bootRaw.Store(0)
-	f.bootResumes.Store(0)
-	f.bootRestarts.Store(0)
-	if f.RawBootstrap {
-		return f.bootstrapRaw(ctx)
-	}
-	return f.bootstrapChunked(ctx)
-}
-
-// bootstrapRaw is the legacy transfer: one unframed, uncompressed codec
-// stream, all-or-nothing.
-func (f *Follower) bootstrapRaw(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.Leader+"/repl/snapshot", nil)
-	if err != nil {
-		return fmt.Errorf("repl: %w", err)
-	}
-	resp, err := f.snapshotClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("repl: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("repl: snapshot fetch: %s: %s", resp.Status, body)
-	}
-	f.observeLeader(resp.Header)
-	sn, err := persist.Decode(countReader{resp.Body, &f.bootWire})
-	if err != nil {
-		return err
-	}
-	f.bootRaw.Store(f.bootWire.Load()) // unframed: wire bytes are codec bytes
-	f.install(sn)
-	return nil
-}
-
-// countReader counts bytes read into an atomic — the wire-byte meter of the
-// raw bootstrap path.
+// countReader counts bytes read into an atomic — the wire-byte meter of a
+// raw snapshot answer from a leader that predates chunking.
 type countReader struct {
 	r io.Reader
 	n *atomic.Int64
@@ -343,7 +292,20 @@ func (c countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (f *Follower) bootstrapChunked(ctx context.Context) error {
+// Bootstrap fetches a full snapshot from the leader and replaces the
+// replica with it. Deltas past the snapshot arrive through the next Poll.
+//
+// The transfer is chunked: the leader frames the snapshot codec
+// into CRC'd, individually gzipped chunks, and a stream torn mid-transfer
+// is re-requested from the last whole chunk's raw offset instead of from
+// zero. Internal resume attempts must make progress — two failures in a row
+// with no new bytes in between surface the error to the caller, whose
+// backoff takes over.
+func (f *Follower) Bootstrap(ctx context.Context) error {
+	f.bootWire.Store(0)
+	f.bootRaw.Store(0)
+	f.bootResumes.Store(0)
+	f.bootRestarts.Store(0)
 	client := f.snapshotClient()
 	var (
 		buf     []byte // whole chunks accumulated so far (always chunk-aligned)

@@ -13,6 +13,7 @@ import (
 
 	"domainnet/internal/datagen"
 	"domainnet/internal/domainnet"
+	"domainnet/internal/lake"
 	"domainnet/internal/serve"
 	"domainnet/internal/table"
 	"domainnet/internal/wal"
@@ -22,6 +23,13 @@ import (
 // the write-ahead hook, replication endpoints mounted — over Figure 1.
 func newLeader(t *testing.T) (*serve.Server, *Leader, *httptest.Server) {
 	t.Helper()
+	return newLeaderOver(t, datagen.Figure1Lake(),
+		domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true})
+}
+
+// newLeaderOver is newLeader over any lake and detector configuration.
+func newLeaderOver(t *testing.T, l *lake.Lake, cfg domainnet.Config) (*serve.Server, *Leader, *httptest.Server) {
+	t.Helper()
 	log, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -29,9 +37,7 @@ func newLeader(t *testing.T) (*serve.Server, *Leader, *httptest.Server) {
 	t.Cleanup(func() { log.Close() })
 	ld := NewLeader(log)
 	ld.PollTimeout = 100 * time.Millisecond
-	s := serve.NewWithOptions(datagen.Figure1Lake(),
-		domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true},
-		serve.Options{OnCommit: ld.OnCommit})
+	s := serve.NewWithOptions(l, cfg, serve.Options{OnCommit: ld.OnCommit})
 	ld.Attach(s)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
