@@ -380,8 +380,7 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 				// The persisted graph matched the snapshot's lake; catch it
 				// up to the replayed mutations incrementally so the serving
 				// layer still warm-starts without a full build.
-				attrs := l.Attributes()
-				warmGraph, _ = bipartite.RebuildDiff(warmGraph, attrs, bipartite.Changed(warmGraph, attrs),
+				warmGraph, _ = bipartite.RebuildDiff(warmGraph, l.Attributes(),
 					bipartite.Options{KeepSingletons: c.keep, Workers: c.workers})
 			}
 		}

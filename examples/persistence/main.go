@@ -60,10 +60,9 @@ func main() {
 		AddColumn("Make", "Jaguar", "Fiat", "Toyota").
 		AddColumn("Sold", "12", "30", "25"))
 	attrs := sn.Lake.Attributes()
-	changed := bipartite.Changed(sn.Graph, attrs)
 	fmt.Printf("after adding T5: %d of %d attributes changed — delta-priced rebuild\n",
-		len(changed), len(attrs))
-	g, _ := bipartite.RebuildDiff(sn.Graph, attrs, changed, bipartite.Options{KeepSingletons: true})
+		len(bipartite.Changed(sn.Graph, attrs)), len(attrs))
+	g, _ := bipartite.RebuildDiff(sn.Graph, attrs, bipartite.Options{KeepSingletons: true})
 	show("after post-restart update", domainnet.FromGraph(g, cfg))
 }
 

@@ -155,72 +155,13 @@ var valueHashSeed = maphash.MakeSeed()
 // the resulting graph is bit-identical for every worker count.
 func FromAttributes(attrs []lake.Attribute, opts Options) *Graph {
 	fullBuilds.Add(1)
-	nAttr := len(attrs)
-	workers := engine.Opts{Workers: opts.Workers}.EffectiveWorkers(nAttr)
-
-	retained, occ := countAndRetain(attrs, opts, workers)
-
-	// Assign ids to retained values in deterministic (sorted) order.
-	sort.Strings(retained)
-	valueIndex := make(map[string]int32, len(retained))
-	for i, v := range retained {
-		valueIndex[v] = int32(i)
-	}
-
-	nVal := len(retained)
-	n := nVal + nAttr
-
-	// Degree counting pass, parallel over attributes. Each attribute node's
-	// degree cell is owned by exactly one worker; value-node cells are shared
-	// and bumped atomically.
-	deg := make([]int64, n+1)
-	engine.Parallel(workers, nAttr, func(_, lo, hi int) {
-		for ai := lo; ai < hi; ai++ {
-			a := int32(nVal + ai)
-			count := int64(0)
-			for _, v := range attrs[ai].Values {
-				vi, ok := valueIndex[v]
-				if !ok {
-					continue
-				}
-				atomic.AddInt64(&deg[vi+1], 1)
-				count++
-			}
-			deg[a+1] = count
-		}
+	values, valueIndex, occ := valueUniverse(attrs, opts)
+	offsets, adj := assemble(len(values), len(attrs), opts.Workers, func(i int, dst []int32) []int32 {
+		return appendValueIDs(dst, attrs[i].Values, valueIndex)
 	})
-	offsets := make([]int64, n+1)
-	for i := 1; i <= n; i++ {
-		offsets[i] = offsets[i-1] + deg[i]
-	}
-
-	// Adjacency fill, parallel over attributes: each attribute's own CSR
-	// range is exclusive to its worker, while value-side slots are claimed
-	// through per-node atomic cursors. Fill order is nondeterministic; the
-	// sorting pass below canonicalizes it.
-	adj := make([]int32, offsets[n])
-	next := make([]int64, nVal)
-	copy(next, offsets[:nVal])
-	attrIDs := make([]string, nAttr)
-	engine.Parallel(workers, nAttr, func(_, lo, hi int) {
-		for ai := lo; ai < hi; ai++ {
-			attrIDs[ai] = attrs[ai].ID
-			a := int32(nVal + ai)
-			pos := offsets[a]
-			for _, v := range attrs[ai].Values {
-				vi, ok := valueIndex[v]
-				if !ok {
-					continue
-				}
-				adj[atomic.AddInt64(&next[vi], 1)-1] = a
-				adj[pos] = vi
-				pos++
-			}
-		}
-	})
-	g := &Graph{
-		values:         retained,
-		attrs:          attrIDs,
+	return &Graph{
+		values:         values,
+		attrs:          attrIDs(attrs),
 		offsets:        offsets,
 		adj:            adj,
 		valueIndex:     valueIndex,
@@ -229,11 +170,86 @@ func FromAttributes(attrs []lake.Attribute, opts Options) *Graph {
 		keepSingletons: opts.KeepSingletons,
 		incremental:    true,
 	}
-	// Sorting is per-node, so its parallelism is bounded by the node count,
-	// not the (possibly much smaller) attribute count capping the passes
-	// above; pass the raw option and let Parallel clamp.
-	g.sortAdjacency(opts.Workers)
-	return g
+}
+
+// valueUniverse counts occurrences across attrs and numbers the values that
+// pass the singleton filter in sorted order, so value ids are lexicographic.
+func valueUniverse(attrs []lake.Attribute, opts Options) ([]string, map[string]int32, map[string]int64) {
+	workers := engine.Opts{Workers: opts.Workers}.EffectiveWorkers(len(attrs))
+	values, occ := countAndRetain(attrs, opts, workers)
+	sort.Strings(values)
+	valueIndex := make(map[string]int32, len(values))
+	for i, v := range values {
+		valueIndex[v] = int32(i)
+	}
+	return values, valueIndex, occ
+}
+
+// assemble builds the CSR arrays of a graph whose nodes nVal+i (i in
+// [0, nOwners)) — attributes, then rows — list their value neighbours
+// through fill, which appends owner i's value ids to dst and returns it. fill
+// runs twice per owner, once to count degrees and once to fill, and must
+// emit the same ids both times. The value side is the transpose. Both passes
+// run sharded over owners: an owner's degree cell and CSR range belong to one
+// worker, while value-node cells are bumped and claimed through atomic
+// counters. Fill order is therefore nondeterministic; a final per-node sort
+// makes every neighbor list ascending, so the output is identical for every
+// worker count.
+func assemble(nVal, nOwners, workers int, fill func(i int, dst []int32) []int32) ([]int64, []int32) {
+	n := nVal + nOwners
+	offsets := make([]int64, n+1) // degree of node u in offsets[u+1] until the prefix sum
+	engine.Parallel(workers, nOwners, func(_, lo, hi int) {
+		var buf []int32
+		for i := lo; i < hi; i++ {
+			buf = fill(i, buf[:0])
+			for _, v := range buf {
+				atomic.AddInt64(&offsets[v+1], 1)
+			}
+			offsets[nVal+i+1] = int64(len(buf))
+		}
+	})
+	for u := 1; u <= n; u++ {
+		offsets[u] += offsets[u-1]
+	}
+
+	adj := make([]int32, offsets[n])
+	next := make([]int64, nVal)
+	copy(next, offsets[:nVal])
+	engine.Parallel(workers, nOwners, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			u := int32(nVal + i)
+			for _, v := range fill(i, adj[offsets[u]:offsets[u]:offsets[u+1]]) {
+				adj[atomic.AddInt64(&next[v], 1)-1] = u
+			}
+		}
+	})
+
+	engine.Parallel(workers, n, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			slices.Sort(adj[offsets[u]:offsets[u+1]])
+		}
+	})
+	return offsets, adj
+}
+
+// appendValueIDs appends to dst the value ids of the entries of vals present
+// in valueIndex, skipping values the singleton filter dropped.
+func appendValueIDs(dst []int32, vals []string, valueIndex map[string]int32) []int32 {
+	for _, v := range vals {
+		if vi, ok := valueIndex[v]; ok {
+			dst = append(dst, vi)
+		}
+	}
+	return dst
+}
+
+// attrIDs returns the IDs of attrs, in order.
+func attrIDs(attrs []lake.Attribute) []string {
+	ids := make([]string, len(attrs))
+	for i := range attrs {
+		ids[i] = attrs[i].ID
+	}
+	return ids
 }
 
 // countAndRetain runs the occurrence-counting pass — total cell count per
@@ -319,17 +335,6 @@ func countAndRetain(attrs []lake.Attribute, opts Options, workers int) ([]string
 		}
 	}
 	return slices.Concat(retainedParts...), occ
-}
-
-// sortAdjacency canonicalizes every neighbor list to ascending order,
-// sharded across workers.
-func (g *Graph) sortAdjacency(workers int) {
-	n := g.NumNodes()
-	engine.Parallel(workers, n, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			slices.Sort(g.adj[g.offsets[u]:g.offsets[u+1]])
-		}
-	})
 }
 
 // CheckBipartite verifies that no edge connects two nodes of the same class

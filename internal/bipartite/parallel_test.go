@@ -4,10 +4,13 @@ package bipartite
 // worker count, on generated lakes large enough to exercise real sharding.
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"domainnet/internal/lake"
+	"domainnet/internal/table"
 )
 
 // randomAttrs builds a synthetic attribute list with overlapping vocabularies
@@ -63,21 +66,79 @@ func graphsEqual(t *testing.T, a, b *Graph) {
 	}
 }
 
+// TestFromAttributesWorkerCountInvariant checks all three builders that
+// share the CSR assembly — the full build, an incremental rebuild over a
+// random churn step, and the tripartite row graph — against their
+// single-worker output.
 func TestFromAttributesWorkerCountInvariant(t *testing.T) {
 	attrs := randomAttrs(60, 400, 25, 3)
-	for _, keep := range []bool{false, true} {
-		serial := FromAttributes(attrs, Options{KeepSingletons: keep, Workers: 1})
-		if err := serial.CheckBipartite(); err != nil {
-			t.Fatal(err)
-		}
-		if err := serial.CheckSymmetric(); err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 3, 8, 0} {
-			parallel := FromAttributes(attrs, Options{KeepSingletons: keep, Workers: w})
-			graphsEqual(t, serial, parallel)
+	// One churn step: drop three attributes, modify two, append two.
+	rng := rand.New(rand.NewSource(5))
+	churned := slices.Delete(slices.Clone(attrs), 10, 13)
+	for _, i := range []int{20, 40} {
+		vals := slices.Clone(churned[i].Values)
+		vals[rng.Intn(len(vals))] = "FRESH" + churned[i].ID
+		churned[i].Values = vals
+	}
+	churned = append(churned, randomAttrs(2, 400, 25, 9)...)
+	churned[len(churned)-2].ID, churned[len(churned)-1].ID = "new-1", "new-2"
+	rows := repeatingRowsLake(rng)
+
+	builders := []struct {
+		name  string
+		build func(t *testing.T, opts Options) *Graph
+	}{
+		{"full", func(t *testing.T, opts Options) *Graph { return FromAttributes(attrs, opts) }},
+		{"rebuild", func(t *testing.T, opts Options) *Graph {
+			g, diff := RebuildDiff(FromAttributes(attrs, opts), churned, opts)
+			if diff == nil || diff.Full {
+				t.Fatalf("churn step did not take the incremental path: %+v", diff)
+			}
+			return g
+		}},
+		{"rows", func(t *testing.T, opts Options) *Graph { return FromLakeWithRows(rows, opts) }},
+	}
+	for _, b := range builders {
+		for _, keep := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/keep=%v", b.name, keep), func(t *testing.T) {
+				serial := b.build(t, Options{KeepSingletons: keep, Workers: 1})
+				if err := serial.CheckBipartite(); err != nil {
+					t.Fatal(err)
+				}
+				if err := serial.CheckSymmetric(); err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range []int{2, 3, 8, 0} {
+					if parallel := b.build(t, Options{KeepSingletons: keep, Workers: w}); !parallel.Equal(serial) {
+						graphsEqual(t, serial, parallel)
+						t.Fatalf("workers=%d: graph differs from the single-worker build", w)
+					}
+				}
+			})
 		}
 	}
+}
+
+// repeatingRowsLake builds a lake of overlapping-vocabulary tables whose rows
+// repeat values across columns and leave some cells empty, so the
+// tripartite builder's row dedup and missing-cell paths run.
+func repeatingRowsLake(rng *rand.Rand) *lake.Lake {
+	l := lake.New("rows")
+	for ti := 0; ti < 8; ti++ {
+		tb := table.New(fmt.Sprintf("t%d", ti))
+		nRows, nCols := 10+rng.Intn(20), 2+rng.Intn(3)
+		for c := 0; c < nCols; c++ {
+			vals := make([]string, nRows)
+			for r := range vals {
+				if rng.Intn(10) > 0 {
+					vals[r] = fmt.Sprintf("w%d", rng.Intn(120))
+				}
+			}
+			tb.AddColumn(fmt.Sprintf("c%d", c), vals...)
+		}
+		l.MustAdd(tb)
+	}
+	return l
 }
 
 func TestFromAttributesWithFreqsWorkerInvariant(t *testing.T) {

@@ -4,9 +4,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"sync/atomic"
 
-	"domainnet/internal/engine"
 	"domainnet/internal/lake"
 )
 
@@ -36,13 +34,16 @@ func Changed(prev *Graph, attrs []lake.Attribute) []int {
 	}
 	var changed []int
 	for i := range attrs {
-		p, ok := byID[attrs[i].ID]
-		if !ok || !sameData(attrs[i].Values, prev.srcAttrs[p].Values) ||
-			!sameData(attrs[i].Freqs, prev.srcAttrs[p].Freqs) {
+		if p, ok := byID[attrs[i].ID]; !ok || modified(&attrs[i], &prev.srcAttrs[p]) {
 			changed = append(changed, i)
 		}
 	}
 	return changed
+}
+
+// modified reports whether two attributes with the same ID differ in content.
+func modified(a, b *lake.Attribute) bool {
+	return !sameData(a.Values, b.Values) || !sameData(a.Freqs, b.Freqs)
 }
 
 // sameData reports slice equality, short-circuiting on shared backing arrays.
@@ -72,14 +73,13 @@ type Diff struct {
 // RebuildDiff builds the graph of attrs, reusing as much of prev as the
 // update allows: the interned value strings, the value-index map (when the
 // retained value set is unchanged), and the adjacency spans of every
-// attribute that is neither in changed nor touched by a value flipping across
-// the singleton threshold. The output is bit-identical to
-// FromAttributes(attrs, opts) — incremental construction is a performance
-// choice, never a semantic one.
+// attribute that is neither new, modified (the set Changed reports) nor
+// touched by a value flipping across the singleton threshold. The output is
+// bit-identical to FromAttributes(attrs, opts) — incremental construction is
+// a performance choice, never a semantic one.
 //
-// changed lists the indices (into attrs) of new or modified attributes;
-// Changed computes it. Attributes of prev absent from attrs are detected
-// internally and their contributions subtracted. RebuildDiff falls back to
+// Attributes are matched to prev's by ID; attributes of prev absent from
+// attrs have their contributions subtracted. RebuildDiff falls back to
 // the full parallel build when prev cannot support delta surgery (nil,
 // tripartite, differing KeepSingletons, duplicate attribute IDs, reordered
 // survivors) or when the churn exceeds rebuildMaxChurn's threshold.
@@ -88,7 +88,7 @@ type Diff struct {
 // carry prior per-node results. It is nil exactly when the update is a no-op
 // and prev itself is returned; it has Full set on every path that rebuilt
 // from scratch.
-func RebuildDiff(prev *Graph, attrs []lake.Attribute, changed []int, opts Options) (*Graph, *Diff) {
+func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Diff) {
 	full := func() (*Graph, *Diff) {
 		return FromAttributes(attrs, opts), &Diff{Full: true}
 	}
@@ -108,27 +108,14 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, changed []int, opts Option
 		}
 		prevByID[prev.srcAttrs[p].ID] = p
 	}
-	seen := make(map[string]struct{}, nAttr)
-	for i := range attrs {
-		if _, dup := seen[attrs[i].ID]; dup {
-			return full()
-		}
-		seen[attrs[i].ID] = struct{}{}
-	}
-
-	dirty := make([]bool, nAttr) // attrs whose adjacency must be refilled
-	for _, i := range changed {
-		if i < 0 || i >= nAttr {
-			return full()
-		}
-		dirty[i] = true
-	}
-
-	// Map unchanged attributes to their prev indices. prevGone marks prev
-	// attributes whose edges and cell counts leave the graph: removed (ID
-	// absent from attrs) or superseded by a changed attribute. Survivors must
-	// keep their relative order (lakes append, so they do); a reordering
+	// Map every attribute to its prev index. dirty marks attrs whose
+	// adjacency must be refilled: the new and modified ones here, and below
+	// the hosts of values crossing the singleton threshold. prevGone marks
+	// prev attributes whose edges and cell counts leave the graph: removed
+	// (ID absent from attrs) or superseded by a modified attribute. Survivors
+	// must keep their relative order (lakes append, so they do); a reordering
 	// would break the monotone id remap and falls back instead.
+	dirty := make([]bool, nAttr)
 	prevOfNew := make([]int, nAttr)
 	prevToNew := make([]int, nPrev)
 	prevGone := make([]bool, nPrev)
@@ -136,14 +123,21 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, changed []int, opts Option
 		prevGone[p] = true
 		prevToNew[p] = -1
 	}
-	last := -1
+	seen := make(map[string]struct{}, nAttr)
+	nChanged, last := 0, -1
 	for i := range attrs {
+		if _, dup := seen[attrs[i].ID]; dup {
+			return full()
+		}
+		seen[attrs[i].ID] = struct{}{}
 		prevOfNew[i] = -1
-		if dirty[i] {
+		p, ok := prevByID[attrs[i].ID]
+		if !ok || modified(&attrs[i], &prev.srcAttrs[p]) {
+			dirty[i] = true
+			nChanged++
 			continue
 		}
-		p, ok := prevByID[attrs[i].ID]
-		if !ok || p <= last {
+		if p <= last {
 			return full()
 		}
 		last = p
@@ -157,10 +151,10 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, changed []int, opts Option
 			nGone++
 		}
 	}
-	if len(changed) == 0 && nGone == 0 {
+	if nChanged == 0 && nGone == 0 {
 		return prev, nil // no structural change at all
 	}
-	if (len(changed)+nGone)*rebuildMaxChurn > nAttr+nPrev {
+	if (nChanged+nGone)*rebuildMaxChurn > nAttr+nPrev {
 		return full()
 	}
 
@@ -193,8 +187,6 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, changed []int, opts Option
 			touched[v] = struct{}{}
 		}
 	}
-	// Iterate the dirty bitmap, not changed: a caller-supplied duplicate
-	// index must not double-count its cells.
 	for i := range attrs {
 		if !dirty[i] {
 			continue
@@ -305,93 +297,28 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, changed []int, opts Option
 	}
 	nVal := len(values)
 	n := nVal + nAttr
-
-	// Degrees, in prefix-sum form (deg[u+1] = degree of node u): surviving
-	// values inherit their previous degree, minus the edges of prev
-	// attributes not carried over, plus the edges of dirty attributes under
-	// the new value set. Clean attributes keep their degree.
-	deg := make([]int64, n+1)
 	remap := func(vo int32) int32 {
 		if oldToNew == nil {
 			return vo
 		}
 		return oldToNew[vo]
 	}
-	engine.Parallel(opts.Workers, len(oldVals), func(_, lo, hi int) {
-		for vo := lo; vo < hi; vo++ {
-			if vn := remap(int32(vo)); vn >= 0 {
-				deg[vn+1] = int64(prev.Degree(int32(vo)))
-			}
-		}
-	})
-	for p := range prev.srcAttrs {
-		carried := !prevGone[p] && !dirty[prevToNew[p]]
-		if carried {
-			continue
-		}
-		for _, vo := range prev.Neighbors(int32(nValPrev + p)) {
-			if vn := remap(vo); vn >= 0 {
-				deg[vn+1]--
-			}
-		}
-	}
-	for i := range attrs {
-		if !dirty[i] {
-			deg[nVal+i+1] = int64(prev.Degree(int32(nValPrev + prevOfNew[i])))
-			continue
-		}
-		count := int64(0)
-		for _, v := range attrs[i].Values {
-			if vn, ok := valueIndex[v]; ok {
-				deg[vn+1]++
-				count++
-			}
-		}
-		deg[nVal+i+1] = count
-	}
-	offsets := make([]int64, n+1)
-	for i := 1; i <= n; i++ {
-		offsets[i] = offsets[i-1] + deg[i]
-	}
 
-	// Adjacency fill, parallel over attributes exactly like the full build:
-	// clean attributes stream their prev span through the monotone remap (no
-	// hashing), dirty ones look their values up in the index; value-side
-	// slots are claimed through per-node atomic cursors and canonicalized by
-	// the sorting pass.
-	adj := make([]int32, offsets[n])
-	next := make([]int64, nVal)
-	copy(next, offsets[:nVal])
-	attrIDs := make([]string, nAttr)
-	engine.Parallel(opts.Workers, nAttr, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			attrIDs[i] = attrs[i].ID
-			a := int32(nVal + i)
-			pos := offsets[a]
-			if dirty[i] {
-				for _, v := range attrs[i].Values {
-					vn, ok := valueIndex[v]
-					if !ok {
-						continue
-					}
-					adj[atomic.AddInt64(&next[vn], 1)-1] = a
-					adj[pos] = vn
-					pos++
-				}
-			} else {
-				p := prevOfNew[i]
-				for _, vo := range prev.Neighbors(int32(nValPrev + p)) {
-					vn := remap(vo)
-					adj[atomic.AddInt64(&next[vn], 1)-1] = a
-					adj[pos] = vn
-					pos++
-				}
-			}
+	// Dirty attributes look their values up in the index; clean ones stream
+	// their prev span through the monotone remap, with no hashing (none of
+	// their values was dropped, or they would be dirty).
+	offsets, adj := assemble(nVal, nAttr, opts.Workers, func(i int, dst []int32) []int32 {
+		if dirty[i] {
+			return appendValueIDs(dst, attrs[i].Values, valueIndex)
 		}
+		for _, vo := range prev.Neighbors(int32(nValPrev + prevOfNew[i])) {
+			dst = append(dst, remap(vo))
+		}
+		return dst
 	})
 	g := &Graph{
 		values:         values,
-		attrs:          attrIDs,
+		attrs:          attrIDs(attrs),
 		offsets:        offsets,
 		adj:            adj,
 		valueIndex:     valueIndex,
@@ -400,7 +327,6 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, changed []int, opts Option
 		keepSingletons: opts.KeepSingletons,
 		incremental:    true,
 	}
-	g.sortAdjacency(opts.Workers)
 
 	// Assemble the structural diff. Changed attributes keep their node
 	// identity across the rebuild (matched by ID), so extend the survivor map

@@ -86,13 +86,13 @@ func TestRebuildDiffFilteredAppendIsStructurallyClean(t *testing.T) {
 	// baseline at that order first so the next rebuild sees stable
 	// survivor order (the serving layer's publishes do the same).
 	attrs := l.Attributes()
-	base, _ := RebuildDiff(prev, attrs, Changed(prev, attrs), Options{})
+	base, _ := RebuildDiff(prev, attrs, Options{})
 	l.RemoveTable("animals")
 	l.MustAdd(table.New("animals").
 		AddColumn("name", "Jaguar", "Puma", "Panda", "Lemur", "Okapi").
 		AddColumn("zoo", "Memphis", "Atlanta", "San Diego", "Memphis"))
 	attrs = l.Attributes()
-	g, diff := RebuildDiff(base, attrs, Changed(base, attrs), Options{})
+	g, diff := RebuildDiff(base, attrs, Options{})
 	if diff == nil || diff.Full {
 		t.Fatalf("expected an incremental diff, got %+v", diff)
 	}
@@ -119,7 +119,7 @@ func TestRebuildDiffStructuralAddDirtiesTouchedNodes(t *testing.T) {
 		AddColumn("city", "Memphis", "Atlanta", "Berlin").
 		AddColumn("country", "USA", "USA", "Germany"))
 	attrs := l.Attributes()
-	g, diff := RebuildDiff(prev, attrs, Changed(prev, attrs), Options{})
+	g, diff := RebuildDiff(prev, attrs, Options{})
 	if diff == nil || diff.Full {
 		t.Fatalf("expected an incremental diff, got %+v", diff)
 	}
@@ -181,7 +181,7 @@ func TestRebuildDiffRandomChurn(t *testing.T) {
 				}
 				attrs := l.Attributes()
 				var diff *Diff
-				g, diff = RebuildDiff(prev, attrs, Changed(prev, attrs), opts)
+				g, diff = RebuildDiff(prev, attrs, opts)
 				scratch := FromAttributes(attrs, opts)
 				if !g.Equal(scratch) {
 					t.Fatalf("step %d: incremental graph diverged from scratch build", step)

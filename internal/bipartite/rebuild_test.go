@@ -29,7 +29,7 @@ func rebuildLake(t *testing.T) *lake.Lake {
 func rebuildAfter(t *testing.T, prev *Graph, l *lake.Lake, opts Options) *Graph {
 	t.Helper()
 	attrs := l.Attributes()
-	g, _ := RebuildDiff(prev, attrs, Changed(prev, attrs), opts)
+	g, _ := RebuildDiff(prev, attrs, opts)
 	return g
 }
 
@@ -76,21 +76,6 @@ func TestRebuildMatchesScratchOnRemove(t *testing.T) {
 	}
 }
 
-func TestRebuildDuplicateChangedIndices(t *testing.T) {
-	l := rebuildLake(t)
-	prev := FromLake(l, Options{})
-	l.MustAdd(table.New("cities").AddColumn("city", "Memphis", "Berlin"))
-	attrs := l.Attributes()
-	changed := Changed(prev, attrs)
-	// A sloppy caller repeating indices must not double-count cells in the
-	// occurrence deltas.
-	changed = append(changed, changed...)
-	inc, _ := RebuildDiff(prev, attrs, changed, Options{})
-	if scratch := FromAttributes(attrs, Options{}); !inc.Equal(scratch) {
-		t.Fatal("duplicate changed indices corrupted the rebuild")
-	}
-}
-
 func TestRebuildNoChangeReturnsPrev(t *testing.T) {
 	l := rebuildLake(t)
 	prev := FromLake(l, Options{})
@@ -105,17 +90,17 @@ func TestRebuildFallsBackSafely(t *testing.T) {
 	scratch := FromAttributes(attrs, Options{})
 
 	// Nil previous graph.
-	if g, _ := RebuildDiff(nil, attrs, Changed(nil, attrs), Options{}); !g.Equal(scratch) {
+	if g, _ := RebuildDiff(nil, attrs, Options{}); !g.Equal(scratch) {
 		t.Error("nil-prev RebuildDiff differs from scratch build")
 	}
 	// KeepSingletons mismatch.
 	prevKeep := FromAttributes(attrs, Options{KeepSingletons: true})
-	if g, _ := RebuildDiff(prevKeep, attrs, nil, Options{}); !g.Equal(scratch) {
+	if g, _ := RebuildDiff(prevKeep, attrs, Options{}); !g.Equal(scratch) {
 		t.Error("option-mismatch RebuildDiff differs from scratch build")
 	}
 	// Tripartite previous graph.
 	tri := FromLakeWithRows(l, Options{})
-	if g, _ := RebuildDiff(tri, attrs, Changed(tri, attrs), Options{}); !g.Equal(scratch) {
+	if g, _ := RebuildDiff(tri, attrs, Options{}); !g.Equal(scratch) {
 		t.Error("tripartite-prev RebuildDiff differs from scratch build")
 	}
 }
@@ -176,7 +161,7 @@ func TestRebuildRandomChurn(t *testing.T) {
 						addRandom()
 					}
 					attrs := l.Attributes()
-					g, _ = RebuildDiff(g, attrs, Changed(g, attrs), opts)
+					g, _ = RebuildDiff(g, attrs, opts)
 					scratch := FromAttributes(attrs, opts)
 					if !g.Equal(scratch) {
 						t.Fatalf("step %d: incremental graph diverged from scratch build", step)

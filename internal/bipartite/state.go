@@ -6,7 +6,7 @@ package bipartite
 // unexported layout. srcAttrs is deliberately absent: it aliases the
 // attribute list of the lake the graph was built from, and the loader re-wires
 // it from the rehydrated lake (lake.Attributes is deterministic), which also
-// restores the pointer-identity fast path Changed relies on.
+// restores the pointer-identity fast path RebuildDiff relies on.
 
 import (
 	"fmt"

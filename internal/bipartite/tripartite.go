@@ -15,90 +15,60 @@ import (
 // the ablation benchmark can demonstrate that finding.
 func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 	attrs := l.Attributes()
-	base := FromAttributes(attrs, opts)
+	values, valueIndex, _ := valueUniverse(attrs, opts)
+	nVal, nAttr := len(values), len(attrs)
 
-	// Map attribute ID -> attribute node id for row wiring.
-	attrNode := make(map[string]int32, len(attrs))
-	for i := range attrs {
-		attrNode[attrs[i].ID] = base.AttrNode(i)
-	}
-
-	// Collect row -> value-node edges.
-	type edge struct{ row, val int32 }
-	var edges []edge
-	nRows := 0
+	// Collect every row's distinct retained values into one flat slice: row
+	// r lists rowVals[rowEnd[r]:rowEnd[r+1]]. Missing cells and singleton-
+	// filtered values are absent from valueIndex, and a row left with no
+	// value gets no node. Both slices are sized for every cell and row up
+	// front, so collection never reallocates.
+	cells, rows := 0, 0
 	for _, t := range l.Tables() {
-		rows := t.NumRows()
-		for r := 0; r < rows; r++ {
-			rowNode := int32(base.NumNodes() + nRows)
-			touched := false
-			seen := make(map[int32]struct{})
+		nr := t.NumRows()
+		rows += nr
+		cells += nr * len(t.Columns)
+	}
+	rowVals := make([]int32, 0, cells)
+	rowEnd := make([]int, 1, rows+1)
+	lastRow := make([]int, nVal) // 1 + the last row listing each value
+	for _, t := range l.Tables() {
+		for r := range t.NumRows() {
+			row := len(rowEnd)
 			for ci := range t.Columns {
-				if r >= len(t.Columns[ci].Values) {
+				col := t.Columns[ci].Values
+				if r >= len(col) {
 					continue
 				}
-				v := table.Normalize(t.Columns[ci].Values[r])
-				if table.IsMissing(v) {
+				vi, ok := valueIndex[table.Normalize(col[r])]
+				if !ok || lastRow[vi] == row {
 					continue
 				}
-				vi, ok := base.valueIndex[v]
-				if !ok {
-					continue // value dropped as a singleton
-				}
-				if _, dup := seen[vi]; dup {
-					continue
-				}
-				seen[vi] = struct{}{}
-				edges = append(edges, edge{rowNode, vi})
-				touched = true
+				lastRow[vi] = row
+				rowVals = append(rowVals, vi)
 			}
-			if touched {
-				nRows++
-			} else {
-				// Row contributed nothing; do not allocate a node for it.
+			if len(rowVals) > rowEnd[row-1] {
+				rowEnd = append(rowEnd, len(rowVals))
 			}
 		}
 	}
+	nRows := len(rowEnd) - 1
 
-	// Rebuild CSR with the extra row range appended.
-	n := base.NumNodes() + nRows
-	deg := make([]int64, n+1)
-	for u := int32(0); int(u) < base.NumNodes(); u++ {
-		deg[u+1] = int64(base.Degree(u))
-	}
-	for _, e := range edges {
-		deg[e.row+1]++
-		deg[e.val+1]++
-	}
-	offsets := make([]int64, n+1)
-	for i := 1; i <= n; i++ {
-		offsets[i] = offsets[i-1] + deg[i]
-	}
-	adj := make([]int32, offsets[n])
-	next := make([]int64, n)
-	copy(next, offsets[:n])
-	for u := int32(0); int(u) < base.NumNodes(); u++ {
-		for _, v := range base.Neighbors(u) {
-			adj[next[u]] = v
-			next[u]++
+	offsets, adj := assemble(nVal, nAttr+nRows, opts.Workers, func(i int, dst []int32) []int32 {
+		if i < nAttr {
+			return appendValueIDs(dst, attrs[i].Values, valueIndex)
 		}
-	}
-	for _, e := range edges {
-		adj[next[e.row]] = e.val
-		next[e.row]++
-		adj[next[e.val]] = e.row
-		next[e.val]++
-	}
-	g := &Graph{
-		values:     base.values,
-		attrs:      base.attrs,
+		r := i - nAttr
+		return append(dst, rowVals[rowEnd[r]:rowEnd[r+1]]...)
+	})
+	return &Graph{
+		values:     values,
+		attrs:      attrIDs(attrs),
 		nRows:      nRows,
 		offsets:    offsets,
 		adj:        adj,
-		valueIndex: base.valueIndex,
+		valueIndex: valueIndex,
 	}
-	g.sortAdjacency(opts.Workers)
-	return g
 }
 
 // rng is the minimal source of randomness Subgraph needs; *rand.Rand

@@ -79,3 +79,23 @@ func TestTripartiteDropsSingletonValuesConsistently(t *testing.T) {
 		t.Errorf("values = %d, want 2", bi.NumValues())
 	}
 }
+
+func TestTripartiteRowDedupsValuesAndSkipsEmptyRows(t *testing.T) {
+	l := lake.New("dedup")
+	// Row 0 repeats X across both columns; row 1 is empty in both.
+	l.MustAdd(table.New("t").
+		AddColumn("a", "X", "", "Y").
+		AddColumn("b", " x", "", "X"))
+	g := FromLakeWithRows(l, Options{KeepSingletons: true})
+	if g.NumRows() != 2 {
+		t.Fatalf("row nodes = %d, want 2 (the empty row gets none)", g.NumRows())
+	}
+	x, _ := g.ValueNode("X")
+	first := int32(g.NumValues() + g.NumAttrs())
+	if got := g.Neighbors(first); len(got) != 1 || got[0] != x {
+		t.Errorf("row 0 neighbors = %v, want just X (%d)", got, x)
+	}
+	if err := g.CheckSymmetric(); err != nil {
+		t.Error(err)
+	}
+}

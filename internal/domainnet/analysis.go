@@ -53,9 +53,6 @@ func (d *Detector) Analyze(seed int64) *Analysis {
 // Communities exposes the label-propagation community assignment.
 func (a *Analysis) Communities() *community.Result { return a.communities }
 
-// Clusters exposes the attribute-type clustering.
-func (a *Analysis) Clusters() *community.AttrClustering { return a.clusters }
-
 // NumCommunities reports how many graph communities the lake decomposed into.
 func (a *Analysis) NumCommunities() int { return a.communities.NumCommunities }
 

@@ -250,10 +250,12 @@ func FromGraphWithPrior(g *bipartite.Graph, cfg Config, prev *Detector, diff *bi
 // and re-stamped to the current lake version (the version can advance
 // without the graph changing, e.g. a table removed and re-added verbatim).
 // The receiver's snapshot state is never mutated, so readers of the old
-// detector are undisturbed — this is the write path of the serving layer.
+// detector are undisturbed. It is the single-detector update path (see
+// examples/incremental); the serving layer calls bipartite.RebuildDiff and
+// FromGraphWithPrior itself, since it warms several detectors per graph.
 func (d *Detector) Update(l *lake.Lake) *Detector {
 	attrs := l.Attributes()
-	g, diff := bipartite.RebuildDiff(d.graph, attrs, bipartite.Changed(d.graph, attrs), d.cfg.bipartiteOpts())
+	g, diff := bipartite.RebuildDiff(d.graph, attrs, d.cfg.bipartiteOpts())
 	if g == d.graph {
 		d.version.Store(l.Version())
 		return d

@@ -61,21 +61,17 @@ func (a *Arena) ResetTouched() {
 	a.Queue = a.Queue[:0]
 }
 
-// ShardSum is the scatter/sum harness shared by the sampled traversal
+// ShardSumCtx is the scatter/sum harness shared by the sampled traversal
 // measures: it partitions [0, items) across workers, hands each shard a
 // pooled arena and a length-n float64 accumulator, and returns the
 // element-wise sum of the accumulators (in worker order, so the result is
 // deterministic for a fixed worker count). With one effective worker the
 // shard writes into the result directly — no partial vectors, no copy.
-func ShardSum(workers, n, items int, shard func(a *Arena, lo, hi int, out []float64)) []float64 {
-	return ShardSumCtx(context.Background(), workers, n, items, shard)
-}
-
-// ShardSumCtx is ShardSum with cancellation: shards that have not started
-// when ctx is cancelled are skipped entirely, and shard functions are
-// expected to poll the same context between sources. The sum of whatever the
-// shards produced is still returned — on cancellation it is partial and the
-// caller must discard it.
+//
+// Shards that have not started when ctx is cancelled are skipped entirely,
+// and shard functions are expected to poll the same context between
+// sources. The sum of whatever the shards produced is still returned — on
+// cancellation it is partial and the caller must discard it.
 func ShardSumCtx(ctx context.Context, workers, n, items int, shard func(a *Arena, lo, hi int, out []float64)) []float64 {
 	out := make([]float64, n)
 	if items <= 0 || ctx.Err() != nil {

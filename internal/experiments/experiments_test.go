@@ -292,10 +292,12 @@ func TestMeasureAblationOrdering(t *testing.T) {
 	}
 	// Top-55 hits of the rows EXPERIMENTS.md records.
 	for name, want := range map[string]int{
-		"degree":                     32,
-		"harmonic (sampled)":         21,
-		"betweenness (epsilon 0.01)": 38,
-		"lcc (exact Eq. 1)":          29,
+		"degree":                        32,
+		"harmonic (sampled)":            21,
+		"betweenness (epsilon 0.01)":    38,
+		"lcc (exact Eq. 1)":             29,
+		"betweenness (tripartite rows)": 35,
+		"betweenness (value endpoints)": 37,
 	} {
 		if got := int(math.Round(prec[name] * 55)); got != want {
 			t.Errorf("%s: %d hits in the SB top-55, want %d", name, got, want)

@@ -69,7 +69,7 @@ type Lake struct {
 	// tableAttrs memoizes each table's Attribute slice, parallel to tables;
 	// nil means not yet computed. Untouched tables keep their slices (and
 	// the backing arrays of every Attribute's Values/Freqs) across updates,
-	// which is what lets bipartite.Changed detect unchanged attributes by
+	// which is what lets bipartite.RebuildDiff detect unchanged attributes by
 	// pointer identity.
 	tableAttrs [][]Attribute
 	names      map[string]struct{} // table names, for duplicate rejection

@@ -9,7 +9,7 @@
 // incremental rebuild path (bipartite.RebuildDiff) needs to keep pricing updates
 // by their delta after the restart. The lake's raw tables ride along so the
 // loader can re-wire the graph to a live lake.Attributes() slice, restoring
-// the pointer-identity change detection of bipartite.Changed.
+// the pointer-identity change detection of bipartite.RebuildDiff.
 //
 // Format: a 4-byte magic, a uvarint format version, the body (lake section,
 // then an optional graph section), and a CRC-32 trailer over everything

@@ -97,7 +97,7 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Errorf("trial %d: %d changed attrs after one add, want %d",
 				trial, len(changed), len(extra.Columns))
 		}
-		inc, _ := bipartite.RebuildDiff(sn.Graph, attrs, changed, opts)
+		inc, _ := bipartite.RebuildDiff(sn.Graph, attrs, opts)
 		if scratch := bipartite.FromAttributes(attrs, opts); !inc.Equal(scratch) {
 			t.Fatalf("trial %d: warm-start incremental rebuild diverged from scratch", trial)
 		}

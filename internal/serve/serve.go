@@ -409,7 +409,7 @@ func (s *Server) publish() {
 	if prev == nil {
 		g = bipartite.FromAttributes(attrs, bopts)
 	} else {
-		g, diff = bipartite.RebuildDiff(prev.graph, attrs, bipartite.Changed(prev.graph, attrs), bopts)
+		g, diff = bipartite.RebuildDiff(prev.graph, attrs, bopts)
 	}
 	s.publishGraphDiff(g, diff)
 }
