@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"domainnet/internal/datagen"
 	"domainnet/internal/experiments"
@@ -82,15 +83,12 @@ func saveAttrs(gt *union.GroundTruth, dir string) error {
 			order = append(order, t)
 		}
 		var cells []string
-		for j, v := range a.Values {
-			n := 1
-			if a.Freqs != nil {
-				n = a.Freqs[j]
-			}
-			for r := 0; r < n; r++ {
+		for j, v := range a.Values() {
+			for r := 0; r < int(a.Freqs()[j]); r++ {
 				cells = append(cells, v)
 			}
 		}
+		slices.Sort(cells) // value order, as generators have always written it
 		t.AddColumn(a.Column, cells...)
 	}
 	for _, t := range order {

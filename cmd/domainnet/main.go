@@ -119,7 +119,6 @@ func snapshotSave(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	l.Workers = *workers
 	g := bipartite.FromLake(l, bipartite.Options{KeepSingletons: *keep, Workers: *workers})
 	if err := persist.Save(*out, l, g); err != nil {
 		fatal(err)
@@ -188,7 +187,6 @@ func snapshotLoad(args []string) {
 		cfg.KeepSingletons = sn.Graph.KeepsSingletons()
 		det = domainnet.FromGraph(sn.Graph, cfg)
 	} else {
-		sn.Lake.Workers = *workers
 		det = domainnet.New(sn.Lake, cfg)
 	}
 	fmt.Printf("top-%d homograph candidates by %s (lake %q, version %d):\n",

@@ -15,10 +15,10 @@ package bipartite
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"domainnet/internal/engine"
@@ -35,20 +35,20 @@ type Graph struct {
 	offsets []int64 // len NumNodes()+1
 	adj     []int32 // concatenated sorted neighbor lists
 
-	valueIndex map[string]int32
-
-	// Incremental-rebuild support (see RebuildDiff). srcAttrs aliases the
-	// attribute slice the graph was built from, occ holds the total cell
-	// count of every value — including values the singleton filter dropped,
-	// since an update can push them over the threshold — and keepSingletons
-	// records the Options the build used. incremental marks graphs whose
-	// delta state is populated: every FromAttributes and RebuildDiff output,
-	// including the graphs Subgraph derives through FromAttributes (their
-	// delta state is self-consistent against the induced attribute list).
-	// The tripartite builder leaves it unset, so RebuildDiff falls back to a
-	// full build there.
+	// Incremental-rebuild state (see RebuildDiff), writer-side only: readers
+	// of a published graph use values, never syms. srcAttrs aliases the
+	// attributes the graph was built from and syms is their symbol table.
+	// occ holds every value's total cell count by symbol ID — including
+	// values the singleton filter dropped, since an update can push them over
+	// the threshold — nSource counts the nonzero ones, and node maps a symbol
+	// ID to its value node (-1, or past the end, when not retained).
+	// incremental marks graphs with this state populated: every
+	// FromAttributes and RebuildDiff output, but not the tripartite graph.
+	syms           *lake.Symbols
 	srcAttrs       []lake.Attribute
-	occ            map[string]int64
+	occ            []int64
+	node           []int32
+	nSource        int
 	keepSingletons bool
 	incremental    bool
 }
@@ -94,10 +94,20 @@ func (g *Graph) AttrID(u int32) string {
 	return g.attrs[int(u)-len(g.values)]
 }
 
-// ValueNode returns the node id of a normalized value, if present.
+// ValueNode returns the node id of a normalized value, if present. It
+// binary-searches the graph's own sorted values, so it is safe on published
+// graphs while the writer keeps interning.
 func (g *Graph) ValueNode(value string) (int32, bool) {
-	id, ok := g.valueIndex[value]
-	return id, ok
+	i, ok := slices.BinarySearch(g.values, value)
+	return int32(i), ok
+}
+
+// nodeOf returns the value node of symbol id, or -1 when it is not retained.
+func (g *Graph) nodeOf(id uint32) int32 {
+	if int(id) < len(g.node) {
+		return g.node[id]
+	}
+	return -1
 }
 
 // AttrNode returns the node id of the i-th attribute (0-based, in the order
@@ -121,9 +131,8 @@ func (g *Graph) Values() []string { return g.values }
 
 // SourceValueCount reports the number of distinct normalized values across
 // the graph's source attributes, including values the singleton filter
-// dropped — the lake-wide value count of the paper's Table 1. It is zero
-// for graphs built without delta state (tripartite, hand-assembled).
-func (g *Graph) SourceValueCount() int { return len(g.occ) }
+// dropped — the lake-wide value count of the paper's Table 1.
+func (g *Graph) SourceValueCount() int { return g.nSource }
 
 // Options configure graph construction.
 type Options struct {
@@ -133,8 +142,8 @@ type Options struct {
 	// within a single column are kept (they yield degree-1 value nodes),
 	// matching the node/edge counts the paper reports for SB.
 	KeepSingletons bool
-	// Workers bounds construction parallelism (occurrence counting, degree
-	// counting, adjacency fill, neighbor sorting). Zero means GOMAXPROCS.
+	// Workers bounds construction parallelism (degree counting, adjacency
+	// fill, neighbor sorting). Zero means GOMAXPROCS.
 	// The resulting graph is identical for every worker count.
 	Workers int
 }
@@ -144,45 +153,77 @@ func FromLake(l *lake.Lake, opts Options) *Graph {
 	return FromAttributes(l.Attributes(), opts)
 }
 
-// valueHashSeed shards values consistently across the build phases of one
-// process; the seed is arbitrary (only shard balance matters, never output).
-var valueHashSeed = maphash.MakeSeed()
-
-// FromAttributes builds the graph from an explicit attribute list. Each
-// attribute's Values must be distinct and normalized (lake.Attributes
-// guarantees this). Every phase — occurrence counting, degree counting,
-// adjacency fill, neighbor sorting — runs sharded across opts.Workers, and
-// the resulting graph is bit-identical for every worker count.
+// FromAttributes builds the graph from an attribute list sharing one symbol
+// table. Counting, filtering and filling run by symbol ID; only the retained
+// values are sorted by string. The CSR phases run sharded across
+// opts.Workers, and the graph is bit-identical for every worker count.
 func FromAttributes(attrs []lake.Attribute, opts Options) *Graph {
 	fullBuilds.Add(1)
-	values, valueIndex, occ := valueUniverse(attrs, opts)
-	offsets, adj := assemble(len(values), len(attrs), opts.Workers, func(i int, dst []int32) []int32 {
-		return appendValueIDs(dst, attrs[i].Values, valueIndex)
+	g := universe(attrs, opts)
+	g.offsets, g.adj = assemble(len(g.values), len(attrs), opts.Workers, func(i int, dst []int32) []int32 {
+		return appendNodes(dst, attrs[i].IDs(), g.node)
 	})
-	return &Graph{
-		values:         values,
-		attrs:          attrIDs(attrs),
-		offsets:        offsets,
-		adj:            adj,
-		valueIndex:     valueIndex,
-		srcAttrs:       attrs,
-		occ:            occ,
-		keepSingletons: opts.KeepSingletons,
-		incremental:    true,
-	}
+	g.incremental = true
+	return g
 }
 
-// valueUniverse counts occurrences across attrs and numbers the values that
-// pass the singleton filter in sorted order, so value ids are lexicographic.
-func valueUniverse(attrs []lake.Attribute, opts Options) ([]string, map[string]int32, map[string]int64) {
-	workers := engine.Opts{Workers: opts.Workers}.EffectiveWorkers(len(attrs))
-	values, occ := countAndRetain(attrs, opts, workers)
-	sort.Strings(values)
-	valueIndex := make(map[string]int32, len(values))
-	for i, v := range values {
-		valueIndex[v] = int32(i)
+// universe counts every value's cells across attrs by symbol ID and numbers
+// the values passing the singleton filter in sorted order, so value node ids
+// are lexicographic. It returns a graph with everything but the CSR arrays.
+func universe(attrs []lake.Attribute, opts Options) *Graph {
+	syms := lake.SymbolsOf(attrs)
+	occ := make([]int64, syms.Len())
+	for i := range attrs {
+		for j, id := range attrs[i].IDs() {
+			occ[id] += int64(attrs[i].Freqs()[j])
+		}
 	}
-	return values, valueIndex, occ
+	g := &Graph{attrs: attrIDs(attrs), syms: syms, srcAttrs: attrs, occ: occ, keepSingletons: opts.KeepSingletons}
+	minOcc := minOccurrence(opts)
+	var kept []uint32
+	for id, c := range occ {
+		if c > 0 {
+			g.nSource++
+		}
+		if c >= minOcc {
+			kept = append(kept, uint32(id))
+		}
+	}
+	g.values, g.node = number(syms, kept, len(occ))
+	return g
+}
+
+// minOccurrence is the total cell count a value needs to get a node.
+func minOccurrence(opts Options) int64 {
+	if opts.KeepSingletons {
+		return 1
+	}
+	return 2
+}
+
+// number sorts the retained symbol IDs by value string and returns the
+// value node strings with the symbol ID → node map (-1 when not retained)
+// over nSyms IDs.
+func number(syms *lake.Symbols, kept []uint32, nSyms int) ([]string, []int32) {
+	type sym struct {
+		v  string
+		id uint32
+	}
+	sorted := make([]sym, len(kept))
+	for i, id := range kept {
+		sorted[i] = sym{syms.String(id), id}
+	}
+	slices.SortFunc(sorted, func(a, b sym) int { return strings.Compare(a.v, b.v) })
+	values := make([]string, len(sorted))
+	node := make([]int32, nSyms)
+	for i := range node {
+		node[i] = -1
+	}
+	for i, s := range sorted {
+		values[i] = s.v
+		node[s.id] = int32(i)
+	}
+	return values, node
 }
 
 // assemble builds the CSR arrays of a graph whose nodes nVal+i (i in
@@ -232,12 +273,12 @@ func assemble(nVal, nOwners, workers int, fill func(i int, dst []int32) []int32)
 	return offsets, adj
 }
 
-// appendValueIDs appends to dst the value ids of the entries of vals present
-// in valueIndex, skipping values the singleton filter dropped.
-func appendValueIDs(dst []int32, vals []string, valueIndex map[string]int32) []int32 {
-	for _, v := range vals {
-		if vi, ok := valueIndex[v]; ok {
-			dst = append(dst, vi)
+// appendNodes appends to dst the value nodes of the symbol IDs ids, skipping
+// values the singleton filter dropped (node -1, or IDs past node's end).
+func appendNodes(dst []int32, ids []uint32, node []int32) []int32 {
+	for _, id := range ids {
+		if int(id) < len(node) && node[id] >= 0 {
+			dst = append(dst, node[id])
 		}
 	}
 	return dst
@@ -250,91 +291,6 @@ func attrIDs(attrs []lake.Attribute) []string {
 		ids[i] = attrs[i].ID
 	}
 	return ids
-}
-
-// countAndRetain runs the occurrence-counting pass — total cell count per
-// value (a nil Freqs counts one cell per attribute occurrence) — and returns
-// the values passing the singleton filter (in no particular order) together
-// with the full count map, which the graph retains so later RebuildDiff calls
-// can delta-update it instead of recounting the lake.
-//
-// With one worker it is a single map scan. In parallel, each worker scans a
-// chunk of attributes into hash-sharded local maps, so the merge pass can
-// give every merge worker a disjoint key universe with no locking.
-func countAndRetain(attrs []lake.Attribute, opts Options, workers int) ([]string, map[string]int64) {
-	cell := func(i, j int) int64 {
-		if attrs[i].Freqs != nil {
-			return int64(attrs[i].Freqs[j])
-		}
-		return 1
-	}
-
-	if workers == 1 {
-		occ := make(map[string]int64, 1024)
-		for i := range attrs {
-			for j, v := range attrs[i].Values {
-				occ[v] += cell(i, j)
-			}
-		}
-		retained := make([]string, 0, len(occ))
-		for v, c := range occ {
-			if opts.KeepSingletons || c >= 2 {
-				retained = append(retained, v)
-			}
-		}
-		return retained, occ
-	}
-
-	locals := make([][]map[string]int64, workers)
-	engine.Parallel(workers, len(attrs), func(w, lo, hi int) {
-		shards := make([]map[string]int64, workers)
-		for s := range shards {
-			shards[s] = make(map[string]int64)
-		}
-		for i := lo; i < hi; i++ {
-			for j, v := range attrs[i].Values {
-				shards[int(maphash.String(valueHashSeed, v)%uint64(workers))][v] += cell(i, j)
-			}
-		}
-		locals[w] = shards
-	})
-
-	// Merge pass: worker s owns hash shard s; it sums that shard across all
-	// counting workers and keeps the values passing the singleton filter.
-	retainedParts := make([][]string, workers)
-	totals := make([]map[string]int64, workers)
-	engine.Parallel(workers, workers, func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			total := make(map[string]int64)
-			for _, shards := range locals {
-				if shards == nil {
-					continue
-				}
-				for v, c := range shards[s] {
-					total[v] += c
-				}
-			}
-			part := make([]string, 0, len(total))
-			for v, c := range total {
-				if opts.KeepSingletons || c >= 2 {
-					part = append(part, v)
-				}
-			}
-			retainedParts[s] = part
-			totals[s] = total
-		}
-	})
-	size := 0
-	for _, total := range totals {
-		size += len(total)
-	}
-	occ := make(map[string]int64, size)
-	for _, total := range totals {
-		for v, c := range total {
-			occ[v] = c
-		}
-	}
-	return slices.Concat(retainedParts...), occ
 }
 
 // CheckBipartite verifies that no edge connects two nodes of the same class

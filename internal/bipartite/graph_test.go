@@ -11,11 +11,11 @@ import (
 )
 
 func simpleAttrs() []lake.Attribute {
-	return []lake.Attribute{
+	return lake.NewAttributes([]lake.Spec{
 		{ID: "t.a", Values: []string{"A", "B", "C"}},
 		{ID: "t.b", Values: []string{"B", "C", "D"}},
 		{ID: "t.c", Values: []string{"E"}},
-	}
+	})
 }
 
 func TestFromAttributesShape(t *testing.T) {
@@ -58,9 +58,9 @@ func TestSingletonFilterByFrequency(t *testing.T) {
 	// X occurs twice within one column: frequency 2, kept despite appearing
 	// in a single attribute (paper keeps such values; they become degree-1
 	// value nodes).
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "t.a", Values: []string{"X", "Y"}, Freqs: []int{2, 1}},
-	}
+	})
 	g := FromAttributes(attrs, Options{})
 	if _, ok := g.ValueNode("X"); !ok {
 		t.Error("X (freq 2) should be kept")
@@ -131,8 +131,8 @@ func TestGraphInvariantsQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nAttrs := 1 + rng.Intn(8)
 		vocab := 2 + rng.Intn(25)
-		attrs := make([]lake.Attribute, nAttrs)
-		for a := range attrs {
+		specs := make([]lake.Spec, nAttrs)
+		for a := range specs {
 			card := 1 + rng.Intn(10)
 			seen := map[int]struct{}{}
 			var vals []string
@@ -145,9 +145,9 @@ func TestGraphInvariantsQuick(t *testing.T) {
 				vals = append(vals, fmt.Sprintf("V%02d", v))
 			}
 			sortStrings(vals)
-			attrs[a] = lake.Attribute{ID: fmt.Sprintf("t.c%d", a), Values: vals}
+			specs[a] = lake.Spec{ID: fmt.Sprintf("t.c%d", a), Values: vals}
 		}
-		g := FromAttributes(attrs, Options{KeepSingletons: seed%2 == 0})
+		g := FromAttributes(lake.NewAttributes(specs), Options{KeepSingletons: seed%2 == 0})
 		return g.CheckBipartite() == nil && g.CheckSymmetric() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -165,16 +165,16 @@ func sortStrings(s []string) {
 
 func TestSubgraphAttributeSeeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	attrs := make([]lake.Attribute, 30)
-	for a := range attrs {
+	specs := make([]lake.Spec, 30)
+	for a := range specs {
 		var vals []string
 		for j := 0; j < 20; j++ {
 			vals = append(vals, fmt.Sprintf("V%d", (a*7+j)%150))
 		}
 		sortStrings(vals)
-		attrs[a] = lake.Attribute{ID: fmt.Sprintf("t.c%d", a), Values: vals}
+		specs[a] = lake.Spec{ID: fmt.Sprintf("t.c%d", a), Values: vals}
 	}
-	g := FromAttributes(attrs, Options{KeepSingletons: true})
+	g := FromAttributes(lake.NewAttributes(specs), Options{KeepSingletons: true})
 	sub := g.Subgraph(200, rng)
 	if sub.NumEdges() < 200 {
 		t.Errorf("subgraph edges = %d, want >= 200", sub.NumEdges())

@@ -16,12 +16,16 @@ import (
 // randomAttrs builds a synthetic attribute list with overlapping vocabularies
 // so values span many attributes (and hash shards).
 func randomAttrs(nAttr, vocab, perAttr int, seed int64) []lake.Attribute {
+	return lake.NewAttributes(randomSpecs(nAttr, vocab, perAttr, seed))
+}
+
+func randomSpecs(nAttr, vocab, perAttr int, seed int64) []lake.Spec {
 	rng := rand.New(rand.NewSource(seed))
 	words := make([]string, vocab)
 	for i := range words {
 		words[i] = "V" + string(rune('A'+i%26)) + string(rune('0'+i%10)) + string(rune('a'+(i/260)%26))
 	}
-	attrs := make([]lake.Attribute, nAttr)
+	attrs := make([]lake.Spec, nAttr)
 	for i := range attrs {
 		seen := map[string]bool{}
 		var vals []string
@@ -32,7 +36,7 @@ func randomAttrs(nAttr, vocab, perAttr int, seed int64) []lake.Attribute {
 				vals = append(vals, w)
 			}
 		}
-		attrs[i] = lake.Attribute{ID: "attr-" + string(rune('a'+i%26)) + string(rune('0'+i/26)), Values: vals}
+		attrs[i] = lake.Spec{ID: "attr-" + string(rune('a'+i%26)) + string(rune('0'+i/26)), Values: vals}
 	}
 	return attrs
 }
@@ -75,13 +79,15 @@ func TestFromAttributesWorkerCountInvariant(t *testing.T) {
 	// One churn step: drop three attributes, modify two, append two.
 	rng := rand.New(rand.NewSource(5))
 	churned := slices.Delete(slices.Clone(attrs), 10, 13)
+	syms := lake.SymbolsOf(attrs)
 	for _, i := range []int{20, 40} {
-		vals := slices.Clone(churned[i].Values)
+		vals := churned[i].Values()
 		vals[rng.Intn(len(vals))] = "FRESH" + churned[i].ID
-		churned[i].Values = vals
+		churned[i] = syms.Attributes([]lake.Spec{{ID: churned[i].ID, Values: vals}})[0]
 	}
-	churned = append(churned, randomAttrs(2, 400, 25, 9)...)
-	churned[len(churned)-2].ID, churned[len(churned)-1].ID = "new-1", "new-2"
+	added := randomSpecs(2, 400, 25, 9)
+	added[0].ID, added[1].ID = "new-1", "new-2"
+	churned = append(churned, syms.Attributes(added)...)
 	rows := repeatingRowsLake(rng)
 
 	builders := []struct {
@@ -144,10 +150,10 @@ func repeatingRowsLake(rng *rand.Rand) *lake.Lake {
 func TestFromAttributesWithFreqsWorkerInvariant(t *testing.T) {
 	// Freqs drive the singleton filter; the sharded counting pass must sum
 	// them identically.
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "a", Values: []string{"x", "y", "z"}, Freqs: []int{1, 2, 1}},
 		{ID: "b", Values: []string{"x", "w"}, Freqs: []int{1, 1}},
-	}
+	})
 	serial := FromAttributes(attrs, Options{Workers: 1})
 	parallel := FromAttributes(attrs, Options{Workers: 4})
 	graphsEqual(t, serial, parallel)
@@ -168,7 +174,7 @@ func TestFromAttributesEmpty(t *testing.T) {
 	if g.NumNodes() != 0 || g.NumEdges() != 0 {
 		t.Fatalf("empty input produced %d nodes %d edges", g.NumNodes(), g.NumEdges())
 	}
-	g = FromAttributes([]lake.Attribute{{ID: "a"}}, Options{Workers: 4})
+	g = FromAttributes(lake.NewAttributes([]lake.Spec{{ID: "a"}}), Options{Workers: 4})
 	if g.NumValues() != 0 || g.NumAttrs() != 1 {
 		t.Fatalf("valueless attribute: %d values %d attrs", g.NumValues(), g.NumAttrs())
 	}

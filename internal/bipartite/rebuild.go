@@ -1,9 +1,8 @@
 package bipartite
 
 import (
-	"maps"
 	"slices"
-	"sort"
+	"strings"
 
 	"domainnet/internal/lake"
 )
@@ -18,10 +17,11 @@ const rebuildMaxChurn = 4
 // the set RebuildDiff may not reuse from prev. Matching is by attribute ID;
 // content identity is established by backing-array pointer equality first
 // (lake.Attributes hands back the same arrays for untouched tables) with an
-// element-wise comparison as fallback. With a nil or non-incremental prev
-// every attribute is changed.
+// element-wise comparison of value IDs and counts as fallback. With a nil or
+// non-incremental prev, or one built against another symbol table
+// generation, every attribute is changed.
 func Changed(prev *Graph, attrs []lake.Attribute) []int {
-	if prev == nil || !prev.incremental {
+	if prev == nil || !prev.incremental || prev.syms != lake.SymbolsOf(attrs) {
 		changed := make([]int, len(attrs))
 		for i := range changed {
 			changed[i] = i
@@ -42,8 +42,9 @@ func Changed(prev *Graph, attrs []lake.Attribute) []int {
 }
 
 // modified reports whether two attributes with the same ID differ in content.
+// Both must share one symbol table.
 func modified(a, b *lake.Attribute) bool {
-	return !sameData(a.Values, b.Values) || !sameData(a.Freqs, b.Freqs)
+	return !sameData(a.IDs(), b.IDs()) || !sameData(a.Freqs(), b.Freqs())
 }
 
 // sameData reports slice equality, short-circuiting on shared backing arrays.
@@ -71,8 +72,8 @@ type Diff struct {
 }
 
 // RebuildDiff builds the graph of attrs, reusing as much of prev as the
-// update allows: the interned value strings, the value-index map (when the
-// retained value set is unchanged), and the adjacency spans of every
+// update allows: the sorted value strings and the symbol-to-node map (when
+// the retained value set is unchanged), and the adjacency spans of every
 // attribute that is neither new, modified (the set Changed reports) nor
 // touched by a value flipping across the singleton threshold. The output is
 // bit-identical to FromAttributes(attrs, opts) — incremental construction is
@@ -81,8 +82,9 @@ type Diff struct {
 // Attributes are matched to prev's by ID; attributes of prev absent from
 // attrs have their contributions subtracted. RebuildDiff falls back to
 // the full parallel build when prev cannot support delta surgery (nil,
-// tripartite, differing KeepSingletons, duplicate attribute IDs, reordered
-// survivors) or when the churn exceeds rebuildMaxChurn's threshold.
+// tripartite, differing KeepSingletons, another symbol table generation,
+// duplicate attribute IDs, reordered survivors) or when the churn exceeds
+// rebuildMaxChurn's threshold.
 //
 // The returned Diff describes what the update touched, so scoring layers can
 // carry prior per-node results. It is nil exactly when the update is a no-op
@@ -92,8 +94,9 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 	full := func() (*Graph, *Diff) {
 		return FromAttributes(attrs, opts), &Diff{Full: true}
 	}
+	syms := lake.SymbolsOf(attrs)
 	if prev == nil || !prev.incremental || prev.nRows != 0 ||
-		prev.keepSingletons != opts.KeepSingletons {
+		prev.keepSingletons != opts.KeepSingletons || prev.syms != syms {
 		return full()
 	}
 	nAttr := len(attrs)
@@ -160,62 +163,58 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 
 	// Delta the occurrence counts: subtract the cells of gone prev
 	// attributes, add the cells of changed attributes. Values whose count
-	// crosses the retention threshold flip in or out of the graph.
-	minOcc := int64(2)
-	if opts.KeepSingletons {
-		minOcc = 1
-	}
-	cell := func(a *lake.Attribute, j int) int64 {
-		if a.Freqs != nil {
-			return int64(a.Freqs[j])
-		}
-		return 1
-	}
-	occ := maps.Clone(prev.occ)
-	touched := make(map[string]struct{})
+	// crosses the retention threshold flip in or out of the graph. IDs
+	// interned since prev was built start from zero.
+	minOcc := minOccurrence(opts)
+	occ := make([]int64, syms.Len())
+	copy(occ, prev.occ)
+	nSource := prev.nSource
+	var touched []uint32
 	for p := range prev.srcAttrs {
 		if !prevGone[p] {
 			continue
 		}
 		pa := &prev.srcAttrs[p]
-		for j, v := range pa.Values {
-			if c := occ[v] - cell(pa, j); c > 0 {
-				occ[v] = c
-			} else {
-				delete(occ, v)
+		for j, id := range pa.IDs() {
+			if occ[id] -= int64(pa.Freqs()[j]); occ[id] == 0 {
+				nSource--
 			}
-			touched[v] = struct{}{}
 		}
+		touched = append(touched, pa.IDs()...)
 	}
 	for i := range attrs {
 		if !dirty[i] {
 			continue
 		}
 		na := &attrs[i]
-		for j, v := range na.Values {
-			occ[v] += cell(na, j)
-			touched[v] = struct{}{}
+		for j, id := range na.IDs() {
+			if occ[id] == 0 {
+				nSource++
+			}
+			occ[id] += int64(na.Freqs()[j])
 		}
+		touched = append(touched, na.IDs()...)
 	}
-	var addedVals []string // values newly crossing the retention threshold
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	var addedIDs []uint32  // values newly crossing the retention threshold
 	var droppedOld []int32 // prev value-node ids leaving the graph
-	for v := range touched {
-		_, was := prev.valueIndex[v]
-		now := occ[v] >= minOcc
+	for _, id := range touched {
+		was := prev.nodeOf(id)
+		now := occ[id] >= minOcc
 		switch {
-		case now && !was:
-			addedVals = append(addedVals, v)
-		case was && !now:
-			droppedOld = append(droppedOld, prev.valueIndex[v])
+		case now && was < 0:
+			addedIDs = append(addedIDs, id)
+		case was >= 0 && !now:
+			droppedOld = append(droppedOld, was)
 		}
 	}
-	sort.Strings(addedVals)
 	slices.Sort(droppedOld)
 
 	// Flips dirty the unchanged attributes hosting them. A dropped value's
 	// surviving occurrences are read off its prev adjacency; a newly retained
 	// value's pre-existing host (its single prior cell, when it had one) is
-	// located by binary search over the unchanged attributes' sorted values.
+	// located by binary search over the unchanged attributes' ascending IDs.
 	nValPrev := prev.NumValues()
 	for _, vo := range droppedOld {
 		for _, an := range prev.Neighbors(vo) {
@@ -224,30 +223,10 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 			}
 		}
 	}
-	if len(addedVals) > 0 {
+	if len(addedIDs) > 0 {
 		for i := range attrs {
-			if dirty[i] {
-				continue
-			}
-			// addedVals is sorted by construction; an attribute's Values are
-			// sorted when they come from lake.Attributes but the contract
-			// only requires "distinct and normalized", so binary-search the
-			// attribute side only after verifying its order.
-			vals := attrs[i].Values
-			if len(vals) >= len(addedVals) && slices.IsSorted(vals) {
-				for _, v := range addedVals {
-					if _, ok := slices.BinarySearch(vals, v); ok {
-						dirty[i] = true
-						break
-					}
-				}
-			} else {
-				for _, v := range vals {
-					if _, ok := slices.BinarySearch(addedVals, v); ok {
-						dirty[i] = true
-						break
-					}
-				}
+			if !dirty[i] {
+				dirty[i] = intersects(attrs[i].IDs(), addedIDs)
 			}
 		}
 	}
@@ -262,37 +241,49 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 	}
 
 	// New value universe. When no value flipped, the sorted value slice and
-	// its index map carry over verbatim (both are immutable); otherwise merge
-	// the additions into the survivors — both inputs are sorted, and id order
-	// is lexicographic order, so the remap of surviving ids is monotone.
+	// the symbol-to-node map carry over verbatim (both are immutable);
+	// otherwise merge the additions, sorted by string, into the survivors —
+	// id order is lexicographic order, so the remap of surviving ids is
+	// monotone.
 	oldVals := prev.values
-	values := oldVals
-	valueIndex := prev.valueIndex
+	values, node := oldVals, prev.node
 	var oldToNew []int32 // nil means identity
-	if len(addedVals) > 0 || len(droppedOld) > 0 {
-		droppedSet := make([]bool, len(oldVals))
-		for _, vo := range droppedOld {
-			droppedSet[vo] = true
-		}
-		values = make([]string, 0, len(oldVals)-len(droppedOld)+len(addedVals))
+	if len(addedIDs) > 0 || len(droppedOld) > 0 {
+		slices.SortFunc(addedIDs, func(a, b uint32) int {
+			return strings.Compare(syms.String(a), syms.String(b))
+		})
+		values = make([]string, 0, len(oldVals)-len(droppedOld)+len(addedIDs))
 		oldToNew = make([]int32, len(oldVals))
+		for _, vo := range droppedOld {
+			oldToNew[vo] = -1
+		}
+		node = make([]int32, len(occ))
+		for id := range node {
+			node[id] = -1
+		}
 		ai := 0
+		addNext := func() {
+			node[addedIDs[ai]] = int32(len(values))
+			values = append(values, syms.String(addedIDs[ai]))
+			ai++
+		}
 		for vo, v := range oldVals {
-			for ai < len(addedVals) && addedVals[ai] < v {
-				values = append(values, addedVals[ai])
-				ai++
+			for ai < len(addedIDs) && syms.String(addedIDs[ai]) < v {
+				addNext()
 			}
-			if droppedSet[vo] {
-				oldToNew[vo] = -1
+			if oldToNew[vo] < 0 {
 				continue
 			}
 			oldToNew[vo] = int32(len(values))
 			values = append(values, v)
 		}
-		values = append(values, addedVals[ai:]...)
-		valueIndex = make(map[string]int32, len(values))
-		for i, v := range values {
-			valueIndex[v] = int32(i)
+		for ai < len(addedIDs) {
+			addNext()
+		}
+		for id, vo := range prev.node {
+			if vo >= 0 {
+				node[id] = oldToNew[vo]
+			}
 		}
 	}
 	nVal := len(values)
@@ -304,12 +295,12 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 		return oldToNew[vo]
 	}
 
-	// Dirty attributes look their values up in the index; clean ones stream
-	// their prev span through the monotone remap, with no hashing (none of
-	// their values was dropped, or they would be dirty).
+	// Dirty attributes map their symbol IDs to nodes; clean ones stream
+	// their prev span through the monotone remap (none of their values was
+	// dropped, or they would be dirty).
 	offsets, adj := assemble(nVal, nAttr, opts.Workers, func(i int, dst []int32) []int32 {
 		if dirty[i] {
-			return appendValueIDs(dst, attrs[i].Values, valueIndex)
+			return appendNodes(dst, attrs[i].IDs(), node)
 		}
 		for _, vo := range prev.Neighbors(int32(nValPrev + prevOfNew[i])) {
 			dst = append(dst, remap(vo))
@@ -321,9 +312,11 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 		attrs:          attrIDs(attrs),
 		offsets:        offsets,
 		adj:            adj,
-		valueIndex:     valueIndex,
+		syms:           syms,
 		srcAttrs:       attrs,
 		occ:            occ,
+		node:           node,
+		nSource:        nSource,
 		keepSingletons: opts.KeepSingletons,
 		incremental:    true,
 	}
@@ -431,16 +424,41 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 // Equal reports structural equality: same node universe, same CSR layout.
 // Two graphs built from the same attributes — whether from scratch or
 // incrementally — must compare Equal; tests rely on this. When both graphs
-// carry delta state the occurrence counts must agree too, so count drift in
-// the incremental path cannot hide behind an identical topology.
+// carry delta state the occurrence counts must agree too, value by value
+// (the graphs may number values in different symbol tables), so count drift
+// in the incremental path cannot hide behind an identical topology. It reads
+// both graphs' symbol tables, so it is writer-side only.
 func (g *Graph) Equal(o *Graph) bool {
 	if !(slices.Equal(g.values, o.values) && slices.Equal(g.attrs, o.attrs) &&
 		g.nRows == o.nRows && slices.Equal(g.offsets, o.offsets) &&
 		slices.Equal(g.adj, o.adj)) {
 		return false
 	}
-	if g.incremental && o.incremental && !maps.Equal(g.occ, o.occ) {
+	if !g.incremental || !o.incremental {
+		return true
+	}
+	if g.nSource != o.nSource {
 		return false
 	}
+	for id, c := range g.occ {
+		oid, ok := o.syms.Lookup([]byte(g.syms.String(uint32(id))))
+		if c > 0 && (!ok || int(oid) >= len(o.occ) || o.occ[oid] != c) {
+			return false
+		}
+	}
 	return true
+}
+
+// intersects reports whether two ascending ID lists share an element,
+// binary-searching the longer list for each element of the shorter.
+func intersects(a, b []uint32) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	for _, id := range a {
+		if _, ok := slices.BinarySearch(b, id); ok {
+			return true
+		}
+	}
+	return false
 }

@@ -17,12 +17,15 @@ import (
 
 // State is the persistable form of an incremental bipartite Graph. All
 // slices alias the graph's internal storage — treat a State as read-only.
+// Occ is indexed by the IDs of Symbols, the symbol table of the source
+// attributes; a codec resolves IDs to strings on the way out.
 type State struct {
 	Values         []string
 	AttrIDs        []string
 	Offsets        []int64
 	Adj            []int32
-	Occ            map[string]int64
+	Occ            []int64
+	Symbols        *lake.Symbols
 	KeepSingletons bool
 }
 
@@ -39,6 +42,7 @@ func (g *Graph) Export() (*State, bool) {
 		Offsets:        g.offsets,
 		Adj:            g.adj,
 		Occ:            g.occ,
+		Symbols:        g.syms,
 		KeepSingletons: g.keepSingletons,
 	}, true
 }
@@ -50,11 +54,13 @@ func (g *Graph) KeepsSingletons() bool { return g.keepSingletons }
 
 // FromState reconstructs a Graph from persisted state, wiring it to srcAttrs
 // — the attribute list of the lake the state was saved from, in the same
-// order (the loader obtains it from the rehydrated lake). The state is
-// validated structurally: attribute count and IDs must match srcAttrs, the
-// offsets must be a monotone prefix-sum over all nodes, and every adjacency
-// entry must be in range. The resulting graph supports RebuildDiff exactly like
-// the graph that was exported.
+// order (the loader obtains it from the rehydrated lake), whose symbol table
+// s.Occ and s.Symbols must refer to unless the state holds no value at all.
+// The state is validated structurally: attribute count and IDs must match
+// srcAttrs, every value must be interned, the offsets must be a monotone
+// prefix-sum over all nodes, and every adjacency entry must be in range. The
+// resulting graph supports RebuildDiff exactly like the graph that was
+// exported.
 func FromState(s *State, srcAttrs []lake.Attribute) (*Graph, error) {
 	nVal, nAttr := len(s.Values), len(s.AttrIDs)
 	n := nVal + nAttr
@@ -84,18 +90,39 @@ func FromState(s *State, srcAttrs []lake.Attribute) (*Graph, error) {
 			return nil, fmt.Errorf("bipartite: adjacency entry %d out of range [0, %d)", v, n)
 		}
 	}
-	valueIndex := make(map[string]int32, nVal)
+	nSource := 0
+	for _, c := range s.Occ {
+		if c > 0 {
+			nSource++
+		}
+	}
+	syms, occ := lake.SymbolsOf(srcAttrs), s.Occ
+	if syms == nil && nVal == 0 && nSource == 0 {
+		occ = nil // a lake without values: there is nothing to index
+	} else if s.Symbols != syms || len(s.Occ) > syms.Len() {
+		return nil, fmt.Errorf("bipartite: occurrence counts do not index the lake's symbol table")
+	}
+	node := make([]int32, syms.Len())
+	for i := range node {
+		node[i] = -1
+	}
 	for i, v := range s.Values {
-		valueIndex[v] = int32(i)
+		id, ok := syms.Lookup([]byte(v))
+		if !ok {
+			return nil, fmt.Errorf("bipartite: value %q is in no attribute", v)
+		}
+		node[id] = int32(i)
 	}
 	return &Graph{
 		values:         s.Values,
 		attrs:          s.AttrIDs,
 		offsets:        s.Offsets,
 		adj:            s.Adj,
-		valueIndex:     valueIndex,
+		syms:           syms,
 		srcAttrs:       srcAttrs,
-		occ:            s.Occ,
+		occ:            occ,
+		node:           node,
+		nSource:        nSource,
 		keepSingletons: s.KeepSingletons,
 		incremental:    true,
 	}, nil

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"domainnet/internal/lake"
-	"domainnet/internal/table"
 )
 
 // FromLakeWithRows builds the tripartite variant discussed in §3.2 ("Tables
@@ -15,13 +14,14 @@ import (
 // the ablation benchmark can demonstrate that finding.
 func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 	attrs := l.Attributes()
-	values, valueIndex, _ := valueUniverse(attrs, opts)
-	nVal, nAttr := len(values), len(attrs)
+	g := universe(attrs, opts)
+	nVal, nAttr := len(g.values), len(attrs)
+	syms := l.Symbols()
 
 	// Collect every row's distinct retained values into one flat slice: row
 	// r lists rowVals[rowEnd[r]:rowEnd[r+1]]. Missing cells and singleton-
-	// filtered values are absent from valueIndex, and a row left with no
-	// value gets no node. Both slices are sized for every cell and row up
+	// filtered values have no node, and a row left with no value gets no
+	// node. Every cell was interned by Attributes, so Intern only looks up. Both slices are sized for every cell and row up
 	// front, so collection never reallocates.
 	cells, rows := 0, 0
 	for _, t := range l.Tables() {
@@ -40,8 +40,12 @@ func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 				if r >= len(col) {
 					continue
 				}
-				vi, ok := valueIndex[table.Normalize(col[r])]
-				if !ok || lastRow[vi] == row {
+				id, ok := syms.Intern(col[r])
+				if !ok {
+					continue
+				}
+				vi := g.nodeOf(id)
+				if vi < 0 || lastRow[vi] == row {
 					continue
 				}
 				lastRow[vi] = row
@@ -52,23 +56,16 @@ func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 			}
 		}
 	}
-	nRows := len(rowEnd) - 1
+	g.nRows = len(rowEnd) - 1
 
-	offsets, adj := assemble(nVal, nAttr+nRows, opts.Workers, func(i int, dst []int32) []int32 {
+	g.offsets, g.adj = assemble(nVal, nAttr+g.nRows, opts.Workers, func(i int, dst []int32) []int32 {
 		if i < nAttr {
-			return appendValueIDs(dst, attrs[i].Values, valueIndex)
+			return appendNodes(dst, attrs[i].IDs(), g.node)
 		}
 		r := i - nAttr
 		return append(dst, rowVals[rowEnd[r]:rowEnd[r+1]]...)
 	})
-	return &Graph{
-		values:     values,
-		attrs:      attrIDs(attrs),
-		nRows:      nRows,
-		offsets:    offsets,
-		adj:        adj,
-		valueIndex: valueIndex,
-	}
+	return g
 }
 
 // rng is the minimal source of randomness Subgraph needs; *rand.Rand
@@ -104,7 +101,7 @@ func (g *Graph) Subgraph(targetEdges int, r rng) *Graph {
 
 	// Collect the induced attribute list and rebuild through FromAttributes
 	// to reuse the (tested) CSR construction path.
-	attrs := make([]lake.Attribute, 0, len(chosen))
+	specs := make([]lake.Spec, 0, len(chosen))
 	order := make([]int, 0, len(chosen))
 	for ai := range chosen {
 		order = append(order, ai)
@@ -116,9 +113,9 @@ func (g *Graph) Subgraph(targetEdges int, r rng) *Graph {
 		for _, v := range g.Neighbors(a) {
 			vals = append(vals, g.Value(v))
 		}
-		attrs = append(attrs, lake.Attribute{ID: g.AttrID(a), Values: vals})
+		specs = append(specs, lake.Spec{ID: g.AttrID(a), Values: vals})
 	}
 	// Keep singletons: dropping them here would shrink the subgraph below
 	// the requested edge budget and distort the scalability measurements.
-	return FromAttributes(attrs, Options{KeepSingletons: true})
+	return FromAttributes(lake.NewAttributes(specs), Options{KeepSingletons: true})
 }

@@ -16,7 +16,7 @@ import (
 // randomAttributes builds a random attribute list over a shared vocabulary,
 // producing bipartite graphs with realistic overlap structure.
 func randomAttributes(nAttrs, vocab, maxCard int, rng *rand.Rand) []lake.Attribute {
-	attrs := make([]lake.Attribute, nAttrs)
+	specs := make([]lake.Spec, nAttrs)
 	for a := 0; a < nAttrs; a++ {
 		card := 1 + rng.Intn(maxCard)
 		seen := make(map[int]struct{})
@@ -29,12 +29,10 @@ func randomAttributes(nAttrs, vocab, maxCard int, rng *rand.Rand) []lake.Attribu
 			seen[v] = struct{}{}
 			vals = append(vals, fmt.Sprintf("V%03d", v))
 		}
-		attrs[a] = lake.Attribute{ID: fmt.Sprintf("t.a%d", a), Values: vals}
+		sortStrings(vals)
+		specs[a] = lake.Spec{ID: fmt.Sprintf("t.a%d", a), Values: vals}
 	}
-	for i := range attrs {
-		sortStrings(attrs[i].Values)
-	}
-	return attrs
+	return lake.NewAttributes(specs)
 }
 
 func sortStrings(s []string) {
@@ -103,7 +101,7 @@ func TestLCCSingleAttribute(t *testing.T) {
 	// All values share one attribute: every pair of values has identical
 	// neighbor sets except for the self-exclusion, so the LCC is the same
 	// for all and close to 1 for larger columns.
-	attrs := []lake.Attribute{{ID: "t.a", Values: []string{"A", "B", "C", "D", "E"}}}
+	attrs := lake.NewAttributes([]lake.Spec{{ID: "t.a", Values: []string{"A", "B", "C", "D", "E"}}})
 	g := bipartite.FromAttributes(attrs, bipartite.Options{KeepSingletons: true})
 	scores := LCC(g, engine.Opts{})
 	// N(u) has 4 members; J(N(u),N(v)) = (5-2)/... intersection {others} —
@@ -122,10 +120,10 @@ func TestLCCSingleAttribute(t *testing.T) {
 func TestLCCIsolatedValue(t *testing.T) {
 	// A value alone in its attribute has no value-neighbors; its LCC is 0
 	// by convention.
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "t.a", Values: []string{"LONER"}},
 		{ID: "t.b", Values: []string{"X", "Y"}},
-	}
+	})
 	g := bipartite.FromAttributes(attrs, bipartite.Options{KeepSingletons: true})
 	u, ok := g.ValueNode("LONER")
 	if !ok {
@@ -139,10 +137,10 @@ func TestLCCIsolatedValue(t *testing.T) {
 func TestLCCAttributeJaccardIdenticalSignatures(t *testing.T) {
 	// Two values in exactly the same two attributes have attribute-Jaccard
 	// 1 with each other.
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "t.a", Values: []string{"X", "Y"}},
 		{ID: "t.b", Values: []string{"X", "Y"}},
-	}
+	})
 	g := bipartite.FromAttributes(attrs, bipartite.Options{KeepSingletons: true})
 	scores := LCCAttributeJaccard(g, engine.Opts{})
 	for u := range scores {

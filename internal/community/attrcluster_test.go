@@ -12,12 +12,12 @@ import (
 // the regime where label propagation keeps columns separate but attribute
 // clustering must still group them.
 func multiColumnTypes() *bipartite.Graph {
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "c1", Values: []string{"A1", "A2", "A3", "A4", "A5", "A6", "JAGUAR"}},
 		{ID: "c2", Values: []string{"A4", "A5", "A6", "A7", "A8", "A9"}},
 		{ID: "c3", Values: []string{"B1", "B2", "B3", "B4", "B5", "B6", "JAGUAR"}},
 		{ID: "c4", Values: []string{"B4", "B5", "B6", "B7", "B8", "B9"}},
-	}
+	})
 	return bipartite.FromAttributes(attrs, bipartite.Options{KeepSingletons: true})
 }
 

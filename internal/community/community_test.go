@@ -12,12 +12,12 @@ import (
 // twoTypeGraph builds a lake with two well-separated semantic types
 // (animals, cars) and one homograph JAGUAR bridging them.
 func twoTypeGraph() *bipartite.Graph {
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "zoo.a", Values: []string{"JAGUAR", "LEMUR", "PANDA", "TIGER", "ZEBRA"}},
 		{ID: "risk.a", Values: []string{"LEMUR", "OKAPI", "PANDA", "TIGER", "ZEBRA"}},
 		{ID: "cars.m", Values: []string{"CIVIC", "COROLLA", "GOLF", "JAGUAR", "POLO"}},
 		{ID: "deal.m", Values: []string{"CIVIC", "COROLLA", "GOLF", "POLO", "YARIS"}},
-	}
+	})
 	return bipartite.FromAttributes(attrs, bipartite.Options{KeepSingletons: true})
 }
 
@@ -180,7 +180,7 @@ func TestMeaningDiscoveryOnSB(t *testing.T) {
 func TestLabelPropagationOnCooccurGraphInterface(t *testing.T) {
 	// The algorithm runs over any Graph; a single-attribute lake collapses
 	// to one community.
-	attrs := []lake.Attribute{{ID: "t.a", Values: []string{"A", "B", "C", "D"}}}
+	attrs := lake.NewAttributes([]lake.Spec{{ID: "t.a", Values: []string{"A", "B", "C", "D"}}})
 	g := bipartite.FromAttributes(attrs, bipartite.Options{KeepSingletons: true})
 	res := LabelPropagation(g, Options{Seed: 1})
 	if res.NumCommunities != 1 {

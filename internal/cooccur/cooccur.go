@@ -63,7 +63,7 @@ func FromAttributes(attrs []lake.Attribute) *Graph {
 	// Node ids in sorted value order, matching bipartite.FromAttributes.
 	seen := make(map[string]struct{})
 	for i := range attrs {
-		for _, v := range attrs[i].Values {
+		for _, v := range attrs[i].Values() {
 			seen[v] = struct{}{}
 		}
 	}
@@ -81,7 +81,7 @@ func FromAttributes(attrs []lake.Attribute) *Graph {
 	type pair struct{ a, b int32 }
 	edges := make(map[pair]struct{})
 	for i := range attrs {
-		vals := attrs[i].Values
+		vals := attrs[i].Values()
 		ids := make([]int32, len(vals))
 		for j, v := range vals {
 			ids[j] = index[v]

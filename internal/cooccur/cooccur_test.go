@@ -8,9 +8,9 @@ import (
 )
 
 func TestFromAttributesCliquePerColumn(t *testing.T) {
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "t.a", Values: []string{"A", "B", "C"}},
-	}
+	})
 	g := FromAttributes(attrs)
 	if g.NumNodes() != 3 {
 		t.Fatalf("nodes = %d", g.NumNodes())
@@ -22,10 +22,10 @@ func TestFromAttributesCliquePerColumn(t *testing.T) {
 }
 
 func TestFromAttributesDeduplicatesSharedPairs(t *testing.T) {
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "t.a", Values: []string{"A", "B"}},
 		{ID: "t.b", Values: []string{"A", "B"}},
-	}
+	})
 	g := FromAttributes(attrs)
 	if g.NumEdges() != 1 {
 		t.Errorf("edges = %d, want 1 (pair A-B deduplicated)", g.NumEdges())
@@ -70,7 +70,7 @@ func TestEstimateEdgesQuadraticBlowup(t *testing.T) {
 	for i := range vals {
 		vals[i] = string(rune('a'+i/26)) + string(rune('a'+i%26))
 	}
-	attrs := []lake.Attribute{{ID: "t.big", Values: vals}}
+	attrs := lake.NewAttributes([]lake.Spec{{ID: "t.big", Values: vals}})
 	pairs, cells := EstimateEdges(attrs)
 	if pairs != 4950 {
 		t.Errorf("pair bound = %d, want 4950", pairs)

@@ -19,6 +19,7 @@
 package d4
 
 import (
+	"cmp"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,7 +149,7 @@ func Run(attrs []lake.Attribute, cfg Config) *Result {
 	// Stage 0: keep string columns only.
 	textCols := make([]int, 0, len(attrs))
 	for ai := range attrs {
-		if numericShare(attrs[ai].Values) <= cfg.NumericFraction {
+		if numericShare(attrs[ai].Values()) <= cfg.NumericFraction {
 			textCols = append(textCols, ai)
 		}
 	}
@@ -163,10 +164,11 @@ func Run(attrs []lake.Attribute, cfg Config) *Result {
 	for i, ai := range textCols {
 		pos[ai] = i
 	}
-	inv := make(map[string][]int) // value -> textCols positions
+	syms := lake.SymbolsOf(attrs)
+	inv := make(map[uint32][]int) // value ID -> textCols positions
 	for i, ai := range textCols {
-		for _, v := range attrs[ai].Values {
-			inv[v] = append(inv[v], i)
+		for _, id := range attrs[ai].IDs() {
+			inv[id] = append(inv[id], i)
 		}
 	}
 	uf := newUnionFind(len(textCols))
@@ -186,7 +188,7 @@ func Run(attrs []lake.Attribute, cfg Config) *Result {
 					continue
 				}
 				tried[p] = struct{}{}
-				a, b := attrs[textCols[cols[x]]].Values, attrs[textCols[cols[y]]].Values
+				a, b := attrs[textCols[cols[x]]].IDs(), attrs[textCols[cols[y]]].IDs()
 				inter, coeff := overlapStats(a, b)
 				if inter >= cfg.MinIntersection && coeff >= cfg.MinOverlap {
 					uf.union(cols[x], cols[y])
@@ -232,7 +234,8 @@ func Run(attrs []lake.Attribute, cfg Config) *Result {
 	// domain is the number of that domain's columns containing it; the
 	// value goes to every domain whose support is at least SupportRatio of
 	// the maximum.
-	for v, cols := range inv {
+	for id, cols := range inv {
+		v := syms.String(id)
 		support := make(map[int]int)
 		for _, c := range cols {
 			if d := domainOf[c]; d >= 0 {
@@ -272,7 +275,7 @@ func Run(attrs []lake.Attribute, cfg Config) *Result {
 	// Per-column foreign-domain counts feed the §5.5 statistics.
 	mixed := make(map[string]struct{})
 	foreignPerCol := make(map[int]map[int]struct{}) // textCols position -> foreign domain ids
-	for v, cols := range inv {
+	for _, cols := range inv {
 		spanned := make(map[int]struct{})
 		for _, c := range cols {
 			if d := domainOf[c]; d >= 0 {
@@ -287,7 +290,6 @@ func Run(attrs []lake.Attribute, cfg Config) *Result {
 			spannedSorted = append(spannedSorted, d)
 		}
 		sort.Ints(spannedSorted)
-		_ = v
 		for _, c := range cols {
 			home := domainOf[c]
 			if home < 0 {
@@ -353,7 +355,7 @@ func overlapCoefficient(a, b []string) float64 {
 
 // overlapStats returns the intersection size and the overlap coefficient
 // |A∩B| / min(|A|,|B|) of two sorted slices.
-func overlapStats(a, b []string) (int, float64) {
+func overlapStats[T cmp.Ordered](a, b []T) (int, float64) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, 0
 	}

@@ -11,12 +11,12 @@ import (
 // twoDomainAttrs builds two clean clusters (animals, cars) with a planted
 // homograph JAGUAR appearing once in each.
 func twoDomainAttrs() []lake.Attribute {
-	return []lake.Attribute{
+	return lake.NewAttributes([]lake.Spec{
 		{ID: "zoo.name", Values: []string{"JAGUAR", "LEMUR", "PANDA", "TIGER"}},
 		{ID: "risk.animal", Values: []string{"JAGUAR", "LEMUR", "PANDA", "PUMA"}},
 		{ID: "cars.make", Values: []string{"FIAT", "JAGUAR", "TOYOTA", "VOLVO"}},
 		{ID: "dealers.make", Values: []string{"FIAT", "JAGUAR", "OPEL", "TOYOTA"}},
-	}
+	})
 }
 
 func TestRunDiscoverSeparateDomains(t *testing.T) {
@@ -46,13 +46,13 @@ func TestPopularMeaningHidesSkewedHomograph(t *testing.T) {
 	// SKEW appears in three animal columns and one car column: D4's
 	// popular-meaning heuristic assigns it only to animals (the behaviour
 	// the paper blames for D4's recall loss).
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "a.0", Values: []string{"LEMUR", "PANDA", "SKEW", "TIGER"}},
 		{ID: "a.1", Values: []string{"LEMUR", "PANDA", "SKEW", "ZEBRA"}},
 		{ID: "a.2", Values: []string{"LEMUR", "PANDA", "SKEW", "OKAPI"}},
 		{ID: "c.0", Values: []string{"FIAT", "OPEL", "SKEW", "TOYOTA"}},
 		{ID: "c.1", Values: []string{"FIAT", "OPEL", "TOYOTA", "VOLVO"}},
-	}
+	})
 	res := Run(attrs, Config{MinOverlap: 0.3})
 	if len(res.Domains) != 2 {
 		t.Fatalf("domains = %d, want 2", len(res.Domains))
@@ -67,12 +67,12 @@ func TestPopularMeaningHidesSkewedHomograph(t *testing.T) {
 }
 
 func TestNumericColumnsSkipped(t *testing.T) {
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "n.0", Values: []string{"1", "2", "3", "4"}},
 		{ID: "n.1", Values: []string{"2", "3", "4", "5"}},
 		{ID: "s.0", Values: []string{"AAA", "BBB", "CCC"}},
 		{ID: "s.1", Values: []string{"AAA", "BBB", "DDD"}},
-	}
+	})
 	res := Run(attrs, Config{})
 	for _, d := range res.Domains {
 		for _, c := range d.Columns {
@@ -89,11 +89,11 @@ func TestNumericColumnsSkipped(t *testing.T) {
 func TestSingleColumnClustersAreNotDomains(t *testing.T) {
 	// A column sharing nothing with anyone is not a discovered domain
 	// (mirrors D4 covering only 14/39 SB columns).
-	attrs := []lake.Attribute{
+	attrs := lake.NewAttributes([]lake.Spec{
 		{ID: "a.0", Values: []string{"AAA", "BBB"}},
 		{ID: "a.1", Values: []string{"AAA", "BBB"}},
 		{ID: "lonely.0", Values: []string{"XXX", "YYY", "ZZZ"}},
-	}
+	})
 	res := Run(attrs, Config{})
 	if len(res.Domains) != 1 {
 		t.Fatalf("domains = %d, want 1", len(res.Domains))
@@ -107,14 +107,14 @@ func TestMixedDomainsGrowWithInjectedHomographs(t *testing.T) {
 	// The Figure 10 mechanism: more cross-domain values -> more mixed local
 	// domains -> larger NumDomains.
 	base := func(nHoms int) []lake.Attribute {
-		attrs := []lake.Attribute{}
+		attrs := []lake.Spec{}
 		for d := 0; d < 6; d++ {
 			for k := 0; k < 2; k++ {
 				vals := []string{}
 				for i := 0; i < 30; i++ {
 					vals = append(vals, fmt.Sprintf("D%dV%02d", d, i))
 				}
-				attrs = append(attrs, lake.Attribute{ID: fmt.Sprintf("t%d.c%d", d, k), Values: vals})
+				attrs = append(attrs, lake.Spec{ID: fmt.Sprintf("t%d.c%d", d, k), Values: vals})
 			}
 		}
 		// Inject homographs bridging domain pairs (i, i+1).
@@ -125,10 +125,7 @@ func TestMixedDomainsGrowWithInjectedHomographs(t *testing.T) {
 			attrs[a].Values = append(attrs[a].Values, name)
 			attrs[b].Values = append(attrs[b].Values, name)
 		}
-		for i := range attrs {
-			sortStrings(attrs[i].Values)
-		}
-		return attrs
+		return lake.NewAttributes(attrs)
 	}
 	prev := -1
 	for _, n := range []int{0, 2, 4, 6} {
@@ -141,14 +138,6 @@ func TestMixedDomainsGrowWithInjectedHomographs(t *testing.T) {
 	}
 	if r0, r6 := Run(base(0), Config{MinOverlap: 0.3}), Run(base(6), Config{MinOverlap: 0.3}); r6.NumDomains() <= r0.NumDomains() {
 		t.Errorf("injection did not grow domain count: %d -> %d", r0.NumDomains(), r6.NumDomains())
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
 
@@ -198,7 +187,7 @@ func TestEmptyAndDegenerateInputs(t *testing.T) {
 	if res := Run(nil, Config{}); res.NumDomains() != 0 {
 		t.Error("nil input should yield no domains")
 	}
-	res := Run([]lake.Attribute{{ID: "one", Values: []string{"A"}}}, Config{})
+	res := Run(lake.NewAttributes([]lake.Spec{{ID: "one", Values: []string{"A"}}}), Config{})
 	if res.NumDomains() != 0 || res.CoveredColumns != 0 {
 		t.Error("single column cannot form a domain")
 	}

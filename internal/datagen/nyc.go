@@ -38,7 +38,7 @@ func NYC(cfg NYCConfig) []lake.Attribute {
 		poolSize = 100
 	}
 
-	attrs := make([]lake.Attribute, nAttrs)
+	specs := make([]lake.Spec, nAttrs)
 	for ai := 0; ai < nAttrs; ai++ {
 		card := nycCardinality(rng)
 		values := make([]string, 0, card)
@@ -84,17 +84,15 @@ func NYC(cfg NYCConfig) []lake.Attribute {
 			values = append(values, fmt.Sprintf("P%d", p))
 			freqs = append(freqs, 1+rng.Intn(3))
 		}
-		attr := lake.Attribute{
+		specs[ai] = lake.Spec{
 			ID:     fmt.Sprintf("nyc%d.col%d", ai/17, ai%17), // ~201 tables at scale 1
 			Table:  fmt.Sprintf("nyc%d", ai/17),
 			Column: fmt.Sprintf("col%d", ai%17),
 			Values: values,
 			Freqs:  freqs,
 		}
-		sortAttr(&attr)
-		attrs[ai] = attr
 	}
-	return attrs
+	return lake.NewAttributes(specs)
 }
 
 // nycCardinality draws a column cardinality with the long-tailed profile of

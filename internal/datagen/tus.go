@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"domainnet/internal/lake"
 	"domainnet/internal/union"
@@ -163,11 +162,9 @@ func TUS(cfg TUSConfig) *union.GroundTruth {
 		}
 	}
 
-	// Materialize sorted attributes with table-based IDs.
-	gt := &union.GroundTruth{
-		Attrs:   make([]lake.Attribute, len(drafts)),
-		ClassOf: make([]int, len(drafts)),
-	}
+	// Materialize the attributes with table-based IDs.
+	specs := make([]lake.Spec, len(drafts))
+	gt := &union.GroundTruth{ClassOf: make([]int, len(drafts))}
 	tables := cfg.Tables
 	if tables < 1 {
 		tables = 1
@@ -175,7 +172,7 @@ func TUS(cfg TUSConfig) *union.GroundTruth {
 	colInTable := make([]int, tables)
 	for i := range drafts {
 		ti := i % tables
-		attr := lake.Attribute{
+		specs[i] = lake.Spec{
 			ID:     fmt.Sprintf("table%d.col%d", ti, colInTable[ti]),
 			Table:  fmt.Sprintf("table%d", ti),
 			Column: fmt.Sprintf("col%d", colInTable[ti]),
@@ -183,10 +180,9 @@ func TUS(cfg TUSConfig) *union.GroundTruth {
 			Freqs:  drafts[i].freqs,
 		}
 		colInTable[ti]++
-		sortAttr(&attr)
-		gt.Attrs[i] = attr
 		gt.ClassOf[i] = drafts[i].domain
 	}
+	gt.Attrs = lake.NewAttributes(specs)
 	return gt
 }
 
@@ -287,25 +283,4 @@ func sampleMeanings(maxMeanings int, rng *rand.Rand) int {
 		m = maxMeanings
 	}
 	return m
-}
-
-// sortAttr sorts an attribute's values ascending, keeping freqs parallel.
-func sortAttr(a *lake.Attribute) {
-	idx := make([]int, len(a.Values))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(x, y int) bool { return a.Values[idx[x]] < a.Values[idx[y]] })
-	vals := make([]string, len(a.Values))
-	freqs := make([]int, len(a.Freqs))
-	for pos, i := range idx {
-		vals[pos] = a.Values[i]
-		if a.Freqs != nil {
-			freqs[pos] = a.Freqs[i]
-		}
-	}
-	a.Values = vals
-	if a.Freqs != nil {
-		a.Freqs = freqs
-	}
 }

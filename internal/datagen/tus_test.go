@@ -19,19 +19,19 @@ func TestTUSSmallShape(t *testing.T) {
 	if got := gt.NumClasses(); got != cfg.Domains {
 		t.Errorf("classes = %d, want %d", got, cfg.Domains)
 	}
-	// Every attribute has at least 3 values and they are sorted distinct.
+	// Every attribute has at least 3 values, with ascending distinct IDs.
 	for i := range gt.Attrs {
 		a := &gt.Attrs[i]
 		if a.Cardinality() < 3 {
 			t.Errorf("attr %s cardinality = %d, want >= 3", a.ID, a.Cardinality())
 		}
-		for j := 1; j < len(a.Values); j++ {
-			if a.Values[j-1] >= a.Values[j] {
-				t.Fatalf("attr %s values not sorted distinct at %d", a.ID, j)
+		for j := 1; j < len(a.IDs()); j++ {
+			if a.IDs()[j-1] >= a.IDs()[j] {
+				t.Fatalf("attr %s value IDs not ascending distinct at %d", a.ID, j)
 			}
 		}
-		if len(a.Freqs) != len(a.Values) {
-			t.Fatalf("attr %s freqs length mismatch", a.ID)
+		if a.Cells() < a.Cardinality() {
+			t.Fatalf("attr %s has fewer cells than values", a.ID)
 		}
 	}
 }

@@ -207,7 +207,7 @@ func table1Row(name string, tables int, gt *union.GroundTruth, homs map[string]b
 	row := Table1Row{Dataset: name, Tables: tables, Attributes: len(gt.Attrs)}
 	distinct := map[string]struct{}{}
 	for i := range gt.Attrs {
-		for _, v := range gt.Attrs[i].Values {
+		for _, v := range gt.Attrs[i].Values() {
 			distinct[v] = struct{}{}
 		}
 	}

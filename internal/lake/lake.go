@@ -3,53 +3,20 @@
 //
 // The lake is the unit DomainNet operates on. It exposes the two views the
 // rest of the system needs: a flat iteration over attributes (table columns)
-// and per-attribute sets of normalized values.
+// and per-attribute sets of normalized values. Each lake interns every
+// normalized value once, in its Symbols, and attributes carry value IDs.
 package lake
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"domainnet/internal/engine"
 	"domainnet/internal/table"
 )
-
-// Attribute is a single column of a single table, identified lake-wide by ID
-// (of the form "table.column").
-type Attribute struct {
-	ID     string
-	Table  string
-	Column string
-	// Values holds the distinct normalized values of the column, sorted.
-	// Empty cells are dropped. Cardinality == len(Values).
-	Values []string
-	// Freqs, when non-nil, holds the cell count of each value in this
-	// column, parallel to Values. The paper's pre-processing removes values
-	// that occur only once lake-wide (§5) — a frequency criterion, since a
-	// value repeated within a single column is kept — so builders consuming
-	// attributes need cell counts, not just distinct values. A nil Freqs
-	// means every value counts once.
-	Freqs []int
-}
-
-// Cardinality is the number of distinct (normalized, non-empty) values.
-func (a *Attribute) Cardinality() int { return len(a.Values) }
-
-// Cells is the number of non-empty cells in the column: the sum of Freqs, or
-// the distinct-value count when Freqs is nil (every value counting once).
-func (a *Attribute) Cells() int {
-	if a.Freqs == nil {
-		return len(a.Values)
-	}
-	n := 0
-	for _, f := range a.Freqs {
-		n += f
-	}
-	return n
-}
 
 // Lake is an in-memory data lake. Lakes are dynamic — tables come and go
 // (paper Definition 1) — so every mutation bumps a monotonically increasing
@@ -58,28 +25,43 @@ func (a *Attribute) Cells() int {
 // table by removing and re-adding it. A Lake is not safe for concurrent use;
 // callers that serve readers during updates snapshot the derived state
 // instead (see internal/serve).
+//
+// The symbol table stays bounded under churn: the lake counts the cached
+// attributes holding each ID and, once dead IDs outnumber live ones beyond
+// symbolFloor, compacts into a new Symbols generation.
 type Lake struct {
 	Name string
-	// Workers bounds the parallelism of attribute normalization in
-	// Attributes(). Zero means GOMAXPROCS. Owners that cap construction
-	// parallelism (the serving layer's Config.Workers) set this too.
-	Workers int
 
 	tables []*table.Table
 	// tableAttrs memoizes each table's Attribute slice, parallel to tables;
 	// nil means not yet computed. Untouched tables keep their slices (and
-	// the backing arrays of every Attribute's Values/Freqs) across updates,
-	// which is what lets bipartite.RebuildDiff detect unchanged attributes by
-	// pointer identity.
+	// the backing arrays of every Attribute's IDs and counts) across
+	// updates, which is what lets bipartite.RebuildDiff detect unchanged
+	// attributes by pointer identity.
 	tableAttrs [][]Attribute
 	names      map[string]struct{} // table names, for duplicate rejection
 	version    uint64
 	attrs      []Attribute // stitched Attributes() memo
 	attrsOK    bool        // attrs reflects the current version
+
+	syms  *Symbols
+	live  []int32 // per ID: the number of cached attributes holding it
+	nLive int     // IDs with a nonzero live count
+	b     builder // reused ingest scratch, bound to syms
 }
 
+// symbolFloor is the dead-ID count below which a lake never compacts its
+// symbol table: small lakes are not worth re-numbering.
+const symbolFloor = 4096
+
 // New returns an empty lake with the given name.
-func New(name string) *Lake { return &Lake{Name: name} }
+func New(name string) *Lake {
+	syms := NewSymbols()
+	return &Lake{Name: name, syms: syms, b: builder{syms: syms}}
+}
+
+// Symbols returns the lake's current symbol table generation.
+func (l *Lake) Symbols() *Symbols { return l.syms }
 
 // Version reports the lake's update counter: zero for a freshly constructed
 // lake, incremented by every successful Add and RemoveTable. Derived state
@@ -127,12 +109,31 @@ func (l *Lake) MustAdd(t *table.Table) {
 // derived state cached against the saved version (graph snapshots, rankings)
 // stays valid across a process restart. The version must be at least the
 // table count, since every Add bumped it once in the original process.
-func Rehydrate(name string, version uint64, tables []*table.Table) (*Lake, error) {
+//
+// Loaders that persisted the normalized attributes pass them as attrs,
+// parallel to tables (a nil entry is normalized on first use); they are
+// interned into the lake's Symbols in order. They are trusted — persist
+// checksums them — beyond sanity checks, which include that a column's cell
+// count fits an Attribute's int32 counts.
+func Rehydrate(name string, version uint64, tables []*table.Table, attrs [][]Spec) (*Lake, error) {
+	if attrs != nil && len(attrs) != len(tables) {
+		return nil, fmt.Errorf("lake %q: %d attribute slices for %d tables", name, len(attrs), len(tables))
+	}
 	l := New(name)
-	for _, t := range tables {
+	for i, t := range tables {
 		if err := l.Add(t); err != nil {
 			return nil, err
 		}
+		if attrs == nil || attrs[i] == nil {
+			continue
+		}
+		for _, sp := range attrs[i] {
+			if sp.Table != t.Name || len(sp.Values) == 0 || !validFreqs(sp) {
+				return nil, fmt.Errorf("lake %q: malformed persisted attribute %q", name, sp.ID)
+			}
+		}
+		l.tableAttrs[i] = l.b.specs(attrs[i])
+		l.retain(l.tableAttrs[i])
 	}
 	if version < l.version {
 		return nil, fmt.Errorf("lake %q: persisted version %d below table count %d",
@@ -142,33 +143,23 @@ func Rehydrate(name string, version uint64, tables []*table.Table) (*Lake, error
 	return l, nil
 }
 
-// RehydrateWithAttributes is Rehydrate for loaders that persisted the
-// normalized per-table attribute slices alongside the raw tables: attrs
-// (parallel to tables) seeds the per-table caches Attributes() stitches, so
-// a warm start never re-normalizes a cell. A nil entry leaves that table's
-// cache empty (it is recomputed on first use); non-nil entries are trusted —
-// the persistence layer checksums them — beyond structural sanity checks.
-func RehydrateWithAttributes(name string, version uint64, tables []*table.Table, attrs [][]Attribute) (*Lake, error) {
-	if len(attrs) != len(tables) {
-		return nil, fmt.Errorf("lake %q: %d attribute slices for %d tables", name, len(attrs), len(tables))
+// validFreqs reports whether a spec's counts are parallel to its values,
+// positive, and sum — merged repeats included — to at most math.MaxInt32.
+func validFreqs(sp Spec) bool {
+	if sp.Freqs == nil {
+		return true
 	}
-	l, err := Rehydrate(name, version, tables)
-	if err != nil {
-		return nil, err
+	if len(sp.Freqs) != len(sp.Values) {
+		return false
 	}
-	for i, as := range attrs {
-		if as == nil {
-			continue
+	cells := 0
+	for _, f := range sp.Freqs {
+		if f < 1 || f > math.MaxInt32-cells {
+			return false
 		}
-		for j := range as {
-			if as[j].Table != tables[i].Name || len(as[j].Values) == 0 ||
-				(as[j].Freqs != nil && len(as[j].Freqs) != len(as[j].Values)) {
-				return nil, fmt.Errorf("lake %q: malformed persisted attribute %q", name, as[j].ID)
-			}
-		}
-		l.tableAttrs[i] = as
+		cells += f
 	}
-	return l, nil
+	return true
 }
 
 // TableAttributes returns every table's normalized Attribute slice, parallel
@@ -200,11 +191,13 @@ func (l *Lake) RemoveTable(name string) bool {
 			copy(l.tables[i:], l.tables[i+1:])
 			l.tables[last] = nil
 			l.tables = l.tables[:last]
+			gone := l.tableAttrs[i]
 			copy(l.tableAttrs[i:], l.tableAttrs[i+1:])
 			l.tableAttrs[last] = nil
 			l.tableAttrs = l.tableAttrs[:last]
 			delete(l.names, name)
 			l.bump()
+			l.release(gone)
 			return true
 		}
 	}
@@ -216,28 +209,20 @@ func (l *Lake) NumTables() int { return len(l.tables) }
 
 // Attributes returns one Attribute per table column, in deterministic order
 // (table insertion order, then column order). Values are normalized,
-// de-duplicated and sorted. Per-table slices are memoized, so after an
-// update only the new tables' columns are normalized — the stitched result
-// reuses the cached slices (and their backing arrays) of every untouched
-// table — and the stitched slice itself is memoized until the next version
-// bump. Uncached tables are processed in parallel.
+// interned and de-duplicated; each attribute's IDs ascend. Per-table slices
+// are memoized, so after an update only the new tables' cells are
+// normalized — the stitched result reuses the cached slices (and their
+// backing arrays) of every untouched table — and the stitched slice itself
+// is memoized until the next version bump.
 func (l *Lake) Attributes() []Attribute {
 	if l.attrsOK {
 		return l.attrs
 	}
-	var missing []int
-	for i := range l.tables {
+	attrs := make([]Attribute, 0, len(l.attrs))
+	for i, t := range l.tables {
 		if l.tableAttrs[i] == nil {
-			missing = append(missing, i)
+			l.tableAttrs[i] = l.tableAttributes(t)
 		}
-	}
-	engine.Parallel(l.Workers, len(missing), func(_, lo, hi int) {
-		for _, i := range missing[lo:hi] {
-			l.tableAttrs[i] = tableAttributes(l.tables[i])
-		}
-	})
-	attrs := make([]Attribute, 0, l.approxAttrCount())
-	for i := range l.tables {
 		attrs = append(attrs, l.tableAttrs[i]...)
 	}
 	l.attrs = attrs
@@ -245,49 +230,84 @@ func (l *Lake) Attributes() []Attribute {
 	return attrs
 }
 
-// tableAttributes normalizes one table into its Attribute slice. The result
-// is never nil, so a nil cache entry unambiguously means "not yet computed".
-func tableAttributes(t *table.Table) []Attribute {
+// tableAttributes interns one table into its Attribute slice. The result is
+// never nil, so a nil cache entry unambiguously means "not yet computed".
+func (l *Lake) tableAttributes(t *table.Table) []Attribute {
 	attrs := make([]Attribute, 0, len(t.Columns))
 	for ci := range t.Columns {
 		col := &t.Columns[ci]
-		counts := make(map[string]int, len(col.Values))
-		vals := make([]string, 0, len(col.Values))
 		for _, raw := range col.Values {
-			v := table.Normalize(raw)
-			if table.IsMissing(v) {
-				continue
+			if id, ok := l.syms.Intern(raw); ok {
+				l.b.add(id, 1)
 			}
-			if counts[v] == 0 {
-				vals = append(vals, v)
-			}
-			counts[v]++
 		}
-		if len(vals) == 0 {
-			continue // column of only empty cells contributes nothing
+		if len(l.b.cells) > 0 { // a column of only empty cells contributes nothing
+			attrs = append(attrs, l.b.end(table.AttributeID(t.Name, ci, col.Name), t.Name, col.Name))
 		}
-		sort.Strings(vals)
-		freqs := make([]int, len(vals))
-		for i, v := range vals {
-			freqs[i] = counts[v]
-		}
-		attrs = append(attrs, Attribute{
-			ID:     table.AttributeID(t.Name, ci, col.Name),
-			Table:  t.Name,
-			Column: col.Name,
-			Values: vals,
-			Freqs:  freqs,
-		})
 	}
+	l.retain(attrs)
 	return attrs
 }
 
-func (l *Lake) approxAttrCount() int {
-	n := 0
-	for _, t := range l.tables {
-		n += len(t.Columns)
+// retain counts attrs' values as live.
+func (l *Lake) retain(attrs []Attribute) {
+	if n := l.syms.Len(); n > len(l.live) {
+		l.live = append(l.live, make([]int32, n-len(l.live))...)
 	}
-	return n
+	for i := range attrs {
+		for _, id := range attrs[i].ids {
+			if l.live[id] == 0 {
+				l.nLive++
+			}
+			l.live[id]++
+		}
+	}
+}
+
+// release uncounts the attributes of a removed table and compacts the symbol
+// table once its dead IDs outnumber the live ones beyond symbolFloor.
+func (l *Lake) release(attrs []Attribute) {
+	for i := range attrs {
+		for _, id := range attrs[i].ids {
+			if l.live[id]--; l.live[id] == 0 {
+				l.nLive--
+			}
+		}
+	}
+	if dead := l.syms.Len() - l.nLive; dead > l.nLive && dead > symbolFloor {
+		l.compact()
+	}
+}
+
+// compact moves the lake to a new symbol generation of the live values, with
+// the live IDs' ranks as IDs so every order carries over. Cached attributes
+// are re-issued, not rewritten: published graphs may alias the old arrays.
+func (l *Lake) compact() {
+	syms := NewSymbols()
+	remap := make([]uint32, l.syms.Len())
+	live := make([]int32, 0, l.nLive)
+	for id, n := range l.live {
+		if n > 0 {
+			remap[id] = syms.Add(l.syms.strs[id])
+			live = append(live, n)
+		}
+	}
+	for ti, attrs := range l.tableAttrs {
+		if attrs == nil {
+			continue
+		}
+		re := make([]Attribute, len(attrs))
+		for i, a := range attrs {
+			a.syms, a.ids = syms, make([]uint32, len(a.ids))
+			for j, id := range attrs[i].ids {
+				a.ids[j] = remap[id]
+			}
+			re[i] = a
+		}
+		l.tableAttrs[ti] = re
+	}
+	l.syms, l.live, l.b = syms, live, builder{syms: syms}
+	l.attrsOK = false
 }
 
 // Stats summarizes a lake the way the paper's Table 1 does.
@@ -299,22 +319,18 @@ type Stats struct {
 }
 
 // Stats computes summary statistics over the lake. Cells counts every
-// non-empty cell (via each attribute's Freqs), not just distinct values — a
-// column holding the same value twice contributes two cells.
+// non-empty cell (via each attribute's frequencies), not just distinct
+// values — a column holding the same value twice contributes two cells.
 func (l *Lake) Stats() Stats {
 	attrs := l.Attributes()
-	values := make(map[string]struct{})
 	cells := 0
 	for i := range attrs {
 		cells += attrs[i].Cells()
-		for _, v := range attrs[i].Values {
-			values[v] = struct{}{}
-		}
 	}
 	return Stats{
 		Tables:     len(l.tables),
 		Attributes: len(attrs),
-		Values:     len(values),
+		Values:     l.nLive,
 		Cells:      cells,
 	}
 }
@@ -330,7 +346,7 @@ func (l *Lake) ValueAttributes() map[string][]int {
 	attrs := l.Attributes()
 	m := make(map[string][]int)
 	for ai := range attrs {
-		for _, v := range attrs[ai].Values {
+		for _, v := range attrs[ai].Values() {
 			m[v] = append(m[v], ai)
 		}
 	}
@@ -338,22 +354,32 @@ func (l *Lake) ValueAttributes() map[string][]int {
 }
 
 // LoadDir reads every *.csv file under dir (non-recursively) into a lake
-// named after the directory. Files that fail to parse abort the load with an
-// error naming the file, because silently skipping tables would change
-// experiment ground truth.
+// named after the directory. Files are parsed in parallel and added in
+// directory order. Files that fail to parse abort the load with an error
+// naming the first such file in directory order, because silently skipping
+// tables would change experiment ground truth.
 func LoadDir(dir string) (*Lake, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	l := New(filepath.Base(dir))
+	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(strings.ToLower(e.Name()), ".csv") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(strings.ToLower(e.Name()), ".csv") {
+			names = append(names, e.Name())
 		}
-		t, err := table.ReadCSVFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("lake: loading %s: %w", e.Name(), err)
+	}
+	tables := make([]*table.Table, len(names))
+	errs := make([]error, len(names))
+	engine.Parallel(0, len(names), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			tables[i], errs[i] = table.ReadCSVFile(filepath.Join(dir, names[i]))
+		}
+	})
+	l := New(filepath.Base(dir))
+	for i, t := range tables {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("lake: loading %s: %w", names[i], errs[i])
 		}
 		if err := l.Add(t); err != nil {
 			return nil, err

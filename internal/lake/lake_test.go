@@ -31,12 +31,13 @@ func TestAttributesNormalizeAndDedup(t *testing.T) {
 	if a.ID != "t1.animal" {
 		t.Errorf("ID = %q", a.ID)
 	}
-	if want := []string{"JAGUAR", "PANDA"}; !reflect.DeepEqual(a.Values, want) {
-		t.Errorf("values = %v, want %v ('panda ' normalized and merged)", a.Values, want)
+	// Values come in ID order, which is first-appearance order.
+	if want := []string{"PANDA", "JAGUAR"}; !reflect.DeepEqual(a.Values(), want) {
+		t.Errorf("values = %v, want %v ('panda ' normalized and merged)", a.Values(), want)
 	}
 	// PANDA occurred twice (case/space variants): frequency 2.
-	if want := []int{1, 2}; !reflect.DeepEqual(a.Freqs, want) {
-		t.Errorf("freqs = %v, want %v", a.Freqs, want)
+	if got := a.Freqs(); !reflect.DeepEqual(got, []int32{2, 1}) {
+		t.Errorf("freqs = %v, want [2 1]", got)
 	}
 	// Empty cell in t2.make dropped.
 	if got := attrs[2].Cardinality(); got != 2 {
@@ -110,7 +111,7 @@ func TestPerTableAttributeMemoization(t *testing.T) {
 		t.Fatalf("attrs = %d, want 4", len(after))
 	}
 	for i := range before {
-		if &before[i].Values[0] != &after[i].Values[0] {
+		if &before[i].IDs()[0] != &after[i].IDs()[0] {
 			t.Errorf("attr %d (%s) was recomputed on an unrelated add", i, before[i].ID)
 		}
 	}
@@ -123,7 +124,7 @@ func TestPerTableAttributeMemoization(t *testing.T) {
 	if len(final) != 3 {
 		t.Fatalf("attrs after removal = %d, want 3", len(final))
 	}
-	if final[2].ID != "t3.x" || &final[2].Values[0] != &after[3].Values[0] {
+	if final[2].ID != "t3.x" || &final[2].IDs()[0] != &after[3].IDs()[0] {
 		t.Error("t3 attributes were recomputed by removing t2")
 	}
 }
@@ -170,8 +171,8 @@ func TestStatsCellsCountDuplicates(t *testing.T) {
 	if a.Cells() != 4 {
 		t.Errorf("attr cells = %d, want 4", a.Cells())
 	}
-	// Nil Freqs means one cell per value.
-	bare := Attribute{Values: []string{"A", "B"}}
+	// A spec with nil Freqs counts one cell per value.
+	bare := NewAttributes([]Spec{{Values: []string{"A", "B"}}})[0]
 	if bare.Cells() != 2 {
 		t.Errorf("nil-freqs cells = %d, want 2", bare.Cells())
 	}
@@ -198,7 +199,7 @@ func TestRemoveTableReleasesTailSlot(t *testing.T) {
 func TestRehydrateRestoresVersion(t *testing.T) {
 	src := twoTableLake(t)
 	src.RemoveTable("t2") // version 3: two adds + one removal
-	l, err := Rehydrate(src.Name, src.Version(), src.Tables())
+	l, err := Rehydrate(src.Name, src.Version(), src.Tables(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestRehydrateRestoresVersion(t *testing.T) {
 	if l.NumTables() != 1 || l.Tables()[0].Name != "t1" {
 		t.Errorf("tables = %v", l.Tables())
 	}
-	if _, err := Rehydrate("bad", 1, twoTableLake(t).Tables()); err == nil {
+	if _, err := Rehydrate("bad", 1, twoTableLake(t).Tables(), nil); err == nil {
 		t.Error("version below table count not rejected")
 	}
 }
@@ -248,7 +249,7 @@ func TestSaveLoadDirRoundTrip(t *testing.T) {
 func attrValueSet(l *Lake) map[string][]string {
 	out := map[string][]string{}
 	for _, a := range l.Attributes() {
-		vals := append([]string(nil), a.Values...)
+		vals := a.Values()
 		sort.Strings(vals)
 		out[a.ID] = vals
 	}

@@ -4,8 +4,8 @@
 // re-normalizing and re-building a million-value lake from CSVs.
 //
 // What is persisted is deliberately the *derived* state, not just the data:
-// the graph's interned value strings, CSR adjacency spans and occurrence
-// counts are the expensive part of startup, and they are exactly what the
+// the graph's value strings, CSR adjacency spans and occurrence counts are
+// the expensive part of startup, and they are exactly what the
 // incremental rebuild path (bipartite.RebuildDiff) needs to keep pricing updates
 // by their delta after the restart. The lake's raw tables ride along so the
 // loader can re-wire the graph to a live lake.Attributes() slice, restoring
@@ -14,7 +14,10 @@
 // Format: a 4-byte magic, a uvarint format version, the body (lake section,
 // then an optional graph section), and a CRC-32 trailer over everything
 // after the magic. All integers are unsigned varints; strings are a uvarint
-// length followed by raw bytes. Saves are atomic (temp file + rename + sync)
+// length followed by raw bytes. In memory, values are interned value strings
+// (IDs in the lake's lake.Symbols): the encoder resolves IDs to strings, in
+// ID order so Marshal is deterministic, and the decoder interns them into the
+// rehydrated lake's Symbols. Saves are atomic (temp file + rename + sync)
 // so a crash mid-checkpoint never clobbers the previous snapshot.
 package persist
 
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -172,15 +176,11 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 			a := &attrs[ai]
 			b = AppendString(b, a.ID)
 			b = AppendString(b, a.Column)
-			b = binary.AppendUvarint(b, uint64(len(a.Values)))
-			for _, v := range a.Values {
-				b = AppendString(b, v)
+			b = binary.AppendUvarint(b, uint64(a.Cardinality()))
+			for _, id := range a.IDs() {
+				b = AppendString(b, l.Symbols().String(id))
 			}
-			for j := range a.Values {
-				f := 1 // a nil Freqs counts every value once
-				if a.Freqs != nil {
-					f = a.Freqs[j]
-				}
+			for _, f := range a.Freqs() {
 				b = binary.AppendUvarint(b, uint64(f))
 			}
 		}
@@ -219,10 +219,18 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 	for _, v := range st.Adj {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Occ)))
-	for v, c := range st.Occ {
-		b = AppendString(b, v)
-		b = binary.AppendUvarint(b, uint64(c))
+	nOcc := 0
+	for _, c := range st.Occ {
+		if c > 0 {
+			nOcc++
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(nOcc))
+	for id, c := range st.Occ {
+		if c > 0 {
+			b = AppendString(b, st.Symbols.String(uint32(id)))
+			b = binary.AppendUvarint(b, uint64(c))
+		}
 	}
 	return b
 }
@@ -255,22 +263,17 @@ func AppendTable(b []byte, t *table.Table) []byte {
 // --- decoding ---
 
 // Reader is a cursor over codec bytes with sticky error handling, so decode
-// paths read linearly and check one error at the end of each section. Data
-// strings (cells, normalized values, occurrence keys) are interned through
-// one map: lake values repeat heavily across tables and appear again in the
-// graph section, so interning cuts both decode allocations and resident
-// memory. The zero Reader is not usable; construct with NewReader.
+// paths read linearly and check one error at the end of each section.
 type Reader struct {
-	buf    []byte
-	err    error
-	intern map[string]string
+	buf  []byte
+	err  error
+	cell []byte // Table's per-column scratch
+	ends []int
 }
 
 // NewReader returns a cursor over buf. internal/wal decodes its mutation
 // record payloads with it; the snapshot decoder uses the same machinery.
-func NewReader(buf []byte) *Reader {
-	return &Reader{buf: buf, intern: make(map[string]string, 64)}
-}
+func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // Err reports the first decode failure, or nil. Once set, every subsequent
 // read is a no-op returning zero values.
@@ -312,44 +315,55 @@ func (r *Reader) Length(what string) int {
 }
 
 // String reads one length-prefixed string written by AppendString.
-func (r *Reader) String() string {
-	n := r.Length("string")
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
+func (r *Reader) String() string { return string(r.bytes()) }
 
-// dataString is String for cell-level data: the decoded value is interned.
-func (r *Reader) dataString() string {
+// bytes reads one length-prefixed string without copying it; the result
+// aliases the input.
+func (r *Reader) bytes() []byte {
 	n := r.Length("string")
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	b := r.buf[:n]
 	r.buf = r.buf[n:]
-	if s, ok := r.intern[string(b)]; ok { // keyed conversion: no allocation
-		return s
-	}
-	s := string(b)
-	r.intern[s] = s
-	return s
+	return b
 }
 
-// Table reads one table written by AppendTable. Cell values are interned.
+// lookup reads one normalized value that must already be in syms.
+func (r *Reader) lookup(syms *lake.Symbols, what string) uint32 {
+	b := r.bytes()
+	id, ok := syms.Lookup(b)
+	if !ok {
+		r.fail("%s %q is in no attribute", what, b)
+	}
+	return id
+}
+
+// strings reads a count and that many length-prefixed strings, which share
+// one backing string: one allocation per list rather than per string.
+func (r *Reader) strings(what string) []string {
+	n := r.Length(what)
+	r.cell, r.ends = r.cell[:0], r.ends[:0]
+	for i := 0; i < n && r.err == nil; i++ {
+		r.cell = append(r.cell, r.bytes()...)
+		r.ends = append(r.ends, len(r.cell))
+	}
+	all := string(r.cell)
+	strs := make([]string, len(r.ends))
+	lo := 0
+	for i, hi := range r.ends {
+		strs[i], lo = all[lo:hi], hi
+	}
+	return strs
+}
+
+// Table reads one table written by AppendTable.
 func (r *Reader) Table() *table.Table {
 	t := table.New(r.String())
 	nCols := r.Length("column")
 	for ci := 0; ci < nCols && r.err == nil; ci++ {
 		colName := r.String()
-		nVals := r.Length("cell")
-		vals := make([]string, 0, nVals)
-		for vi := 0; vi < nVals && r.err == nil; vi++ {
-			vals = append(vals, r.dataString())
-		}
-		t.AddColumn(colName, vals...)
+		t.AddColumn(colName, r.strings("cell")...)
 	}
 	return t
 }
@@ -368,7 +382,7 @@ func (r *Reader) byte() byte {
 }
 
 func decodeBody(body []byte) (*Snapshot, error) {
-	r := &Reader{buf: body, intern: make(map[string]string, 1024)}
+	r := NewReader(body)
 	if v := r.Uvarint(); r.err == nil && v != FormatVersion {
 		return nil, fmt.Errorf("snapshot format %d, this build reads %d", v, FormatVersion)
 	}
@@ -377,21 +391,17 @@ func decodeBody(body []byte) (*Snapshot, error) {
 
 	nTables := r.Length("table")
 	tables := make([]*table.Table, 0, nTables)
-	tableAttrs := make([][]lake.Attribute, 0, nTables)
+	tableAttrs := make([][]lake.Spec, 0, nTables)
 	for ti := 0; ti < nTables && r.err == nil; ti++ {
 		t := r.Table()
 		nAttrs := r.Length("attribute")
-		attrs := make([]lake.Attribute, 0, nAttrs)
+		attrs := make([]lake.Spec, 0, nAttrs)
 		for ai := 0; ai < nAttrs && r.err == nil; ai++ {
-			a := lake.Attribute{ID: r.String(), Table: t.Name, Column: r.String()}
-			nVals := r.Length("attribute value")
-			a.Values = make([]string, 0, nVals)
-			for vi := 0; vi < nVals && r.err == nil; vi++ {
-				a.Values = append(a.Values, r.dataString())
-			}
-			a.Freqs = make([]int, 0, nVals)
-			for vi := 0; vi < nVals && r.err == nil; vi++ {
-				a.Freqs = append(a.Freqs, int(r.Uvarint()))
+			a := lake.Spec{ID: r.String(), Table: t.Name, Column: r.String()}
+			a.Values = r.strings("attribute value")
+			a.Freqs = make([]int, len(a.Values))
+			for vi := 0; vi < len(a.Values) && r.err == nil; vi++ {
+				a.Freqs[vi] = int(min(r.Uvarint(), math.MaxInt))
 			}
 			attrs = append(attrs, a)
 		}
@@ -401,10 +411,11 @@ func decodeBody(body []byte) (*Snapshot, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	l, err := lake.RehydrateWithAttributes(name, version, tables, tableAttrs)
+	l, err := lake.Rehydrate(name, version, tables, tableAttrs)
 	if err != nil {
 		return nil, err
 	}
+	syms := l.Symbols()
 
 	if r.byte() == 0 {
 		if r.err != nil {
@@ -412,11 +423,13 @@ func decodeBody(body []byte) (*Snapshot, error) {
 		}
 		return &Snapshot{Lake: l}, nil
 	}
-	st := &bipartite.State{KeepSingletons: r.byte() != 0}
+	st := &bipartite.State{KeepSingletons: r.byte() != 0, Symbols: syms}
 	nVals := r.Length("value")
 	st.Values = make([]string, 0, nVals)
 	for i := 0; i < nVals && r.err == nil; i++ {
-		st.Values = append(st.Values, r.dataString())
+		if id := r.lookup(syms, "graph value"); r.err == nil {
+			st.Values = append(st.Values, syms.String(id))
+		}
 	}
 	nAttrs := r.Length("attribute")
 	st.AttrIDs = make([]string, 0, nAttrs)
@@ -436,10 +449,12 @@ func decodeBody(body []byte) (*Snapshot, error) {
 		st.Adj = append(st.Adj, int32(r.Uvarint()))
 	}
 	nOcc := r.Length("occurrence")
-	st.Occ = make(map[string]int64, nOcc)
+	st.Occ = make([]int64, syms.Len())
 	for i := 0; i < nOcc && r.err == nil; i++ {
-		v := r.dataString()
-		st.Occ[v] = int64(r.Uvarint())
+		id := r.lookup(syms, "occurrence value")
+		if c := r.Uvarint(); r.err == nil {
+			st.Occ[id] = int64(c)
+		}
 	}
 	if r.err != nil {
 		return nil, r.err

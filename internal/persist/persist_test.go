@@ -1,7 +1,9 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -184,5 +186,74 @@ func TestSaveIsAtomic(t *testing.T) {
 	}
 	if sn.Lake.NumTables() != 3 {
 		t.Errorf("tables = %d, want 3 (post-removal state)", sn.Lake.NumTables())
+	}
+}
+
+// TestRoundTripLakeWithoutValues covers the lakes whose graph has no value
+// to index: a lake that never had a table, and one whose every table was
+// removed. Both must load, and the loaded graph must rebuild incrementally.
+func TestRoundTripLakeWithoutValues(t *testing.T) {
+	emptied := datagen.Figure1Lake()
+	for _, tb := range append([]*table.Table(nil), emptied.Tables()...) {
+		emptied.RemoveTable(tb.Name)
+	}
+	for _, l := range []*lake.Lake{lake.New("e"), emptied} {
+		opts := bipartite.Options{}
+		g := bipartite.FromLake(l, opts)
+		sn, err := Unmarshal(Marshal(l, g))
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		if sn.Graph == nil || !sn.Graph.Equal(g) || sn.Lake.Version() != l.Version() {
+			t.Fatalf("%s: loaded state differs from the saved one", l.Name)
+		}
+		sn.Lake.MustAdd(table.New("zoo").AddColumn("animal", "jaguar", "jaguar", "puma"))
+		attrs := sn.Lake.Attributes()
+		inc, _ := bipartite.RebuildDiff(sn.Graph, attrs, opts)
+		if !inc.Equal(bipartite.FromAttributes(attrs, opts)) {
+			t.Errorf("%s: rebuild after load diverged from scratch", l.Name)
+		}
+	}
+}
+
+// TestDecodeRejectsCountsBeyondInt32 feeds the decoder attribute cell counts
+// an Attribute cannot hold: one count of 2^31, one of 2^32 (which would
+// carry into the packed symbol ID), and a repeated value whose merged count
+// overflows. Each must be an error, not a panic or a wrapped count.
+func TestDecodeRejectsCountsBeyondInt32(t *testing.T) {
+	body := func(values []string, freqs []uint64) []byte {
+		b := binary.AppendUvarint(nil, FormatVersion)
+		b = AppendString(b, "big")
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, 1)
+		b = AppendTable(b, table.New("t").AddColumn("c", values...))
+		b = binary.AppendUvarint(b, 1)
+		b = AppendString(b, "t.c")
+		b = AppendString(b, "c")
+		b = binary.AppendUvarint(b, uint64(len(values)))
+		for _, v := range values {
+			b = AppendString(b, v)
+		}
+		for _, f := range freqs {
+			b = binary.AppendUvarint(b, f)
+		}
+		return append(b, 0) // no graph section
+	}
+	if _, err := decodeBody(body([]string{"A"}, []uint64{math.MaxInt32})); err != nil {
+		t.Fatalf("largest representable count rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		values []string
+		freqs  []uint64
+	}{
+		{"2^31", []string{"A"}, []uint64{1 << 31}},
+		{"2^32", []string{"A"}, []uint64{1 << 32}},
+		{"2^64-1", []string{"A"}, []uint64{math.MaxUint64}},
+		{"merged", []string{"A", "A"}, []uint64{1 << 30, 1 << 30}},
+	} {
+		if _, err := decodeBody(body(tc.values, tc.freqs)); err == nil {
+			t.Errorf("%s: count accepted", tc.name)
+		}
 	}
 }

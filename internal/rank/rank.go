@@ -4,8 +4,10 @@
 package rank
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Scored pairs a data value with its centrality score.
@@ -35,27 +37,30 @@ const (
 // NaN scores sort last under either order, among themselves by value. The
 // detector's measures never emit NaN (their divisions are guarded), but
 // scores from a caller or a new measure can, and a comparator that answers
-// false for every NaN comparison violates sort.Slice's strict-weak-ordering
+// false for every NaN comparison violates the sort's strict-weak-ordering
 // contract, making the whole ranking nondeterministic — not just the NaN
-// entries.
+// entries. The order is total over distinct values, so the unstable sort's
+// output is fully determined.
 func Values(values []string, scores []float64, order Order) []Scored {
 	out := make([]Scored, len(values))
 	for i, v := range values {
 		out[i] = Scored{Value: v, Score: scores[i]}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := out[i].Score, out[j].Score
-		if ni, nj := math.IsNaN(si), math.IsNaN(sj); ni || nj {
-			if ni != nj {
-				return nj // the non-NaN side ranks first
+	slices.SortFunc(out, func(a, b Scored) int {
+		if na, nb := math.IsNaN(a.Score), math.IsNaN(b.Score); na || nb {
+			switch {
+			case na && !nb:
+				return 1 // the non-NaN side ranks first
+			case nb && !na:
+				return -1
 			}
-		} else if si != sj {
+		} else if a.Score != b.Score {
 			if order == Descending {
-				return si > sj
+				return cmp.Compare(b.Score, a.Score)
 			}
-			return si < sj
+			return cmp.Compare(a.Score, b.Score)
 		}
-		return out[i].Value < out[j].Value
+		return strings.Compare(a.Value, b.Value)
 	})
 	return out
 }

@@ -312,3 +312,40 @@ func TestServeHTTPBeforeBootstrap(t *testing.T) {
 		t.Errorf("read before bootstrap = %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestBootstrapFromLeaderWithoutValues bootstraps followers from a leader
+// that never had a table and from one whose every table was removed, then
+// checks the change feed still applies on top of those snapshots.
+func TestBootstrapFromLeaderWithoutValues(t *testing.T) {
+	emptied := datagen.Figure1Lake()
+	var names []string
+	for _, tb := range emptied.Tables() {
+		names = append(names, tb.Name)
+	}
+	for _, tc := range []struct {
+		l      *lake.Lake
+		remove []string
+	}{{lake.New("empty"), nil}, {emptied, names}} {
+		leader, _, ts := newLeaderOver(t, tc.l,
+			domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true})
+		if tc.remove != nil {
+			if _, err := leader.Apply(nil, tc.remove); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx := context.Background()
+		f := newFollower(ts)
+		if err := f.Bootstrap(ctx); err != nil {
+			t.Fatalf("%s: %v", tc.l.Name, err)
+		}
+		want := addTable(t, leader, "zoo")
+		if _, err := f.Poll(ctx); err != nil || f.Version() != want {
+			t.Fatalf("%s: follower at %d (err %v), leader at %d", tc.l.Name, f.Version(), err, want)
+		}
+		fts := httptest.NewServer(f)
+		if l, r := body(t, ts.URL+"/topk?k=25"), body(t, fts.URL+"/topk?k=25"); l != r {
+			t.Errorf("%s: follower /topk diverges from leader:\nleader: %s\nfollower: %s", tc.l.Name, l, r)
+		}
+		fts.Close()
+	}
+}

@@ -266,7 +266,6 @@ func New(l *lake.Lake, cfg domainnet.Config) *Server {
 // Options. With Options.Graph set (and compatible), the initial snapshot is
 // published without any graph construction.
 func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
-	l.Workers = cfg.Workers
 	s := &Server{cfg: cfg, lake: l, afterPublish: opts.AfterPublish,
 		onCommit: opts.OnCommit, readOnly: opts.ReadOnly,
 		obs: opts.Obs, tracer: opts.Tracer, replLag: opts.ReplLag}
@@ -422,24 +421,11 @@ func (s *Server) publishGraph(g *bipartite.Graph) { s.publishGraphDiff(g, nil) }
 // that produced g against the previous snapshot's graph (nil when unknown),
 // which links each warmed detector to its predecessor for delta scoring.
 func (s *Server) publishGraphDiff(g *bipartite.Graph, diff *bipartite.Diff) {
-	attrs := s.lake.Attributes()
 	prev := s.snap.Load()
-	// Assemble the stats without lake.Stats(): that scan re-hashes every
-	// cell lake-wide, which would erode the delta-priced write path. The
-	// distinct-value count is the graph's retained occurrence-map size, and
-	// the per-attribute cell counts are already materialized in Freqs.
-	stats := lake.Stats{
-		Tables:     s.lake.NumTables(),
-		Attributes: len(attrs),
-		Values:     g.SourceValueCount(),
-	}
-	for i := range attrs {
-		stats.Cells += attrs[i].Cells()
-	}
 	next := &snapshot{
 		version: s.lake.Version(),
 		verStr:  strconv.FormatUint(s.lake.Version(), 10),
-		stats:   stats,
+		stats:   s.lake.Stats(),
 		graph:   g,
 	}
 	carried := prev != nil && g == prev.graph

@@ -18,6 +18,7 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // tolerate ragged rows
 	cr.LazyQuotes = true
+	cr.ReuseRecord = true // fields are copied into the columns below
 
 	header, err := cr.Read()
 	if err == io.EOF {

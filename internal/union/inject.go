@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-
-	"domainnet/internal/lake"
 )
 
 // InjectOptions parameterize homograph injection per §4.3.
@@ -81,7 +79,7 @@ func (gt *GroundTruth) Inject(opts InjectOptions) (*Injection, error) {
 	for ai := range gt.Attrs {
 		card := gt.Attrs[ai].Cardinality()
 		c := gt.ClassOf[ai]
-		for _, v := range gt.Attrs[ai].Values {
+		for _, v := range gt.Attrs[ai].Values() {
 			info, ok := occ[v]
 			if !ok {
 				info = &occInfo{classes: map[int]struct{}{}}
@@ -153,36 +151,15 @@ func (gt *GroundTruth) Inject(opts InjectOptions) (*Injection, error) {
 	}
 	sort.Strings(inj.Injected)
 
-	// Apply the rewrites on a deep copy.
-	out := &GroundTruth{
-		Attrs:   make([]lake.Attribute, len(gt.Attrs)),
-		ClassOf: append([]int(nil), gt.ClassOf...),
-	}
-	for ai := range gt.Attrs {
-		src := &gt.Attrs[ai]
-		dst := &out.Attrs[ai]
-		dst.ID, dst.Table, dst.Column = src.ID, src.Table, src.Column
-		dst.Values = make([]string, len(src.Values))
-		if src.Freqs != nil {
-			dst.Freqs = append([]int(nil), src.Freqs...)
+	// Apply the rewrites on a copy. Distinct originals map to distinct
+	// injected names, and each selected original is unambiguous (one class),
+	// so rewriting cannot introduce duplicates within a column.
+	out := gt.rewrite(func(_ int, v string) string {
+		if nv, ok := rewrite[v]; ok {
+			return nv
 		}
-		changed := false
-		for j, v := range src.Values {
-			if nv, ok := rewrite[v]; ok {
-				dst.Values[j] = nv
-				changed = true
-			} else {
-				dst.Values[j] = v
-			}
-		}
-		if changed {
-			// Distinct originals map to distinct injected names, and each
-			// selected original is unambiguous (one class), so rewriting
-			// cannot introduce duplicates within a column; re-sorting keeps
-			// the attribute invariant.
-			sortValuesWithFreqs(dst.Values, dst.Freqs)
-		}
-	}
+		return v
+	})
 	inj.GT = out
 	return inj, nil
 }

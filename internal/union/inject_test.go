@@ -13,19 +13,18 @@ import (
 // unambiguous.
 func injectableGT(nClasses, card int) *GroundTruth {
 	gt := &GroundTruth{}
+	var specs []lake.Spec
 	for c := 0; c < nClasses; c++ {
 		for k := 0; k < 2; k++ {
 			vals := make([]string, card)
 			for i := 0; i < card; i++ {
 				vals[i] = fmt.Sprintf("C%02dV%04d", c, i)
 			}
-			gt.Attrs = append(gt.Attrs, lake.Attribute{
-				ID:     fmt.Sprintf("t%d.c%d", c, k),
-				Values: vals,
-			})
+			specs = append(specs, lake.Spec{ID: fmt.Sprintf("t%d.c%d", c, k), Values: vals})
 			gt.ClassOf = append(gt.ClassOf, c)
 		}
 	}
+	gt.Attrs = lake.NewAttributes(specs)
 	return gt
 }
 
@@ -80,6 +79,7 @@ func TestInjectMeaningsSweep(t *testing.T) {
 func TestInjectRespectsMinCardinality(t *testing.T) {
 	// Classes 0-2 have small columns (card 10), classes 3-5 large (card 80).
 	gt := &GroundTruth{}
+	var specs []lake.Spec
 	for c := 0; c < 6; c++ {
 		card := 10
 		if c >= 3 {
@@ -90,10 +90,11 @@ func TestInjectRespectsMinCardinality(t *testing.T) {
 			for i := range vals {
 				vals[i] = fmt.Sprintf("C%02dV%04d", c, i)
 			}
-			gt.Attrs = append(gt.Attrs, lake.Attribute{ID: fmt.Sprintf("t%d.c%d", c, k), Values: vals})
+			specs = append(specs, lake.Spec{ID: fmt.Sprintf("t%d.c%d", c, k), Values: vals})
 			gt.ClassOf = append(gt.ClassOf, c)
 		}
 	}
+	gt.Attrs = lake.NewAttributes(specs)
 	inj, err := gt.Inject(InjectOptions{Count: 3, Meanings: 2, MinCardinality: 50, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -109,12 +110,12 @@ func TestInjectRespectsMinCardinality(t *testing.T) {
 
 func TestInjectSkipsShortValues(t *testing.T) {
 	gt := &GroundTruth{
-		Attrs: []lake.Attribute{
+		Attrs: lake.NewAttributes([]lake.Spec{
 			{ID: "a.0", Values: []string{"AB", "XY"}},
 			{ID: "a.1", Values: []string{"AB", "XY"}},
 			{ID: "b.0", Values: []string{"CD", "ZW"}},
 			{ID: "b.1", Values: []string{"CD", "ZW"}},
-		},
+		}),
 		ClassOf: []int{0, 0, 1, 1},
 	}
 	// All values are 2 characters: nothing is eligible.

@@ -49,7 +49,7 @@ func (gt *GroundTruth) valueClasses() map[string][]int {
 	m := make(map[string]map[int]struct{})
 	for ai := range gt.Attrs {
 		c := gt.ClassOf[ai]
-		for _, v := range gt.Attrs[ai].Values {
+		for _, v := range gt.Attrs[ai].Values() {
 			set, ok := m[v]
 			if !ok {
 				set = make(map[int]struct{}, 1)
@@ -120,49 +120,27 @@ func (gt *GroundTruth) MeaningCounts() map[string]int {
 // shrinking columns.
 func (gt *GroundTruth) RemoveHomographs() *GroundTruth {
 	labels := gt.HomographLabels()
-	out := &GroundTruth{
-		Attrs:   make([]lake.Attribute, len(gt.Attrs)),
-		ClassOf: append([]int(nil), gt.ClassOf...),
-	}
-	for ai := range gt.Attrs {
-		src := &gt.Attrs[ai]
-		dst := &out.Attrs[ai]
-		dst.ID, dst.Table, dst.Column = src.ID, src.Table, src.Column
-		dst.Values = make([]string, len(src.Values))
-		if src.Freqs != nil {
-			dst.Freqs = append([]int(nil), src.Freqs...)
+	return gt.rewrite(func(ai int, v string) string {
+		if labels[v] {
+			return fmt.Sprintf("%s#C%d", v, gt.ClassOf[ai])
 		}
-		c := gt.ClassOf[ai]
-		for i, v := range src.Values {
-			if labels[v] {
-				dst.Values[i] = fmt.Sprintf("%s#C%d", v, c)
-			} else {
-				dst.Values[i] = v
-			}
-		}
-		sortValuesWithFreqs(dst.Values, dst.Freqs)
-	}
-	return out
+		return v
+	})
 }
 
-// sortValuesWithFreqs sorts values ascending, permuting the parallel freqs
-// slice (which may be nil) alongside.
-func sortValuesWithFreqs(values []string, freqs []int) {
-	if freqs == nil {
-		sort.Strings(values)
-		return
+// rewrite returns a copy of the ground truth whose attribute values are
+// renamed by rename (given the attribute index and a value), interned into a
+// fresh symbol table. Renames must keep each column's values distinct.
+func (gt *GroundTruth) rewrite(rename func(ai int, v string) string) *GroundTruth {
+	specs := make([]lake.Spec, len(gt.Attrs))
+	for ai := range gt.Attrs {
+		src := &gt.Attrs[ai]
+		sp := lake.Spec{ID: src.ID, Table: src.Table, Column: src.Column,
+			Values: src.Values(), Freqs: make([]int, src.Cardinality())}
+		for j, v := range sp.Values {
+			sp.Values[j], sp.Freqs[j] = rename(ai, v), int(src.Freqs()[j])
+		}
+		specs[ai] = sp
 	}
-	idx := make([]int, len(values))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return values[idx[a]] < values[idx[b]] })
-	vOut := make([]string, len(values))
-	fOut := make([]int, len(freqs))
-	for pos, i := range idx {
-		vOut[pos] = values[i]
-		fOut[pos] = freqs[i]
-	}
-	copy(values, vOut)
-	copy(freqs, fOut)
+	return &GroundTruth{Attrs: lake.NewAttributes(specs), ClassOf: append([]int(nil), gt.ClassOf...)}
 }
