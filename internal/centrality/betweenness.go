@@ -7,10 +7,12 @@
 // unchanged over the bipartite DomainNet graph, the tripartite row variant,
 // and the unipartite co-occurrence graph. Every measure takes the single
 // engine.Opts struct and is exported as an engine.Scorer value (see
-// scorers.go), which the detector's measure table points at. BFS scratch
-// state comes from the shared per-worker engine.Arena pool: one arena per
-// worker, reused across all of that worker's sources, instead of per-source
-// (or per-call) heap allocation.
+// scorers.go), which the detector's measure table points at. Exact and
+// sampled Brandes share one kernel that traverses the twin quotient, one
+// node per class of nodes with identical neighbor lists (see twins). BFS
+// scratch state comes from the shared per-worker engine.Arena pool: one
+// arena per worker, reused across all of that worker's sources, instead of
+// per-source (or per-call) heap allocation.
 package centrality
 
 import (
@@ -27,10 +29,9 @@ type Graph = engine.Graph
 // Betweenness computes exact betweenness centrality for every node using
 // Brandes' algorithm: one breadth-first search per source with shortest-path
 // counting, followed by reverse-order dependency accumulation. Sources are
-// twin classes, not nodes (see twins): each class's representative
-// accumulates with the class size as its weight, so runtime is O(c·m) for c
-// distinct neighbor lists, and classes are sharded across opts.Workers, each
-// worker traversing with one reused arena.
+// twin classes weighted by their size, and each search runs over the twin
+// quotient (see twins), so runtime is O(c·q) for c classes joined by q class
+// edges; classes are sharded across opts.Workers, one reused arena each.
 func Betweenness(g Graph, opts engine.Opts) []float64 {
 	bc := exactBetweenness(g, nil, opts)
 	if opts.Normalized {
@@ -45,12 +46,17 @@ func Betweenness(g Graph, opts engine.Opts) []float64 {
 // shard boundaries — and with them the float summation grouping — stay those
 // of the full run.
 func exactBetweenness(g Graph, affected []bool, opts engine.Opts) []float64 {
-	split := 0
+	t := quotient(g, opts)
+	return accumulate(t, t.reps, t.weight, affected, opts)
+}
+
+// quotient is the twin quotient Brandes traverses: twin classes never
+// straddle the endpoint split of opts.EndpointsValuesOnly.
+func quotient(g Graph, opts engine.Opts) twins {
 	if opts.EndpointsValuesOnly {
-		split = opts.ValueNodeCount
+		return twinClasses(g, opts.ValueNodeCount)
 	}
-	t := twinClasses(g, split)
-	return accumulate(g, t.reps, t.weight, affected, opts)
+	return twinClasses(g, 0)
 }
 
 // ApproxBetweenness estimates betweenness centrality from a random sample of
@@ -75,11 +81,11 @@ func ApproxBetweenness(g Graph, opts engine.Opts) []float64 {
 	} else {
 		sources = sampleUniform(n, s, rng)
 	}
-	weight := make([]float64, s)
+	weight := make([]float64, len(sources))
 	for i := range weight {
 		weight[i] = float64(n) / float64(s)
 	}
-	bc := accumulate(g, sources, weight, nil, opts)
+	bc := accumulate(quotient(g, opts), sources, weight, nil, opts)
 	if opts.Normalized {
 		normalize(bc, n)
 	}
@@ -95,22 +101,28 @@ func sampleUniform(n, s int, rng *rand.Rand) []int32 {
 	return sources
 }
 
+// sampleByDegree draws s distinct sources with probability proportional to
+// degree, redrawing repeats (sampling without replacement). When s exceeds
+// the positive-degree nodes, all of them are sources: the caller's n/s weight
+// still holds, since an isolated source adds no dependency.
 func sampleByDegree(g Graph, s int, rng *rand.Rand) []int32 {
 	n := g.NumNodes()
-	// Cumulative degree table; sampling with replacement keeps this O(s log n)
-	// and matches the "probability proportional to degree" description.
 	cum := make([]int64, n+1)
-	for u := 0; u < n; u++ {
-		cum[u+1] = cum[u] + int64(len(g.Neighbors(int32(u))))
+	var positive []int32
+	for u := range int32(n) {
+		d := int64(len(g.Neighbors(u)))
+		cum[u+1] = cum[u] + d
+		if d > 0 {
+			positive = append(positive, u)
+		}
 	}
-	total := cum[n]
+	if s > len(positive) {
+		return positive
+	}
 	sources := make([]int32, 0, s)
+	total := cum[n]
 	seen := make(map[int32]struct{}, s)
 	for len(sources) < s {
-		if total == 0 {
-			// Edgeless graph: fall back to uniform so we still terminate.
-			return sampleUniform(n, s, rng)
-		}
 		r := rng.Int63n(total)
 		// Binary search for the owning node.
 		lo, hi := 0, n
@@ -142,28 +154,37 @@ func normalize(bc []float64, n int) {
 	}
 }
 
-// accumulate runs Brandes' dependency accumulation from the given sources,
-// scaling source i's contribution by weight[i], sharded across workers. A
-// non-nil affected mask skips the sources outside it without moving the
-// shard boundaries. Each worker owns one pooled arena and one partial result
-// vector, so total scratch is O(workers·n) regardless of the source count.
-func accumulate(g Graph, sources []int32, weight []float64, affected []bool, opts engine.Opts) []float64 {
-	return engine.ShardSumCtx(opts.Context(), opts.Workers, g.NumNodes(), len(sources),
+// accumulate runs Brandes' dependency accumulation from the given sources
+// over the twin quotient t, scaling source i's contribution by weight[i],
+// sharded across workers. A non-nil affected mask skips the sources outside
+// it without moving the shard boundaries. Each worker owns one pooled arena
+// and one partial result vector of one entry per class (plus the source),
+// so total scratch is O(workers·c); each class's score is then copied to
+// its members.
+func accumulate(t twins, sources []int32, weight []float64, affected []bool, opts engine.Opts) []float64 {
+	byClass := engine.ShardSumCtx(opts.Context(), opts.Workers, len(t.reps)+1, len(sources),
 		func(a *engine.Arena, lo, hi int, out []float64) {
-			brandesShard(g, sources[lo:hi], weight[lo:hi], affected, opts, a, out)
+			brandesQuotient(&t, sources[lo:hi], weight[lo:hi], affected, opts, a, out)
 		})
+	bc := make([]float64, len(t.classOf))
+	for u, k := range t.classOf {
+		bc[u] = byClass[k]
+	}
+	return bc
 }
 
-// brandesShard processes a slice of sources, adding weighted dependency
-// contributions into bc. All scratch lives in the arena; the BFS queue is
-// consumed by cursor (not by reslicing) so it doubles as the visit order for
-// the reverse pass and never reallocates after warm-up.
-func brandesShard(g Graph, sources []int32, weight []float64, affected []bool, opts engine.Opts, a *engine.Arena, bc []float64) {
-	endpointOK := func(u int32) bool {
-		if !opts.EndpointsValuesOnly {
-			return true
-		}
-		return int(u) < opts.ValueNodeCount
+// brandesQuotient processes a slice of sources, adding weighted dependency
+// contributions into bc, one entry per class. Node k < c of the traversal
+// is class k, standing for its weight[k] members: path counts are those of
+// any one member, a predecessor contributes its count times its multiplicity,
+// and a dependency is pulled from every member of a successor class. The
+// source s of class S is node c, so node S stands for its twins S∖{s}
+// alone (with multiplicity zero when it has none, which adds nothing). The
+// BFS queue, consumed by cursor, doubles as the reverse pass's visit order.
+func brandesQuotient(t *twins, sources []int32, weight []float64, affected []bool, opts engine.Opts, a *engine.Arena, bc []float64) {
+	c := int32(len(t.reps))
+	endpointOK := func(k int32) bool {
+		return !opts.EndpointsValuesOnly || int(t.reps[k]) < opts.ValueNodeCount
 	}
 
 	dist, sigma, delta := a.Dist, a.Sigma, a.Delta
@@ -175,49 +196,65 @@ func brandesShard(g Graph, sources []int32, weight []float64, affected []bool, o
 			return
 		}
 		// Sources outside the affected mask are clean; under the endpoint
-		// restriction only value sources contribute at all.
-		if (affected != nil && !affected[s]) || !endpointOK(s) {
+		// restriction only value sources contribute at all. Classes never
+		// straddle the endpoint split.
+		src := t.classOf[s]
+		if (affected != nil && !affected[s]) || !endpointOK(src) {
 			continue
+		}
+		// node returns the class and multiplicity of traversal node k.
+		node := func(k int32) (int32, float64) {
+			switch k {
+			case c:
+				return src, 1
+			case src:
+				return src, t.weight[src] - 1
+			}
+			return k, t.weight[k]
 		}
 		// Reset only the nodes the previous source touched.
 		a.ResetTouched()
 
 		// BFS with shortest-path counting. dist uses +1 offset so the zero
 		// value means "unvisited" and resets stay cheap.
-		dist[s] = 1
-		sigma[s] = 1
-		a.Queue = append(a.Queue, s)
+		dist[c] = 1
+		sigma[c] = 1
+		a.Queue = append(a.Queue, c)
 		for qi := 0; qi < len(a.Queue); qi++ {
 			v := a.Queue[qi]
 			dv := dist[v]
-			for _, w := range g.Neighbors(v) {
+			k, m := node(v)
+			sv := m * sigma[v]
+			for _, w := range t.neighbors(k) {
 				if dist[w] == 0 {
 					dist[w] = dv + 1
 					a.Queue = append(a.Queue, w)
 				}
 				if dist[w] == dv+1 {
-					sigma[w] += sigma[v]
+					sigma[w] += sv
 				}
 			}
 		}
 
 		// Reverse-order dependency accumulation over the visit order. Under
 		// the endpoint restriction only value targets seed dependency mass.
+		// The twins are leaves of the BFS: their own dependency is zero.
 		scale := weight[i]
 		for qi := len(a.Queue) - 1; qi >= 0; qi-- {
 			w := a.Queue[qi]
+			k, m := node(w)
 			seed := 0.0
-			if endpointOK(w) {
+			if endpointOK(k) {
 				seed = 1.0
 			}
 			dw := dist[w]
-			coeff := (seed + delta[w]) / sigma[w]
-			for _, v := range g.Neighbors(w) {
+			coeff := m * (seed + delta[w]) / sigma[w]
+			for _, v := range t.neighbors(k) {
 				if dist[v] == dw-1 {
 					delta[v] += sigma[v] * coeff
 				}
 			}
-			if w != s {
+			if w != c {
 				bc[w] += delta[w] * scale
 			}
 		}

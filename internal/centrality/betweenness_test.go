@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // sliceGraph is a minimal adjacency-list Graph for tests.
@@ -277,6 +278,30 @@ func TestApproxDegreeBiasedSampling(t *testing.T) {
 		if v < 0 || math.IsNaN(v) {
 			t.Fatalf("node %d: invalid score %v", u, v)
 		}
+	}
+}
+
+// TestApproxDegreeBiasedFewPositiveDegree asks for more degree-biased sources
+// than there are nodes with an edge: every such node becomes a source at the
+// requested n/s weight, and the call returns.
+func TestApproxDegreeBiasedFewPositiveDegree(t *testing.T) {
+	g := newSliceGraph(10)
+	g.addEdge(0, 1).addEdge(1, 2)
+	done := make(chan []float64, 1)
+	go func() { done <- ApproxBetweenness(g, engine.Opts{Samples: 5, Seed: 1, DegreeBiased: true}) }()
+	select {
+	case bc := <-done:
+		exact := Betweenness(g, engine.Opts{})
+		for u := range bc {
+			if want := exact[u] * 10 / 5; bc[u] != want {
+				t.Errorf("node %d: got %v, want %v", u, bc[u], want)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("degree-biased sampling did not return")
+	}
+	if got := sampleByDegree(newSliceGraph(4), 2, rand.New(rand.NewSource(1))); len(got) != 0 {
+		t.Errorf("edgeless graph: sources %v, want none", got)
 	}
 }
 

@@ -42,8 +42,8 @@ func harmonicExact(g Graph, affected []bool, out []float64, opts engine.Opts) {
 			out[s] = harmonicFromSource(g, s, a)
 		}
 	})
-	for u, r := range t.repOf {
-		if int32(u) != r && (affected == nil || affected[u]) {
+	for u, k := range t.classOf {
+		if r := t.reps[k]; int32(u) != r && (affected == nil || affected[u]) {
 			out[u] = out[r]
 		}
 	}

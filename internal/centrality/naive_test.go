@@ -11,6 +11,21 @@ import "domainnet/internal/engine"
 // or the twin-class source plan).
 func NaiveBetweenness(g Graph, opts engine.Opts) []float64 {
 	n := g.NumNodes()
+	weight := make([]float64, n)
+	for s := range weight {
+		weight[s] = 1
+	}
+	bc := naiveFrom(g, weight, opts)
+	if opts.Normalized {
+		normalize(bc, n)
+	}
+	return bc
+}
+
+// naiveFrom is the raw definitional sum over the sources s with a nonzero
+// weight[s], each pair's term scaled by its source's weight.
+func naiveFrom(g Graph, weight []float64, opts engine.Opts) []float64 {
+	n := g.NumNodes()
 	dist := make([][]int32, n)
 	sigma := make([][]float64, n)
 	for s := 0; s < n; s++ {
@@ -26,7 +41,7 @@ func NaiveBetweenness(g Graph, opts engine.Opts) []float64 {
 
 	bc := make([]float64, n)
 	for s := 0; s < n; s++ {
-		if !endpointOK(s) {
+		if weight[s] == 0 || !endpointOK(s) {
 			continue
 		}
 		for t := 0; t < n; t++ {
@@ -38,13 +53,10 @@ func NaiveBetweenness(g Graph, opts engine.Opts) []float64 {
 					continue
 				}
 				if dist[s][u]+dist[u][t] == dist[s][t] {
-					bc[u] += sigma[s][u] * sigma[u][t] / sigma[s][t]
+					bc[u] += weight[s] * sigma[s][u] * sigma[u][t] / sigma[s][t]
 				}
 			}
 		}
-	}
-	if opts.Normalized {
-		normalize(bc, n)
 	}
 	return bc
 }

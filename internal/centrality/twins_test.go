@@ -52,19 +52,25 @@ func TestTwinClasses(t *testing.T) {
 		8: {5, 6},
 	}}
 	for _, tc := range []struct {
-		split  int
-		reps   []int32
-		weight []float64
-		repOf  []int32
+		split    int
+		reps     []int32
+		weight   []float64
+		classOf  []int32
+		off, adj []int32
 	}{
-		{0, []int32{0, 2, 3, 4, 5}, []float64{4, 1, 1, 1, 2}, []int32{0, 0, 2, 3, 4, 5, 5, 0, 0}},
+		{0, []int32{0, 2, 3, 4, 5}, []float64{4, 1, 1, 1, 2}, []int32{0, 0, 1, 2, 3, 4, 4, 0, 0},
+			[]int32{0, 1, 2, 2, 2, 4}, []int32{4, 4, 0, 1}},
 		// Nodes 7 and 8 are in the other endpoint class from 0 and 1.
-		{7, []int32{0, 2, 3, 4, 5, 7}, []float64{2, 1, 1, 1, 2, 2}, []int32{0, 0, 2, 3, 4, 5, 5, 7, 7}},
+		{7, []int32{0, 2, 3, 4, 5, 7}, []float64{2, 1, 1, 1, 2, 2}, []int32{0, 0, 1, 2, 3, 4, 4, 5, 5},
+			[]int32{0, 1, 2, 2, 2, 5, 6}, []int32{4, 4, 0, 1, 5, 4}},
 	} {
 		got := twinClasses(g, tc.split)
-		if !slices.Equal(got.reps, tc.reps) || !slices.Equal(got.weight, tc.weight) || !slices.Equal(got.repOf, tc.repOf) {
-			t.Errorf("split %d: got reps %v weight %v repOf %v, want %v %v %v",
-				tc.split, got.reps, got.weight, got.repOf, tc.reps, tc.weight, tc.repOf)
+		if !slices.Equal(got.reps, tc.reps) || !slices.Equal(got.weight, tc.weight) || !slices.Equal(got.classOf, tc.classOf) {
+			t.Errorf("split %d: got reps %v weight %v classOf %v, want %v %v %v",
+				tc.split, got.reps, got.weight, got.classOf, tc.reps, tc.weight, tc.classOf)
+		}
+		if !slices.Equal(got.off, tc.off) || !slices.Equal(got.adj, tc.adj) {
+			t.Errorf("split %d: quotient CSR off %v adj %v, want %v %v", tc.split, got.off, got.adj, tc.off, tc.adj)
 		}
 	}
 }
@@ -75,6 +81,9 @@ func TestTwinClassesSB(t *testing.T) {
 	got := twinClasses(g, 0)
 	if g.NumNodes() != 5339 || len(got.reps) != 132 {
 		t.Errorf("SB seed 1: %d classes over %d nodes, want 132 over 5339", len(got.reps), g.NumNodes())
+	}
+	if edges := len(got.adj) / 2; edges != 236 {
+		t.Errorf("SB seed 1: %d class edges, want 236", edges)
 	}
 }
 
@@ -217,5 +226,64 @@ func TestTwinChurnDeltaBitIdenticalToFull(t *testing.T) {
 			}
 			prev, bcCarry, hCarry = next, gotCarry, hGotCarry
 		}
+	}
+}
+
+// TestQuotientMatchesNaive holds the quotient kernel to the definitional
+// oracle within 1e-12 relative at workers 1–4, on twin-rich graphs with
+// isolated nodes and shuffled lists: exact scoring, and explicit weighted
+// source lists that hold every member of the largest class and every
+// singleton class, under the endpoint split and a partial affected mask.
+func TestQuotientMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	multi := 0
+	for trial := 0; trial < 40; trial++ {
+		g := profileGraph(10+rng.Intn(30), 2+rng.Intn(4), 2+rng.Intn(4), trial%2 == 1, rng)
+		n := g.NumNodes()
+		var opts engine.Opts
+		if trial%3 == 2 {
+			opts.EndpointsValuesOnly, opts.ValueNodeCount = true, rng.Intn(n+1)
+		}
+		q := quotient(g, opts)
+		largest := int32(slices.Index(q.weight, slices.Max(q.weight)))
+		if q.weight[largest] >= 2 {
+			multi++
+		}
+		var sources []int32
+		var weight []float64
+		perSource := make([]float64, n) // the oracle's view of sources and mask
+		affected := make([]bool, n)
+		for u := range int32(n) {
+			affected[u] = trial%4 != 3 || rng.Intn(2) == 0
+			k := q.classOf[u]
+			if k == largest || q.weight[k] == 1 || rng.Intn(4) == 0 {
+				w := 0.5 + rng.Float64()
+				sources, weight = append(sources, u), append(weight, w)
+				if affected[u] {
+					perSource[u] = w
+				}
+			}
+		}
+		rng.Shuffle(len(sources), func(i, j int) {
+			sources[i], sources[j] = sources[j], sources[i]
+			weight[i], weight[j] = weight[j], weight[i]
+		})
+		wantExact := NaiveBetweenness(g, opts)
+		wantFrom := naiveFrom(g, perSource, opts)
+		for workers := 1; workers <= 4; workers++ {
+			opts.Workers = workers
+			check := func(what string, got, want []float64) {
+				for u := range want {
+					if !almostEqual(got[u], want[u], 1e-12*math.Abs(want[u])) {
+						t.Fatalf("trial %d workers %d %s: node %d quotient %v, naive %v", trial, workers, what, u, got[u], want[u])
+					}
+				}
+			}
+			check("exact", Betweenness(g, opts), wantExact)
+			check("sources", accumulate(q, sources, weight, affected, opts), wantFrom)
+		}
+	}
+	if multi < 30 {
+		t.Errorf("only %d of 40 graphs have a class of two or more: the sources do not exercise the twin node", multi)
 	}
 }
