@@ -14,12 +14,12 @@
 package bipartite
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"domainnet/internal/engine"
 	"domainnet/internal/lake"
@@ -126,7 +126,9 @@ func (g *Graph) Degree(u int32) int {
 }
 
 // Values returns the normalized values of all value nodes, indexed by node
-// id. The slice aliases internal storage and must not be modified.
+// id and strictly ascending: every builder numbers values in lexicographic
+// order, and FromState rejects a state that does not. The slice aliases
+// internal storage and must not be modified.
 func (g *Graph) Values() []string { return g.values }
 
 // SourceValueCount reports the number of distinct normalized values across
@@ -142,8 +144,8 @@ type Options struct {
 	// within a single column are kept (they yield degree-1 value nodes),
 	// matching the node/edge counts the paper reports for SB.
 	KeepSingletons bool
-	// Workers bounds construction parallelism (degree counting, adjacency
-	// fill, neighbor sorting). Zero means GOMAXPROCS.
+	// Workers bounds construction parallelism (degree counting and
+	// adjacency fill). Zero means GOMAXPROCS.
 	// The resulting graph is identical for every worker count.
 	Workers int
 }
@@ -154,8 +156,8 @@ func FromLake(l *lake.Lake, opts Options) *Graph {
 }
 
 // FromAttributes builds the graph from an attribute list sharing one symbol
-// table. Counting, filtering and filling run by symbol ID; only the retained
-// values are sorted by string. The CSR phases run sharded across
+// table. Counting, filtering and filling run by symbol ID; the retained
+// values are numbered in radix order. The CSR phases run sharded across
 // opts.Workers, and the graph is bit-identical for every worker count.
 func FromAttributes(attrs []lake.Attribute, opts Options) *Graph {
 	fullBuilds.Add(1)
@@ -205,71 +207,91 @@ func minOccurrence(opts Options) int64 {
 // value node strings with the symbol ID → node map (-1 when not retained)
 // over nSyms IDs.
 func number(syms *lake.Symbols, kept []uint32, nSyms int) ([]string, []int32) {
-	type sym struct {
-		v  string
-		id uint32
-	}
-	sorted := make([]sym, len(kept))
+	byValue(syms, kept)
+	values := make([]string, len(kept))
+	node := slices.Repeat([]int32{-1}, nSyms)
 	for i, id := range kept {
-		sorted[i] = sym{syms.String(id), id}
-	}
-	slices.SortFunc(sorted, func(a, b sym) int { return strings.Compare(a.v, b.v) })
-	values := make([]string, len(sorted))
-	node := make([]int32, nSyms)
-	for i := range node {
-		node[i] = -1
-	}
-	for i, s := range sorted {
-		values[i] = s.v
-		node[s.id] = int32(i)
+		values[i] = syms.String(id)
+		node[id] = int32(i)
 	}
 	return values, node
+}
+
+// byValue sorts ids into lexicographic order of their strings: a radix sort
+// keyed by each string's first eight bytes, big-endian and zero-padded (a
+// key order that never contradicts string order), then a string sort within
+// each run of equal keys.
+func byValue(syms *lake.Symbols, ids []uint32) {
+	keys := make([]uint64, len(ids))
+	for i, id := range ids {
+		var prefix [8]byte
+		copy(prefix[:], syms.String(id))
+		keys[i] = binary.BigEndian.Uint64(prefix[:])
+	}
+	perm := engine.RadixOrder(keys, func(a, b uint32) int {
+		return strings.Compare(syms.String(ids[a]), syms.String(ids[b]))
+	})
+	for i, p := range perm {
+		perm[i] = ids[p]
+	}
+	copy(ids, perm)
 }
 
 // assemble builds the CSR arrays of a graph whose nodes nVal+i (i in
 // [0, nOwners)) — attributes, then rows — list their value neighbours
 // through fill, which appends owner i's value ids to dst and returns it. fill
 // runs twice per owner, once to count degrees and once to fill, and must
-// emit the same ids both times. The value side is the transpose. Both passes
-// run sharded over owners: an owner's degree cell and CSR range belong to one
-// worker, while value-node cells are bumped and claimed through atomic
-// counters. Fill order is therefore nondeterministic; a final per-node sort
-// makes every neighbor list ascending, so the output is identical for every
-// worker count.
+// emit the same ids both times. Both passes run sharded over owners, each
+// owner's degree cell and CSR range belonging to one worker. Two serial
+// transposes then order every list without a sort: owners, in order, append
+// themselves to their values' lists, then values, in order, rewrite the
+// owner lists. The output is identical for every worker count.
 func assemble(nVal, nOwners, workers int, fill func(i int, dst []int32) []int32) ([]int64, []int32) {
 	n := nVal + nOwners
-	offsets := make([]int64, n+1) // degree of node u in offsets[u+1] until the prefix sum
+	offsets := make([]int64, n+1) // owner u's degree in offsets[u+1] until the prefix sum
 	engine.Parallel(workers, nOwners, func(_, lo, hi int) {
 		var buf []int32
 		for i := lo; i < hi; i++ {
 			buf = fill(i, buf[:0])
-			for _, v := range buf {
-				atomic.AddInt64(&offsets[v+1], 1)
-			}
 			offsets[nVal+i+1] = int64(len(buf))
 		}
 	})
-	for u := 1; u <= n; u++ {
+	for _, d := range offsets[nVal+1:] {
+		offsets[nVal] += d // every edge has one value end: value lists fill [0, total)
+	}
+	for u := nVal + 1; u <= n; u++ {
 		offsets[u] += offsets[u-1]
 	}
 
-	adj := make([]int32, offsets[n])
-	next := make([]int64, nVal)
-	copy(next, offsets[:nVal])
+	total := offsets[nVal]
+	adj := make([]int32, 2*total)
 	engine.Parallel(workers, nOwners, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			u := int32(nVal + i)
-			for _, v := range fill(i, adj[offsets[u]:offsets[u]:offsets[u+1]]) {
-				adj[atomic.AddInt64(&next[v], 1)-1] = u
+			u := nVal + i
+			fill(i, adj[offsets[u]:offsets[u]:offsets[u+1]])
+		}
+	})
+	// transpose walks nodes [lo, hi) downward (the last list ends at end) and
+	// puts each at the back of its neighbours' lists, whose cursors offsets[t]
+	// move from the lists' ends to their starts: every list ends up ascending.
+	transpose := func(lo, hi int, end int64) {
+		for s := hi - 1; s >= lo; s-- {
+			for _, t := range adj[offsets[s]:end] {
+				offsets[t]--
+				adj[offsets[t]] = int32(s)
 			}
+			end = offsets[s]
 		}
-	})
-
-	engine.Parallel(workers, n, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			slices.Sort(adj[offsets[u]:offsets[u+1]])
-		}
-	})
+	}
+	for _, v := range adj[total:] {
+		offsets[v]++ // value degrees, prefix-summed below to the lists' ends
+	}
+	for v := 1; v < nVal; v++ {
+		offsets[v] += offsets[v-1]
+	}
+	transpose(nVal, n, offsets[n])          // owners fill the value lists
+	copy(offsets[nVal:n], offsets[nVal+1:]) // owner cursors at the lists' ends
+	transpose(0, nVal, total)               // values refill the owner lists
 	return offsets, adj
 }
 

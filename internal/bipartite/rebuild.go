@@ -2,7 +2,6 @@ package bipartite
 
 import (
 	"slices"
-	"strings"
 
 	"domainnet/internal/lake"
 )
@@ -169,7 +168,7 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 	occ := make([]int64, syms.Len())
 	copy(occ, prev.occ)
 	nSource := prev.nSource
-	var touched []uint32
+	touched := make([]bool, len(occ))
 	for p := range prev.srcAttrs {
 		if !prevGone[p] {
 			continue
@@ -179,8 +178,8 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 			if occ[id] -= int64(pa.Freqs()[j]); occ[id] == 0 {
 				nSource--
 			}
+			touched[id] = true
 		}
-		touched = append(touched, pa.IDs()...)
 	}
 	for i := range attrs {
 		if !dirty[i] {
@@ -192,24 +191,24 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 				nSource++
 			}
 			occ[id] += int64(na.Freqs()[j])
+			touched[id] = true
 		}
-		touched = append(touched, na.IDs()...)
 	}
-	slices.Sort(touched)
-	touched = slices.Compact(touched)
-	var addedIDs []uint32  // values newly crossing the retention threshold
+	var addedIDs []uint32  // values newly crossing the retention threshold, ascending
 	var droppedOld []int32 // prev value-node ids leaving the graph
-	for _, id := range touched {
-		was := prev.nodeOf(id)
+	for id, t := range touched {
+		if !t {
+			continue
+		}
+		was := prev.nodeOf(uint32(id))
 		now := occ[id] >= minOcc
 		switch {
 		case now && was < 0:
-			addedIDs = append(addedIDs, id)
+			addedIDs = append(addedIDs, uint32(id))
 		case was >= 0 && !now:
 			droppedOld = append(droppedOld, was)
 		}
 	}
-	slices.Sort(droppedOld)
 
 	// Flips dirty the unchanged attributes hosting them. A dropped value's
 	// surviving occurrences are read off its prev adjacency; a newly retained
@@ -242,25 +241,20 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 
 	// New value universe. When no value flipped, the sorted value slice and
 	// the symbol-to-node map carry over verbatim (both are immutable);
-	// otherwise merge the additions, sorted by string, into the survivors —
+	// otherwise merge the additions, in value order, into the survivors —
 	// id order is lexicographic order, so the remap of surviving ids is
 	// monotone.
 	oldVals := prev.values
 	values, node := oldVals, prev.node
 	var oldToNew []int32 // nil means identity
 	if len(addedIDs) > 0 || len(droppedOld) > 0 {
-		slices.SortFunc(addedIDs, func(a, b uint32) int {
-			return strings.Compare(syms.String(a), syms.String(b))
-		})
+		byValue(syms, addedIDs)
 		values = make([]string, 0, len(oldVals)-len(droppedOld)+len(addedIDs))
 		oldToNew = make([]int32, len(oldVals))
 		for _, vo := range droppedOld {
 			oldToNew[vo] = -1
 		}
-		node = make([]int32, len(occ))
-		for id := range node {
-			node[id] = -1
-		}
+		node = slices.Repeat([]int32{-1}, len(occ))
 		ai := 0
 		addNext := func() {
 			node[addedIDs[ai]] = int32(len(values))

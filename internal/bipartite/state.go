@@ -10,6 +10,7 @@ package bipartite
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"domainnet/internal/lake"
@@ -57,10 +58,10 @@ func (g *Graph) KeepsSingletons() bool { return g.keepSingletons }
 // order (the loader obtains it from the rehydrated lake), whose symbol table
 // s.Occ and s.Symbols must refer to unless the state holds no value at all.
 // The state is validated structurally: attribute count and IDs must match
-// srcAttrs, every value must be interned, the offsets must be a monotone
-// prefix-sum over all nodes, and every adjacency entry must be in range. The
-// resulting graph supports RebuildDiff exactly like the graph that was
-// exported.
+// srcAttrs, the values must be interned and strictly ascending (as
+// Graph.Values promises), the offsets must be a monotone prefix-sum over all
+// nodes, and every adjacency entry must be in range. The resulting graph
+// supports RebuildDiff exactly like the graph that was exported.
 func FromState(s *State, srcAttrs []lake.Attribute) (*Graph, error) {
 	nVal, nAttr := len(s.Values), len(s.AttrIDs)
 	n := nVal + nAttr
@@ -102,11 +103,11 @@ func FromState(s *State, srcAttrs []lake.Attribute) (*Graph, error) {
 	} else if s.Symbols != syms || len(s.Occ) > syms.Len() {
 		return nil, fmt.Errorf("bipartite: occurrence counts do not index the lake's symbol table")
 	}
-	node := make([]int32, syms.Len())
-	for i := range node {
-		node[i] = -1
-	}
+	node := slices.Repeat([]int32{-1}, syms.Len())
 	for i, v := range s.Values {
+		if i > 0 && s.Values[i-1] >= v {
+			return nil, fmt.Errorf("bipartite: value %d (%q) does not sort after %q", i, v, s.Values[i-1])
+		}
 		id, ok := syms.Lookup([]byte(v))
 		if !ok {
 			return nil, fmt.Errorf("bipartite: value %q is in no attribute", v)

@@ -1,8 +1,9 @@
 // Package engine is the shared execution substrate of the DomainNet scoring
 // pipeline. It defines the minimal graph view the centrality algorithms
 // consume, the single options struct every measure is parameterized by, the
-// Scorer interface every measure implements, and the reusable per-worker BFS
-// arena that makes repeated graph traversals allocation-free.
+// Scorer interface every measure implements, the reusable per-worker BFS
+// arena that makes repeated graph traversals allocation-free, and the radix
+// sort that orders value nodes and rankings.
 //
 // The package has no dependencies beyond the standard library and imports
 // nothing else from this repository, so every layer — centrality algorithms,

@@ -4,10 +4,10 @@
 package rank
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"strings"
+
+	"domainnet/internal/engine"
 )
 
 // Scored pairs a data value with its centrality score.
@@ -36,33 +36,43 @@ const (
 //
 // NaN scores sort last under either order, among themselves by value. The
 // detector's measures never emit NaN (their divisions are guarded), but
-// scores from a caller or a new measure can, and a comparator that answers
-// false for every NaN comparison violates the sort's strict-weak-ordering
-// contract, making the whole ranking nondeterministic — not just the NaN
-// entries. The order is total over distinct values, so the unstable sort's
-// output is fully determined.
+// scores from a caller or a new measure can.
+//
+// Each score maps to an order-preserving integer key for one stable radix
+// sort, so tied scores keep index order, which is lexicographic for the
+// strictly ascending Graph.Values; any other values list sorts ties by value.
 func Values(values []string, scores []float64, order Order) []Scored {
-	out := make([]Scored, len(values))
-	for i, v := range values {
-		out[i] = Scored{Value: v, Score: scores[i]}
-	}
-	slices.SortFunc(out, func(a, b Scored) int {
-		if na, nb := math.IsNaN(a.Score), math.IsNaN(b.Score); na || nb {
-			switch {
-			case na && !nb:
-				return 1 // the non-NaN side ranks first
-			case nb && !na:
-				return -1
-			}
-		} else if a.Score != b.Score {
-			if order == Descending {
-				return cmp.Compare(b.Score, a.Score)
-			}
-			return cmp.Compare(a.Score, b.Score)
+	keys := make([]uint64, len(values))
+	var tie func(a, b uint32) int // set when values are not strictly ascending
+	for i := range values {
+		keys[i] = scoreKey(scores[i], order)
+		if i > 0 && values[i-1] >= values[i] {
+			tie = func(a, b uint32) int { return strings.Compare(values[a], values[b]) }
 		}
-		return strings.Compare(a.Value, b.Value)
-	})
+	}
+	out := make([]Scored, len(values))
+	for i, p := range engine.RadixOrder(keys, tie) {
+		out[i] = Scored{Value: values[p], Score: scores[p]}
+	}
 	return out
+}
+
+// scoreKey maps a score to a uint64 whose unsigned order is the ranking
+// order: the IEEE bits with the sign bit flipped (every bit for negatives),
+// complemented for Descending, with −0 folded into +0 and NaN last.
+func scoreKey(s float64, order Order) uint64 {
+	if math.IsNaN(s) {
+		return math.MaxUint64
+	}
+	if s == 0 {
+		s = 0 // −0 == 0: this stores +0
+	}
+	k := math.Float64bits(s)
+	k ^= uint64(int64(k)>>63) | 1<<63
+	if order == Descending {
+		k = ^k
+	}
+	return k
 }
 
 // TopK returns the first k entries of a ranking (fewer when the ranking is
