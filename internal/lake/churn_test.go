@@ -78,6 +78,59 @@ func TestSymbolTableBoundedUnderChurn(t *testing.T) {
 	}
 }
 
+// column is a one-column table of n values prefix0, prefix1, ...
+func column(name, prefix string, n int) *table.Table {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	return table.New(name).AddColumn("v", vals...)
+}
+
+// TestSymbolsAcrossChunks interns more than two chunks of values: String,
+// Lookup and re-Intern must agree on both sides of each chunk boundary, in
+// the first symbol generation and in the one a compaction re-numbers into.
+func TestSymbolsAcrossChunks(t *testing.T) {
+	n := 2*lake.SymChunk + 5
+	check := func(when string, s *lake.Symbols, prefix string) {
+		t.Helper()
+		size := s.Len()
+		for _, id := range []uint32{lake.SymChunk - 1, lake.SymChunk, 2*lake.SymChunk - 1, 2 * lake.SymChunk} {
+			want := fmt.Sprintf("%s%d", prefix, id)
+			if got := s.String(id); got != want {
+				t.Errorf("%s: String(%d) = %q, want %q", when, id, got, want)
+			}
+			if got, ok := s.Lookup([]byte(want)); !ok || got != id {
+				t.Errorf("%s: Lookup(%q) = %d, %v; want %d", when, want, got, ok, id)
+			}
+			if got, ok := s.Intern(strings.ToLower(want)); !ok || got != id {
+				t.Errorf("%s: re-Intern(%q) = %d, %v; want %d", when, want, got, ok, id)
+			}
+		}
+		if s.Len() != size {
+			t.Errorf("%s: re-interning grew the table from %d to %d symbols", when, size, s.Len())
+		}
+	}
+
+	// The kept values take the IDs after a larger table's; removing that
+	// table compacts them into IDs 0 to n-1.
+	l := lake.New("chunks")
+	l.MustAdd(column("junk", "j", n+lake.SymbolFloor))
+	l.MustAdd(column("keep", "k", n))
+	l.Attributes()
+	first := l.Symbols()
+	check("first generation", first, "J")
+
+	l.RemoveTable("junk")
+	if l.Symbols() == first {
+		t.Fatal("removing the larger table did not compact the symbol table")
+	}
+	if l.Symbols().Len() != n {
+		t.Fatalf("compacted into %d symbols, want the %d kept", l.Symbols().Len(), n)
+	}
+	check("after compaction", l.Symbols(), "K")
+}
+
 // TestServeReadersWhileWriterInternsNewValues: readers hit /score and /topk
 // while a writer uploads and deletes tables of new values, growing the
 // writer's symbol table and compacting it. Published snapshots carry their

@@ -2,3 +2,6 @@ package lake
 
 // SymbolFloor exposes symbolFloor to the external tests.
 const SymbolFloor = symbolFloor
+
+// SymChunk exposes symChunk to the external tests.
+const SymChunk = symChunk

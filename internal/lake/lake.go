@@ -288,7 +288,7 @@ func (l *Lake) compact() {
 	live := make([]int32, 0, l.nLive)
 	for id, n := range l.live {
 		if n > 0 {
-			remap[id] = syms.Add(l.syms.strs[id])
+			remap[id] = syms.Add(l.syms.String(uint32(id)))
 			live = append(live, n)
 		}
 	}

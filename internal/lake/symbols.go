@@ -16,12 +16,16 @@ import (
 // (graphs, rankings) carries its own strings. The index is open-addressed
 // over IDs, not a map: 4 bytes a slot at under half load against about 50 a
 // map entry, for a table that under churn holds up to twice the live values.
+// The strings sit in fixed chunks, so growth never re-copies them.
 type Symbols struct {
-	strs  []string
-	index []uint32 // linear probing; ID+1 per slot, 0 when empty
+	strs  []*[symChunk]string // ID i is at strs[i/symChunk][i%symChunk]
+	n     int                 // IDs issued
+	index []uint32            // linear probing; ID+1 per slot, 0 when empty
 	seed  maphash.Seed
 	buf   []byte // Intern's normalization scratch
 }
+
+const symChunk = 4096 // strings per chunk of a Symbols
 
 // NewSymbols returns an empty symbol table (a zero Symbols is unusable).
 func NewSymbols() *Symbols { return &Symbols{seed: maphash.MakeSeed(), index: make([]uint32, 64)} }
@@ -31,11 +35,11 @@ func (s *Symbols) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.strs)
+	return s.n
 }
 
 // String returns the normalized value of id.
-func (s *Symbols) String(id uint32) string { return s.strs[id] }
+func (s *Symbols) String(id uint32) string { return s.strs[id/symChunk][id%symChunk] }
 
 // Lookup reports the ID of an interned normalized value, without allocating.
 func (s *Symbols) Lookup(b []byte) (uint32, bool) {
@@ -67,7 +71,7 @@ func (s *Symbols) AddBytes(b []byte) uint32 {
 func slot[T string | []byte](s *Symbols, v T, h uint64) int {
 	mask := len(s.index) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
-		if id := s.index[i]; id == 0 || s.strs[id-1] == string(v) {
+		if id := s.index[i]; id == 0 || s.String(id-1) == string(v) {
 			return i
 		}
 	}
@@ -75,19 +79,24 @@ func slot[T string | []byte](s *Symbols, v T, h uint64) int {
 
 // insert gives v, absent from the table, the next ID at the empty slot i.
 func (s *Symbols) insert(i int, v string) uint32 {
-	s.strs = append(s.strs, v)
-	s.index[i] = uint32(len(s.strs))
-	if 2*len(s.strs) > len(s.index) {
+	if s.n%symChunk == 0 {
+		s.strs = append(s.strs, new([symChunk]string))
+	}
+	s.strs[s.n/symChunk][s.n%symChunk] = v
+	s.n++
+	s.index[i] = uint32(s.n)
+	if 2*s.n > len(s.index) {
 		s.rehash()
 	}
-	return uint32(len(s.strs) - 1)
+	return uint32(s.n - 1)
 }
 
 // rehash doubles the index and re-slots every ID.
 func (s *Symbols) rehash() {
 	s.index = make([]uint32, 2*len(s.index))
-	for id, v := range s.strs {
-		s.index[slot(s, v, maphash.String(s.seed, v))] = uint32(id + 1)
+	for id := range uint32(s.n) {
+		v := s.String(id)
+		s.index[slot(s, v, maphash.String(s.seed, v))] = id + 1
 	}
 }
 

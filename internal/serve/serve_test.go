@@ -282,6 +282,54 @@ func TestOversizedUploadReturns413(t *testing.T) {
 	}
 }
 
+// TestOversizedBatchUploadReturns413 streams a multipart batch whose second
+// part runs past the 64 MiB cap: ReadCSV reads each part whole, and the
+// MaxBytesReader error it wraps must still surface as 413, with the batch's
+// first part not ingested either.
+func TestOversizedBatchUploadReturns413(t *testing.T) {
+	ts := newTestServer(t)
+
+	pr, pw := io.Pipe()
+	mw := multipart.NewWriter(pw)
+	go func() {
+		write := func(field, body string, repeat int) error {
+			fw, err := mw.CreateFormFile(field, field+".csv")
+			for ; err == nil && repeat > 0; repeat-- {
+				_, err = io.WriteString(fw, body)
+			}
+			return err
+		}
+		err := write("small", "a,b\nsmallval,x\n", 1)
+		if err == nil {
+			err = write("huge", strings.Repeat("aaaa,bbbb\n", 1<<10), maxUpload/(10<<10)+100)
+		}
+		if err == nil {
+			err = mw.Close()
+		}
+		pw.CloseWithError(err) // ends the body, or unblocks on the server hanging up
+	}()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/tables", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", mw.FormDataContentType())
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch POST = %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	stats := getJSON(t, ts.URL+"/stats", http.StatusOK)
+	if got := stats["lake"].(map[string]any)["tables"].(float64); got != 4 {
+		t.Errorf("tables after rejected batch = %v, want 4", got)
+	}
+	if score := getJSON(t, ts.URL+"/score?value=smallval", http.StatusOK); score["found"] != false {
+		t.Error("rejected batch leaked its first part into the lake")
+	}
+}
+
 // TestBatchPartWithoutNameRejected covers the multipart part that carries
 // neither a filename nor a form field name: instead of building a table
 // named "" and failing downstream with an unhelpful message, the handler
