@@ -24,7 +24,7 @@
 //	POST   /tables/{name}          add a table (request body: CSV)
 //	DELETE /tables/{name}          remove a table
 //	GET    /repl/changes?from=V    replication change feed (leader, with -wal)
-//	GET    /repl/snapshot          replication state transfer (leader, with -wal)
+//	GET    /repl/snapshot?chunked=1  replication state transfer (leader, with -wal)
 //
 // Reads never block on writes: each response is served from the snapshot
 // current when it arrived, stamped with the lake version it reflects.

@@ -116,7 +116,7 @@ func TestListCatalogJSON(t *testing.T) {
 		}
 		interp[e.Name] = e.Interprocedural
 	}
-	if _, ok := interp["decodenopanic"]; !ok || !interp["lockorder"] || interp["decodenopanic"] {
+	if _, ok := interp["atomicsnap"]; !ok || !interp["lockorder"] || interp["atomicsnap"] {
 		t.Fatalf("interprocedural flags wrong: %+v", interp)
 	}
 }

@@ -104,10 +104,6 @@ func TestLockHoldFixture(t *testing.T) {
 	testAnalyzerFixture(t, "lockhold", lint.LockHold{})
 }
 
-func TestDecodeNoPanicFixture(t *testing.T) {
-	testAnalyzerFixture(t, "decodenopanic/persist", lint.DecodeNoPanic{})
-}
-
 func TestAtomicSnapFixture(t *testing.T) {
 	testAnalyzerFixture(t, "atomicsnap", lint.AtomicSnap{})
 }

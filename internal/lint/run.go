@@ -12,7 +12,6 @@ func All() []Analyzer {
 	return []Analyzer{
 		CtxCancel{},
 		LockHold{},
-		DecodeNoPanic{},
 		AtomicSnap{},
 		LockOrder{},
 		GoroLeak{},

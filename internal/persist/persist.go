@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -142,17 +141,6 @@ func Unmarshal(buf []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	return sn, nil
-}
-
-// Decode reads a complete snapshot stream — the bytes Save puts on disk,
-// which the replication leader also streams over /repl/snapshot — and
-// decodes it. The replication follower bootstraps with it.
-func Decode(r io.Reader) (*Snapshot, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	return Unmarshal(buf)
 }
 
 // --- encoding ---

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"domainnet/internal/bipartite"
 	"domainnet/internal/datagen"
 	"domainnet/internal/domainnet"
 	"domainnet/internal/lake"
@@ -236,7 +237,7 @@ func TestBootstrapRestartsWhenSnapshotMoves(t *testing.T) {
 func TestBootstrapFailsWithoutProgress(t *testing.T) {
 	// A leader that never delivers a single chunk must fail the bootstrap
 	// (bounded retries), not spin forever.
-	_, ld, ts := newLeader(t)
+	leader, ld, ts := newLeader(t)
 	ld.SnapshotChunkBytes = 512
 	fl := &flakyLeader{inner: tsHandler(ts), cuts: []int{0, 0, 0, 0, 0, 0, 0, 0}}
 	proxy := httptest.NewServer(fl)
@@ -253,31 +254,27 @@ func TestBootstrapFailsWithoutProgress(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("zero-progress bootstrap did not terminate")
 	}
-}
 
-// TestBootstrapFromLegacyLeader: a leader that predates the chunk protocol
-// ignores ?chunked=1 and answers with the raw codec stream; the follower
-// decodes that answer as-is, and every byte on the wire is a codec byte.
-func TestBootstrapFromLegacyLeader(t *testing.T) {
-	leader, _, _ := newLeader(t)
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		q.Del("chunked")
-		r.URL.RawQuery = q.Encode()
-		leader.ServeHTTP(w, r)
-	}))
-	t.Cleanup(legacy.Close)
-	f := newFollower(legacy)
-	if err := f.Bootstrap(context.Background()); err != nil {
+	// A 200 whose body is the bare codec, without the chunked header, is
+	// not a snapshot answer: the bootstrap fails and installs nothing.
+	var raw []byte
+	if err := leader.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
+		raw = persist.Marshal(l, g)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Version() != leader.Version() {
-		t.Fatalf("legacy bootstrap version %d, leader at %d", f.Version(), leader.Version())
+	unchunked := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(VersionHeader, strconv.FormatUint(leader.Version(), 10))
+		w.Write(raw) //nolint:errcheck // test fake
+	}))
+	defer unchunked.Close()
+	f = newFollower(unchunked)
+	if err := f.Bootstrap(context.Background()); err == nil || !strings.Contains(err.Error(), SnapshotChunkedHeader) {
+		t.Errorf("unchunked 200 bootstrap = %v, want an error naming %s", err, SnapshotChunkedHeader)
 	}
-	st := f.BootstrapStats()
-	if st.WireBytes == 0 || st.WireBytes != st.RawBytes {
-		t.Errorf("raw answer should move exactly the codec bytes, got wire %d raw %d",
-			st.WireBytes, st.RawBytes)
+	if f.Server() != nil || f.Version() != 0 {
+		t.Errorf("unchunked 200 installed a replica at version %d", f.Version())
 	}
 }
 
@@ -297,19 +294,17 @@ func TestSnapshotEndpointProtocol(t *testing.T) {
 		return resp
 	}
 
-	legacy := get("/repl/snapshot", "")
-	if legacy.StatusCode != http.StatusOK || legacy.Header.Get(SnapshotChunkedHeader) != "" {
-		t.Errorf("plain snapshot = %d with chunked header %q, want raw 200",
-			legacy.StatusCode, legacy.Header.Get(SnapshotChunkedHeader))
-	}
-	if legacy.ContentLength <= 0 {
-		t.Errorf("plain snapshot lost its Content-Length (%d)", legacy.ContentLength)
-	}
-	if got, want := legacy.Header.Get(VersionHeader), strconv.FormatUint(leader.Version(), 10); got != want {
-		t.Errorf("plain snapshot %s = %q, want %s", VersionHeader, got, want)
+	// The snapshot has one shape: a request that does not ask for chunks
+	// is refused, and the refusal names the parameter.
+	plain := get("/repl/snapshot", "")
+	if msg, _ := io.ReadAll(plain.Body); plain.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "chunked") {
+		t.Errorf("plain snapshot = %d %q, want 400 naming chunked", plain.StatusCode, msg)
 	}
 
 	chunked := get("/repl/snapshot?chunked=1", "gzip")
+	if got, want := chunked.Header.Get(VersionHeader), strconv.FormatUint(leader.Version(), 10); got != want {
+		t.Errorf("chunked snapshot %s = %q, want %s", VersionHeader, got, want)
+	}
 	if chunked.Header.Get(SnapshotChunkedHeader) == "" || chunked.Header.Get(SnapshotEncodingHeader) != "gzip" {
 		t.Errorf("chunked gzip request got headers chunked=%q encoding=%q",
 			chunked.Header.Get(SnapshotChunkedHeader), chunked.Header.Get(SnapshotEncodingHeader))
@@ -383,22 +378,21 @@ func TestSnapshotStormEncodesOncePerVersion(t *testing.T) {
 		return w
 	}
 
-	// A storm of fresh gzip joiners, an identity joiner, a resume and a raw
-	// request, all at one version. Every marshal or encode allocates a new
-	// buffer, so one of each shows as every response sharing its buffer.
+	// A storm of fresh gzip joiners, an identity joiner and a resume, all
+	// at one version. Every encode allocates a new buffer, so one of each
+	// shows as every response sharing its buffer.
 	const storm = 16
 	resume := fmt.Sprintf("?chunked=1&offset=%d&version=%d", 2*chunk, leader.Version())
 	gz := make([]*firstByteWriter, storm)
-	var identity, resumed, raw *firstByteWriter
+	var identity, resumed *firstByteWriter
 	var wg sync.WaitGroup
 	for i := range gz {
 		wg.Add(1)
 		go func() { defer wg.Done(); gz[i] = get("?chunked=1", "gzip") }()
 	}
-	wg.Add(3)
+	wg.Add(2)
 	go func() { defer wg.Done(); identity = get("?chunked=1", "identity") }()
 	go func() { defer wg.Done(); resumed = get(resume, "gzip") }()
-	go func() { defer wg.Done(); raw = get("", "gzip") }()
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
@@ -418,9 +412,6 @@ func TestSnapshotStormEncodesOncePerVersion(t *testing.T) {
 	}
 	if resumed.first != &enc[true].Wire[enc[true].Starts[2]] {
 		t.Error("resume at chunk 2 was not served from the cached gzip stream at chunk 2's frame")
-	}
-	if raw.first != &ld.snapRaw[0] {
-		t.Error("raw request was not served from the one cached marshal")
 	}
 
 	// One write: the next gzip request encodes exactly once more, and the
@@ -454,7 +445,13 @@ func TestSnapshotChunkedWireMatchesWriteChunked(t *testing.T) {
 		if i > 0 {
 			addTable(t, leader, "rechunk")
 		}
-		raw := []byte(body(t, ts.URL+"/repl/snapshot"))
+		var raw []byte
+		if err := leader.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
+			raw = persist.Marshal(l, g)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		chunk := chunkOf(len(raw))
 		ld.SnapshotChunkBytes = chunk
 		for _, compress := range []bool{false, true} {

@@ -279,19 +279,6 @@ func (f *Follower) install(sn *persist.Snapshot) {
 		f.Leader, srv.Version(), sn.Lake.NumTables())
 }
 
-// countReader counts bytes read into an atomic — the wire-byte meter of a
-// raw snapshot answer from a leader that predates chunking.
-type countReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (c countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
 // Bootstrap fetches a full snapshot from the leader and replaces the
 // replica with it. Deltas past the snapshot arrive through the next Poll.
 //
@@ -362,17 +349,8 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		}
 		f.observeLeader(resp.Header)
 		if resp.Header.Get(SnapshotChunkedHeader) == "" {
-			// A leader predating the chunk protocol ignores the query and
-			// streams the raw codec; decode it as-is (resume never arises —
-			// this branch is always the first attempt).
-			sn, err := persist.Decode(countReader{resp.Body, &f.bootWire})
 			resp.Body.Close()
-			if err != nil {
-				return err
-			}
-			f.bootRaw.Store(f.bootWire.Load())
-			f.install(sn)
-			return nil
+			return fmt.Errorf("repl: snapshot answer lacks %s: the body is not chunk-framed", SnapshotChunkedHeader)
 		}
 		if n, err := strconv.Atoi(resp.Header.Get(SnapshotSizeHeader)); err == nil {
 			total = n

@@ -12,13 +12,12 @@
 //	                                   burst past <version>, 204 when caught
 //	                                   up, 410 Gone when <version> is behind
 //	                                   the log horizon (fetch a snapshot)
-//	GET /repl/snapshot                 streams the persist codec (the same
-//	                                   bytes a disk checkpoint writes);
-//	                                   with ?chunked=1[&offset=N&version=V]
-//	                                   the codec is framed (once per version
-//	                                   and encoding) into CRC'd, gzipped
-//	                                   chunks resumable at raw offset N (409
-//	                                   when V moved)
+//	GET /repl/snapshot?chunked=1       streams the persist codec (the same
+//	    [&offset=N&version=V]          bytes a disk checkpoint writes),
+//	                                   framed once per version and encoding
+//	                                   into CRC'd, gzipped chunks resumable
+//	                                   at raw offset N (409 when V moved;
+//	                                   400 without chunked=1)
 //	GET /repl/status                   served by followers: applied version,
 //	                                   last seen leader version, lag, and
 //	                                   bootstrap progress — the read-router's
@@ -56,7 +55,8 @@ const (
 	// byte count, so a resuming follower knows when it has everything.
 	SnapshotSizeHeader = "X-Domainnet-Snapshot-Size"
 	// SnapshotChunkedHeader marks a response body framed with the persist
-	// chunk codec; its absence means a legacy raw codec stream.
+	// chunk codec. Every snapshot answer carries it; a follower refuses a
+	// 200 without it.
 	SnapshotChunkedHeader = "X-Domainnet-Snapshot-Chunked"
 	// SnapshotEncodingHeader reports the per-chunk payload encoding the
 	// leader negotiated from the request's Accept-Encoding (gzip or
@@ -302,15 +302,15 @@ func (ld *Leader) handleChanges(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// snapshot returns the persist codec bytes of the leader's current state,
-// marshaling at most once per version: the marshal itself runs under the
-// server's write lock (Checkpoint), so the bytes are a consistent
-// burst-boundary snapshot, and repeat requests at the same version — a fleet
-// bootstrapping at once, a follower resuming a torn stream — are served from
-// the cached buffer. When chunked, it also returns that version's chunk
-// stream in the requested encoding, framed by the first such request once
-// Checkpoint has released the write lock. Cached buffers are immutable.
-func (ld *Leader) snapshot(chunked, compress bool, chunk int) ([]byte, uint64, *persist.ChunkStream, error) {
+// snapshot returns the persist codec bytes of the leader's current state
+// and their chunk stream in the requested encoding, marshaling at most once
+// per version: the marshal itself runs under the server's write lock
+// (Checkpoint), so the bytes are a consistent burst-boundary snapshot, and
+// repeat requests at the same version — a fleet bootstrapping at once, a
+// follower resuming a torn stream — are served from the cached buffer. Each
+// encoding is framed by the first request for it, once Checkpoint has
+// released the write lock. Cached buffers are immutable.
+func (ld *Leader) snapshot(compress bool, chunk int) ([]byte, uint64, *persist.ChunkStream, error) {
 	ld.snapMu.Lock()
 	defer ld.snapMu.Unlock()
 	if ld.snapRaw == nil || ld.snapVer != ld.srv.Version() {
@@ -326,7 +326,7 @@ func (ld *Leader) snapshot(chunked, compress bool, chunk int) ([]byte, uint64, *
 		}
 		ld.snapRaw, ld.snapVer, ld.snapEnc = buf, version, map[bool]*persist.ChunkStream{}
 	}
-	if chunked && ld.snapEnc[compress] == nil {
+	if ld.snapEnc[compress] == nil {
 		cs, err := persist.FrameChunks(ld.snapRaw, chunk, compress)
 		if err != nil {
 			return nil, 0, nil, err
@@ -363,27 +363,27 @@ func acceptsGzip(header string) bool {
 	return gzip == 1
 }
 
-// handleSnapshot streams the leader's full state in the persist codec from
-// the per-version cache (snapshot), outside the write lock and snapMu.
-//
-// A plain request gets the raw codec with a Content-Length, exactly as
-// before. With ?chunked=1 the body is framed by the persist chunk codec —
-// every chunk independently CRC'd and, when the request advertises
-// Accept-Encoding: gzip, independently compressed — and encoded once per
-// version and encoding, on the first request for it. ?offset=N&version=V
+// handleSnapshot streams the leader's full state from the per-version
+// cache (snapshot), outside the write lock and snapMu. The body is framed by
+// the persist chunk codec — every chunk independently CRC'd and, when the
+// request advertises Accept-Encoding: gzip, independently compressed — so a
+// request must say chunked=1; anything else gets a 400. ?offset=N&version=V
 // resumes a torn transfer at raw offset N by writing the cached stream from
 // chunk N/chunk onward. The answer is 409 Conflict when the leader's
 // snapshot has moved past V or N does not land on a chunk boundary; the
 // follower restarts from offset zero.
 func (ld *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	chunked := q.Get("chunked") != ""
+	if q.Get("chunked") != "1" {
+		http.Error(w, "the snapshot is served only chunked: request it with chunked=1", http.StatusBadRequest)
+		return
+	}
 	compress := acceptsGzip(r.Header.Get("Accept-Encoding"))
 	chunk := ld.SnapshotChunkBytes
 	if chunk <= 0 {
 		chunk = persist.DefaultChunkBytes
 	}
-	buf, version, stream, err := ld.snapshot(chunked, compress, chunk)
+	buf, version, stream, err := ld.snapshot(compress, chunk)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -391,11 +391,6 @@ func (ld *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(VersionHeader, strconv.FormatUint(version, 10))
 	w.Header().Set(SnapshotSizeHeader, strconv.Itoa(len(buf)))
-	if !chunked {
-		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-		w.Write(buf) //nolint:errcheck // the response is already committed
-		return
-	}
 	offset := 0
 	if s := q.Get("offset"); s != "" {
 		n, err := strconv.ParseUint(s, 10, 31)

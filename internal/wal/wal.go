@@ -24,7 +24,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,6 +31,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,31 +124,33 @@ func AppendFrame(b, payload []byte) []byte {
 // frame. Callers decide whether a bad frame is a tolerable torn tail (last
 // segment of a crashed process) or corruption.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if err == io.EOF {
+	buf := make([]byte, 0, 512)
+	for {
+		payload, end, shape := frameAt(buf, 0)
+		switch shape {
+		case frameValid:
+			return payload, nil
+		case frameBadCRC:
+			return nil, fmt.Errorf("wal: frame checksum mismatch")
+		case frameOversize:
+			return nil, fmt.Errorf("wal: frame length %d exceeds limit %d", end-8, maxFrameBytes)
+		}
+		// Short: read on toward the claimed end. The buffer at most doubles
+		// what has arrived rather than trusting the length prefix: a corrupt
+		// prefix claiming 256 MiB on a short stream must fail after reading
+		// what exists, not allocate first.
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(int(end)-len(buf), len(buf)))
+		}
+		n, err := io.ReadFull(r, buf[len(buf):min(int(end), cap(buf))])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF && len(buf) == 0 {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("wal: truncated frame header: %w", err)
+		if err != nil {
+			return nil, fmt.Errorf("wal: truncated frame (%d of %d bytes): %w", len(buf), end, err)
+		}
 	}
-	n := binary.LittleEndian.Uint32(head[:])
-	if n > maxFrameBytes {
-		return nil, fmt.Errorf("wal: frame length %d exceeds limit %d", n, maxFrameBytes)
-	}
-	// Grow with the bytes that actually arrive rather than trusting the
-	// length prefix: a corrupt prefix claiming 256 MiB on a short stream
-	// must fail after reading what exists, not allocate first.
-	var body bytes.Buffer
-	if _, err := io.CopyN(&body, r, int64(n)+4); err != nil {
-		return nil, fmt.Errorf("wal: truncated frame body: %w", err)
-	}
-	buf := body.Bytes()
-	payload := buf[:n]
-	want := binary.LittleEndian.Uint32(buf[n:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("wal: frame checksum mismatch")
-	}
-	return payload, nil
 }
 
 // Options tune a Log. The zero value is production-ready.
@@ -543,7 +545,40 @@ func (l *Log) iterate(from uint64, limit int, fn func(*Record) error) error {
 	return nil
 }
 
-// frameStatus classifies one parsed frame.
+// frameShape is what frameAt found at an offset.
+type frameShape int
+
+const (
+	frameShort    frameShape = iota // the buffer ends before the frame does
+	frameOversize                   // the length prefix exceeds maxFrameBytes
+	frameBadCRC                     // complete, but the checksum does not match
+	frameValid
+)
+
+// frameAt is the one reader of a frame's length prefix and CRC: it looks at
+// the frame starting at off and reports its shape, its payload when valid,
+// and end, the offset the frame claims to end at (off+4 while not even the
+// length prefix is in buf).
+func frameAt(buf []byte, off int64) (payload []byte, end int64, shape frameShape) {
+	rest := buf[off:]
+	if len(rest) < 4 {
+		return nil, off + 4, frameShort
+	}
+	n := int64(binary.LittleEndian.Uint32(rest))
+	end = off + 4 + n + 4
+	if n > maxFrameBytes {
+		return nil, end, frameOversize
+	}
+	if end > int64(len(buf)) {
+		return nil, end, frameShort
+	}
+	if crc32.ChecksumIEEE(rest[4:4+n]) != binary.LittleEndian.Uint32(rest[4+n:]) {
+		return nil, end, frameBadCRC
+	}
+	return rest[4 : 4+n], end, frameValid
+}
+
+// frameStatus classifies one parsed segment frame.
 type frameStatus int
 
 const (
@@ -557,40 +592,27 @@ const (
 // incomplete bytes, or a complete frame with a bad CRC and nothing valid
 // after it (a torn page in the final write). A complete bad-CRC frame
 // followed by a valid frame is bit rot in committed history (a single crash
-// cannot produce it): frameCorrupt.
+// cannot produce it): frameCorrupt. A trashed length prefix (oversize, or
+// claiming more bytes than exist) makes the claimed boundary meaningless, so
+// the byte-level resync scan decides whether intact frames hide behind it.
 func parseFrame(buf []byte, off int64) ([]byte, int64, frameStatus) {
-	rest := buf[off:]
-	if len(rest) < 4 {
-		return nil, 0, frameTorn
-	}
-	n := int64(binary.LittleEndian.Uint32(rest))
-	if n > maxFrameBytes {
-		// The length prefix itself is trashed: the claimed boundary is
-		// meaningless, so fall back to the byte-level resync scan to decide
-		// whether intact frames hide behind it.
-		if resyncFindsValidFrame(buf, off+1) {
-			return nil, 0, frameCorrupt
-		}
-		return nil, 0, frameTorn
-	}
-	end := off + 4 + n + 4
-	if end > int64(len(buf)) {
-		if resyncFindsValidFrame(buf, off+1) {
-			return nil, 0, frameCorrupt
-		}
-		return nil, 0, frameTorn
-	}
-	payload := rest[4 : 4+n]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4+n:]) {
+	payload, end, shape := frameAt(buf, off)
+	switch shape {
+	case frameValid:
+		return payload, end, frameOK
+	case frameBadCRC:
 		// The cheap check first — walk the claimed boundaries — then the
 		// byte-level scan, which also catches a flipped length prefix whose
 		// bogus boundary chain hides the intact frames after it.
 		if anyValidFrameAfter(buf, end) || resyncFindsValidFrame(buf, off+1) {
 			return nil, 0, frameCorrupt
 		}
-		return nil, 0, frameTorn
+	default:
+		if resyncFindsValidFrame(buf, off+1) {
+			return nil, 0, frameCorrupt
+		}
 	}
-	return payload, end, frameOK
+	return nil, 0, frameTorn
 }
 
 // anyValidFrameAfter walks frame boundaries from off looking for one intact
@@ -599,22 +621,15 @@ func parseFrame(buf []byte, off int64) ([]byte, int64, frameStatus) {
 // frames must not recurse the stack away.
 func anyValidFrameAfter(buf []byte, off int64) bool {
 	for off < int64(len(buf)) {
-		rest := buf[off:]
-		if len(rest) < 4 {
-			return false
-		}
-		n := int64(binary.LittleEndian.Uint32(rest))
-		if n > maxFrameBytes {
-			return false
-		}
-		end := off + 4 + n + 4
-		if end > int64(len(buf)) {
-			return false
-		}
-		if crc32.ChecksumIEEE(rest[4:4+n]) == binary.LittleEndian.Uint32(rest[4+n:]) {
+		_, end, shape := frameAt(buf, off)
+		switch shape {
+		case frameValid:
 			return true
+		case frameBadCRC:
+			off = end
+		default:
+			return false
 		}
-		off = end
 	}
 	return false
 }
@@ -634,18 +649,16 @@ func resyncFindsValidFrame(buf []byte, off int64) bool {
 	)
 	offsets, crcBytes := 0, int64(0)
 	for ; off < int64(len(buf)) && offsets < maxOffsets && crcBytes < maxCRCBytes; off++ {
-		rest := buf[off:]
-		if len(rest) < 8 {
+		if int64(len(buf))-off < 8 {
 			return false
 		}
 		offsets++
-		n := int64(binary.LittleEndian.Uint32(rest))
-		if n > maxFrameBytes || off+4+n+4 > int64(len(buf)) {
-			continue
-		}
-		crcBytes += n
-		if crc32.ChecksumIEEE(rest[4:4+n]) == binary.LittleEndian.Uint32(rest[4+n:]) {
+		_, end, shape := frameAt(buf, off)
+		switch shape {
+		case frameValid:
 			return true
+		case frameBadCRC:
+			crcBytes += end - off - 8
 		}
 	}
 	return false
@@ -695,12 +708,9 @@ func scanSegmentLen(path string, capSize int64, fn func(prev, ver uint64, payloa
 		case frameCorrupt:
 			return 0, false, fmt.Errorf("wal: %s: corrupt record at offset %d ahead of intact history; refusing to drop acknowledged mutations", path, off)
 		}
-		prev, pn := binary.Uvarint(payload)
-		if pn <= 0 {
-			return 0, false, fmt.Errorf("wal: %s: checksummed record at offset %d has no version stamps", path, off)
-		}
-		ver, vn := binary.Uvarint(payload[pn:])
-		if vn <= 0 {
+		r := persist.NewReader(payload)
+		prev, ver := r.Uvarint(), r.Uvarint()
+		if r.Err() != nil {
 			return 0, false, fmt.Errorf("wal: %s: checksummed record at offset %d has no version stamps", path, off)
 		}
 		cont, err := fn(prev, ver, payload)
