@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"domainnet/internal/engine"
@@ -130,11 +129,6 @@ func (g *Graph) Degree(u int32) int {
 // order, and FromState rejects a state that does not. The slice aliases
 // internal storage and must not be modified.
 func (g *Graph) Values() []string { return g.values }
-
-// SourceValueCount reports the number of distinct normalized values across
-// the graph's source attributes, including values the singleton filter
-// dropped — the lake-wide value count of the paper's Table 1.
-func (g *Graph) SourceValueCount() int { return g.nSource }
 
 // Options configure graph construction.
 type Options struct {
@@ -313,50 +307,6 @@ func attrIDs(attrs []lake.Attribute) []string {
 		ids[i] = attrs[i].ID
 	}
 	return ids
-}
-
-// CheckBipartite verifies that no edge connects two nodes of the same class
-// (value-value, attr-attr, or row-row). It is used by tests and returns a
-// descriptive error on the first violation.
-func (g *Graph) CheckBipartite() error {
-	class := func(u int32) int {
-		switch {
-		case g.IsValue(u):
-			return 0
-		case g.IsAttr(u):
-			return 1
-		default:
-			return 2
-		}
-	}
-	for u := int32(0); int(u) < g.NumNodes(); u++ {
-		cu := class(u)
-		for _, v := range g.Neighbors(u) {
-			if class(v) == cu {
-				return fmt.Errorf("bipartite: edge between same-class nodes %d and %d (class %d)", u, v, cu)
-			}
-		}
-	}
-	return nil
-}
-
-// CheckSymmetric verifies that every directed arc has its reverse, i.e. the
-// CSR encodes an undirected graph.
-func (g *Graph) CheckSymmetric() error {
-	for u := int32(0); int(u) < g.NumNodes(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if !g.hasEdge(v, u) {
-				return fmt.Errorf("bipartite: arc %d->%d has no reverse", u, v)
-			}
-		}
-	}
-	return nil
-}
-
-func (g *Graph) hasEdge(u, v int32) bool {
-	nb := g.Neighbors(u)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
-	return i < len(nb) && nb[i] == v
 }
 
 // ValueNeighbors returns the distinct value nodes that co-occur with value

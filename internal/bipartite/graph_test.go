@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -195,4 +196,48 @@ func TestSubgraphAttributeSeeded(t *testing.T) {
 func TestSubgraphPanics(t *testing.T) {
 	g := FromAttributes(simpleAttrs(), Options{KeepSingletons: true})
 	mustPanic(t, func() { g.Subgraph(0, rand.New(rand.NewSource(1))) })
+}
+
+// CheckBipartite verifies that no edge connects two nodes of the same class
+// (value-value, attr-attr, or row-row). It returns a descriptive error on
+// the first violation.
+func (g *Graph) CheckBipartite() error {
+	class := func(u int32) int {
+		switch {
+		case g.IsValue(u):
+			return 0
+		case g.IsAttr(u):
+			return 1
+		default:
+			return 2
+		}
+	}
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		cu := class(u)
+		for _, v := range g.Neighbors(u) {
+			if class(v) == cu {
+				return fmt.Errorf("bipartite: edge between same-class nodes %d and %d (class %d)", u, v, cu)
+			}
+		}
+	}
+	return nil
+}
+
+// CheckSymmetric verifies that every directed arc has its reverse, i.e. the
+// CSR encodes an undirected graph.
+func (g *Graph) CheckSymmetric() error {
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if !g.hasEdge(v, u) {
+				return fmt.Errorf("bipartite: arc %d->%d has no reverse", u, v)
+			}
+		}
+	}
+	return nil
+}
+
+func (g *Graph) hasEdge(u, v int32) bool {
+	nb := g.Neighbors(u)
+	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
+	return i < len(nb) && nb[i] == v
 }

@@ -124,8 +124,8 @@ func checkAgainstReference(t *testing.T, what string, g *Graph, ref refGraph) {
 		t.Fatalf("%s: offsets differ from the reference", what)
 	case !slices.Equal(g.adj, ref.adj):
 		t.Fatalf("%s: adjacency differs from the reference", what)
-	case g.SourceValueCount() != ref.sourceCount:
-		t.Fatalf("%s: SourceValueCount = %d, reference %d", what, g.SourceValueCount(), ref.sourceCount)
+	case g.nSource != ref.sourceCount:
+		t.Fatalf("%s: nSource = %d, reference %d", what, g.nSource, ref.sourceCount)
 	}
 }
 

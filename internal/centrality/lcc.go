@@ -263,89 +263,3 @@ func interUnionSize(a, b []int32) (inter, union int) {
 	union += len(a) - i + len(b) - j
 	return inter, union
 }
-
-// LCCNaive computes Eq. 1 literally — materializing every value-neighbor set
-// (self included, see the package notes above) and averaging pairwise
-// Jaccard similarities over the proper neighbors. It is the test oracle for
-// LCC; quadratic and only usable on small graphs.
-func LCCNaive(g Bipartite) []float64 {
-	nVal := g.NumValues()
-	neigh := make([][]int32, nVal)
-	for u := 0; u < nVal; u++ {
-		neigh[u] = valueNeighbors(g, int32(u))
-	}
-	out := make([]float64, nVal)
-	for u := 0; u < nVal; u++ {
-		if len(neigh[u]) <= 1 {
-			continue // only itself: no proper neighbors
-		}
-		sum := 0.0
-		cnt := 0
-		for _, v := range neigh[u] {
-			if v == int32(u) {
-				continue
-			}
-			inter, uni := interUnionSize(neigh[u], neigh[v])
-			if uni > 0 {
-				sum += float64(inter) / float64(uni)
-			}
-			cnt++
-		}
-		out[u] = sum / float64(cnt)
-	}
-	return out
-}
-
-// valueNeighbors returns the sorted distinct value nodes at distance two
-// from value node u, including u itself.
-func valueNeighbors(g Bipartite, u int32) []int32 {
-	set := map[int32]struct{}{u: {}}
-	for _, a := range g.Neighbors(u) {
-		for _, w := range g.Neighbors(a) {
-			set[w] = struct{}{}
-		}
-	}
-	out := make([]int32, 0, len(set))
-	for w := range set {
-		out = append(out, w)
-	}
-	sortInt32s(out)
-	return out
-}
-
-func sortInt32s(a []int32) {
-	// Insertion sort is fine for oracle-sized inputs, but neighbor sets can
-	// be large in benchmarks, so use the stdlib.
-	if len(a) < 2 {
-		return
-	}
-	quickSortInt32(a)
-}
-
-func quickSortInt32(a []int32) {
-	if len(a) < 12 {
-		for i := 1; i < len(a); i++ {
-			for j := i; j > 0 && a[j] < a[j-1]; j-- {
-				a[j], a[j-1] = a[j-1], a[j]
-			}
-		}
-		return
-	}
-	p := a[len(a)/2]
-	lo, hi := 0, len(a)-1
-	for lo <= hi {
-		for a[lo] < p {
-			lo++
-		}
-		for a[hi] > p {
-			hi--
-		}
-		if lo <= hi {
-			a[lo], a[hi] = a[hi], a[lo]
-			lo++
-			hi--
-		}
-	}
-	quickSortInt32(a[:hi+1])
-	quickSortInt32(a[lo:])
-}

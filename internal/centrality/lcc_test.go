@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -192,7 +193,7 @@ func sortedSet(n int, seed int64) []int32 {
 	for v := range seen {
 		out = append(out, v)
 	}
-	quickSortInt32(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -207,4 +208,53 @@ func TestMergeSorted(t *testing.T) {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
+}
+
+// LCCNaive computes Eq. 1 literally — materializing every value-neighbor set
+// (self included, see the package notes in lcc.go) and averaging pairwise
+// Jaccard similarities over the proper neighbors. It is the test oracle for
+// LCC: quadratic and only usable on small graphs.
+func LCCNaive(g Bipartite) []float64 {
+	nVal := g.NumValues()
+	neigh := make([][]int32, nVal)
+	for u := 0; u < nVal; u++ {
+		neigh[u] = valueNeighbors(g, int32(u))
+	}
+	out := make([]float64, nVal)
+	for u := 0; u < nVal; u++ {
+		if len(neigh[u]) <= 1 {
+			continue // only itself: no proper neighbors
+		}
+		sum := 0.0
+		cnt := 0
+		for _, v := range neigh[u] {
+			if v == int32(u) {
+				continue
+			}
+			inter, uni := interUnionSize(neigh[u], neigh[v])
+			if uni > 0 {
+				sum += float64(inter) / float64(uni)
+			}
+			cnt++
+		}
+		out[u] = sum / float64(cnt)
+	}
+	return out
+}
+
+// valueNeighbors returns the sorted distinct value nodes at distance two
+// from value node u, including u itself.
+func valueNeighbors(g Bipartite, u int32) []int32 {
+	set := map[int32]struct{}{u: {}}
+	for _, a := range g.Neighbors(u) {
+		for _, w := range g.Neighbors(a) {
+			set[w] = struct{}{}
+		}
+	}
+	out := make([]int32, 0, len(set))
+	for w := range set {
+		out = append(out, w)
+	}
+	slices.Sort(out)
+	return out
 }

@@ -13,13 +13,10 @@
 // labels among a value's attribute neighbors estimates its meaning count.
 package community
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Graph is the adjacency view label propagation needs (satisfied by
-// bipartite.Graph and cooccur.Graph).
+// bipartite.Graph).
 type Graph interface {
 	NumNodes() int
 	Neighbors(u int32) []int32
@@ -44,18 +41,6 @@ type Result struct {
 	NumCommunities int
 	// Iterations is how many sweeps ran before convergence.
 	Iterations int
-}
-
-// Of returns the community of node u.
-func (r *Result) Of(u int32) int32 { return r.Labels[u] }
-
-// Sizes returns the node count per community id.
-func (r *Result) Sizes() []int {
-	sizes := make([]int, r.NumCommunities)
-	for _, l := range r.Labels {
-		sizes[l]++
-	}
-	return sizes
 }
 
 // LabelPropagation runs synchronous-free (asynchronous) label propagation:
@@ -182,18 +167,4 @@ func Modularity(g Graph, r *Result) float64 {
 		degTerm += d * d
 	}
 	return edgeTerm/m2 - degTerm/(m2*m2)
-}
-
-// CommunityValues returns, per community, the sorted value-node ids assigned
-// to it — the "discovered domain" view of a community assignment.
-func CommunityValues(g BipartiteGraph, r *Result) [][]int32 {
-	out := make([][]int32, r.NumCommunities)
-	for u := 0; u < g.NumValues(); u++ {
-		l := r.Labels[u]
-		out[l] = append(out[l], int32(u))
-	}
-	for i := range out {
-		sort.Slice(out[i], func(a, b int) bool { return out[i][a] < out[i][b] })
-	}
-	return out
 }

@@ -26,10 +26,10 @@ func TestLabelPropagationFindsTwoTypes(t *testing.T) {
 	res := LabelPropagation(g, Options{Seed: 1})
 	// The two animal attributes must share a label, the two car attributes
 	// must share a label, and the two labels must differ.
-	zoo := res.Of(g.AttrNode(0))
-	risk := res.Of(g.AttrNode(1))
-	cars := res.Of(g.AttrNode(2))
-	deal := res.Of(g.AttrNode(3))
+	zoo := res.Labels[g.AttrNode(0)]
+	risk := res.Labels[g.AttrNode(1)]
+	cars := res.Labels[g.AttrNode(2)]
+	deal := res.Labels[g.AttrNode(3)]
 	if zoo != risk {
 		t.Errorf("animal attributes split: %d vs %d", zoo, risk)
 	}
@@ -94,18 +94,6 @@ func TestLabelsCompact(t *testing.T) {
 	}
 }
 
-func TestSizesSumToNodes(t *testing.T) {
-	g := twoTypeGraph()
-	res := LabelPropagation(g, Options{Seed: 1})
-	total := 0
-	for _, s := range res.Sizes() {
-		total += s
-	}
-	if total != g.NumNodes() {
-		t.Errorf("community sizes sum to %d, want %d", total, g.NumNodes())
-	}
-}
-
 func TestModularityPositiveOnClusteredGraph(t *testing.T) {
 	g := twoTypeGraph()
 	res := LabelPropagation(g, Options{Seed: 1})
@@ -123,19 +111,6 @@ func TestModularityEmptyGraph(t *testing.T) {
 	res := LabelPropagation(g, Options{Seed: 1})
 	if q := Modularity(g, res); q != 0 {
 		t.Errorf("empty-graph modularity = %v, want 0", q)
-	}
-}
-
-func TestCommunityValuesPartitionValues(t *testing.T) {
-	g := twoTypeGraph()
-	res := LabelPropagation(g, Options{Seed: 1})
-	parts := CommunityValues(g, res)
-	count := 0
-	for _, p := range parts {
-		count += len(p)
-	}
-	if count != g.NumValues() {
-		t.Errorf("community values cover %d nodes, want %d", count, g.NumValues())
 	}
 }
 

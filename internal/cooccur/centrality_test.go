@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"domainnet/internal/centrality"
-	"domainnet/internal/datagen"
 	"domainnet/internal/engine"
 )
 
@@ -13,7 +12,7 @@ import (
 // same pivotal-node structure, so betweenness over either ranks the
 // Figure 1 homographs first.
 func TestCooccurrenceBCAgreesWithBipartite(t *testing.T) {
-	g := FromAttributes(datagen.Figure1FourAttributes())
+	g := FromAttributes(figure1FourAttributes())
 	bc := centrality.Betweenness(g, engine.Opts{Normalized: true})
 
 	best, second := int32(-1), int32(-1)
@@ -34,7 +33,7 @@ func TestCooccurrenceBCAgreesWithBipartite(t *testing.T) {
 // TestCooccurrenceLCCRunsViaInterface checks the centrality package's
 // algorithms accept the co-occurrence graph through the shared interface.
 func TestCooccurrenceDegreeViaInterface(t *testing.T) {
-	g := FromAttributes(datagen.Figure1FourAttributes())
+	g := FromAttributes(figure1FourAttributes())
 	deg := centrality.Degree(g)
 	jaguar, _ := g.ValueNode("JAGUAR")
 	// Jaguar co-occurs with every other value in the 4-attribute example.

@@ -35,7 +35,7 @@ func TestFromAttributesDeduplicatesSharedPairs(t *testing.T) {
 func TestFigure3aCooccurrenceGraph(t *testing.T) {
 	// The paper's Figure 3a: removing Puma and Jaguar disconnects the
 	// remaining values into two components.
-	g := FromAttributes(datagen.Figure1FourAttributes())
+	g := FromAttributes(figure1FourAttributes())
 	if g.NumNodes() != 8 {
 		t.Fatalf("nodes = %d, want 8", g.NumNodes())
 	}
@@ -91,7 +91,7 @@ func TestFromLakeMatchesAttributes(t *testing.T) {
 }
 
 func TestNeighborsSortedAndSymmetric(t *testing.T) {
-	g := FromAttributes(datagen.Figure1FourAttributes())
+	g := FromAttributes(figure1FourAttributes())
 	for u := int32(0); int(u) < g.NumNodes(); u++ {
 		nb := g.Neighbors(u)
 		for i := range nb {
@@ -111,4 +111,20 @@ func TestNeighborsSortedAndSymmetric(t *testing.T) {
 			}
 		}
 	}
+}
+
+// figure1FourAttributes returns just the four attributes of Example 3.1
+// (T2.name, T1.At Risk, T4.Name, T3.C2), the subset behind Figures 2 and 3
+// and the LCC/BC values of Example 3.6.
+func figure1FourAttributes() []lake.Attribute {
+	return lake.NewAttributes([]lake.Spec{
+		{ID: "T1.At Risk", Table: "T1", Column: "At Risk",
+			Values: []string{"JAGUAR", "PANDA", "PELICAN", "PUMA"}},
+		{ID: "T2.name", Table: "T2", Column: "name",
+			Values: []string{"JAGUAR", "LEMUR", "PANDA"}, Freqs: []int{1, 1, 2}},
+		{ID: "T3.C2", Table: "T3", Column: "C2",
+			Values: []string{"FIAT", "JAGUAR", "TOYOTA"}},
+		{ID: "T4.Name", Table: "T4", Column: "Name",
+			Values: []string{"APPLE", "JAGUAR", "PUMA", "TOYOTA"}},
+	})
 }

@@ -5,8 +5,9 @@
 // The paper rejects this representation for real lakes because its size
 // grows quadratically with attribute cardinality (§3.2: a single column of
 // 100 values already produces 4,950 edges); DomainNet uses the bipartite
-// form instead. This package exists to quantify that blow-up and to
-// cross-check centrality behaviour on small lakes.
+// form instead. The package is test-only: its tests quantify that blow-up
+// and cross-check centrality behaviour on small lakes, and no production
+// code builds this graph.
 package cooccur
 
 import (

@@ -347,12 +347,6 @@ func numericShare(values []string) float64 {
 	return float64(n) / float64(len(values))
 }
 
-// overlapCoefficient computes |A∩B| / min(|A|,|B|) over sorted slices.
-func overlapCoefficient(a, b []string) float64 {
-	_, coeff := overlapStats(a, b)
-	return coeff
-}
-
 // overlapStats returns the intersection size and the overlap coefficient
 // |A∩B| / min(|A|,|B|) of two sorted slices.
 func overlapStats[T cmp.Ordered](a, b []T) (int, float64) {

@@ -235,3 +235,9 @@ func TestUnionFind(t *testing.T) {
 		t.Error("transitive union failed")
 	}
 }
+
+// overlapCoefficient computes |A∩B| / min(|A|,|B|) over sorted slices.
+func overlapCoefficient(a, b []string) float64 {
+	_, coeff := overlapStats(a, b)
+	return coeff
+}

@@ -37,19 +37,3 @@ func Figure1Lake() *lake.Lake {
 
 	return l
 }
-
-// Figure1FourAttributes returns just the four attributes of Example 3.1
-// (T2.name, T1.At Risk, T4.Name, T3.C2), the subset behind Figures 2 and 3
-// and the LCC/BC values of Example 3.6.
-func Figure1FourAttributes() []lake.Attribute {
-	return lake.NewAttributes([]lake.Spec{
-		{ID: "T1.At Risk", Table: "T1", Column: "At Risk",
-			Values: []string{"JAGUAR", "PANDA", "PELICAN", "PUMA"}},
-		{ID: "T2.name", Table: "T2", Column: "name",
-			Values: []string{"JAGUAR", "LEMUR", "PANDA"}, Freqs: []int{1, 1, 2}},
-		{ID: "T3.C2", Table: "T3", Column: "C2",
-			Values: []string{"FIAT", "JAGUAR", "TOYOTA"}},
-		{ID: "T4.Name", Table: "T4", Column: "Name",
-			Values: []string{"APPLE", "JAGUAR", "PUMA", "TOYOTA"}},
-	})
-}

@@ -50,9 +50,6 @@ func (d *Detector) Analyze(seed int64) *Analysis {
 	return &Analysis{det: d, communities: res, clusters: clusters}
 }
 
-// Communities exposes the label-propagation community assignment.
-func (a *Analysis) Communities() *community.Result { return a.communities }
-
 // NumCommunities reports how many graph communities the lake decomposed into.
 func (a *Analysis) NumCommunities() int { return a.communities.NumCommunities }
 

@@ -156,8 +156,7 @@ type Config struct {
 // snapshot and caches the scores and ranking behind once-latches, so any
 // number of goroutines can call Scores, Ranking, TopK and Score concurrently:
 // the first caller per cache computes, later callers share the result. A
-// Detector never observes lake mutations — Update derives a successor
-// snapshot incrementally instead.
+// Detector never observes lake mutations.
 //
 // The latches are retry-safe rather than sync.Once: ScoresContext and
 // RankingContext accept a context, and a computation cancelled mid-flight
@@ -167,10 +166,6 @@ type Config struct {
 type Detector struct {
 	cfg   Config
 	graph *bipartite.Graph
-	// version is the lake version the graph reflects (0 for FromGraph).
-	// Atomic because a no-op Update re-stamps the shared detector while
-	// readers may be calling Version concurrently.
-	version atomic.Uint64
 
 	// Each cache is a (mutex, done-flag, value) latch. done is set with
 	// release semantics after the value write and checked with acquire
@@ -210,13 +205,9 @@ type scorePrior struct {
 }
 
 // New builds the DomainNet graph of a lake (pipeline step 1). Construction
-// and scoring share the Config's Workers bound. The detector is stamped with
-// the lake's current Version.
+// and scoring share the Config's Workers bound.
 func New(l *lake.Lake, cfg Config) *Detector {
-	g := bipartite.FromLake(l, cfg.bipartiteOpts())
-	d := FromGraph(g, cfg)
-	d.version.Store(l.Version())
-	return d
+	return FromGraph(bipartite.FromLake(l, cfg.bipartiteOpts()), cfg)
 }
 
 // FromGraph wraps an already-built graph, for callers that construct or
@@ -241,33 +232,6 @@ func FromGraphWithPrior(g *bipartite.Graph, cfg Config, prev *Detector, diff *bi
 	}
 	return d
 }
-
-// Update returns a detector reflecting the lake's current state, rebuilding
-// the graph incrementally from the receiver's snapshot (bipartite.RebuildDiff):
-// unchanged attributes keep their interned values and adjacency, so
-// single-table churn costs far less than New. When nothing structural
-// changed the receiver itself is returned, score and ranking caches intact
-// and re-stamped to the current lake version (the version can advance
-// without the graph changing, e.g. a table removed and re-added verbatim).
-// The receiver's snapshot state is never mutated, so readers of the old
-// detector are undisturbed. It is the single-detector update path (see
-// examples/incremental); the serving layer calls bipartite.RebuildDiff and
-// FromGraphWithPrior itself, since it warms several detectors per graph.
-func (d *Detector) Update(l *lake.Lake) *Detector {
-	attrs := l.Attributes()
-	g, diff := bipartite.RebuildDiff(d.graph, attrs, d.cfg.bipartiteOpts())
-	if g == d.graph {
-		d.version.Store(l.Version())
-		return d
-	}
-	nd := FromGraphWithPrior(g, d.cfg, d, diff)
-	nd.version.Store(l.Version())
-	return nd
-}
-
-// Version reports the lake version the detector's graph was built from
-// (zero for detectors wrapped around a hand-built graph).
-func (d *Detector) Version() uint64 { return d.version.Load() }
 
 // Graph exposes the underlying bipartite graph.
 func (d *Detector) Graph() *bipartite.Graph { return d.graph }

@@ -3,10 +3,12 @@ package domainnet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"domainnet/internal/bipartite"
 	"domainnet/internal/datagen"
+	"domainnet/internal/engine"
 	"domainnet/internal/eval"
 )
 
@@ -189,5 +191,20 @@ func TestEpsilonMeasureFindsFigure1Homographs(t *testing.T) {
 	got := map[string]bool{top[0].Value: true, top[1].Value: true}
 	if !got["JAGUAR"] || !got["PUMA"] {
 		t.Errorf("epsilon-measure top-2 = %v, want Jaguar and Puma", top)
+	}
+}
+
+// TestDeltaCapableMeasures pins the measures whose scorers implement the
+// incremental path: serve's TestDeltaScoresPropertyRandomChurn warms exactly
+// these, so a new delta scorer must join that property.
+func TestDeltaCapableMeasures(t *testing.T) {
+	var got []Measure
+	for m := range measures {
+		if _, ok := measures[m].scorer.(engine.DeltaScorer); ok {
+			got = append(got, Measure(m))
+		}
+	}
+	if want := []Measure{BetweennessExact, HarmonicBaseline}; !slices.Equal(got, want) {
+		t.Errorf("delta-capable measures = %v, want %v", got, want)
 	}
 }

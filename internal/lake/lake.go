@@ -339,20 +339,6 @@ func (s Stats) String() string {
 	return fmt.Sprintf("tables=%d attrs=%d values=%d cells=%d", s.Tables, s.Attributes, s.Values, s.Cells)
 }
 
-// ValueAttributes returns, for every distinct normalized value, the indices
-// (into Attributes()) of the attributes containing it. This is the A(n) set
-// of paper Definition 2. Indices are ascending.
-func (l *Lake) ValueAttributes() map[string][]int {
-	attrs := l.Attributes()
-	m := make(map[string][]int)
-	for ai := range attrs {
-		for _, v := range attrs[ai].Values() {
-			m[v] = append(m[v], ai)
-		}
-	}
-	return m
-}
-
 // LoadDir reads every *.csv file under dir (non-recursively) into a lake
 // named after the directory. Files are parsed in parallel and added in
 // directory order. Files that fail to parse abort the load with an error

@@ -214,17 +214,6 @@ func TestRehydrateRestoresVersion(t *testing.T) {
 	}
 }
 
-func TestValueAttributes(t *testing.T) {
-	l := twoTableLake(t)
-	va := l.ValueAttributes()
-	if got := va["JAGUAR"]; !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Errorf("JAGUAR attrs = %v, want [0 2]", got)
-	}
-	if got := va["FIAT"]; !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("FIAT attrs = %v", got)
-	}
-}
-
 func TestSaveLoadDirRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "lake")
 	l := twoTableLake(t)

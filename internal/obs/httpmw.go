@@ -6,9 +6,9 @@ import (
 )
 
 // StatusWriter wraps a ResponseWriter to capture the response status for
-// endpoint accounting and to carry the request's in-flight trace to handlers
-// (via ActiveFrom). Instrumented creates one per request; handlers see it as
-// their plain ResponseWriter.
+// endpoint accounting and to carry the request's in-flight trace to handlers,
+// which see it as their plain ResponseWriter and reach the trace with
+// ActiveFrom. Every StatusWriter comes from NewStatusWriter.
 type StatusWriter struct {
 	http.ResponseWriter
 	Code   int
@@ -20,16 +20,14 @@ func (w *StatusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// TraceActive exposes the in-flight trace to ActiveFrom.
-func (w *StatusWriter) TraceActive() *Active { return w.active }
-
 // Unwrap lets http.ResponseController reach the underlying writer's
 // optional interfaces (Flusher, deadlines) through the wrapper.
 func (w *StatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// NewStatusWriter wraps w for callers that instrument by hand (the router's
-// proxy path, which mints trace IDs eagerly for propagation) rather than
-// through Instrumented.
+// NewStatusWriter wraps w, starting at status 200 and carrying trace a.
+// Instrumented builds its per-request writer with it, and so does the
+// router's proxy path, which instruments by hand because it mints trace IDs
+// eagerly for propagation.
 func NewStatusWriter(w http.ResponseWriter, a *Active) *StatusWriter {
 	return &StatusWriter{ResponseWriter: w, Code: http.StatusOK, active: a}
 }
@@ -49,7 +47,7 @@ func Instrumented(es *Endpoints, t *Tracer, name string, h http.HandlerFunc) htt
 		if a != nil && a.id != "" {
 			w.Header().Set(TraceHeader, a.id)
 		}
-		sw := &StatusWriter{ResponseWriter: w, Code: http.StatusOK, active: a}
+		sw := NewStatusWriter(w, a)
 		start := time.Now()
 		h(sw, r)
 		e.Record(sw.Code, time.Since(start))

@@ -98,17 +98,14 @@ func (h SpanHandle) End() {
 	}
 }
 
-// activeCarrier is how handlers reach the in-flight trace through the
-// http.ResponseWriter they were handed: instrumentation wrappers embed the
-// Active in their status-recording writer and expose it via this interface,
-// which costs nothing on the request path (no context allocation).
-type activeCarrier interface{ TraceActive() *Active }
-
-// ActiveFrom extracts the in-flight trace from an instrumented
-// ResponseWriter, nil (safe to use) when the writer carries none.
+// ActiveFrom extracts the in-flight trace from the StatusWriter that
+// Instrumented (or a NewStatusWriter caller) hands its handler, nil (safe to
+// record into) for any other ResponseWriter. Handlers reach their trace
+// through the writer instead of a request context, so the request path
+// allocates nothing for it.
 func ActiveFrom(w http.ResponseWriter) *Active {
-	if c, ok := w.(activeCarrier); ok {
-		return c.TraceActive()
+	if sw, ok := w.(*StatusWriter); ok {
+		return sw.active
 	}
 	return nil
 }

@@ -128,21 +128,12 @@ func TestTraceNilSafety(t *testing.T) {
 	}
 }
 
-// carrierWriter is the shape serve's instrumentation writer takes: a
-// ResponseWriter that exposes its Active via TraceActive.
-type carrierWriter struct {
-	http.ResponseWriter
-	active *Active
-}
-
-func (w *carrierWriter) TraceActive() *Active { return w.active }
-
 // TestActiveFromCarrier: handlers reach the in-flight trace through the
 // ResponseWriter, spans recorded there land in the captured trace.
 func TestActiveFromCarrier(t *testing.T) {
 	tr := &Tracer{SlowThreshold: -1}
 	a := tr.Start("topk", "")
-	w := &carrierWriter{ResponseWriter: httptest.NewRecorder(), active: a}
+	w := NewStatusWriter(httptest.NewRecorder(), a)
 
 	handler := func(w http.ResponseWriter, _ *http.Request) {
 		act := ActiveFrom(w)

@@ -317,23 +317,12 @@ type readHandler func(w http.ResponseWriter, r *http.Request, sn *snapshot)
 // version of the one snapshot its body was built from.
 func (s *Server) read(name string, h readHandler) http.HandlerFunc {
 	return s.instrument(name, func(w http.ResponseWriter, r *http.Request) {
-		sp := traceActive(w).StartSpan("snapshot")
+		sp := obs.ActiveFrom(w).StartSpan("snapshot")
 		sn := s.snap.Load()
 		sp.End()
 		w.Header().Set(VersionHeader, sn.verStr)
 		h(w, r, sn)
 	})
-}
-
-// traceActive extracts the request's in-flight trace from the instrumented
-// ResponseWriter (nil, safe to record into, when absent). Handlers reach
-// their trace through the writer instead of a request context so the hot
-// path stays allocation-free.
-func traceActive(w http.ResponseWriter) *obs.Active {
-	if sw, ok := w.(*obs.StatusWriter); ok {
-		return sw.TraceActive()
-	}
-	return nil
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -641,7 +630,7 @@ func toScoredJSON(in []rank.Scored) []scoredJSON {
 // If-None-Match is answered 304 with no body. A router-fronted fleet serving
 // repeat queries does a few header writes per request and nothing else.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, sn *snapshot) {
-	a := traceActive(w)
+	a := obs.ActiveFrom(w)
 	sp := a.StartSpan("parse")
 	mname, kstr, fast := fastTopKQuery(r.URL.RawQuery)
 	if !fast {
@@ -729,7 +718,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, sn *snapsho
 	} else {
 		s.coldMisses.Add(1)
 	}
-	sp := traceActive(w).StartSpan("score")
+	sp := obs.ActiveFrom(w).StartSpan("score")
 	score, found := d.Score(v)
 	sp.End()
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -57,28 +57,6 @@ func (t *Table) NumRows() int {
 // slice indexing.
 func (t *Table) Column(i int) *Column { return &t.Columns[i] }
 
-// ColumnByName returns the first column with the given name, or nil.
-func (t *Table) ColumnByName(name string) *Column {
-	for i := range t.Columns {
-		if t.Columns[i].Name == name {
-			return &t.Columns[i]
-		}
-	}
-	return nil
-}
-
-// Row returns the values of row i across all columns. Columns shorter than
-// i+1 contribute an empty string. The slice is freshly allocated.
-func (t *Table) Row(i int) []string {
-	row := make([]string, len(t.Columns))
-	for c := range t.Columns {
-		if i < len(t.Columns[c].Values) {
-			row[c] = t.Columns[c].Values[i]
-		}
-	}
-	return row
-}
-
 // Validate reports an error when the table is structurally unusable:
 // empty name, no columns, or a column with no values at all. Ragged
 // (non-rectangular) tables are permitted.

@@ -18,24 +18,6 @@ func TestAddColumnAndShape(t *testing.T) {
 	}
 }
 
-func TestRowPadsShortColumns(t *testing.T) {
-	tab := New("t").AddColumn("a", "1", "2").AddColumn("b", "x")
-	row := tab.Row(1)
-	if row[0] != "2" || row[1] != "" {
-		t.Errorf("Row(1) = %v, want [2 '']", row)
-	}
-}
-
-func TestColumnByName(t *testing.T) {
-	tab := New("t").AddColumn("a", "1").AddColumn("b", "2")
-	if c := tab.ColumnByName("b"); c == nil || c.Values[0] != "2" {
-		t.Errorf("ColumnByName(b) = %v", c)
-	}
-	if c := tab.ColumnByName("missing"); c != nil {
-		t.Errorf("ColumnByName(missing) = %v, want nil", c)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		name string
