@@ -19,7 +19,7 @@ import (
 // State is the persistable form of an incremental bipartite Graph. All
 // slices alias the graph's internal storage — treat a State as read-only.
 // Occ is indexed by the IDs of Symbols, the symbol table of the source
-// attributes; a codec resolves IDs to strings on the way out.
+// attributes; a codec maps IDs to its own numbering on the way out.
 type State struct {
 	Values         []string
 	AttrIDs        []string

@@ -104,22 +104,33 @@ func (l *Lake) MustAdd(t *table.Table) {
 	}
 }
 
+// Stored is one attribute as a snapshot stores it, for Rehydrate: its value
+// IDs in the symbol table handed to Rehydrate, with their cell counts
+// (parallel). Its table is the one it is handed with.
+type Stored struct {
+	ID, Column string
+	IDs        []uint32
+	Freqs      []int32
+}
+
 // Rehydrate reconstructs a lake from persisted state (internal/persist): the
 // given tables are added in order and the version counter is restored, so
 // derived state cached against the saved version (graph snapshots, rankings)
 // stays valid across a process restart. The version must be at least the
 // table count, since every Add bumped it once in the original process.
 //
-// Loaders that persisted the normalized attributes pass them as attrs,
-// parallel to tables (a nil entry is normalized on first use); they are
-// interned into the lake's Symbols in order. They are trusted — persist
-// checksums them — beyond sanity checks, which include that a column's cell
-// count fits an Attribute's int32 counts.
-func Rehydrate(name string, version uint64, tables []*table.Table, attrs [][]Spec) (*Lake, error) {
+// The lake takes syms as its symbol table. Loaders that persisted the
+// normalized attributes pass them as attrs, parallel to tables (a nil entry
+// is normalized on first use). Ascending IDs are adopted as they are; others
+// are sorted, and repeats merged. Attributes are trusted — persist checksums
+// them — beyond sanity checks: every ID is in syms, and a column's counts are
+// positive and sum to at most math.MaxInt32.
+func Rehydrate(name string, version uint64, syms *Symbols, tables []*table.Table, attrs [][]Stored) (*Lake, error) {
 	if attrs != nil && len(attrs) != len(tables) {
 		return nil, fmt.Errorf("lake %q: %d attribute slices for %d tables", name, len(attrs), len(tables))
 	}
 	l := New(name)
+	l.syms, l.b = syms, builder{syms: syms}
 	for i, t := range tables {
 		if err := l.Add(t); err != nil {
 			return nil, err
@@ -127,13 +138,22 @@ func Rehydrate(name string, version uint64, tables []*table.Table, attrs [][]Spe
 		if attrs == nil || attrs[i] == nil {
 			continue
 		}
-		for _, sp := range attrs[i] {
-			if sp.Table != t.Name || len(sp.Values) == 0 || !validFreqs(sp) {
-				return nil, fmt.Errorf("lake %q: malformed persisted attribute %q", name, sp.ID)
+		as := make([]Attribute, len(attrs[i]))
+		for j, sa := range attrs[i] {
+			valid, ascending := check(sa, syms.Len())
+			if !valid {
+				return nil, fmt.Errorf("lake %q: malformed persisted attribute %q", name, sa.ID)
+			}
+			as[j] = Attribute{ID: sa.ID, Table: t.Name, Column: sa.Column, syms: syms, ids: sa.IDs, freqs: sa.Freqs}
+			if !ascending {
+				for k, id := range sa.IDs {
+					l.b.add(id, int(sa.Freqs[k]))
+				}
+				as[j] = l.b.end(sa.ID, t.Name, sa.Column)
 			}
 		}
-		l.tableAttrs[i] = l.b.specs(attrs[i])
-		l.retain(l.tableAttrs[i])
+		l.tableAttrs[i] = as
+		l.retain(as)
 	}
 	if version < l.version {
 		return nil, fmt.Errorf("lake %q: persisted version %d below table count %d",
@@ -143,23 +163,22 @@ func Rehydrate(name string, version uint64, tables []*table.Table, attrs [][]Spe
 	return l, nil
 }
 
-// validFreqs reports whether a spec's counts are parallel to its values,
-// positive, and sum — merged repeats included — to at most math.MaxInt32.
-func validFreqs(sp Spec) bool {
-	if sp.Freqs == nil {
-		return true
+// check reports whether a stored attribute is valid — it has values, each an
+// ID below n, and parallel counts that are positive and sum, merged repeats
+// included, to at most math.MaxInt32 — and whether its IDs strictly ascend.
+func check(sa Stored, n int) (valid, ascending bool) {
+	if len(sa.IDs) == 0 || len(sa.Freqs) != len(sa.IDs) {
+		return false, false
 	}
-	if len(sp.Freqs) != len(sp.Values) {
-		return false
-	}
-	cells := 0
-	for _, f := range sp.Freqs {
-		if f < 1 || f > math.MaxInt32-cells {
-			return false
+	cells, ascending := 0, true
+	for k, f := range sa.Freqs {
+		if int(sa.IDs[k]) >= n || f < 1 || int(f) > math.MaxInt32-cells {
+			return false, false
 		}
-		cells += f
+		cells += int(f)
+		ascending = ascending && (k == 0 || sa.IDs[k-1] < sa.IDs[k])
 	}
-	return true
+	return true, ascending
 }
 
 // TableAttributes returns every table's normalized Attribute slice, parallel
@@ -170,6 +189,9 @@ func (l *Lake) TableAttributes() [][]Attribute {
 	l.Attributes()
 	return l.tableAttrs
 }
+
+// Live reports whether a cached attribute of the lake holds symbol id.
+func (l *Lake) Live(id uint32) bool { return int(id) < len(l.live) && l.live[id] > 0 }
 
 // Tables returns the tables in insertion order. The slice is shared; callers
 // must not mutate it.

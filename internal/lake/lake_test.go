@@ -199,7 +199,7 @@ func TestRemoveTableReleasesTailSlot(t *testing.T) {
 func TestRehydrateRestoresVersion(t *testing.T) {
 	src := twoTableLake(t)
 	src.RemoveTable("t2") // version 3: two adds + one removal
-	l, err := Rehydrate(src.Name, src.Version(), src.Tables(), nil)
+	l, err := Rehydrate(src.Name, src.Version(), NewSymbols(), src.Tables(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRehydrateRestoresVersion(t *testing.T) {
 	if l.NumTables() != 1 || l.Tables()[0].Name != "t1" {
 		t.Errorf("tables = %v", l.Tables())
 	}
-	if _, err := Rehydrate("bad", 1, twoTableLake(t).Tables(), nil); err == nil {
+	if _, err := Rehydrate("bad", 1, NewSymbols(), twoTableLake(t).Tables(), nil); err == nil {
 		t.Error("version below table count not rejected")
 	}
 }

@@ -1,7 +1,9 @@
 package lake
 
 import (
+	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"slices"
 	"strings"
 	"unicode/utf8"
@@ -29,6 +31,21 @@ const symChunk = 4096 // strings per chunk of a Symbols
 
 // NewSymbols returns an empty symbol table (a zero Symbols is unusable).
 func NewSymbols() *Symbols { return &Symbols{seed: maphash.MakeSeed(), index: make([]uint32, 64)} }
+
+// AdoptSymbols returns a symbol table that gives strs[i] the ID i, keeping
+// the strings themselves rather than copies. The index is sized up front, so
+// adopting never rehashes. A repeated string is an error.
+func AdoptSymbols(strs []string) (*Symbols, error) {
+	s := &Symbols{seed: maphash.MakeSeed(), index: make([]uint32, max(64, 2<<bits.Len(uint(len(strs)))))}
+	for _, v := range strs {
+		i := slot(s, v, maphash.String(s.seed, v))
+		if s.index[i] != 0 {
+			return nil, fmt.Errorf("lake: symbol %q repeated", v)
+		}
+		s.insert(i, v)
+	}
+	return s, nil
+}
 
 // Len reports the number of interned values, which bounds every ID.
 func (s *Symbols) Len() int {

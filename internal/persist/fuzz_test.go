@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"os"
 	"testing"
 
 	"domainnet/internal/bipartite"
@@ -8,8 +9,8 @@ import (
 	"domainnet/internal/table"
 )
 
-// FuzzLoad fuzzes the snapshot decoder: whatever bytes arrive — a valid
-// snapshot, a truncation, a bit flip that survives the CRC, or garbage — the
+// FuzzLoad fuzzes the snapshot decoder in both formats it reads: whatever
+// bytes arrive — a valid format 1 or format 2 snapshot, a truncation, a bit flip that survives the CRC, or garbage — the
 // decoder must return an error or a usable snapshot, never panic. The WAL
 // replays and follower bootstraps feed this decoder with bytes from disk and
 // network, so "corrupt input cannot crash the process" is a load-bearing
@@ -21,6 +22,14 @@ func FuzzLoad(f *testing.F) {
 
 	f.Add(withGraph)
 	f.Add(lakeOnly)
+	// Format 1: the reference encoder's bytes and a file the parent build wrote.
+	f.Add(marshalV1(l, bipartite.FromLake(l, bipartite.Options{KeepSingletons: true})))
+	f.Add(marshalV1(l, nil))
+	parent, err := os.ReadFile("testdata/parent-v1.snapshot")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent)
 	f.Add([]byte{})
 	f.Add([]byte("DNET"))
 	f.Add(withGraph[:len(withGraph)/2])            // truncated mid-body

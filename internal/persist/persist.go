@@ -11,13 +11,18 @@
 // loader can re-wire the graph to a live lake.Attributes() slice, restoring
 // the pointer-identity change detection of bipartite.RebuildDiff.
 //
-// Format: a 4-byte magic, a uvarint format version, the body (lake section,
-// then an optional graph section), and a CRC-32 trailer over everything
-// after the magic. All integers are unsigned varints; strings are a uvarint
-// length followed by raw bytes. In memory, values are interned value strings
-// (IDs in the lake's lake.Symbols): the encoder resolves IDs to strings, in
-// ID order so Marshal is deterministic, and the decoder interns them into the
-// rehydrated lake's Symbols. Saves are atomic (temp file + rename + sync)
+// Format: a 4-byte magic, a uvarint format version, the body (lake header,
+// symbol section, tables with their attributes, then an optional graph
+// section), and a CRC-32 trailer over everything after the magic. All
+// integers are unsigned varints; strings are a uvarint length followed by
+// raw bytes. The symbol section holds each live value of the lake's
+// lake.Symbols once, in ID order, and everywhere else a value is its rank
+// there: an attribute's ascending ranks each as the ranks it skips, a graph
+// value node as its rank, and one occurrence count per rank. The decoder
+// adopts the section as the rehydrated lake's Symbols, so it interns
+// nothing, and a decoded snapshot re-encodes to its own bytes. It also reads
+// format 1, which wrote a value's string wherever the value appeared;
+// Marshal writes only format 2. Saves are atomic (temp file + rename + sync)
 // so a crash mid-checkpoint never clobbers the previous snapshot.
 package persist
 
@@ -34,9 +39,9 @@ import (
 	"domainnet/internal/table"
 )
 
-// FormatVersion is the current snapshot format. Loaders reject snapshots
-// with a newer version instead of mis-parsing them.
-const FormatVersion = 1
+// FormatVersion is the snapshot format Marshal writes. Loaders read it and
+// format 1, and reject a newer one instead of mis-parsing it.
+const FormatVersion = 2
 
 // magic identifies a DomainNet snapshot file.
 var magic = [4]byte{'D', 'N', 'E', 'T'}
@@ -53,8 +58,8 @@ type Snapshot struct {
 // Save writes the lake and graph to path atomically: encode, write to a
 // temp file in the same directory, sync, rename, sync the directory. g may
 // be nil (lake-only snapshot); graphs without delta state (tripartite,
-// hand-assembled) are silently saved without their graph section, since
-// FromState could not reconstruct them anyway.
+// hand-assembled) or over another lake's symbol table are silently saved
+// without their graph section, since FromState could not reconstruct them.
 func Save(path string, l *lake.Lake, g *bipartite.Graph) error {
 	return WriteFile(path, Marshal(l, g))
 }
@@ -150,8 +155,19 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 	b = AppendString(b, l.Name)
 	b = binary.AppendUvarint(b, l.Version())
 
-	tables := l.Tables()
-	tableAttrs := l.TableAttributes()
+	// The symbol section: every live value once, in ID order.
+	syms, tables, tableAttrs := l.Symbols(), l.Tables(), l.TableAttributes()
+	rank := make([]uint64, syms.Len()) // live rank + 1; 0 for a dead ID
+	b = binary.AppendUvarint(b, uint64(l.Stats().Values))
+	n := uint64(0)
+	for id := range rank {
+		if l.Live(uint32(id)) {
+			n++
+			rank[id] = n
+			b = AppendString(b, syms.String(uint32(id)))
+		}
+	}
+
 	b = binary.AppendUvarint(b, uint64(len(tables)))
 	for ti, t := range tables {
 		b = AppendTable(b, t)
@@ -165,8 +181,11 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 			b = AppendString(b, a.ID)
 			b = AppendString(b, a.Column)
 			b = binary.AppendUvarint(b, uint64(a.Cardinality()))
+			// Ranks ascend with IDs: each goes out as the ranks it skips.
+			prev := uint64(0)
 			for _, id := range a.IDs() {
-				b = AppendString(b, l.Symbols().String(id))
+				b = binary.AppendUvarint(b, rank[id]-prev-1)
+				prev = rank[id]
 			}
 			for _, f := range a.Freqs() {
 				b = binary.AppendUvarint(b, uint64(f))
@@ -178,18 +197,19 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 	if g != nil {
 		st, _ = g.Export()
 	}
-	if st == nil {
+	// A graph over another symbol table has IDs this lake cannot rank.
+	if st == nil || st.Symbols != nil && st.Symbols != syms {
 		return append(b, 0)
 	}
-	b = append(b, 1)
+	keep := byte(0)
 	if st.KeepSingletons {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+		keep = 1
 	}
+	b = append(b, 1, keep)
 	b = binary.AppendUvarint(b, uint64(len(st.Values)))
 	for _, v := range st.Values {
-		b = AppendString(b, v)
+		id, _ := syms.Lookup([]byte(v))
+		b = binary.AppendUvarint(b, rank[id]-1)
 	}
 	b = binary.AppendUvarint(b, uint64(len(st.AttrIDs)))
 	for _, id := range st.AttrIDs {
@@ -207,16 +227,14 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 	for _, v := range st.Adj {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
-	nOcc := 0
-	for _, c := range st.Occ {
-		if c > 0 {
-			nOcc++
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(nOcc))
-	for id, c := range st.Occ {
-		if c > 0 {
-			b = AppendString(b, st.Symbols.String(uint32(id)))
+	// One count per symbol, in rank order.
+	b = binary.AppendUvarint(b, n)
+	for id, r := range rank {
+		if r != 0 {
+			c := int64(0)
+			if id < len(st.Occ) {
+				c = st.Occ[id]
+			}
 			b = binary.AppendUvarint(b, uint64(c))
 		}
 	}
@@ -327,6 +345,16 @@ func (r *Reader) lookup(syms *lake.Symbols, what string) uint32 {
 	return id
 }
 
+// below reads one uvarint, which must be below n.
+func (r *Reader) below(n uint64, what string) uint32 {
+	v := r.Uvarint()
+	if r.err == nil && v >= n {
+		r.fail("%s %d out of range [0, %d)", what, v, n)
+		return 0
+	}
+	return uint32(v)
+}
+
 // strings reads a count and that many length-prefixed strings, which share
 // one backing string: one allocation per list rather than per string.
 func (r *Reader) strings(what string) []string {
@@ -371,25 +399,43 @@ func (r *Reader) byte() byte {
 
 func decodeBody(body []byte) (*Snapshot, error) {
 	r := NewReader(body)
-	if v := r.Uvarint(); r.err == nil && v != FormatVersion {
-		return nil, fmt.Errorf("snapshot format %d, this build reads %d", v, FormatVersion)
+	format := r.Uvarint()
+	if r.err == nil && (format < 1 || format > FormatVersion) {
+		return nil, fmt.Errorf("snapshot format %d, this build reads 1 to %d", format, FormatVersion)
 	}
+	v2 := format >= 2
 	name := r.String()
 	version := r.Uvarint()
 
+	// Format 1 interns each value string where it reads it.
+	syms, err := lake.NewSymbols(), error(nil)
+	if v2 {
+		if syms, err = lake.AdoptSymbols(r.strings("symbol")); err != nil {
+			return nil, err
+		}
+	}
 	nTables := r.Length("table")
 	tables := make([]*table.Table, 0, nTables)
-	tableAttrs := make([][]lake.Spec, 0, nTables)
+	tableAttrs := make([][]lake.Stored, 0, nTables)
 	for ti := 0; ti < nTables && r.err == nil; ti++ {
 		t := r.Table()
 		nAttrs := r.Length("attribute")
-		attrs := make([]lake.Spec, 0, nAttrs)
+		attrs := make([]lake.Stored, 0, nAttrs)
 		for ai := 0; ai < nAttrs && r.err == nil; ai++ {
-			a := lake.Spec{ID: r.String(), Table: t.Name, Column: r.String()}
-			a.Values = r.strings("attribute value")
-			a.Freqs = make([]int, len(a.Values))
-			for vi := 0; vi < len(a.Values) && r.err == nil; vi++ {
-				a.Freqs[vi] = int(min(r.Uvarint(), math.MaxInt))
+			a := lake.Stored{ID: r.String(), Column: r.String()}
+			nVals := r.Length("attribute value")
+			a.IDs, a.Freqs = make([]uint32, nVals), make([]int32, nVals)
+			prev := -1
+			for vi := 0; vi < nVals && r.err == nil; vi++ {
+				if v2 {
+					prev += 1 + int(r.below(uint64(syms.Len()-1-prev), "attribute value ID gap"))
+					a.IDs[vi] = uint32(prev)
+				} else {
+					a.IDs[vi] = syms.AddBytes(r.bytes())
+				}
+			}
+			for vi := 0; vi < nVals && r.err == nil; vi++ {
+				a.Freqs[vi] = int32(r.below(math.MaxInt32+1, "cell count"))
 			}
 			attrs = append(attrs, a)
 		}
@@ -399,11 +445,10 @@ func decodeBody(body []byte) (*Snapshot, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	l, err := lake.Rehydrate(name, version, tables, tableAttrs)
+	l, err := lake.Rehydrate(name, version, syms, tables, tableAttrs)
 	if err != nil {
 		return nil, err
 	}
-	syms := l.Symbols()
 
 	if r.byte() == 0 {
 		if r.err != nil {
@@ -415,7 +460,13 @@ func decodeBody(body []byte) (*Snapshot, error) {
 	nVals := r.Length("value")
 	st.Values = make([]string, 0, nVals)
 	for i := 0; i < nVals && r.err == nil; i++ {
-		if id := r.lookup(syms, "graph value"); r.err == nil {
+		var id uint32
+		if v2 {
+			id = r.below(uint64(syms.Len()), "graph value ID")
+		} else {
+			id = r.lookup(syms, "graph value")
+		}
+		if r.err == nil {
 			st.Values = append(st.Values, syms.String(id))
 		}
 	}
@@ -436,10 +487,17 @@ func decodeBody(body []byte) (*Snapshot, error) {
 	for i := 0; i < nAdj && r.err == nil; i++ {
 		st.Adj = append(st.Adj, int32(r.Uvarint()))
 	}
+	// Format 2 counts every symbol in ID order; format 1 names each value.
 	nOcc := r.Length("occurrence")
+	if v2 && r.err == nil && nOcc != syms.Len() {
+		r.fail("%d occurrence counts for %d symbols", nOcc, syms.Len())
+	}
 	st.Occ = make([]int64, syms.Len())
 	for i := 0; i < nOcc && r.err == nil; i++ {
-		id := r.lookup(syms, "occurrence value")
+		id := uint32(i)
+		if !v2 {
+			id = r.lookup(syms, "occurrence value")
+		}
 		if c := r.Uvarint(); r.err == nil {
 			st.Occ[id] = int64(c)
 		}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"domainnet/internal/bipartite"
@@ -122,6 +123,13 @@ func TestLakeOnlySnapshot(t *testing.T) {
 	if sn.Graph != nil {
 		t.Error("tripartite graph should not be persisted")
 	}
+
+	// So do graphs over another lake's symbol table, whose IDs the saved
+	// lake cannot rank.
+	other := bipartite.FromLake(datagen.Figure1Lake(), bipartite.Options{})
+	if sn = saveLoad(t, l, other); sn.Graph != nil {
+		t.Error("a graph of another lake was persisted")
+	}
 }
 
 func TestCorruptionDetected(t *testing.T) {
@@ -216,13 +224,13 @@ func TestRoundTripLakeWithoutValues(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsCountsBeyondInt32 feeds the decoder attribute cell counts
-// an Attribute cannot hold: one count of 2^31, one of 2^32 (which would
-// carry into the packed symbol ID), and a repeated value whose merged count
-// overflows. Each must be an error, not a panic or a wrapped count.
+// TestDecodeRejectsCountsBeyondInt32 feeds the format 1 decoder attribute
+// cell counts an Attribute cannot hold: one count of 2^31, one of 2^32 (which
+// would carry into the packed symbol ID), and a repeated value whose merged
+// count overflows. Each must be an error, not a panic or a wrapped count.
 func TestDecodeRejectsCountsBeyondInt32(t *testing.T) {
 	body := func(values []string, freqs []uint64) []byte {
-		b := binary.AppendUvarint(nil, FormatVersion)
+		b := binary.AppendUvarint(nil, 1)
 		b = AppendString(b, "big")
 		b = binary.AppendUvarint(b, 1)
 		b = binary.AppendUvarint(b, 1)
@@ -239,21 +247,142 @@ func TestDecodeRejectsCountsBeyondInt32(t *testing.T) {
 		}
 		return append(b, 0) // no graph section
 	}
+	checkCountCases(t, body)
+}
+
+// countCases are the cell counts both formats must reject.
+var countCases = []struct {
+	name   string
+	values []string
+	freqs  []uint64
+}{
+	{"2^31", []string{"A"}, []uint64{1 << 31}},
+	{"2^32", []string{"A"}, []uint64{1 << 32}},
+	{"2^64-1", []string{"A"}, []uint64{math.MaxUint64}},
+	{"merged", []string{"A", "A"}, []uint64{1 << 30, 1 << 30}},
+}
+
+func checkCountCases(t *testing.T, body func(values []string, freqs []uint64) []byte) {
+	t.Helper()
 	if _, err := decodeBody(body([]string{"A"}, []uint64{math.MaxInt32})); err != nil {
 		t.Fatalf("largest representable count rejected: %v", err)
 	}
-	for _, tc := range []struct {
-		name   string
-		values []string
-		freqs  []uint64
-	}{
-		{"2^31", []string{"A"}, []uint64{1 << 31}},
-		{"2^32", []string{"A"}, []uint64{1 << 32}},
-		{"2^64-1", []string{"A"}, []uint64{math.MaxUint64}},
-		{"merged", []string{"A", "A"}, []uint64{1 << 30, 1 << 30}},
-	} {
+	for _, tc := range countCases {
 		if _, err := decodeBody(body(tc.values, tc.freqs)); err == nil {
 			t.Errorf("%s: count accepted", tc.name)
+		}
+	}
+}
+
+// v2Body builds a format 2 body of one table "t" holding one column "c" of
+// cells, with the given symbol section, the attribute's value IDs as the
+// codec writes them (each as the number of IDs it skips past the previous
+// one), its counts, and an optional graph section.
+func v2Body(symbols []string, cells []string, gaps, freqs []uint64, graph []byte) []byte {
+	b := binary.AppendUvarint(nil, 2)
+	b = AppendString(b, "v2")
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, uint64(len(symbols)))
+	for _, s := range symbols {
+		b = AppendString(b, s)
+	}
+	b = binary.AppendUvarint(b, 1)
+	b = AppendTable(b, table.New("t").AddColumn("c", cells...))
+	b = binary.AppendUvarint(b, 1)
+	b = AppendString(b, "t.c")
+	b = AppendString(b, "c")
+	b = binary.AppendUvarint(b, uint64(len(gaps)))
+	for _, g := range gaps {
+		b = binary.AppendUvarint(b, g)
+	}
+	for _, f := range freqs {
+		b = binary.AppendUvarint(b, f)
+	}
+	if graph == nil {
+		return append(b, 0)
+	}
+	return append(append(b, 1), graph...)
+}
+
+// v2Graph builds the graph section of a one-attribute lake whose values are
+// the node IDs given (all joined to the attribute), with occ as the
+// occurrence list.
+func v2Graph(values []uint64, occ []uint64) []byte {
+	b := []byte{0} // singleton filter on
+	b = binary.AppendUvarint(b, uint64(len(values)))
+	for _, v := range values {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = binary.AppendUvarint(b, 1)
+	b = AppendString(b, "t.c")
+	n := len(values) + 1
+	b = binary.AppendUvarint(b, uint64(n+1))
+	b = binary.AppendUvarint(b, 0)
+	for range values {
+		b = binary.AppendUvarint(b, 1)
+	}
+	b = binary.AppendUvarint(b, uint64(len(values)))
+	b = binary.AppendUvarint(b, uint64(2*len(values)))
+	for range values {
+		b = binary.AppendUvarint(b, uint64(len(values)))
+	}
+	for i := range values {
+		b = binary.AppendUvarint(b, uint64(i))
+	}
+	b = binary.AppendUvarint(b, uint64(len(occ)))
+	for _, c := range occ {
+		b = binary.AppendUvarint(b, c)
+	}
+	return b
+}
+
+// TestDecodeRejectsCountsBeyondInt32V2 is the format 2 twin of
+// TestDecodeRejectsCountsBeyondInt32: the same counts, with the values as
+// symbol IDs. Format 2 cannot write a repeated ID, so the merged case's
+// second value arrives as an ID beyond the one symbol.
+func TestDecodeRejectsCountsBeyondInt32V2(t *testing.T) {
+	checkCountCases(t, func(values []string, freqs []uint64) []byte {
+		return v2Body([]string{"A"}, values, make([]uint64, len(values)), freqs, nil)
+	})
+}
+
+// TestDecodeRejectsMalformedV2 covers what format 2 adds: symbol IDs, their
+// gaps and the symbol section itself. Each corruption must be an error,
+// never a panic; the intact body must decode to the lake it describes. A
+// gap counts the IDs skipped, so no gap can repeat an ID or step back: the
+// ways a gap goes wrong are leaving the symbol table, or wrapping.
+func TestDecodeRejectsMalformedV2(t *testing.T) {
+	syms := []string{"PUMA", "JAGUAR"}
+	cells := []string{"puma", "jaguar", "jaguar"}
+	good := v2Body(syms, cells, []uint64{0, 0}, []uint64{1, 2}, v2Graph([]uint64{1, 0}, []uint64{1, 2}))
+	sn, err := decodeBody(good)
+	if err != nil {
+		t.Fatalf("intact body: %v", err)
+	}
+	if got := sn.Graph.Values(); sn.Lake.Stats().Cells != 3 || !slices.Equal(got, []string{"JAGUAR", "PUMA"}) {
+		t.Fatalf("intact body decoded to %v, values %v", sn.Lake.Stats(), got)
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"attribute ID beyond the symbols", v2Body(syms, cells, []uint64{0, 1}, []uint64{1, 2}, nil)},
+		{"first attribute ID beyond the symbols", v2Body(syms, cells, []uint64{2}, []uint64{1}, nil)},
+		{"gap past the last symbol", v2Body(syms, cells, []uint64{1, 0}, []uint64{1, 2}, nil)},
+		{"wrapping gap", v2Body(syms, cells, []uint64{0, math.MaxUint64}, []uint64{1, 2}, nil)},
+		{"gap wrapping uint32", v2Body(syms, cells, []uint64{0, 1<<32 - 1}, []uint64{1, 2}, nil)},
+		{"repeated symbol", v2Body([]string{"PUMA", "PUMA"}, cells, []uint64{0, 0}, []uint64{1, 2}, nil)},
+		{"graph value ID beyond the symbols", v2Body(syms, cells, []uint64{0, 0}, []uint64{1, 2},
+			v2Graph([]uint64{2, 0}, []uint64{1, 2}))},
+		{"graph value ID wrapping uint32", v2Body(syms, cells, []uint64{0, 0}, []uint64{1, 2},
+			v2Graph([]uint64{1 << 32, 0}, []uint64{1, 2}))},
+		{"short occurrence list", v2Body(syms, cells, []uint64{0, 0}, []uint64{1, 2},
+			v2Graph([]uint64{1, 0}, []uint64{1}))},
+		{"long occurrence list", v2Body(syms, cells, []uint64{0, 0}, []uint64{1, 2},
+			v2Graph([]uint64{1, 0}, []uint64{1, 2, 3}))},
+	} {
+		if _, err := decodeBody(tc.body); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }
