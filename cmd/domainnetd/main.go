@@ -17,8 +17,9 @@
 //	GET    /score?value=jaguar     one value's score (normalized lookup)
 //	GET    /stats                  lake and graph statistics + version
 //	GET    /scorers                available measures
-//	GET    /metrics                per-endpoint latency percentiles, runtime and
-//	                               warmer telemetry (?format=prom for Prometheus)
+//	GET    /metrics                per-endpoint latency percentiles, runtime,
+//	                               warmer and replication telemetry
+//	                               (?format=prom for Prometheus)
 //	GET    /debug/traces           captured slow-request traces with named spans
 //	POST   /tables                 batch-add tables (multipart, CSV per part)
 //	POST   /tables/{name}          add a table (request body: CSV)
@@ -54,8 +55,10 @@
 // from the snapshot stream automatically.
 //
 // Observability: every request books into a lock-free latency histogram, so
-// GET /metrics reports p50/p95/p99 per endpoint (JSON, or Prometheus text
-// with ?format=prom). Requests slower than -trace-slow (default 50ms; a
+// GET /metrics reports p50/p95/p99 per endpoint next to the warmer, runtime,
+// tracer and (on a replica) replication counters, as JSON or, with
+// ?format=prom, Prometheus text: both render serve.Metrics, so they carry
+// the same series. Requests slower than -trace-slow (default 50ms; a
 // negative value captures everything — a test and debugging mode) are
 // captured with named spans into a bounded ring served by GET /debug/traces.
 // -debug-addr exposes net/http/pprof on a separate listener with its own

@@ -614,6 +614,10 @@ func TestProcessObsTracing(t *testing.T) {
 	if repl["leader_reachable"] != true {
 		t.Fatalf("follower replication telemetry = %v", repl)
 	}
+	// The Prometheus view renders the same replication section.
+	if prom := follower.get(t, "/metrics?format=prom"); !strings.Contains(prom, "\ndomainnet_replication_leader_reachable 1\n") {
+		t.Fatalf("follower Prometheus view lacks leader reachability:\n%s", prom)
+	}
 
 	// pprof answers on the dedicated listener only.
 	pr, err := http.Get(leader.debugURL + "/debug/pprof/cmdline")

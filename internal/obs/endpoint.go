@@ -28,21 +28,18 @@ func (e *Endpoint) Record(status int, d time.Duration) {
 	e.hist.ObserveDuration(d)
 }
 
-// Metrics snapshots the endpoint for /metrics.
+// Metrics snapshots the endpoint for /metrics. Merging the counters into
+// the zero value derives the latency fields from the histogram, exactly as
+// a fleet merge does.
 func (e *Endpoint) Metrics() EndpointMetrics {
-	h := e.hist.Snapshot()
-	return EndpointMetrics{
+	var m EndpointMetrics
+	m.Merge(EndpointMetrics{
 		Count:       e.count.Load(),
 		Errors:      e.errors.Load(),
 		NotModified: e.notModified.Load(),
-		TotalNS:     h.Sum,
-		AvgNS:       h.Mean(),
-		MaxNS:       h.Max,
-		P50NS:       h.Quantile(0.50),
-		P95NS:       h.Quantile(0.95),
-		P99NS:       h.Quantile(0.99),
-		Hist:        h,
-	}
+		Hist:        e.hist.Snapshot(),
+	})
+	return m
 }
 
 // EndpointMetrics is the wire form of one endpoint's accounting: what
@@ -122,14 +119,9 @@ func (es *Endpoints) Metrics() map[string]EndpointMetrics {
 // needed — the router's fleet-wide aggregation step.
 func MergeMetrics(dst, src map[string]EndpointMetrics) {
 	for name, sm := range src {
-		dm, ok := dst[name]
-		if !ok {
-			// Deep-copy the bucket map: merging must never alias src.
-			dm = sm
-			dm.Hist.Buckets = nil
-			dm.Hist.Count, dm.Hist.Sum, dm.Hist.Max = 0, 0, 0
-			dm.Count, dm.Errors, dm.NotModified = 0, 0, 0
-		}
+		// A new endpoint merges into the zero value, which copies src's
+		// buckets into a map of its own: merging never aliases src.
+		dm := dst[name]
 		dm.Merge(sm)
 		dst[name] = dm
 	}

@@ -2,9 +2,10 @@
 // log-bucketed latency histograms with quantile estimation (hist.go),
 // per-endpoint request accounting shared across server rebuilds
 // (endpoint.go), slow-request tracing with a bounded ring of captured traces
-// (trace.go), runtime telemetry via runtime/metrics (runtime.go), and a
-// Prometheus text-exposition renderer (prom.go) so standard scrapers work
-// without adding a client library.
+// (trace.go), runtime telemetry via runtime/metrics (runtime.go), and
+// WriteMetrics (prom.go), which renders one tagged view struct as JSON or as
+// the Prometheus text exposition, so both formats share one declaration and
+// standard scrapers work without a client library.
 //
 // Everything on the request path is allocation-free and lock-free: a
 // histogram observation is one atomic add into a log-spaced bucket, an

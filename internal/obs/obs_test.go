@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -135,33 +137,42 @@ func TestObsMergeMetrics(t *testing.T) {
 	}
 }
 
+// promText renders v through WriteMetrics' Prometheus view.
+func promText(t *testing.T, v any) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	WriteMetrics(rec, httptest.NewRequest("GET", "/metrics?format=prom", nil), v)
+	if ct := rec.Header().Get("Content-Type"); ct != PromContentType {
+		t.Fatalf("content type = %q", ct)
+	}
+	return rec.Body.String()
+}
+
 // TestObsPromRender: the text exposition is structurally valid — one TYPE
 // line per family, cumulative le-buckets ending at +Inf == count, seconds
 // units, escaped labels.
 func TestObsPromRender(t *testing.T) {
-	var h Hist
-	h.Observe((5 * time.Millisecond).Nanoseconds())
-	h.Observe((5 * time.Millisecond).Nanoseconds())
-	h.Observe((80 * time.Millisecond).Nanoseconds())
-	s := h.Snapshot()
-
-	var p PromWriter
-	p.Counter("domainnet_requests_total", 3, "endpoint", "topk")
-	p.Counter("domainnet_requests_total", 1, "endpoint", "score")
-	p.Gauge("domainnet_goroutines", 12)
-	p.Histogram("domainnet_request_seconds", s, "endpoint", "topk")
-	text := string(p.Bytes())
+	var es Endpoints
+	for _, d := range []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 80 * time.Millisecond} {
+		es.Get("topk").Record(http.StatusOK, d)
+	}
+	es.Get("score").Record(http.StatusOK, time.Millisecond)
+	text := promText(t, struct {
+		Endpoints  map[string]EndpointMetrics `prom:"domainnet_"`
+		Goroutines int64                      `prom:"domainnet_goroutines"`
+	}{es.Metrics(), 12})
 
 	if n := strings.Count(text, "# TYPE domainnet_requests_total counter"); n != 1 {
 		t.Fatalf("TYPE line emitted %d times:\n%s", n, text)
 	}
-	if !strings.Contains(text, `domainnet_requests_total{endpoint="topk"} 3`) {
+	if !strings.Contains(text, `domainnet_requests_total{endpoint="topk"} 3`) ||
+		!strings.Contains(text, `domainnet_requests_total{endpoint="score"} 1`) {
 		t.Fatalf("missing counter sample:\n%s", text)
 	}
-	if !strings.Contains(text, "domainnet_goroutines 12") {
+	if !strings.Contains(text, "\ndomainnet_goroutines 12\n") {
 		t.Fatalf("missing bare gauge:\n%s", text)
 	}
-	if !strings.Contains(text, `le="+Inf"} 3`) {
+	if !strings.Contains(text, `domainnet_request_seconds_bucket{endpoint="topk",le="+Inf"} 3`) {
 		t.Fatalf("+Inf bucket must equal count:\n%s", text)
 	}
 	if !strings.Contains(text, `domainnet_request_seconds_count{endpoint="topk"} 3`) {
@@ -173,7 +184,7 @@ func TestObsPromRender(t *testing.T) {
 	var les []float64
 	var cums []int64
 	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, "domainnet_request_seconds_bucket") || strings.Contains(line, "+Inf") {
+		if !strings.HasPrefix(line, `domainnet_request_seconds_bucket{endpoint="topk"`) || strings.Contains(line, "+Inf") {
 			continue
 		}
 		le, cum, err := parseBucketLine(line)
@@ -197,11 +208,94 @@ func TestObsPromRender(t *testing.T) {
 	}
 
 	// Label escaping: quotes and newlines cannot break the line structure.
-	var p2 PromWriter
-	p2.Counter("x_total", 1, "name", "a\"b\nc")
-	if got := string(p2.Bytes()); strings.Count(got, "\n") != 2 {
-		t.Fatalf("escaped label broke line structure:\n%q", got)
+	hostile := promText(t, struct {
+		Endpoints map[string]EndpointMetrics `prom:"x_"`
+	}{map[string]EndpointMetrics{"a\"b\nc": {Count: 1}}})
+	for _, line := range strings.Split(strings.TrimSuffix(hostile, "\n"), "\n") {
+		if !strings.HasPrefix(line, "# TYPE x_") && !strings.HasPrefix(line, "x_") {
+			t.Fatalf("escaped label broke line structure:\n%q", hostile)
+		}
 	}
+}
+
+// TestObsPromDeclarations: every rule of the prom tag — counter by the
+// _total suffix, gauge otherwise, labels, nanoseconds rendered as seconds,
+// bools as 0/1, histograms in their declared unit, nested prefixes through
+// structs, pointers and interfaces, nil sections and "-" fields skipped —
+// while the JSON view is plain encoding/json of the same struct.
+func TestObsPromDeclarations(t *testing.T) {
+	type section struct {
+		Hits   int64 `json:"hits" prom:"reads_total,cache=hit"`
+		Misses int64 `json:"misses" prom:"reads_total,cache=miss"`
+	}
+	var h Hist
+	h.Observe(0)
+	h.Observe(3)
+	h.Observe(3)
+	view := struct {
+		Version   uint64       `json:"version" prom:"x_version"`
+		Up        bool         `json:"up" prom:"x_up"`
+		Ratio     float64      `json:"ratio" prom:"x_ratio"`
+		PauseNS   int64        `json:"pause_ns" prom:"x_pause_seconds"`
+		PausedNS  int64        `json:"paused_ns" prom:"x_pause_seconds_total"`
+		Sizes     HistSnapshot `json:"sizes" prom:"x_sizes"`
+		Names     []string     `json:"names" prom:"-"`
+		Section   section      `json:"section" prom:"x_"`
+		Pointer   *section     `json:"pointer" prom:"x_ptr_"`
+		Interface any          `json:"iface" prom:"x_if_"`
+		Absent    *section     `json:"absent,omitempty" prom:"x_absent_"`
+	}{
+		Version: 7, Up: true, Ratio: 0.5, PauseNS: 1500, PausedNS: 2e9,
+		Sizes: h.Snapshot(), Names: []string{"a"},
+		Section: section{Hits: 2, Misses: 1}, Pointer: &section{Hits: 4}, Interface: section{Misses: 9},
+	}
+	text := promText(t, view)
+	for _, want := range []string{
+		"# TYPE x_version gauge\nx_version 7\n",
+		"# TYPE x_up gauge\nx_up 1\n",
+		"x_ratio 0.5\n",
+		"# TYPE x_pause_seconds gauge\nx_pause_seconds 1.5e-06\n",
+		"# TYPE x_pause_seconds_total counter\nx_pause_seconds_total 2\n",
+		"# TYPE x_sizes histogram\n",
+		`x_sizes_bucket{le="0"} 1` + "\n",
+		`x_sizes_bucket{le="3"} 3` + "\n",
+		"x_sizes_sum 6\nx_sizes_count 3\n",
+		"# TYPE x_reads_total counter\n" + `x_reads_total{cache="hit"} 2` + "\n" + `x_reads_total{cache="miss"} 1` + "\n",
+		`x_ptr_reads_total{cache="hit"} 4` + "\n",
+		`x_if_reads_total{cache="miss"} 9` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "absent") || strings.Contains(text, "names") {
+		t.Errorf("nil section or JSON-only field rendered:\n%s", text)
+	}
+
+	rec := httptest.NewRecorder()
+	WriteMetrics(rec, httptest.NewRequest("GET", "/metrics", nil), view)
+	want, err := json.MarshalIndent(view, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(rec.Body.String()); got != string(want) {
+		t.Errorf("JSON view is not encoding/json of the struct:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestObsPromUndeclaredField: a field without a prom tag is a declaration
+// error, caught at the first scrape instead of silently missing from the
+// Prometheus view.
+func TestObsPromUndeclaredField(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Forgot") {
+			t.Fatalf("recover() = %v, want a panic naming the undeclared field", r)
+		}
+	}()
+	promText(t, struct {
+		Version int64 `json:"version" prom:"x_version"`
+		Forgot  int64 `json:"forgot"`
+	}{})
 }
 
 // parseBucketLine pulls le and the cumulative count out of one bucket line.

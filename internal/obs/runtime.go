@@ -6,17 +6,17 @@ import (
 
 // RuntimeStats is the process-health section of /metrics: scheduler, heap,
 // and GC pause telemetry read from runtime/metrics (no stop-the-world, no
-// ReadMemStats).
+// ReadMemStats). Its prom tags are relative to its section's prefix.
 type RuntimeStats struct {
-	Goroutines      int64 `json:"goroutines"`
-	HeapBytes       int64 `json:"heap_bytes"`        // live heap objects
-	HeapGoalBytes   int64 `json:"heap_goal_bytes"`   // GC pacer target
-	GCCycles        int64 `json:"gc_cycles"`         // completed GC cycles
-	GCPauseCount    int64 `json:"gc_pause_count"`    // stop-the-world pauses
-	GCPauseP50NS    int64 `json:"gc_pause_p50_ns"`   // median pause
-	GCPauseP99NS    int64 `json:"gc_pause_p99_ns"`   // tail pause
-	GCPauseTotalNS  int64 `json:"gc_pause_total_ns"` // estimated total pause time
-	TotalAllocBytes int64 `json:"total_alloc_bytes"` // cumulative heap allocations
+	Goroutines      int64 `json:"goroutines" prom:"goroutines"`
+	HeapBytes       int64 `json:"heap_bytes" prom:"heap_bytes"`                    // live heap objects
+	HeapGoalBytes   int64 `json:"heap_goal_bytes" prom:"heap_goal_bytes"`          // GC pacer target
+	GCCycles        int64 `json:"gc_cycles" prom:"gc_cycles"`                      // completed GC cycles
+	GCPauseCount    int64 `json:"gc_pause_count" prom:"gc_pauses_total"`           // stop-the-world pauses
+	GCPauseP50NS    int64 `json:"gc_pause_p50_ns" prom:"gc_pause_p50_seconds"`     // median pause
+	GCPauseP99NS    int64 `json:"gc_pause_p99_ns" prom:"gc_pause_p99_seconds"`     // tail pause
+	GCPauseTotalNS  int64 `json:"gc_pause_total_ns" prom:"gc_pause_seconds_total"` // estimated total pause time
+	TotalAllocBytes int64 `json:"total_alloc_bytes" prom:"alloc_bytes_total"`      // cumulative heap allocations
 }
 
 // runtimeSamples names the runtime/metrics series ReadRuntime reads. The

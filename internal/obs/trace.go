@@ -228,12 +228,13 @@ func (t *Tracer) Traces() []*Trace {
 	return out
 }
 
-// TracerStats is the tracer's counter snapshot, published in /metrics.
+// TracerStats is the tracer's counter snapshot, published in /metrics. Its
+// prom tags are relative to its section's prefix.
 type TracerStats struct {
-	Started     int64 `json:"started"`
-	Captured    int64 `json:"captured"`
-	Evicted     int64 `json:"evicted"`
-	ThresholdNS int64 `json:"threshold_ns"`
+	Started     int64 `json:"started" prom:"traces_total,stage=started"`
+	Captured    int64 `json:"captured" prom:"traces_total,stage=captured"`
+	Evicted     int64 `json:"evicted" prom:"traces_total,stage=evicted"`
+	ThresholdNS int64 `json:"threshold_ns" prom:"trace_threshold_seconds"`
 }
 
 // Stats reports the tracer's counters.
@@ -251,6 +252,17 @@ func (t *Tracer) Stats() TracerStats {
 		Evicted:     t.evicted.Load(),
 		ThresholdNS: threshold.Nanoseconds(),
 	}
+}
+
+// ServeHTTP serves GET /debug/traces: the captured ring, oldest first, with
+// the tracer's counters. Each trace carries its propagated ID and per-phase
+// spans, and a router-forwarded one the backend that served it.
+func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	traces := t.Traces()
+	if traces == nil {
+		traces = []*Trace{}
+	}
+	writeJSON(w, map[string]any{"tracer": t.Stats(), "traces": traces})
 }
 
 // NewTraceID mints a 16-hex-char trace ID. math/rand/v2's global generator

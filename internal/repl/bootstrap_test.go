@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -540,6 +541,60 @@ func TestFollowerStatusEndpoint(t *testing.T) {
 	if st := readStatus(); st.Version != want || st.LeaderVersion != want || st.Lag != 0 {
 		t.Errorf("post-poll status = %+v, want both versions at %d", st, want)
 	}
+}
+
+// TestLeaderReachableTracksLastExchange: leader reachability reports the
+// most recent exchange with the leader, not whether one ever succeeded. It
+// turns false when the leader stops answering and true again once it is
+// back, in /repl/status and in the replica's /metrics alike.
+func TestLeaderReachableTracksLastExchange(t *testing.T) {
+	leader, _, ts := newLeader(t)
+	ctx := context.Background()
+	f := newFollower(ts)
+	if err := f.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Poll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fts := httptest.NewServer(f)
+	defer fts.Close()
+	check := func(when string, want bool) {
+		t.Helper()
+		var st, m map[string]any
+		if err := json.Unmarshal([]byte(body(t, fts.URL+"/repl/status")), &st); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(body(t, fts.URL+"/metrics")), &m); err != nil {
+			t.Fatal(err)
+		}
+		replication, _ := m["replication"].(map[string]any)
+		if st["leader_reachable"] != want || replication["leader_reachable"] != want {
+			t.Fatalf("%s: /repl/status leader_reachable = %v, /metrics replication = %v; want %v",
+				when, st["leader_reachable"], replication, want)
+		}
+	}
+	check("after a poll", true)
+
+	addr := ts.Listener.Addr().String()
+	ts.Close()
+	if _, err := f.Poll(ctx); err == nil {
+		t.Fatal("poll of a closed leader succeeded")
+	}
+	check("after a refused poll", false)
+
+	// The leader comes back on the same address.
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := &httptest.Server{Listener: l, Config: &http.Server{Handler: leader}}
+	back.Start()
+	defer back.Close()
+	if _, err := f.Poll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("after the leader came back", true)
 }
 
 func TestChangesIdlePollCarriesVersion(t *testing.T) {

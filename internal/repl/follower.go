@@ -2,7 +2,6 @@ package repl
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -84,8 +83,11 @@ type Follower struct {
 
 	srv atomic.Pointer[serve.Server]
 
-	// Last version observed on any leader response; feeds Status().Lag.
-	leaderVer atomic.Uint64
+	// leader packs the newest version observed on any leader response (a
+	// high-water mark: responses can race each other), shifted left by one,
+	// with bit 0 set while the most recent exchange got an answer. One word
+	// keeps both halves consistent; see noteLeader.
+	leader atomic.Uint64
 	// Transfer counters for the most recent bootstrap (see BootstrapStats).
 	bootWire     atomic.Int64
 	bootRaw      atomic.Int64
@@ -97,12 +99,13 @@ type Follower struct {
 // framed bytes actually crossed the network for how many bytes of snapshot
 // codec, and how often the transfer was resumed (stream torn mid-flight,
 // picked up from the last whole chunk) or restarted (the leader's snapshot
-// version moved, invalidating the partial download).
+// version moved, invalidating the partial download). Gauges: each bootstrap
+// starts them from zero.
 type BootstrapStats struct {
-	WireBytes int64 `json:"wire_bytes"`
-	RawBytes  int64 `json:"raw_bytes"`
-	Resumes   int64 `json:"resumes"`
-	Restarts  int64 `json:"restarts"`
+	WireBytes int64 `json:"wire_bytes" prom:"wire_bytes"`
+	RawBytes  int64 `json:"raw_bytes" prom:"raw_bytes"`
+	Resumes   int64 `json:"resumes" prom:"resumes"`
+	Restarts  int64 `json:"restarts" prom:"restarts"`
 }
 
 // BootstrapStats reports the most recent (or in-progress) bootstrap's
@@ -118,29 +121,35 @@ func (f *Follower) BootstrapStats() BootstrapStats {
 
 // Status is the follower's health report, served at /repl/status: what the
 // read-router probes to decide whether this replica is caught up enough to
-// take traffic.
+// take traffic. It is also the replication section of the replica's
+// /metrics, whose series its prom tags declare.
 type Status struct {
 	// State is "bootstrapping" until the first snapshot is installed, then
 	// "serving".
-	State string `json:"state"`
+	State string `json:"state" prom:"-"`
 	// Version is the replica's applied version; zero before bootstrap.
-	Version uint64 `json:"version"`
+	Version uint64 `json:"version" prom:"version"`
 	// LeaderVersion is the newest version observed on any leader response;
 	// zero until the first successful exchange.
-	LeaderVersion uint64 `json:"leader_version"`
+	LeaderVersion uint64 `json:"leader_version" prom:"leader_version"`
 	// Lag is LeaderVersion - Version when positive (bursts the replica has
 	// not applied yet), else zero.
-	Lag       uint64         `json:"lag"`
-	Bootstrap BootstrapStats `json:"bootstrap"`
+	Lag uint64 `json:"lag" prom:"lag"`
+	// LeaderReachable reports whether the most recent exchange with the
+	// leader got an answer (a refused connection or a torn stream did not).
+	LeaderReachable bool           `json:"leader_reachable" prom:"leader_reachable"`
+	Bootstrap       BootstrapStats `json:"bootstrap" prom:"bootstrap_"`
 }
 
 // Status reports the follower's current health.
 func (f *Follower) Status() Status {
+	leader := f.leader.Load()
 	st := Status{
-		State:         "serving",
-		Version:       f.Version(),
-		LeaderVersion: f.leaderVer.Load(),
-		Bootstrap:     f.BootstrapStats(),
+		State:           "serving",
+		Version:         f.Version(),
+		LeaderVersion:   leader >> 1,
+		LeaderReachable: leader&1 == 1,
+		Bootstrap:       f.BootstrapStats(),
 	}
 	if f.srv.Load() == nil {
 		st.State = "bootstrapping"
@@ -151,13 +160,12 @@ func (f *Follower) Status() Status {
 	return st
 }
 
+// handleStatus serves /repl/status: the Status view as JSON, or with
+// ?format=prom as Prometheus text.
 func (f *Follower) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st := f.Status()
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(VersionHeader, strconv.FormatUint(st.Version, 10))
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(st) //nolint:errcheck // the response is already committed
+	obs.WriteMetrics(w, r, st)
 }
 
 // initObs latches the observability defaults: a private registry and tracer
@@ -182,16 +190,21 @@ func (f *Follower) logf(format string, args ...any) {
 	}
 }
 
-// observeLeader records the version header of a leader response, keeping the
-// high-water mark (responses can race each other).
-func (f *Follower) observeLeader(h http.Header) {
-	v, err := strconv.ParseUint(h.Get(VersionHeader), 10, 64)
-	if err != nil {
-		return
+// noteLeader records one exchange with the leader: h is its answer's header,
+// or nil when the exchange failed (no answer, or a stream torn mid-transfer).
+// An answer marks the leader reachable and raises the high-water version.
+func (f *Follower) noteLeader(h http.Header) {
+	var v uint64
+	if h != nil {
+		v, _ = strconv.ParseUint(h.Get(VersionHeader), 10, 64)
 	}
 	for {
-		cur := f.leaderVer.Load()
-		if v <= cur || f.leaderVer.CompareAndSwap(cur, v) {
+		cur := f.leader.Load()
+		next := cur &^ 1
+		if h != nil {
+			next = max(next, v<<1) | 1
+		}
+		if next == cur || f.leader.CompareAndSwap(cur, next) {
 			return
 		}
 	}
@@ -265,13 +278,10 @@ func (f *Follower) install(sn *persist.Snapshot) {
 	f.initObs()
 	srv := serve.NewWithOptions(sn.Lake, cfg,
 		serve.Options{Graph: sn.Graph, ReadOnly: true, WarmMeasures: f.WarmMeasures,
-			// Accounting, tracing and the lag gauge are the follower's, not
-			// the server's: they survive this replica being re-bootstrapped.
+			// Accounting, tracing and the replication section are the
+			// follower's: they survive this replica being re-bootstrapped.
 			Obs: f.Obs, Tracer: f.Tracer,
-			ReplLag: func() (int64, bool) {
-				st := f.Status()
-				return int64(st.Lag), st.LeaderVersion > 0
-			}})
+			Replication: func() any { return f.Status() }})
 	if old := f.srv.Swap(srv); old != nil {
 		old.Close() // stop the replaced replica's in-flight warm, if any
 	}
@@ -320,6 +330,7 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		req.Header.Set("Accept-Encoding", "gzip")
 		resp, err := client.Do(req)
 		if err != nil {
+			f.noteLeader(nil)
 			if !progressed {
 				return fmt.Errorf("repl: %w", err)
 			}
@@ -328,6 +339,7 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 			f.logf("repl: snapshot fetch failed at offset %d (resuming): %v", len(buf), err)
 			continue
 		}
+		f.noteLeader(resp.Header)
 		switch resp.StatusCode {
 		case http.StatusOK:
 		case http.StatusConflict:
@@ -347,7 +359,6 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 			resp.Body.Close()
 			return fmt.Errorf("repl: snapshot fetch: %s: %s", resp.Status, body)
 		}
-		f.observeLeader(resp.Header)
 		if resp.Header.Get(SnapshotChunkedHeader) == "" {
 			resp.Body.Close()
 			return fmt.Errorf("repl: snapshot answer lacks %s: the body is not chunk-framed", SnapshotChunkedHeader)
@@ -372,6 +383,7 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		}
 		resp.Body.Close()
 		if readErr != nil || (total >= 0 && len(buf) < total) {
+			f.noteLeader(nil)
 			if !progressed {
 				if readErr == nil {
 					readErr = fmt.Errorf("repl: snapshot stream ended at %d of %d bytes", len(buf), total)
@@ -411,10 +423,11 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 	}
 	resp, err := f.client().Do(req)
 	if err != nil {
+		f.noteLeader(nil)
 		return 0, fmt.Errorf("repl: %w", err)
 	}
 	defer resp.Body.Close()
-	f.observeLeader(resp.Header)
+	f.noteLeader(resp.Header)
 	switch resp.StatusCode {
 	case http.StatusNoContent:
 		return 0, nil
@@ -441,6 +454,7 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 			// A record made it onto the wire torn (connection cut
 			// mid-frame): everything before it applied cleanly, the next
 			// poll picks up from there.
+			f.noteLeader(nil)
 			return applied, fmt.Errorf("repl: %w", err)
 		}
 		rec, err := wal.DecodeRecord(payload)

@@ -3,16 +3,21 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"domainnet/internal/datagen"
 	"domainnet/internal/domainnet"
 	"domainnet/internal/obs"
 	"domainnet/internal/repl"
 	"domainnet/internal/serve"
+	"domainnet/internal/table"
 	"domainnet/internal/wal"
 )
 
@@ -20,13 +25,18 @@ import (
 // leader, followers, and (via newObsRouter) the router itself.
 func newObsFleet(t *testing.T, replicas int) *fleet {
 	t.Helper()
+	return newObsFleetOver(t, replicas, domainnet.Config{Measure: domainnet.DegreeBaseline, KeepSingletons: true})
+}
+
+// newObsFleetOver is newObsFleet with any detector configuration.
+func newObsFleetOver(t *testing.T, replicas int, cfg domainnet.Config) *fleet {
+	t.Helper()
 	log, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { log.Close() })
 	ld := repl.NewLeader(log)
-	cfg := domainnet.Config{Measure: domainnet.DegreeBaseline, KeepSingletons: true}
 	s := serve.NewWithOptions(datagen.Figure1Lake(), cfg, serve.Options{
 		OnCommit: ld.OnCommit,
 		Tracer:   &obs.Tracer{SlowThreshold: -1},
@@ -271,4 +281,259 @@ func TestObsRouterEndpointsInstrumented(t *testing.T) {
 	if router["topk"].(map[string]any)["count"].(float64) != 1 {
 		t.Fatalf("topk edge count = %v", router["topk"])
 	}
+}
+
+// TestObsMetricsParity: on a leader whose warm took the incremental path, on
+// a follower, and on the router, the JSON and Prometheus views of the
+// metrics endpoint expose the same series. Every numeric or bool leaf
+// outside the endpoint maps has exactly one sample with the same value, and
+// no sample lacks a leaf.
+func TestObsMetricsParity(t *testing.T) {
+	// Exact betweenness with singleton filtering on: a stray row of values
+	// found nowhere else changes the table but not the graph's adjacency, so
+	// the publish it causes warms through the incremental path.
+	fl := newObsFleetOver(t, 1, domainnet.Config{Measure: domainnet.BetweennessExact})
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	warmIdle := func(s *serve.Server, completed int64) func() bool {
+		return func() bool {
+			ws := s.WarmStats()
+			return ws.Completed >= completed && ws.Completed+ws.Cancelled == ws.Started
+		}
+	}
+	w1 := func(stray bool) *table.Table {
+		animals, cities := []string{"Jaguar", "Puma"}, []string{"Memphis", "Lima"}
+		if stray {
+			animals, cities = append(animals, "StrayBeast"), append(cities, "StrayTown")
+		}
+		return table.New("W1").AddColumn("animal", animals...).AddColumn("city", cities...)
+	}
+	waitFor("the leader's initial warm", warmIdle(fl.leader, 1))
+	if _, err := fl.leader.Apply([]*table.Table{w1(false)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the leader's structural warm", warmIdle(fl.leader, 2))
+	if _, err := fl.leader.Apply([]*table.Table{w1(true)}, []string{"W1"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the leader's incremental warm", warmIdle(fl.leader, 3))
+	if ws := fl.leader.WarmStats(); ws.Incremental != 1 || ws.Dirty.Count != 1 {
+		t.Fatalf("leader warms: incremental %d, dirty count %d; want 1 and 1", ws.Incremental, ws.Dirty.Count)
+	}
+	f := fl.followers[0]
+	if n, err := f.Poll(context.Background()); err != nil || n != 2 {
+		t.Fatalf("follower poll applied %d bursts, err %v; want 2", n, err)
+	}
+	waitFor("the follower's warms", warmIdle(f.Server(), 1))
+	_, ts := newObsRouter(t, fl)
+	get(t, ts.URL+"/topk?k=2")
+	get(t, fl.leaderTS.URL+"/topk?k=2")
+
+	var leader serve.Metrics
+	checkMetricsParity(t, fl.leaderTS.URL+"/metrics", &leader)
+	if leader.Replication != nil || leader.Warm.Dirty.Count != leader.Warm.Incremental || leader.Warm.Incremental != 1 {
+		t.Errorf("leader view: replication %v, warm %+v", leader.Replication, leader.Warm)
+	}
+	st := &repl.Status{}
+	checkMetricsParity(t, fl.replicaTS[0].URL+"/metrics", &serve.Metrics{Replication: st})
+	if !st.LeaderReachable || st.Bootstrap.RawBytes == 0 || st.Version != fl.leader.Version() {
+		t.Errorf("follower replication section = %+v", st)
+	}
+	checkMetricsParity(t, ts.URL+"/lb/metrics", &lbMetrics{})
+}
+
+// checkMetricsParity fetches url's JSON view and checks the Prometheus view
+// against it. view points at the Go declaration of the body. The JSON
+// decodes into it and must re-encode to the same document, so every key the
+// server sent is a declared field. Rendering the decoded view then gives
+// both formats of the same data, and the prom tags say which sample each
+// leaf must have. Finally the server's own ?format=prom answer must carry
+// the same samples (values move between two scrapes; names do not).
+func checkMetricsParity(t *testing.T, url string, view any) {
+	t.Helper()
+	_, body := get(t, url)
+	if err := json.Unmarshal([]byte(body), view); err != nil {
+		t.Fatalf("%s: %v", url, err)
+	}
+	again, err := json.Marshal(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(decode(t, body), decode(t, string(again))) {
+		t.Fatalf("%s sends keys its declaration lacks:\n%s", url, body)
+	}
+	want := make(map[string]promLeaf)
+	excused := make(map[string]bool)
+	declaredSeries(t, "", "", reflect.ValueOf(view), want, excused)
+	if t.Failed() {
+		t.FailNow()
+	}
+	rec := httptest.NewRecorder()
+	obs.WriteMetrics(rec, httptest.NewRequest("GET", "/metrics?format=prom", nil), view)
+	samples := promSamples(t, rec.Body.String())
+	for key, leaf := range want {
+		got, ok := samples[key]
+		switch {
+		case !ok:
+			t.Errorf("%s: %s has no sample %s", url, leaf.path, key)
+		case got != leaf.value:
+			t.Errorf("%s: %s = %v in JSON, sample %s = %v", url, leaf.path, leaf.value, key, got)
+		}
+	}
+	for key := range samples {
+		if _, ok := want[key]; !ok && !excused[promFamily(key)] {
+			t.Errorf("%s: sample %s lacks a JSON leaf", url, key)
+		}
+	}
+	_, live := get(t, url+"?format=prom")
+	liveSamples := promSamples(t, live)
+	for key := range samples {
+		if _, ok := liveSamples[key]; !ok && !strings.Contains(key, "_bucket{") {
+			t.Errorf("%s?format=prom lacks %s", url, key)
+		}
+	}
+	for key := range liveSamples {
+		if _, ok := samples[key]; !ok && !strings.Contains(key, "_bucket{") {
+			t.Errorf("%s?format=prom has %s, which the JSON view does not declare", url, key)
+		}
+	}
+}
+
+// promLeaf is one JSON leaf and the sample value it must have.
+type promLeaf struct {
+	path  string
+	value float64
+}
+
+// declaredSeries walks a decoded metrics view by its tags, independently of
+// the renderer: each numeric or bool leaf maps to the sample its prom tag
+// names (a name ending in _seconds or _seconds_total holds nanoseconds,
+// rendered in seconds). A histogram leaf is checked by its _count, _sum
+// and +Inf bucket, and its finite buckets are excused; an endpoint map's families are excused
+// whole. A numeric leaf without a prom name, or marked JSON-only, fails.
+func declaredSeries(t *testing.T, path, prefix string, v reflect.Value, want map[string]promLeaf, excused map[string]bool) {
+	t.Helper()
+	for v.Kind() == reflect.Pointer || v.Kind() == reflect.Interface {
+		if v.IsNil() {
+			return
+		}
+		v = v.Elem()
+	}
+	for i := range v.NumField() {
+		f, fv := v.Type().Field(i), v.Field(i)
+		jsonName, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		leafPath := strings.TrimPrefix(path+"."+jsonName, ".")
+		tag, ok := f.Tag.Lookup("prom")
+		numeric := fv.CanInt() || fv.CanUint() || fv.CanFloat() || fv.Kind() == reflect.Bool
+		if !ok || (tag == "-" && numeric) {
+			t.Errorf("%s is a %s leaf with no prom name", leafPath, fv.Type())
+			continue
+		}
+		if tag == "-" {
+			continue
+		}
+		parts := strings.Split(tag, ",")
+		name := prefix + parts[0]
+		var labels []string
+		for _, l := range parts[1:] {
+			k, val, _ := strings.Cut(l, "=")
+			labels = append(labels, fmt.Sprintf("%s=%q", k, val))
+		}
+		key := func(name string) string {
+			if len(labels) == 0 {
+				return name
+			}
+			return name + "{" + strings.Join(labels, ",") + "}"
+		}
+		unit := 1.0
+		if strings.HasSuffix(strings.TrimSuffix(name, "_total"), "_seconds") {
+			unit = 1e9
+		}
+		add := func(key, path string, value float64) {
+			if prev, dup := want[key]; dup {
+				t.Errorf("%s and %s both declare %s", prev.path, path, key)
+			}
+			want[key] = promLeaf{path, value}
+		}
+		switch x := fv.Interface().(type) {
+		case obs.HistSnapshot:
+			add(key(name+"_count"), leafPath+".count", float64(x.Count))
+			add(key(name+"_sum"), leafPath+".sum", float64(x.Sum)/unit)
+			inf := append(labels[:len(labels):len(labels)], `le="+Inf"`)
+			add(name+"_bucket{"+strings.Join(inf, ",")+"}", leafPath+".count", float64(x.Count))
+			excused[name+"_bucket"] = true
+		case map[string]obs.EndpointMetrics:
+			for _, fam := range []string{"requests_total", "request_errors_total", "not_modified_total",
+				"request_seconds_bucket", "request_seconds_sum", "request_seconds_count"} {
+				excused[name+fam] = true
+			}
+		default:
+			switch {
+			case fv.Kind() == reflect.Bool:
+				add(key(name), leafPath, map[bool]float64{false: 0, true: 1}[fv.Bool()])
+			case fv.CanInt():
+				add(key(name), leafPath, float64(fv.Int())/unit)
+			case fv.CanUint():
+				add(key(name), leafPath, float64(fv.Uint())/unit)
+			case fv.CanFloat():
+				add(key(name), leafPath, fv.Float())
+			default:
+				declaredSeries(t, leafPath, name, fv, want, excused)
+			}
+		}
+	}
+}
+
+// promSamples parses an exposition into sample key (name and labels) →
+// value. It fails on a repeated key, on a family typed twice or a sample
+// outside its family's block (a family split across the text), and on a
+// counter or gauge whose type disagrees with its _total suffix.
+func promSamples(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	typed := make(map[string]bool)
+	var family, typ string
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, typ, _ = strings.Cut(rest, " ")
+			if typed[family] {
+				t.Errorf("family %s is split across the exposition", family)
+			}
+			typed[family] = true
+			if typ != "histogram" && (typ == "counter") != strings.HasSuffix(family, "_total") {
+				t.Errorf("family %s is typed %s", family, typ)
+			}
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		key := line[:i]
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q: %v", line, err)
+		}
+		if _, dup := out[key]; dup {
+			t.Errorf("sample %s appears twice", key)
+		}
+		out[key] = v
+		name := promFamily(key)
+		if typ == "histogram" {
+			name = strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
+		}
+		if name != family {
+			t.Errorf("sample %s sits in family %s's block", key, family)
+		}
+	}
+	return out
+}
+
+// promFamily is a sample key's series name, labels stripped.
+func promFamily(key string) string {
+	name, _, _ := strings.Cut(key, "{")
+	return name
 }

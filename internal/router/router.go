@@ -151,7 +151,7 @@ func New(opts Options) (*Router, error) {
 	}
 	rt.statusH = obs.Instrumented(rt.obs, rt.tracer, "lb_status", rt.handleStatus)
 	rt.metricsH = obs.Instrumented(rt.obs, rt.tracer, "lb_metrics", rt.handleMetrics)
-	rt.tracesH = obs.Instrumented(rt.obs, rt.tracer, "debug_traces", rt.handleTraces)
+	rt.tracesH = obs.Instrumented(rt.obs, rt.tracer, "debug_traces", rt.tracer.ServeHTTP)
 	var err error
 	if rt.leader, err = rt.newBackend(opts.Leader); err != nil {
 		return nil, err
@@ -417,12 +417,12 @@ type BackendStatus struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// FleetStatus is the /lb/status response body.
+// FleetStatus is the /lb/status response body, and the head of /lb/metrics.
 type FleetStatus struct {
-	LeaderURL     string          `json:"leader_url"`
-	LeaderVersion uint64          `json:"leader_version"`
-	Admitted      int             `json:"admitted"`
-	Replicas      []BackendStatus `json:"replicas"`
+	LeaderURL     string          `json:"leader_url" prom:"-"`
+	LeaderVersion uint64          `json:"leader_version" prom:"domainnet_lb_leader_version"`
+	Admitted      int             `json:"admitted" prom:"domainnet_lb_backends_admitted"`
+	Replicas      []BackendStatus `json:"replicas" prom:"-"`
 }
 
 // Status reports the router's current view of the fleet.
@@ -450,14 +450,7 @@ func (rt *Router) Status() FleetStatus {
 }
 
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, rt.Status())
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the response is already committed
+	obs.WriteMetrics(w, r, rt.Status())
 }
 
 // backendScrape is one backend's entry in the /lb/metrics report: which
@@ -465,6 +458,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 type backendScrape struct {
 	URL   string `json:"url"`
 	Error string `json:"error,omitempty"`
+}
+
+// lbMetrics is the /lb/metrics body and the one declaration of its series,
+// rendered as JSON or, with ?format=prom, as Prometheus text from the prom
+// tags (see obs.WriteMetrics).
+type lbMetrics struct {
+	FleetStatus `prom:""`
+	Backends    []backendScrape                `json:"backends" prom:"-"`
+	Fleet       map[string]obs.EndpointMetrics `json:"fleet" prom:"domainnet_fleet_"`
+	Router      map[string]obs.EndpointMetrics `json:"router" prom:"domainnet_lb_"`
+	Tracer      obs.TracerStats                `json:"tracer" prom:"domainnet_lb_"`
+	Runtime     obs.RuntimeStats               `json:"runtime" prom:"domainnet_lb_"`
 }
 
 // scrapeBackend pulls one backend's /metrics and returns its per-endpoint
@@ -483,9 +488,7 @@ func (rt *Router) scrapeBackend(ctx context.Context, url string) (map[string]obs
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("/metrics: %s", resp.Status)
 	}
-	var body struct {
-		Endpoints map[string]obs.EndpointMetrics `json:"endpoints"`
-	}
+	var body serve.Metrics
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return nil, fmt.Errorf("/metrics: %w", err)
 	}
@@ -526,51 +529,12 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, m := range perBackend {
 		obs.MergeMetrics(fleet, m)
 	}
-	local := rt.obs.Metrics()
-	fs := rt.Status()
-
-	if r.URL.Query().Get("format") == "prom" {
-		rt.writeProm(w, fleet, local, fs)
-		return
-	}
-	writeJSON(w, map[string]any{
-		"leader_version": fs.LeaderVersion,
-		"admitted":       fs.Admitted,
-		"backends":       scrapes,
-		"fleet":          fleet,
-		"router":         local,
-		"tracer":         rt.tracer.Stats(),
-		"runtime":        obs.ReadRuntime(),
-	})
-}
-
-func (rt *Router) writeProm(w http.ResponseWriter, fleet, local map[string]obs.EndpointMetrics, fs FleetStatus) {
-	pw := &obs.PromWriter{}
-	pw.EndpointFamilies("domainnet_fleet", fleet)
-	pw.EndpointFamilies("domainnet_lb", local)
-	pw.Gauge("domainnet_lb_leader_version", float64(fs.LeaderVersion))
-	pw.Gauge("domainnet_lb_backends_admitted", float64(fs.Admitted))
-	ts := rt.tracer.Stats()
-	pw.Counter("domainnet_lb_traces_total", ts.Started, "stage", "started")
-	pw.Counter("domainnet_lb_traces_total", ts.Captured, "stage", "captured")
-	pw.Counter("domainnet_lb_traces_total", ts.Evicted, "stage", "evicted")
-	rs := obs.ReadRuntime()
-	pw.Gauge("domainnet_lb_goroutines", float64(rs.Goroutines))
-	pw.Gauge("domainnet_lb_heap_bytes", float64(rs.HeapBytes))
-	w.Header().Set("Content-Type", obs.PromContentType)
-	w.Write(pw.Bytes()) //nolint:errcheck // the response is already committed
-}
-
-// handleTraces serves GET /debug/traces: the router's captured slow traces,
-// oldest first, each carrying the trace ID that the backend leg of the same
-// request logged under.
-func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
-	traces := rt.tracer.Traces()
-	if traces == nil {
-		traces = []*obs.Trace{}
-	}
-	writeJSON(w, map[string]any{
-		"tracer": rt.tracer.Stats(),
-		"traces": traces,
+	obs.WriteMetrics(w, r, lbMetrics{
+		FleetStatus: rt.Status(),
+		Backends:    scrapes,
+		Fleet:       fleet,
+		Router:      rt.obs.Metrics(),
+		Tracer:      rt.tracer.Stats(),
+		Runtime:     obs.ReadRuntime(),
 	})
 }

@@ -235,13 +235,37 @@ func TestObsSharedEndpointsSurviveRebuild(t *testing.T) {
 	}
 }
 
-// TestObsReplLagSection: a server constructed with a ReplLag hook publishes
-// the replication section in /metrics.
+// TestObsReplLagSection: a server constructed with a Replication hook
+// publishes the hook's view as the replication section of /metrics, in
+// both formats.
 func TestObsReplLagSection(t *testing.T) {
-	ts, _ := newObsServer(t, Options{ReplLag: func() (int64, bool) { return 7, true }})
+	type replView struct {
+		Lag             uint64 `json:"lag" prom:"lag"`
+		LeaderReachable bool   `json:"leader_reachable" prom:"leader_reachable"`
+	}
+	ts, _ := newObsServer(t, Options{Replication: func() any { return replView{Lag: 7, LeaderReachable: true} }})
 	m := getJSON(t, ts.URL+"/metrics", http.StatusOK)
 	repl := m["replication"].(map[string]any)
 	if repl["lag"].(float64) != 7 || repl["leader_reachable"] != true {
 		t.Fatalf("replication section = %v", repl)
+	}
+	resp, err := http.Get(ts.URL + "/metrics?format=prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\ndomainnet_replication_lag 7\n", "\ndomainnet_replication_leader_reachable 1\n"} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("prom exposition lacks %q:\n%s", want, body)
+		}
+	}
+	// A primary has no replication section at all.
+	ts, _ = newObsServer(t, Options{})
+	if m := getJSON(t, ts.URL+"/metrics", http.StatusOK); m["replication"] != nil {
+		t.Fatalf("primary publishes a replication section: %v", m["replication"])
 	}
 }

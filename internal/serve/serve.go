@@ -127,19 +127,19 @@ type Server struct {
 	// whether a warmed measure's score computation took the incremental
 	// delta path or fell back to the full recompute, and — for incremental
 	// computations — a histogram of the structural dirty-set sizes they
-	// processed (buckets of dirtyBucketNames).
+	// processed.
 	warmsIncremental  atomic.Int64
 	warmsFullFallback atomic.Int64
-	dirtyHist         [len(dirtyBucketNames)]atomic.Int64
+	dirty             obs.Hist
 
 	// Observability: per-endpoint accounting (counts, errors, 304s, latency
 	// histograms with quantiles) and the slow-request tracer. The Endpoints
 	// registry may be shared — a replication follower hands every server it
 	// re-bootstraps the same registry, so accounting survives snapshot swaps.
-	obs     *obs.Endpoints
-	tracer  *obs.Tracer
-	replLag func() (lag int64, ok bool)
-	warmed  []string // display names of warmMeasures, for /metrics
+	obs         *obs.Endpoints
+	tracer      *obs.Tracer
+	replication func() any
+	warmed      []string // display names of warmMeasures, for /metrics
 }
 
 // Options extend New for warm starts and operational hooks.
@@ -186,11 +186,11 @@ type Options struct {
 	// GET /debug/traces. Nil gets a private zero-value tracer (default slow
 	// threshold, default ring).
 	Tracer *obs.Tracer
-	// ReplLag, when non-nil, reports this replica's replication lag
-	// (leader version − local version) for the /metrics replication
-	// section; ok is false when the leader is unreachable or the follower
-	// has not bootstrapped. Followers wire this to their status.
-	ReplLag func() (lag int64, ok bool)
+	// Replication, when non-nil, returns the replica's replication view
+	// for the /metrics replication section: a struct whose json and prom
+	// tags declare its series (see obs.WriteMetrics). Followers wire this
+	// to their status.
+	Replication func() any
 }
 
 // Mutation describes one validated, not-yet-applied mutation burst: the
@@ -268,7 +268,7 @@ func New(l *lake.Lake, cfg domainnet.Config) *Server {
 func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
 	s := &Server{cfg: cfg, lake: l, afterPublish: opts.AfterPublish,
 		onCommit: opts.OnCommit, readOnly: opts.ReadOnly,
-		obs: opts.Obs, tracer: opts.Tracer, replLag: opts.ReplLag}
+		obs: opts.Obs, tracer: opts.Tracer, replication: opts.Replication}
 	if s.obs == nil {
 		s.obs = &obs.Endpoints{}
 	}
@@ -293,7 +293,9 @@ func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
 	mux.HandleFunc("GET /stats", s.read("stats", s.handleStats))
 	mux.HandleFunc("GET /scorers", s.read("scorers", s.handleScorers))
 	mux.HandleFunc("GET /metrics", s.read("metrics", s.handleMetrics))
-	mux.HandleFunc("GET /debug/traces", s.read("debug_traces", s.handleTraces))
+	mux.HandleFunc("GET /debug/traces", s.read("debug_traces", func(w http.ResponseWriter, r *http.Request, _ *snapshot) {
+		s.tracer.ServeHTTP(w, r)
+	}))
 	mux.HandleFunc("POST /tables", s.instrument("batch_add", s.handleBatchAdd))
 	mux.HandleFunc("POST /tables/{name}", s.instrument("add_table", s.handleAddTable))
 	mux.HandleFunc("DELETE /tables/{name}", s.instrument("remove_table", s.handleRemoveTable))
@@ -500,29 +502,9 @@ func (s *Server) scheduleWarm(sn *snapshot, carried bool) {
 	}()
 }
 
-// dirtyBucketNames labels the dirty-set size histogram buckets of the
-// incremental warm path (upper bounds; the last is unbounded).
-var dirtyBucketNames = [...]string{"0", "le16", "le256", "le4096", "gt4096"}
-
-// dirtyBucket maps a dirty-set size to its histogram bucket index.
-func dirtyBucket(n int) int {
-	switch {
-	case n == 0:
-		return 0
-	case n <= 16:
-		return 1
-	case n <= 256:
-		return 2
-	case n <= 4096:
-		return 3
-	default:
-		return 4
-	}
-}
-
 // recordWarmPath counts, once per measure per rebuilt snapshot, whether the
 // warmed measure's score computation went through the incremental delta
-// path (bucketing its dirty-set size) or fell back to the full recompute.
+// path (observing its dirty-set size) or fell back to the full recompute.
 // The computation may have happened on a reader's goroutine before the
 // warmer got there; the path is recorded all the same.
 func (s *Server) recordWarmPath(dc *detCache, m domainnet.Measure, d *domainnet.Detector) {
@@ -544,7 +526,7 @@ func (s *Server) recordWarmPath(dc *detCache, m domainnet.Measure, d *domainnet.
 	}
 	if incremental {
 		s.warmsIncremental.Add(1)
-		s.dirtyHist[dirtyBucket(dirty)].Add(1)
+		s.dirty.Observe(int64(dirty))
 	} else {
 		s.warmsFullFallback.Add(1)
 	}
@@ -561,30 +543,36 @@ func (s *Server) Close() {
 	}
 }
 
-// WarmStats is a point-in-time reading of the warmer's counters. Started −
-// Completed − Cancelled warms are still in flight. Hits and Misses count
-// /topk and /score reads by whether the cache they needed was already
-// computed (by the warmer or an earlier read) when the request arrived. A
-// miss need not have computed anything: a read that arrives while a warm
-// or another read is computing its cache waits on that computation's latch,
-// and counts as a miss all the same.
+// WarmStats is a point-in-time reading of the warmer's counters, and the
+// declaration of the warm section of /metrics. Started − Completed −
+// Cancelled warms are still in flight. Hits and Misses count /topk and
+// /score reads by whether the cache they needed was already computed (by
+// the warmer or an earlier read) when the request arrived. A miss need not
+// have computed anything: a read that arrives while a warm or another read
+// is computing its cache waits on that computation's latch, and counts as a
+// miss all the same.
 type WarmStats struct {
-	Started   int64 `json:"started"`
-	Completed int64 `json:"completed"`
-	Cancelled int64 `json:"cancelled"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
+	Measures  []string `json:"measures" prom:"-"` // the warm set, default measure first
+	Started   int64    `json:"started" prom:"warms_total,result=started"`
+	Completed int64    `json:"completed" prom:"warms_total,result=completed"`
+	Cancelled int64    `json:"cancelled" prom:"warms_total,result=cancelled"`
+	Hits      int64    `json:"hits" prom:"warm_reads_total,cache=hit"`
+	Misses    int64    `json:"misses" prom:"warm_reads_total,cache=miss"`
 	// Incremental and FullFallback split the warmed measures' score
 	// computations by path: delta (prior scores carried across the rebuild
 	// diff) versus full recompute (no usable prior, non-delta measure, or
-	// churn past the fallback threshold).
-	Incremental  int64 `json:"incremental"`
-	FullFallback int64 `json:"full_fallback"`
+	// churn past the fallback threshold). Dirty holds the structural
+	// dirty-set size of each incremental computation, so its count equals
+	// Incremental.
+	Incremental  int64            `json:"incremental" prom:"warm_paths_total,path=incremental"`
+	FullFallback int64            `json:"full_fallback" prom:"warm_paths_total,path=full_fallback"`
+	Dirty        obs.HistSnapshot `json:"dirty" prom:"warm_dirty_nodes"`
 }
 
 // WarmStats reports the warmer's counters; see the WarmStats type.
 func (s *Server) WarmStats() WarmStats {
 	return WarmStats{
+		Measures:     s.warmed,
 		Started:      s.warmsStarted.Load(),
 		Completed:    s.warmsCompleted.Load(),
 		Cancelled:    s.warmsCancelled.Load(),
@@ -592,6 +580,7 @@ func (s *Server) WarmStats() WarmStats {
 		Misses:       s.coldMisses.Load(),
 		Incremental:  s.warmsIncremental.Load(),
 		FullFallback: s.warmsFullFallback.Load(),
+		Dirty:        s.dirty.Snapshot(),
 	}
 }
 
@@ -758,105 +747,37 @@ func (s *Server) handleScorers(w http.ResponseWriter, r *http.Request, _ *snapsh
 	})
 }
 
-// handleMetrics exposes the server's operational counters: snapshot version,
-// publish count, the warmer's lifecycle and hit/miss counters, per-endpoint
-// request accounting (counts, errors, 304s, avg/max and p50/p95/p99 latency
-// from the log-bucketed histogram, plus the raw histogram for fleet merging),
-// runtime telemetry, tracer counters, and — on replicas — replication lag.
-// ?format=prom renders the same data in the Prometheus text exposition
-// format. It is the observability face of the warm pipeline: warm.cancelled
-// rising under churn is the warmer shedding superseded work, and warm.misses
-// rising is reads arriving before their cache was warm. The reported
-// version is sn's, the one in the response header.
+// Metrics is the /metrics body and the one declaration of its series: the
+// json tags name the JSON view and the prom tags the Prometheus view that
+// ?format=prom renders from the same struct (see obs.WriteMetrics).
+type Metrics struct {
+	Version   uint64                         `json:"version" prom:"domainnet_snapshot_version"`
+	Publishes int64                          `json:"publishes" prom:"domainnet_publishes_total"`
+	Warm      WarmStats                      `json:"warm" prom:"domainnet_"`
+	Endpoints map[string]obs.EndpointMetrics `json:"endpoints" prom:"domainnet_"`
+	Runtime   obs.RuntimeStats               `json:"runtime" prom:"domainnet_"`
+	Tracer    obs.TracerStats                `json:"tracer" prom:"domainnet_"`
+	// Replication is Options.Replication's view, on replicas only.
+	Replication any `json:"replication,omitempty" prom:"domainnet_replication_"`
+}
+
+// handleMetrics serves the Metrics view. It is the observability face of the
+// warm pipeline: warm.cancelled rising under churn is the warmer shedding
+// superseded work, and warm.misses rising is reads arriving before their
+// cache was warm. The reported version is sn's, the one in the header.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, sn *snapshot) {
-	if r.URL.Query().Get("format") == "prom" {
-		s.writeProm(w, sn)
-		return
+	m := Metrics{
+		Version:   sn.version,
+		Publishes: s.Publishes(),
+		Warm:      s.WarmStats(),
+		Endpoints: s.obs.Metrics(),
+		Runtime:   obs.ReadRuntime(),
+		Tracer:    s.tracer.Stats(),
 	}
-	dirtyHist := make(map[string]int64, len(dirtyBucketNames))
-	for i, name := range dirtyBucketNames {
-		dirtyHist[name] = s.dirtyHist[i].Load()
+	if s.replication != nil {
+		m.Replication = s.replication()
 	}
-	payload := map[string]any{
-		"version":   sn.version,
-		"publishes": s.Publishes(),
-		"warm": map[string]any{
-			"measures":      s.warmed,
-			"started":       s.warmsStarted.Load(),
-			"completed":     s.warmsCompleted.Load(),
-			"cancelled":     s.warmsCancelled.Load(),
-			"hits":          s.warmHits.Load(),
-			"misses":        s.coldMisses.Load(),
-			"incremental":   s.warmsIncremental.Load(),
-			"full_fallback": s.warmsFullFallback.Load(),
-			"dirty_hist":    dirtyHist,
-		},
-		"endpoints": s.obs.Metrics(),
-		"runtime":   obs.ReadRuntime(),
-		"tracer":    s.tracer.Stats(),
-	}
-	if s.replLag != nil {
-		lag, ok := s.replLag()
-		payload["replication"] = map[string]any{"lag": lag, "leader_reachable": ok}
-	}
-	writeJSON(w, http.StatusOK, payload)
-}
-
-// writeProm renders /metrics in the Prometheus text exposition format —
-// hand-rendered by obs.PromWriter, no client library — carrying every
-// counter the JSON view reports.
-func (s *Server) writeProm(w http.ResponseWriter, sn *snapshot) {
-	var p obs.PromWriter
-	p.EndpointFamilies("domainnet", s.obs.Metrics())
-	p.Gauge("domainnet_snapshot_version", float64(sn.version))
-	p.Counter("domainnet_publishes_total", s.Publishes())
-	ws := s.WarmStats()
-	p.Counter("domainnet_warms_total", ws.Started, "result", "started")
-	p.Counter("domainnet_warms_total", ws.Completed, "result", "completed")
-	p.Counter("domainnet_warms_total", ws.Cancelled, "result", "cancelled")
-	p.Counter("domainnet_warm_reads_total", ws.Hits, "cache", "hit")
-	p.Counter("domainnet_warm_reads_total", ws.Misses, "cache", "miss")
-	p.Counter("domainnet_warm_paths_total", ws.Incremental, "path", "incremental")
-	p.Counter("domainnet_warm_paths_total", ws.FullFallback, "path", "full_fallback")
-	for i, name := range dirtyBucketNames {
-		p.Counter("domainnet_warm_dirty_total", s.dirtyHist[i].Load(), "bucket", name)
-	}
-	ts := s.tracer.Stats()
-	p.Counter("domainnet_traces_total", ts.Started, "stage", "started")
-	p.Counter("domainnet_traces_total", ts.Captured, "stage", "captured")
-	p.Counter("domainnet_traces_total", ts.Evicted, "stage", "evicted")
-	rs := obs.ReadRuntime()
-	p.Gauge("domainnet_goroutines", float64(rs.Goroutines))
-	p.Gauge("domainnet_heap_bytes", float64(rs.HeapBytes))
-	p.Gauge("domainnet_gc_cycles", float64(rs.GCCycles))
-	p.Gauge("domainnet_gc_pause_p99_seconds", float64(rs.GCPauseP99NS)/1e9)
-	if s.replLag != nil {
-		lag, ok := s.replLag()
-		p.Gauge("domainnet_replication_lag", float64(lag))
-		up := 0.0
-		if ok {
-			up = 1
-		}
-		p.Gauge("domainnet_replication_leader_reachable", up)
-	}
-	w.Header().Set("Content-Type", obs.PromContentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write(p.Bytes()) //nolint:errcheck // the response is already committed
-}
-
-// handleTraces dumps the tracer's captured ring (oldest first) with its
-// counters — the debugging view of recent slow requests, each with its
-// propagated ID, per-phase spans, and (on a router-forwarded request) the
-// backend that served it.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request, _ *snapshot) {
-	traces := s.tracer.Traces()
-	if traces == nil {
-		traces = []*obs.Trace{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"tracer": s.tracer.Stats(),
-		"traces": traces,
-	})
+	obs.WriteMetrics(w, r, m)
 }
 
 // Apply performs one batch mutation — remove the named tables, then add the

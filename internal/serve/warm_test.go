@@ -11,7 +11,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -499,8 +498,9 @@ func warmIncrementally(t *testing.T) (*Server, *httptest.Server) {
 }
 
 // TestWarmIncrementalPathAndMetrics: the incremental warm ticks the
-// incremental counter into the "0" dirty-size bucket, all of it surfaces
-// through /metrics, and the carried ranking equals a cold build's.
+// incremental counter and observes its empty dirty set in the dirty-size
+// histogram, all of it surfaces through /metrics, and the carried ranking
+// equals a cold build's.
 func TestWarmIncrementalPathAndMetrics(t *testing.T) {
 	s, ts := warmIncrementally(t)
 
@@ -516,17 +516,19 @@ func TestWarmIncrementalPathAndMetrics(t *testing.T) {
 	if got := warm["full_fallback"].(float64); got < 1 {
 		t.Errorf("metrics warm.full_fallback = %v, want >= 1", got)
 	}
-	hist, ok := warm["dirty_hist"].(map[string]any)
+	// Each incremental computation observes its dirty-set size once: the
+	// histogram counts exactly the incremental warms, and the one clean
+	// publish carried an empty dirty set.
+	dirty, ok := warm["dirty"].(map[string]any)
 	if !ok {
-		t.Fatalf("metrics warm.dirty_hist missing: %v", warm)
+		t.Fatalf("metrics warm.dirty missing: %v", warm)
 	}
-	if got := hist["0"].(float64); got != 1 {
-		t.Errorf("dirty_hist[0] = %v, want 1 (empty-delta carry)", got)
+	if dirty["count"] != warm["incremental"] || dirty["sum"].(float64) != 0 {
+		t.Errorf("warm.dirty count/sum = %v/%v, want %v/0 (one empty-delta carry)",
+			dirty["count"], dirty["sum"], warm["incremental"])
 	}
-	for _, bucket := range []string{"le16", "le256", "le4096", "gt4096"} {
-		if _, ok := hist[bucket]; !ok {
-			t.Errorf("dirty_hist missing bucket %q", bucket)
-		}
+	if ws := s.WarmStats(); ws.Dirty.Count != ws.Incremental {
+		t.Errorf("WarmStats().Dirty.Count = %d, want Incremental = %d", ws.Dirty.Count, ws.Incremental)
 	}
 
 	// The carried ranking must match a cold build of the same lake exactly.
@@ -537,61 +539,6 @@ func TestWarmIncrementalPathAndMetrics(t *testing.T) {
 	if !reflect.DeepEqual(got["results"], want["results"]) {
 		t.Errorf("incremental ranking diverged from cold build:\ngot  %v\nwant %v",
 			got["results"], want["results"])
-	}
-}
-
-// TestWarmPromMatchesJSON: after an incremental warm, the Prometheus view
-// carries every warm counter and dirty-histogram bucket the JSON /metrics
-// reports, with the same value, and every tracer stage.
-func TestWarmPromMatchesJSON(t *testing.T) {
-	_, ts := warmIncrementally(t)
-	metrics := getJSON(t, ts.URL+"/metrics", http.StatusOK)
-	resp, err := http.Get(ts.URL + "/metrics?format=prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom := "\n" + string(body)
-
-	series := map[string]string{
-		"started":       `domainnet_warms_total{result="started"}`,
-		"completed":     `domainnet_warms_total{result="completed"}`,
-		"cancelled":     `domainnet_warms_total{result="cancelled"}`,
-		"hits":          `domainnet_warm_reads_total{cache="hit"}`,
-		"misses":        `domainnet_warm_reads_total{cache="miss"}`,
-		"incremental":   `domainnet_warm_paths_total{path="incremental"}`,
-		"full_fallback": `domainnet_warm_paths_total{path="full_fallback"}`,
-	}
-	want := func(line string) {
-		t.Helper()
-		if !strings.Contains(prom, "\n"+line) {
-			t.Errorf("prom exposition lacks %q:\n%s", line, body)
-		}
-	}
-	for key, v := range metrics["warm"].(map[string]any) {
-		switch key {
-		case "measures":
-		case "dirty_hist":
-			for bucket, n := range v.(map[string]any) {
-				want(fmt.Sprintf("domainnet_warm_dirty_total{bucket=%q} %d\n", bucket, int64(n.(float64))))
-			}
-		default:
-			name, ok := series[key]
-			if !ok {
-				t.Errorf("JSON warm counter %q has no Prometheus series", key)
-				continue
-			}
-			want(fmt.Sprintf("%s %d\n", name, int64(v.(float64))))
-		}
-	}
-	for stage := range metrics["tracer"].(map[string]any) {
-		if stage != "threshold_ns" {
-			want(fmt.Sprintf("domainnet_traces_total{stage=%q} ", stage))
-		}
 	}
 }
 
