@@ -101,8 +101,9 @@ func snapshotCmd(args []string) {
 	}
 }
 
-// snapshotSave loads a CSV lake, builds its graph once, and persists both —
-// the expensive cold build paid ahead of time so every later load is warm.
+// snapshotSave loads a CSV lake and persists it with its graph's singleton
+// setting, so every later load skips CSV parsing and normalization. It
+// builds the graph once to report its size.
 func snapshotSave(args []string) {
 	fs := flag.NewFlagSet("snapshot save", flag.ExitOnError)
 	dir := fs.String("dir", "", "directory of CSV tables (required)")
@@ -149,8 +150,9 @@ func snapshotInfo(args []string) {
 		sn.Graph.NumValues(), sn.Graph.NumAttrs(), sn.Graph.NumEdges(), sn.Graph.KeepsSingletons())
 }
 
-// snapshotLoad ranks straight from a snapshot: the persisted graph feeds the
-// detector directly, skipping the full build.
+// snapshotLoad ranks from a snapshot without reading any CSV: the lake loads
+// already normalized, and the graph the loader derives with the saver's
+// singleton setting feeds the detector.
 func snapshotLoad(args []string) {
 	fs := flag.NewFlagSet("snapshot load", flag.ExitOnError)
 	in := fs.String("in", "", "snapshot file to read (required)")

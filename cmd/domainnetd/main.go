@@ -285,8 +285,10 @@ func serveUntilShutdown(ctx context.Context, c *config, stop func(), handler htt
 }
 
 func runLeader(ctx context.Context, c *config, stop func()) error {
-	// Warm start: a snapshot file beats -dir, because it carries the derived
-	// graph state a CSV directory cannot.
+	// Warm start: a snapshot file beats -dir. It pins the lake state the WAL
+	// chains from, and it loads already normalized: persist.Load runs the
+	// one graph build (bipartite.FromAttributes) over its attributes, and
+	// the serving layer adopts that graph instead of building a second.
 	var l *lake.Lake
 	var warmGraph *bipartite.Graph
 	snapshotLoaded := false
@@ -297,8 +299,8 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 			snapshotLoaded = true
 			if warmGraph != nil && warmGraph.KeepsSingletons() != c.keep {
 				// Don't let the serving layer reject the graph silently: a
-				// flag change voiding the snapshot turns the restart into a
-				// full build, and the operator should see why.
+				// flag change voiding the snapshot's graph costs the restart a
+				// second full build, and the operator should see why.
 				log.Printf("domainnetd: snapshot graph was built with keep-singletons=%v but -keep-singletons=%v; discarding it and cold-building",
 					warmGraph.KeepsSingletons(), c.keep)
 				warmGraph = nil
@@ -380,9 +382,9 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 		if replayed > 0 {
 			log.Printf("domainnetd: replayed %d wal burst(s), lake at version %d", replayed, last)
 			if warmGraph != nil {
-				// The persisted graph matched the snapshot's lake; catch it
-				// up to the replayed mutations incrementally so the serving
-				// layer still warm-starts without a full build.
+				// The loaded graph matched the snapshot's lake; catch it up
+				// to the replayed mutations incrementally so the serving
+				// layer still adopts it without a second full build.
 				warmGraph, _ = bipartite.RebuildDiff(warmGraph, l.Attributes(),
 					bipartite.Options{KeepSingletons: c.keep, Workers: c.workers})
 			}

@@ -61,6 +61,11 @@ func (g *Graph) NumAttrs() int { return len(g.attrs) }
 // NumRows reports the number of row nodes (zero for the bipartite form).
 func (g *Graph) NumRows() int { return g.nRows }
 
+// KeepsSingletons reports whether the graph was built with
+// Options.KeepSingletons; serving layers use it to decide whether a loaded
+// graph matches their configuration before warm-starting from it.
+func (g *Graph) KeepsSingletons() bool { return g.keepSingletons }
+
 // NumNodes reports the total node count.
 func (g *Graph) NumNodes() int { return len(g.values) + len(g.attrs) + g.nRows }
 
@@ -126,8 +131,7 @@ func (g *Graph) Degree(u int32) int {
 
 // Values returns the normalized values of all value nodes, indexed by node
 // id and strictly ascending: every builder numbers values in lexicographic
-// order, and FromState rejects a state that does not. The slice aliases
-// internal storage and must not be modified.
+// order. The slice aliases internal storage and must not be modified.
 func (g *Graph) Values() []string { return g.values }
 
 // Options configure graph construction.
@@ -154,7 +158,6 @@ func FromLake(l *lake.Lake, opts Options) *Graph {
 // values are numbered in radix order. The CSR phases run sharded across
 // opts.Workers, and the graph is bit-identical for every worker count.
 func FromAttributes(attrs []lake.Attribute, opts Options) *Graph {
-	fullBuilds.Add(1)
 	g := universe(attrs, opts)
 	g.offsets, g.adj = assemble(len(g.values), len(attrs), opts.Workers, func(i int, dst []int32) []int32 {
 		return appendNodes(dst, attrs[i].IDs(), g.node)

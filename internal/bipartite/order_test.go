@@ -99,7 +99,7 @@ func checkStrictlyAscending(t *testing.T, what string, g *Graph) {
 
 // TestValuesStrictlyAscending covers every builder: the full build, the
 // incremental rebuild under random churn of awkward values with the filter
-// on and off, the tripartite build and a persisted state.
+// on and off, and the tripartite build.
 func TestValuesStrictlyAscending(t *testing.T) {
 	sb := datagen.NewSB(1).Lake
 	for _, opts := range []Options{{}, {KeepSingletons: true}} {
@@ -137,39 +137,5 @@ func TestValuesStrictlyAscending(t *testing.T) {
 		if incremental == 0 {
 			t.Errorf("%+v: no step took the incremental path", opts)
 		}
-
-		st, _ := FromLake(sb, opts).Export()
-		loaded, err := FromState(st, sb.Attributes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkStrictlyAscending(t, "FromState", loaded)
-	}
-}
-
-// TestFromStateRejectsUnorderedValues: a state whose values are out of
-// order or duplicated would load with ValueNode missing values and one
-// symbol's node silently overwritten; it must be rejected instead.
-func TestFromStateRejectsUnorderedValues(t *testing.T) {
-	sb := datagen.NewSB(1).Lake
-	attrs := sb.Attributes()
-	st, _ := FromLake(sb, Options{}).Export()
-	i := slices.Index(st.Values, "1.05")
-	if i < 0 {
-		t.Fatal(`SB seed 1 has no value "1.05"`)
-	}
-	for what, mutate := range map[string]func(v []string){
-		"swapped":    func(v []string) { v[i], v[i+1] = v[i+1], v[i] },
-		"duplicated": func(v []string) { v[i+1] = v[i] },
-	} {
-		bad := *st
-		bad.Values = slices.Clone(st.Values)
-		mutate(bad.Values)
-		if _, err := FromState(&bad, attrs); err == nil {
-			t.Errorf("%s values: FromState accepted the state", what)
-		}
-	}
-	if _, err := FromState(st, attrs); err != nil {
-		t.Fatalf("the unmodified state: %v", err)
 	}
 }

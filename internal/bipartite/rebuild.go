@@ -11,35 +11,6 @@ import (
 // is dirty or removed, a from-scratch build is cheaper than delta surgery.
 const rebuildMaxChurn = 4
 
-// Changed compares attrs against the source attributes of prev and returns
-// the indices (into attrs) of attributes that are new or modified — exactly
-// the set RebuildDiff may not reuse from prev. Matching is by attribute ID;
-// content identity is established by backing-array pointer equality first
-// (lake.Attributes hands back the same arrays for untouched tables) with an
-// element-wise comparison of value IDs and counts as fallback. With a nil or
-// non-incremental prev, or one built against another symbol table
-// generation, every attribute is changed.
-func Changed(prev *Graph, attrs []lake.Attribute) []int {
-	if prev == nil || !prev.incremental || prev.syms != lake.SymbolsOf(attrs) {
-		changed := make([]int, len(attrs))
-		for i := range changed {
-			changed[i] = i
-		}
-		return changed
-	}
-	byID := make(map[string]int, len(prev.srcAttrs))
-	for p := range prev.srcAttrs {
-		byID[prev.srcAttrs[p].ID] = p
-	}
-	var changed []int
-	for i := range attrs {
-		if p, ok := byID[attrs[i].ID]; !ok || modified(&attrs[i], &prev.srcAttrs[p]) {
-			changed = append(changed, i)
-		}
-	}
-	return changed
-}
-
 // modified reports whether two attributes with the same ID differ in content.
 // Both must share one symbol table.
 func modified(a, b *lake.Attribute) bool {
@@ -73,7 +44,7 @@ type Diff struct {
 // RebuildDiff builds the graph of attrs, reusing as much of prev as the
 // update allows: the sorted value strings and the symbol-to-node map (when
 // the retained value set is unchanged), and the adjacency spans of every
-// attribute that is neither new, modified (the set Changed reports) nor
+// attribute that is neither new, modified nor
 // touched by a value flipping across the singleton threshold. The output is
 // bit-identical to FromAttributes(attrs, opts) — incremental construction is
 // a performance choice, never a semantic one.

@@ -105,15 +105,34 @@ func TestRebuildFallsBackSafely(t *testing.T) {
 	}
 }
 
+// changed returns the indices (into attrs) of the attributes that are new
+// or modified against prev's source attributes — the set RebuildDiff may not
+// reuse from prev. Matching is by attribute ID, content by modified, which
+// short-circuits on the shared backing arrays lake.Attributes hands back
+// for untouched tables. prev must be built over attrs' symbol table.
+func changed(prev *Graph, attrs []lake.Attribute) []int {
+	byID := make(map[string]int, len(prev.srcAttrs))
+	for p := range prev.srcAttrs {
+		byID[prev.srcAttrs[p].ID] = p
+	}
+	var idx []int
+	for i := range attrs {
+		if p, ok := byID[attrs[i].ID]; !ok || modified(&attrs[i], &prev.srcAttrs[p]) {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
 func TestChangedDetectsIdenticalAttributes(t *testing.T) {
 	l := rebuildLake(t)
 	g := FromLake(l, Options{})
-	if ch := Changed(g, l.Attributes()); len(ch) != 0 {
+	if ch := changed(g, l.Attributes()); len(ch) != 0 {
 		t.Fatalf("unchanged lake reported changed attrs %v", ch)
 	}
 	l.MustAdd(table.New("extra").AddColumn("x", "Jaguar", "Quartz"))
 	attrs := l.Attributes()
-	ch := Changed(g, attrs)
+	ch := changed(g, attrs)
 	if len(ch) != 1 || attrs[ch[0]].ID != "extra.x" {
 		t.Fatalf("changed = %v, want just extra.x", ch)
 	}

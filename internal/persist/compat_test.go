@@ -54,47 +54,52 @@ func appendBodyV1(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 		}
 	}
 
-	var st *bipartite.State
-	if g != nil {
-		st, _ = g.Export()
-	}
-	if st == nil {
+	if g == nil {
 		return append(b, 0)
 	}
-	b = append(b, 1)
-	if st.KeepSingletons {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+	keep := byte(0)
+	if g.KeepsSingletons() {
+		keep = 1
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Values)))
-	for _, v := range st.Values {
+	b = append(b, 1, keep)
+	b = binary.AppendUvarint(b, uint64(g.NumValues()))
+	for _, v := range g.Values() {
 		b = AppendString(b, v)
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.AttrIDs)))
-	for _, id := range st.AttrIDs {
-		b = AppendString(b, id)
+	b = binary.AppendUvarint(b, uint64(g.NumAttrs()))
+	for i := 0; i < g.NumAttrs(); i++ {
+		b = AppendString(b, g.AttrID(g.AttrNode(i)))
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Offsets)))
-	prev := int64(0)
-	for _, o := range st.Offsets {
-		b = binary.AppendUvarint(b, uint64(o-prev))
-		prev = o
+	// The CSR offsets as first-order deltas: 0, then each node's degree.
+	n := int32(g.NumNodes())
+	b = binary.AppendUvarint(b, uint64(n+1))
+	b = binary.AppendUvarint(b, 0)
+	for u := int32(0); u < n; u++ {
+		b = binary.AppendUvarint(b, uint64(g.Degree(u)))
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Adj)))
-	for _, v := range st.Adj {
-		b = binary.AppendUvarint(b, uint64(v))
+	b = binary.AppendUvarint(b, uint64(2*g.NumEdges()))
+	for u := int32(0); u < n; u++ {
+		for _, v := range g.Neighbors(u) {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+	}
+	// Every value with a cell and its lake-wide cell count, in ID order.
+	occ := make([]int64, l.Symbols().Len())
+	for _, a := range l.Attributes() {
+		for j, id := range a.IDs() {
+			occ[id] += int64(a.Freqs()[j])
+		}
 	}
 	nOcc := 0
-	for _, c := range st.Occ {
+	for _, c := range occ {
 		if c > 0 {
 			nOcc++
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(nOcc))
-	for id, c := range st.Occ {
+	for id, c := range occ {
 		if c > 0 {
-			b = AppendString(b, st.Symbols.String(uint32(id)))
+			b = AppendString(b, l.Symbols().String(uint32(id)))
 			b = binary.AppendUvarint(b, uint64(c))
 		}
 	}
@@ -132,43 +137,49 @@ func rankingDump(g *bipartite.Graph) string {
 	return b.String()
 }
 
-// checkFormatsAgree decodes the state in both formats and requires the same
-// lake, Equal graphs and byte-identical full rankings, all matching the
-// state that was encoded.
+// checkFormatsAgree encodes the state in format 1 (the reference encoder)
+// and format 3 (Marshal). Each decode must hold the encoded lake and, unless
+// g is nil (a lake-only snapshot), a graph Equal to a scratch FromAttributes
+// build with g's singleton setting that ranks byte-identically to it; a
+// format 3 decode must also re-encode to the bytes it came from.
 func checkFormatsAgree(t *testing.T, what string, l *lake.Lake, g *bipartite.Graph) {
 	t.Helper()
-	v1, err := Unmarshal(marshalV1(l, g))
-	if err != nil {
-		t.Fatalf("%s: format 1: %v", what, err)
+	var scratch *bipartite.Graph
+	if g != nil {
+		scratch = bipartite.FromAttributes(l.Attributes(), bipartite.Options{KeepSingletons: g.KeepsSingletons()})
 	}
-	v2, err := Unmarshal(Marshal(l, g))
-	if err != nil {
-		t.Fatalf("%s: format 2: %v", what, err)
-	}
-	want := lakeDump(l)
-	if got := lakeDump(v1.Lake); got != want {
-		t.Fatalf("%s: format 1 lake:\n%s\nwant:\n%s", what, got, want)
-	}
-	if got := lakeDump(v2.Lake); got != want {
-		t.Fatalf("%s: format 2 lake:\n%s\nwant:\n%s", what, got, want)
-	}
-	if g == nil {
-		if v1.Graph != nil || v2.Graph != nil {
-			t.Fatalf("%s: a lake-only snapshot decoded with a graph", what)
+	v3 := Marshal(l, g)
+	for _, format := range []int{1, 3} {
+		b := v3
+		if format == 1 {
+			b = marshalV1(l, g)
 		}
-		return
-	}
-	if v1.Graph == nil || v2.Graph == nil || !v1.Graph.Equal(g) || !v2.Graph.Equal(g) {
-		t.Fatalf("%s: decoded graphs differ from the encoded one", what)
-	}
-	if r1, r2 := rankingDump(v1.Graph), rankingDump(v2.Graph); r1 != r2 || r2 != rankingDump(g) {
-		t.Fatalf("%s: the formats' rankings differ", what)
+		sn, err := Unmarshal(b)
+		if err != nil {
+			t.Fatalf("%s: format %d: %v", what, format, err)
+		}
+		if got, want := lakeDump(sn.Lake), lakeDump(l); got != want {
+			t.Fatalf("%s: format %d lake:\n%s\nwant:\n%s", what, format, got, want)
+		}
+		switch {
+		case scratch == nil && sn.Graph != nil:
+			t.Fatalf("%s: format %d: a lake-only snapshot decoded with a graph", what, format)
+		case scratch != nil && (sn.Graph == nil || !sn.Graph.Equal(scratch)):
+			t.Fatalf("%s: format %d: decoded graph differs from a scratch build", what, format)
+		case scratch != nil && rankingDump(sn.Graph) != rankingDump(scratch):
+			t.Fatalf("%s: format %d: decoded graph ranks differently from a scratch build", what, format)
+		}
+		if format == 3 && !bytes.Equal(Marshal(sn.Lake, sn.Graph), v3) {
+			t.Fatalf("%s: re-encoding a decoded format 3 snapshot changed its bytes", what)
+		}
 	}
 }
 
-// TestFormatsDecodeAlike holds the format 2 codec to the format 1 reference
-// encoder on SB seeds 1-20 with the singleton filter on, and on random churn
-// lakes of awkward cells.
+// TestFormatsDecodeAlike holds the decoder to one result across formats:
+// format 1 from the reference encoder and format 3 from Marshal, on SB
+// seeds 1-20 with the singleton filter on, and on random churn lakes of
+// awkward cells with the filter on, off, and lake-only. Formats 1 and 2 as
+// earlier builds wrote them are TestLoadsParentFormatSnapshot's fixtures.
 func TestFormatsDecodeAlike(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		l := datagen.NewSB(seed).Lake
@@ -257,44 +268,43 @@ func TestMarshalDeterministic(t *testing.T) {
 	check("after compaction")
 }
 
-// TestLoadsParentFormatSnapshot loads a format 1 snapshot written by the
-// string-keyed codec that preceded symbol interning: Figure 1 plus a table
-// of mixed-case, padded and non-ASCII cells, one table added and removed,
-// singleton filter on. Its graph must equal a scratch build of the loaded
-// lake, and both must rank exactly as the writing build did
-// (testdata/parent-v1.ranking).
+// TestLoadsParentFormatSnapshot loads the snapshots earlier builds wrote of
+// one state: format 1 by the string-keyed codec that preceded symbol
+// interning, format 2 by the build just before format 3. The state is the
+// Figure 1 lake, plus a table added and removed again (so the writer's
+// symbol table held dead values), plus T5, a table of mixed-case, padded
+// and non-ASCII cells: 5 tables at version 7, saved with the singleton
+// filter on. Each loaded graph must equal a scratch build of the loaded
+// lake, both must rank exactly as the writing build did
+// (testdata/parent-v<N>.ranking), and the loaded lake must keep rebuilding
+// incrementally.
 func TestLoadsParentFormatSnapshot(t *testing.T) {
-	sn, err := Load("testdata/parent-v1.snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sn.Lake.NumTables() != 5 || sn.Lake.Version() != 7 || sn.Graph == nil {
-		t.Fatalf("tables=%d version=%d graph=%v, want 5, 7, a graph",
-			sn.Lake.NumTables(), sn.Lake.Version(), sn.Graph != nil)
-	}
-	scratch := bipartite.FromLake(sn.Lake, bipartite.Options{})
-	if !sn.Graph.Equal(scratch) {
-		t.Fatal("loaded graph differs from a scratch build of the loaded lake")
-	}
-	want, err := os.ReadFile("testdata/parent-v1.ranking")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []*bipartite.Graph{sn.Graph, scratch} {
-		var got strings.Builder
-		for _, m := range []domainnet.Measure{domainnet.BetweennessExact, domainnet.DegreeBaseline} {
-			for _, s := range domainnet.FromGraph(g, domainnet.Config{Measure: m}).Ranking() {
-				fmt.Fprintf(&got, "%s\t%s\t%s\n", m, s.Value, strconv.FormatFloat(s.Score, 'g', -1, 64))
+	for _, format := range []string{"v1", "v2"} {
+		sn, err := Load("testdata/parent-" + format + ".snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sn.Lake.NumTables() != 5 || sn.Lake.Version() != 7 || sn.Graph == nil {
+			t.Fatalf("%s: tables=%d version=%d graph=%v, want 5, 7, a graph",
+				format, sn.Lake.NumTables(), sn.Lake.Version(), sn.Graph != nil)
+		}
+		scratch := bipartite.FromLake(sn.Lake, bipartite.Options{})
+		if !sn.Graph.Equal(scratch) {
+			t.Fatalf("%s: loaded graph differs from a scratch build of the loaded lake", format)
+		}
+		want, err := os.ReadFile("testdata/parent-" + format + ".ranking")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []*bipartite.Graph{sn.Graph, scratch} {
+			if got := rankingDump(g); got != string(want) {
+				t.Fatalf("%s: ranking differs from the writing build's:\n%s\nwant:\n%s", format, got, want)
 			}
 		}
-		if got.String() != string(want) {
-			t.Fatalf("ranking differs from the parent build's:\n%s\nwant:\n%s", got.String(), want)
+		sn.Lake.RemoveTable("T5")
+		next, diff := bipartite.RebuildDiff(sn.Graph, sn.Lake.Attributes(), bipartite.Options{})
+		if diff == nil || diff.Full || !next.Equal(bipartite.FromLake(sn.Lake, bipartite.Options{})) {
+			t.Errorf("%s: incremental rebuild after loading the snapshot is wrong", format)
 		}
-	}
-	// The rehydrated lake keeps working incrementally.
-	sn.Lake.RemoveTable("T5")
-	next, diff := bipartite.RebuildDiff(sn.Graph, sn.Lake.Attributes(), bipartite.Options{})
-	if diff == nil || diff.Full || !next.Equal(bipartite.FromLake(sn.Lake, bipartite.Options{})) {
-		t.Error("incremental rebuild after loading the parent snapshot is wrong")
 	}
 }

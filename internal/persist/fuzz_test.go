@@ -9,9 +9,10 @@ import (
 	"domainnet/internal/table"
 )
 
-// FuzzLoad fuzzes the snapshot decoder in both formats it reads: whatever
-// bytes arrive — a valid format 1 or format 2 snapshot, a truncation, a bit flip that survives the CRC, or garbage — the
-// decoder must return an error or a usable snapshot, never panic. The WAL
+// FuzzLoad fuzzes the snapshot decoder in the three formats it reads:
+// whatever bytes arrive — a valid format 1, 2 or 3 snapshot, a truncation, a
+// bit flip that survives the CRC, or garbage — the decoder must return an
+// error or a usable snapshot, never panic. The WAL
 // replays and follower bootstraps feed this decoder with bytes from disk and
 // network, so "corrupt input cannot crash the process" is a load-bearing
 // property, not a nicety.
@@ -22,14 +23,17 @@ func FuzzLoad(f *testing.F) {
 
 	f.Add(withGraph)
 	f.Add(lakeOnly)
-	// Format 1: the reference encoder's bytes and a file the parent build wrote.
+	// Format 1: the reference encoder's bytes; formats 1 and 2: the files
+	// earlier builds wrote.
 	f.Add(marshalV1(l, bipartite.FromLake(l, bipartite.Options{KeepSingletons: true})))
 	f.Add(marshalV1(l, nil))
-	parent, err := os.ReadFile("testdata/parent-v1.snapshot")
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"parent-v1", "parent-v2"} {
+		parent, err := os.ReadFile("testdata/" + name + ".snapshot")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(parent)
 	}
-	f.Add(parent)
 	f.Add([]byte{})
 	f.Add([]byte("DNET"))
 	f.Add(withGraph[:len(withGraph)/2])            // truncated mid-body

@@ -1,29 +1,36 @@
 // Package persist is the durable-snapshot subsystem: a versioned,
-// zero-dependency binary codec that round-trips a lake.Lake together with
-// its bipartite.Graph, so a process restart warm-starts from disk instead of
-// re-normalizing and re-building a million-value lake from CSVs.
+// zero-dependency binary codec that round-trips a lake.Lake and whether it
+// was served with a bipartite.Graph, so a process restart warm-starts from
+// disk instead of re-reading and re-normalizing a lake's CSVs.
 //
-// What is persisted is deliberately the *derived* state, not just the data:
-// the graph's value strings, CSR adjacency spans and occurrence counts are
-// the expensive part of startup, and they are exactly what the
-// incremental rebuild path (bipartite.RebuildDiff) needs to keep pricing updates
-// by their delta after the restart. The lake's raw tables ride along so the
-// loader can re-wire the graph to a live lake.Attributes() slice, restoring
-// the pointer-identity change detection of bipartite.RebuildDiff.
+// What is persisted is the lake: its raw tables and, beside each, the
+// normalized attributes with their cell counts, so a load skips
+// re-normalizing every cell. The DomainNet graph is a pure function of those
+// attributes and the singleton filter, so a snapshot records only that a
+// graph was saved and its KeepSingletons setting; the loader derives the
+// graph with the one build path, bipartite.FromAttributes, over the
+// rehydrated lake's live Attributes() slice. The first incremental rebuild
+// after a warm start (bipartite.RebuildDiff) then detects unchanged
+// attributes by pointer identity, as if the process had never restarted.
 //
 // Format: a 4-byte magic, a uvarint format version, the body (lake header,
-// symbol section, tables with their attributes, then an optional graph
-// section), and a CRC-32 trailer over everything after the magic. All
-// integers are unsigned varints; strings are a uvarint length followed by
-// raw bytes. The symbol section holds each live value of the lake's
-// lake.Symbols once, in ID order, and everywhere else a value is its rank
-// there: an attribute's ascending ranks each as the ranks it skips, a graph
-// value node as its rank, and one occurrence count per rank. The decoder
-// adopts the section as the rehydrated lake's Symbols, so it interns
-// nothing, and a decoded snapshot re-encodes to its own bytes. It also reads
-// format 1, which wrote a value's string wherever the value appeared;
-// Marshal writes only format 2. Saves are atomic (temp file + rename + sync)
-// so a crash mid-checkpoint never clobbers the previous snapshot.
+// symbol section, tables with their attributes, then a graph marker), and a
+// CRC-32 trailer over everything after the magic. All integers are unsigned
+// varints; strings are a uvarint length followed by raw bytes. The symbol
+// section holds each live value of the lake's lake.Symbols once, in ID
+// order, and an attribute writes its ascending ranks there each as the ranks
+// it skips. The decoder adopts the section as the rehydrated lake's Symbols,
+// so it interns nothing, and a decoded snapshot re-encodes to its own bytes.
+// The graph marker is 0 for a lake-only snapshot, or 1 followed by the
+// KeepSingletons byte (0 or 1); nothing follows it.
+//
+// The decoder also reads formats 1 and 2. Format 1 wrote a value's string
+// wherever the value appeared and had no symbol section; both wrote a copy
+// of the graph (value list, CSR offsets and adjacency, occurrence counts)
+// after the keep byte, which the decoder skips: it is derived data, and the
+// CRC already covers it. Marshal writes only format 3. Saves are atomic
+// (temp file + rename + sync) so a crash mid-checkpoint never clobbers the
+// previous snapshot.
 package persist
 
 import (
@@ -40,34 +47,35 @@ import (
 )
 
 // FormatVersion is the snapshot format Marshal writes. Loaders read it and
-// format 1, and reject a newer one instead of mis-parsing it.
-const FormatVersion = 2
+// formats 1 and 2, and reject a newer one instead of mis-parsing it.
+const FormatVersion = 3
 
 // magic identifies a DomainNet snapshot file.
 var magic = [4]byte{'D', 'N', 'E', 'T'}
 
-// Snapshot is the result of Load: a rehydrated lake and, when the file
-// carried one, its graph wired to the lake's attribute slice. A nil Graph
-// means the saver had no incremental graph to persist; callers fall back to
-// a cold build.
+// Snapshot is the result of Load: a rehydrated lake and, when the saver had
+// a graph, that graph rebuilt over the lake's attribute slice with the
+// saver's KeepSingletons setting. A nil Graph means a lake-only snapshot;
+// callers then build the graph with their own configuration.
 type Snapshot struct {
 	Lake  *lake.Lake
 	Graph *bipartite.Graph
 }
 
-// Save writes the lake and graph to path atomically: encode, write to a
-// temp file in the same directory, sync, rename, sync the directory. g may
-// be nil (lake-only snapshot); graphs without delta state (tripartite,
-// hand-assembled) or over another lake's symbol table are silently saved
-// without their graph section, since FromState could not reconstruct them.
+// Save writes the snapshot of the lake and graph to path atomically:
+// encode, write to a temp file in the same directory, sync, rename, sync the
+// directory. See Marshal for what is kept of g.
 func Save(path string, l *lake.Lake, g *bipartite.Graph) error {
 	return WriteFile(path, Marshal(l, g))
 }
 
-// Marshal encodes the lake and graph into complete snapshot-file bytes.
-// Split from WriteFile so a serving layer can encode under its write lock —
-// the lake must not mutate mid-encode — while paying the disk write and
-// fsyncs outside it (see cmd/domainnetd's checkpointer).
+// Marshal encodes the lake and graph into complete snapshot-file bytes. g
+// contributes only its singleton setting (Graph.KeepsSingletons): Load
+// derives the bipartite graph of the lake with that setting, whatever kind
+// of graph g was. A nil g writes a lake-only snapshot. Split from WriteFile
+// so a serving layer can encode under its write lock — the lake must not
+// mutate mid-encode — while paying the disk write and fsyncs outside it
+// (see cmd/domainnetd's checkpointer).
 func Marshal(l *lake.Lake, g *bipartite.Graph) []byte {
 	buf := appendBody(append([]byte(nil), magic[:]...), l, g)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(magic):]))
@@ -110,11 +118,10 @@ func WriteFile(path string, buf []byte) error {
 }
 
 // Load reads a snapshot written by Save, verifies its checksum and format
-// version, rehydrates the lake (restoring its version counter) and, when a
-// graph section is present, reconstructs the graph wired to the lake's
-// current Attributes() — so the first incremental rebuild after a warm
-// start detects unchanged attributes by pointer identity, exactly as if the
-// process had never restarted.
+// version, rehydrates the lake (restoring its version counter) and, when the
+// saver had a graph, builds it over the lake's current Attributes() — so the
+// first incremental rebuild after a warm start detects unchanged attributes
+// by pointer identity, exactly as if the process had never restarted.
 func Load(path string) (*Snapshot, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -173,7 +180,7 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 		b = AppendTable(b, t)
 		// The table's normalized attribute slice rides along so a warm
 		// start skips re-normalizing every cell — on large lakes that scan
-		// costs as much as the graph build it is trying to avoid.
+		// costs as much as the graph build itself.
 		attrs := tableAttrs[ti]
 		b = binary.AppendUvarint(b, uint64(len(attrs)))
 		for ai := range attrs {
@@ -193,52 +200,16 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 		}
 	}
 
-	var st *bipartite.State
-	if g != nil {
-		st, _ = g.Export()
-	}
-	// A graph over another symbol table has IDs this lake cannot rank.
-	if st == nil || st.Symbols != nil && st.Symbols != syms {
+	// The graph is derived data: the marker and the singleton setting are
+	// all a loader needs to build it from the attributes above.
+	if g == nil {
 		return append(b, 0)
 	}
 	keep := byte(0)
-	if st.KeepSingletons {
+	if g.KeepsSingletons() {
 		keep = 1
 	}
-	b = append(b, 1, keep)
-	b = binary.AppendUvarint(b, uint64(len(st.Values)))
-	for _, v := range st.Values {
-		id, _ := syms.Lookup([]byte(v))
-		b = binary.AppendUvarint(b, rank[id]-1)
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.AttrIDs)))
-	for _, id := range st.AttrIDs {
-		b = AppendString(b, id)
-	}
-	// Offsets are a monotone prefix sum; store first-order deltas, which are
-	// node degrees and varint-compress far better than absolute offsets.
-	b = binary.AppendUvarint(b, uint64(len(st.Offsets)))
-	prev := int64(0)
-	for _, o := range st.Offsets {
-		b = binary.AppendUvarint(b, uint64(o-prev))
-		prev = o
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.Adj)))
-	for _, v := range st.Adj {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	// One count per symbol, in rank order.
-	b = binary.AppendUvarint(b, n)
-	for id, r := range rank {
-		if r != 0 {
-			c := int64(0)
-			if id < len(st.Occ) {
-				c = st.Occ[id]
-			}
-			b = binary.AppendUvarint(b, uint64(c))
-		}
-	}
-	return b
+	return append(b, 1, keep)
 }
 
 // AppendString appends a length-prefixed string, the codec's primitive for
@@ -333,16 +304,6 @@ func (r *Reader) bytes() []byte {
 	b := r.buf[:n]
 	r.buf = r.buf[n:]
 	return b
-}
-
-// lookup reads one normalized value that must already be in syms.
-func (r *Reader) lookup(syms *lake.Symbols, what string) uint32 {
-	b := r.bytes()
-	id, ok := syms.Lookup(b)
-	if !ok {
-		r.fail("%s %q is in no attribute", what, b)
-	}
-	return id
 }
 
 // below reads one uvarint, which must be below n.
@@ -450,65 +411,21 @@ func decodeBody(body []byte) (*Snapshot, error) {
 		return nil, err
 	}
 
-	if r.byte() == 0 {
-		if r.err != nil {
-			return nil, r.err
-		}
-		return &Snapshot{Lake: l}, nil
+	marker, keep := r.byte(), byte(0)
+	if marker != 0 {
+		keep = r.byte()
 	}
-	st := &bipartite.State{KeepSingletons: r.byte() != 0, Symbols: syms}
-	nVals := r.Length("value")
-	st.Values = make([]string, 0, nVals)
-	for i := 0; i < nVals && r.err == nil; i++ {
-		var id uint32
-		if v2 {
-			id = r.below(uint64(syms.Len()), "graph value ID")
-		} else {
-			id = r.lookup(syms, "graph value")
-		}
-		if r.err == nil {
-			st.Values = append(st.Values, syms.String(id))
-		}
-	}
-	nAttrs := r.Length("attribute")
-	st.AttrIDs = make([]string, 0, nAttrs)
-	for i := 0; i < nAttrs && r.err == nil; i++ {
-		st.AttrIDs = append(st.AttrIDs, r.String())
-	}
-	nOff := r.Length("offset")
-	st.Offsets = make([]int64, 0, nOff)
-	off := int64(0)
-	for i := 0; i < nOff && r.err == nil; i++ {
-		off += int64(r.Uvarint())
-		st.Offsets = append(st.Offsets, off)
-	}
-	nAdj := r.Length("adjacency")
-	st.Adj = make([]int32, 0, nAdj)
-	for i := 0; i < nAdj && r.err == nil; i++ {
-		st.Adj = append(st.Adj, int32(r.Uvarint()))
-	}
-	// Format 2 counts every symbol in ID order; format 1 names each value.
-	nOcc := r.Length("occurrence")
-	if v2 && r.err == nil && nOcc != syms.Len() {
-		r.fail("%d occurrence counts for %d symbols", nOcc, syms.Len())
-	}
-	st.Occ = make([]int64, syms.Len())
-	for i := 0; i < nOcc && r.err == nil; i++ {
-		id := uint32(i)
-		if !v2 {
-			id = r.lookup(syms, "occurrence value")
-		}
-		if c := r.Uvarint(); r.err == nil {
-			st.Occ[id] = int64(c)
-		}
+	// Formats 1 and 2 follow the keep byte with a copy of the graph, which
+	// is derived data; format 3 ends there.
+	if format >= 3 && r.err == nil && (marker > 1 || keep > 1 || r.Len() != 0) {
+		r.fail("graph marker %d, keep byte %d, then %d trailing bytes", marker, keep, r.Len())
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-
-	g, err := bipartite.FromState(st, l.Attributes())
-	if err != nil {
-		return nil, err
+	sn := &Snapshot{Lake: l}
+	if marker != 0 {
+		sn.Graph = bipartite.FromAttributes(l.Attributes(), bipartite.Options{KeepSingletons: keep != 0})
 	}
-	return &Snapshot{Lake: l, Graph: g}, nil
+	return sn, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -52,8 +53,7 @@ func TestRoundTripFigure1(t *testing.T) {
 // add/remove history, persist→load must reproduce a graph bit-identical
 // (bipartite.Equal, which also compares occurrence counts) to the in-memory
 // one, and the loaded graph must support incremental rebuilds exactly like
-// the original — the next update after a warm start touches only the changed
-// table.
+// the original — the next update after a warm start yields the same diff.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	vocab := []string{"jaguar", "puma", "panda", "fiat", "apple", "kiwi", "lima", "oslo", "x", "y"}
@@ -91,16 +91,16 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: loaded graph not bit-identical", trial)
 		}
 
-		// Post-restart incremental update: only the new table may be dirty.
+		// Post-restart update: the loaded graph rebuilds exactly as the
+		// original does, down to the diff that prices the update.
 		extra := randTable(fmt.Sprintf("extra%d", trial))
+		l.MustAdd(extra)
 		sn.Lake.MustAdd(extra)
 		attrs := sn.Lake.Attributes()
-		changed := bipartite.Changed(sn.Graph, attrs)
-		if len(changed) != len(extra.Columns) {
-			t.Errorf("trial %d: %d changed attrs after one add, want %d",
-				trial, len(changed), len(extra.Columns))
+		inc, diff := bipartite.RebuildDiff(sn.Graph, attrs, opts)
+		if _, want := bipartite.RebuildDiff(g, l.Attributes(), opts); !reflect.DeepEqual(diff, want) {
+			t.Errorf("trial %d: rebuild after load diffed %+v, the original %+v", trial, diff, want)
 		}
-		inc, _ := bipartite.RebuildDiff(sn.Graph, attrs, opts)
 		if scratch := bipartite.FromAttributes(attrs, opts); !inc.Equal(scratch) {
 			t.Fatalf("trial %d: warm-start incremental rebuild diverged from scratch", trial)
 		}
@@ -115,20 +115,6 @@ func TestLakeOnlySnapshot(t *testing.T) {
 	}
 	if sn.Lake.NumTables() != l.NumTables() {
 		t.Errorf("tables = %d, want %d", sn.Lake.NumTables(), l.NumTables())
-	}
-
-	// Graphs without delta state degrade to lake-only snapshots too.
-	tri := bipartite.FromLakeWithRows(l, bipartite.Options{})
-	sn = saveLoad(t, l, tri)
-	if sn.Graph != nil {
-		t.Error("tripartite graph should not be persisted")
-	}
-
-	// So do graphs over another lake's symbol table, whose IDs the saved
-	// lake cannot rank.
-	other := bipartite.FromLake(datagen.Figure1Lake(), bipartite.Options{})
-	if sn = saveLoad(t, l, other); sn.Graph != nil {
-		t.Error("a graph of another lake was persisted")
 	}
 }
 
@@ -274,12 +260,13 @@ func checkCountCases(t *testing.T, body func(values []string, freqs []uint64) []
 	}
 }
 
-// v2Body builds a format 2 body of one table "t" holding one column "c" of
-// cells, with the given symbol section, the attribute's value IDs as the
-// codec writes them (each as the number of IDs it skips past the previous
-// one), its counts, and an optional graph section.
-func v2Body(symbols []string, cells []string, gaps, freqs []uint64, graph []byte) []byte {
-	b := binary.AppendUvarint(nil, 2)
+// lakeBody builds a body in format 2 or 3 of one table "t" holding one
+// column "c" of cells, with the given symbol section, the attribute's value
+// IDs as the codec writes them (each as the number of IDs it skips past the
+// previous one), its counts, and then tail: the graph marker and what
+// follows it. A nil tail is a lake-only marker.
+func lakeBody(format uint64, symbols []string, cells []string, gaps, freqs []uint64, tail []byte) []byte {
+	b := binary.AppendUvarint(nil, format)
 	b = AppendString(b, "v2")
 	b = binary.AppendUvarint(b, 1)
 	b = binary.AppendUvarint(b, uint64(len(symbols)))
@@ -298,42 +285,10 @@ func v2Body(symbols []string, cells []string, gaps, freqs []uint64, graph []byte
 	for _, f := range freqs {
 		b = binary.AppendUvarint(b, f)
 	}
-	if graph == nil {
+	if tail == nil {
 		return append(b, 0)
 	}
-	return append(append(b, 1), graph...)
-}
-
-// v2Graph builds the graph section of a one-attribute lake whose values are
-// the node IDs given (all joined to the attribute), with occ as the
-// occurrence list.
-func v2Graph(values []uint64, occ []uint64) []byte {
-	b := []byte{0} // singleton filter on
-	b = binary.AppendUvarint(b, uint64(len(values)))
-	for _, v := range values {
-		b = binary.AppendUvarint(b, v)
-	}
-	b = binary.AppendUvarint(b, 1)
-	b = AppendString(b, "t.c")
-	n := len(values) + 1
-	b = binary.AppendUvarint(b, uint64(n+1))
-	b = binary.AppendUvarint(b, 0)
-	for range values {
-		b = binary.AppendUvarint(b, 1)
-	}
-	b = binary.AppendUvarint(b, uint64(len(values)))
-	b = binary.AppendUvarint(b, uint64(2*len(values)))
-	for range values {
-		b = binary.AppendUvarint(b, uint64(len(values)))
-	}
-	for i := range values {
-		b = binary.AppendUvarint(b, uint64(i))
-	}
-	b = binary.AppendUvarint(b, uint64(len(occ)))
-	for _, c := range occ {
-		b = binary.AppendUvarint(b, c)
-	}
-	return b
+	return append(b, tail...)
 }
 
 // TestDecodeRejectsCountsBeyondInt32V2 is the format 2 twin of
@@ -342,45 +297,62 @@ func v2Graph(values []uint64, occ []uint64) []byte {
 // second value arrives as an ID beyond the one symbol.
 func TestDecodeRejectsCountsBeyondInt32V2(t *testing.T) {
 	checkCountCases(t, func(values []string, freqs []uint64) []byte {
-		return v2Body([]string{"A"}, values, make([]uint64, len(values)), freqs, nil)
+		return lakeBody(2, []string{"A"}, values, make([]uint64, len(values)), freqs, nil)
 	})
 }
 
-// TestDecodeRejectsMalformedV2 covers what format 2 adds: symbol IDs, their
-// gaps and the symbol section itself. Each corruption must be an error,
-// never a panic; the intact body must decode to the lake it describes. A
-// gap counts the IDs skipped, so no gap can repeat an ID or step back: the
-// ways a gap goes wrong are leaving the symbol table, or wrapping.
+// TestDecodeRejectsMalformedV2 covers what formats 2 and 3 add to format 1:
+// symbol IDs, their gaps and the symbol section itself, and format 3's end
+// at the graph marker. Each corruption must be an error, never a panic; the
+// intact bodies must decode to the lake they describe and its graph. A gap
+// counts the IDs skipped, so no gap can repeat an ID or step back: the
+// ways a gap goes wrong are leaving the symbol table, or wrapping. Format 2
+// follows the keep byte with a copy of the graph, which the decoder skips
+// unread; format 3 must end at the keep byte, which must be 0 or 1.
 func TestDecodeRejectsMalformedV2(t *testing.T) {
 	syms := []string{"PUMA", "JAGUAR"}
 	cells := []string{"puma", "jaguar", "jaguar"}
-	good := v2Body(syms, cells, []uint64{0, 0}, []uint64{1, 2}, v2Graph([]uint64{1, 0}, []uint64{1, 2}))
-	sn, err := decodeBody(good)
-	if err != nil {
-		t.Fatalf("intact body: %v", err)
+	keep := []byte{1, 1} // a graph, kept singletons
+	for _, good := range [][]byte{
+		lakeBody(2, syms, cells, []uint64{0, 0}, []uint64{1, 2}, append(keep, 0xff, 0x80)),
+		lakeBody(3, syms, cells, []uint64{0, 0}, []uint64{1, 2}, keep),
+	} {
+		sn, err := decodeBody(good)
+		if err != nil {
+			t.Fatalf("intact format %d body: %v", good[0], err)
+		}
+		if got := sn.Graph.Values(); sn.Lake.Stats().Cells != 3 || !slices.Equal(got, []string{"JAGUAR", "PUMA"}) {
+			t.Fatalf("intact format %d body decoded to %v, values %v", good[0], sn.Lake.Stats(), got)
+		}
 	}
-	if got := sn.Graph.Values(); sn.Lake.Stats().Cells != 3 || !slices.Equal(got, []string{"JAGUAR", "PUMA"}) {
-		t.Fatalf("intact body decoded to %v, values %v", sn.Lake.Stats(), got)
-	}
-	for _, tc := range []struct {
+	type bad struct {
 		name string
 		body []byte
-	}{
-		{"attribute ID beyond the symbols", v2Body(syms, cells, []uint64{0, 1}, []uint64{1, 2}, nil)},
-		{"first attribute ID beyond the symbols", v2Body(syms, cells, []uint64{2}, []uint64{1}, nil)},
-		{"gap past the last symbol", v2Body(syms, cells, []uint64{1, 0}, []uint64{1, 2}, nil)},
-		{"wrapping gap", v2Body(syms, cells, []uint64{0, math.MaxUint64}, []uint64{1, 2}, nil)},
-		{"gap wrapping uint32", v2Body(syms, cells, []uint64{0, 1<<32 - 1}, []uint64{1, 2}, nil)},
-		{"repeated symbol", v2Body([]string{"PUMA", "PUMA"}, cells, []uint64{0, 0}, []uint64{1, 2}, nil)},
-		{"graph value ID beyond the symbols", v2Body(syms, cells, []uint64{0, 0}, []uint64{1, 2},
-			v2Graph([]uint64{2, 0}, []uint64{1, 2}))},
-		{"graph value ID wrapping uint32", v2Body(syms, cells, []uint64{0, 0}, []uint64{1, 2},
-			v2Graph([]uint64{1 << 32, 0}, []uint64{1, 2}))},
-		{"short occurrence list", v2Body(syms, cells, []uint64{0, 0}, []uint64{1, 2},
-			v2Graph([]uint64{1, 0}, []uint64{1}))},
-		{"long occurrence list", v2Body(syms, cells, []uint64{0, 0}, []uint64{1, 2},
-			v2Graph([]uint64{1, 0}, []uint64{1, 2, 3}))},
+	}
+	var cases []bad
+	for _, format := range []uint64{2, 3} {
+		for _, tc := range []bad{
+			{"attribute ID beyond the symbols", lakeBody(format, syms, cells, []uint64{0, 1}, []uint64{1, 2}, nil)},
+			{"first attribute ID beyond the symbols", lakeBody(format, syms, cells, []uint64{2}, []uint64{1}, nil)},
+			{"gap past the last symbol", lakeBody(format, syms, cells, []uint64{1, 0}, []uint64{1, 2}, nil)},
+			{"wrapping gap", lakeBody(format, syms, cells, []uint64{0, math.MaxUint64}, []uint64{1, 2}, nil)},
+			{"gap wrapping uint32", lakeBody(format, syms, cells, []uint64{0, 1<<32 - 1}, []uint64{1, 2}, nil)},
+			{"repeated symbol", lakeBody(format, []string{"PUMA", "PUMA"}, cells, []uint64{0, 0}, []uint64{1, 2}, nil)},
+			{"no graph marker", lakeBody(format, syms, cells, []uint64{0, 0}, []uint64{1, 2}, []byte{})},
+			{"no keep byte", lakeBody(format, syms, cells, []uint64{0, 0}, []uint64{1, 2}, []byte{1})},
+		} {
+			cases = append(cases, bad{fmt.Sprintf("format %d: %s", format, tc.name), tc.body})
+		}
+	}
+	for _, tc := range []bad{
+		{"bytes after the keep byte", append(keep, 0)},
+		{"bytes after a lake-only marker", []byte{0, 0}},
+		{"keep byte 2", []byte{1, 2}},
+		{"graph marker 2", []byte{2, 1}},
 	} {
+		cases = append(cases, bad{"format 3: " + tc.name, lakeBody(3, syms, cells, []uint64{0, 0}, []uint64{1, 2}, tc.body)})
+	}
+	for _, tc := range cases {
 		if _, err := decodeBody(tc.body); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}

@@ -214,6 +214,7 @@ func tsHandler(ts *httptest.Server) http.Handler {
 func TestBootstrapRestartsWhenSnapshotMoves(t *testing.T) {
 	leader, ld, ts := newLeader(t)
 	ld.SnapshotChunkBytes = 512
+	growLake(t, leader, 10) // so the cut below tears the transfer
 	fl := &flakyLeader{inner: tsHandler(ts), cuts: []int{700}}
 	// After the torn first transfer, the leader moves on: the partial chunks
 	// describe a snapshot version that no longer exists, so the resume must

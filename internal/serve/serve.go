@@ -145,11 +145,11 @@ type Server struct {
 // Options extend New for warm starts and operational hooks.
 type Options struct {
 	// Graph, when non-nil, publishes the initial snapshot from an
-	// already-built graph (a persisted snapshot loaded at startup) instead
-	// of running the full build. The graph must reflect the lake's current
-	// contents — persist.Load guarantees this — and must have been built
-	// with the same KeepSingletons setting as the Config; on a mismatch the
-	// graph is ignored and the server cold-builds.
+	// already-built graph (the one persist.Load derives from a snapshot)
+	// instead of running a second full build. The graph must reflect the
+	// lake's current contents — persist.Load guarantees this — and must
+	// have been built with the same KeepSingletons setting as the Config;
+	// on a mismatch the graph is ignored and the server cold-builds.
 	Graph *bipartite.Graph
 	// AfterPublish, when non-nil, runs after every snapshot swap (including
 	// the initial publish) with the published lake version. It is called on
@@ -263,8 +263,8 @@ func New(l *lake.Lake, cfg domainnet.Config) *Server {
 }
 
 // NewWithOptions is New with a warm-start graph and operational hooks; see
-// Options. With Options.Graph set (and compatible), the initial snapshot is
-// published without any graph construction.
+// Options. With Options.Graph set (and compatible), the initial snapshot
+// publishes that graph itself, without building another.
 func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
 	s := &Server{cfg: cfg, lake: l, afterPublish: opts.AfterPublish,
 		onCommit: opts.OnCommit, readOnly: opts.ReadOnly,

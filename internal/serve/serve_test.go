@@ -422,20 +422,35 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestWarmStartServesWithoutFullBuild is the tentpole acceptance test: a
-// server constructed from a persisted snapshot must answer /topk, /score and
-// /stats identically to a cold-built one — without ever invoking
-// bipartite.FromAttributes.
+// TestWarmStartServesWithoutFullBuild: a server constructed from a loaded
+// snapshot adopts the loaded graph itself — no second build — and answers
+// /topk, /score and /stats identically to a cold-built one; the first write
+// after the warm start takes the incremental warm path; and a graph built
+// with another KeepSingletons setting is refused.
 func TestWarmStartServesWithoutFullBuild(t *testing.T) {
-	cfg := domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true}
+	// Singleton filter on: the stray row below stays out of the graph.
+	cfg := domainnet.Config{Measure: domainnet.BetweennessExact}
+	// w1 is table W1, plus the stray (animal, city) row when one is given.
+	w1 := func(stray ...string) *table.Table {
+		animals, cities := []string{"Jaguar", "Puma"}, []string{"Memphis", "Lima"}
+		if len(stray) == 2 {
+			animals, cities = append(animals, stray[0]), append(cities, stray[1])
+		}
+		return table.New("W1").AddColumn("animal", animals...).AddColumn("city", cities...)
+	}
+	mkLake := func() *lake.Lake {
+		l := datagen.Figure1Lake()
+		l.MustAdd(w1())
+		return l
+	}
 
-	cold := httptest.NewServer(New(datagen.Figure1Lake(), cfg))
+	cold := httptest.NewServer(New(mkLake(), cfg))
 	t.Cleanup(cold.Close)
 
-	// Persist the lake+graph, as domainnetd's checkpoint does.
-	src := datagen.Figure1Lake()
+	// Persist the lake and graph, as domainnetd's checkpoint does.
+	src := mkLake()
 	path := filepath.Join(t.TempDir(), "lake.snapshot")
-	if err := persist.Save(path, src, bipartite.FromLake(src, bipartite.Options{KeepSingletons: true})); err != nil {
+	if err := persist.Save(path, src, bipartite.FromLake(src, bipartite.Options{})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -443,8 +458,12 @@ func TestWarmStartServesWithoutFullBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := bipartite.FullBuilds()
-	warm := httptest.NewServer(NewWithOptions(sn.Lake, cfg, Options{Graph: sn.Graph}))
+	s := NewWithOptions(sn.Lake, cfg, Options{Graph: sn.Graph})
+	t.Cleanup(s.Close)
+	if s.snap.Load().graph != sn.Graph {
+		t.Fatal("the warm-start graph was not adopted: the server built its own")
+	}
+	warm := httptest.NewServer(s)
 	t.Cleanup(warm.Close)
 
 	for _, path := range []string{"/topk?k=10", "/topk?k=5&measure=lcc", "/score?value=jaguar", "/stats"} {
@@ -454,30 +473,29 @@ func TestWarmStartServesWithoutFullBuild(t *testing.T) {
 			t.Errorf("GET %s:\nwarm = %v\ncold = %v", path, got, want)
 		}
 	}
-	if d := bipartite.FullBuilds() - builds; d != 0 {
-		t.Errorf("warm start ran %d full graph builds, want 0", d)
-	}
 
-	// Writes after a warm start stay incremental (no full build either).
-	resp := do(t, http.MethodPost, warm.URL+"/tables/W1",
-		strings.NewReader("animal,city\nJaguar,Memphis\nOcelot,Lima\n"))
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("POST after warm start = %d", resp.StatusCode)
+	// The first write after the warm start is priced by its delta: replacing
+	// W1 with itself plus a row of values found nowhere else leaves the
+	// graph's structure clean, so the warm carries every score.
+	waitWarm(t, s, "initial warm", func(w WarmStats) bool { return w.Completed == 1 })
+	if _, err := s.Apply([]*table.Table{w1("StrayBeast", "StrayTown")}, []string{"W1"}); err != nil {
+		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if d := bipartite.FullBuilds() - builds; d != 0 {
-		t.Errorf("post-warm-start write ran %d full builds, want 0 (incremental)", d)
+	waitWarm(t, s, "post-warm-start warm", func(w WarmStats) bool { return w.Completed == 2 })
+	if w := s.WarmStats(); w.Incremental != 1 {
+		t.Errorf("post-warm-start write warmed incremental=%d (full=%d), want 1", w.Incremental, w.FullFallback)
 	}
 
 	// A graph built with mismatched KeepSingletons is refused: the server
 	// cold-builds rather than serving wrong node sets.
-	mismatched := domainnet.Config{Measure: domainnet.BetweennessExact}
+	mismatched := domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true}
 	sn2, err := persist.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithOptions(sn2.Lake, mismatched, Options{Graph: sn2.Graph})
-	if s.snap.Load().graph == sn2.Graph {
+	s2 := NewWithOptions(sn2.Lake, mismatched, Options{Graph: sn2.Graph})
+	t.Cleanup(s2.Close)
+	if s2.snap.Load().graph == sn2.Graph {
 		t.Error("KeepSingletons-mismatched warm-start graph was not rejected")
 	}
 }
