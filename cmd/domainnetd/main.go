@@ -420,11 +420,11 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 		leader.Attach(s)
 	}
 
-	// Checkpoints encode under the server's write lock (the lake must not
-	// mutate mid-encode) but pay the disk write and fsyncs outside it, so
-	// writers stall only for the in-memory marshal, never for I/O. ckptMu
+	// Checkpoints encode the published snapshot's frozen lake, so writers
+	// never wait on a checkpoint, neither its marshal nor its I/O. ckptMu
 	// keeps a slow periodic write from racing the shutdown checkpoint. A
-	// durable checkpoint retires the WAL segments it covers.
+	// durable checkpoint retires the WAL segments it covers, up to the
+	// published version it wrote.
 	var ckptMu sync.Mutex
 	checkpoint := func(reason string) error {
 		if c.snapshot == "" {

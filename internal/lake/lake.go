@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"domainnet/internal/engine"
@@ -23,8 +24,9 @@ import (
 // Version and invalidates only the touched table's attribute cache, keeping
 // updates delta-priced. Tables are treated as immutable once added; mutate a
 // table by removing and re-adding it. A Lake is not safe for concurrent use;
-// callers that serve readers during updates snapshot the derived state
-// instead (see internal/serve).
+// callers that serve readers during updates hand them a Frozen view instead
+// (see internal/serve). For those views to stay valid, the lake never
+// rewrites an array it has shared: removal and compaction build new slices.
 //
 // The symbol table stays bounded under churn: the lake counts the cached
 // attributes holding each ID and, once dead IDs outnumber live ones beyond
@@ -190,8 +192,17 @@ func (l *Lake) TableAttributes() [][]Attribute {
 	return l.tableAttrs
 }
 
-// Live reports whether a cached attribute of the lake holds symbol id.
-func (l *Lake) Live(id uint32) bool { return int(id) < len(l.live) && l.live[id] > 0 }
+// Frozen returns a read-only view of the lake's current version — name,
+// version, tables, attributes and symbol strings — that l's later mutations
+// leave untouched, so other goroutines may read it while l's writer goes on.
+// It shares l's arrays, costing O(tables) once l's attributes are computed.
+func (l *Lake) Frozen() *Lake {
+	attrs, n := l.Attributes(), len(l.tables)
+	return &Lake{Name: l.Name, version: l.version,
+		tables: l.tables[:n:n], tableAttrs: l.tableAttrs[:n:n],
+		attrs: attrs, attrsOK: true, nLive: l.nLive,
+		syms: &Symbols{strs: l.syms.strs, n: l.syms.n}}
+}
 
 // Tables returns the tables in insertion order. The slice is shared; callers
 // must not mutate it.
@@ -205,18 +216,11 @@ func (l *Lake) Tables() []*table.Table { return l.tables }
 func (l *Lake) RemoveTable(name string) bool {
 	for i, t := range l.tables {
 		if t.Name == name {
-			// Shift left and zero the vacated tail slot: a plain append
-			// truncation keeps the last *table.Table (and its attribute
-			// cache, with every value string) reachable through the backing
-			// array, pinning removed tables' memory under churn.
-			last := len(l.tables) - 1
-			copy(l.tables[i:], l.tables[i+1:])
-			l.tables[last] = nil
-			l.tables = l.tables[:last]
+			// Build new slices: a Frozen view may share the old arrays, and
+			// the lake's own arrays must not keep a removed table reachable.
 			gone := l.tableAttrs[i]
-			copy(l.tableAttrs[i:], l.tableAttrs[i+1:])
-			l.tableAttrs[last] = nil
-			l.tableAttrs = l.tableAttrs[:last]
+			l.tables = slices.Concat(l.tables[:i], l.tables[i+1:])
+			l.tableAttrs = slices.Concat(l.tableAttrs[:i], l.tableAttrs[i+1:])
 			delete(l.names, name)
 			l.bump()
 			l.release(gone)
@@ -303,7 +307,8 @@ func (l *Lake) release(attrs []Attribute) {
 
 // compact moves the lake to a new symbol generation of the live values, with
 // the live IDs' ranks as IDs so every order carries over. Cached attributes
-// are re-issued, not rewritten: published graphs may alias the old arrays.
+// are re-issued into a new slice, not rewritten: published graphs and Frozen
+// views may alias the old arrays.
 func (l *Lake) compact() {
 	syms := NewSymbols()
 	remap := make([]uint32, l.syms.Len())
@@ -314,6 +319,7 @@ func (l *Lake) compact() {
 			live = append(live, n)
 		}
 	}
+	tableAttrs := make([][]Attribute, len(l.tableAttrs))
 	for ti, attrs := range l.tableAttrs {
 		if attrs == nil {
 			continue
@@ -326,9 +332,9 @@ func (l *Lake) compact() {
 			}
 			re[i] = a
 		}
-		l.tableAttrs[ti] = re
+		tableAttrs[ti] = re
 	}
-	l.syms, l.live, l.b = syms, live, builder{syms: syms}
+	l.tableAttrs, l.syms, l.live, l.b = tableAttrs, syms, live, builder{syms: syms}
 	l.attrsOK = false
 }
 

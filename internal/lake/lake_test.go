@@ -1,6 +1,7 @@
 package lake
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -186,13 +187,53 @@ func TestRemoveTableReleasesTailSlot(t *testing.T) {
 	if !l.RemoveTable("t2") {
 		t.Fatal("t2 not removed")
 	}
-	tables := l.tables[:cap(l.tables)]
-	if tables[len(l.tables)] != nil {
-		t.Error("vacated table slot still holds a *table.Table")
+	for _, tb := range l.tables[:cap(l.tables)] {
+		if tb != nil && tb.Name == "t2" {
+			t.Error("a table slot still holds the removed table")
+		}
 	}
-	attrs := l.tableAttrs[:cap(l.tableAttrs)]
-	if attrs[len(l.tableAttrs)] != nil {
-		t.Error("vacated attribute-cache slot still holds a slice")
+	for _, as := range l.tableAttrs[:cap(l.tableAttrs)] {
+		if len(as) > 0 && as[0].Table == "t2" {
+			t.Error("an attribute-cache slot still holds the removed table's slice")
+		}
+	}
+}
+
+// TestFrozenSurvivesRemovalAndCompaction freezes a lake, then removes
+// tables until the symbol table compacts and adds more: the view must still
+// show the tables, attributes and value strings it was frozen with.
+func TestFrozenSurvivesRemovalAndCompaction(t *testing.T) {
+	l := twoTableLake(t)
+	big := make([]string, symbolFloor+10)
+	for i := range big {
+		big[i] = fmt.Sprintf("V%d", i)
+	}
+	l.MustAdd(table.New("big").AddColumn("v", big...))
+	dump := func(f *Lake) []string {
+		var out []string
+		for ti, tb := range f.Tables() {
+			for _, a := range f.TableAttributes()[ti] {
+				for _, id := range a.IDs() {
+					out = append(out, tb.Name+"."+a.Column+"="+f.Symbols().String(id))
+				}
+			}
+		}
+		return out
+	}
+	f := l.Frozen()
+	want, syms := dump(f), l.Symbols()
+	l.RemoveTable("t1")
+	l.RemoveTable("big")
+	if l.Symbols() == syms {
+		t.Fatal("setup: removing the big table did not compact the symbol table")
+	}
+	l.MustAdd(table.New("t3").AddColumn("x", "Lemur", "Toyota"))
+	l.Attributes()
+	if got := dump(f); !reflect.DeepEqual(got, want) {
+		t.Errorf("frozen view changed under the writer: %d entries, want %d", len(got), len(want))
+	}
+	if f.Version() != 3 || f.NumTables() != 3 {
+		t.Errorf("frozen view at version %d with %d tables, want 3 and 3", f.Version(), f.NumTables())
 	}
 }
 

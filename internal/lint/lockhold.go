@@ -8,13 +8,12 @@ import (
 )
 
 // LockHold enforces the serving write-lock discipline: writeMu serializes
-// mutations and snapshot publishes, so nothing slow or re-entrant may run
-// while it is held. Three call classes are banned inside a writeMu critical
-// section: anything in net/http (a network wait under the write lock stalls
-// every writer and the checkpointer), (*os.File).Sync (fsync belongs in the
-// WAL/persist layer outside the lock — the atomic-rename save protocol
-// syncs after the data is marshaled), and serve.Checkpoint (it re-acquires
-// writeMu; calling it under the lock is a self-deadlock).
+// mutations and snapshot publishes, so nothing slow may run while it is
+// held. Two call classes are banned inside a writeMu critical section:
+// anything in net/http (a network wait under the write lock stalls every
+// writer) and (*os.File).Sync (fsync belongs in the WAL/persist layer
+// outside the lock — the atomic-rename save protocol syncs after the data is
+// marshaled).
 //
 // Held-state tracking is the shared lexical lock walker (a Lock() opens the
 // region, a top-level Unlock() closes it, a deferred Unlock holds to the end
@@ -27,7 +26,7 @@ type LockHold struct{}
 func (LockHold) Name() string { return "lockhold" }
 
 func (LockHold) Doc() string {
-	return "no call into net/http, (*os.File).Sync, or serve.Checkpoint while writeMu is held, traced through callees"
+	return "no call into net/http or (*os.File).Sync while writeMu is held, traced through callees"
 }
 
 func (LockHold) Interprocedural() bool { return true }
@@ -111,8 +110,6 @@ func reportDirectBanned(p *Pass, call *ast.CallExpr, f *types.Func, kind string)
 		p.Reportf(call.Pos(), "%s called while writeMu is held; the write lock must never wait on the network", f.FullName())
 	case "fsync":
 		p.Reportf(call.Pos(), "(*os.File).Sync while writeMu is held; fsync belongs outside the write lock")
-	case "checkpoint":
-		p.Reportf(call.Pos(), "serve.Checkpoint re-acquires writeMu; calling it while the lock is held deadlocks")
 	}
 }
 
@@ -123,8 +120,6 @@ func bannedRationale(kind string) string {
 		return "the write lock must never wait on the network"
 	case "fsync":
 		return "fsync belongs outside the write lock"
-	case "checkpoint":
-		return "re-acquiring writeMu under the lock deadlocks"
 	}
 	return "banned while writeMu is held"
 }

@@ -78,7 +78,7 @@ type Witness struct {
 // BannedWitness is a Witness plus the banned call's identity.
 type BannedWitness struct {
 	Witness
-	Kind   string // "nethttp", "fsync", "checkpoint"
+	Kind   string // "nethttp", "fsync"
 	Detail string // human name of the offending callee
 }
 
@@ -521,8 +521,8 @@ func contains(list []string, s string) bool {
 // ---------------------------------------------------------------------------
 // Fact classifiers
 
-// bannedCall classifies lockhold's banned set: network waits, fsync, and
-// writeMu re-entry must never happen under the write lock.
+// bannedCall classifies lockhold's banned set: network waits and fsync must
+// never happen under the write lock.
 func bannedCall(f *types.Func) (kind, detail string, ok bool) {
 	if f.Pkg() == nil {
 		return "", "", false
@@ -532,8 +532,6 @@ func bannedCall(f *types.Func) (kind, detail string, ok bool) {
 		return "nethttp", f.FullName(), true
 	case f.Name() == "Sync" && recvIs(f, "os", "File"):
 		return "fsync", "(*os.File).Sync", true
-	case f.Name() == "Checkpoint" && recvIs(f, "internal/serve", "Server"):
-		return "checkpoint", "serve.Checkpoint", true
 	}
 	return "", "", false
 }

@@ -6,14 +6,11 @@ import (
 	"net/http"
 	"os"
 	"sync"
-
-	"domainnet/internal/serve"
 )
 
 type store struct {
 	writeMu sync.Mutex
 	file    *os.File
-	srv     *serve.Server
 	n       int
 }
 
@@ -38,13 +35,6 @@ func (s *store) badSyncUnderLock() {
 	s.writeMu.Lock()
 	s.file.Sync() // want "Sync while writeMu is held"
 	s.writeMu.Unlock()
-}
-
-// badCheckpointUnderLock re-enters the lock through serve.Checkpoint.
-func (s *store) badCheckpointUnderLock() {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.srv.Checkpoint(nil) // want "Checkpoint re-acquires writeMu"
 }
 
 // goodSyncOutsideLock releases before the fsync — the sanctioned shape.

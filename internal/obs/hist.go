@@ -169,7 +169,7 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := int64(q*float64(s.Count) + 0.5)
+	rank := int64(math.Ceil(q * float64(s.Count)))
 	if rank < 1 {
 		rank = 1
 	}

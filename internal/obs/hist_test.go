@@ -83,7 +83,7 @@ func TestHistQuantileAccuracy(t *testing.T) {
 			t.Fatalf("%s: count %d != %d", name, s.Count, len(samples))
 		}
 		for _, q := range quantiles {
-			rank := int64(q*float64(len(samples)) + 0.5)
+			rank := int64(math.Ceil(q * float64(len(samples))))
 			if rank < 1 {
 				rank = 1
 			}
@@ -102,6 +102,29 @@ func TestHistQuantileAccuracy(t *testing.T) {
 		}
 		if got, want := s.Quantile(1.0), samples[len(samples)-1]; got != want {
 			t.Errorf("%s: q=1 must be the exact max: got %d want %d", name, got, want)
+		}
+	}
+}
+
+// TestHistQuantileNearestRank pins the rank to ceil(q*count) on sample
+// counts where rounding q*count to the nearest integer would undershoot.
+func TestHistQuantileNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n    int64
+		q    float64
+		want int64
+	}{
+		{11, 0.95, 11}, // ceil(10.45)
+		{5, 0.25, 2},   // ceil(1.25)
+		{5, 0.5, 3},
+		{4, 0.5, 2},
+	} {
+		var h Hist
+		for v := int64(1); v <= c.n; v++ {
+			h.Observe(v)
+		}
+		if got := h.Snapshot().Quantile(c.q); got != c.want {
+			t.Errorf("samples 1..%d: Quantile(%v) = %d, want %d", c.n, c.q, got, c.want)
 		}
 	}
 }

@@ -72,10 +72,10 @@ func Save(path string, l *lake.Lake, g *bipartite.Graph) error {
 // Marshal encodes the lake and graph into complete snapshot-file bytes. g
 // contributes only its singleton setting (Graph.KeepsSingletons): Load
 // derives the bipartite graph of the lake with that setting, whatever kind
-// of graph g was. A nil g writes a lake-only snapshot. Split from WriteFile
-// so a serving layer can encode under its write lock — the lake must not
-// mutate mid-encode — while paying the disk write and fsyncs outside it
-// (see cmd/domainnetd's checkpointer).
+// of graph g was. A nil g writes a lake-only snapshot. l must not mutate
+// mid-encode: a serving layer passes a lake.Frozen view, which its writer
+// cannot touch. Split from WriteFile so the encode and the disk write with
+// its fsyncs can run at different times (see cmd/domainnetd's checkpointer).
 func Marshal(l *lake.Lake, g *bipartite.Graph) []byte {
 	buf := appendBody(append([]byte(nil), magic[:]...), l, g)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(magic):]))
@@ -162,13 +162,24 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 	b = AppendString(b, l.Name)
 	b = binary.AppendUvarint(b, l.Version())
 
-	// The symbol section: every live value once, in ID order.
+	// The symbol section: every value an attribute holds, once, in ID order.
 	syms, tables, tableAttrs := l.Symbols(), l.Tables(), l.TableAttributes()
 	rank := make([]uint64, syms.Len()) // live rank + 1; 0 for a dead ID
-	b = binary.AppendUvarint(b, uint64(l.Stats().Values))
 	n := uint64(0)
+	for _, attrs := range tableAttrs {
+		for ai := range attrs {
+			for _, id := range attrs[ai].IDs() {
+				if rank[id] == 0 {
+					rank[id] = 1
+					n++
+				}
+			}
+		}
+	}
+	b = binary.AppendUvarint(b, n)
+	n = 0
 	for id := range rank {
-		if l.Live(uint32(id)) {
+		if rank[id] != 0 {
 			n++
 			rank[id] = n
 			b = AppendString(b, syms.String(uint32(id)))

@@ -302,14 +302,14 @@ func (ld *Leader) handleChanges(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// snapshot returns the persist codec bytes of the leader's current state
+// snapshot returns the persist codec bytes of the leader's published state
 // and their chunk stream in the requested encoding, marshaling at most once
-// per version: the marshal itself runs under the server's write lock
-// (Checkpoint), so the bytes are a consistent burst-boundary snapshot, and
-// repeat requests at the same version — a fleet bootstrapping at once, a
-// follower resuming a torn stream — are served from the cached buffer. Each
-// encoding is framed by the first request for it, once Checkpoint has
-// released the write lock. Cached buffers are immutable.
+// per version: the marshal reads the published snapshot's frozen lake
+// (Checkpoint), so the bytes are a consistent burst-boundary snapshot while
+// writes go on, and repeat requests at the same version — a fleet
+// bootstrapping at once, a follower resuming a torn stream — are served from
+// the cached buffer. Each encoding is framed by the first request for it.
+// Cached buffers are immutable.
 func (ld *Leader) snapshot(compress bool, chunk int) ([]byte, uint64, *persist.ChunkStream, error) {
 	ld.snapMu.Lock()
 	defer ld.snapMu.Unlock()
@@ -364,7 +364,7 @@ func acceptsGzip(header string) bool {
 }
 
 // handleSnapshot streams the leader's full state from the per-version
-// cache (snapshot), outside the write lock and snapMu. The body is framed by
+// cache (snapshot), outside snapMu. The body is framed by
 // the persist chunk codec — every chunk independently CRC'd and, when the
 // request advertises Accept-Encoding: gzip, independently compressed — so a
 // request must say chunked=1; anything else gets a 400. ?offset=N&version=V

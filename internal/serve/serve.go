@@ -206,15 +206,16 @@ type Mutation struct {
 	Remove      []string
 }
 
-// snapshot is one immutable published version of the served state. The
-// graph and stats are fixed at swap time; detectors (score/ranking caches)
-// live in a per-graph cache — snapshots published with the graph carried
-// over unchanged share one cache, so warm state (even a warm still in
-// flight) transfers to the new snapshot instead of being recomputed.
+// snapshot is one immutable published version of the served state. The lake
+// view, graph and stats are fixed at swap time; detectors (score/ranking
+// caches) live in a per-graph cache — snapshots published with the graph
+// carried over unchanged share one cache, so warm state (even a warm still
+// in flight) transfers to the new snapshot instead of being recomputed.
 type snapshot struct {
 	version uint64
 	verStr  string // decimal version, precomputed for the per-request header
 	stats   lake.Stats
+	lake    *lake.Lake // a Frozen view, for Checkpoint
 	graph   *bipartite.Graph
 	dc      *detCache
 	// topk caches fully encoded /topk responses per (measure, k). The cache
@@ -351,22 +352,12 @@ func (s *Server) Version() uint64 { return s.snap.Load().version }
 // publish, not N.
 func (s *Server) Publishes() int64 { return s.publishes.Load() }
 
-// Checkpoint runs fn on the lake and the currently published graph with the
-// write lock held, giving it a mutation-free view for durable snapshotting
-// (persist.Save). Readers are unaffected; writers queue behind fn, so fn
-// should be bounded (a local file write, not a network upload).
+// Checkpoint runs fn on the published snapshot's frozen lake and its graph,
+// a consistent pair at the served version, for durable snapshotting
+// (persist.Save). It takes no lock: neither readers nor writers wait on fn.
 func (s *Server) Checkpoint(fn func(l *lake.Lake, g *bipartite.Graph) error) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	// A coalescing burst may have mutated the lake with its publish deferred
-	// to a still-queued writer; if the checkpointer wins the lock race in
-	// that window, the snapshot graph lags the lake, and persisting the torn
-	// pair would write a snapshot whose graph no longer matches its tables
-	// (unloadable). Publish first so fn always sees a consistent pair.
-	if s.snap.Load().version != s.lake.Version() {
-		s.publish()
-	}
-	return fn(s.lake, s.snap.Load().graph)
+	sn := s.snap.Load()
+	return fn(sn.lake, sn.graph)
 }
 
 // withWrite runs one lake mutation under the write lock, then publishes —
@@ -413,10 +404,12 @@ func (s *Server) publishGraph(g *bipartite.Graph) { s.publishGraphDiff(g, nil) }
 // which links each warmed detector to its predecessor for delta scoring.
 func (s *Server) publishGraphDiff(g *bipartite.Graph, diff *bipartite.Diff) {
 	prev := s.snap.Load()
+	lk := s.lake.Frozen()
 	next := &snapshot{
-		version: s.lake.Version(),
-		verStr:  strconv.FormatUint(s.lake.Version(), 10),
-		stats:   s.lake.Stats(),
+		version: lk.Version(),
+		verStr:  strconv.FormatUint(lk.Version(), 10),
+		stats:   lk.Stats(),
+		lake:    lk,
 		graph:   g,
 	}
 	carried := prev != nil && g == prev.graph
@@ -584,10 +577,9 @@ func (s *Server) WarmStats() WarmStats {
 	}
 }
 
-// measure resolves the optional ?measure= query parameter against the
-// server's default, writing a 400 and returning false on unknown names.
-func (s *Server) measure(w http.ResponseWriter, r *http.Request) (domainnet.Measure, bool) {
-	name := r.URL.Query().Get("measure")
+// measure resolves the optional ?measure= query value against the server's
+// default, writing a 400 and returning false on unknown names.
+func (s *Server) measure(w http.ResponseWriter, name string) (domainnet.Measure, bool) {
 	if name == "" {
 		return s.cfg.Measure, true
 	}
@@ -626,13 +618,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, sn *snapshot
 		q := r.URL.Query()
 		mname, kstr = q.Get("measure"), q.Get("k")
 	}
-	m := s.cfg.Measure
-	if mname != "" {
-		var ok bool
-		if m, ok = domainnet.ParseMeasure(mname); !ok {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown measure %q", mname))
-			return
-		}
+	m, ok := s.measure(w, mname)
+	if !ok {
+		return
 	}
 	k := 50
 	if kstr != "" {
@@ -691,11 +679,12 @@ func (s *Server) encodeTopK(a *obs.Active, sn *snapshot, m domainnet.Measure, k 
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, sn *snapshot) {
-	m, ok := s.measure(w, r)
+	q := r.URL.Query()
+	m, ok := s.measure(w, q.Get("measure"))
 	if !ok {
 		return
 	}
-	raw := r.URL.Query().Get("value")
+	raw := q.Get("value")
 	if raw == "" {
 		writeError(w, http.StatusBadRequest, "missing value parameter")
 		return

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"domainnet/internal/bipartite"
 	"domainnet/internal/datagen"
@@ -507,21 +508,9 @@ func TestWriteCoalescing(t *testing.T) {
 	})
 	base := s.Publishes()
 
-	// Park a checkpoint on the write lock so both writers are queued before
-	// either runs; the first to drain must defer its publish to the last.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	ckptDone := make(chan struct{})
-	go func() {
-		defer close(ckptDone)
-		s.Checkpoint(func(*lake.Lake, *bipartite.Graph) error {
-			close(entered)
-			<-release
-			return nil
-		})
-	}()
-	<-entered
-
+	// Hold the write lock so both writers are queued before either runs;
+	// the first to drain must defer its publish to the last.
+	s.writeMu.Lock()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -538,9 +527,8 @@ func TestWriteCoalescing(t *testing.T) {
 	for s.pending.Load() != 2 {
 		runtime.Gosched()
 	}
-	close(release)
+	s.writeMu.Unlock()
 	wg.Wait()
-	<-ckptDone
 
 	if got := s.Publishes() - base; got != 1 {
 		t.Errorf("2 coalesced writes cost %d publishes, want 1", got)
@@ -553,9 +541,9 @@ func TestWriteCoalescing(t *testing.T) {
 
 // TestCheckpointDuringDeferredPublish is the torn-checkpoint regression: a
 // coalescing burst can leave the lake ahead of the published snapshot, and a
-// checkpointer winning the lock race in that window used to persist a
-// lake/graph pair at different versions — a snapshot persist.Load rejects,
-// overwriting the last good one. Checkpoint must publish first.
+// checkpoint in that window must not persist a lake/graph pair at different
+// versions — a snapshot persist.Load rejects, overwriting the last good one.
+// Checkpoint reads the published pair, so it writes the published version.
 func TestCheckpointDuringDeferredPublish(t *testing.T) {
 	s := New(datagen.Figure1Lake(), domainnet.Config{
 		Measure:        domainnet.DegreeBaseline,
@@ -573,9 +561,6 @@ func TestCheckpointDuringDeferredPublish(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "lake.snapshot")
 	err := s.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
-		if s.snap.Load().version != l.Version() {
-			t.Error("Checkpoint handed out a lake/graph pair at different versions")
-		}
 		return persist.Save(path, l, g)
 	})
 	s.pending.Add(-1)
@@ -586,9 +571,137 @@ func TestCheckpointDuringDeferredPublish(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mid-burst checkpoint is unloadable: %v", err)
 	}
-	if sn.Graph == nil || sn.Lake.Version() != 5 {
-		t.Errorf("loaded snapshot = graph %v, version %d; want graph at version 5",
+	if sn.Graph == nil || sn.Lake.Version() != 4 {
+		t.Errorf("loaded snapshot = graph %v, version %d; want graph at the published version 4",
 			sn.Graph != nil, sn.Lake.Version())
+	}
+}
+
+// TestCheckpointParkedDuringWrite parks a Checkpoint callback mid-marshal
+// while a mutation is acknowledged and published. The write must not wait
+// for the checkpoint, and the parked checkpoint must still write the version
+// it started on.
+func TestCheckpointParkedDuringWrite(t *testing.T) {
+	s := New(datagen.Figure1Lake(), domainnet.Config{
+		Measure:        domainnet.DegreeBaseline,
+		KeepSingletons: true,
+	})
+	t.Cleanup(s.Close)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var buf []byte
+	var version uint64
+	var names []string
+	ckptDone := make(chan error, 1)
+	go func() {
+		ckptDone <- s.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
+			version = l.Version()
+			close(entered)
+			<-release
+			for _, tb := range l.Tables() {
+				names = append(names, tb.Name)
+			}
+			buf = persist.Marshal(l, g)
+			return nil
+		})
+	}()
+	<-entered
+
+	applied := make(chan error, 1)
+	go func() {
+		tb := table.New("late").AddColumn("animal", "Jaguar", "Puma")
+		_, err := s.Apply([]*table.Table{tb}, []string{"T1"})
+		applied <- err
+	}()
+	select {
+	case err := <-applied:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Apply waited on a parked checkpoint")
+	}
+	if got := s.Version(); got != 6 {
+		t.Errorf("published version after the write = %d, want 6", got)
+	}
+	close(release)
+	if err := <-ckptDone; err != nil {
+		t.Fatal(err)
+	}
+	sn, err := persist.Unmarshal(buf)
+	if err != nil {
+		t.Fatalf("parked checkpoint does not decode: %v", err)
+	}
+	var got []string
+	for _, tb := range sn.Lake.Tables() {
+		got = append(got, tb.Name)
+	}
+	if version != 4 || sn.Lake.Version() != version || sn.Graph == nil ||
+		!reflect.DeepEqual(got, names) || !reflect.DeepEqual(names, []string{"T1", "T2", "T3", "T4"}) {
+		t.Errorf("parked checkpoint decoded as version %d, tables %v, graph %v; started on version %d, tables %v",
+			sn.Lake.Version(), got, sn.Graph != nil, version, names)
+	}
+}
+
+// TestCheckpointRacesCompaction marshals checkpoints in a loop while a
+// writer adds and removes tables of 5,000 fresh values each, more than the
+// lake's compaction floor of 4,096 dead IDs, so every removal moves the lake
+// to a new symbol generation. Each checkpoint must decode at the version its
+// callback saw. Run with -race.
+func TestCheckpointRacesCompaction(t *testing.T) {
+	s := New(datagen.Figure1Lake(), domainnet.Config{
+		Measure:        domainnet.DegreeBaseline,
+		KeepSingletons: true,
+	})
+	t.Cleanup(s.Close)
+	writerDone := make(chan error, 1)
+	go func() {
+		var remove []string
+		for i := range 6 {
+			vals := make([]string, 5000)
+			for j := range vals {
+				vals[j] = fmt.Sprintf("fresh%d_%d", i, j)
+			}
+			name := fmt.Sprintf("big%d", i)
+			if _, err := s.Apply([]*table.Table{table.New(name).AddColumn("v", vals...)}, remove); err != nil {
+				writerDone <- err
+				return
+			}
+			remove = []string{name}
+		}
+		_, err := s.Apply(nil, remove)
+		writerDone <- err
+	}()
+
+	for checkpoints := 0; ; checkpoints++ {
+		var buf []byte
+		var version uint64
+		if err := s.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
+			version, buf = l.Version(), persist.Marshal(l, g)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sn, err := persist.Unmarshal(buf)
+		if err != nil {
+			t.Fatalf("checkpoint at version %d does not decode: %v", version, err)
+		}
+		if sn.Lake.Version() != version || sn.Graph == nil {
+			t.Fatalf("checkpoint decoded as version %d (graph %v), callback saw %d",
+				sn.Lake.Version(), sn.Graph != nil, version)
+		}
+		select {
+		case err := <-writerDone:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := s.lake.Symbols().Len(); n >= 5000 {
+				t.Errorf("symbol table holds %d IDs after the churn: it never compacted", n)
+			}
+			t.Logf("%d checkpoints raced the writer", checkpoints+1)
+			return
+		default:
+		}
 	}
 }
 

@@ -544,9 +544,9 @@ func TestWarmIncrementalPathAndMetrics(t *testing.T) {
 
 // TestCheckpointRacesCoalescedBurstWithWarmer is the warm-pipeline variant
 // of the torn-checkpoint regression: a coalescing burst leaves the lake
-// ahead of the snapshot, the checkpointer wins the lock race and must
-// publish first — which now also schedules a warm under the write lock.
-// The persisted pair must stay consistent and the warm books must balance.
+// ahead of the snapshot while a warm runs, and a checkpoint in that window
+// persists the published pair. It must load, and the warm books must
+// balance.
 func TestCheckpointRacesCoalescedBurstWithWarmer(t *testing.T) {
 	s := NewWithOptions(datagen.Figure1Lake(), domainnet.Config{
 		Measure:        domainnet.DegreeBaseline,
@@ -566,9 +566,6 @@ func TestCheckpointRacesCoalescedBurstWithWarmer(t *testing.T) {
 
 	path := t.TempDir() + "/lake.snapshot"
 	err := s.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
-		if s.snap.Load().version != l.Version() {
-			t.Error("Checkpoint handed out a lake/graph pair at different versions")
-		}
 		return persist.Save(path, l, g)
 	})
 	s.pending.Add(-1)
@@ -579,18 +576,11 @@ func TestCheckpointRacesCoalescedBurstWithWarmer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint during warm-enabled burst is unloadable: %v", err)
 	}
-	if sn.Graph == nil || sn.Lake.Version() != 5 {
-		t.Errorf("loaded snapshot = graph %v, version %d; want graph at version 5",
+	if sn.Graph == nil || sn.Lake.Version() != 4 {
+		t.Errorf("loaded snapshot = graph %v, version %d; want graph at the published version 4",
 			sn.Graph != nil, sn.Lake.Version())
 	}
 	waitWarm(t, s, "warms to settle", func(w WarmStats) bool {
 		return w.Started == w.Completed+w.Cancelled
 	})
-	sn2 := s.snap.Load()
-	sn2.dc.mu.Lock()
-	d := sn2.dc.dets[domainnet.DegreeBaseline]
-	sn2.dc.mu.Unlock()
-	if d == nil || !d.Ready() {
-		t.Error("checkpoint-triggered publish was not warmed")
-	}
 }
