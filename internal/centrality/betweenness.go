@@ -9,7 +9,9 @@
 // engine.Opts struct and is exported as an engine.Scorer value (see
 // scorers.go), which the detector's measure table points at. Exact and
 // sampled Brandes share one kernel that traverses the twin quotient, one
-// node per class of nodes with identical neighbor lists (see twins). BFS
+// node per class of nodes with identical neighbor lists (see twins). The
+// delta scorers carry the quotient in their engine.Carry, one class per
+// node, and a delta regroups only the nodes it affects (carriedTwins). BFS
 // scratch state comes from the shared per-worker engine.Arena pool: one
 // arena per worker, reused across all of that worker's sources, instead of
 // per-source (or per-call) heap allocation.
@@ -33,7 +35,7 @@ type Graph = engine.Graph
 // quotient (see twins), so runtime is O(c·q) for c classes joined by q class
 // edges; classes are sharded across opts.Workers, one reused arena each.
 func Betweenness(g Graph, opts engine.Opts) []float64 {
-	bc := exactBetweenness(g, nil, opts)
+	bc := exactBetweenness(quotient(g, opts), nil, opts)
 	if opts.Normalized {
 		normalize(bc, g.NumNodes())
 	}
@@ -41,12 +43,11 @@ func Betweenness(g Graph, opts engine.Opts) []float64 {
 }
 
 // exactBetweenness is the one source plan of every exact Brandes entry point:
-// raw scores from the twin-class representatives of g. A non-nil affected
-// mask skips the classes outside it; since it filters inside the shards, the
-// shard boundaries — and with them the float summation grouping — stay those
-// of the full run.
-func exactBetweenness(g Graph, affected []bool, opts engine.Opts) []float64 {
-	t := quotient(g, opts)
+// raw scores from the representatives of g's twin quotient t. A non-nil
+// affected mask skips the classes outside it; since it filters inside the
+// shards, the shard boundaries — and with them the float summation grouping
+// — stay those of the full run.
+func exactBetweenness(t twins, affected []bool, opts engine.Opts) []float64 {
 	return accumulate(t, t.reps, t.weight, affected, opts)
 }
 

@@ -12,7 +12,7 @@ import (
 // component {4..11} left untouched, and isolated padding {12..19} keeping
 // the affected share under the plan's churn threshold. The returned delta
 // uses the identity mapping with Dirty covering the rewired nodes.
-func deltaFixture(t *testing.T, carry []float64) (prev, next *sliceGraph, d *engine.Delta) {
+func deltaFixture(t *testing.T, carry engine.Carry) (prev, next *sliceGraph, d *engine.Delta) {
 	t.Helper()
 	const n = 20
 	prev = newSliceGraph(n)
@@ -85,7 +85,7 @@ func TestHarmonicDeltaBitIdenticalToFull(t *testing.T) {
 		}
 		want, _ := sc.ScoreFull(next, opts)
 		for u := range want {
-			if got[u] != want[u] || gotCarry[u] != want[u] {
+			if got[u] != want[u] || gotCarry[u].Raw != want[u] {
 				t.Fatalf("node %d: delta=%v full=%v (workers=%d)", u, got[u], want[u], workers)
 			}
 		}
@@ -98,7 +98,7 @@ func TestDeltaEmptyDirtyIsPureCarry(t *testing.T) {
 	var sc BetweennessExact
 	opts := engine.Opts{Workers: 2, Normalized: true}
 	prev, _, d := deltaFixture(t, nil)
-	var prevCarry []float64
+	var prevCarry engine.Carry
 	_, prevCarry = sc.ScoreFull(prev, opts)
 	d.Dirty = nil
 	d.PrevCarry = prevCarry

@@ -16,18 +16,17 @@ import (
 // entry, so the parallel result is bit-identical to the serial one.
 func Harmonic(g Graph, opts engine.Opts) []float64 {
 	out := make([]float64, g.NumNodes())
-	harmonicExact(g, nil, out, opts)
+	harmonicExact(g, twinClasses(g, 0), nil, out, opts)
 	return out
 }
 
 // harmonicExact writes Σ 1/d into out for every node the affected mask
-// admits (nil admits all): one BFS from each twin-class representative, its
-// sum copied to the class's twins. The copy is bit-identical to a twin's own
-// BFS, since a BFS adds its terms level by level and every term of a level
-// is the same 1/d.
-func harmonicExact(g Graph, affected []bool, out []float64, opts engine.Opts) {
+// admits (nil admits all): one BFS from each representative of g's twin
+// quotient t, its sum copied to the class's twins. The copy is
+// bit-identical to a twin's own BFS, since a BFS adds its terms level by
+// level and every term of a level is the same 1/d.
+func harmonicExact(g Graph, t twins, affected []bool, out []float64, opts engine.Opts) {
 	n := g.NumNodes()
-	t := twinClasses(g, 0)
 	reps := t.reps
 	if affected != nil {
 		reps = slices.DeleteFunc(slices.Clone(reps), func(r int32) bool { return !affected[r] })

@@ -1,6 +1,10 @@
 package centrality
 
-import "slices"
+import (
+	"slices"
+
+	"domainnet/internal/engine"
+)
 
 // twins is the twin quotient the BFS measures share. Two
 // non-isolated nodes with identical neighbor lists (open twins) are swapped
@@ -34,33 +38,103 @@ type twins struct {
 // engine.Opts.EndpointsValuesOnly); split 0 ignores endpoint classes.
 // Isolated nodes stay singletons: they share the empty list across
 // components. Lists are compared as given, so equal sets listed in different
-// orders only lose grouping, and lists merge only after slices.Equal confirms
-// them — a hash collision costs grouping, never exactness.
+// orders only lose grouping. A class is exactly the nodes with one list, so
+// the quotient is a function of the graph alone: carriedTwins rebuilds it
+// from the previous round's classes, and a hash collision costs a longer
+// chain walk, never a different grouping.
 func twinClasses(g Graph, split int) twins {
-	n := g.NumNodes()
-	t := twins{classOf: make([]int32, n)}
-	class := make(map[uint64]int32) // list hash → index of its first class
-	for u := range int32(n) {
-		nb := g.Neighbors(u)
-		if len(nb) > 0 {
-			h := hashList(nb, int(u) < split)
-			if i, seen := class[h]; seen {
-				r := t.reps[i]
-				if (int(r) < split) == (int(u) < split) && slices.Equal(g.Neighbors(r), nb) {
-					t.classOf[u] = i
-					t.weight[i]++
-					continue
-				}
-			} else {
-				class[h] = int32(len(t.reps))
-			}
-		}
-		t.classOf[u] = int32(len(t.reps))
-		t.reps = append(t.reps, u)
-		t.weight = append(t.weight, 1)
+	t := twins{classOf: make([]int32, g.NumNodes())}
+	var gr grouper
+	for u := range int32(len(t.classOf)) {
+		t.classOf[u] = gr.class(&t, g, u, split)
 	}
-	// Each class's neighbor classes from its representative's list, a stamp
-	// array keeping the first of the several members a neighbor class has.
+	t.link(g)
+	return t
+}
+
+// carriedTwins is twinClasses(g, 0) derived from the previous round's
+// classes (the Class of each carry entry) instead of from every list. A
+// clean component is, list for list, the image of a previous one, so its
+// classes are the previous classes remapped through plan.PrevOf; only the
+// affected nodes are hashed and grouped afresh. Walking the nodes in order
+// and opening a class at its first member numbers the classes by smallest
+// member, as twinClasses does, so the two quotients are identical.
+func carriedTwins(g Graph, plan *engine.DeltaPlan, prev engine.Carry) twins {
+	t := twins{classOf: make([]int32, g.NumNodes())}
+	renum := make([]int32, len(prev)) // previous class → its new index + 1
+	var gr grouper
+	for u, p := range plan.PrevOf {
+		if p < 0 {
+			t.classOf[u] = gr.class(&t, g, int32(u), 0)
+			continue
+		}
+		k := prev[p].Class
+		if renum[k] == 0 {
+			renum[k] = t.open(int32(u)) + 1
+		} else {
+			t.weight[renum[k]-1]++
+		}
+		t.classOf[u] = renum[k] - 1
+	}
+	t.link(g)
+	return t
+}
+
+// grouper assigns nodes to twin classes by their lists: first maps a list
+// hash to the first class with that hash, and next chains the later classes
+// whose lists collide with it.
+type grouper struct {
+	first map[uint64]int32
+	next  map[int32]int32
+}
+
+// class returns u's class in t, opening a new one when no earlier class has
+// u's list and side of split.
+func (gr *grouper) class(t *twins, g Graph, u int32, split int) int32 {
+	nb := g.Neighbors(u)
+	if len(nb) == 0 {
+		return t.open(u)
+	}
+	low := int(u) < split
+	h := hashList(nb, low)
+	i, seen := gr.first[h]
+	if !seen {
+		if gr.first == nil {
+			gr.first = make(map[uint64]int32)
+		}
+		c := t.open(u)
+		gr.first[h] = c
+		return c
+	}
+	for {
+		if r := t.reps[i]; (int(r) < split) == low && slices.Equal(g.Neighbors(r), nb) {
+			t.weight[i]++
+			return i
+		}
+		j, more := gr.next[i]
+		if !more {
+			if gr.next == nil {
+				gr.next = make(map[int32]int32)
+			}
+			c := t.open(u)
+			gr.next[i] = c
+			return c
+		}
+		i = j
+	}
+}
+
+// open starts a class with representative u and returns its index.
+func (t *twins) open(u int32) int32 {
+	t.reps = append(t.reps, u)
+	t.weight = append(t.weight, 1)
+	return int32(len(t.reps) - 1)
+}
+
+// link builds each class's neighbor classes from its representative's list,
+// a stamp array keeping the first of the several members a neighbor class
+// has.
+func (t *twins) link(g Graph) {
 	stamp := make([]int32, len(t.reps))
 	t.off = make([]int32, len(t.reps)+1)
 	for i, r := range t.reps {
@@ -72,7 +146,15 @@ func twinClasses(g Graph, split int) twins {
 		}
 		t.off[i+1] = int32(len(t.adj))
 	}
-	return t
+}
+
+// carry pairs each node's raw score with its class, for the next round.
+func (t *twins) carry(raw []float64) engine.Carry {
+	c := make(engine.Carry, len(raw))
+	for u, r := range raw {
+		c[u] = engine.CarryNode{Raw: r, Class: t.classOf[u]}
+	}
+	return c
 }
 
 // neighbors returns the distinct neighbor classes of class c.

@@ -1,14 +1,20 @@
 package centrality
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
+	"time"
 
 	"domainnet/internal/bipartite"
 	"domainnet/internal/datagen"
 	"domainnet/internal/engine"
+	"domainnet/internal/table"
 )
 
 // profileGraph builds a twin-rich bipartite graph: values [0, nv) each take
@@ -72,6 +78,23 @@ func TestTwinClasses(t *testing.T) {
 		if !slices.Equal(got.off, tc.off) || !slices.Equal(got.adj, tc.adj) {
 			t.Errorf("split %d: quotient CSR off %v adj %v, want %v %v", tc.split, got.off, got.adj, tc.off, tc.adj)
 		}
+	}
+}
+
+// TestGrouperChainsHashCollisions forces a collision: node 0's class is
+// filed under the hash of the list {3} that nodes 1 and 2 share. Both must
+// still land in one class, chained behind node 0's, so grouping does not
+// depend on which list a hash saw first.
+func TestGrouperChainsHashCollisions(t *testing.T) {
+	g := &sliceGraph{adj: [][]int32{0: {4}, 1: {3}, 2: {3}, 3: {1, 2}, 4: {0}}}
+	tw := twins{classOf: make([]int32, 5)}
+	gr := grouper{first: map[uint64]int32{hashList([]int32{3}, false): tw.open(0)}}
+	for u := int32(1); u < 3; u++ {
+		tw.classOf[u] = gr.class(&tw, g, u, 0)
+	}
+	if tw.classOf[1] != 1 || tw.classOf[2] != 1 || !slices.Equal(tw.weight, []float64{1, 2}) {
+		t.Errorf("colliding lists grouped as classOf %v, weight %v; want nodes 1 and 2 in class 1 of weight 2",
+			tw.classOf[1:3], tw.weight)
 	}
 }
 
@@ -286,4 +309,186 @@ func TestQuotientMatchesNaive(t *testing.T) {
 	if multi < 30 {
 		t.Errorf("only %d of 40 graphs have a class of two or more: the sources do not exercise the twin node", multi)
 	}
+}
+
+// isolatedTable is the benchmark's fresh_exact isolated write: 2 columns of
+// 40 cells over 12 values that occur nowhere else, so the table forms a
+// component of its own.
+func isolatedTable(name string, rng *rand.Rand) *table.Table {
+	tb := table.New(name)
+	for c := 0; c < 2; c++ {
+		col := make([]string, 40)
+		for r := range col {
+			col[r] = fmt.Sprintf("ISO_%s_%d", name, rng.Intn(12))
+		}
+		tb.AddColumn(fmt.Sprintf("c%d", c), col...)
+	}
+	return tb
+}
+
+// carriedQuotient plans d against g and checks that the quotient
+// carriedTwins derives from d's carry is the one twinClasses builds. It
+// reports false when the plan bails (churn past its threshold).
+func carriedQuotient(t *testing.T, what string, g Graph, d *engine.Delta) bool {
+	t.Helper()
+	plan, ok := engine.PlanDelta(g, d)
+	if !ok {
+		return false
+	}
+	got := carriedTwins(g, plan, d.PrevCarry)
+	if want := twinClasses(g, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: carried quotient differs from twinClasses:\ngot  %+v\nwant %+v", what, got, want)
+	}
+	return true
+}
+
+// TestCarriedTwinsEqualTwinClasses holds the carried quotient to
+// twinClasses at every step of two churns: the member-leaves, member-joins
+// and new-class steps of TestTwinChurnDeltaBitIdenticalToFull, chained
+// through betweenness and harmonic carries, and a random add/remove churn on
+// SB seed 1 through bipartite.RebuildDiff, with isolated tables (delta
+// scoring) and tables of lake values (mostly past the churn threshold).
+func TestCarriedTwinsEqualTwinClasses(t *testing.T) {
+	steps := []func(g *sliceGraph){
+		func(g *sliceGraph) { g.removeEdge(2, 50).removeEdge(2, 51) },
+		func(g *sliceGraph) { g.addEdge(4, 50).addEdge(4, 51) },
+		func(g *sliceGraph) { g.addEdge(5, 50).addEdge(5, 52).addEdge(6, 50).addEdge(6, 52) },
+	}
+	opts := engine.Opts{Workers: 2, Normalized: true}
+	var bc BetweennessExact
+	var hs HarmonicScorer
+	prev := churnGraph()
+	_, bcCarry := bc.ScoreFull(prev, opts)
+	_, hCarry := hs.ScoreFull(prev, opts)
+	for step, churn := range steps {
+		next := prev.clone()
+		churn(next)
+		d := &engine.Delta{PrevToNew: make([]int32, len(next.adj)), PrevCarry: bcCarry}
+		for u := range next.adj {
+			d.PrevToNew[u] = int32(u)
+			if !slices.Equal(prev.adj[u], next.adj[u]) {
+				d.Dirty = append(d.Dirty, int32(u))
+			}
+		}
+		if !carriedQuotient(t, fmt.Sprintf("twin churn step %d betweenness", step), next, d) {
+			t.Fatalf("twin churn step %d: no delta plan", step)
+		}
+		_, bcCarry, _ = bc.ScoreDelta(next, d, opts)
+		d.PrevCarry = hCarry
+		carriedQuotient(t, fmt.Sprintf("twin churn step %d harmonic", step), next, d)
+		_, hCarry, _ = hs.ScoreDelta(next, d, opts)
+		prev = next
+	}
+
+	sb := datagen.NewSB(1)
+	l, rng := sb.Lake, rand.New(rand.NewSource(3))
+	bopts := bipartite.Options{Workers: 2}
+	g := bipartite.FromLake(l, bopts)
+	_, carry := bc.ScoreFull(g, opts)
+	var added []string
+	deltas := 0
+	for step := 0; step < 30; step++ {
+		switch name := fmt.Sprintf("churn%02d", step); {
+		case len(added) > 0 && rng.Intn(3) == 0:
+			i := rng.Intn(len(added))
+			l.RemoveTable(added[i])
+			added = slices.Delete(added, i, i+1)
+		case rng.Intn(4) == 0:
+			tb := table.New(name)
+			for c := 0; c < 2; c++ {
+				col := make([]string, 40)
+				for r := range col {
+					col[r] = g.Values()[rng.Intn(g.NumValues())]
+				}
+				tb.AddColumn(fmt.Sprintf("c%d", c), col...)
+			}
+			l.MustAdd(tb)
+			added = append(added, name)
+		default:
+			l.MustAdd(isolatedTable(name, rng))
+			added = append(added, name)
+		}
+		next, diff := bipartite.RebuildDiff(g, l.Attributes(), bopts)
+		if diff == nil {
+			continue
+		}
+		if !diff.Full {
+			d := &engine.Delta{PrevToNew: diff.PrevToNew, Dirty: diff.Dirty, PrevCarry: carry}
+			if carriedQuotient(t, fmt.Sprintf("SB step %d", step), next, d) {
+				deltas++
+				_, carry, _ = bc.ScoreDelta(next, d, opts)
+				g = next
+				continue
+			}
+		}
+		_, carry = bc.ScoreFull(next, opts)
+		g = next
+	}
+	if deltas < 10 {
+		t.Errorf("only %d of 30 SB churn steps took the delta path", deltas)
+	}
+}
+
+// minDurations times a and b alternately, runs times each, and returns the
+// fastest call of each: the least noisy estimate of their costs on a shared
+// machine, taken under the same conditions.
+func minDurations(runs int, a, b func()) (time.Duration, time.Duration) {
+	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+	for range runs {
+		for i, f := range [2]func(){a, b} {
+			start := time.Now()
+			f()
+			best[i] = min(best[i], time.Since(start))
+		}
+	}
+	return best[0], best[1]
+}
+
+// TestCarriedTwinsCostSB prices the carried quotient on the delta warm it
+// serves: adding, then removing, one isolated 2×40 table on SB seed 1. It
+// must cost under a third of twinClasses over the same graph.
+func TestCarriedTwinsCostSB(t *testing.T) {
+	if raceDetector() {
+		t.Skip("cost ratios do not hold under the race detector")
+	}
+	l, rng := datagen.NewSB(1).Lake, rand.New(rand.NewSource(1))
+	bopts := bipartite.Options{Workers: 1}
+	g := bipartite.FromLake(l, bopts)
+	var bc BetweennessExact
+	_, carry := bc.ScoreFull(g, engine.Opts{Workers: 1})
+	for _, mutate := range []func(){
+		func() { l.MustAdd(isolatedTable("iso", rng)) },
+		func() { l.RemoveTable("iso") },
+	} {
+		mutate()
+		next, diff := bipartite.RebuildDiff(g, l.Attributes(), bopts)
+		d := &engine.Delta{PrevToNew: diff.PrevToNew, Dirty: diff.Dirty, PrevCarry: carry}
+		plan, ok := engine.PlanDelta(next, d)
+		if diff.Full || !ok {
+			t.Fatal("an isolated table did not take the delta path")
+		}
+		runtime.GC() // no collection of the lake's garbage runs beside the timings
+		carried, full := minDurations(50,
+			func() { carriedTwins(next, plan, carry) },
+			func() { twinClasses(next, 0) })
+		t.Logf("carried quotient %v, twinClasses %v", carried, full)
+		if carried*3 >= full {
+			t.Errorf("carried quotient %v is not under a third of twinClasses %v", carried, full)
+		}
+		_, carry, _ = bc.ScoreDelta(next, d, engine.Opts{Workers: 1})
+		g = next
+	}
+}
+
+// raceDetector reports whether the test binary runs under the race
+// detector, whose instrumentation distorts cost comparisons.
+func raceDetector() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
 }

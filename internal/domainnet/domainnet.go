@@ -15,6 +15,7 @@ package domainnet
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -158,11 +159,10 @@ type Config struct {
 // the first caller per cache computes, later callers share the result. A
 // Detector never observes lake mutations.
 //
-// The latches are retry-safe rather than sync.Once: ScoresContext and
-// RankingContext accept a context, and a computation cancelled mid-flight
-// leaves the cache empty (never a partial result), so the next caller —
-// cancellable or not — computes from scratch. Warm is the background
-// precompute entry point built on them.
+// The latches are retry-safe rather than sync.Once: ScoresContext and Warm
+// accept a context, and a computation cancelled mid-flight leaves the cache
+// empty (never a partial result), so the next caller — cancellable or not —
+// computes from scratch.
 type Detector struct {
 	cfg   Config
 	graph *bipartite.Graph
@@ -175,33 +175,36 @@ type Detector struct {
 	scoreMu   sync.Mutex
 	scoreDone atomic.Bool
 	scores    []float64
-	// carry is the raw (denormalization-free) score vector a successor
-	// detector's delta computation can reuse; nil when the measure is not
-	// delta-capable. Written with scores under scoreMu, published by
-	// scoreDone.
-	carry []float64
+	// carry is what a successor detector's delta computation reuses; nil
+	// when the measure is not delta-capable. Written with scores under
+	// scoreMu, published by scoreDone.
+	carry engine.Carry
 	// incremental and dirtySize record which path computed the score cache
 	// (same publication protocol as scores) — the serving layer's
 	// incremental-vs-fallback accounting.
 	incremental bool
 	dirtySize   int
-	// prior links to the predecessor snapshot's detector and the structural
-	// diff that produced this graph, enabling the delta scoring path. It is
-	// dropped on the first successful score computation, so prior chains
-	// never exceed one hop and old snapshots are not retained.
+	// prior is what the predecessor snapshot's detector left for this one:
+	// its carry, its ranking and the diff of the rebuild between the two
+	// graphs. The score computation reads the carry and diff; the ranking
+	// reads all three, and drops prior once it is built, so no superseded
+	// detector is retained and its carry and ranking live one ranking long.
 	prior *scorePrior
 
 	rankMu   sync.Mutex
 	rankDone atomic.Bool
-	ranking  []rank.Scored
+	// ranking holds the value-node IDs, best candidate first, ties by node
+	// ID (which is value order: Graph.Values is lexicographic). carried
+	// records whether it was derived from the predecessor's ranking.
+	ranking []int32
+	carried bool
 }
 
-// scorePrior is the delta-scoring link between a detector and its
-// predecessor: prev supplies the raw carry vector, diff the node mapping and
-// dirty set of the rebuild that separates the two graphs.
+// scorePrior is the delta link between a detector and its predecessor.
 type scorePrior struct {
-	prev *Detector
-	diff *bipartite.Diff
+	carry   engine.Carry    // the predecessor's carry
+	ranking []int32         // its ranking, nil when it was not built
+	diff    *bipartite.Diff // node mapping and dirty set of the rebuild
 }
 
 // New builds the DomainNet graph of a lake (pipeline step 1). Construction
@@ -218,17 +221,21 @@ func FromGraph(g *bipartite.Graph, cfg Config) *Detector {
 }
 
 // FromGraphWithPrior wraps a rebuilt graph and, when the rebuild produced a
-// usable structural diff against a predecessor that holds a computed carry
-// vector, attaches that predecessor as the delta-scoring prior: the first
+// usable structural diff against a predecessor that holds a computed carry,
+// links the new detector to the predecessor's carry and ranking: the first
 // score computation then re-runs BFS only from the diff's affected
-// components and carries everything else. The prior is best-effort — a Full
-// diff, a predecessor whose scores are not computed, or a measure without a
-// delta implementation all degrade silently to the usual full computation,
-// and in those cases the predecessor is not retained.
+// components and carries everything else, and the ranking sorts only the
+// nodes whose scores changed. The link is best-effort — a Full diff, a
+// predecessor whose scores are not computed, or a measure without a delta
+// implementation all degrade silently to the full computation. The new
+// detector keeps the predecessor's carry and ranking, never the predecessor.
 func FromGraphWithPrior(g *bipartite.Graph, cfg Config, prev *Detector, diff *bipartite.Diff) *Detector {
 	d := FromGraph(g, cfg)
 	if prev != nil && diff != nil && !diff.Full && prev.ScoresReady() && prev.carry != nil {
-		d.prior = &scorePrior{prev: prev, diff: diff}
+		d.prior = &scorePrior{carry: prev.carry, diff: diff}
+		if prev.Ready() {
+			d.prior.ranking = prev.ranking
+		}
 	}
 	return d
 }
@@ -273,47 +280,34 @@ func (d *Detector) ScoresContext(ctx context.Context) ([]float64, error) {
 	d.carry = carry
 	d.incremental = incremental
 	d.dirtySize = dirtySize
-	d.prior = nil // the carry supersedes it; drop the old snapshot
 	d.scoreDone.Store(true)
 	return scores, nil
 }
 
 // computeScores runs the measure over d.graph, preferring the delta path:
-// when the scorer is delta-capable and a prior with a computed carry is
-// attached, ScoreDelta re-scores only the components the rebuild dirtied.
-// Every bail-out — non-delta scorer, missing prior or carry, churn past the
-// plan threshold, options the delta path does not support — lands on the
-// full computation. Called with scoreMu held.
-func (d *Detector) computeScores(scorer engine.Scorer, opts engine.Opts) (scores, carry []float64, incremental bool, dirtySize int) {
+// when the scorer is delta-capable and a prior is attached, ScoreDelta
+// re-scores only the components the rebuild dirtied. Every bail-out —
+// non-delta scorer, missing prior, churn past the plan threshold, options
+// the delta path does not support — lands on the full computation. Called
+// with scoreMu held.
+func (d *Detector) computeScores(scorer engine.Scorer, opts engine.Opts) (scores []float64, carry engine.Carry, incremental bool, dirtySize int) {
 	ds, isDelta := scorer.(engine.DeltaScorer)
 	if !isDelta {
 		return scorer.Score(d.graph, opts), nil, false, 0
 	}
 	if p := d.prior; p != nil {
-		if prevCarry, ready := p.prev.carryState(); ready {
-			dirtySize = len(p.diff.Dirty)
-			delta := &engine.Delta{
-				PrevToNew: p.diff.PrevToNew,
-				Dirty:     p.diff.Dirty,
-				PrevCarry: prevCarry,
-			}
-			if s, c, ok := ds.ScoreDelta(d.graph, delta, opts); ok {
-				return s, c, true, dirtySize
-			}
+		dirtySize = len(p.diff.Dirty)
+		delta := &engine.Delta{
+			PrevToNew: p.diff.PrevToNew,
+			Dirty:     p.diff.Dirty,
+			PrevCarry: p.carry,
+		}
+		if s, c, ok := ds.ScoreDelta(d.graph, delta, opts); ok {
+			return s, c, true, dirtySize
 		}
 	}
 	s, c := ds.ScoreFull(d.graph, opts)
 	return s, c, false, dirtySize
-}
-
-// carryState returns the raw carry vector once the score cache is computed.
-// ready is false while scores are pending or when the measure produced no
-// carry (non-delta scorers).
-func (d *Detector) carryState() (carryVec []float64, ready bool) {
-	if !d.scoreDone.Load() {
-		return nil, false
-	}
-	return d.carry, d.carry != nil
 }
 
 // ScorePath reports which path computed the score cache: incremental is true
@@ -325,6 +319,16 @@ func (d *Detector) ScorePath() (incremental bool, dirty int, computed bool) {
 		return false, 0, false
 	}
 	return d.incremental, d.dirtySize, true
+}
+
+// RankPath reports which path built the ranking: carried is true when it
+// was derived from the predecessor's ranking, false when it was sorted.
+// computed is false until the ranking exists.
+func (d *Detector) RankPath() (carried, computed bool) {
+	if !d.rankDone.Load() {
+		return false, false
+	}
+	return d.carried, true
 }
 
 // ScoresReady reports whether the score cache is already computed — the
@@ -357,18 +361,21 @@ func (c Config) engineOpts(ctx context.Context) engine.Opts {
 }
 
 // Ranking returns all candidate values ordered so likely homographs come
-// first (pipeline step 3). The ranking is sorted once and memoized; the
-// returned slice is shared across callers and must not be modified (TopK
-// hands out private copies).
+// first (pipeline step 3). The order is computed once and memoized; each
+// call builds a fresh slice from it, which the caller may modify.
 func (d *Detector) Ranking() []rank.Scored {
-	r, _ := d.RankingContext(context.Background()) // background ctx: never fails
-	return r
+	r, _ := d.rank(context.Background()) // background ctx: never fails
+	return d.scored(r)
 }
 
-// RankingContext is Ranking with cancellation, with the same
-// discard-on-cancel contract as ScoresContext: an abandoned computation
-// leaves the ranking cache empty for the next caller.
-func (d *Detector) RankingContext(ctx context.Context) ([]rank.Scored, error) {
+// rank computes (once) and returns the ranking as value-node IDs, with the
+// same discard-on-cancel contract as ScoresContext. After a delta score
+// computation it derives the order from the predecessor's: survivors whose
+// raw score is bit-equal to their previous one keep their relative order,
+// and only the other value nodes are sorted and merged in (rank.Carry). When
+// rank.Carry finds the merged order is not the sorted one, it is sorted in
+// full, so the ranking is always the one rank.Nodes gives.
+func (d *Detector) rank(ctx context.Context) ([]int32, error) {
 	if d.rankDone.Load() {
 		return d.ranking, nil
 	}
@@ -381,16 +388,48 @@ func (d *Detector) RankingContext(ctx context.Context) ([]rank.Scored, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := rank.Values(d.graph.Values(), scores, d.cfg.Measure.order())
-	d.ranking = r
+	values, order := scores[:d.graph.NumValues()], d.cfg.Measure.order()
+	var r []int32
+	carried := false
+	if p := d.prior; p != nil && d.incremental && p.ranking != nil {
+		r, carried = rank.Carry(p.kept(d.carry, len(values)), values, order)
+	}
+	if !carried {
+		r = rank.Nodes(values, order)
+	}
+	d.ranking, d.carried = r, carried
+	d.prior = nil // consumed: release the predecessor's carry and ranking
 	d.rankDone.Store(true)
 	return r, nil
 }
 
+// kept lists, in the predecessor's rank order, the value nodes that survived
+// the rebuild with a raw score bit-equal to their previous one.
+func (p *scorePrior) kept(carry engine.Carry, nValues int) []int32 {
+	prevToNew, prevCarry := p.diff.PrevToNew, p.carry
+	out := make([]int32, 0, len(p.ranking))
+	for _, q := range p.ranking {
+		if u := prevToNew[q]; u >= 0 && int(u) < nValues &&
+			math.Float64bits(carry[u].Raw) == math.Float64bits(prevCarry[q].Raw) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// scored pairs ranked value nodes with their values and scores.
+func (d *Detector) scored(nodes []int32) []rank.Scored {
+	values, out := d.graph.Values(), make([]rank.Scored, len(nodes))
+	for i, u := range nodes {
+		out[i] = rank.Scored{Value: values[u], Score: d.scores[u]}
+	}
+	return out
+}
+
 // Ready reports whether the ranking (and therefore also the scores) cache is
-// already computed, i.e. a TopK call would be a pure O(k) copy. The serving
-// layer's warmer drives detectors to Ready in the background, and its
-// metrics count reads against Ready detectors as warm hits.
+// already computed, i.e. a TopK call costs O(k). The serving layer's warmer
+// drives detectors to Ready in the background, and its metrics count reads
+// against Ready detectors as warm hits.
 func (d *Detector) Ready() bool { return d.rankDone.Load() }
 
 // Warm precomputes the detector's scores and ranking under ctx — the
@@ -398,14 +437,15 @@ func (d *Detector) Ready() bool { return d.rankDone.Load() }
 // returns ctx's error with all caches left empty; a completed Warm makes
 // every later Scores/Ranking/TopK/Score call a cache hit.
 func (d *Detector) Warm(ctx context.Context) error {
-	_, err := d.RankingContext(ctx)
+	_, err := d.rank(ctx)
 	return err
 }
 
-// TopK returns the k best homograph candidates: an O(k) copy of the cached
-// ranking's prefix, freely mutable by the caller.
+// TopK returns the k best homograph candidates, built in O(k) from the
+// cached ranking and freely mutable by the caller.
 func (d *Detector) TopK(k int) []rank.Scored {
-	return slices.Clone(rank.TopK(d.Ranking(), k))
+	r, _ := d.rank(context.Background()) // background ctx: never fails
+	return d.scored(r[:min(max(k, 0), len(r))])
 }
 
 // Score returns the score of one value (normalized form), if present.

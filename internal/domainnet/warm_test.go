@@ -25,10 +25,10 @@ func TestWarmFillsTheLazyCaches(t *testing.T) {
 	if !d.Ready() || !d.ScoresReady() {
 		t.Fatal("Warm completed but caches are not ready")
 	}
-	// The lazy accessors must now hand out the very slices Warm computed.
+	// The lazy accessors must now read the very caches Warm computed.
 	scores := d.Scores()
 	ranking := d.Ranking()
-	if &scores[0] != &d.scores[0] || &ranking[0] != &d.ranking[0] {
+	if &scores[0] != &d.scores[0] || ranking[0].Value != d.graph.Value(d.ranking[0]) {
 		t.Error("post-Warm accessors recomputed instead of sharing the warm cache")
 	}
 	if top := d.TopK(1); top[0].Value != "JAGUAR" {

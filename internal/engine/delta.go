@@ -10,33 +10,49 @@ package engine
 // longer exists; the mapping must be injective over surviving nodes. Dirty
 // lists new-graph nodes whose adjacency changed (edges added or removed,
 // including nodes that did not exist before); a new node absent from Dirty
-// must have exactly the neighbor set its pre-image had, under PrevToNew.
-// PrevCarry holds the previous raw (denormalization-free) score of every
-// previous node, indexed by previous node id.
+// must have exactly the neighbor list its pre-image had, mapped under
+// PrevToNew and in the same order (the bipartite builder's sorted lists and
+// monotone mapping give this; an order change costs the twin-quotient
+// scorers their bit-identity with a full run, not their exactness).
+// PrevCarry is the previous round's carry, one entry per previous node.
 type Delta struct {
 	PrevToNew []int32
 	Dirty     []int32
-	PrevCarry []float64
+	PrevCarry Carry
+}
+
+// Carry is what a DeltaScorer hands its next round, one entry per node of
+// the graph it scored.
+type Carry []CarryNode
+
+// CarryNode is one node's carried state: its raw (denormalization-free)
+// score, and its class in the partition of the nodes that the scorer derives
+// from the graph and updates under a delta instead of rebuilding (the
+// centrality package's twin quotient).
+type CarryNode struct {
+	Raw   float64
+	Class int32
 }
 
 // DeltaScorer is the incremental sibling of Scorer. ScoreFull computes the
-// measure from scratch like Score but additionally returns the raw carry
-// vector a later ScoreDelta call can reuse; ScoreDelta recomputes only what
+// measure from scratch like Score but additionally returns the carry a later
+// ScoreDelta call can reuse; ScoreDelta recomputes only what
 // the delta dirtied, carrying the rest from d.PrevCarry. ScoreDelta returns
 // ok=false when the delta cannot be applied for this measure under these
 // options (approximate paths, churn past the fallback threshold, malformed
 // delta) — the caller then falls back to ScoreFull.
 //
-// Both return the final scores (normalized per opts) and the raw carry for
-// the next round. Carried entries equal what a from-scratch run would
+// Both return the final scores (normalized per opts) and the carry for the
+// next round; ScoreFull returns a nil carry when its result cannot seed a
+// delta (an estimate from sampled sources). Carried entries equal what a from-scratch run would
 // produce — bit for bit when the measure writes per-source outputs
 // (harmonic), and within deterministic float-summation tolerance when it
 // folds per-source contributions through shard-grouped partial sums
 // (betweenness); see PlanDelta and the centrality package comment.
 type DeltaScorer interface {
 	Scorer
-	ScoreFull(g Graph, opts Opts) (scores, carry []float64)
-	ScoreDelta(g Graph, d *Delta, opts Opts) (scores, carry []float64, ok bool)
+	ScoreFull(g Graph, opts Opts) (scores []float64, carry Carry)
+	ScoreDelta(g Graph, d *Delta, opts Opts) (scores []float64, carry Carry, ok bool)
 }
 
 // deltaMaxChurn mirrors the graph layer's rebuild churn threshold: when the

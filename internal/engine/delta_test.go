@@ -18,10 +18,10 @@ func newAdjGraph(n int) *adjGraph { return &adjGraph{adj: make([][]int32, n)} }
 
 // identityDelta builds a no-change delta for an n-node graph.
 func identityDelta(n int) *Delta {
-	d := &Delta{PrevToNew: make([]int32, n), PrevCarry: make([]float64, n)}
+	d := &Delta{PrevToNew: make([]int32, n), PrevCarry: make(Carry, n)}
 	for i := range d.PrevToNew {
 		d.PrevToNew[i] = int32(i)
-		d.PrevCarry[i] = float64(i) * 1.5
+		d.PrevCarry[i] = CarryNode{Raw: float64(i) * 1.5}
 	}
 	return d
 }
@@ -149,7 +149,7 @@ func TestPlanDeltaNewNodeInDirtyComponent(t *testing.T) {
 	g.addEdge(2, 3) // 3 is the new node
 	d := &Delta{
 		PrevToNew: make([]int32, 9),
-		PrevCarry: make([]float64, 9),
+		PrevCarry: make(Carry, 9),
 		Dirty:     []int32{2, 3},
 	}
 	for p := 0; p < 9; p++ {

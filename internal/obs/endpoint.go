@@ -80,8 +80,26 @@ func (m *EndpointMetrics) Merge(o EndpointMetrics) {
 // one across re-bootstraps so its accounting survives snapshot swaps, and
 // hands it to each replica server it installs.
 type Endpoints struct {
-	mu sync.RWMutex
-	m  map[string]*Endpoint
+	mu     sync.RWMutex
+	m      map[string]*Endpoint
+	shared map[string]any
+}
+
+// Shared returns the value kept under key, storing mk() there on first use.
+// It holds a server's other counters (serve's publish and warm counters), so
+// that they survive a re-bootstrap the way endpoint accounting does.
+func (es *Endpoints) Shared(key string, mk func() any) any {
+	es.mu.Lock()
+	defer es.mu.Unlock()
+	v, ok := es.shared[key]
+	if !ok {
+		if es.shared == nil {
+			es.shared = make(map[string]any)
+		}
+		v = mk()
+		es.shared[key] = v
+	}
+	return v
 }
 
 // Get returns the named endpoint's stats, creating them on first use.

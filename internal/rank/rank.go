@@ -5,6 +5,7 @@ package rank
 
 import (
 	"math"
+	"sort"
 	"strings"
 
 	"domainnet/internal/engine"
@@ -42,12 +43,12 @@ const (
 // sort, so tied scores keep index order, which is lexicographic for the
 // strictly ascending Graph.Values; any other values list sorts ties by value.
 func Values(values []string, scores []float64, order Order) []Scored {
-	keys := make([]uint64, len(values))
+	keys := scoreKeys(scores[:len(values)], order)
 	var tie func(a, b uint32) int // set when values are not strictly ascending
-	for i := range values {
-		keys[i] = scoreKey(scores[i], order)
-		if i > 0 && values[i-1] >= values[i] {
+	for i := 1; i < len(values); i++ {
+		if values[i-1] >= values[i] {
 			tie = func(a, b uint32) int { return strings.Compare(values[a], values[b]) }
+			break
 		}
 	}
 	out := make([]Scored, len(values))
@@ -55,6 +56,75 @@ func Values(values []string, scores []float64, order Order) []Scored {
 		out[i] = Scored{Value: values[p], Score: scores[p]}
 	}
 	return out
+}
+
+// Nodes ranks the nodes [0, len(scores)) by score, ties by node ID: the
+// order Values gives a strictly ascending values list, without reading it.
+// The detector ranks its value nodes this way, since their IDs follow the
+// lexicographic Graph.Values.
+func Nodes(scores []float64, order Order) []int32 {
+	perm := engine.RadixOrder(scoreKeys(scores, order), nil)
+	out := make([]int32, len(perm))
+	for i, p := range perm {
+		out[i] = int32(p)
+	}
+	return out
+}
+
+// Carry ranks the nodes [0, len(scores)) like Nodes, reusing an order known
+// from a predecessor: kept lists distinct nodes in the order that ranking
+// gave them (its survivors whose scores did not change), and only the other
+// nodes are sorted, then inserted. One pass checks that kept is strictly
+// ordered by (score key, node), so a result is always Nodes' order. When it
+// is not — say because a rescale tied two of its nodes — or kept repeats a
+// node or holds one out of range, ok is false and the caller must sort with
+// Nodes.
+func Carry(kept []int32, scores []float64, order Order) (ranked []int32, ok bool) {
+	keyOf := func(u int32) uint64 { return scoreKey(scores[u], order) }
+	isKept := make([]bool, len(scores))
+	var last uint64
+	for i, u := range kept {
+		if u < 0 || int(u) >= len(scores) || isKept[u] {
+			return nil, false
+		}
+		isKept[u] = true
+		k := scoreKey(scores[u], order)
+		if i > 0 && (k < last || k == last && u < kept[i-1]) {
+			return nil, false
+		}
+		last = k
+	}
+	var rest []int32
+	var restKeys []uint64
+	for u, k := range isKept {
+		if !k {
+			rest = append(rest, int32(u))
+			restKeys = append(restKeys, keyOf(int32(u)))
+		}
+	}
+	// Each of the others goes before the first kept node that ranks after
+	// it; kept runs between them are copied whole.
+	ranked = make([]int32, 0, len(scores))
+	from := 0
+	for _, p := range engine.RadixOrder(restKeys, nil) {
+		u, k := rest[p], restKeys[p]
+		at := from + sort.Search(len(kept)-from, func(i int) bool {
+			ki := keyOf(kept[from+i])
+			return ki > k || ki == k && kept[from+i] > u
+		})
+		ranked = append(append(ranked, kept[from:at]...), u)
+		from = at
+	}
+	return append(ranked, kept[from:]...), true
+}
+
+// scoreKeys maps every score to its scoreKey.
+func scoreKeys(scores []float64, order Order) []uint64 {
+	keys := make([]uint64, len(scores))
+	for i, s := range scores {
+		keys[i] = scoreKey(s, order)
+	}
+	return keys
 }
 
 // scoreKey maps a score to a uint64 whose unsigned order is the ranking

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -347,5 +348,73 @@ func TestBootstrapFromLeaderWithoutValues(t *testing.T) {
 			t.Errorf("%s: follower /topk diverges from leader:\nleader: %s\nfollower: %s", tc.l.Name, l, r)
 		}
 		fts.Close()
+	}
+}
+
+// promCounters scrapes a replica's Prometheus exposition and returns every
+// counter sample (a _total series, or a histogram's _count) by series.
+func promCounters(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for _, line := range strings.Split(body(t, url+"/metrics?format=prom"), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if name, _, _ := strings.Cut(series, "{"); !ok || strings.HasPrefix(line, "#") ||
+			!strings.HasSuffix(name, "_total") && !strings.HasSuffix(name, "_count") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// TestRebootstrapKeepsCounters: a follower that bootstraps again installs a
+// new server, and no counter of its /metrics may go backwards — the warm and
+// publish counters count on from the replaced server's, as endpoint
+// accounting does.
+func TestRebootstrapKeepsCounters(t *testing.T) {
+	leader, _, ts := newLeader(t)
+	ctx := context.Background()
+	f := newFollower(ts)
+	if err := f.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fts := httptest.NewServer(f)
+	defer fts.Close()
+	idle := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if ws := f.Server().WarmStats(); ws.Started == ws.Completed+ws.Cancelled {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("follower warms never went idle: %+v", f.Server().WarmStats())
+			}
+		}
+	}
+	addTable(t, leader, "cars")
+	addTable(t, leader, "cities")
+	if _, err := f.Poll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	idle()
+	body(t, fts.URL+"/topk?k=3")
+	before := promCounters(t, fts.URL)
+	if before["domainnet_warms_total{result=\"started\"}"] < 3 {
+		t.Fatalf("test setup: follower warmed %v times, want 3", before["domainnet_warms_total{result=\"started\"}"])
+	}
+
+	if err := f.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	idle()
+	after := promCounters(t, fts.URL)
+	for series, v := range before {
+		if after[series] < v {
+			t.Errorf("%s went from %v to %v across the re-bootstrap", series, v, after[series])
+		}
 	}
 }

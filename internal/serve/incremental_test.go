@@ -18,6 +18,7 @@ import (
 	"domainnet/internal/datagen"
 	"domainnet/internal/domainnet"
 	"domainnet/internal/lake"
+	"domainnet/internal/rank"
 	"domainnet/internal/table"
 )
 
@@ -158,7 +159,9 @@ func TestIncrementalPropertyRandomChurn(t *testing.T) {
 // disjoint pools so the graph keeps several components and the delta path
 // actually engages (single-pool churn stays under the component churn
 // threshold); the test asserts the incremental path was taken, not just
-// that it agreed.
+// that it agreed. At every step the detector's ranking, which a delta warm
+// derives from its predecessor's (rank.Carry), must also be exactly the full
+// sort of its own scores, and some step must have carried it.
 func TestDeltaScoresPropertyRandomChurn(t *testing.T) {
 	pools := make([][]string, 6)
 	for p := range pools {
@@ -206,10 +209,14 @@ func TestDeltaScoresPropertyRandomChurn(t *testing.T) {
 						t.Fatalf("step %d: incremental graph diverged from cold build", step)
 					}
 					checkDeltaScores(t, step, m, d, cold)
+					// Both measures rank homographs high.
+					if !slices.Equal(d.Ranking(), rank.Values(sn.graph.Values(), d.Scores(), rank.Descending)) {
+						t.Fatalf("step %d: ranking is not the full sort of the detector's own scores", step)
+					}
 				}
 				waitWarm(t, s, "the last warm", func(w WarmStats) bool { return w.Started == w.Completed+w.Cancelled })
-				if w := s.WarmStats(); w.Incremental == 0 {
-					t.Fatalf("churn sequence never took the incremental scoring path: %+v", w)
+				if w := s.WarmStats(); w.Incremental == 0 || w.RankCarried == 0 {
+					t.Fatalf("churn sequence never took the incremental scoring path or never carried a ranking: %+v", w)
 				}
 			})
 		}

@@ -95,8 +95,7 @@ type Server struct {
 	// to a non-zero value skips its publish — the last writer of the burst
 	// publishes the combined state — so N concurrent single-table writes
 	// coalesce into far fewer than N rebuilds.
-	pending   atomic.Int64
-	publishes atomic.Int64 // snapshot swaps since construction
+	pending atomic.Int64
 
 	snap atomic.Pointer[snapshot]
 	mux  *http.ServeMux
@@ -117,20 +116,10 @@ type Server struct {
 	// assertable without timing games.
 	warmGate func(version uint64)
 
-	warmsStarted   atomic.Int64 // warms scheduled (one per publish)
-	warmsCompleted atomic.Int64 // warms that precomputed every warmed measure
-	warmsCancelled atomic.Int64 // warms abandoned because a newer publish superseded them
-	warmHits       atomic.Int64 // reads served from an already-computed cache
-	coldMisses     atomic.Int64 // reads whose cache was not computed on arrival
-
-	// Warm path accounting (one count per measure per rebuilt snapshot):
-	// whether a warmed measure's score computation took the incremental
-	// delta path or fell back to the full recompute, and — for incremental
-	// computations — a histogram of the structural dirty-set sizes they
-	// processed.
-	warmsIncremental  atomic.Int64
-	warmsFullFallback atomic.Int64
-	dirty             obs.Hist
+	// ctr holds the publish and warm counters. It lives in the endpoint
+	// registry, so a follower that re-bootstraps counts on where the server
+	// it replaced stopped, and no counter goes backwards.
+	ctr *counters
 
 	// Observability: per-endpoint accounting (counts, errors, 304s, latency
 	// histograms with quantiles) and the slow-request tracer. The Endpoints
@@ -140,6 +129,27 @@ type Server struct {
 	tracer      *obs.Tracer
 	replication func() any
 	warmed      []string // display names of warmMeasures, for /metrics
+}
+
+// counters are a server's publish and warm counters (see WarmStats).
+type counters struct {
+	publishes      atomic.Int64 // snapshot swaps
+	warmsStarted   atomic.Int64 // warms scheduled (one per publish)
+	warmsCompleted atomic.Int64 // warms that precomputed every warmed measure
+	warmsCancelled atomic.Int64 // warms abandoned because a newer publish superseded them
+	warmHits       atomic.Int64 // reads served from an already-computed cache
+	coldMisses     atomic.Int64 // reads whose cache was not computed on arrival
+
+	// Warm path accounting (one count per measure per rebuilt snapshot):
+	// whether a warmed measure's score computation took the incremental
+	// delta path or fell back to the full recompute, with a histogram of
+	// the structural dirty-set sizes of the incremental ones, and whether
+	// its ranking was carried from the predecessor's or sorted.
+	warmsIncremental  atomic.Int64
+	warmsFullFallback atomic.Int64
+	dirty             obs.Hist
+	rankCarried       atomic.Int64
+	rankSorted        atomic.Int64
 }
 
 // Options extend New for warm starts and operational hooks.
@@ -177,8 +187,9 @@ type Options struct {
 	// warm of the snapshot it supersedes (see WarmStats for the counters).
 	WarmMeasures []domainnet.Measure
 	// Obs, when non-nil, is the endpoint-accounting registry the server
-	// records into. Passing one in shares accounting across server rebuilds:
-	// a replication follower keeps one registry for the lifetime of the
+	// records into, and where it keeps its publish and warm counters.
+	// Passing one in shares accounting across server rebuilds: a
+	// replication follower keeps one registry for the lifetime of the
 	// process and hands it to each server it bootstraps, so /metrics
 	// survives snapshot re-installs. Nil gets a private registry.
 	Obs *obs.Endpoints
@@ -273,6 +284,7 @@ func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
 	if s.obs == nil {
 		s.obs = &obs.Endpoints{}
 	}
+	s.ctr = s.obs.Shared("serve", func() any { return new(counters) }).(*counters)
 	if s.tracer == nil {
 		s.tracer = &obs.Tracer{}
 	}
@@ -348,9 +360,10 @@ func (s *Server) HandleInstrumented(pattern, name string, h http.HandlerFunc) {
 func (s *Server) Version() uint64 { return s.snap.Load().version }
 
 // Publishes reports how many snapshots the server has published, including
-// the initial one. Batch-ingest tests assert that N-table batches cost one
-// publish, not N.
-func (s *Server) Publishes() int64 { return s.publishes.Load() }
+// the initial one, counted on from the servers it replaced when they shared
+// its Options.Obs registry. Batch-ingest tests assert that N-table batches
+// cost one publish, not N.
+func (s *Server) Publishes() int64 { return s.ctr.publishes.Load() }
 
 // Checkpoint runs fn on the published snapshot's frozen lake and its graph,
 // a consistent pair at the served version, for durable snapshotting
@@ -434,7 +447,7 @@ func (s *Server) publishGraphDiff(g *bipartite.Graph, diff *bipartite.Diff) {
 			next.dc.dets[m] = domainnet.FromGraphWithPrior(g, cfg, pd, diff)
 		}
 	}
-	s.publishes.Add(1)
+	s.ctr.publishes.Add(1)
 	s.snap.Store(next)
 	s.scheduleWarm(next, carried)
 	if s.afterPublish != nil {
@@ -467,7 +480,7 @@ func (s *Server) scheduleWarm(sn *snapshot, carried bool) {
 	}
 	gate := s.warmGate
 	s.warmMu.Unlock()
-	s.warmsStarted.Add(1)
+	s.ctr.warmsStarted.Add(1)
 	go func() {
 		// Warms are traced like requests: one trace named "warm" with a span
 		// per measure. Centrality recomputes dwarf any slow threshold, so
@@ -484,25 +497,27 @@ func (s *Server) scheduleWarm(sn *snapshot, carried bool) {
 			err := d.Warm(ctx)
 			sp.End()
 			if err != nil {
-				s.warmsCancelled.Add(1)
+				s.ctr.warmsCancelled.Add(1)
 				s.tracer.Finish(wa, http.StatusServiceUnavailable)
 				return
 			}
 			s.recordWarmPath(sn.dc, m, d)
 		}
-		s.warmsCompleted.Add(1)
+		s.ctr.warmsCompleted.Add(1)
 		s.tracer.Finish(wa, http.StatusOK)
 	}()
 }
 
 // recordWarmPath counts, once per measure per rebuilt snapshot, whether the
 // warmed measure's score computation went through the incremental delta
-// path (observing its dirty-set size) or fell back to the full recompute.
+// path (observing its dirty-set size) or fell back to the full recompute,
+// and whether its ranking was carried from the predecessor's or sorted.
 // The computation may have happened on a reader's goroutine before the
-// warmer got there; the path is recorded all the same.
+// warmer got there; the paths are recorded all the same.
 func (s *Server) recordWarmPath(dc *detCache, m domainnet.Measure, d *domainnet.Detector) {
 	incremental, dirty, computed := d.ScorePath()
-	if !computed {
+	carried, ranked := d.RankPath()
+	if !computed || !ranked {
 		return
 	}
 	dc.mu.Lock()
@@ -518,10 +533,15 @@ func (s *Server) recordWarmPath(dc *detCache, m domainnet.Measure, d *domainnet.
 		return
 	}
 	if incremental {
-		s.warmsIncremental.Add(1)
-		s.dirty.Observe(int64(dirty))
+		s.ctr.warmsIncremental.Add(1)
+		s.ctr.dirty.Observe(int64(dirty))
 	} else {
-		s.warmsFullFallback.Add(1)
+		s.ctr.warmsFullFallback.Add(1)
+	}
+	if carried {
+		s.ctr.rankCarried.Add(1)
+	} else {
+		s.ctr.rankSorted.Add(1)
 	}
 }
 
@@ -560,20 +580,29 @@ type WarmStats struct {
 	Incremental  int64            `json:"incremental" prom:"warm_paths_total,path=incremental"`
 	FullFallback int64            `json:"full_fallback" prom:"warm_paths_total,path=full_fallback"`
 	Dirty        obs.HistSnapshot `json:"dirty" prom:"warm_dirty_nodes"`
+	// RankCarried and RankSorted split the same computations by the path
+	// their ranking took: derived from the predecessor's ranking, sorting
+	// only the nodes whose scores changed, or sorted in full (no delta
+	// score, no predecessor ranking, or a carried order that failed its
+	// check).
+	RankCarried int64 `json:"rank_carried" prom:"warm_rank_paths_total,path=carried"`
+	RankSorted  int64 `json:"rank_sorted" prom:"warm_rank_paths_total,path=sorted"`
 }
 
 // WarmStats reports the warmer's counters; see the WarmStats type.
 func (s *Server) WarmStats() WarmStats {
 	return WarmStats{
 		Measures:     s.warmed,
-		Started:      s.warmsStarted.Load(),
-		Completed:    s.warmsCompleted.Load(),
-		Cancelled:    s.warmsCancelled.Load(),
-		Hits:         s.warmHits.Load(),
-		Misses:       s.coldMisses.Load(),
-		Incremental:  s.warmsIncremental.Load(),
-		FullFallback: s.warmsFullFallback.Load(),
-		Dirty:        s.dirty.Snapshot(),
+		Started:      s.ctr.warmsStarted.Load(),
+		Completed:    s.ctr.warmsCompleted.Load(),
+		Cancelled:    s.ctr.warmsCancelled.Load(),
+		Hits:         s.ctr.warmHits.Load(),
+		Misses:       s.ctr.coldMisses.Load(),
+		Incremental:  s.ctr.warmsIncremental.Load(),
+		FullFallback: s.ctr.warmsFullFallback.Load(),
+		Dirty:        s.ctr.dirty.Snapshot(),
+		RankCarried:  s.ctr.rankCarried.Load(),
+		RankSorted:   s.ctr.rankSorted.Load(),
 	}
 }
 
@@ -635,7 +664,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, sn *snapshot
 	if e != nil {
 		// The entry exists only because a previous request computed the
 		// ranking, so a cache hit is by definition a warm read.
-		s.warmHits.Add(1)
+		s.ctr.warmHits.Add(1)
 	} else {
 		e = s.encodeTopK(a, sn, m, k)
 	}
@@ -657,9 +686,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, sn *snapshot
 func (s *Server) encodeTopK(a *obs.Active, sn *snapshot, m domainnet.Measure, k int) *topkEntry {
 	d := sn.detector(m, s.cfg)
 	if d.Ready() {
-		s.warmHits.Add(1)
+		s.ctr.warmHits.Add(1)
 	} else {
-		s.coldMisses.Add(1)
+		s.ctr.coldMisses.Add(1)
 	}
 	sp := a.StartSpan("score")
 	top := d.TopK(k)
@@ -692,9 +721,9 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, sn *snapsho
 	v := table.Normalize(raw)
 	d := sn.detector(m, s.cfg)
 	if d.ScoresReady() { // a point lookup needs only the score cache
-		s.warmHits.Add(1)
+		s.ctr.warmHits.Add(1)
 	} else {
-		s.coldMisses.Add(1)
+		s.ctr.coldMisses.Add(1)
 	}
 	sp := obs.ActiveFrom(w).StartSpan("score")
 	score, found := d.Score(v)

@@ -11,6 +11,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -583,4 +584,42 @@ func TestCheckpointRacesCoalescedBurstWithWarmer(t *testing.T) {
 	waitWarm(t, s, "warms to settle", func(w WarmStats) bool {
 		return w.Started == w.Completed+w.Cancelled
 	})
+}
+
+// TestWarmRankPaths counts the path each warm's ranking takes, on the shape
+// of the benchmark's fresh_exact writes over SB seed 1: a table whose values
+// occur nowhere else warms by delta and carries its ranking from the
+// predecessor's; a table of lake values changes the giant component, so its
+// warm recomputes in full and sorts.
+func TestWarmRankPaths(t *testing.T) {
+	s := New(datagen.NewSB(1).Lake, domainnet.Config{Measure: domainnet.BetweennessExact})
+	t.Cleanup(s.Close)
+	waitWarm(t, s, "initial warm", func(w WarmStats) bool { return w.Completed == 1 })
+	values := s.snap.Load().graph.Values()
+	rng := rand.New(rand.NewSource(1))
+	fill := func(name string, cell func() string) *table.Table {
+		tb := table.New(name)
+		for c := 0; c < 2; c++ {
+			col := make([]string, 40)
+			for r := range col {
+				col[r] = cell()
+			}
+			tb.AddColumn(fmt.Sprintf("c%d", c), col...)
+		}
+		return tb
+	}
+	for i, step := range []struct {
+		table                        *table.Table
+		incremental, carried, sorted int64
+	}{
+		{fill("isolated", func() string { return fmt.Sprintf("ISO_%d", rng.Intn(12)) }), 1, 1, 1},
+		{fill("connected", func() string { return values[rng.Intn(len(values))] }), 1, 1, 2},
+	} {
+		apply(t, s, []*table.Table{step.table}, nil)
+		waitWarm(t, s, step.table.Name+" warm", func(w WarmStats) bool { return w.Completed == int64(i)+2 })
+		if w := s.WarmStats(); w.Incremental != step.incremental || w.RankCarried != step.carried || w.RankSorted != step.sorted {
+			t.Errorf("after the %s table: incremental %d, rank carried %d, sorted %d; want %d, %d, %d", step.table.Name,
+				w.Incremental, w.RankCarried, w.RankSorted, step.incremental, step.carried, step.sorted)
+		}
+	}
 }
