@@ -39,15 +39,20 @@ type Graph struct {
 	// attributes the graph was built from and syms is their symbol table.
 	// occ holds every value's total cell count by symbol ID — including
 	// values the singleton filter dropped, since an update can push them over
-	// the threshold — nSource counts the nonzero ones, and node maps a symbol
-	// ID to its value node (-1, or past the end, when not retained).
+	// the threshold — and nSource counts the nonzero ones. No symbol ID →
+	// node map is kept: a rebuild finds the few nodes it needs by value.
+	// keys holds each value's valueKey, parallel to values, so a rebuild
+	// searches the values mostly without touching their bytes. A full build
+	// leaves it nil; a rebuild derives it when its prev has none.
 	// incremental marks graphs with this state populated: every
-	// FromAttributes and RebuildDiff output, but not the tripartite graph.
+	// FromAttributes and RebuildDiff output, but not the tripartite graph. A
+	// graph that RebuildDiff rebuilt from hands occ on to its successor,
+	// which updates the counts in place, and loses the mark.
 	syms           *lake.Symbols
 	srcAttrs       []lake.Attribute
 	occ            []int64
-	node           []int32
 	nSource        int
+	keys           []uint64
 	keepSingletons bool
 	incremental    bool
 }
@@ -106,14 +111,6 @@ func (g *Graph) ValueNode(value string) (int32, bool) {
 	return int32(i), ok
 }
 
-// nodeOf returns the value node of symbol id, or -1 when it is not retained.
-func (g *Graph) nodeOf(id uint32) int32 {
-	if int(id) < len(g.node) {
-		return g.node[id]
-	}
-	return -1
-}
-
 // AttrNode returns the node id of the i-th attribute (0-based, in the order
 // attributes were presented to the builder).
 func (g *Graph) AttrNode(i int) int32 { return int32(len(g.values) + i) }
@@ -158,9 +155,9 @@ func FromLake(l *lake.Lake, opts Options) *Graph {
 // values are numbered in radix order. The CSR phases run sharded across
 // opts.Workers, and the graph is bit-identical for every worker count.
 func FromAttributes(attrs []lake.Attribute, opts Options) *Graph {
-	g := universe(attrs, opts)
+	g, node := universe(attrs, opts)
 	g.offsets, g.adj = assemble(len(g.values), len(attrs), opts.Workers, func(i int, dst []int32) []int32 {
-		return appendNodes(dst, attrs[i].IDs(), g.node)
+		return appendNodes(dst, attrs[i].IDs(), node)
 	})
 	g.incremental = true
 	return g
@@ -168,8 +165,9 @@ func FromAttributes(attrs []lake.Attribute, opts Options) *Graph {
 
 // universe counts every value's cells across attrs by symbol ID and numbers
 // the values passing the singleton filter in sorted order, so value node ids
-// are lexicographic. It returns a graph with everything but the CSR arrays.
-func universe(attrs []lake.Attribute, opts Options) *Graph {
+// are lexicographic. It returns a graph with everything but the CSR arrays,
+// and the symbol ID → value node map (-1 when not retained) the fill needs.
+func universe(attrs []lake.Attribute, opts Options) (*Graph, []int32) {
 	syms := lake.SymbolsOf(attrs)
 	occ := make([]int64, syms.Len())
 	for i := range attrs {
@@ -188,8 +186,9 @@ func universe(attrs []lake.Attribute, opts Options) *Graph {
 			kept = append(kept, uint32(id))
 		}
 	}
-	g.values, g.node = number(syms, kept, len(occ))
-	return g
+	var node []int32
+	g.values, node = number(syms, kept, len(occ))
+	return g, node
 }
 
 // minOccurrence is the total cell count a value needs to get a node.
@@ -214,24 +213,34 @@ func number(syms *lake.Symbols, kept []uint32, nSyms int) ([]string, []int32) {
 	return values, node
 }
 
-// byValue sorts ids into lexicographic order of their strings: a radix sort
-// keyed by each string's first eight bytes, big-endian and zero-padded (a
-// key order that never contradicts string order), then a string sort within
-// each run of equal keys.
+// byValue sorts ids into lexicographic order of their strings.
 func byValue(syms *lake.Symbols, ids []uint32) {
-	keys := make([]uint64, len(ids))
-	for i, id := range ids {
-		var prefix [8]byte
-		copy(prefix[:], syms.String(id))
-		keys[i] = binary.BigEndian.Uint64(prefix[:])
-	}
-	perm := engine.RadixOrder(keys, func(a, b uint32) int {
-		return strings.Compare(syms.String(ids[a]), syms.String(ids[b]))
-	})
+	perm, _ := valueOrder(syms, ids)
 	for i, p := range perm {
 		perm[i] = ids[p]
 	}
 	copy(ids, perm)
+}
+
+// valueKey is the radix key of a value: its first eight bytes, big-endian
+// and zero-padded, a key order that never contradicts string order.
+func valueKey(v string) uint64 {
+	var prefix [8]byte
+	copy(prefix[:], v)
+	return binary.BigEndian.Uint64(prefix[:])
+}
+
+// valueOrder returns the permutation that puts ids into lexicographic order
+// of their strings, and their keys in ids' order: a radix sort on the keys,
+// then a string sort within each run of equal keys.
+func valueOrder(syms *lake.Symbols, ids []uint32) ([]uint32, []uint64) {
+	keys := make([]uint64, len(ids))
+	for i, id := range ids {
+		keys[i] = valueKey(syms.String(id))
+	}
+	return engine.RadixOrder(keys, func(a, b uint32) int {
+		return strings.Compare(syms.String(ids[a]), syms.String(ids[b]))
+	}), keys
 }
 
 // assemble builds the CSR arrays of a graph whose nodes nVal+i (i in

@@ -3,6 +3,7 @@ package bipartite
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -203,4 +204,83 @@ func TestRebuildDiffRandomChurn(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRebuildDiff drives add, remove and modify sequences over a small
+// vocabulary, with the singleton filter on and off. At every step the
+// rebuilt graph must equal a scratch build and its Diff must hold the Diff
+// contract; wherever both rebuilds are incremental, the Diff must equal the
+// one the reference rebuild (parent_rebuild_test.go) reports.
+func FuzzRebuildDiff(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for range 16 {
+		ops := make([]byte, 512)
+		rng.Read(ops)
+		f.Add(ops, false)
+		f.Add(ops, true)
+	}
+	vocab := []string{"Jaguar", "Puma", "Panda", "Lemur", "Fox", "Memphis",
+		"Atlanta", "Berlin", "Lima", "Fiat", "Apple", "Quartz"}
+	f.Fuzz(func(t *testing.T, ops []byte, keep bool) {
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b)
+		}
+		fill := func(tb *table.Table, cols int) *table.Table {
+			for c := range cols {
+				vals := make([]string, 1+next()%5)
+				for r := range vals {
+					vals[r] = vocab[next()%len(vocab)]
+				}
+				tb.AddColumn(fmt.Sprintf("c%d", c), vals...)
+			}
+			return tb
+		}
+		opts := Options{KeepSingletons: keep, Workers: 1}
+		l := lake.New("fuzz")
+		var g *Graph
+		var pg *parentGraph
+		names := 0
+		for step := 0; step < 48 && len(ops) > 0; step++ {
+			switch op, n := next()%4, l.NumTables(); {
+			case op == 1 && n > 0:
+				l.RemoveTable(l.Tables()[next()%n].Name)
+			case op == 2 && n > 0:
+				// Modify: the same name and column names, other cells.
+				old := l.Tables()[next()%n]
+				l.RemoveTable(old.Name)
+				l.MustAdd(fill(table.New(old.Name), len(old.Columns)))
+			default:
+				names++
+				l.MustAdd(fill(table.New(fmt.Sprintf("t%d", names)), 1+next()%3))
+			}
+			attrs := l.Attributes()
+			prev := g
+			var diff, pdiff *Diff
+			g, diff = RebuildDiff(g, attrs, opts)
+			pg, pdiff = parentRebuildDiff(pg, attrs, opts)
+			if !g.Equal(FromAttributes(attrs, opts)) {
+				t.Fatalf("step %d: rebuilt graph differs from a scratch build", step)
+			}
+			for u, v := range g.values {
+				if g.keys != nil && g.keys[u] != valueKey(v) {
+					t.Fatalf("step %d: value %d (%q) carries key %x", step, u, v, g.keys[u])
+				}
+			}
+			if (diff == nil) != (pdiff == nil) || (diff == nil && g != prev) {
+				t.Fatalf("step %d: diff %+v, reference %+v", step, diff, pdiff)
+			}
+			if diff == nil || diff.Full {
+				continue
+			}
+			checkDiff(t, prev, g, diff)
+			if !pdiff.Full && !reflect.DeepEqual(diff, pdiff) {
+				t.Fatalf("step %d: diff %+v, reference %+v", step, diff, pdiff)
+			}
+		}
+	})
 }

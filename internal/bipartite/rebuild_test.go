@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"domainnet/internal/datagen"
 	"domainnet/internal/lake"
 	"domainnet/internal/table"
 )
@@ -188,5 +189,33 @@ func TestRebuildRandomChurn(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRebuildDiffHandsOffCounts: an incremental rebuild takes prev's
+// occurrence counts, so a second rebuild from prev builds from scratch, and
+// both equal a scratch build. A rebuild that falls back on cost decides so
+// before touching prev, which stays good for an incremental rebuild.
+func TestRebuildDiffHandsOffCounts(t *testing.T) {
+	l := datagen.NewSB(1).Lake
+	tables := l.Tables()
+	prev := FromLake(l, Options{})
+	l.MustAdd(table.New("extra").AddColumn("c", "ISO_1", "ISO_1", tables[0].Columns[0].Values[0]))
+	attrs := l.Attributes()
+	scratch := FromAttributes(attrs, Options{})
+	if g, diff := RebuildDiff(prev, attrs, Options{}); diff == nil || diff.Full || !g.Equal(scratch) {
+		t.Fatalf("first rebuild: diff %+v, equal %v", diff, g.Equal(scratch))
+	}
+	if g, diff := RebuildDiff(prev, attrs, Options{}); diff == nil || !diff.Full || !g.Equal(scratch) {
+		t.Fatalf("second rebuild from a spent graph: diff %+v, equal %v", diff, g.Equal(scratch))
+	}
+
+	g := FromAttributes(attrs, Options{})
+	if _, diff := RebuildDiff(g, attrs[2*len(attrs)/3:], Options{}); diff == nil || !diff.Full {
+		t.Fatalf("dropping two thirds of the attributes: diff %+v, want a full build", diff)
+	}
+	less := attrs[:len(attrs)-1]
+	if next, diff := RebuildDiff(g, less, Options{}); diff == nil || diff.Full || !next.Equal(FromAttributes(less, Options{})) {
+		t.Fatalf("rebuild after a fallback: diff %+v", diff)
 	}
 }

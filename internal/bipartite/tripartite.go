@@ -14,7 +14,7 @@ import (
 // the ablation benchmark can demonstrate that finding.
 func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 	attrs := l.Attributes()
-	g := universe(attrs, opts)
+	g, node := universe(attrs, opts)
 	nVal, nAttr := len(g.values), len(attrs)
 	syms := l.Symbols()
 
@@ -44,10 +44,10 @@ func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 				if !ok {
 					continue
 				}
-				vi := g.nodeOf(id)
-				if vi < 0 || lastRow[vi] == row {
+				if int(id) >= len(node) || node[id] < 0 || lastRow[node[id]] == row {
 					continue
 				}
+				vi := node[id]
 				lastRow[vi] = row
 				rowVals = append(rowVals, vi)
 			}
@@ -60,7 +60,7 @@ func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 
 	g.offsets, g.adj = assemble(nVal, nAttr+g.nRows, opts.Workers, func(i int, dst []int32) []int32 {
 		if i < nAttr {
-			return appendNodes(dst, attrs[i].IDs(), g.node)
+			return appendNodes(dst, attrs[i].IDs(), node)
 		}
 		r := i - nAttr
 		return append(dst, rowVals[rowEnd[r]:rowEnd[r+1]]...)

@@ -55,9 +55,9 @@ type DeltaScorer interface {
 	ScoreDelta(g Graph, d *Delta, opts Opts) (scores []float64, carry Carry, ok bool)
 }
 
-// deltaMaxChurn mirrors the graph layer's rebuild churn threshold: when the
-// affected node set exceeds 1/deltaMaxChurn of the graph, incremental
-// scoring would traverse most of it anyway and the plan reports !ok.
+// deltaMaxChurn caps the affected share of a graph: when the affected node
+// set exceeds 1/deltaMaxChurn of the graph, incremental scoring would
+// traverse most of it anyway and the plan reports !ok.
 const deltaMaxChurn = 4
 
 // DeltaPlan is the result of resolving a Delta against a concrete graph:

@@ -340,6 +340,9 @@ func TestObsMetricsParity(t *testing.T) {
 	if leader.Replication != nil || leader.Warm.Dirty.Count != leader.Warm.Incremental || leader.Warm.Incremental != 1 {
 		t.Errorf("leader view: replication %v, warm %+v", leader.Replication, leader.Warm)
 	}
+	if r := leader.Rebuilds; r.Unchanged+r.Full+r.Incremental != leader.Publishes || r.Incremental < 1 {
+		t.Errorf("leader view: rebuilds %+v over %d publishes", r, leader.Publishes)
+	}
 	st := &repl.Status{}
 	checkMetricsParity(t, fl.replicaTS[0].URL+"/metrics", &serve.Metrics{Replication: st})
 	if !st.LeaderReachable || st.Bootstrap.RawBytes == 0 || st.Version != fl.leader.Version() {

@@ -117,6 +117,9 @@ type Router struct {
 
 	obs    *obs.Endpoints
 	tracer *obs.Tracer
+	// buffers lends every backend's proxy its response copy buffers, so a
+	// proxied response reuses one instead of allocating its own.
+	buffers *copyBuffers
 	// Instrumented wrappers for the router's own endpoints, built once.
 	statusH  http.HandlerFunc
 	metricsH http.HandlerFunc
@@ -145,7 +148,7 @@ func New(opts Options) (*Router, error) {
 	if opts.Client == nil {
 		opts.Client = &http.Client{Timeout: 2 * time.Second}
 	}
-	rt := &Router{opts: opts, obs: &obs.Endpoints{}, tracer: opts.Tracer}
+	rt := &Router{opts: opts, obs: &obs.Endpoints{}, tracer: opts.Tracer, buffers: new(copyBuffers)}
 	if rt.tracer == nil {
 		rt.tracer = &obs.Tracer{}
 	}
@@ -175,6 +178,7 @@ func (rt *Router) newBackend(raw string) (*backend, error) {
 	}
 	b := &backend{url: raw, state: "unprobed"}
 	b.proxy = httputil.NewSingleHostReverseProxy(u)
+	b.proxy.BufferPool = rt.buffers
 	b.proxy.ModifyResponse = func(resp *http.Response) error {
 		resp.Header.Set(BackendHeader, b.url)
 		// The router already stamped the trace ID on the client response
@@ -191,6 +195,19 @@ func (rt *Router) newBackend(raw string) (*backend, error) {
 	}
 	return b, nil
 }
+
+// copyBuffers is a pool of the 32 KiB buffers ReverseProxy copies response
+// bodies through; without a pool it allocates one per response.
+type copyBuffers struct{ p sync.Pool }
+
+func (c *copyBuffers) Get() []byte {
+	if b, ok := c.p.Get().(*[]byte); ok {
+		return *b
+	}
+	return make([]byte, 32<<10)
+}
+
+func (c *copyBuffers) Put(b []byte) { c.p.Put(&b) }
 
 func (rt *Router) logf(format string, args ...any) {
 	if rt.opts.Logf != nil {

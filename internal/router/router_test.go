@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -367,5 +369,48 @@ func TestRunProbesOnTicker(t *testing.T) {
 	cancel()
 	if err := <-done; err != context.Canceled {
 		t.Errorf("Run returned %v, want context.Canceled", err)
+	}
+}
+
+// countingPool counts the buffers a proxy borrows from and returns to the
+// pool it wraps.
+type countingPool struct {
+	httputil.BufferPool
+	gets, puts atomic.Int64
+}
+
+func (c *countingPool) Get() []byte  { c.gets.Add(1); return c.BufferPool.Get() }
+func (c *countingPool) Put(b []byte) { c.puts.Add(1); c.BufferPool.Put(b) }
+
+// TestProxiedResponsesBorrowCopyBuffers: every backend's proxy shares the
+// router's one buffer pool, and a proxied response borrows its copy buffer
+// from it and gives it back.
+func TestProxiedResponsesBorrowCopyBuffers(t *testing.T) {
+	fl := newFleet(t, 2)
+	rt, ts := newRouter(t, fl, 4, 2)
+	rt.CheckNow(context.Background())
+	pool := &countingPool{BufferPool: rt.buffers}
+	for _, b := range append([]*backend{rt.leader}, rt.replicas...) {
+		if b.proxy.BufferPool != rt.buffers {
+			t.Fatalf("backend %s does not use the router's buffer pool", b.url)
+		}
+		b.proxy.BufferPool = pool
+	}
+	const reads = 6
+	for range reads {
+		if resp, _ := get(t, ts.URL+"/topk?k=3"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/topk: %s", resp.Status)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/tables/borrow", "text/csv", strings.NewReader("animal\njaguar\npuma\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /tables/borrow: %s", resp.Status)
+	}
+	if gets, puts := pool.gets.Load(), pool.puts.Load(); gets < reads+1 || puts != gets {
+		t.Fatalf("%d proxied responses borrowed %d buffers and returned %d", reads+1, gets, puts)
 	}
 }

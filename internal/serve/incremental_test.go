@@ -268,3 +268,34 @@ func checkDeltaScores(t *testing.T, step int, m domainnet.Measure, d, cold *doma
 		}
 	}
 }
+
+// TestRebuildPaths: each publish counts the path its rebuild took. The
+// first build is full; a table of values found nowhere else rebuilds
+// incrementally; a table of empty cells leaves the attributes as they were;
+// replacing nearly the whole lake builds from scratch.
+func TestRebuildPaths(t *testing.T) {
+	s := New(datagen.NewSB(1).Lake, domainnet.Config{Measure: domainnet.DegreeBaseline})
+	t.Cleanup(s.Close)
+	names := make([]string, 0, 13)
+	for _, tb := range servedTables(t, s) {
+		names = append(names, tb.Name)
+	}
+	for _, step := range []struct {
+		what   string
+		add    *table.Table
+		remove []string
+		want   RebuildStats
+	}{
+		{"the first build", nil, nil, RebuildStats{Full: 1}},
+		{"an isolated table", table.New("iso").AddColumn("c", "ISO_1", "ISO_1", "ISO_2"), nil, RebuildStats{Full: 1, Incremental: 1}},
+		{"a table of empty cells", table.New("empty").AddColumn("c", "", " "), nil, RebuildStats{Full: 1, Incremental: 1, Unchanged: 1}},
+		{"a new lake", table.New("other").AddColumn("c", "A", "A", "B"), names[1:], RebuildStats{Full: 2, Incremental: 1, Unchanged: 1}},
+	} {
+		if step.add != nil {
+			apply(t, s, []*table.Table{step.add}, step.remove)
+		}
+		if got := s.RebuildStats(); got != step.want {
+			t.Errorf("after %s: rebuilds %+v, want %+v", step.what, got, step.want)
+		}
+	}
+}

@@ -150,6 +150,12 @@ type counters struct {
 	dirty             obs.Hist
 	rankCarried       atomic.Int64
 	rankSorted        atomic.Int64
+
+	// Rebuild path accounting, one count per publish that rebuilt the
+	// graph from the lake (see RebuildStats).
+	rebuildUnchanged   atomic.Int64
+	rebuildFull        atomic.Int64
+	rebuildIncremental atomic.Int64
 }
 
 // Options extend New for warm starts and operational hooks.
@@ -405,6 +411,14 @@ func (s *Server) publish() {
 	} else {
 		g, diff = bipartite.RebuildDiff(prev.graph, attrs, bopts)
 	}
+	switch {
+	case prev != nil && diff == nil:
+		s.ctr.rebuildUnchanged.Add(1)
+	case prev == nil || diff.Full:
+		s.ctr.rebuildFull.Add(1)
+	default:
+		s.ctr.rebuildIncremental.Add(1)
+	}
 	s.publishGraphDiff(g, diff)
 }
 
@@ -606,6 +620,27 @@ func (s *Server) WarmStats() WarmStats {
 	}
 }
 
+// RebuildStats counts the publishes that rebuilt the graph from the lake by
+// the path bipartite.RebuildDiff took, and is the declaration of the
+// rebuild section of /metrics. Unchanged is an update that left the
+// attributes as they were, so the previous graph stays (a nil Diff); Full
+// is a from-scratch build, the first one included; Incremental is the
+// rest. A snapshot published from a loaded graph is no rebuild.
+type RebuildStats struct {
+	Unchanged   int64 `json:"unchanged" prom:"rebuild_paths_total,path=unchanged"`
+	Full        int64 `json:"full" prom:"rebuild_paths_total,path=full"`
+	Incremental int64 `json:"incremental" prom:"rebuild_paths_total,path=incremental"`
+}
+
+// RebuildStats reports the rebuild path counters; see the RebuildStats type.
+func (s *Server) RebuildStats() RebuildStats {
+	return RebuildStats{
+		Unchanged:   s.ctr.rebuildUnchanged.Load(),
+		Full:        s.ctr.rebuildFull.Load(),
+		Incremental: s.ctr.rebuildIncremental.Load(),
+	}
+}
+
 // measure resolves the optional ?measure= query value against the server's
 // default, writing a 400 and returning false on unknown names.
 func (s *Server) measure(w http.ResponseWriter, name string) (domainnet.Measure, bool) {
@@ -772,6 +807,7 @@ type Metrics struct {
 	Version   uint64                         `json:"version" prom:"domainnet_snapshot_version"`
 	Publishes int64                          `json:"publishes" prom:"domainnet_publishes_total"`
 	Warm      WarmStats                      `json:"warm" prom:"domainnet_"`
+	Rebuilds  RebuildStats                   `json:"rebuilds" prom:"domainnet_"`
 	Endpoints map[string]obs.EndpointMetrics `json:"endpoints" prom:"domainnet_"`
 	Runtime   obs.RuntimeStats               `json:"runtime" prom:"domainnet_"`
 	Tracer    obs.TracerStats                `json:"tracer" prom:"domainnet_"`
@@ -788,6 +824,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, sn *snaps
 		Version:   sn.version,
 		Publishes: s.Publishes(),
 		Warm:      s.WarmStats(),
+		Rebuilds:  s.RebuildStats(),
 		Endpoints: s.obs.Metrics(),
 		Runtime:   obs.ReadRuntime(),
 		Tracer:    s.tracer.Stats(),
