@@ -218,15 +218,23 @@ func (cr *ChunkReader) AppendChunk(dst []byte, r io.Reader) (out []byte, wire in
 	if err := cr.gz.Reset(&cr.src); err != nil {
 		return dst, 0, fmt.Errorf("persist: chunk decompress: %w", err)
 	}
-	// Ask for one byte past rawLen: gzip checks its trailer only on reaching
-	// EOF, and a payload inflating past rawLen must not be silently cut.
-	out = slices.Grow(dst, int(rawLen)+1)
-	n, err := io.ReadFull(&cr.gz, out[len(dst):len(dst)+int(rawLen)+1])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return dst, 0, fmt.Errorf("persist: chunk decompress: %w", err)
+	// Read rawLen bytes, then one more: gzip checks its trailer (CRC-32 and
+	// size) only on reaching EOF, so only a clean io.EOF right after rawLen
+	// bytes shows the payload whole, and a payload inflating past rawLen
+	// must not be silently cut.
+	out = slices.Grow(dst, int(rawLen))
+	n, err := io.ReadFull(&cr.gz, out[len(dst):len(dst)+int(rawLen)])
+	if err == nil {
+		var past [1]byte
+		var extra int
+		extra, err = io.ReadFull(&cr.gz, past[:])
+		n += extra
 	}
 	if n != int(rawLen) {
 		return dst, 0, fmt.Errorf("persist: chunk inflated to %d bytes, header claims %d", n, rawLen)
+	}
+	if err != io.EOF {
+		return dst, 0, fmt.Errorf("persist: chunk decompress: %w", err)
 	}
 	return out[:len(dst)+n], wire, nil
 }

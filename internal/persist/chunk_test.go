@@ -227,6 +227,8 @@ func TestChunkCorruption(t *testing.T) {
 		{"inflating past rawLen is detected", "inflated to", frame(chunkGzip, len(payload)-1, z)},
 		{"inflating short of rawLen is detected", "inflated to", frame(chunkGzip, len(payload)+1, z)},
 		{"gzip trailer checksum is verified", "checksum", frame(chunkGzip, len(payload), badTrailer)},
+		{"gzip trailer must be present", "decompress", frame(chunkGzip, len(payload), z[:len(z)-8])},
+		{"gzip trailer must be whole", "decompress", frame(chunkGzip, len(payload), z[:len(z)-3])},
 		{"gzip header is verified", "decompress", frame(chunkGzip, 2, []byte("xy"))},
 	} {
 		t.Run(c.name, func(t *testing.T) {

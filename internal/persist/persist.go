@@ -31,6 +31,15 @@
 // CRC already covers it. Marshal writes only format 3. Saves are atomic
 // (temp file + rename + sync) so a crash mid-checkpoint never clobbers the
 // previous snapshot.
+//
+// Decoding copies its input once, into one string, and every decoded string
+// (symbols, table and column names, cells, attribute IDs) is a substring of
+// that copy, so the caller may reuse its buffer as soon as Unmarshal
+// returns. Any one substring keeps the whole copy live: its non-string bytes
+// (lengths, ranks, counts; 74 KB of the 491 KB snapshot of SB seed 1, about
+// 47 KB more live heap per decoded lake than one allocation per string list)
+// stay until the decoded tables are gone and the lake's symbol table has
+// compacted. internal/wal decodes its records the same way.
 package persist
 
 import (
@@ -251,17 +260,18 @@ func AppendTable(b []byte, t *table.Table) []byte {
 // --- decoding ---
 
 // Reader is a cursor over codec bytes with sticky error handling, so decode
-// paths read linearly and check one error at the end of each section.
+// paths read linearly and check one error at the end of each section. It
+// reads from one string copy of its input: every string it returns is a
+// substring of that copy, so the caller may reuse the input buffer at once.
 type Reader struct {
-	buf  []byte
-	err  error
-	cell []byte // Table's per-column scratch
-	ends []int
+	buf string
+	err error
 }
 
-// NewReader returns a cursor over buf. internal/wal decodes its mutation
-// record payloads with it; the snapshot decoder uses the same machinery.
-func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
+// NewReader returns a cursor over a copy of buf. internal/wal decodes its
+// mutation record payloads with it; the snapshot decoder uses the same
+// machinery.
+func NewReader(buf []byte) *Reader { return &Reader{buf: string(buf)} }
 
 // Err reports the first decode failure, or nil. Once set, every subsequent
 // read is a no-op returning zero values.
@@ -281,7 +291,7 @@ func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.buf)
+	v, n := binary.Uvarint([]byte(r.buf[:min(len(r.buf), binary.MaxVarintLen64)]))
 	if n <= 0 {
 		r.fail("truncated varint")
 		return 0
@@ -302,19 +312,16 @@ func (r *Reader) Length(what string) int {
 	return int(v)
 }
 
-// String reads one length-prefixed string written by AppendString.
-func (r *Reader) String() string { return string(r.bytes()) }
-
-// bytes reads one length-prefixed string without copying it; the result
-// aliases the input.
-func (r *Reader) bytes() []byte {
+// String reads one length-prefixed string written by AppendString, as a
+// substring of the Reader's copy.
+func (r *Reader) String() string {
 	n := r.Length("string")
 	if r.err != nil {
-		return nil
+		return ""
 	}
-	b := r.buf[:n]
+	s := r.buf[:n]
 	r.buf = r.buf[n:]
-	return b
+	return s
 }
 
 // below reads one uvarint, which must be below n.
@@ -327,20 +334,11 @@ func (r *Reader) below(n uint64, what string) uint32 {
 	return uint32(v)
 }
 
-// strings reads a count and that many length-prefixed strings, which share
-// one backing string: one allocation per list rather than per string.
+// strings reads a count and that many length-prefixed strings.
 func (r *Reader) strings(what string) []string {
-	n := r.Length(what)
-	r.cell, r.ends = r.cell[:0], r.ends[:0]
-	for i := 0; i < n && r.err == nil; i++ {
-		r.cell = append(r.cell, r.bytes()...)
-		r.ends = append(r.ends, len(r.cell))
-	}
-	all := string(r.cell)
-	strs := make([]string, len(r.ends))
-	lo := 0
-	for i, hi := range r.ends {
-		strs[i], lo = all[lo:hi], hi
+	strs := make([]string, r.Length(what))
+	for i := 0; i < len(strs) && r.err == nil; i++ {
+		strs[i] = r.String()
 	}
 	return strs
 }
@@ -403,7 +401,7 @@ func decodeBody(body []byte) (*Snapshot, error) {
 					prev += 1 + int(r.below(uint64(syms.Len()-1-prev), "attribute value ID gap"))
 					a.IDs[vi] = uint32(prev)
 				} else {
-					a.IDs[vi] = syms.AddBytes(r.bytes())
+					a.IDs[vi] = syms.Add(r.String())
 				}
 			}
 			for vi := 0; vi < nVals && r.err == nil; vi++ {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"domainnet/internal/bipartite"
@@ -46,6 +47,42 @@ func TestRoundTripFigure1(t *testing.T) {
 	}
 	if !sn.Graph.KeepsSingletons() {
 		t.Error("KeepSingletons flag lost")
+	}
+}
+
+// TestUnmarshalOwnsItsInput: every decoded string is a substring of the
+// decoder's own copy of its input, so overwriting the input after Unmarshal
+// (a caller reusing its read buffer) changes nothing decoded: not the
+// tables, the symbols, the attributes' names and value IDs, nor the graph.
+func TestUnmarshalOwnsItsInput(t *testing.T) {
+	l := datagen.NewSB(1).Lake
+	buf := Marshal(l, bipartite.FromLake(l, bipartite.Options{}))
+	sn, err := Unmarshal(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := func() string {
+		var b strings.Builder
+		b.WriteString(lakeDump(sn.Lake))
+		syms := sn.Lake.Symbols()
+		for id := range syms.Len() {
+			fmt.Fprintf(&b, "%q\n", syms.String(uint32(id)))
+		}
+		for _, a := range sn.Lake.Attributes() {
+			fmt.Fprintf(&b, "%s %s %s %v\n", a.ID, a.Table, a.Column, a.IDs())
+		}
+		fmt.Fprintf(&b, "%q\n", sn.Graph.Values())
+		return b.String()
+	}
+	before := dump()
+	if got, want := lakeDump(sn.Lake), lakeDump(l); got != want {
+		t.Fatalf("decoded lake:\n%s\nwant:\n%s", got, want)
+	}
+	for i := range buf {
+		buf[i] = 'X'
+	}
+	if dump() != before {
+		t.Fatal("overwriting the input after Unmarshal changed the decoded snapshot")
 	}
 }
 

@@ -88,34 +88,47 @@ type Follower struct {
 	// with bit 0 set while the most recent exchange got an answer. One word
 	// keeps both halves consistent; see noteLeader.
 	leader atomic.Uint64
-	// Transfer counters for the most recent bootstrap (see BootstrapStats).
+	// Transfer counters and stage times of the most recent bootstrap (see
+	// BootstrapStats).
 	bootWire     atomic.Int64
 	bootRaw      atomic.Int64
 	bootResumes  atomic.Int64
 	bootRestarts atomic.Int64
+	bootFetch    atomic.Int64
+	bootDecode   atomic.Int64
+	bootInstall  atomic.Int64
 }
 
 // BootstrapStats describes the most recent bootstrap's transfer: how many
 // framed bytes actually crossed the network for how many bytes of snapshot
 // codec, and how often the transfer was resumed (stream torn mid-flight,
 // picked up from the last whole chunk) or restarted (the leader's snapshot
-// version moved, invalidating the partial download). Gauges: each bootstrap
-// starts them from zero.
+// version moved, invalidating the partial download), and how long its
+// stages took: fetch (every request, the chunks inflated as they arrive),
+// decode (persist.Unmarshal, the graph build included) and install (the
+// replica server). Gauges: each bootstrap starts them from zero, and a stage
+// reads zero until it has finished.
 type BootstrapStats struct {
 	WireBytes int64 `json:"wire_bytes" prom:"wire_bytes"`
 	RawBytes  int64 `json:"raw_bytes" prom:"raw_bytes"`
 	Resumes   int64 `json:"resumes" prom:"resumes"`
 	Restarts  int64 `json:"restarts" prom:"restarts"`
+	FetchNS   int64 `json:"fetch_ns" prom:"fetch_seconds"`
+	DecodeNS  int64 `json:"decode_ns" prom:"decode_seconds"`
+	InstallNS int64 `json:"install_ns" prom:"install_seconds"`
 }
 
 // BootstrapStats reports the most recent (or in-progress) bootstrap's
-// transfer counters.
+// transfer counters and stage times.
 func (f *Follower) BootstrapStats() BootstrapStats {
 	return BootstrapStats{
 		WireBytes: f.bootWire.Load(),
 		RawBytes:  f.bootRaw.Load(),
 		Resumes:   f.bootResumes.Load(),
 		Restarts:  f.bootRestarts.Load(),
+		FetchNS:   f.bootFetch.Load(),
+		DecodeNS:  f.bootDecode.Load(),
+		InstallNS: f.bootInstall.Load(),
 	}
 }
 
@@ -303,6 +316,10 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	f.bootRaw.Store(0)
 	f.bootResumes.Store(0)
 	f.bootRestarts.Store(0)
+	f.bootFetch.Store(0)
+	f.bootDecode.Store(0)
+	f.bootInstall.Store(0)
+	start := time.Now()
 	client := f.snapshotClient()
 	var (
 		buf     []byte // whole chunks accumulated so far (always chunk-aligned)
@@ -398,11 +415,16 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		break
 	}
 	f.bootRaw.Store(int64(len(buf)))
+	fetched := time.Now()
+	f.bootFetch.Store(int64(fetched.Sub(start)))
 	sn, err := persist.Unmarshal(buf)
 	if err != nil {
 		return err
 	}
+	decoded := time.Now()
+	f.bootDecode.Store(int64(decoded.Sub(fetched)))
 	f.install(sn)
+	f.bootInstall.Store(int64(time.Since(decoded)))
 	return nil
 }
 

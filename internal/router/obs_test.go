@@ -348,6 +348,9 @@ func TestObsMetricsParity(t *testing.T) {
 	if !st.LeaderReachable || st.Bootstrap.RawBytes == 0 || st.Version != fl.leader.Version() {
 		t.Errorf("follower replication section = %+v", st)
 	}
+	if b := st.Bootstrap; b.FetchNS <= 0 || b.DecodeNS <= 0 || b.InstallNS <= 0 {
+		t.Errorf("follower bootstrap stage times = %+v, want each positive", b)
+	}
 	checkMetricsParity(t, ts.URL+"/lb/metrics", &lbMetrics{})
 }
 

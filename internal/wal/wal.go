@@ -708,9 +708,8 @@ func scanSegmentLen(path string, capSize int64, fn func(prev, ver uint64, payloa
 		case frameCorrupt:
 			return 0, false, fmt.Errorf("wal: %s: corrupt record at offset %d ahead of intact history; refusing to drop acknowledged mutations", path, off)
 		}
-		r := persist.NewReader(payload)
-		prev, ver := r.Uvarint(), r.Uvarint()
-		if r.Err() != nil {
+		prev, ver, ok := stamps(payload)
+		if !ok {
 			return 0, false, fmt.Errorf("wal: %s: checksummed record at offset %d has no version stamps", path, off)
 		}
 		cont, err := fn(prev, ver, payload)
@@ -723,4 +722,13 @@ func scanSegmentLen(path string, capSize int64, fn func(prev, ver uint64, payloa
 		off = end
 	}
 	return off, true, nil
+}
+
+// stamps reads a record payload's version stamps. It hands the Reader only
+// the bytes two varints can occupy, so a scan that skips a record on its
+// stamps never copies the payload.
+func stamps(payload []byte) (prev, ver uint64, ok bool) {
+	r := persist.NewReader(payload[:min(len(payload), 2*binary.MaxVarintLen64)])
+	prev, ver = r.Uvarint(), r.Uvarint()
+	return prev, ver, r.Err() == nil
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -57,6 +58,54 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, rec) {
 		t.Errorf("round trip: got %+v, want %+v", got, rec)
+	}
+}
+
+// TestDecodeRecordOwnsItsInput: a decoded record's strings are substrings
+// of the decoder's own copy of the payload, so overwriting the payload after
+// DecodeRecord (a follower reusing its frame buffer) changes nothing decoded.
+func TestDecodeRecordOwnsItsInput(t *testing.T) {
+	rec := &Record{
+		PrevVersion: 7,
+		Version:     10,
+		Remove:      []string{"old1", "old2"},
+		Add: []*table.Table{
+			table.New("cars").AddColumn("make", "jaguar", "fiat").AddColumn("city", "turin"),
+		},
+	}
+	payload := EncodeRecord(nil, rec)
+	got, err := DecodeRecord(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range payload {
+		payload[i] = 'X'
+	}
+	if !reflect.DeepEqual(got, rec) {
+		t.Errorf("after overwriting the payload: got %+v, want %+v", got, rec)
+	}
+}
+
+// TestStampReadCopiesNothing: a segment scan reads the version stamps of
+// every record it passes, the ones ReadFrom skips included, so reading them
+// must not copy the payload; only DecodeRecord copies, once per record kept.
+func TestStampReadCopiesNothing(t *testing.T) {
+	cells := make([]string, 1<<14)
+	for i := range cells {
+		cells[i] = fmt.Sprintf("value-%d", i)
+	}
+	payload := EncodeRecord(nil, &Record{PrevVersion: 300, Version: 301,
+		Add: []*table.Table{table.New("big").AddColumn("v", cells...)}})
+	var prev, ver uint64
+	var ok bool
+	if allocs := testing.AllocsPerRun(100, func() { prev, ver, ok = stamps(payload) }); allocs != 0 {
+		t.Errorf("reading the stamps of a %d-byte payload allocated %v times", len(payload), allocs)
+	}
+	if prev != 300 || ver != 301 || !ok {
+		t.Errorf("stamps = %d, %d, %v; want 300, 301, true", prev, ver, ok)
+	}
+	if _, _, ok := stamps([]byte{0x80}); ok {
+		t.Error("a payload cut inside its first stamp has stamps")
 	}
 }
 
