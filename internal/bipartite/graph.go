@@ -203,7 +203,7 @@ func minOccurrence(opts Options) int64 {
 // value node strings with the symbol ID → node map (-1 when not retained)
 // over nSyms IDs.
 func number(syms *lake.Symbols, kept []uint32, nSyms int) ([]string, []int32) {
-	byValue(syms, kept)
+	SortByValue(syms, kept)
 	values := make([]string, len(kept))
 	node := slices.Repeat([]int32{-1}, nSyms)
 	for i, id := range kept {
@@ -213,8 +213,10 @@ func number(syms *lake.Symbols, kept []uint32, nSyms int) ([]string, []int32) {
 	return values, node
 }
 
-// byValue sorts ids into lexicographic order of their strings.
-func byValue(syms *lake.Symbols, ids []uint32) {
+// SortByValue sorts distinct symbol IDs into byte order of their strings,
+// the order of a graph's value nodes (persist numbers a snapshot's symbols
+// in it too).
+func SortByValue(syms *lake.Symbols, ids []uint32) {
 	perm, _ := valueOrder(syms, ids)
 	for i, p := range perm {
 		perm[i] = ids[p]
@@ -231,16 +233,29 @@ func valueKey(v string) uint64 {
 }
 
 // valueOrder returns the permutation that puts ids into lexicographic order
-// of their strings, and their keys in ids' order: a radix sort on the keys,
-// then a string sort within each run of equal keys.
+// of their strings, and their keys in ids' order. IDs already in order (a
+// symbol table loaded from a snapshot numbers its values in byte order) get
+// the identity, checked in one pass that compares strings only where keys
+// tie; others get a radix sort on the keys, then a string sort within each
+// run of equal keys.
 func valueOrder(syms *lake.Symbols, ids []uint32) ([]uint32, []uint64) {
 	keys := make([]uint64, len(ids))
+	sorted := true
 	for i, id := range ids {
 		keys[i] = valueKey(syms.String(id))
+		sorted = sorted && (i == 0 || keys[i-1] < keys[i] ||
+			keys[i-1] == keys[i] && syms.String(ids[i-1]) < syms.String(id))
 	}
-	return engine.RadixOrder(keys, func(a, b uint32) int {
-		return strings.Compare(syms.String(ids[a]), syms.String(ids[b]))
-	}), keys
+	if !sorted {
+		return engine.RadixOrder(keys, func(a, b uint32) int {
+			return strings.Compare(syms.String(ids[a]), syms.String(ids[b]))
+		}), keys
+	}
+	perm := make([]uint32, len(ids))
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	return perm, keys
 }
 
 // assemble builds the CSR arrays of a graph whose nodes nVal+i (i in

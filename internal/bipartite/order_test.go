@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"domainnet/internal/datagen"
+	"domainnet/internal/engine"
 	"domainnet/internal/lake"
 )
 
@@ -83,6 +84,48 @@ func TestNumberMatchesReference(t *testing.T) {
 			kept[id] = uint32(id)
 		}
 		check(fmt.Sprintf("SB seed %d", seed), syms, kept)
+	}
+}
+
+// TestValueOrderPresorted: IDs already in byte order, as a symbol table
+// loaded from a snapshot numbers them, get the identity permutation; with
+// any one adjacent pair swapped, whether or not the pair's radix keys tie,
+// they get the permutation RadixOrder gives.
+func TestValueOrderPresorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	syms := lake.NewSymbols()
+	for n := 0; n < 400; n++ {
+		syms.Add(awkwardValue(rng))
+	}
+	ids := make([]uint32, syms.Len())
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	SortByValue(syms, ids)
+	perm, keys := valueOrder(syms, ids)
+	for i, p := range perm {
+		if p != uint32(i) {
+			t.Fatalf("presorted IDs: perm[%d] = %d, want the identity", i, p)
+		}
+	}
+	ties := 0
+	for i := 0; i+1 < len(ids); i++ {
+		ids[i], ids[i+1] = ids[i+1], ids[i]
+		keys[i], keys[i+1] = keys[i+1], keys[i]
+		if keys[i] == keys[i+1] {
+			ties++
+		}
+		want := engine.RadixOrder(keys, func(a, b uint32) int {
+			return strings.Compare(syms.String(ids[a]), syms.String(ids[b]))
+		})
+		if got, _ := valueOrder(syms, ids); !slices.Equal(got, want) {
+			t.Fatalf("pair %d swapped: valueOrder %v, RadixOrder %v", i, got, want)
+		}
+		ids[i], ids[i+1] = ids[i+1], ids[i]
+		keys[i], keys[i+1] = keys[i+1], keys[i]
+	}
+	if ties == 0 {
+		t.Error("no swapped pair tied on its radix key")
 	}
 }
 

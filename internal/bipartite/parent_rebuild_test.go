@@ -227,7 +227,7 @@ func parentRebuildDiff(prev *parentGraph, attrs []lake.Attribute, opts Options) 
 	values, node := oldVals, prev.node
 	var oldToNew []int32 // nil means identity
 	if len(addedIDs) > 0 || len(droppedOld) > 0 {
-		byValue(syms, addedIDs)
+		SortByValue(syms, addedIDs)
 		values = make([]string, 0, len(oldVals)-len(droppedOld)+len(addedIDs))
 		oldToNew = make([]int32, len(oldVals))
 		for _, vo := range droppedOld {

@@ -196,6 +196,8 @@ func (l *Lake) TableAttributes() [][]Attribute {
 // version, tables, attributes and symbol strings — that l's later mutations
 // leave untouched, so other goroutines may read it while l's writer goes on.
 // It shares l's arrays, costing O(tables) once l's attributes are computed.
+// Its Symbols supports only String and Len: it has no index, so any Lookup,
+// Add, AddBytes or Intern on it panics.
 func (l *Lake) Frozen() *Lake {
 	attrs, n := l.Attributes(), len(l.tables)
 	return &Lake{Name: l.Name, version: l.version,

@@ -235,6 +235,14 @@ func TestFrozenSurvivesRemovalAndCompaction(t *testing.T) {
 	if f.Version() != 3 || f.NumTables() != 3 {
 		t.Errorf("frozen view at version %d with %d tables, want 3 and 3", f.Version(), f.NumTables())
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a lookup on the frozen view's symbols did not panic")
+			}
+		}()
+		f.Symbols().Lookup([]byte("LEMUR"))
+	}()
 }
 
 func TestRehydrateRestoresVersion(t *testing.T) {

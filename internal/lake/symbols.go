@@ -32,12 +32,14 @@ const symChunk = 4096 // strings per chunk of a Symbols
 // NewSymbols returns an empty symbol table (a zero Symbols is unusable).
 func NewSymbols() *Symbols { return &Symbols{seed: maphash.MakeSeed(), index: make([]uint32, 64)} }
 
-// AdoptSymbols returns a symbol table that gives strs[i] the ID i, keeping
-// the strings themselves rather than copies. The index is sized up front, so
-// adopting never rehashes. A repeated string is an error.
-func AdoptSymbols(strs []string) (*Symbols, error) {
-	s := &Symbols{seed: maphash.MakeSeed(), index: make([]uint32, max(64, 2<<bits.Len(uint(len(strs)))))}
-	for _, v := range strs {
+// AdoptSymbols returns a symbol table of n values that gives the i-th string
+// next returns the ID i, keeping the strings themselves rather than copies.
+// The index is sized up front, so adopting never rehashes. A repeated string
+// is an error.
+func AdoptSymbols(n int, next func() string) (*Symbols, error) {
+	s := &Symbols{seed: maphash.MakeSeed(), index: make([]uint32, max(64, 2<<bits.Len(uint(n))))}
+	for range n {
+		v := next()
 		i := slot(s, v, maphash.String(s.seed, v))
 		if s.index[i] != 0 {
 			return nil, fmt.Errorf("lake: symbol %q repeated", v)

@@ -140,3 +140,36 @@ func TestLoadDirKeepsDirectoryOrder(t *testing.T) {
 		t.Errorf("tables = %v, want directory order", names)
 	}
 }
+
+// adopt adopts strs with AdoptSymbols.
+func adopt(strs ...string) (*Symbols, error) {
+	i := 0
+	return AdoptSymbols(len(strs), func() string { i++; return strs[i-1] })
+}
+
+// TestAdoptedSymbols: AdoptSymbols gives the i-th string the ID i and
+// resolves it through the index; Intern of an adopted value allocates
+// nothing, a new value gets the next ID, and a repeat is rejected.
+func TestAdoptedSymbols(t *testing.T) {
+	s, err := adopt("JAGUAR", "PUMA", "ÖLFASS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := s.Intern(" puma "); !ok || id != 1 {
+		t.Errorf("Intern(puma) = %d, %v; want 1", id, ok)
+	}
+	for _, raw := range []string{"jaguar", "PUMA", " Jaguar"} {
+		if n := testing.AllocsPerRun(100, func() { s.Intern(raw) }); n != 0 {
+			t.Errorf("Intern(%q) of an adopted value: %v allocations, want 0", raw, n)
+		}
+	}
+	if id, ok := s.Lookup([]byte("ÖLFASS")); !ok || id != 2 {
+		t.Errorf("Lookup(ÖLFASS) = %d, %v; want 2", id, ok)
+	}
+	if id, _ := s.Intern("lion"); id != 3 || s.String(3) != "LION" || s.Add("LION") != 3 {
+		t.Errorf("a new value got ID %d, want 3", id)
+	}
+	if _, err := adopt("PUMA", "JAGUAR", "PUMA"); err == nil {
+		t.Error("AdoptSymbols accepted a repeat")
+	}
+}

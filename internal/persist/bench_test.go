@@ -21,3 +21,16 @@ func BenchmarkUnmarshalSB(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMarshalSB encodes the SB seed 1 lake as its leader holds it, with
+// symbol IDs in first-appearance order: the leader's cost of a snapshot,
+// paid once per version, including numbering the symbols in byte order.
+func BenchmarkMarshalSB(b *testing.B) {
+	l := datagen.NewSB(1).Lake
+	g := bipartite.FromLake(l, bipartite.Options{})
+	b.SetBytes(int64(len(Marshal(l, g))))
+	b.ReportAllocs()
+	for b.Loop() {
+		Marshal(l, g)
+	}
+}

@@ -106,6 +106,75 @@ func appendBodyV1(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 	return b
 }
 
+// marshalV3 is Marshal in format 3, the reference encoder of the layout
+// that numbers symbols in ID order and writes every cell as a string.
+func marshalV3(l *lake.Lake, g *bipartite.Graph) []byte {
+	buf := appendBodyV3(append([]byte(nil), magic[:]...), l, g)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(magic):]))
+}
+
+// appendBodyV3 is the format 3 body encoder, kept as the reference the
+// decoder's format 3 path is held to.
+func appendBodyV3(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
+	b = binary.AppendUvarint(b, 3)
+	b = AppendString(b, l.Name)
+	b = binary.AppendUvarint(b, l.Version())
+
+	// The symbol section: every value an attribute holds, once, in ID order.
+	syms, tables, tableAttrs := l.Symbols(), l.Tables(), l.TableAttributes()
+	rank := make([]uint64, syms.Len()) // live rank + 1; 0 for a dead ID
+	n := uint64(0)
+	for _, attrs := range tableAttrs {
+		for ai := range attrs {
+			for _, id := range attrs[ai].IDs() {
+				if rank[id] == 0 {
+					rank[id] = 1
+					n++
+				}
+			}
+		}
+	}
+	b = binary.AppendUvarint(b, n)
+	n = 0
+	for id := range rank {
+		if rank[id] != 0 {
+			n++
+			rank[id] = n
+			b = AppendString(b, syms.String(uint32(id)))
+		}
+	}
+
+	b = binary.AppendUvarint(b, uint64(len(tables)))
+	for ti, t := range tables {
+		b = AppendTable(b, t)
+		attrs := tableAttrs[ti]
+		b = binary.AppendUvarint(b, uint64(len(attrs)))
+		for ai := range attrs {
+			a := &attrs[ai]
+			b = AppendString(b, a.ID)
+			b = AppendString(b, a.Column)
+			b = binary.AppendUvarint(b, uint64(a.Cardinality()))
+			prev := uint64(0)
+			for _, id := range a.IDs() {
+				b = binary.AppendUvarint(b, rank[id]-prev-1)
+				prev = rank[id]
+			}
+			for _, f := range a.Freqs() {
+				b = binary.AppendUvarint(b, uint64(f))
+			}
+		}
+	}
+
+	if g == nil {
+		return append(b, 0)
+	}
+	keep := byte(0)
+	if g.KeepsSingletons() {
+		keep = 1
+	}
+	return append(b, 1, keep)
+}
+
 // lakeDump renders what a snapshot must carry of a lake: name, version,
 // every table's bytes, and each attribute's values with their counts, sorted
 // by value, since two decodes may number the same values differently.
@@ -137,23 +206,19 @@ func rankingDump(g *bipartite.Graph) string {
 	return b.String()
 }
 
-// checkFormatsAgree encodes the state in format 1 (the reference encoder)
-// and format 3 (Marshal). Each decode must hold the encoded lake and, unless
-// g is nil (a lake-only snapshot), a graph Equal to a scratch FromAttributes
-// build with g's singleton setting that ranks byte-identically to it; a
-// format 3 decode must also re-encode to the bytes it came from.
+// checkFormatsAgree encodes the state in formats 1 and 3 (the reference
+// encoders) and format 4 (Marshal). Each decode must hold the encoded lake
+// and, unless g is nil (a lake-only snapshot), a graph Equal to a scratch
+// FromAttributes build with g's singleton setting that ranks
+// byte-identically to it; every decode must re-encode to the format 4 bytes.
 func checkFormatsAgree(t *testing.T, what string, l *lake.Lake, g *bipartite.Graph) {
 	t.Helper()
 	var scratch *bipartite.Graph
 	if g != nil {
 		scratch = bipartite.FromAttributes(l.Attributes(), bipartite.Options{KeepSingletons: g.KeepsSingletons()})
 	}
-	v3 := Marshal(l, g)
-	for _, format := range []int{1, 3} {
-		b := v3
-		if format == 1 {
-			b = marshalV1(l, g)
-		}
+	v4 := Marshal(l, g)
+	for format, b := range map[int][]byte{1: marshalV1(l, g), 3: marshalV3(l, g), 4: v4} {
 		sn, err := Unmarshal(b)
 		if err != nil {
 			t.Fatalf("%s: format %d: %v", what, format, err)
@@ -169,16 +234,16 @@ func checkFormatsAgree(t *testing.T, what string, l *lake.Lake, g *bipartite.Gra
 		case scratch != nil && rankingDump(sn.Graph) != rankingDump(scratch):
 			t.Fatalf("%s: format %d: decoded graph ranks differently from a scratch build", what, format)
 		}
-		if format == 3 && !bytes.Equal(Marshal(sn.Lake, sn.Graph), v3) {
-			t.Fatalf("%s: re-encoding a decoded format 3 snapshot changed its bytes", what)
+		if !bytes.Equal(Marshal(sn.Lake, sn.Graph), v4) {
+			t.Fatalf("%s: re-encoding a decoded format %d snapshot differs from Marshal's bytes", what, format)
 		}
 	}
 }
 
 // TestFormatsDecodeAlike holds the decoder to one result across formats:
-// format 1 from the reference encoder and format 3 from Marshal, on SB
-// seeds 1-20 with the singleton filter on, and on random churn lakes of
-// awkward cells with the filter on, off, and lake-only. Formats 1 and 2 as
+// formats 1 and 3 from the reference encoders and format 4 from Marshal, on
+// SB seeds 1-20 with the singleton filter on, and on random churn lakes of
+// awkward cells with the filter on, off, and lake-only. Formats 1 to 3 as
 // earlier builds wrote them are TestLoadsParentFormatSnapshot's fixtures.
 func TestFormatsDecodeAlike(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -228,9 +293,9 @@ func TestFormatsDecodeAlike(t *testing.T) {
 
 // TestMarshalDeterministic: the same state always encodes to the same bytes,
 // so checkpoint and bootstrap bytes can be compared and cached by content.
-// Format 2 numbers symbols by their rank among the live ones, so a decoded
-// snapshot re-encodes to the bytes it came from whatever the lake's removal
-// history: fresh, after RemoveTable, and after a symbol-table compaction.
+// Format 4 numbers symbols in byte order, so a decoded snapshot re-encodes
+// to the bytes it came from whatever the lake's removal history: fresh,
+// after RemoveTable, and after a symbol-table compaction.
 func TestMarshalDeterministic(t *testing.T) {
 	l := datagen.NewSB(1).Lake
 	check := func(what string) {
@@ -270,16 +335,18 @@ func TestMarshalDeterministic(t *testing.T) {
 
 // TestLoadsParentFormatSnapshot loads the snapshots earlier builds wrote of
 // one state: format 1 by the string-keyed codec that preceded symbol
-// interning, format 2 by the build just before format 3. The state is the
+// interning, format 2 by the build just before format 3, format 3 by the
+// build just before format 4. The state is the
 // Figure 1 lake, plus a table added and removed again (so the writer's
 // symbol table held dead values), plus T5, a table of mixed-case, padded
 // and non-ASCII cells: 5 tables at version 7, saved with the singleton
 // filter on. Each loaded graph must equal a scratch build of the loaded
 // lake, both must rank exactly as the writing build did
 // (testdata/parent-v<N>.ranking), and the loaded lake must keep rebuilding
-// incrementally.
+// incrementally. The format 3 reference encoder must re-encode the format 3
+// file byte for byte.
 func TestLoadsParentFormatSnapshot(t *testing.T) {
-	for _, format := range []string{"v1", "v2"} {
+	for _, format := range []string{"v1", "v2", "v3"} {
 		sn, err := Load("testdata/parent-" + format + ".snapshot")
 		if err != nil {
 			t.Fatal(err)
@@ -299,6 +366,15 @@ func TestLoadsParentFormatSnapshot(t *testing.T) {
 		for _, g := range []*bipartite.Graph{sn.Graph, scratch} {
 			if got := rankingDump(g); got != string(want) {
 				t.Fatalf("%s: ranking differs from the writing build's:\n%s\nwant:\n%s", format, got, want)
+			}
+		}
+		if format == "v3" {
+			file, err := os.ReadFile("testdata/parent-v3.snapshot")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(marshalV3(sn.Lake, sn.Graph), file) {
+				t.Error("v3: the format 3 reference encoder does not re-encode the parent build's file")
 			}
 		}
 		sn.Lake.RemoveTable("T5")

@@ -14,21 +14,35 @@
 // attributes by pointer identity, as if the process had never restarted.
 //
 // Format: a 4-byte magic, a uvarint format version, the body (lake header,
-// symbol section, tables with their attributes, then a graph marker), and a
-// CRC-32 trailer over everything after the magic. All integers are unsigned
-// varints; strings are a uvarint length followed by raw bytes. The symbol
-// section holds each live value of the lake's lake.Symbols once, in ID
-// order, and an attribute writes its ascending ranks there each as the ranks
-// it skips. The decoder adopts the section as the rehydrated lake's Symbols,
-// so it interns nothing, and a decoded snapshot re-encodes to its own bytes.
-// The graph marker is 0 for a lake-only snapshot, or 1 followed by the
-// KeepSingletons byte (0 or 1); nothing follows it.
+// symbol section, cell-string section, tables with their attributes, then a
+// graph marker), and a CRC-32 trailer over everything after the magic. All
+// integers are unsigned varints; strings are a uvarint length followed by
+// raw bytes. The symbol section holds each live value of the lake once, in
+// byte order, which is the graph's value order; the cell-string section
+// holds every other distinct cell string once, in order of first
+// appearance. A table is its name and, per column, its name and each cell
+// as a reference into the symbols followed by the cell strings. An
+// attribute writes its ranks in the symbol section, ascending, each as the
+// ranks it skips, then its cell counts. The decoder checks that the symbols
+// strictly ascend and adopts them as the rehydrated lake's Symbols without
+// copying them, and the graph build finds its values already in order
+// instead of sorting them. The graph marker is 0 for a lake-only snapshot,
+// or 1 followed by the KeepSingletons byte (0 or 1); nothing follows it.
 //
-// The decoder also reads formats 1 and 2. Format 1 wrote a value's string
-// wherever the value appeared and had no symbol section; both wrote a copy
-// of the graph (value list, CSR offsets and adjacency, occurrence counts)
+// The encoding is canonical: it depends on the lake's tables and
+// attributes, not on the IDs its symbol table happened to assign, so a
+// decoded snapshot re-encodes to its own bytes, and a follower that applied
+// the same bursts as its leader encodes to the leader's bytes.
+//
+// The decoder also reads formats 1 to 3, which wrote every cell as a string
+// (the layout AppendTable still writes for internal/wal). Format 1 wrote a
+// value's string wherever the value appeared and had no symbol section;
+// formats 2 and 3 numbered their symbols in the writer's ID order, so the
+// decoder rejects a repeat by hashing alone, and the graph build sorts
+// their values. Formats 1 and 2 wrote a copy of
+// the graph (value list, CSR offsets and adjacency, occurrence counts)
 // after the keep byte, which the decoder skips: it is derived data, and the
-// CRC already covers it. Marshal writes only format 3. Saves are atomic
+// CRC already covers it. Marshal writes only format 4. Saves are atomic
 // (temp file + rename + sync) so a crash mid-checkpoint never clobbers the
 // previous snapshot.
 //
@@ -36,10 +50,9 @@
 // (symbols, table and column names, cells, attribute IDs) is a substring of
 // that copy, so the caller may reuse its buffer as soon as Unmarshal
 // returns. Any one substring keeps the whole copy live: its non-string bytes
-// (lengths, ranks, counts; 74 KB of the 491 KB snapshot of SB seed 1, about
-// 47 KB more live heap per decoded lake than one allocation per string list)
-// stay until the decoded tables are gone and the lake's symbol table has
-// compacted. internal/wal decodes its records the same way.
+// (lengths, cell references, ranks, counts; 121 KB of the 297 KB snapshot of
+// SB seed 1) stay until the decoded tables are gone and the lake's symbol
+// table has compacted. internal/wal decodes its records the same way.
 package persist
 
 import (
@@ -49,6 +62,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"domainnet/internal/bipartite"
 	"domainnet/internal/lake"
@@ -56,8 +70,8 @@ import (
 )
 
 // FormatVersion is the snapshot format Marshal writes. Loaders read it and
-// formats 1 and 2, and reject a newer one instead of mis-parsing it.
-const FormatVersion = 3
+// formats 1 to 3, and reject a newer one instead of mis-parsing it.
+const FormatVersion = 4
 
 // magic identifies a DomainNet snapshot file.
 var magic = [4]byte{'D', 'N', 'E', 'T'}
@@ -171,33 +185,69 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 	b = AppendString(b, l.Name)
 	b = binary.AppendUvarint(b, l.Version())
 
-	// The symbol section: every value an attribute holds, once, in ID order.
+	// The symbol section: every value an attribute holds, once, in byte
+	// order, whatever IDs the lake gave them.
 	syms, tables, tableAttrs := l.Symbols(), l.Tables(), l.TableAttributes()
-	rank := make([]uint64, syms.Len()) // live rank + 1; 0 for a dead ID
-	n := uint64(0)
+	rank := make([]uint32, syms.Len()) // byte-order rank + 1; 0 for a dead ID
 	for _, attrs := range tableAttrs {
 		for ai := range attrs {
 			for _, id := range attrs[ai].IDs() {
-				if rank[id] == 0 {
-					rank[id] = 1
-					n++
-				}
+				rank[id] = 1
 			}
 		}
 	}
-	b = binary.AppendUvarint(b, n)
-	n = 0
-	for id := range rank {
-		if rank[id] != 0 {
-			n++
-			rank[id] = n
-			b = AppendString(b, syms.String(uint32(id)))
+	var live []uint32
+	for id, r := range rank {
+		if r != 0 {
+			live = append(live, uint32(id))
 		}
 	}
+	bipartite.SortByValue(syms, live)
+	ref := make(map[string]uint32, len(live)) // a cell string's reference
+	b = binary.AppendUvarint(b, uint64(len(live)))
+	for i, id := range live {
+		rank[id] = uint32(i + 1)
+		ref[syms.String(id)] = uint32(i)
+		b = AppendString(b, syms.String(id))
+	}
 
+	// The cell-string section: every other distinct cell, in order of first
+	// appearance. A cell then goes out as its reference into the symbols
+	// followed by those strings.
+	var cells []string
+	var refs []uint32 // every cell's reference, in table, column, row order
+	for _, t := range tables {
+		for ci := range t.Columns {
+			for _, v := range t.Columns[ci].Values {
+				r, ok := ref[v]
+				if !ok {
+					r = uint32(len(ref))
+					ref[v] = r
+					cells = append(cells, v)
+				}
+				refs = append(refs, r)
+			}
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(cells)))
+	for _, v := range cells {
+		b = AppendString(b, v)
+	}
+
+	var pairs []uint64 // rank<<32 | count, for one attribute
 	b = binary.AppendUvarint(b, uint64(len(tables)))
 	for ti, t := range tables {
-		b = AppendTable(b, t)
+		b = AppendString(b, t.Name)
+		b = binary.AppendUvarint(b, uint64(len(t.Columns)))
+		for ci := range t.Columns {
+			col := &t.Columns[ci]
+			b = AppendString(b, col.Name)
+			b = binary.AppendUvarint(b, uint64(len(col.Values)))
+			for _, ref := range refs[:len(col.Values)] {
+				b = binary.AppendUvarint(b, uint64(ref))
+			}
+			refs = refs[len(col.Values):]
+		}
 		// The table's normalized attribute slice rides along so a warm
 		// start skips re-normalizing every cell — on large lakes that scan
 		// costs as much as the graph build itself.
@@ -208,14 +258,19 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 			b = AppendString(b, a.ID)
 			b = AppendString(b, a.Column)
 			b = binary.AppendUvarint(b, uint64(a.Cardinality()))
-			// Ranks ascend with IDs: each goes out as the ranks it skips.
-			prev := uint64(0)
-			for _, id := range a.IDs() {
-				b = binary.AppendUvarint(b, rank[id]-prev-1)
-				prev = rank[id]
+			pairs = pairs[:0]
+			for j, id := range a.IDs() {
+				pairs = append(pairs, uint64(rank[id])<<32|uint64(a.Freqs()[j]))
 			}
-			for _, f := range a.Freqs() {
-				b = binary.AppendUvarint(b, uint64(f))
+			slices.Sort(pairs)
+			// Ranks ascend: each goes out as the ranks it skips.
+			prev := uint64(0)
+			for _, p := range pairs {
+				b = binary.AppendUvarint(b, p>>32-prev-1)
+				prev = p >> 32
+			}
+			for _, p := range pairs {
+				b = binary.AppendUvarint(b, uint64(uint32(p)))
 			}
 		}
 	}
@@ -241,8 +296,9 @@ func AppendString(b []byte, s string) []byte {
 }
 
 // AppendTable encodes one table — name, then each column's name and cell
-// values — using the same layout the snapshot body uses, so the WAL's
-// mutation records and the snapshot file share one table format.
+// values — for internal/wal's mutation records. Snapshots of format 3 and
+// earlier wrote their tables in this layout too; format 4 writes each cell
+// as a reference instead.
 func AppendTable(b []byte, t *table.Table) []byte {
 	b = AppendString(b, t.Name)
 	b = binary.AppendUvarint(b, uint64(len(t.Columns)))
@@ -265,6 +321,7 @@ func AppendTable(b []byte, t *table.Table) []byte {
 // substring of that copy, so the caller may reuse the input buffer at once.
 type Reader struct {
 	buf string
+	off int // bytes consumed: an int, so advancing needs no GC write barrier
 	err error
 }
 
@@ -278,7 +335,7 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: string(buf)} }
 func (r *Reader) Err() error { return r.err }
 
 // Len reports the number of not-yet-consumed bytes.
-func (r *Reader) Len() int { return len(r.buf) }
+func (r *Reader) Len() int { return len(r.buf) - r.off }
 
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {
@@ -291,12 +348,12 @@ func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint([]byte(r.buf[:min(len(r.buf), binary.MaxVarintLen64)]))
+	v, n := binary.Uvarint([]byte(r.buf[r.off:min(len(r.buf), r.off+binary.MaxVarintLen64)]))
 	if n <= 0 {
 		r.fail("truncated varint")
 		return 0
 	}
-	r.buf = r.buf[n:]
+	r.off += n
 	return v
 }
 
@@ -305,8 +362,8 @@ func (r *Reader) Uvarint() uint64 {
 // count cannot trigger a huge allocation before the decode fails.
 func (r *Reader) Length(what string) int {
 	v := r.Uvarint()
-	if r.err == nil && v > uint64(len(r.buf)) {
-		r.fail("%s count %d exceeds remaining %d bytes", what, v, len(r.buf))
+	if r.err == nil && v > uint64(r.Len()) {
+		r.fail("%s count %d exceeds remaining %d bytes", what, v, r.Len())
 		return 0
 	}
 	return int(v)
@@ -319,8 +376,8 @@ func (r *Reader) String() string {
 	if r.err != nil {
 		return ""
 	}
-	s := r.buf[:n]
-	r.buf = r.buf[n:]
+	s := r.buf[r.off : r.off+n]
+	r.off += n
 	return s
 }
 
@@ -344,12 +401,19 @@ func (r *Reader) strings(what string) []string {
 }
 
 // Table reads one table written by AppendTable.
-func (r *Reader) Table() *table.Table {
+func (r *Reader) Table() *table.Table { return r.table(r.String) }
+
+// table reads one table whose cells each come from cell.
+func (r *Reader) table(cell func() string) *table.Table {
 	t := table.New(r.String())
 	nCols := r.Length("column")
 	for ci := 0; ci < nCols && r.err == nil; ci++ {
 		colName := r.String()
-		t.AddColumn(colName, r.strings("cell")...)
+		vals := make([]string, r.Length("cell"))
+		for i := 0; i < len(vals) && r.err == nil; i++ {
+			vals[i] = cell()
+		}
+		t.AddColumn(colName, vals...)
 	}
 	return t
 }
@@ -358,12 +422,12 @@ func (r *Reader) byte() byte {
 	if r.err != nil {
 		return 0
 	}
-	if len(r.buf) == 0 {
+	if r.Len() == 0 {
 		r.fail("truncated byte")
 		return 0
 	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
+	b := r.buf[r.off]
+	r.off++
 	return b
 }
 
@@ -377,18 +441,51 @@ func decodeBody(body []byte) (*Snapshot, error) {
 	name := r.String()
 	version := r.Uvarint()
 
-	// Format 1 interns each value string where it reads it.
+	// Format 1 interns each value string where it reads it; format 4 holds
+	// its symbols in byte order, then the other cell strings, and each cell
+	// as a reference into the two.
 	syms, err := lake.NewSymbols(), error(nil)
-	if v2 {
-		if syms, err = lake.AdoptSymbols(r.strings("symbol")); err != nil {
-			return nil, err
+	var cells []string
+	switch {
+	case format >= 4:
+		prev, i := "", 0
+		syms, err = lake.AdoptSymbols(r.Length("symbol"), func() string {
+			v := r.String()
+			if i > 0 && v <= prev {
+				r.fail("symbol %q does not sort after %q", v, prev)
+			}
+			prev, i = v, i+1
+			return v
+		})
+		cells = r.strings("cell string")
+	case v2:
+		syms, err = lake.AdoptSymbols(r.Length("symbol"), r.String)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	nSyms := uint64(syms.Len())
+	cell := r.String
+	if format >= 4 {
+		cell = func() string {
+			ref := uint64(r.below(nSyms+uint64(len(cells)), "cell reference"))
+			switch {
+			case r.err != nil:
+				return ""
+			case ref < nSyms:
+				return syms.String(uint32(ref))
+			}
+			return cells[ref-nSyms]
 		}
 	}
 	nTables := r.Length("table")
 	tables := make([]*table.Table, 0, nTables)
 	tableAttrs := make([][]lake.Stored, 0, nTables)
 	for ti := 0; ti < nTables && r.err == nil; ti++ {
-		t := r.Table()
+		t := r.table(cell)
 		nAttrs := r.Length("attribute")
 		attrs := make([]lake.Stored, 0, nAttrs)
 		for ai := 0; ai < nAttrs && r.err == nil; ai++ {
@@ -398,7 +495,7 @@ func decodeBody(body []byte) (*Snapshot, error) {
 			prev := -1
 			for vi := 0; vi < nVals && r.err == nil; vi++ {
 				if v2 {
-					prev += 1 + int(r.below(uint64(syms.Len()-1-prev), "attribute value ID gap"))
+					prev += 1 + int(r.below(nSyms-uint64(1+prev), "attribute value ID gap"))
 					a.IDs[vi] = uint32(prev)
 				} else {
 					a.IDs[vi] = syms.Add(r.String())

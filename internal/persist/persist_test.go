@@ -395,3 +395,78 @@ func TestDecodeRejectsMalformedV2(t *testing.T) {
 		}
 	}
 }
+
+// lakeBodyV4 builds a format 4 body of one table "t" holding one column "c"
+// and its attribute, saved with a graph that keeps singletons: the symbol
+// section, the cell-string section (nStrs, which may overstate it, then
+// strs), the column's cell references, and the attribute's value ID gaps
+// and counts.
+func lakeBodyV4(symbols []string, nStrs uint64, strs []string, refs, gaps, freqs []uint64) []byte {
+	b := binary.AppendUvarint(nil, 4)
+	b = AppendString(b, "v4")
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, uint64(len(symbols)))
+	for _, s := range symbols {
+		b = AppendString(b, s)
+	}
+	b = binary.AppendUvarint(b, nStrs)
+	for _, s := range strs {
+		b = AppendString(b, s)
+	}
+	b = binary.AppendUvarint(b, 1)
+	b = AppendString(b, "t")
+	b = binary.AppendUvarint(b, 1)
+	b = AppendString(b, "c")
+	b = binary.AppendUvarint(b, uint64(len(refs)))
+	for _, r := range refs {
+		b = binary.AppendUvarint(b, r)
+	}
+	b = binary.AppendUvarint(b, 1)
+	b = AppendString(b, "t.c")
+	b = AppendString(b, "c")
+	b = binary.AppendUvarint(b, uint64(len(gaps)))
+	for _, g := range gaps {
+		b = binary.AppendUvarint(b, g)
+	}
+	for _, f := range freqs {
+		b = binary.AppendUvarint(b, f)
+	}
+	return append(b, 1, 1)
+}
+
+// TestDecodeRejectsMalformedV4 covers what format 4 adds: symbols that must
+// strictly ascend, the cell-string section, and cells as references into
+// the two. Each corruption must be an error, never a panic; the intact body
+// must decode to the table and lake it describes.
+func TestDecodeRejectsMalformedV4(t *testing.T) {
+	syms := []string{"JAGUAR", "PUMA"}
+	strs := []string{"puma", "jaguar"}
+	refs := []uint64{2, 3, 0} // puma, jaguar, JAGUAR
+	gaps, freqs := []uint64{0, 0}, []uint64{2, 1}
+	sn, err := decodeBody(lakeBodyV4(syms, 2, strs, refs, gaps, freqs))
+	if err != nil {
+		t.Fatalf("intact body: %v", err)
+	}
+	if cells := sn.Lake.Tables()[0].Columns[0].Values; !slices.Equal(cells, []string{"puma", "jaguar", "JAGUAR"}) {
+		t.Errorf("intact body decoded cells %q", cells)
+	}
+	if got := sn.Graph.Values(); sn.Lake.Stats().Cells != 3 || !slices.Equal(got, []string{"JAGUAR", "PUMA"}) {
+		t.Fatalf("intact body decoded to %v, values %v", sn.Lake.Stats(), got)
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"symbols out of order", lakeBodyV4([]string{"PUMA", "JAGUAR"}, 2, strs, refs, gaps, freqs)},
+		{"repeated symbol", lakeBodyV4([]string{"JAGUAR", "JAGUAR"}, 2, strs, refs, gaps, freqs)},
+		{"cell reference at the end of the dictionary", lakeBodyV4(syms, 2, strs, []uint64{2, 3, 4}, gaps, freqs)},
+		{"cell reference past the end of the dictionary", lakeBodyV4(syms, 2, strs, []uint64{2, 1 << 40, 0}, gaps, freqs)},
+		{"wrapping cell reference", lakeBodyV4(syms, 2, strs, []uint64{math.MaxUint64, 3, 0}, gaps, freqs)},
+		{"cell reference into no cell strings", lakeBodyV4(syms, 0, nil, refs, gaps, freqs)},
+		{"cell-string count beyond the remaining bytes", lakeBodyV4(syms, 1<<20, strs, refs, gaps, freqs)},
+	} {
+		if _, err := decodeBody(tc.body); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -107,16 +108,18 @@ func growLake(t *testing.T, s *serve.Server, n int) {
 }
 
 // TestChunkedBootstrapCompressesWire: the chunked gzip bootstrap moves
-// fewer bytes than the codec it frames, and on the SB lake at least 2x fewer.
+// fewer bytes than the codec it frames, and on the SB lake at least 2x fewer
+// and fewer than format 3 moved for it (154,514 bytes).
 func TestChunkedBootstrapCompressesWire(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		lake      *lake.Lake
 		cfg       domainnet.Config
 		minShrink float64
+		maxWire   int64 // 0: no bound
 	}{
-		{"figure1", datagen.Figure1Lake(), domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true}, 1},
-		{"sb", datagen.NewSB(1).Lake, domainnet.Config{Measure: domainnet.DegreeBaseline}, 2},
+		{"figure1", datagen.Figure1Lake(), domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true}, 1, 0},
+		{"sb", datagen.NewSB(1).Lake, domainnet.Config{Measure: domainnet.DegreeBaseline}, 2, 154514},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			leader, _, ts := newLeaderOver(t, c.lake, c.cfg)
@@ -136,11 +139,94 @@ func TestChunkedBootstrapCompressesWire(t *testing.T) {
 				t.Errorf("chunked gzip bootstrap moved %d wire bytes for %d raw bytes (%.2fx), want more than 1x and at least %.0fx",
 					st.WireBytes, st.RawBytes, shrink, c.minShrink)
 			}
+			if c.maxWire != 0 && st.WireBytes >= c.maxWire {
+				t.Errorf("chunked gzip bootstrap moved %d wire bytes, want fewer than format 3's %d", st.WireBytes, c.maxWire)
+			}
 			if st.Resumes != 0 || st.Restarts != 0 {
 				t.Errorf("clean bootstrap recorded %d resumes, %d restarts", st.Resumes, st.Restarts)
 			}
 			t.Logf("bootstrap moved %d wire bytes for %d raw bytes (%.1fx)", st.WireBytes, st.RawBytes, shrink)
 		})
+	}
+}
+
+// TestFollowerCheckpointsLeaderBytes: snapshot bytes are canonical. A
+// follower numbers its symbols in byte order from its bootstrap on, its
+// leader in first-appearance order, and each then reuses or appends IDs as
+// its own history dictates. Yet at every version, through adds, a removal,
+// a dead value coming back and a compaction of both symbol tables, the
+// follower's published lake encodes to the leader's bytes.
+func TestFollowerCheckpointsLeaderBytes(t *testing.T) {
+	leader, _, ts := newLeader(t)
+	ctx := context.Background()
+	// The leader keeps a dead ID for "lion-doomed" below the ID of
+	// "lion-keeper"; the follower never sees the dead one.
+	addTable(t, leader, "doomed")
+	addTable(t, leader, "keeper")
+	if _, err := leader.Apply(nil, []string{"doomed"}); err != nil {
+		t.Fatal(err)
+	}
+	f := newFollower(ts)
+	if err := f.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	encode := func(s *serve.Server) (raw []byte, symbols []string) {
+		t.Helper()
+		if err := s.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
+			raw = persist.Marshal(l, g)
+			for id := range l.Symbols().Len() {
+				symbols = append(symbols, l.Symbols().String(uint32(id)))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return raw, symbols
+	}
+	bulk := make([]string, 9000) // fresh values outnumbering the live ones past the compaction floor
+	for i := range bulk {
+		bulk[i] = fmt.Sprintf("bulk-%d", i)
+	}
+	differed := false
+	for _, step := range []struct {
+		name   string
+		add    []*table.Table
+		remove []string
+	}{
+		{name: "bootstrap"},
+		{name: "a dead value returns", add: []*table.Table{table.New("back").AddColumn("animal", "lion-doomed", "Puma", "aardvark")}},
+		{name: "two tables", add: []*table.Table{
+			table.New("zoo").AddColumn("animal", "zebra", "jaguar ", "Apple"),
+			table.New("fruit").AddColumn("name", "apple", "kiwi"),
+		}},
+		{name: "removal", remove: []string{"back"}},
+		{name: "bulk", add: []*table.Table{table.New("bulk").AddColumn("v", bulk...)}},
+		{name: "compaction", remove: []string{"bulk"}},
+		{name: "after compaction", add: []*table.Table{table.New("late").AddColumn("animal", "lion-doomed", "ant")}},
+	} {
+		if step.add != nil || step.remove != nil {
+			if _, err := leader.Apply(step.add, step.remove); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := f.Poll(ctx); err != nil || n != 1 {
+				t.Fatalf("%s: Poll = %d, %v; want 1 burst", step.name, n, err)
+			}
+		}
+		if f.Version() != leader.Version() {
+			t.Fatalf("%s: follower at %d, leader at %d", step.name, f.Version(), leader.Version())
+		}
+		want, leaderSyms := encode(leader)
+		got, followerSyms := encode(f.Server())
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the follower's snapshot (%d bytes) differs from the leader's (%d bytes)", step.name, len(got), len(want))
+		}
+		differed = differed || !slices.Equal(leaderSyms, followerSyms)
+		if step.name == "compaction" && (len(leaderSyms) >= len(bulk) || len(followerSyms) >= len(bulk)) {
+			t.Fatalf("removing the bulk table left %d leader and %d follower symbols: no compaction", len(leaderSyms), len(followerSyms))
+		}
+	}
+	if !differed {
+		t.Error("the leader's and the follower's symbol IDs never differed")
 	}
 }
 

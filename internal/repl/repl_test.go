@@ -29,7 +29,7 @@ func newLeader(t *testing.T) (*serve.Server, *Leader, *httptest.Server) {
 }
 
 // newLeaderOver is newLeader over any lake and detector configuration.
-func newLeaderOver(t *testing.T, l *lake.Lake, cfg domainnet.Config) (*serve.Server, *Leader, *httptest.Server) {
+func newLeaderOver(t testing.TB, l *lake.Lake, cfg domainnet.Config) (*serve.Server, *Leader, *httptest.Server) {
 	t.Helper()
 	log, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
 	if err != nil {
