@@ -401,6 +401,7 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 	opts.Tracer = &obs.Tracer{SlowThreshold: c.traceSlow}
 	if leader != nil {
 		opts.OnCommit = leader.OnCommit
+		opts.Replication = func() any { return leader.Stats() }
 	}
 	if c.checkpointEvery > 0 {
 		var writes int

@@ -55,6 +55,11 @@ type Graph struct {
 	keys           []uint64
 	keepSingletons bool
 	incremental    bool
+	// touched and patched count the work of the RebuildDiff that made the
+	// graph, for the cost tests: the values whose cell counts it recounted,
+	// and the adjacency lists it merged edge by edge rather than carried
+	// over as a run.
+	touched, patched int
 }
 
 // NumValues reports the number of value nodes.

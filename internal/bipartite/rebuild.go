@@ -458,7 +458,7 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 	// through the value remap, plus the values it gains.
 	offsets := make([]int64, n+1)
 	adj := make([]int32, 2*edges)
-	pos, e, u := 0, 0, 0
+	pos, e, u, patched := 0, 0, 0, 0
 stream:
 	for vo, a, d, q := 0, 0, 0, 0; ; {
 		end := nValPrev
@@ -494,6 +494,7 @@ stream:
 		default:
 			old = prev.Neighbors(int32(vo))
 			vo, q = vo+1, q+1
+			patched++
 		}
 		lo := e
 		for e < len(byNode) && byNode[e]>>32 == uint64(u) {
@@ -523,6 +524,7 @@ stream:
 		if m.changed[i] {
 			pos += copy(adj[pos:], span(i))
 			offsets[nVal+i+1] = int64(pos)
+			patched++
 			continue
 		}
 		switch old := prev.Neighbors(int32(nValPrev) + m.prevOf[i]); {
@@ -535,6 +537,7 @@ stream:
 			}
 			pos += len(old)
 		default:
+			patched++
 			gain := span(i)
 			for _, vo := range old {
 				w := oldToNew[vo]
@@ -567,6 +570,8 @@ stream:
 		keys:           vkeys,
 		keepSingletons: opts.KeepSingletons,
 		incremental:    true,
+		touched:        len(tids),
+		patched:        patched,
 	}
 
 	// The structural diff. Modified attributes keep their node identity

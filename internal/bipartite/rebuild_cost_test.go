@@ -130,6 +130,46 @@ func TestRebuildDiffCostSB(t *testing.T) {
 	}
 }
 
+// TestRebuildDiffWorkSB is TestRebuildDiffCostSB in counts the machine
+// cannot move: for each upload shape, filter off and on, a rebuild recounts
+// exactly the upload's distinct values, and merges one adjacency list per
+// touched value at most, plus the upload's attributes and the kept ones
+// whose lists gain or lose a value (each dirty). Every other list is carried
+// over as a run.
+func TestRebuildDiffWorkSB(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		for _, shape := range uploadShapes {
+			c := newRebuildCase(shape, Options{KeepSingletons: keep, Workers: 1})
+			g, diff := c.add()
+			if diff == nil || diff.Full {
+				t.Fatalf("keep=%v %s: the upload did not rebuild incrementally", keep, shape)
+			}
+			uploaded := c.with[len(c.base):]
+			distinct := map[uint32]bool{}
+			for _, a := range uploaded {
+				for _, id := range a.IDs() {
+					distinct[id] = true
+				}
+			}
+			dirtyAttrs := 0
+			for _, u := range diff.Dirty {
+				if int(u) >= g.NumValues() {
+					dirtyAttrs++
+				}
+			}
+			limit := g.touched + len(uploaded) + dirtyAttrs
+			t.Logf("keep=%v %s: touched %d values, patched %d of %d lists (limit %d)",
+				keep, shape, g.touched, g.patched, g.NumNodes(), limit)
+			if g.touched != len(distinct) {
+				t.Errorf("keep=%v %s: the rebuild recounted %d values, the upload holds %d", keep, shape, g.touched, len(distinct))
+			}
+			if g.patched < len(uploaded) || g.patched > limit {
+				t.Errorf("keep=%v %s: the rebuild merged %d adjacency lists, want %d to %d", keep, shape, g.patched, len(uploaded), limit)
+			}
+		}
+	}
+}
+
 // TestRebuildDiffBytesIgnoreDeadIDs: the bytes an isolated add allocates do
 // not grow with the symbol table. Here the table carries 4,000 extra dead
 // IDs, fewer than the lake's compaction trigger.

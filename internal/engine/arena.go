@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // Arena is the reusable per-worker scratch state of one BFS-family traversal:
@@ -148,4 +149,35 @@ func ParallelCtx(ctx context.Context, workers, items int, fn func(worker, lo, hi
 	}
 	wg.Wait()
 	return shards
+}
+
+// Each runs fn once for every item in [0, items) on up to workers
+// goroutines (workers <= 0 selects GOMAXPROCS). Unlike Parallel's fixed
+// shards, each worker takes the next unclaimed item as it finishes the last,
+// so items of uneven cost balance across workers. fn receives its worker
+// index, for per-worker scratch state, and the item. With one effective
+// worker every item runs on the calling goroutine, in order.
+func Each(workers, items int, fn func(worker, item int)) {
+	if items <= 0 {
+		return
+	}
+	workers = Opts{Workers: workers}.EffectiveWorkers(items)
+	if workers == 1 {
+		for i := range items {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < items; i = int(next.Add(1) - 1) {
+				fn(w, i)
+			}
+		}()
+	}
+	wg.Wait()
 }

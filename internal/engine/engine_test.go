@@ -52,6 +52,32 @@ func TestParallelCoversAllItems(t *testing.T) {
 	}
 }
 
+func TestEachCoversAllItems(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 3, 7, 100} {
+		for _, items := range []int{0, 1, 5, 97} {
+			seen := make([]int32, items)
+			maxWorker := int32(-1)
+			Each(workers, items, func(w, i int) {
+				atomic.AddInt32(&seen[i], 1)
+				for {
+					cur := atomic.LoadInt32(&maxWorker)
+					if int32(w) <= cur || atomic.CompareAndSwapInt32(&maxWorker, cur, int32(w)) {
+						break
+					}
+				}
+			})
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("workers=%d items=%d: item %d visited %d times", workers, items, i, c)
+				}
+			}
+			if limit := (Opts{Workers: workers}).EffectiveWorkers(items); items > 0 && int(maxWorker) >= limit {
+				t.Fatalf("workers=%d items=%d: worker index %d, want below %d", workers, items, maxWorker, limit)
+			}
+		}
+	}
+}
+
 func TestParallelCtxPreCancelledRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

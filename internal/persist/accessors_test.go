@@ -19,10 +19,10 @@ var rawDecode = regexp.MustCompile(`^binary\.(Uvarint|Varint|(Little|Big)Endian\
 // call each may make: the Reader's varint cursor, the snapshot trailer CRC,
 // the chunk header and the WAL frame parser.
 var decodeAccessors = map[string]string{
-	"persist.Reader.Uvarint":          "binary.Uvarint",
-	"persist.Unmarshal":               "binary.LittleEndian.Uint32",
-	"persist.ChunkReader.AppendChunk": "binary.LittleEndian.Uint32",
-	"wal.frameAt":                     "binary.LittleEndian.Uint32",
+	"persist.Reader.Uvarint": "binary.Uvarint",
+	"persist.Unmarshal":      "binary.LittleEndian.Uint32",
+	"persist.readFrame":      "binary.LittleEndian.Uint32",
+	"wal.frameAt":            "binary.LittleEndian.Uint32",
 }
 
 // TestDecodePackagesUseAccessors holds the packages that decode bytes from

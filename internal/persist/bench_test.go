@@ -7,12 +7,17 @@ import (
 	"domainnet/internal/datagen"
 )
 
+// sbSnapshot is the snapshot of the SB seed 1 lake saved with a graph.
+func sbSnapshot() []byte {
+	l := datagen.NewSB(1).Lake
+	return Marshal(l, bipartite.FromLake(l, bipartite.Options{}))
+}
+
 // BenchmarkUnmarshalSB decodes the snapshot of the SB seed 1 lake saved with
 // a graph: the decode a follower's bootstrap and a restart's Load run,
 // including the graph build over the decoded attributes.
 func BenchmarkUnmarshalSB(b *testing.B) {
-	l := datagen.NewSB(1).Lake
-	buf := Marshal(l, bipartite.FromLake(l, bipartite.Options{}))
+	buf := sbSnapshot()
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	for b.Loop() {

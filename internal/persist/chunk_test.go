@@ -5,8 +5,11 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -127,7 +130,7 @@ func frame(flag byte, rawLen int, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
 }
 
-func gzipped(t *testing.T, raw []byte) []byte {
+func gzipped(t testing.TB, raw []byte) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	zw := gzip.NewWriter(&b)
@@ -163,6 +166,14 @@ func chunkDecoders() []struct {
 				return nil, 0, errors.New("ChunkReader did not keep the bytes before the chunk")
 			}
 			return out[len(prefix):], wire, err
+		}},
+		{"InflateFrames", func(r io.Reader) ([]byte, int, error) {
+			f, wire, err := ReadFrame(r)
+			if err != nil {
+				return nil, 0, err
+			}
+			raw, err := inflateFrames([]Frame{f}, 2)
+			return raw, wire, err
 		}},
 	}
 }
@@ -225,6 +236,7 @@ func TestChunkCorruption(t *testing.T) {
 		{"unknown flag is rejected", "flag", frame(7, 2, []byte("xy"))},
 		{"stored lengths must agree", "disagree", frame(chunkStored, 3, []byte("xy"))},
 		{"inflating past rawLen is detected", "inflated to", frame(chunkGzip, len(payload)-1, z)},
+		{"a rawLen past deflate's reach is rejected", "deflate", frame(chunkGzip, 1033*len(z)+1, z)},
 		{"inflating short of rawLen is detected", "inflated to", frame(chunkGzip, len(payload)+1, z)},
 		{"gzip trailer checksum is verified", "checksum", frame(chunkGzip, len(payload), badTrailer)},
 		{"gzip trailer must be present", "decompress", frame(chunkGzip, len(payload), z[:len(z)-8])},
@@ -305,6 +317,8 @@ func FuzzReadChunk(f *testing.F) {
 	WriteChunked(&stored, chunkPayload(50), 0, 0, false) //nolint:errcheck // corpus seeding
 	f.Add(stored.Bytes())
 	f.Add([]byte{chunkGzip, 4, 0, 0, 0, 2, 0, 0, 0, 'x', 'y', 0, 0, 0, 0})
+	z := gzipped(f, chunkPayload(200))
+	f.Add(slices.Concat(seed.Bytes(), frame(chunkGzip, 199, z), seed.Bytes()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The decoder must never panic and never allocate unboundedly, no
 		// matter the input; errors are the expected outcome for junk. A
@@ -312,7 +326,8 @@ func FuzzReadChunk(f *testing.F) {
 		one, reused := bytes.NewReader(data), bytes.NewReader(data)
 		var cr ChunkReader
 		var buf []byte
-		for {
+		inflated := 0 // frames AppendChunk decoded
+		for ; ; inflated++ {
 			raw, wire, err := ReadChunk(one)
 			prev := len(buf)
 			var wire2 int
@@ -326,5 +341,202 @@ func FuzzReadChunk(f *testing.F) {
 				break
 			}
 		}
+		// The parallel inflater over the frames that read whole agrees with
+		// that sequential decode: either every frame inflates and the buffer
+		// is exactly what AppendChunk appended, or one of them fails in both.
+		frames := readFrames(data)
+		par, err := inflateFrames(frames, 3)
+		switch {
+		case (err == nil) != (inflated == len(frames)):
+			t.Fatalf("InflateFrames over %d frames = %v, AppendChunk decoded %d", len(frames), err, inflated)
+		case err == nil && (!bytes.Equal(par, buf) || cap(par) != len(par)):
+			t.Fatalf("InflateFrames = %d bytes (cap %d), AppendChunk = %d bytes", len(par), cap(par), len(buf))
+		}
 	})
+}
+
+// readFrames reads frames from stream until its end or its first bad frame.
+func readFrames(stream []byte) []Frame {
+	r := bytes.NewReader(stream)
+	var frames []Frame
+	for {
+		f, _, err := ReadFrame(r)
+		if err != nil {
+			return frames
+		}
+		frames = append(frames, f)
+	}
+}
+
+// mixedPayload is n bytes alternating compressible and incompressible runs,
+// so a stream of it mixes gzip and stored frames.
+func mixedPayload(n int) []byte {
+	b := chunkPayload(n)
+	st := uint32(0x9e3779b9)
+	for i := range b {
+		if (i/5000)%3 == 1 {
+			st = st*1664525 + 1013904223
+			b[i] = byte(st >> 24)
+		}
+	}
+	return b
+}
+
+// TestFrameChunksParallelMatchesSequential: framing on any number of
+// workers writes WriteChunked's bytes, and Starts marks every frame.
+func TestFrameChunksParallelMatchesSequential(t *testing.T) {
+	workers := []int{1, 2, 3, max(4, runtime.GOMAXPROCS(0))}
+	for _, size := range []int{0, 1, 4096, DefaultChunkBytes, 5*DefaultChunkBytes + 321} {
+		payload := mixedPayload(size)
+		for _, chunk := range []int{0, 700, 5000} {
+			for _, compress := range []bool{false, true} {
+				var want bytes.Buffer
+				if _, err := WriteChunked(&want, payload, 0, chunk, compress); err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range workers {
+					cs, err := frameChunks(payload, chunk, compress, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(cs.Wire, want.Bytes()) || cap(cs.Wire) != len(cs.Wire) {
+						t.Fatalf("size %d, chunk %d, compress %v, %d workers: %d wire bytes (cap %d) differ from WriteChunked's %d",
+							size, chunk, compress, w, len(cs.Wire), cap(cs.Wire), want.Len())
+					}
+					r := bytes.NewReader(cs.Wire)
+					for k, at := range cs.Starts {
+						if got := len(cs.Wire) - r.Len(); got != at {
+							t.Fatalf("size %d, %d workers: frame %d starts at %d, Starts says %d", size, w, k, got, at)
+						}
+						if _, _, err := ReadFrame(r); err != nil && k < len(cs.Starts)-1 {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInflateFramesExactBuffer: the inflated buffer is allocated once, at
+// exactly the frames' summed raw length, on any number of workers.
+func TestInflateFramesExactBuffer(t *testing.T) {
+	payload := mixedPayload(7*1000 + 13)
+	var stream bytes.Buffer
+	if _, err := WriteChunked(&stream, payload, 0, 1000, true); err != nil {
+		t.Fatal(err)
+	}
+	frames := readFrames(stream.Bytes())
+	sum := 0
+	for _, f := range frames {
+		sum += f.RawLen()
+	}
+	if len(frames) != 8 || sum != len(payload) {
+		t.Fatalf("read %d frames of %d raw bytes, want 8 of %d", len(frames), sum, len(payload))
+	}
+	for _, w := range []int{1, 2, 8} {
+		raw, err := inflateFrames(frames, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, payload) || cap(raw) != len(raw) {
+			t.Fatalf("%d workers: inflated %d bytes (cap %d), want the %d-byte payload exactly", w, len(raw), cap(raw), len(payload))
+		}
+	}
+	if raw, err := InflateFrames(nil); err != nil || len(raw) != 0 {
+		t.Fatalf("no frames inflated to %d bytes, %v", len(raw), err)
+	}
+}
+
+// TestInflateFramesFailsOnBadFrame: a CRC-valid frame that does not inflate,
+// or inflates past its rawLen, fails the whole inflate wherever it sits, and
+// the error is the first bad frame's in stream order whichever worker
+// reaches it first.
+func TestInflateFramesFailsOnBadFrame(t *testing.T) {
+	payload := chunkPayload(6 * 1000)
+	var stream bytes.Buffer
+	if _, err := WriteChunked(&stream, payload, 0, 1000, true); err != nil {
+		t.Fatal(err)
+	}
+	good := readFrames(stream.Bytes())
+	z := gzipped(t, payload[:1000])
+	garbled := slices.Clone(z)
+	garbled[len(garbled)/2] ^= 0xff
+	for _, c := range []struct {
+		name, want string
+		bad        []byte
+	}{
+		{"does not inflate", "decompress", frame(chunkGzip, 1000, garbled)},
+		{"inflates past rawLen", "inflated to", frame(chunkGzip, 999, z)},
+		{"inflates short of rawLen", "inflated to", frame(chunkGzip, 1001, z)},
+	} {
+		bad, _, err := ReadFrame(bytes.NewReader(c.bad))
+		if err != nil {
+			t.Fatalf("%s: the bad frame must pass its CRC: %v", c.name, err)
+		}
+		for k := range good {
+			frames := slices.Clone(good)
+			frames[k] = bad
+			for _, w := range []int{1, 3} {
+				raw, err := inflateFrames(frames, w)
+				if err == nil || raw != nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s at frame %d, %d workers: got %d bytes, %v; want no bytes and an error mentioning %q",
+						c.name, k, w, len(raw), err, c.want)
+				}
+			}
+		}
+		// Two bad frames: the first in stream order names the error.
+		frames := slices.Clone(good)
+		frames[1], frames[4] = bad, good[0]
+		frames[4].rawLen = 7 // a stored-looking length the gzip payload overruns
+		if _, err := inflateFrames(frames, 4); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s at frames 1 and 4: %v, want frame 1's error mentioning %q", c.name, err, c.want)
+		}
+	}
+}
+
+// BenchmarkFrameChunksSB frames the SB seed 1 snapshot as the leader does
+// for each new version, gzip-compressed, at one worker and at GOMAXPROCS.
+func BenchmarkFrameChunksSB(b *testing.B) {
+	buf := sbSnapshot()
+	for _, workers := range []int{1, 0} {
+		name := "workers=1"
+		if workers == 0 {
+			name = fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0))
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := frameChunks(buf, 0, true, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInflateFramesSB inflates the SB seed 1 snapshot's gzip frames as
+// a joining follower does, at one worker and at GOMAXPROCS.
+func BenchmarkInflateFramesSB(b *testing.B) {
+	cs, err := FrameChunks(sbSnapshot(), 0, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frames := readFrames(cs.Wire)
+	for _, workers := range []int{1, 0} {
+		name := "workers=1"
+		if workers == 0 {
+			name = fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0))
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(cs.Starts[len(cs.Starts)-1]))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := inflateFrames(frames, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -35,7 +35,10 @@ func BenchmarkJoinSB(b *testing.B) {
 			join() // the leader encodes its first version
 			extra := []*table.Table{table.New("extra").AddColumn("city", "Buffalo", "Springfield")}
 			b.ReportAllocs()
-			for i := 0; b.Loop(); i++ {
+			b.ResetTimer()
+			// A b.N loop, not b.Loop: under go1.24's b.Loop the untimed
+			// writes kept the benchmark running for minutes.
+			for i := range b.N {
 				if newVersion {
 					b.StopTimer()
 					add, remove := extra, []string(nil)

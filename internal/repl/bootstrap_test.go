@@ -3,16 +3,20 @@ package repl
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -746,5 +750,236 @@ func TestBackoffDelay(t *testing.T) {
 	// Zero-value config falls back to sane defaults.
 	if d := backoffDelay(0, 0, 1, 0.5); d != time.Second {
 		t.Errorf("default base backoff = %v, want 1s", d)
+	}
+}
+
+// fakeSnapshotLeader answers every chunked snapshot request with the given
+// stream and headers, as a leader at version would: a request with an offset
+// gets an empty body. It counts the requests.
+type fakeSnapshotLeader struct {
+	version  uint64
+	size     int // SnapshotSizeHeader
+	wire     []byte
+	requests atomic.Int32
+}
+
+func (fk *fakeSnapshotLeader) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	fk.requests.Add(1)
+	w.Header().Set(VersionHeader, strconv.FormatUint(fk.version, 10))
+	w.Header().Set(SnapshotSizeHeader, strconv.Itoa(fk.size))
+	w.Header().Set(SnapshotChunkedHeader, "1")
+	if r.URL.Query().Get("offset") == "" {
+		w.Write(fk.wire) //nolint:errcheck // test fake
+	}
+}
+
+// TestFetchBufferIsExact: a bootstrap inflates into one buffer whose cap is
+// its len, the sum of the frames' raw lengths, and never sizes anything from
+// the size header: a stream whose header claims 64 MiB more allocates no
+// more than the truthful one (it fails, having nothing left to resume).
+func TestFetchBufferIsExact(t *testing.T) {
+	leader, ld, _ := newLeaderOver(t, datagen.NewSB(1).Lake, domainnet.Config{Measure: domainnet.DegreeBaseline})
+	raw, version, cs, err := ld.snapshot(true, persist.DefaultChunkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The leader's first warm allocates too: let it finish before counting.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if ws := leader.WarmStats(); ws.Completed > 0 && ws.Started == ws.Completed+ws.Cancelled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the leader's warm never went idle: %+v", leader.WarmStats())
+		}
+	}
+	fetch := func(lie int) ([]byte, uint64, error) {
+		t.Helper()
+		fk := &fakeSnapshotLeader{version: version, size: len(raw) + lie, wire: cs.Wire}
+		ts := httptest.NewServer(fk)
+		defer ts.Close()
+		f := &Follower{Leader: ts.URL}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		buf, err := f.fetch(context.Background())
+		runtime.ReadMemStats(&after)
+		return buf, after.TotalAlloc - before.TotalAlloc, err
+	}
+	buf, exact, err := fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, raw) || cap(buf) != len(buf) {
+		t.Fatalf("fetched %d bytes with cap %d, want the leader's %d bytes exactly", len(buf), cap(buf), len(raw))
+	}
+	buf, lying, err := fetch(64 << 20)
+	if err == nil || buf != nil {
+		t.Fatalf("a stream short of its size header fetched %d bytes, err %v", len(buf), err)
+	}
+	if lying > exact {
+		t.Errorf("a size header 64 MiB too large cost %d allocated bytes, the truthful one %d", lying, exact)
+	}
+	t.Logf("fetch allocated %d bytes for a %d-byte snapshot (%d with a lying size header)", exact, len(raw), lying)
+}
+
+// frameAt returns the k-th frame of a cached stream: its flag, raw length
+// and payload.
+func frameAt(cs *persist.ChunkStream, k int) (byte, int, []byte) {
+	f := cs.Wire[cs.Starts[k]:cs.Starts[k+1]]
+	return f[0], int(binary.LittleEndian.Uint32(f[1:5])), f[9 : len(f)-4]
+}
+
+// encodeFrame builds one chunk frame with a valid CRC over payload.
+func encodeFrame(flag byte, rawLen int, payload []byte) []byte {
+	b := []byte{flag}
+	b = binary.LittleEndian.AppendUint32(b, uint32(rawLen))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+}
+
+// TestBootstrapResumesAtLastWholeFrame: when the k-th frame of a stream is
+// torn or fails its CRC, the bootstrap keeps exactly frames 0..k-1 and
+// resumes at their raw offset, then installs the leader's state.
+func TestBootstrapResumesAtLastWholeFrame(t *testing.T) {
+	leader, ld, ts := newLeader(t)
+	const chunk = 512
+	ld.SnapshotChunkBytes = chunk
+	growLake(t, leader, 10)
+	raw, version, cs, err := ld.snapshot(true, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(cs.Starts) - 1
+	if n < 8 {
+		t.Fatalf("snapshot framed into %d chunks, want several", n)
+	}
+	for _, k := range []int{0, 1, n / 2, n - 1} {
+		for _, damage := range []string{"torn", "crc"} {
+			t.Run(fmt.Sprintf("frame %d %s", k, damage), func(t *testing.T) {
+				first := slices.Clone(cs.Wire)
+				if damage == "torn" {
+					first = first[:(cs.Starts[k]+cs.Starts[k+1])/2]
+				} else {
+					first[cs.Starts[k+1]-1] ^= 0x40 // the frame's CRC trailer
+				}
+				var mu sync.Mutex
+				var urls []string
+				inner := tsHandler(ts)
+				proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					mu.Lock()
+					urls = append(urls, r.URL.String())
+					fresh := len(urls) == 1
+					mu.Unlock()
+					if !fresh {
+						inner.ServeHTTP(w, r)
+						return
+					}
+					w.Header().Set(VersionHeader, strconv.FormatUint(version, 10))
+					w.Header().Set(SnapshotSizeHeader, strconv.Itoa(len(raw)))
+					w.Header().Set(SnapshotChunkedHeader, "1")
+					w.Write(first) //nolint:errcheck // test fake
+				}))
+				defer proxy.Close()
+				f := newFollower(proxy)
+				if err := f.Bootstrap(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if len(urls) != 2 {
+					t.Fatalf("bootstrap made %d snapshot requests, want 2: %q", len(urls), urls)
+				}
+				resumed := strings.Contains(urls[1], fmt.Sprintf("offset=%d&version=%d", k*chunk, version))
+				if k == 0 {
+					resumed = !strings.Contains(urls[1], "offset=")
+				}
+				if !resumed {
+					t.Errorf("re-request %q does not resume at raw offset %d", urls[1], k*chunk)
+				}
+				if st := f.BootstrapStats(); st.Resumes != 1 || st.RawBytes != int64(len(raw)) ||
+					st.WireBytes != int64(len(cs.Wire)) {
+					t.Errorf("bootstrap stats %+v, want 1 resume, %d raw and %d wire bytes", st, len(raw), len(cs.Wire))
+				}
+				var got []byte
+				if err := f.Server().Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
+					got = persist.Marshal(l, g)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, raw) {
+					t.Error("the resumed replica does not encode to the leader's snapshot")
+				}
+			})
+		}
+	}
+}
+
+// TestBootstrapFailsOnFrameThatWillNotInflate: a frame that passes its CRC
+// but does not inflate, or inflates past its rawLen, fails the bootstrap at
+// once — the leader would serve the same bytes again — and installs nothing.
+func TestBootstrapFailsOnFrameThatWillNotInflate(t *testing.T) {
+	leader, ld, _ := newLeader(t)
+	const chunk = 512
+	ld.SnapshotChunkBytes = chunk
+	growLake(t, leader, 10)
+	raw, version, cs, err := ld.snapshot(true, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(cs.Starts) - 1
+	for _, k := range []int{0, n / 2, n - 2} {
+		flag, rawLen, payload := frameAt(cs, k)
+		if flag != 1 {
+			t.Fatalf("frame %d is stored; want a gzip frame to damage", k)
+		}
+		garbled := slices.Clone(payload)
+		garbled[len(garbled)/2] ^= 0xff
+		for _, c := range []struct {
+			name  string
+			frame []byte
+			size  int
+		}{
+			{"does not inflate", encodeFrame(flag, rawLen, garbled), len(raw)},
+			{"inflates past rawLen", encodeFrame(flag, rawLen-1, payload), len(raw) - 1},
+		} {
+			t.Run(fmt.Sprintf("frame %d %s", k, c.name), func(t *testing.T) {
+				wire := slices.Concat(cs.Wire[:cs.Starts[k]], c.frame, cs.Wire[cs.Starts[k+1]:])
+				fk := &fakeSnapshotLeader{version: version, size: c.size, wire: wire}
+				fts := httptest.NewServer(fk)
+				defer fts.Close()
+				f := newFollower(fts)
+				if err := f.Bootstrap(context.Background()); err == nil {
+					t.Fatal("a frame that will not inflate bootstrapped cleanly")
+				}
+				if f.Server() != nil || f.Version() != 0 {
+					t.Errorf("a failed inflate installed a replica at version %d", f.Version())
+				}
+				if got := fk.requests.Load(); got != 1 {
+					t.Errorf("a failed inflate made %d snapshot requests, want 1 (no resume)", got)
+				}
+			})
+		}
+	}
+}
+
+// TestLeaderStatsCountEncodes: the leader times one Marshal per version and
+// one framing per version and encoding.
+func TestLeaderStatsCountEncodes(t *testing.T) {
+	leader, ld, ts := newLeader(t)
+	for range 2 {
+		if err := newFollower(ts).Bootstrap(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addTable(t, leader, "encode-again")
+	if err := newFollower(ts).Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := ld.snapshot(false, persist.DefaultChunkBytes); err != nil {
+		t.Fatal(err)
+	}
+	st := ld.Stats()
+	if st.Encodes != 2 || st.Marshal.Count != 2 || st.Frame.Count != 3 || st.Marshal.Sum <= 0 || st.Frame.Sum <= 0 {
+		t.Errorf("leader stats %+v, want 2 timed encodes and 3 timed framings", st)
 	}
 }

@@ -104,7 +104,7 @@ type Follower struct {
 // codec, and how often the transfer was resumed (stream torn mid-flight,
 // picked up from the last whole chunk) or restarted (the leader's snapshot
 // version moved, invalidating the partial download), and how long its
-// stages took: fetch (every request, the chunks inflated as they arrive),
+// stages took: fetch (every request, then the frames inflated in parallel),
 // decode (persist.Unmarshal, the graph build included) and install (the
 // replica server). Gauges: each bootstrap starts them from zero, and a stage
 // reads zero until it has finished.
@@ -304,13 +304,8 @@ func (f *Follower) install(sn *persist.Snapshot) {
 
 // Bootstrap fetches a full snapshot from the leader and replaces the
 // replica with it. Deltas past the snapshot arrive through the next Poll.
-//
-// The transfer is chunked: the leader frames the snapshot codec
-// into CRC'd, individually gzipped chunks, and a stream torn mid-transfer
-// is re-requested from the last whole chunk's raw offset instead of from
-// zero. Internal resume attempts must make progress — two failures in a row
-// with no new bytes in between surface the error to the caller, whose
-// backoff takes over.
+// A snapshot that arrives whole but does not inflate or decode fails the
+// bootstrap and installs nothing.
 func (f *Follower) Bootstrap(ctx context.Context) error {
 	f.bootWire.Store(0)
 	f.bootRaw.Store(0)
@@ -320,99 +315,9 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	f.bootDecode.Store(0)
 	f.bootInstall.Store(0)
 	start := time.Now()
-	client := f.snapshotClient()
-	var (
-		buf     []byte // whole chunks accumulated so far (always chunk-aligned)
-		version uint64 // snapshot version the accumulated chunks belong to
-		total   = -1   // raw snapshot size from SnapshotSizeHeader
-		chunks  persist.ChunkReader
-	)
-	// Every retry inside this loop must be justified by progress: a failure
-	// with no new bytes since the previous failure returns to the caller
-	// instead of spinning against a dead or unreachable leader.
-	progressed := true
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		url := f.Leader + "/repl/snapshot?chunked=1"
-		resuming := len(buf) > 0
-		if resuming {
-			url += fmt.Sprintf("&offset=%d&version=%d", len(buf), version)
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return fmt.Errorf("repl: %w", err)
-		}
-		req.Header.Set("Accept-Encoding", "gzip")
-		resp, err := client.Do(req)
-		if err != nil {
-			f.noteLeader(nil)
-			if !progressed {
-				return fmt.Errorf("repl: %w", err)
-			}
-			progressed = false
-			f.bootResumes.Add(1)
-			f.logf("repl: snapshot fetch failed at offset %d (resuming): %v", len(buf), err)
-			continue
-		}
-		f.noteLeader(resp.Header)
-		switch resp.StatusCode {
-		case http.StatusOK:
-		case http.StatusConflict:
-			// The leader's snapshot moved past the version our chunks belong
-			// to; they describe a state that no longer exists. Start over.
-			resp.Body.Close()
-			if !resuming {
-				return fmt.Errorf("repl: snapshot fetch: unexpected conflict on a fresh request")
-			}
-			f.bootRestarts.Add(1)
-			f.logf("repl: snapshot version moved past %d; restarting bootstrap from scratch", version)
-			buf, version, total = nil, 0, -1
-			progressed = true // the leader answered; this attempt was live
-			continue
-		default:
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			resp.Body.Close()
-			return fmt.Errorf("repl: snapshot fetch: %s: %s", resp.Status, body)
-		}
-		if resp.Header.Get(SnapshotChunkedHeader) == "" {
-			resp.Body.Close()
-			return fmt.Errorf("repl: snapshot answer lacks %s: the body is not chunk-framed", SnapshotChunkedHeader)
-		}
-		if n, err := strconv.Atoi(resp.Header.Get(SnapshotSizeHeader)); err == nil {
-			total = n
-		}
-		version, _ = strconv.ParseUint(resp.Header.Get(VersionHeader), 10, 64)
-		var readErr error
-		for {
-			next, wire, err := chunks.AppendChunk(buf, resp.Body)
-			buf = next // whole chunks only: an error leaves buf as it was
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				readErr = err
-				break
-			}
-			f.bootWire.Add(int64(wire))
-			progressed = true
-		}
-		resp.Body.Close()
-		if readErr != nil || (total >= 0 && len(buf) < total) {
-			f.noteLeader(nil)
-			if !progressed {
-				if readErr == nil {
-					readErr = fmt.Errorf("repl: snapshot stream ended at %d of %d bytes", len(buf), total)
-				}
-				return fmt.Errorf("repl: %w", readErr)
-			}
-			progressed = false
-			f.bootResumes.Add(1)
-			f.logf("repl: snapshot stream broke at offset %d of %d (resuming): %v", len(buf), total, readErr)
-			continue
-		}
-		break
+	buf, err := f.fetch(ctx)
+	if err != nil {
+		return err
 	}
 	f.bootRaw.Store(int64(len(buf)))
 	fetched := time.Now()
@@ -426,6 +331,120 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	f.install(sn)
 	f.bootInstall.Store(int64(time.Since(decoded)))
 	return nil
+}
+
+// fetch downloads the leader's snapshot and returns its raw bytes.
+//
+// The transfer is chunked: the leader frames the snapshot codec into CRC'd,
+// individually gzipped chunks. fetch first collects CRC-verified frames, and
+// a stream torn mid-transfer is re-requested from the raw offset its whole
+// frames cover instead of from zero. Internal resume attempts must make
+// progress — two failures in a row with no new frames in between surface
+// the error to the caller, whose backoff takes over. Once the frames cover
+// the snapshot, they are inflated in parallel into one buffer of exactly
+// their raw length; a frame that passed its CRC but does not inflate fails
+// the fetch, since the leader would serve the same bytes again.
+func (f *Follower) fetch(ctx context.Context) ([]byte, error) {
+	client := f.snapshotClient()
+	var (
+		frames  []persist.Frame // whole frames received so far, in stream order
+		have    int             // their raw length: the resume offset
+		version uint64          // snapshot version the frames belong to
+		total   = -1            // raw snapshot size from SnapshotSizeHeader
+	)
+	// Every retry inside this loop must be justified by progress: a failure
+	// with no new frames since the previous failure returns to the caller
+	// instead of spinning against a dead or unreachable leader.
+	progressed := true
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		url := f.Leader + "/repl/snapshot?chunked=1"
+		resuming := have > 0
+		if resuming {
+			url += fmt.Sprintf("&offset=%d&version=%d", have, version)
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		if err != nil {
+			return nil, fmt.Errorf("repl: %w", err)
+		}
+		req.Header.Set("Accept-Encoding", "gzip")
+		resp, err := client.Do(req)
+		if err != nil {
+			f.noteLeader(nil)
+			if !progressed {
+				return nil, fmt.Errorf("repl: %w", err)
+			}
+			progressed = false
+			f.bootResumes.Add(1)
+			f.logf("repl: snapshot fetch failed at offset %d (resuming): %v", have, err)
+			continue
+		}
+		f.noteLeader(resp.Header)
+		switch resp.StatusCode {
+		case http.StatusOK:
+		case http.StatusConflict:
+			// The leader's snapshot moved past the version our frames belong
+			// to; they describe a state that no longer exists. Start over.
+			resp.Body.Close()
+			if !resuming {
+				return nil, fmt.Errorf("repl: snapshot fetch: unexpected conflict on a fresh request")
+			}
+			f.bootRestarts.Add(1)
+			f.logf("repl: snapshot version moved past %d; restarting bootstrap from scratch", version)
+			frames, have, version, total = nil, 0, 0, -1
+			progressed = true // the leader answered; this attempt was live
+			continue
+		default:
+			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+			resp.Body.Close()
+			return nil, fmt.Errorf("repl: snapshot fetch: %s: %s", resp.Status, body)
+		}
+		if resp.Header.Get(SnapshotChunkedHeader) == "" {
+			resp.Body.Close()
+			return nil, fmt.Errorf("repl: snapshot answer lacks %s: the body is not chunk-framed", SnapshotChunkedHeader)
+		}
+		if n, err := strconv.Atoi(resp.Header.Get(SnapshotSizeHeader)); err == nil {
+			total = n
+		}
+		version, _ = strconv.ParseUint(resp.Header.Get(VersionHeader), 10, 64)
+		var readErr error
+		for {
+			fr, wire, err := persist.ReadFrame(resp.Body)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				readErr = err // whole frames only: the torn one is dropped
+				break
+			}
+			frames = append(frames, fr)
+			have += fr.RawLen()
+			f.bootWire.Add(int64(wire))
+			progressed = true
+		}
+		resp.Body.Close()
+		if readErr != nil || (total >= 0 && have < total) {
+			f.noteLeader(nil)
+			if !progressed {
+				if readErr == nil {
+					readErr = fmt.Errorf("repl: snapshot stream ended at %d of %d bytes", have, total)
+				}
+				return nil, fmt.Errorf("repl: %w", readErr)
+			}
+			progressed = false
+			f.bootResumes.Add(1)
+			f.logf("repl: snapshot stream broke at offset %d of %d (resuming): %v", have, total, readErr)
+			continue
+		}
+		break
+	}
+	buf, err := persist.InflateFrames(frames)
+	if err != nil {
+		return nil, fmt.Errorf("repl: snapshot at version %d: %w", version, err)
+	}
+	return buf, nil
 }
 
 // Poll runs one change-feed cycle: long-poll the leader for bursts past the

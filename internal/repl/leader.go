@@ -40,6 +40,7 @@ import (
 
 	"domainnet/internal/bipartite"
 	"domainnet/internal/lake"
+	"domainnet/internal/obs"
 	"domainnet/internal/persist"
 	"domainnet/internal/serve"
 	"domainnet/internal/wal"
@@ -77,7 +78,8 @@ const DefaultPollTimeout = 25 * time.Second
 const DefaultTailCache = 256
 
 // Leader publishes a server's mutation history to followers. Create with
-// NewLeader, wire OnCommit into serve.Options, then Attach to the server.
+// NewLeader, wire OnCommit (and Stats, as Replication) into serve.Options,
+// then Attach to the server.
 type Leader struct {
 	log *wal.Log
 	srv *serve.Server
@@ -103,6 +105,28 @@ type Leader struct {
 	snapVer uint64
 	snapRaw []byte
 	snapEnc map[bool]*persist.ChunkStream
+
+	// Encode costs, reported by Stats.
+	marshalNS obs.Hist
+	frameNS   obs.Hist
+}
+
+// LeaderStats is the leader's replication section of /metrics (wire Stats
+// into serve.Options.Replication): how many snapshot versions it encoded for
+// joining followers, how long each Marshal took, and how long each chunk
+// framing took (one per version and encoding, compression included). Both
+// run under the snapshot lock, so every joiner at a new version waits for
+// them.
+type LeaderStats struct {
+	Encodes int64            `json:"snapshot_encodes" prom:"snapshot_encodes_total"`
+	Marshal obs.HistSnapshot `json:"snapshot_marshal" prom:"snapshot_marshal_seconds"`
+	Frame   obs.HistSnapshot `json:"snapshot_frame" prom:"snapshot_frame_seconds"`
+}
+
+// Stats reports the leader's snapshot encode counters; see LeaderStats.
+func (ld *Leader) Stats() LeaderStats {
+	marshal := ld.marshalNS.Snapshot()
+	return LeaderStats{Encodes: marshal.Count, Marshal: marshal, Frame: ld.frameNS.Snapshot()}
 }
 
 // tailEntry is one ring slot: the burst's version stamps plus its frame
@@ -318,7 +342,9 @@ func (ld *Leader) snapshot(compress bool, chunk int) ([]byte, uint64, *persist.C
 		var version uint64
 		err := ld.srv.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
 			version = l.Version()
+			start := time.Now()
 			buf = persist.Marshal(l, g)
+			ld.marshalNS.ObserveDuration(time.Since(start))
 			return nil
 		})
 		if err != nil {
@@ -327,10 +353,12 @@ func (ld *Leader) snapshot(compress bool, chunk int) ([]byte, uint64, *persist.C
 		ld.snapRaw, ld.snapVer, ld.snapEnc = buf, version, map[bool]*persist.ChunkStream{}
 	}
 	if ld.snapEnc[compress] == nil {
+		start := time.Now()
 		cs, err := persist.FrameChunks(ld.snapRaw, chunk, compress)
 		if err != nil {
 			return nil, 0, nil, err
 		}
+		ld.frameNS.ObserveDuration(time.Since(start))
 		ld.snapEnc[compress] = cs
 	}
 	return ld.snapRaw, ld.snapVer, ld.snapEnc[compress], nil

@@ -38,8 +38,9 @@ func newObsFleetOver(t *testing.T, replicas int, cfg domainnet.Config) *fleet {
 	t.Cleanup(func() { log.Close() })
 	ld := repl.NewLeader(log)
 	s := serve.NewWithOptions(datagen.Figure1Lake(), cfg, serve.Options{
-		OnCommit: ld.OnCommit,
-		Tracer:   &obs.Tracer{SlowThreshold: -1},
+		OnCommit:    ld.OnCommit,
+		Tracer:      &obs.Tracer{SlowThreshold: -1},
+		Replication: func() any { return ld.Stats() },
 	})
 	ld.Attach(s)
 	ts := httptest.NewServer(s)
@@ -335,10 +336,15 @@ func TestObsMetricsParity(t *testing.T) {
 	get(t, ts.URL+"/topk?k=2")
 	get(t, fl.leaderTS.URL+"/topk?k=2")
 
-	var leader serve.Metrics
+	ls := &repl.LeaderStats{}
+	leader := serve.Metrics{Replication: ls}
 	checkMetricsParity(t, fl.leaderTS.URL+"/metrics", &leader)
-	if leader.Replication != nil || leader.Warm.Dirty.Count != leader.Warm.Incremental || leader.Warm.Incremental != 1 {
-		t.Errorf("leader view: replication %v, warm %+v", leader.Replication, leader.Warm)
+	if leader.Warm.Dirty.Count != leader.Warm.Incremental || leader.Warm.Incremental != 1 {
+		t.Errorf("leader view: warm %+v", leader.Warm)
+	}
+	// The follower's bootstrap made the leader encode its first version.
+	if ls.Encodes != 1 || ls.Marshal.Count != 1 || ls.Frame.Count != 1 || ls.Marshal.Sum <= 0 || ls.Frame.Sum <= 0 {
+		t.Errorf("leader replication section = %+v, want one timed encode and one timed framing", ls)
 	}
 	if r := leader.Rebuilds; r.Unchanged+r.Full+r.Incremental != leader.Publishes || r.Incremental < 1 {
 		t.Errorf("leader view: rebuilds %+v over %d publishes", r, leader.Publishes)

@@ -203,10 +203,10 @@ type Options struct {
 	// GET /debug/traces. Nil gets a private zero-value tracer (default slow
 	// threshold, default ring).
 	Tracer *obs.Tracer
-	// Replication, when non-nil, returns the replica's replication view
+	// Replication, when non-nil, returns the server's replication view
 	// for the /metrics replication section: a struct whose json and prom
 	// tags declare its series (see obs.WriteMetrics). Followers wire this
-	// to their status.
+	// to their status, and a leader to its snapshot encode stats.
 	Replication func() any
 }
 
@@ -811,7 +811,8 @@ type Metrics struct {
 	Endpoints map[string]obs.EndpointMetrics `json:"endpoints" prom:"domainnet_"`
 	Runtime   obs.RuntimeStats               `json:"runtime" prom:"domainnet_"`
 	Tracer    obs.TracerStats                `json:"tracer" prom:"domainnet_"`
-	// Replication is Options.Replication's view, on replicas only.
+	// Replication is Options.Replication's view: a follower's status or a
+	// leader's snapshot encode stats.
 	Replication any `json:"replication,omitempty" prom:"domainnet_replication_"`
 }
 
