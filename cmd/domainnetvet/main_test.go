@@ -83,9 +83,9 @@ func TestListCatalog(t *testing.T) {
 		t.Fatalf("exit = %d, want 0; stderr: %s", got, stderr.String())
 	}
 	out := stdout.String()
-	for _, name := range []string{"ctxcancel", "lockhold", "lockorder", "goroleak", "errdrop"} {
-		if !strings.Contains(out, name) {
-			t.Fatalf("-list output missing %s:\n%s", name, out)
+	for _, a := range lint.All() {
+		if !strings.Contains(out, a.Name()) {
+			t.Fatalf("-list output missing %s:\n%s", a.Name(), out)
 		}
 	}
 	if !strings.Contains(out, "interprocedural") {

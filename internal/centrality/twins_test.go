@@ -444,9 +444,33 @@ func minDurations(runs int, a, b func()) (time.Duration, time.Duration) {
 	return best[0], best[1]
 }
 
+// listReads records whose neighbor lists a quotient build reads. Hashing a
+// node's list, or comparing it with a class representative's, reads it.
+type listReads struct {
+	Graph
+	read []bool
+}
+
+func (g *listReads) Neighbors(u int32) []int32 {
+	g.read[u] = true
+	return g.Graph.Neighbors(u)
+}
+
+func (g *listReads) count() int {
+	n := 0
+	for _, r := range g.read {
+		if r {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCarriedTwinsCostSB prices the carried quotient on the delta warm it
 // serves: adding, then removing, one isolated 2×40 table on SB seed 1. It
-// must cost under a third of twinClasses over the same graph.
+// must read only the lists of the nodes the delta affects and of the class
+// representatives, where twinClasses reads every list, and must cost under
+// a third of twinClasses over the same graph.
 func TestCarriedTwinsCostSB(t *testing.T) {
 	if raceDetector() {
 		t.Skip("cost ratios do not hold under the race detector")
@@ -467,6 +491,23 @@ func TestCarriedTwinsCostSB(t *testing.T) {
 		if diff.Full || !ok {
 			t.Fatal("an isolated table did not take the delta path")
 		}
+		carriedReads := &listReads{Graph: next, read: make([]bool, next.NumNodes())}
+		q := carriedTwins(carriedReads, plan, carry)
+		fullReads := &listReads{Graph: next, read: make([]bool, next.NumNodes())}
+		twinClasses(fullReads, 0)
+		affected, stray := 0, 0
+		for u, p := range plan.PrevOf {
+			if p < 0 {
+				affected++
+			} else if carriedReads.read[u] && q.reps[q.classOf[u]] != int32(u) {
+				stray++
+			}
+		}
+		if stray > 0 {
+			t.Errorf("the carried quotient read the lists of %d nodes that the delta left clean and that represent no class", stray)
+		}
+		t.Logf("carried quotient read %d lists (%d affected nodes, %d classes), twinClasses %d",
+			carriedReads.count(), affected, len(q.reps), fullReads.count())
 		runtime.GC() // no collection of the lake's garbage runs beside the timings
 		carried, full := minDurations(50,
 			func() { carriedTwins(next, plan, carry) },

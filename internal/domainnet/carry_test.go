@@ -50,8 +50,9 @@ func minDurations(runs int, a, b func()) (time.Duration, time.Duration) {
 // TestCarriedRankingSB follows the delta warms of fresh_exact on SB seed 1:
 // adding, then removing, one isolated 2×40 table. Each successor detector
 // must carry its ranking from its predecessor's, equal to a cold detector's
-// ranking, and (outside the race detector) the carry must cost under a
-// quarter of the full sort.
+// ranking. The carry must sort only the value nodes the rebuild added or
+// dirtied, where rank.Nodes sorts them all, and (outside the race detector)
+// must cost under a quarter of the full sort.
 func TestCarriedRankingSB(t *testing.T) {
 	l, rng := datagen.NewSB(1).Lake, rand.New(rand.NewSource(1))
 	cfg := Config{Measure: BetweennessExact, Workers: 1}
@@ -73,6 +74,34 @@ func TestCarriedRankingSB(t *testing.T) {
 		}
 		if !slices.Equal(next.Ranking(), New(l, cfg).Ranking()) {
 			t.Fatal("carried ranking differs from a cold detector's")
+		}
+		changed := make([]bool, len(scores))
+		for u := range changed {
+			changed[u] = true
+		}
+		for _, u := range diff.PrevToNew {
+			if u >= 0 && int(u) < len(changed) {
+				changed[u] = false
+			}
+		}
+		for _, u := range diff.Dirty {
+			if int(u) < len(changed) {
+				changed[u] = true
+			}
+		}
+		limit := 0
+		for _, c := range changed {
+			if c {
+				limit++
+			}
+		}
+		sorted := len(scores) // rank.Nodes sorts every value node
+		if carried, _ := next.RankPath(); carried {
+			sorted -= len(p.kept(next.carry, len(scores)))
+		}
+		t.Logf("the carry sorted %d of %d value nodes (%d added or dirty)", sorted, len(scores), limit)
+		if sorted > limit {
+			t.Errorf("the carry sorted %d value nodes; the rebuild added or dirtied %d", sorted, limit)
 		}
 		if carried, _ := next.RankPath(); !carried {
 			t.Fatal("the ranking was sorted, not carried")

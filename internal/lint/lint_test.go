@@ -100,10 +100,6 @@ func TestCtxCancelFixture(t *testing.T) {
 	testAnalyzerFixture(t, "ctxcancel", lint.CtxCancel{})
 }
 
-func TestLockHoldFixture(t *testing.T) {
-	testAnalyzerFixture(t, "lockhold", lint.LockHold{})
-}
-
 func TestAtomicSnapFixture(t *testing.T) {
 	testAnalyzerFixture(t, "atomicsnap", lint.AtomicSnap{})
 }
@@ -243,7 +239,7 @@ func TestPragmaMalformed(t *testing.T) {
 func TestJSONOutput(t *testing.T) {
 	diags := []lint.Diagnostic{
 		{File: "a.go", Line: 3, Col: 7, Analyzer: "ctxcancel", Message: "m1"},
-		{File: "b.go", Line: 9, Col: 1, Analyzer: "lockhold", Message: "m2"},
+		{File: "b.go", Line: 9, Col: 1, Analyzer: "errdrop", Message: "m2"},
 	}
 	var buf bytes.Buffer
 	if err := lint.WriteJSON(&buf, diags); err != nil {

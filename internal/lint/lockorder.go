@@ -66,7 +66,7 @@ func (LockOrder) RunWhole(p *Pass) {
 					addEdge(h, class, pos, []string{n.Short})
 				}
 			},
-			call: func(call *ast.CallExpr, f *types.Func, held []string, spawn, deferred bool) {
+			call: func(call *ast.CallExpr, _ *types.Func, held []string, spawn bool) {
 				if spawn || len(held) == 0 {
 					return
 				}

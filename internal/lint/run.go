@@ -11,7 +11,6 @@ import (
 func All() []Analyzer {
 	return []Analyzer{
 		CtxCancel{},
-		LockHold{},
 		AtomicSnap{},
 		LockOrder{},
 		GoroLeak{},

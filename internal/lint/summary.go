@@ -53,9 +53,6 @@ type Summary struct {
 	// path (no return, no break out of it, no terminating call) reachable on
 	// the sequential call tree.
 	Forever *Witness
-	// Banned maps banned-call kind -> witness for lockhold's banned set
-	// anywhere in the sequential call tree.
-	Banned map[string]*BannedWitness
 	// ErrTainted marks a function whose error result can originate in the
 	// durability layer (persist, wal, fsync); ErrOrigin names the source.
 	ErrTainted bool
@@ -73,13 +70,6 @@ type Summary struct {
 type Witness struct {
 	Pos   token.Pos
 	Chain []string
-}
-
-// BannedWitness is a Witness plus the banned call's identity.
-type BannedWitness struct {
-	Witness
-	Kind   string // "nethttp", "fsync"
-	Detail string // human name of the offending callee
 }
 
 type retDep struct {
@@ -127,10 +117,10 @@ func lockOp(pkg *Package, call *ast.CallExpr) (class, op string, ok bool) {
 
 // lockClass names the lock an expression denotes. A struct field is
 // identified as pkgtail.Type.field — instance-blind on purpose: ordering is
-// a property of the lock class, and single-instance re-entrancy is lockhold's
-// domain, not lockorder's. Package-level vars are pkgtail.name; anything
-// else (locals, map elements) is position-scoped so distinct locals never
-// alias.
+// a property of the lock class. Re-locking one instance is a self-deadlock
+// outside the class-level order graph, and no analyzer checks it.
+// Package-level vars are pkgtail.name; anything else (locals, map elements)
+// is position-scoped so distinct locals never alias.
 func lockClass(pkg *Package, expr ast.Expr) string {
 	switch x := ast.Unparen(expr).(type) {
 	case *ast.SelectorExpr:
@@ -163,7 +153,7 @@ type lockHooks struct {
 	// acquire fires for every lock acquisition with the locks already held.
 	acquire func(class string, pos token.Pos, held []string)
 	// call fires for every call expression with the current held set.
-	call func(call *ast.CallExpr, f *types.Func, held []string, spawn, deferred bool)
+	call func(call *ast.CallExpr, f *types.Func, held []string, spawn bool)
 	// calleeHeld, when non-nil, reports lock classes a call leaves held on
 	// return (from converged summaries); the walker folds them into the
 	// held state of everything after the call.
@@ -253,30 +243,30 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held []string) []string {
 				}
 			}
 		}
-		return w.exprs(s.X, held, false)
+		return w.exprs(s.X, held)
 	case *ast.DeferStmt:
 		if class, op, ok := lockOp(w.pkg, s.Call); ok && op == "unlock" {
 			w.deferRel[class]++
 			return held
 		}
 		for _, arg := range s.Call.Args {
-			held = w.exprs(arg, held, false)
+			held = w.exprs(arg, held)
 		}
 		if w.hooks.call != nil {
-			w.hooks.call(s.Call, calleeFunc(w.pkg.Info, s.Call), held, false, true)
+			w.hooks.call(s.Call, calleeFunc(w.pkg.Info, s.Call), held, false)
 		}
 		return held
 	case *ast.GoStmt:
 		for _, arg := range s.Call.Args {
-			held = w.exprs(arg, held, false)
+			held = w.exprs(arg, held)
 		}
 		if w.hooks.call != nil {
-			w.hooks.call(s.Call, calleeFunc(w.pkg.Info, s.Call), held, true, false)
+			w.hooks.call(s.Call, calleeFunc(w.pkg.Info, s.Call), held, true)
 		}
 		return held
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
-			held = w.exprs(r, held, false)
+			held = w.exprs(r, held)
 		}
 		w.recordExit(held)
 		return held
@@ -286,7 +276,7 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held []string) []string {
 		if s.Init != nil {
 			held = w.stmt(s.Init, held)
 		}
-		held = w.exprs(s.Cond, held, false)
+		held = w.exprs(s.Cond, held)
 		w.branch(s.Body.List, held)
 		if s.Else != nil {
 			w.branch([]ast.Stmt{s.Else}, held)
@@ -297,12 +287,12 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held []string) []string {
 			w.stmt(s.Init, append([]string(nil), held...))
 		}
 		if s.Cond != nil {
-			w.exprs(s.Cond, held, false)
+			w.exprs(s.Cond, held)
 		}
 		w.branch(s.Body.List, held)
 		return held
 	case *ast.RangeStmt:
-		held = w.exprs(s.X, held, false)
+		held = w.exprs(s.X, held)
 		w.branch(s.Body.List, held)
 		return held
 	case *ast.SwitchStmt:
@@ -310,7 +300,7 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held []string) []string {
 			held = w.stmt(s.Init, held)
 		}
 		if s.Tag != nil {
-			held = w.exprs(s.Tag, held, false)
+			held = w.exprs(s.Tag, held)
 		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
@@ -340,14 +330,14 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held []string) []string {
 	default:
 		// Leaf statements (assignments, declarations, sends, …) have no
 		// nested statements; visit the whole subtree for calls.
-		return w.exprs(stmt, held, false)
+		return w.exprs(stmt, held)
 	}
 }
 
 // exprs visits one subtree (skipping function literals — they are their own
 // call-graph nodes), firing call events and folding callee-held locks into
 // the running state.
-func (w *lockWalker) exprs(e ast.Node, held []string, deferred bool) []string {
+func (w *lockWalker) exprs(e ast.Node, held []string) []string {
 	if e == nil {
 		return held
 	}
@@ -363,7 +353,7 @@ func (w *lockWalker) exprs(e ast.Node, held []string, deferred bool) []string {
 			return true // state changes are statement-level; ignore here
 		}
 		if w.hooks.call != nil {
-			w.hooks.call(call, calleeFunc(w.pkg.Info, call), held, false, deferred)
+			w.hooks.call(call, calleeFunc(w.pkg.Info, call), held, false)
 		}
 		if w.hooks.calleeHeld != nil {
 			for _, class := range w.hooks.calleeHeld(call) {
@@ -413,24 +403,16 @@ func buildSummaries(prog *Program) map[string]*Summary {
 
 // directFacts computes one node's callee-blind summary.
 func directFacts(n *FuncNode) *Summary {
-	s := &Summary{Acquires: map[string]*Witness{}, Banned: map[string]*BannedWitness{}}
+	s := &Summary{Acquires: map[string]*Witness{}}
 	s.lexHeldAtExit = walkLocks(n.Pkg, n.Body(), lockHooks{
 		acquire: func(class string, pos token.Pos, held []string) {
 			if _, seen := s.Acquires[class]; !seen {
 				s.Acquires[class] = &Witness{Pos: pos, Chain: []string{n.Short}}
 			}
 		},
-		call: func(call *ast.CallExpr, f *types.Func, held []string, spawn, deferred bool) {
+		call: func(call *ast.CallExpr, f *types.Func, held []string, spawn bool) {
 			if f == nil || spawn {
 				return
-			}
-			if kind, detail, banned := bannedCall(f); banned {
-				if _, seen := s.Banned[kind]; !seen {
-					s.Banned[kind] = &BannedWitness{
-						Witness: Witness{Pos: call.Pos(), Chain: []string{n.Short}},
-						Kind:    kind, Detail: detail,
-					}
-				}
 			}
 			if pollingCall(f) {
 				s.Polls = true
@@ -461,15 +443,6 @@ func propagate(n *FuncNode, sums map[string]*Summary) bool {
 		for class, w := range cs.Acquires {
 			if _, seen := s.Acquires[class]; !seen {
 				s.Acquires[class] = extend(n.Short, w)
-				changed = true
-			}
-		}
-		for kind, bw := range cs.Banned {
-			if _, seen := s.Banned[kind]; !seen {
-				s.Banned[kind] = &BannedWitness{
-					Witness: *extend(n.Short, &bw.Witness),
-					Kind:    bw.Kind, Detail: bw.Detail,
-				}
 				changed = true
 			}
 		}
@@ -520,21 +493,6 @@ func contains(list []string, s string) bool {
 
 // ---------------------------------------------------------------------------
 // Fact classifiers
-
-// bannedCall classifies lockhold's banned set: network waits and fsync must
-// never happen under the write lock.
-func bannedCall(f *types.Func) (kind, detail string, ok bool) {
-	if f.Pkg() == nil {
-		return "", "", false
-	}
-	switch {
-	case f.Pkg().Path() == "net/http":
-		return "nethttp", f.FullName(), true
-	case f.Name() == "Sync" && recvIs(f, "os", "File"):
-		return "fsync", "(*os.File).Sync", true
-	}
-	return "", "", false
-}
 
 // pollingCall reports whether f observes cancellation — the ctxcancel
 // analyzer's poll set.
@@ -677,6 +635,15 @@ func baseErrSource(f *types.Func) (origin string, ok bool) {
 		return "", false
 	}
 	return shortFuncName(f), true
+}
+
+// recvIs reports whether f is a method on (a pointer to) pkgTail.name.
+func recvIs(f *types.Func, pkgTail, name string) bool {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	return isNamed(sig.Recv().Type(), pkgTail, name)
 }
 
 // writerSink reports whether sig writes to a caller-supplied io.Writer —

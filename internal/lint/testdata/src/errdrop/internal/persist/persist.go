@@ -26,7 +26,8 @@ func WriteTo(w io.Writer, data []byte) (int, error) {
 }
 
 // Encoder wraps a caller-supplied io.Writer in its receiver; its methods
-// are transport sinks too (the persist.ChunkWriter shape).
+// are transport sinks too. The real durability packages have no such type
+// today; the fixture keeps the receiver shape covered.
 type Encoder struct {
 	w io.Writer
 }

@@ -11,6 +11,15 @@
 // with one atomic store. In-flight readers keep the old snapshot alive until
 // they finish; new requests see the new version.
 //
+// The write lock's contract: writers serialize on writeMu through
+// validation, the write-ahead commit (Options.OnCommit, fsync included) and
+// the publish, so one slow commit delays the writers queued behind it. A
+// request body is read and parsed before the lock is taken: Apply takes
+// parsed tables, and withWrite is the only function that locks writeMu.
+// Reads, /metrics and Checkpoint never take it, so no writer, however slow,
+// delays them. writelock_test.go parks a commit and a trickling upload to
+// test both halves.
+//
 // Every publish is warm: a background warmer precomputes the default measure
 // (and any Options.WarmMeasures) on the new snapshot and cancels the warm of
 // any snapshot a newer publish supersedes, so the post-mutation recompute is
@@ -169,15 +178,17 @@ type Options struct {
 	Graph *bipartite.Graph
 	// AfterPublish, when non-nil, runs after every snapshot swap (including
 	// the initial publish) with the published lake version. It is called on
-	// the write path with the write lock held: keep it non-blocking — e.g.
-	// a non-blocking send to a checkpointing goroutine.
+	// the write path with the write lock held, so every queued writer waits
+	// for it (see the write lock's contract in the package doc): keep it
+	// non-blocking — e.g. a non-blocking send to a checkpointing goroutine.
 	AfterPublish func(version uint64)
 	// OnCommit, when non-nil, runs under the write lock after a mutation
 	// burst has been validated but before any of it is applied — the
 	// write-ahead hook. An error aborts the burst with the lake untouched,
 	// so a failed log append never acknowledges a mutation that would be
-	// lost on crash. It runs on the write path: keep it bounded (a local
-	// WAL append + fsync, not a network round trip).
+	// lost on crash. Queued writers wait for it, reads and checkpoints do
+	// not (see the write lock's contract in the package doc): keep it
+	// bounded (a local WAL append + fsync, not a network round trip).
 	OnCommit func(Mutation) error
 	// ReadOnly rejects the HTTP mutation endpoints (POST/DELETE /tables…)
 	// with 403, for replication followers whose lake must change only
