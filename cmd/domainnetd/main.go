@@ -486,7 +486,7 @@ func runFollower(ctx context.Context, c *config, stop func()) error {
 		Leader:       strings.TrimRight(c.follow, "/"),
 		Config:       c.detectorConfig(),
 		WarmMeasures: c.warmMeasures,
-		Client:       &http.Client{Timeout: repl.DefaultPollTimeout + 15*time.Second},
+		Client:       &http.Client{Timeout: repl.PollTimeout + 15*time.Second},
 		Logf:         log.Printf,
 		Tracer:       &obs.Tracer{SlowThreshold: c.traceSlow},
 	}

@@ -46,7 +46,7 @@ func TestPreCancelledScorersDoNoWork(t *testing.T) {
 			return ApproxBetweenness(g, o)
 		}},
 		{"epsilon-betweenness", func(o engine.Opts) []float64 {
-			o.MaxSamples = 50
+			o.Epsilon = 0.2
 			return ApproxBetweennessEpsilon(g, o)
 		}},
 		{"harmonic", func(o engine.Opts) []float64 { return Harmonic(g, o) }},

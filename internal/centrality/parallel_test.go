@@ -77,7 +77,7 @@ func TestArenaReuseAcrossMeasures(t *testing.T) {
 				}
 			}
 			Harmonic(g, engine.Opts{})
-			ApproxBetweennessEpsilon(g, engine.Opts{Epsilon: 0.2, Seed: 1, MaxSamples: 40})
+			ApproxBetweennessEpsilon(g, engine.Opts{Epsilon: 0.2, Seed: 1})
 			ApproxBetweenness(g, engine.Opts{Samples: 5, Seed: 2})
 		}
 	}

@@ -22,9 +22,9 @@ import (
 // by sampling r shortest paths between random node pairs and counting how
 // often each node appears as an interior vertex; r is the VC-dimension
 // bound (c/ε²)(⌊log₂(VD−2)⌋ + 1 + ln(1/δ)) with VD the vertex diameter.
-// opts.Epsilon and opts.Delta default to 0.05 and 0.1; opts.MaxSamples caps
-// the budget. The returned scores approximate Betweenness(g)/n(n-1);
-// multiply by n(n-1) to compare with raw scores, or rank directly.
+// opts.Epsilon defaults to 0.05, and δ is 0.1. The returned scores
+// approximate Betweenness(g)/n(n-1); multiply by n(n-1) to compare with raw
+// scores, or rank directly.
 func ApproxBetweennessEpsilon(g Graph, opts engine.Opts) []float64 {
 	n := g.NumNodes()
 	out := make([]float64, n)
@@ -34,10 +34,6 @@ func ApproxBetweennessEpsilon(g Graph, opts engine.Opts) []float64 {
 	eps := opts.Epsilon
 	if eps <= 0 {
 		eps = 0.05
-	}
-	delta := opts.Delta
-	if delta <= 0 {
-		delta = 0.1
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
@@ -52,12 +48,11 @@ func ApproxBetweennessEpsilon(g Graph, opts engine.Opts) []float64 {
 	// The universal constant of the range-space bound; 0.5 is the value
 	// used in practice (Riondato & Kornaropoulos, Data Min Knowl Disc '16).
 	const c = 0.5
+	// The failure probability δ: estimates hold with probability 0.9.
+	const delta = 0.1
 	r := int(math.Ceil((c / (eps * eps)) * (logTerm + 1 + math.Log(1/delta))))
 	if r < 1 {
 		r = 1
-	}
-	if opts.MaxSamples > 0 && r > opts.MaxSamples {
-		r = opts.MaxSamples
 	}
 
 	dist, sigma := a.Dist, a.Sigma

@@ -95,18 +95,6 @@ func TestEpsilonEstimatorDeterministic(t *testing.T) {
 	}
 }
 
-func TestEpsilonEstimatorMaxSamples(t *testing.T) {
-	g := pathGraph(10)
-	// A tiny epsilon would demand a huge sample; the cap must bound work
-	// while still returning sane values.
-	est := ApproxBetweennessEpsilon(g, engine.Opts{Epsilon: 0.001, Seed: 1, MaxSamples: 50})
-	for u, v := range est {
-		if v < 0 || v > 1 {
-			t.Errorf("node %d: estimate %v out of [0,1]", u, v)
-		}
-	}
-}
-
 func TestEpsilonEstimatorTinyGraphs(t *testing.T) {
 	for n := 0; n <= 2; n++ {
 		g := newSliceGraph(n)

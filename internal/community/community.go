@@ -27,10 +27,11 @@ type Options struct {
 	// Seed drives the node-visit shuffling; fixed seeds give deterministic
 	// communities.
 	Seed int64
-	// MaxIterations bounds the sweeps over all nodes. Zero means 100;
-	// propagation almost always converges much earlier.
-	MaxIterations int
 }
+
+// maxIterations bounds the sweeps over all nodes; propagation almost always
+// converges much earlier.
+const maxIterations = 100
 
 // Result holds a community assignment.
 type Result struct {
@@ -49,10 +50,6 @@ type Result struct {
 // label for determinism, until a full sweep changes nothing.
 func LabelPropagation(g Graph, opts Options) *Result {
 	n := g.NumNodes()
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 100
-	}
 	labels := make([]int32, n)
 	for i := range labels {
 		labels[i] = int32(i)
@@ -62,7 +59,7 @@ func LabelPropagation(g Graph, opts Options) *Result {
 
 	counts := make(map[int32]int)
 	iters := 0
-	for ; iters < maxIter; iters++ {
+	for ; iters < maxIterations; iters++ {
 		changed := false
 		for _, oi := range order {
 			u := int32(oi)

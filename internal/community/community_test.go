@@ -70,7 +70,7 @@ func TestLabelPropagationDeterministic(t *testing.T) {
 
 func TestLabelPropagationConverges(t *testing.T) {
 	g := twoTypeGraph()
-	res := LabelPropagation(g, Options{Seed: 1, MaxIterations: 50})
+	res := LabelPropagation(g, Options{Seed: 1})
 	if res.Iterations >= 50 {
 		t.Errorf("did not converge in %d iterations", res.Iterations)
 	}

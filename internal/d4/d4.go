@@ -16,6 +16,8 @@
 //
 // A value assigned to two or more domains is reported as a homograph
 // candidate, exactly how the paper re-purposes D4 for homograph detection.
+// Like DomainNet, the baseline runs unsupervised at fixed parameters: Run
+// takes only the attributes.
 package d4
 
 import (
@@ -27,45 +29,28 @@ import (
 	"domainnet/internal/lake"
 )
 
-// Config tunes the D4 pipeline.
-type Config struct {
-	// MinOverlap is the overlap coefficient |A∩B| / min(|A|,|B|) above
-	// which two columns are clustered into one core domain. Zero means
-	// 0.15: open-data columns of the same semantic type often share only a
-	// modest slice of a large vocabulary, while columns of different types
-	// share at most a few homograph values, so a permissive threshold
-	// separates the two regimes cleanly (D4's signature expansion plays
-	// the same role).
-	MinOverlap float64
-	// SupportRatio is the fraction of the maximum column support at which a
+// The pipeline's fixed parameters.
+const (
+	// minOverlap is the overlap coefficient |A∩B| / min(|A|,|B|) at or
+	// above which two columns are clustered into one core domain. Open-data
+	// columns of the same semantic type often share only a modest slice of
+	// a large vocabulary, while columns of different types share at most a
+	// few homograph values, so a permissive threshold separates the two
+	// regimes cleanly (D4's signature expansion plays the same role).
+	minOverlap = 0.15
+	// supportRatio is the fraction of the maximum column support at which a
 	// secondary meaning is still assigned (the tolerance of the popular-
-	// meaning heuristic). Zero means 0.5.
-	SupportRatio float64
-	// NumericFraction is the share of numeric values above which a column
-	// is considered numeric and skipped. Zero means 0.5.
-	NumericFraction float64
-	// MinIntersection is the minimum number of shared values two columns
-	// need before the overlap coefficient is even considered. Zero means 2.
-	// D4's robust signatures play the same role: a single shared value —
-	// typically a homograph — must not glue two unrelated columns into one
-	// domain.
-	MinIntersection int
-}
-
-func (c *Config) defaults() {
-	if c.MinOverlap == 0 {
-		c.MinOverlap = 0.15
-	}
-	if c.SupportRatio == 0 {
-		c.SupportRatio = 0.5
-	}
-	if c.NumericFraction == 0 {
-		c.NumericFraction = 0.5
-	}
-	if c.MinIntersection == 0 {
-		c.MinIntersection = 2
-	}
-}
+	// meaning heuristic).
+	supportRatio = 0.5
+	// numericFraction is the share of numeric values above which a column
+	// is considered numeric and skipped.
+	numericFraction = 0.5
+	// minIntersection is the minimum number of shared values two columns
+	// need before the overlap coefficient is even considered. D4's robust
+	// signatures play the same role: a single shared value — typically a
+	// homograph — must not glue two unrelated columns into one domain.
+	minIntersection = 2
+)
 
 // Domain is a discovered core domain: a cluster of at least two columns and
 // the values assigned to it.
@@ -141,15 +126,15 @@ func (r *Result) RankedCandidates() []string {
 	return out
 }
 
-// Run executes the D4 pipeline over a lake's attributes.
-func Run(attrs []lake.Attribute, cfg Config) *Result {
-	cfg.defaults()
+// Run executes the D4 pipeline over a lake's attributes, at the fixed
+// parameters above.
+func Run(attrs []lake.Attribute) *Result {
 	res := &Result{TotalColumns: len(attrs), ValueDomains: map[string][]int{}}
 
 	// Stage 0: keep string columns only.
 	textCols := make([]int, 0, len(attrs))
 	for ai := range attrs {
-		if numericShare(attrs[ai].Values()) <= cfg.NumericFraction {
+		if numericShare(attrs[ai].Values()) <= numericFraction {
 			textCols = append(textCols, ai)
 		}
 	}
@@ -190,7 +175,7 @@ func Run(attrs []lake.Attribute, cfg Config) *Result {
 				tried[p] = struct{}{}
 				a, b := attrs[textCols[cols[x]]].IDs(), attrs[textCols[cols[y]]].IDs()
 				inter, coeff := overlapStats(a, b)
-				if inter >= cfg.MinIntersection && coeff >= cfg.MinOverlap {
+				if inter >= minIntersection && coeff >= minOverlap {
 					uf.union(cols[x], cols[y])
 				}
 			}
@@ -232,7 +217,7 @@ func Run(attrs []lake.Attribute, cfg Config) *Result {
 
 	// Stage 2: popular-meaning value assignment. Support of a value in a
 	// domain is the number of that domain's columns containing it; the
-	// value goes to every domain whose support is at least SupportRatio of
+	// value goes to every domain whose support is at least supportRatio of
 	// the maximum.
 	for id, cols := range inv {
 		v := syms.String(id)
@@ -253,7 +238,7 @@ func Run(attrs []lake.Attribute, cfg Config) *Result {
 		}
 		var assigned []int
 		for d, s := range support {
-			if float64(s) >= cfg.SupportRatio*float64(maxSup) {
+			if float64(s) >= supportRatio*float64(maxSup) {
 				assigned = append(assigned, d)
 			}
 		}

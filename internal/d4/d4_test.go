@@ -20,7 +20,7 @@ func twoDomainAttrs() []lake.Attribute {
 }
 
 func TestRunDiscoverSeparateDomains(t *testing.T) {
-	res := Run(twoDomainAttrs(), Config{MinOverlap: 0.3})
+	res := Run(twoDomainAttrs())
 	if len(res.Domains) != 2 {
 		t.Fatalf("core domains = %d, want 2 (animals, cars)", len(res.Domains))
 	}
@@ -30,7 +30,7 @@ func TestRunDiscoverSeparateDomains(t *testing.T) {
 }
 
 func TestHomographDetectedOnBalancedSupport(t *testing.T) {
-	res := Run(twoDomainAttrs(), Config{MinOverlap: 0.3})
+	res := Run(twoDomainAttrs())
 	homs := res.Homographs()
 	if !homs["JAGUAR"] {
 		t.Error("JAGUAR (balanced 2-2 support) should be detected")
@@ -53,7 +53,7 @@ func TestPopularMeaningHidesSkewedHomograph(t *testing.T) {
 		{ID: "c.0", Values: []string{"FIAT", "OPEL", "SKEW", "TOYOTA"}},
 		{ID: "c.1", Values: []string{"FIAT", "OPEL", "TOYOTA", "VOLVO"}},
 	})
-	res := Run(attrs, Config{MinOverlap: 0.3})
+	res := Run(attrs)
 	if len(res.Domains) != 2 {
 		t.Fatalf("domains = %d, want 2", len(res.Domains))
 	}
@@ -73,7 +73,7 @@ func TestNumericColumnsSkipped(t *testing.T) {
 		{ID: "s.0", Values: []string{"AAA", "BBB", "CCC"}},
 		{ID: "s.1", Values: []string{"AAA", "BBB", "DDD"}},
 	})
-	res := Run(attrs, Config{})
+	res := Run(attrs)
 	for _, d := range res.Domains {
 		for _, c := range d.Columns {
 			if c < 2 {
@@ -94,7 +94,7 @@ func TestSingleColumnClustersAreNotDomains(t *testing.T) {
 		{ID: "a.1", Values: []string{"AAA", "BBB"}},
 		{ID: "lonely.0", Values: []string{"XXX", "YYY", "ZZZ"}},
 	})
-	res := Run(attrs, Config{})
+	res := Run(attrs)
 	if len(res.Domains) != 1 {
 		t.Fatalf("domains = %d, want 1", len(res.Domains))
 	}
@@ -129,21 +129,21 @@ func TestMixedDomainsGrowWithInjectedHomographs(t *testing.T) {
 	}
 	prev := -1
 	for _, n := range []int{0, 2, 4, 6} {
-		res := Run(base(n), Config{MinOverlap: 0.3})
+		res := Run(base(n))
 		if prev >= 0 && res.NumDomains() < prev {
 			t.Errorf("NumDomains decreased from %d to %d when injecting %d homographs",
 				prev, res.NumDomains(), n)
 		}
 		prev = res.NumDomains()
 	}
-	if r0, r6 := Run(base(0), Config{MinOverlap: 0.3}), Run(base(6), Config{MinOverlap: 0.3}); r6.NumDomains() <= r0.NumDomains() {
+	if r0, r6 := Run(base(0)), Run(base(6)); r6.NumDomains() <= r0.NumDomains() {
 		t.Errorf("injection did not grow domain count: %d -> %d", r0.NumDomains(), r6.NumDomains())
 	}
 }
 
 func TestDomainsPerColumnStats(t *testing.T) {
 	attrs := twoDomainAttrs()
-	res := Run(attrs, Config{MinOverlap: 0.3})
+	res := Run(attrs)
 	if res.MaxDomainsPerColumn < 2 {
 		t.Errorf("max domains per column = %d, want >= 2 (JAGUAR bridges)", res.MaxDomainsPerColumn)
 	}
@@ -153,7 +153,7 @@ func TestDomainsPerColumnStats(t *testing.T) {
 }
 
 func TestRankedCandidatesOrder(t *testing.T) {
-	res := Run(twoDomainAttrs(), Config{MinOverlap: 0.3})
+	res := Run(twoDomainAttrs())
 	cands := res.RankedCandidates()
 	if len(cands) == 0 || cands[0] != "JAGUAR" {
 		t.Errorf("candidates = %v, want JAGUAR first", cands)
@@ -162,7 +162,7 @@ func TestRankedCandidatesOrder(t *testing.T) {
 
 func TestRunOnSB(t *testing.T) {
 	sb := datagen.NewSB(1)
-	res := Run(sb.Lake.Attributes(), Config{})
+	res := Run(sb.Lake.Attributes())
 	if len(res.Domains) < 5 {
 		t.Errorf("SB core domains = %d, want >= 5 (city, name, animal, ...)", len(res.Domains))
 	}
@@ -184,10 +184,10 @@ func TestRunOnSB(t *testing.T) {
 }
 
 func TestEmptyAndDegenerateInputs(t *testing.T) {
-	if res := Run(nil, Config{}); res.NumDomains() != 0 {
+	if res := Run(nil); res.NumDomains() != 0 {
 		t.Error("nil input should yield no domains")
 	}
-	res := Run(lake.NewAttributes([]lake.Spec{{ID: "one", Values: []string{"A"}}}), Config{})
+	res := Run(lake.NewAttributes([]lake.Spec{{ID: "one", Values: []string{"A"}}}))
 	if res.NumDomains() != 0 || res.CoveredColumns != 0 {
 		t.Error("single column cannot form a domain")
 	}

@@ -144,10 +144,10 @@ type Config struct {
 	// DegreeBiasedSampling switches approximate BC from uniform to
 	// degree-proportional source sampling (§3.3).
 	DegreeBiasedSampling bool
-	// Epsilon and Delta parameterize BetweennessEpsilon: estimates are
-	// within Epsilon of the true betweenness fraction with probability
-	// 1-Delta. Zeros select 0.05 and 0.1.
-	Epsilon, Delta float64
+	// Epsilon parameterizes BetweennessEpsilon: estimates are within
+	// Epsilon of the true betweenness fraction with probability 0.9. Zero
+	// selects 0.05.
+	Epsilon float64
 	// KeepSingletons retains values occurring in a single attribute.
 	// The paper's pre-processing drops them (§5); leave false to match.
 	KeepSingletons bool
@@ -355,7 +355,6 @@ func (c Config) engineOpts(ctx context.Context) engine.Opts {
 		Normalized:   true,
 		DegreeBiased: c.DegreeBiasedSampling,
 		Epsilon:      c.Epsilon,
-		Delta:        c.Delta,
 		Ctx:          ctx,
 	}
 }

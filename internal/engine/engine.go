@@ -42,13 +42,11 @@ type Opts struct {
 	// DegreeBiased switches sampled betweenness from uniform to
 	// degree-proportional source sampling (paper §3.3).
 	DegreeBiased bool
-	// Epsilon and Delta parameterize the (ε, δ) path-sampling estimator:
-	// estimates are within Epsilon of the true betweenness fraction with
-	// probability 1-Delta. Zeros select 0.05 and 0.1.
-	Epsilon, Delta float64
-	// MaxSamples caps the path-sampling budget regardless of the (ε, δ)
-	// bound, so tiny epsilons cannot run away. Zero means no cap.
-	MaxSamples int
+	// Epsilon parameterizes the (ε, δ) path-sampling estimator: estimates
+	// are within Epsilon of the true betweenness fraction with probability
+	// 0.9 (δ = 0.1). Zero selects 0.05. The sample count follows from the
+	// bound alone, uncapped.
+	Epsilon float64
 	// EndpointsValuesOnly restricts shortest-path endpoints to value nodes
 	// (the paper's footnote-2 ablation). ValueNodeCount must be set.
 	EndpointsValuesOnly bool

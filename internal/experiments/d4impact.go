@@ -41,7 +41,7 @@ func Figure10(cfg datagen.TUSConfig, counts, meanings []int, seed int64) (*Figur
 	base := datagen.TUS(cfg).RemoveHomographs()
 
 	res := &Figure10Result{GroundTruth: base.NumClasses()}
-	baseline := d4.Run(base.Attrs, d4.Config{})
+	baseline := d4.Run(base.Attrs)
 	res.BaselineDomains = baseline.NumDomains()
 
 	for _, m := range meanings {
@@ -54,7 +54,7 @@ func Figure10(cfg datagen.TUSConfig, counts, meanings []int, seed int64) (*Figur
 			if err != nil {
 				return nil, fmt.Errorf("figure10 count=%d meanings=%d: %w", c, m, err)
 			}
-			r := d4.Run(inj.GT.Attrs, d4.Config{})
+			r := d4.Run(inj.GT.Attrs)
 			res.Points = append(res.Points, Figure10Point{
 				Injected:   c,
 				Meanings:   m,

@@ -103,7 +103,7 @@ func SBComparison(seed int64) *ComparisonResult {
 	det := domainnet.New(sb.Lake, domainnet.Config{Measure: domainnet.BetweennessExact})
 	dnMetrics := eval.AtK(det.Ranking(), truth, k)
 
-	d4res := d4.Run(sb.Lake.Attributes(), d4.Config{})
+	d4res := d4.Run(sb.Lake.Attributes())
 	cands := d4res.RankedCandidates()
 	d4Ranking := make([]rank.Scored, len(cands))
 	for i, v := range cands {

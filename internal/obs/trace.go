@@ -25,8 +25,8 @@ const maxSpans = 16
 // uses: a request at or above it is captured into the ring.
 const DefaultSlowThreshold = 50 * time.Millisecond
 
-// DefaultTraceRing is the default capacity of the captured-trace ring.
-const DefaultTraceRing = 128
+// traceRing is the capacity of the captured-trace ring.
+const traceRing = 128
 
 // Span is one named, timed section of a request, offsets relative to the
 // trace's start.
@@ -110,15 +110,13 @@ func ActiveFrom(w http.ResponseWriter) *Active {
 	return nil
 }
 
-// Tracer captures slow requests into a bounded ring. The zero value works:
-// DefaultSlowThreshold, DefaultTraceRing. Configure before serving.
+// Tracer captures slow requests into a ring that keeps the most recent 128.
+// The zero value works, at DefaultSlowThreshold. Configure before serving.
 type Tracer struct {
 	// SlowThreshold gates capture: a finished trace at or above it enters
 	// the ring. Zero means DefaultSlowThreshold; negative means capture
 	// everything (the debugging mode process tests run with).
 	SlowThreshold time.Duration
-	// RingSize bounds the captured ring; zero means DefaultTraceRing.
-	RingSize int
 
 	started  atomic.Int64 // traces begun (≈ requests through instrumentation)
 	captured atomic.Int64 // traces that entered the ring
@@ -127,7 +125,7 @@ type Tracer struct {
 	pool sync.Pool
 
 	mu   sync.Mutex
-	ring []*Trace // capacity RingSize, oldest overwritten first
+	ring []*Trace // at most traceRing, oldest overwritten first
 	next int      // ring write cursor
 }
 
@@ -184,29 +182,14 @@ func (t *Tracer) Finish(a *Active, status int) (id string, captured bool) {
 }
 
 func (t *Tracer) capture(tr *Trace) {
-	size := t.RingSize
-	if size <= 0 {
-		size = DefaultTraceRing
-	}
 	t.mu.Lock()
-	if cap(t.ring) != size {
-		// First capture (or a reconfigured size): (re)shape the ring.
-		old := t.ring
-		t.ring = make([]*Trace, 0, size)
-		if len(old) > size {
-			old = old[len(old)-size:]
-		}
-		t.ring = append(t.ring, old...)
-		t.next = len(t.ring) % size
-	}
-	if len(t.ring) < size {
+	if len(t.ring) < traceRing {
 		t.ring = append(t.ring, tr)
-		t.next = len(t.ring) % size
 	} else {
 		t.ring[t.next] = tr
-		t.next = (t.next + 1) % size
 		t.evicted.Add(1)
 	}
+	t.next = (t.next + 1) % traceRing
 	t.mu.Unlock()
 	t.captured.Add(1)
 }
@@ -218,14 +201,10 @@ func (t *Tracer) Traces() []*Trace {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	// Until the ring is full, next is its length and ring[next:] is empty.
 	out := make([]*Trace, 0, len(t.ring))
-	if len(t.ring) == cap(t.ring) && cap(t.ring) > 0 {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
-	}
-	return out
+	out = append(out, t.ring[t.next:]...)
+	return append(out, t.ring[:t.next]...)
 }
 
 // TracerStats is the tracer's counter snapshot, published in /metrics. Its

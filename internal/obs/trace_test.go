@@ -80,25 +80,26 @@ func TestTraceSlowGate(t *testing.T) {
 	}
 }
 
-// TestTraceRingEviction: the ring keeps the most recent RingSize traces,
+// TestTraceRingEviction: the ring keeps the most recent traceRing traces,
 // oldest first, and counts evictions.
 func TestTraceRingEviction(t *testing.T) {
-	tr := &Tracer{SlowThreshold: -1, RingSize: 4}
-	for i := 0; i < 10; i++ {
+	tr := &Tracer{SlowThreshold: -1}
+	const total = traceRing + 6
+	for i := 0; i < total; i++ {
 		a := tr.Start("e", fmt.Sprintf("%016x", i))
 		tr.Finish(a, 200)
 	}
 	traces := tr.Traces()
-	if len(traces) != 4 {
-		t.Fatalf("ring length %d, want 4", len(traces))
+	if len(traces) != traceRing {
+		t.Fatalf("ring length %d, want %d", len(traces), traceRing)
 	}
-	for i, want := 0, 6; i < 4; i, want = i+1, want+1 {
+	for i, want := 0, 6; i < traceRing; i, want = i+1, want+1 {
 		if traces[i].ID != fmt.Sprintf("%016x", want) {
 			t.Fatalf("ring[%d] = %s, want index %d (oldest first)", i, traces[i].ID, want)
 		}
 	}
 	st := tr.Stats()
-	if st.Started != 10 || st.Captured != 10 || st.Evicted != 6 {
+	if st.Started != total || st.Captured != total || st.Evicted != 6 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -181,7 +182,7 @@ func TestTraceSpanOverflow(t *testing.T) {
 // TestTraceConcurrentStorm: many goroutines start/span/finish against one
 // tracer while another dumps the ring. Run under -race in CI.
 func TestTraceConcurrentStorm(t *testing.T) {
-	tr := &Tracer{SlowThreshold: -1, RingSize: 32}
+	tr := &Tracer{SlowThreshold: -1}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -212,8 +213,8 @@ func TestTraceConcurrentStorm(t *testing.T) {
 	if st.Started != 4000 || st.Captured != 4000 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := len(tr.Traces()); got != 32 {
-		t.Fatalf("ring length %d, want 32", got)
+	if got := len(tr.Traces()); got != traceRing {
+		t.Fatalf("ring length %d, want %d", got, traceRing)
 	}
 }
 

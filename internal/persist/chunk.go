@@ -134,8 +134,8 @@ func appendFrame(dst []byte, flag byte, rawLen int, payload []byte) []byte {
 // WriteChunked cuts buf into chunkBytes-sized chunks (DefaultChunkBytes when
 // non-positive) starting at raw offset from, and frames each onto w, one
 // chunk at a time, gzip-compressed when compress is set and compression
-// shrinks the chunk. It returns the framed byte count. It is the sequential
-// reference for FrameChunks, whose bytes are the same.
+// shrinks the chunk. It returns the framed byte count. With compress set it
+// is the sequential reference for FrameChunks, whose bytes are the same.
 func WriteChunked(w io.Writer, buf []byte, from int, chunkBytes int, compress bool) (int64, error) {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
@@ -169,14 +169,15 @@ type ChunkStream struct {
 }
 
 // FrameChunks frames all of buf into a ChunkStream, cut as WriteChunked is
-// and byte for byte equal to its output. The chunks are compressed on
+// and byte for byte equal to its gzip output: each chunk is gzipped, or
+// stored when gzip does not shrink it. The chunks are compressed on
 // GOMAXPROCS engine workers, each with a pooled gzip writer.
-func FrameChunks(buf []byte, chunkBytes int, compress bool) (*ChunkStream, error) {
-	return frameChunks(buf, chunkBytes, compress, 0)
+func FrameChunks(buf []byte, chunkBytes int) (*ChunkStream, error) {
+	return frameChunks(buf, chunkBytes, 0)
 }
 
 // frameChunks is FrameChunks on the given number of workers (0: GOMAXPROCS).
-func frameChunks(buf []byte, chunkBytes int, compress bool, workers int) (*ChunkStream, error) {
+func frameChunks(buf []byte, chunkBytes int, workers int) (*ChunkStream, error) {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
@@ -186,7 +187,7 @@ func frameChunks(buf []byte, chunkBytes int, compress bool, workers int) (*Chunk
 	errs := make([]error, n)
 	engine.Each(len(encs), n, func(w, k int) {
 		raw := buf[k*chunkBytes : min((k+1)*chunkBytes, len(buf))]
-		flag, payload, err := encs[w].encode(raw, compress)
+		flag, payload, err := encs[w].encode(raw, true)
 		if err != nil {
 			errs[k] = err
 			return
@@ -367,29 +368,17 @@ func inflateFrames(frames []Frame, workers int) ([]byte, error) {
 // clean end of stream (no bytes at all) returns io.EOF; a frame cut short or
 // failing its checksum returns a descriptive error — the resume signal.
 func ReadChunk(r io.Reader) (raw []byte, wire int, err error) {
-	var cr ChunkReader
-	return cr.AppendChunk(nil, r)
-}
-
-// ChunkReader decodes chunk frames one at a time, reusing one gzip decoder
-// and one payload buffer across them. The zero value is ready to use.
-type ChunkReader struct {
-	in   inflater
-	body []byte
-}
-
-// AppendChunk reads and verifies one chunk frame from r like ReadChunk and
-// inflates its raw bytes straight onto the end of dst. Any error, io.EOF at
-// a clean end of stream included, returns dst at its original length.
-func (cr *ChunkReader) AppendChunk(dst []byte, r io.Reader) (out []byte, wire int, err error) {
-	f, wire, err := readFrame(r, cr.body[:0])
+	f, wire, err := readFrame(r, nil)
 	if err != nil {
-		return dst, 0, err
+		return nil, 0, err
 	}
-	cr.body = f.payload[:0]
-	out = slices.Grow(dst, f.rawLen)[:len(dst)+f.rawLen]
-	if err := cr.in.inflate(f, out[len(dst):]); err != nil {
-		return dst, 0, err
+	raw = make([]byte, f.rawLen)
+	in := inflaters.Get().(*inflater)
+	err = in.inflate(f, raw)
+	in.src.Reset(nil) // drop the reference to the payload
+	inflaters.Put(in)
+	if err != nil {
+		return nil, 0, err
 	}
-	return out, wire, nil
+	return raw, wire, nil
 }

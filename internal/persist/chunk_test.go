@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -88,7 +87,7 @@ func TestChunkResumeOffset(t *testing.T) {
 		t.Fatal("resumed stream does not continue from the requested raw offset")
 	}
 	// A stream framed whole resumes by slicing at the chunk's frame start.
-	cs, err := FrameChunks(payload, chunk, true)
+	cs, err := FrameChunks(payload, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,27 +144,31 @@ func gzipped(t testing.TB, raw []byte) []byte {
 
 type chunkDecoder func(io.Reader) ([]byte, int, error)
 
-// chunkDecoders are the two ways to decode a frame: the one-shot ReadChunk
-// and a ChunkReader, shared across every case so state left over from a
-// failed frame would show up in the next. The ChunkReader appends after a
-// prefix, which an error must leave exactly as it was.
+// chunkDecoders are the ways to decode a frame: the one-shot ReadChunk; the
+// same readFrame and inflate with one inflater shared across every case
+// (the "ChunkReader" row), so state a failed frame leaves in a reused
+// decoder, as ReadChunk's pooled ones are, would show up in the next; and
+// the parallel InflateFrames.
 func chunkDecoders() []struct {
 	name   string
 	decode chunkDecoder
 } {
-	var cr ChunkReader
+	var in inflater
 	return []struct {
 		name   string
 		decode chunkDecoder
 	}{
 		{"ReadChunk", ReadChunk},
 		{"ChunkReader", func(r io.Reader) ([]byte, int, error) {
-			prefix := []byte("kept")
-			out, wire, err := cr.AppendChunk(prefix, r)
-			if !bytes.Equal(out[:len(prefix)], prefix) || (err != nil && len(out) != len(prefix)) {
-				return nil, 0, errors.New("ChunkReader did not keep the bytes before the chunk")
+			f, wire, err := readFrame(r, nil)
+			if err != nil {
+				return nil, 0, err
 			}
-			return out[len(prefix):], wire, err
+			raw := make([]byte, f.RawLen())
+			if err := in.inflate(f, raw); err != nil {
+				return nil, 0, err
+			}
+			return raw, wire, nil
 		}},
 		{"InflateFrames", func(r io.Reader) ([]byte, int, error) {
 			f, wire, err := ReadFrame(r)
@@ -262,53 +265,6 @@ func TestChunkCorruption(t *testing.T) {
 	})
 }
 
-func TestChunkReaderAppends(t *testing.T) {
-	// One ChunkReader decodes a whole stream into one growing buffer; a
-	// failed frame leaves the buffer at its last whole chunk.
-	payload := chunkPayload(3*DefaultChunkBytes - 7)
-	for _, compress := range []bool{false, true} {
-		var out bytes.Buffer
-		if _, err := WriteChunked(&out, payload, 0, 0, compress); err != nil {
-			t.Fatal(err)
-		}
-		stream := out.Bytes()
-		var cr ChunkReader
-		prefix := []byte("kept:")
-		buf, wire := append([]byte(nil), prefix...), 0
-		r := bytes.NewReader(stream)
-		for {
-			var n int
-			var err error
-			buf, n, err = cr.AppendChunk(buf, r)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			wire += n
-		}
-		if !bytes.Equal(buf, append(prefix, payload...)) || wire != len(stream) {
-			t.Fatalf("compress %v: appended stream corrupted (wire %d of %d)", compress, wire, len(stream))
-		}
-		torn := stream[:len(stream)-1]
-		r = bytes.NewReader(torn)
-		buf = buf[:0]
-		for {
-			var err error
-			if buf, _, err = cr.AppendChunk(buf, r); err != nil {
-				if err == io.EOF {
-					t.Fatal("torn stream ended cleanly")
-				}
-				break
-			}
-		}
-		if want := 2 * DefaultChunkBytes; len(buf) != want || !bytes.Equal(buf, payload[:want]) {
-			t.Fatalf("compress %v: torn stream left %d bytes, want the %d of its whole chunks", compress, len(buf), want)
-		}
-	}
-}
-
 func FuzzReadChunk(f *testing.F) {
 	var seed bytes.Buffer
 	WriteChunked(&seed, chunkPayload(300), 0, 128, true) //nolint:errcheck // corpus seeding
@@ -321,36 +277,41 @@ func FuzzReadChunk(f *testing.F) {
 	f.Add(slices.Concat(seed.Bytes(), frame(chunkGzip, 199, z), seed.Bytes()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The decoder must never panic and never allocate unboundedly, no
-		// matter the input; errors are the expected outcome for junk. A
-		// reused ChunkReader must agree with ReadChunk frame by frame.
-		one, reused := bytes.NewReader(data), bytes.NewReader(data)
-		var cr ChunkReader
-		var buf []byte
-		inflated := 0 // frames AppendChunk decoded
+		// matter the input; errors are the expected outcome for junk.
+		// ReadChunk must agree frame by frame with ReadFrame followed by
+		// InflateFrames over that one frame.
+		one, framed := bytes.NewReader(data), bytes.NewReader(data)
+		var seq []byte
+		inflated := 0 // frames ReadChunk decoded
 		for ; ; inflated++ {
 			raw, wire, err := ReadChunk(one)
-			prev := len(buf)
-			var wire2 int
-			var err2 error
-			buf, wire2, err2 = cr.AppendChunk(buf, reused)
-			if (err == nil) != (err2 == nil) || wire != wire2 || !bytes.Equal(raw, buf[prev:]) {
-				t.Fatalf("ReadChunk = (%d bytes, %d, %v), ChunkReader = (%d bytes, %d, %v)",
-					len(raw), wire, err, len(buf)-prev, wire2, err2)
+			fr, wire2, err2 := ReadFrame(framed)
+			var raw2 []byte
+			if err2 == nil {
+				raw2, err2 = InflateFrames([]Frame{fr})
+			}
+			if err2 != nil {
+				wire2 = 0 // ReadChunk reports no wire bytes on any error
+			}
+			if (err == nil) != (err2 == nil) || wire != wire2 || !bytes.Equal(raw, raw2) {
+				t.Fatalf("ReadChunk = (%d bytes, %d, %v), ReadFrame+InflateFrames = (%d bytes, %d, %v)",
+					len(raw), wire, err, len(raw2), wire2, err2)
 			}
 			if err != nil {
 				break
 			}
+			seq = append(seq, raw...)
 		}
 		// The parallel inflater over the frames that read whole agrees with
 		// that sequential decode: either every frame inflates and the buffer
-		// is exactly what AppendChunk appended, or one of them fails in both.
+		// is exactly what ReadChunk decoded, or one of them fails in both.
 		frames := readFrames(data)
 		par, err := inflateFrames(frames, 3)
 		switch {
 		case (err == nil) != (inflated == len(frames)):
-			t.Fatalf("InflateFrames over %d frames = %v, AppendChunk decoded %d", len(frames), err, inflated)
-		case err == nil && (!bytes.Equal(par, buf) || cap(par) != len(par)):
-			t.Fatalf("InflateFrames = %d bytes (cap %d), AppendChunk = %d bytes", len(par), cap(par), len(buf))
+			t.Fatalf("InflateFrames over %d frames = %v, ReadChunk decoded %d", len(frames), err, inflated)
+		case err == nil && (!bytes.Equal(par, seq) || cap(par) != len(par)):
+			t.Fatalf("InflateFrames = %d bytes (cap %d), ReadChunk = %d bytes", len(par), cap(par), len(seq))
 		}
 	})
 }
@@ -383,34 +344,32 @@ func mixedPayload(n int) []byte {
 }
 
 // TestFrameChunksParallelMatchesSequential: framing on any number of
-// workers writes WriteChunked's bytes, and Starts marks every frame.
+// workers writes WriteChunked's gzip bytes, and Starts marks every frame.
 func TestFrameChunksParallelMatchesSequential(t *testing.T) {
 	workers := []int{1, 2, 3, max(4, runtime.GOMAXPROCS(0))}
 	for _, size := range []int{0, 1, 4096, DefaultChunkBytes, 5*DefaultChunkBytes + 321} {
 		payload := mixedPayload(size)
 		for _, chunk := range []int{0, 700, 5000} {
-			for _, compress := range []bool{false, true} {
-				var want bytes.Buffer
-				if _, err := WriteChunked(&want, payload, 0, chunk, compress); err != nil {
+			var want bytes.Buffer
+			if _, err := WriteChunked(&want, payload, 0, chunk, true); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range workers {
+				cs, err := frameChunks(payload, chunk, w)
+				if err != nil {
 					t.Fatal(err)
 				}
-				for _, w := range workers {
-					cs, err := frameChunks(payload, chunk, compress, w)
-					if err != nil {
+				if !bytes.Equal(cs.Wire, want.Bytes()) || cap(cs.Wire) != len(cs.Wire) {
+					t.Fatalf("size %d, chunk %d, %d workers: %d wire bytes (cap %d) differ from WriteChunked's %d",
+						size, chunk, w, len(cs.Wire), cap(cs.Wire), want.Len())
+				}
+				r := bytes.NewReader(cs.Wire)
+				for k, at := range cs.Starts {
+					if got := len(cs.Wire) - r.Len(); got != at {
+						t.Fatalf("size %d, %d workers: frame %d starts at %d, Starts says %d", size, w, k, got, at)
+					}
+					if _, _, err := ReadFrame(r); err != nil && k < len(cs.Starts)-1 {
 						t.Fatal(err)
-					}
-					if !bytes.Equal(cs.Wire, want.Bytes()) || cap(cs.Wire) != len(cs.Wire) {
-						t.Fatalf("size %d, chunk %d, compress %v, %d workers: %d wire bytes (cap %d) differ from WriteChunked's %d",
-							size, chunk, compress, w, len(cs.Wire), cap(cs.Wire), want.Len())
-					}
-					r := bytes.NewReader(cs.Wire)
-					for k, at := range cs.Starts {
-						if got := len(cs.Wire) - r.Len(); got != at {
-							t.Fatalf("size %d, %d workers: frame %d starts at %d, Starts says %d", size, w, k, got, at)
-						}
-						if _, _, err := ReadFrame(r); err != nil && k < len(cs.Starts)-1 {
-							t.Fatal(err)
-						}
 					}
 				}
 			}
@@ -508,7 +467,7 @@ func BenchmarkFrameChunksSB(b *testing.B) {
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := frameChunks(buf, 0, true, workers); err != nil {
+				if _, err := frameChunks(buf, 0, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -519,7 +478,7 @@ func BenchmarkFrameChunksSB(b *testing.B) {
 // BenchmarkInflateFramesSB inflates the SB seed 1 snapshot's gzip frames as
 // a joining follower does, at one worker and at GOMAXPROCS.
 func BenchmarkInflateFramesSB(b *testing.B) {
-	cs, err := FrameChunks(sbSnapshot(), 0, true)
+	cs, err := FrameChunks(sbSnapshot(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

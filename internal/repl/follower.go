@@ -28,8 +28,13 @@ var ErrBehindHorizon = fmt.Errorf("repl: follower is behind the leader's log hor
 // and must be rebuilt from a snapshot.
 var ErrDiverged = fmt.Errorf("repl: follower state diverged from the leader")
 
-// DefaultMaxRetryDelay caps the follower's exponential reconnect backoff.
-const DefaultMaxRetryDelay = 30 * time.Second
+// retryDelay and maxRetryDelay bound the follower's exponential reconnect
+// backoff: the first retry waits about retryDelay and each consecutive
+// failure doubles the wait, up to maxRetryDelay.
+const (
+	retryDelay    = time.Second
+	maxRetryDelay = 30 * time.Second
+)
 
 // Follower replicates a leader's lake: it bootstraps from /repl/snapshot
 // (chunked, per-chunk-gzipped and resumable — a transfer torn at
@@ -39,7 +44,10 @@ const DefaultMaxRetryDelay = 30 * time.Second
 // replica state is bit-identical at every version. It implements
 // http.Handler, serving the read endpoints from its current replica (503
 // until the first bootstrap completes, except /repl/status, which always
-// answers) and rejecting mutations (the replica server is read-only).
+// answers) and rejecting mutations (the replica server is read-only). A
+// failed exchange is retried after about 1s, doubling per consecutive
+// failure up to 30s, with jitter so a fleet that lost the same leader does
+// not reconnect in lockstep.
 type Follower struct {
 	// Leader is the leader's base URL, e.g. "http://10.0.0.1:8080".
 	Leader string
@@ -48,19 +56,12 @@ type Follower struct {
 	// reusable (a mismatch falls back to a local cold build).
 	Config domainnet.Config
 	// Client overrides the package's default client (whose timeout is
-	// DefaultPollTimeout plus slack). Its Timeout must exceed the leader's
-	// poll timeout or every idle long-poll turns into an error.
+	// PollTimeout plus slack). Its Timeout must exceed the leader's poll
+	// timeout or every idle long-poll turns into an error.
 	Client *http.Client
 	// Logf, when non-nil, receives operational events (bootstraps, resyncs,
 	// retries). log.Printf fits.
 	Logf func(format string, args ...any)
-	// RetryDelay is the base of the reconnect backoff: the first retry waits
-	// about this long and each consecutive failure doubles the wait, up to
-	// MaxRetryDelay, with jitter so a fleet that lost the same leader does
-	// not reconnect in lockstep. Default 1s.
-	RetryDelay time.Duration
-	// MaxRetryDelay caps the backoff; default DefaultMaxRetryDelay.
-	MaxRetryDelay time.Duration
 	// WarmMeasures adds measures to the replica's warm set, exactly like
 	// serve.Options.WarmMeasures on a primary: every replica server warms
 	// Config.Measure after each applied burst, and these measures too.
@@ -74,6 +75,10 @@ type Follower struct {
 	// installed replica server (and the follower's own /repl/status
 	// handler). Nil gets a private zero-value tracer.
 	Tracer *obs.Tracer
+
+	// retryBase is the backoff's base, shrunk by tests to run fast; zero
+	// means retryDelay.
+	retryBase time.Duration
 
 	// obsOnce latches the defaults above and the instrumented status
 	// handler, so a zero-value Follower still shares one registry across
@@ -226,7 +231,7 @@ func (f *Follower) noteLeader(h http.Header) {
 // defaultClient backs zero-value Followers: its timeout comfortably
 // outlives an idle long-poll yet still unsticks a half-open connection to a
 // silently dead leader, which http.DefaultClient (no timeout) never would.
-var defaultClient = &http.Client{Timeout: DefaultPollTimeout + 15*time.Second}
+var defaultClient = &http.Client{Timeout: PollTimeout + 15*time.Second}
 
 func (f *Follower) client() *http.Client {
 	if f.Client != nil {
@@ -369,7 +374,6 @@ func (f *Follower) fetch(ctx context.Context) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("repl: %w", err)
 		}
-		req.Header.Set("Accept-Encoding", "gzip")
 		resp, err := client.Do(req)
 		if err != nil {
 			f.noteLeader(nil)
@@ -519,37 +523,31 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 }
 
 // backoffDelay computes the wait before retry number failures (1-based):
-// base doubled per consecutive failure, capped at max, then jittered ±25%
-// by rnd (a [0,1) sample) so a fleet of followers that lost the same leader
-// spreads its reconnections instead of hammering it in lockstep. Pure —
-// callers supply the randomness.
-func backoffDelay(base, max time.Duration, failures int, rnd float64) time.Duration {
+// base (retryDelay when zero) doubled per consecutive failure, capped at
+// maxRetryDelay, then jittered ±25% by rnd (a [0,1) sample) so a fleet of
+// followers that lost the same leader spreads its reconnections instead of
+// hammering it in lockstep. Pure — callers supply the randomness.
+func backoffDelay(base time.Duration, failures int, rnd float64) time.Duration {
 	if base <= 0 {
-		base = time.Second
-	}
-	if max <= 0 {
-		max = DefaultMaxRetryDelay
+		base = retryDelay
 	}
 	d := base
-	for i := 1; i < failures && d < max; i++ {
+	for i := 1; i < failures && d < maxRetryDelay; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, maxRetryDelay)
 	return d + time.Duration((rnd-0.5)*0.5*float64(d))
 }
 
 // Run replicates until ctx is cancelled: bootstrap (with retries), then
 // poll forever, re-bootstrapping whenever the replica falls behind the
 // leader's log horizon or diverges. Consecutive failures back off
-// exponentially from RetryDelay up to MaxRetryDelay, with jitter; any
-// success resets the backoff. During a re-bootstrap the previous replica
-// keeps serving — it is a consistent stale snapshot, which the consistency
-// model permits — and is swapped out only when the new one is ready. On
-// exit the current replica's in-flight background warm (if any) is
-// cancelled — the replica itself keeps serving its snapshot. Run returns
-// ctx.Err().
+// exponentially from 1s up to 30s, with jitter; any success resets the
+// backoff. During a re-bootstrap the previous replica keeps serving — it is
+// a consistent stale snapshot, which the consistency model permits — and is
+// swapped out only when the new one is ready. On exit the current
+// replica's in-flight background warm (if any) is cancelled — the replica
+// itself keeps serving its snapshot. Run returns ctx.Err().
 func (f *Follower) Run(ctx context.Context) error {
 	defer func() {
 		if s := f.srv.Load(); s != nil {
@@ -559,7 +557,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	failures := 0
 	pause := func(err error, what string) {
 		failures++
-		d := backoffDelay(f.RetryDelay, f.MaxRetryDelay, failures, rand.Float64())
+		d := backoffDelay(f.retryBase, failures, rand.Float64())
 		f.logf("repl: %s failed (retry %d in %v): %v", what, failures, d, err)
 		sleep(ctx, d)
 	}

@@ -14,10 +14,10 @@
 //	                                   the log horizon (fetch a snapshot)
 //	GET /repl/snapshot?chunked=1       streams the persist codec (the same
 //	    [&offset=N&version=V]          bytes a disk checkpoint writes),
-//	                                   framed once per version and encoding
-//	                                   into CRC'd, gzipped chunks resumable
-//	                                   at raw offset N (409 when V moved;
-//	                                   400 without chunked=1)
+//	                                   framed once per version into CRC'd,
+//	                                   gzipped chunks resumable at raw
+//	                                   offset N (409 when V moved; 400
+//	                                   without chunked=1)
 //	GET /repl/status                   served by followers: applied version,
 //	                                   last seen leader version, lag, and
 //	                                   bootstrap progress — the read-router's
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -59,52 +58,44 @@ const (
 	// chunk codec. Every snapshot answer carries it; a follower refuses a
 	// 200 without it.
 	SnapshotChunkedHeader = "X-Domainnet-Snapshot-Chunked"
-	// SnapshotEncodingHeader reports the per-chunk payload encoding the
-	// leader negotiated from the request's Accept-Encoding (gzip or
-	// identity). Deliberately not Content-Encoding: the body is not one
-	// gzip stream, and stock HTTP middleware must not try to inflate it.
-	SnapshotEncodingHeader = "X-Domainnet-Snapshot-Encoding"
 )
 
-// DefaultPollTimeout bounds how long /repl/changes holds an idle long-poll
-// before answering 204; followers re-poll immediately, so the value trades
+// PollTimeout bounds how long /repl/changes holds an idle long-poll before
+// answering 204; followers re-poll immediately, so the value trades
 // connection churn against how long a dead leader pins follower requests.
-const DefaultPollTimeout = 25 * time.Second
+const PollTimeout = 25 * time.Second
 
-// DefaultTailCache bounds the in-memory ring of recent commits a leader
-// keeps so that followers at (or near) the tip are fed without touching the
-// log's segment files — the steady-state poll costs one mutex and a slice
-// copy, not a disk scan per commit per follower.
-const DefaultTailCache = 256
+// tailRing bounds the in-memory ring of recent commits a leader keeps so
+// that followers at (or near) the tip are fed without touching the log's
+// segment files — the steady-state poll costs one mutex and a slice copy,
+// not a disk scan per commit per follower.
+const tailRing = 256
 
 // Leader publishes a server's mutation history to followers. Create with
 // NewLeader, wire OnCommit (and Stats, as Replication) into serve.Options,
-// then Attach to the server.
+// then Attach to the server. It long-polls for PollTimeout, keeps the last
+// 256 commits in memory, and serves its snapshot as one gzip chunk stream
+// per version, cut at persist.DefaultChunkBytes.
 type Leader struct {
 	log *wal.Log
 	srv *serve.Server
-	// PollTimeout overrides DefaultPollTimeout when positive.
-	PollTimeout time.Duration
-	// TailCache overrides DefaultTailCache when positive. Set before the
-	// first commit.
-	TailCache int
-	// SnapshotChunkBytes overrides persist.DefaultChunkBytes for the chunked
-	// snapshot stream when positive; set it before the first snapshot
-	// request. Tests use small chunks to exercise resume without megabyte
-	// fixtures; production leaves the default.
-	SnapshotChunkBytes int
+	// Tests shrink these to run fast; zero means PollTimeout, tailRing and
+	// persist.DefaultChunkBytes.
+	pollTimeout time.Duration
+	tailCap     int
+	chunkBytes  int
 
 	mu   sync.Mutex
 	ch   chan struct{} // closed and replaced on every commit (broadcast)
 	tail []tailEntry   // ring of the most recent commits, oldest first
 
-	// snapMu guards one version's marshaled bytes and chunk stream per
-	// encoding (keyed by compress), each built by the first request needing
-	// it while concurrent joiners wait; a new version drops them all.
-	snapMu  sync.Mutex
-	snapVer uint64
-	snapRaw []byte
-	snapEnc map[bool]*persist.ChunkStream
+	// snapMu guards one version's marshaled bytes and their gzip chunk
+	// stream, built by the first request at that version while concurrent
+	// joiners wait; a new version replaces both.
+	snapMu     sync.Mutex
+	snapVer    uint64
+	snapRaw    []byte
+	snapStream *persist.ChunkStream
 
 	// Encode costs, reported by Stats.
 	marshalNS obs.Hist
@@ -114,9 +105,8 @@ type Leader struct {
 // LeaderStats is the leader's replication section of /metrics (wire Stats
 // into serve.Options.Replication): how many snapshot versions it encoded for
 // joining followers, how long each Marshal took, and how long each chunk
-// framing took (one per version and encoding, compression included). Both
-// run under the snapshot lock, so every joiner at a new version waits for
-// them.
+// framing took (one per version, compression included). Both run under the
+// snapshot lock, so every joiner at a new version waits for them.
 type LeaderStats struct {
 	Encodes int64            `json:"snapshot_encodes" prom:"snapshot_encodes_total"`
 	Marshal obs.HistSnapshot `json:"snapshot_marshal" prom:"snapshot_marshal_seconds"`
@@ -156,9 +146,9 @@ func (ld *Leader) OnCommit(m serve.Mutation) error {
 	if err != nil {
 		return err
 	}
-	cache := ld.TailCache
+	cache := ld.tailCap
 	if cache <= 0 {
-		cache = DefaultTailCache
+		cache = tailRing
 	}
 	entry := tailEntry{prev: rec.PrevVersion, ver: rec.Version, frame: frame}
 	ld.mu.Lock()
@@ -250,9 +240,9 @@ func (ld *Leader) handleChanges(w http.ResponseWriter, r *http.Request) {
 			http.StatusConflict)
 		return
 	}
-	timeout := ld.PollTimeout
+	timeout := ld.pollTimeout
 	if timeout <= 0 {
-		timeout = DefaultPollTimeout
+		timeout = PollTimeout
 	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -327,91 +317,62 @@ func (ld *Leader) handleChanges(w http.ResponseWriter, r *http.Request) {
 }
 
 // snapshot returns the persist codec bytes of the leader's published state
-// and their chunk stream in the requested encoding, marshaling at most once
-// per version: the marshal reads the published snapshot's frozen lake
+// and their gzip chunk stream, encoding and framing at most once per
+// version: the marshal reads the published snapshot's frozen lake
 // (Checkpoint), so the bytes are a consistent burst-boundary snapshot while
 // writes go on, and repeat requests at the same version — a fleet
 // bootstrapping at once, a follower resuming a torn stream — are served from
-// the cached buffer. Each encoding is framed by the first request for it.
-// Cached buffers are immutable.
-func (ld *Leader) snapshot(compress bool, chunk int) ([]byte, uint64, *persist.ChunkStream, error) {
+// the cached stream. Cached buffers are immutable.
+func (ld *Leader) snapshot(chunk int) ([]byte, uint64, *persist.ChunkStream, error) {
 	ld.snapMu.Lock()
 	defer ld.snapMu.Unlock()
-	if ld.snapRaw == nil || ld.snapVer != ld.srv.Version() {
-		var buf []byte
-		var version uint64
-		err := ld.srv.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
-			version = l.Version()
-			start := time.Now()
-			buf = persist.Marshal(l, g)
-			ld.marshalNS.ObserveDuration(time.Since(start))
-			return nil
-		})
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		ld.snapRaw, ld.snapVer, ld.snapEnc = buf, version, map[bool]*persist.ChunkStream{}
+	if ld.snapRaw != nil && ld.snapVer == ld.srv.Version() {
+		return ld.snapRaw, ld.snapVer, ld.snapStream, nil
 	}
-	if ld.snapEnc[compress] == nil {
+	var buf []byte
+	var version uint64
+	err := ld.srv.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
+		version = l.Version()
 		start := time.Now()
-		cs, err := persist.FrameChunks(ld.snapRaw, chunk, compress)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		ld.frameNS.ObserveDuration(time.Since(start))
-		ld.snapEnc[compress] = cs
+		buf = persist.Marshal(l, g)
+		ld.marshalNS.ObserveDuration(time.Since(start))
+		return nil
+	})
+	if err != nil {
+		return nil, 0, nil, err
 	}
-	return ld.snapRaw, ld.snapVer, ld.snapEnc[compress], nil
-}
-
-// acceptsGzip reports whether an Accept-Encoding header admits gzip. An
-// explicit gzip (or its alias x-gzip) member decides by its quality, else a
-// "*" member does; a quality of zero refuses. Coding names are
-// case-insensitive (RFC 9110 §8.4.1).
-func acceptsGzip(header string) bool {
-	gzip, star := -1, -1 // -1 unlisted, 0 refused, 1 accepted
-	for _, part := range strings.Split(strings.ToLower(header), ",") {
-		name, params, _ := strings.Cut(part, ";")
-		ok := 1
-		if q, found := strings.CutPrefix(strings.TrimSpace(params), "q="); found {
-			if v, err := strconv.ParseFloat(strings.TrimSpace(q), 64); err == nil && v == 0 {
-				ok = 0
-			}
-		}
-		switch strings.TrimSpace(name) {
-		case "gzip", "x-gzip":
-			gzip = max(gzip, ok)
-		case "*":
-			star = max(star, ok)
-		}
+	start := time.Now()
+	cs, err := persist.FrameChunks(buf, chunk)
+	if err != nil {
+		return nil, 0, nil, err
 	}
-	if gzip < 0 {
-		gzip = star
-	}
-	return gzip == 1
+	ld.frameNS.ObserveDuration(time.Since(start))
+	ld.snapRaw, ld.snapVer, ld.snapStream = buf, version, cs
+	return buf, version, cs, nil
 }
 
 // handleSnapshot streams the leader's full state from the per-version
-// cache (snapshot), outside snapMu. The body is framed by
-// the persist chunk codec — every chunk independently CRC'd and, when the
-// request advertises Accept-Encoding: gzip, independently compressed — so a
-// request must say chunked=1; anything else gets a 400. ?offset=N&version=V
-// resumes a torn transfer at raw offset N by writing the cached stream from
-// chunk N/chunk onward. The answer is 409 Conflict when the leader's
-// snapshot has moved past V or N does not land on a chunk boundary; the
-// follower restarts from offset zero.
+// cache (snapshot), outside snapMu. The body is framed by the persist chunk
+// codec — every chunk independently CRC'd and gzip-compressed, or stored
+// when gzip does not shrink it — whatever the request's Accept-Encoding, so
+// a request must say chunked=1; anything else gets a 400. The body is not
+// one gzip stream, so the response carries no Content-Encoding and stock
+// HTTP middleware leaves it alone. ?offset=N&version=V resumes a torn
+// transfer at raw offset N by writing the cached stream from chunk N/chunk
+// onward. The answer is 409 Conflict when the leader's snapshot has moved
+// past V or N does not land on a chunk boundary; the follower restarts from
+// offset zero.
 func (ld *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if q.Get("chunked") != "1" {
 		http.Error(w, "the snapshot is served only chunked: request it with chunked=1", http.StatusBadRequest)
 		return
 	}
-	compress := acceptsGzip(r.Header.Get("Accept-Encoding"))
-	chunk := ld.SnapshotChunkBytes
+	chunk := ld.chunkBytes
 	if chunk <= 0 {
 		chunk = persist.DefaultChunkBytes
 	}
-	buf, version, stream, err := ld.snapshot(compress, chunk)
+	buf, version, stream, err := ld.snapshot(chunk)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -446,10 +407,5 @@ func (ld *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set(SnapshotChunkedHeader, "1")
-	enc := "identity"
-	if compress {
-		enc = "gzip"
-	}
-	w.Header().Set(SnapshotEncodingHeader, enc)
 	w.Write(stream.Wire[stream.Starts[offset/chunk]:]) //nolint:errcheck // the response is already committed
 }

@@ -31,13 +31,13 @@ func newLeader(t *testing.T) (*serve.Server, *Leader, *httptest.Server) {
 // newLeaderOver is newLeader over any lake and detector configuration.
 func newLeaderOver(t testing.TB, l *lake.Lake, cfg domainnet.Config) (*serve.Server, *Leader, *httptest.Server) {
 	t.Helper()
-	log, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
+	log, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { log.Close() })
 	ld := NewLeader(log)
-	ld.PollTimeout = 100 * time.Millisecond
+	ld.pollTimeout = 100 * time.Millisecond
 	s := serve.NewWithOptions(l, cfg, serve.Options{OnCommit: ld.OnCommit})
 	ld.Attach(s)
 	ts := httptest.NewServer(s)
@@ -47,9 +47,9 @@ func newLeaderOver(t testing.TB, l *lake.Lake, cfg domainnet.Config) (*serve.Ser
 
 func newFollower(ts *httptest.Server) *Follower {
 	return &Follower{
-		Leader:     ts.URL,
-		Config:     domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true},
-		RetryDelay: 10 * time.Millisecond,
+		Leader:    ts.URL,
+		Config:    domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true},
+		retryBase: 10 * time.Millisecond,
 	}
 }
 
@@ -138,7 +138,7 @@ func TestPollAppliesRemovals(t *testing.T) {
 
 func TestLongPollWakesOnCommit(t *testing.T) {
 	leader, ld, ts := newLeader(t)
-	ld.PollTimeout = 10 * time.Second // force the wake-up path, not the timeout
+	ld.pollTimeout = 10 * time.Second // force the wake-up path, not the timeout
 	f := newFollower(ts)
 	if err := f.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
@@ -165,17 +165,17 @@ func TestLongPollWakesOnCommit(t *testing.T) {
 }
 
 func TestBehindHorizonFallsBackToSnapshot(t *testing.T) {
-	log, err := wal.Open(t.TempDir(), wal.Options{NoSync: true, SegmentBytes: 64})
+	log, err := wal.Open(t.TempDir(), wal.Options{SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
 	ld := NewLeader(log)
-	ld.PollTimeout = 100 * time.Millisecond
+	ld.pollTimeout = 100 * time.Millisecond
 	// A tiny tail ring: the records bridging the follower's version must
 	// age out of memory too, or the ring would (correctly) bridge the
 	// truncated log and the horizon path would never run.
-	ld.TailCache = 2
+	ld.tailCap = 2
 	leader := serve.NewWithOptions(datagen.Figure1Lake(),
 		domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true},
 		serve.Options{OnCommit: ld.OnCommit})

@@ -31,7 +31,7 @@ func newObsFleet(t *testing.T, replicas int) *fleet {
 // newObsFleetOver is newObsFleet with any detector configuration.
 func newObsFleetOver(t *testing.T, replicas int, cfg domainnet.Config) *fleet {
 	t.Helper()
-	log, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
+	log, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

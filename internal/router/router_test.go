@@ -34,7 +34,7 @@ type fleet struct {
 
 func newFleet(t *testing.T, replicas int) *fleet {
 	t.Helper()
-	log, err := wal.Open(t.TempDir(), wal.Options{NoSync: true})
+	log, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,10 +159,6 @@ type Options struct {
 	// it is closed and a fresh one started by the next Append. Zero means
 	// 64 MiB.
 	SegmentBytes int64
-	// NoSync skips the per-commit fsync. Only for tests and benchmarks that
-	// measure the in-memory path; production appends must reach the platter
-	// before the client sees an acknowledgement.
-	NoSync bool
 }
 
 // segment is one on-disk segment: its start (the PrevVersion of its first
@@ -341,11 +337,9 @@ func (l *Log) Append(rec *Record) ([]byte, error) {
 		l.broken = fmt.Errorf("wal: append failed, log needs reopening: %w", err)
 		return nil, l.broken
 	}
-	if !l.opts.NoSync {
-		if err := l.active.Sync(); err != nil {
-			l.broken = fmt.Errorf("wal: fsync failed, log needs reopening: %w", err)
-			return nil, l.broken
-		}
+	if err := l.active.Sync(); err != nil {
+		l.broken = fmt.Errorf("wal: fsync failed, log needs reopening: %w", err)
+		return nil, l.broken
 	}
 	l.size += int64(len(frame))
 	l.last = rec.Version
@@ -378,20 +372,18 @@ func (l *Log) rotate(start uint64) error {
 	// Make the segment's directory entry durable before any record commits
 	// into it; otherwise a power loss could keep records whose segment file
 	// vanished.
-	if !l.opts.NoSync {
-		if err := f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: %w", err)
+	}
+	if d, err := os.Open(l.dir); err == nil {
+		serr := d.Sync()
+		d.Close()
+		if serr != nil {
+			// The new segment's directory entry may not survive a crash;
+			// reporting rotate as failed is the only honest option.
 			f.Close()
-			return fmt.Errorf("wal: %w", err)
-		}
-		if d, err := os.Open(l.dir); err == nil {
-			serr := d.Sync()
-			d.Close()
-			if serr != nil {
-				// The new segment's directory entry may not survive a crash;
-				// reporting rotate as failed is the only honest option.
-				f.Close()
-				return fmt.Errorf("wal: sync dir: %w", serr)
-			}
+			return fmt.Errorf("wal: sync dir: %w", serr)
 		}
 	}
 	l.segs = append(l.segs, segment{start: start, name: name})
