@@ -34,11 +34,14 @@
 // file when it exists and checkpoints back to it on graceful shutdown
 // (SIGINT/SIGTERM) and, with -checkpoint-every K, after every K-th publish.
 // With -wal set, every acknowledged mutation burst is appended (and fsynced)
-// to a segmented write-ahead log *before* it is applied, so recovery —
-// snapshot-load followed by WAL replay — loses nothing even on kill -9 or
-// power failure; each successful checkpoint truncates the segments it made
-// obsolete. Without -wal, a crash loses the mutations since the last
-// checkpoint; without either flag, the lake is memory-only.
+// to a segmented write-ahead log *before* it is applied, so recovery loses
+// nothing even on kill -9 or power failure. Recovery treats the restarting
+// leader as a lagging follower of its own log: it builds the server from the
+// snapshot's lake and graph, then hands it every logged burst past that
+// version in one serve.Server.Replay call, the path a follower's change feed
+// takes. Each successful checkpoint truncates the segments it made obsolete.
+// Without -wal, a crash loses the mutations since the last checkpoint;
+// without either flag, the lake is memory-only.
 //
 // Pre-warming: every publish schedules a background precompute of the
 // -measure ranking on the new snapshot, plus any measures -warm-measures
@@ -49,10 +52,11 @@
 // Replication: -wal also enables the leader endpoints under /repl/.
 // A replica runs `domainnetd -follow http://leader:8080`: it bootstraps from
 // the leader's snapshot stream, tails the change feed (long-poll), applies
-// each burst through the same incremental rebuild path the leader used, and
-// serves reads at the leader's versions; its own mutation endpoints answer
-// 403. A replica that falls behind the leader's truncated log re-bootstraps
-// from the snapshot stream automatically.
+// each burst with serve.Server.Replay, through the checks, mutation code and
+// incremental rebuild the leader's writes take, and serves reads at the
+// leader's versions; its own mutation endpoints answer 403. A replica that
+// falls behind the leader's truncated log re-bootstraps from the snapshot
+// stream automatically.
 //
 // Observability: every request books into a lock-free latency histogram, so
 // GET /metrics reports p50/p95/p99 per endpoint next to the warmer, runtime,
@@ -326,8 +330,8 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 		}
 	}
 
-	// The write-ahead log: replay whatever outlived the last checkpoint,
-	// then hook every future burst through the leader's OnCommit.
+	// The write-ahead log: every future burst goes through the leader's
+	// OnCommit, and what outlived the last checkpoint is replayed below.
 	var wlog *wal.Log
 	var leader *repl.Leader
 	if c.walDir != "" {
@@ -355,39 +359,6 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 			// version-chain check and replay into silently diverged state.
 			return fmt.Errorf("domainnetd: %s contains history but the snapshot %s is missing, leaving only the mutable CSV directory as a replay base; restore the snapshot file (or move the wal directory aside to discard its history)",
 				c.walDir, c.snapshot)
-		}
-		replayed := 0
-		last, err := wlog.Replay(l.Version(), func(rec *wal.Record) error {
-			for _, name := range rec.Remove {
-				if !l.RemoveTable(name) {
-					return fmt.Errorf("wal replay: burst %d→%d removes unknown table %q (snapshot and log disagree)",
-						rec.PrevVersion, rec.Version, name)
-				}
-			}
-			for _, t := range rec.Add {
-				if err := l.Add(t); err != nil {
-					return fmt.Errorf("wal replay: burst %d→%d: %w", rec.PrevVersion, rec.Version, err)
-				}
-			}
-			if l.Version() != rec.Version {
-				return fmt.Errorf("wal replay: burst %d→%d left the lake at %d",
-					rec.PrevVersion, rec.Version, l.Version())
-			}
-			replayed++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if replayed > 0 {
-			log.Printf("domainnetd: replayed %d wal burst(s), lake at version %d", replayed, last)
-			if warmGraph != nil {
-				// The loaded graph matched the snapshot's lake; catch it up
-				// to the replayed mutations incrementally so the serving
-				// layer still adopts it without a second full build.
-				warmGraph, _ = bipartite.RebuildDiff(warmGraph, l.Attributes(),
-					bipartite.Options{KeepSingletons: c.keep, Workers: c.workers})
-			}
 		}
 		leader = repl.NewLeader(wlog)
 	}
@@ -418,6 +389,19 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 
 	s := serve.NewWithOptions(l, c.detectorConfig(), opts)
 	if leader != nil {
+		// Recovery: a restarting leader is a lagging follower of its own
+		// log. The server holds the snapshot's state; every logged burst
+		// past it is applied in one Replay call, with one publish.
+		recs, err := wlog.Replay(s.Version())
+		if err != nil {
+			return err
+		}
+		if err := s.Replay(recs...); err != nil {
+			return fmt.Errorf("domainnetd: wal replay (snapshot and log disagree): %w", err)
+		}
+		if len(recs) > 0 {
+			log.Printf("domainnetd: replayed %d wal burst(s), lake at version %d", len(recs), s.Version())
+		}
 		leader.Attach(s)
 	}
 

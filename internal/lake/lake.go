@@ -232,6 +232,12 @@ func (l *Lake) RemoveTable(name string) bool {
 	return false
 }
 
+// Has reports whether the live lake (not a Frozen view) holds the table.
+func (l *Lake) Has(name string) bool {
+	_, ok := l.names[name]
+	return ok
+}
+
 // NumTables reports the number of tables in the lake.
 func (l *Lake) NumTables() int { return len(l.tables) }
 

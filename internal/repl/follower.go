@@ -39,8 +39,8 @@ const (
 // Follower replicates a leader's lake: it bootstraps from /repl/snapshot
 // (chunked, per-chunk-gzipped and resumable — a transfer torn at
 // raw offset N re-requests from N instead of starting over), then tails
-// /repl/changes and applies each burst through serve.Apply — the same
-// validation and incremental-rebuild path the leader's writes took, so
+// /repl/changes and applies each burst with serve.Server.Replay — the same
+// checks, mutation code and incremental rebuild the leader's writes took, so
 // replica state is bit-identical at every version. It implements
 // http.Handler, serving the read endpoints from its current replica (503
 // until the first bootstrap completes, except /repl/status, which always
@@ -452,9 +452,10 @@ func (f *Follower) fetch(ctx context.Context) ([]byte, error) {
 }
 
 // Poll runs one change-feed cycle: long-poll the leader for bursts past the
-// replica's version and apply each one, asserting the version chain. It
+// replica's version and Replay each one, which checks the version chain. It
 // returns the number of bursts applied (zero for an idle 204), and
-// ErrBehindHorizon or ErrDiverged when only a re-bootstrap can help.
+// ErrBehindHorizon or ErrDiverged (a burst Replay refused) when only a
+// re-bootstrap can help.
 func (f *Follower) Poll(ctx context.Context) (int, error) {
 	srv := f.srv.Load()
 	if srv == nil {
@@ -506,17 +507,8 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 		if err != nil {
 			return applied, err
 		}
-		if rec.PrevVersion != srv.Version() {
-			return applied, fmt.Errorf("%w: burst applies at version %d, replica is at %d",
-				ErrDiverged, rec.PrevVersion, srv.Version())
-		}
-		if _, err := srv.Apply(rec.Add, rec.Remove); err != nil {
-			return applied, fmt.Errorf("%w: applying burst %d→%d: %v",
-				ErrDiverged, rec.PrevVersion, rec.Version, err)
-		}
-		if got := srv.Version(); got != rec.Version {
-			return applied, fmt.Errorf("%w: burst %d→%d left the replica at %d",
-				ErrDiverged, rec.PrevVersion, rec.Version, got)
+		if err := srv.Replay(rec); err != nil {
+			return applied, fmt.Errorf("%w: %v", ErrDiverged, err)
 		}
 		applied++
 	}

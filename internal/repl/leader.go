@@ -1,15 +1,18 @@
 // Package repl is the leader/follower replication layer over the serving
 // stack: a leader exposes its mutation history (internal/wal) and state
 // (internal/persist) over two HTTP endpoints, and any number of followers
-// tail the change feed, applying each burst through the same incremental
-// rebuild machinery the leader used — so a follower's snapshots are
-// bit-identical to the leader's at every version, and `/topk`, `/score` and
-// `/stats` scale horizontally by adding replicas.
+// tail the change feed, applying each burst with serve.Server.Replay — the
+// checks, mutation code and incremental rebuild the leader's writes took,
+// and the path a restarting leader's recovery takes through its own log —
+// so a follower's snapshots are bit-identical to the leader's at every
+// version, and `/topk`, `/score` and `/stats` scale horizontally by adding
+// replicas.
 //
 // The protocol is two endpoints, zero dependencies:
 //
-//	GET /repl/changes?from=<version>   long-poll; streams wal frames of every
-//	                                   burst past <version>, 204 when caught
+//	GET /repl/changes?from=<version>   long-poll; streams the wal frames, as
+//	                                   Append stored them, of every burst
+//	                                   past <version>, 204 when caught
 //	                                   up, 410 Gone when <version> is behind
 //	                                   the log horizon (fetch a snapshot)
 //	GET /repl/snapshot?chunked=1       streams the persist codec (the same
@@ -136,13 +139,7 @@ func NewLeader(log *wal.Log) *Leader {
 // durably appends the burst to the WAL before the lake applies it, then
 // wakes every long-polling follower. An append error aborts the burst.
 func (ld *Leader) OnCommit(m serve.Mutation) error {
-	rec := &wal.Record{
-		PrevVersion: m.PrevVersion,
-		Version:     m.Version,
-		Remove:      m.Remove,
-		Add:         m.Add,
-	}
-	frame, err := ld.log.Append(rec)
+	frame, err := ld.log.Append(&m)
 	if err != nil {
 		return err
 	}
@@ -150,7 +147,7 @@ func (ld *Leader) OnCommit(m serve.Mutation) error {
 	if cache <= 0 {
 		cache = tailRing
 	}
-	entry := tailEntry{prev: rec.PrevVersion, ver: rec.Version, frame: frame}
+	entry := tailEntry{prev: m.PrevVersion, ver: m.Version, frame: frame}
 	ld.mu.Lock()
 	ld.tail = append(ld.tail, entry)
 	if len(ld.tail) > cache {
@@ -278,7 +275,8 @@ func (ld *Leader) handleChanges(w http.ResponseWriter, r *http.Request) {
 		}
 		frames, last, ok := ld.fromTail(from)
 		if !ok {
-			recs, err := ld.log.ReadFrom(from)
+			// Past the ring: send the log's frames as stored.
+			frames, last, err = ld.log.ReadFrames(from)
 			switch {
 			case errors.Is(err, wal.ErrGap):
 				// The history bridging the follower's version is truncated;
@@ -288,10 +286,6 @@ func (ld *Leader) handleChanges(w http.ResponseWriter, r *http.Request) {
 			case err != nil:
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
-			}
-			for _, rec := range recs {
-				frames = append(frames, wal.AppendFrame(nil, wal.EncodeRecord(nil, rec)))
-				last = rec.Version
 			}
 		}
 		if len(frames) > 0 {

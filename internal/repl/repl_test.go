@@ -198,7 +198,7 @@ func TestBehindHorizonFallsBackToSnapshot(t *testing.T) {
 	if err := log.Truncate(leader.Version()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := log.ReadFrom(stale); !errors.Is(err, wal.ErrGap) {
+	if _, _, err := log.ReadFrames(stale); !errors.Is(err, wal.ErrGap) {
 		t.Fatalf("test setup: log still bridges version %d", stale)
 	}
 

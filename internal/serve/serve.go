@@ -5,11 +5,13 @@
 // The design is a single atomically swapped immutable snapshot. Readers
 // (/topk, /score, /stats, /scorers) load the snapshot pointer and never take
 // a lock, never block, and never observe a half-applied update. Writers
-// (POST/DELETE /tables) serialize on a mutex, mutate the lake, rebuild the
-// graph incrementally from the previous snapshot (bipartite.RebuildDiff — only
-// the touched table's attributes are re-processed), and publish the result
-// with one atomic store. In-flight readers keep the old snapshot alive until
-// they finish; new requests see the new version.
+// (Apply, which logs each new burst through Options.OnCommit first, and
+// Replay, which applies logged ones) serialize on a mutex, mutate the lake
+// through one apply, rebuild the graph incrementally from the previous
+// snapshot (bipartite.RebuildDiff — only the touched table's attributes are
+// re-processed), and publish the result with one atomic store. In-flight
+// readers keep the old snapshot alive until they finish; new requests see
+// the new version.
 //
 // The write lock's contract: writers serialize on writeMu through
 // validation, the write-ahead commit (Options.OnCommit, fsync included) and
@@ -67,6 +69,7 @@ import (
 	"domainnet/internal/obs"
 	"domainnet/internal/rank"
 	"domainnet/internal/table"
+	"domainnet/internal/wal"
 )
 
 // maxUpload bounds a single upload request (one CSV table, or a whole
@@ -182,18 +185,18 @@ type Options struct {
 	// for it (see the write lock's contract in the package doc): keep it
 	// non-blocking — e.g. a non-blocking send to a checkpointing goroutine.
 	AfterPublish func(version uint64)
-	// OnCommit, when non-nil, runs under the write lock after a mutation
-	// burst has been validated but before any of it is applied — the
-	// write-ahead hook. An error aborts the burst with the lake untouched,
-	// so a failed log append never acknowledges a mutation that would be
-	// lost on crash. Queued writers wait for it, reads and checkpoints do
-	// not (see the write lock's contract in the package doc): keep it
-	// bounded (a local WAL append + fsync, not a network round trip).
+	// OnCommit, when non-nil, runs under the write lock after an Apply
+	// burst (never a Replay one) has been checked but before any of it is
+	// applied — the write-ahead hook. An error aborts the burst with the
+	// lake untouched, so a failed log append never acknowledges a mutation
+	// that would be lost on crash. Queued writers wait for it, reads and
+	// checkpoints do not (see the write lock's contract in the package doc):
+	// keep it bounded (a local WAL append + fsync, not a network round trip).
 	OnCommit func(Mutation) error
 	// ReadOnly rejects the HTTP mutation endpoints (POST/DELETE /tables…)
 	// with 403, for replication followers whose lake must change only
-	// through the leader's change feed. Direct Apply calls — the follower's
-	// own replication path — still work.
+	// through the leader's change feed. Direct Apply and Replay calls — the
+	// follower's own replication path is Replay — still work.
 	ReadOnly bool
 	// WarmMeasures adds measures to the warm set. After every snapshot
 	// publish (including the initial one) a goroutine precomputes the
@@ -221,18 +224,11 @@ type Options struct {
 	Replication func() any
 }
 
-// Mutation describes one validated, not-yet-applied mutation burst: the
-// tables about to be removed and added under one write-lock acquisition,
-// with the lake version it applies on top of (PrevVersion) and the version
-// it will produce (Version — the lake bumps once per removed and once per
-// added table). Options.OnCommit receives it; internal/repl's leader turns
-// it into a wal.Record.
-type Mutation struct {
-	PrevVersion uint64
-	Version     uint64
-	Add         []*table.Table
-	Remove      []string
-}
+// Mutation is one mutation burst, the write-ahead log's record: the tables
+// removed, then added, stamped with the lake version before (PrevVersion)
+// and after it (Version). OnCommit logs the bursts Apply takes; Replay
+// applies logged ones.
+type Mutation = wal.Record
 
 // snapshot is one immutable published version of the served state. The lake
 // view, graph and stats are fixed at swap time; detectors (score/ranking
@@ -312,7 +308,7 @@ func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
 		}
 	}
 	if g := opts.Graph; g != nil && g.KeepsSingletons() == cfg.KeepSingletons {
-		s.publishGraph(g)
+		s.publishGraph(g, nil)
 	} else {
 		s.publish()
 	}
@@ -430,17 +426,15 @@ func (s *Server) publish() {
 	default:
 		s.ctr.rebuildIncremental.Add(1)
 	}
-	s.publishGraphDiff(g, diff)
+	s.publishGraph(g, diff)
 }
 
 // publishGraph swaps in a new snapshot holding g, which must reflect the
-// lake's current contents. Same locking contract as publish.
-func (s *Server) publishGraph(g *bipartite.Graph) { s.publishGraphDiff(g, nil) }
-
-// publishGraphDiff is publishGraph with the structural diff of the rebuild
-// that produced g against the previous snapshot's graph (nil when unknown),
-// which links each warmed detector to its predecessor for delta scoring.
-func (s *Server) publishGraphDiff(g *bipartite.Graph, diff *bipartite.Diff) {
+// lake's current contents, under publish's locking contract. diff is the
+// rebuild's structural diff against the previous snapshot's graph (nil when
+// unknown), which links each warmed detector to its predecessor for delta
+// scoring.
+func (s *Server) publishGraph(g *bipartite.Graph, diff *bipartite.Diff) {
 	prev := s.snap.Load()
 	lk := s.lake.Frozen()
 	next := &snapshot{
@@ -855,50 +849,79 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, sn *snaps
 // before any mutation, so a failed Apply leaves the lake untouched. Returns
 // the lake version after the batch.
 func (s *Server) Apply(add []*table.Table, remove []string) (uint64, error) {
-	for _, t := range add {
-		if err := t.Validate(); err != nil {
-			return 0, err
-		}
-	}
 	return s.withWrite(func() error {
-		present := make(map[string]bool, s.lake.NumTables())
-		for _, t := range s.lake.Tables() {
-			present[t.Name] = true
-		}
-		for _, name := range remove {
-			if !present[name] {
-				return fmt.Errorf("%w %q", ErrNotFound, name)
-			}
-			present[name] = false
-		}
-		for _, t := range add {
-			if present[t.Name] {
-				return fmt.Errorf("%w %q", ErrConflict, t.Name)
-			}
-			present[t.Name] = true
-		}
-		// All checks passed; none of the mutations below can fail. Commit
-		// the burst to the write-ahead hook first: each removal and each add
-		// bumps the lake version exactly once, so the post-burst version is
-		// known before anything is applied, and an append failure aborts
-		// with the lake untouched.
-		if s.onCommit != nil {
-			m := Mutation{PrevVersion: s.lake.Version(), Add: add, Remove: remove}
-			m.Version = m.PrevVersion + uint64(len(add)+len(remove))
-			if err := s.onCommit(m); err != nil {
-				return fmt.Errorf("commit log: %w", err)
-			}
-		}
-		for _, name := range remove {
-			s.lake.RemoveTable(name)
-		}
-		for _, t := range add {
-			if err := s.lake.Add(t); err != nil {
-				return err // unreachable: names pre-checked, tables validated
+		v := s.lake.Version()
+		return s.apply(&Mutation{PrevVersion: v, Version: v + uint64(len(remove)+len(add)), Remove: remove, Add: add}, s.onCommit)
+	})
+}
+
+// Replay applies logged bursts (a follower's change feed, a restart's
+// recovery) in order under the write lock, then publishes once. Each passes
+// Apply's checks, without OnCommit: it is logged already. A refused burst
+// leaves the lake at the last whole burst before it, and Replay says why.
+func (s *Server) Replay(recs ...*Mutation) error {
+	_, err := s.withWrite(func() error {
+		for _, m := range recs {
+			if err := s.apply(m, nil); err != nil {
+				return fmt.Errorf("burst %d→%d: %w", m.PrevVersion, m.Version, err)
 			}
 		}
 		return nil
 	})
+	return err
+}
+
+// apply is the one way a burst reaches the lake. Before any mutation it
+// checks that m applies at the lake's version with one version per table,
+// and that its tables are valid and its names free or present as needed.
+// A non-nil commit (the write-ahead hook) sees it next and can abort it.
+// Then the removals, the adds, and a check of the version reached. Callers
+// hold writeMu.
+func (s *Server) apply(m *Mutation, commit func(Mutation) error) error {
+	if v := s.lake.Version(); m.PrevVersion != v || m.Version != v+uint64(len(m.Remove)+len(m.Add)) {
+		return fmt.Errorf("burst stamped %d→%d with %d mutations does not apply at lake version %d",
+			m.PrevVersion, m.Version, len(m.Remove)+len(m.Add), v)
+	}
+	// The burst's names overlay the lake's: the check costs the burst's size.
+	overlay := make(map[string]bool, len(m.Remove)+len(m.Add))
+	present := func(name string) bool {
+		if p, ok := overlay[name]; ok {
+			return p
+		}
+		return s.lake.Has(name)
+	}
+	for _, name := range m.Remove {
+		if !present(name) {
+			return fmt.Errorf("%w %q", ErrNotFound, name)
+		}
+		overlay[name] = false
+	}
+	for _, t := range m.Add {
+		if err := t.Validate(); err != nil {
+			return err
+		}
+		if present(t.Name) {
+			return fmt.Errorf("%w %q", ErrConflict, t.Name)
+		}
+		overlay[t.Name] = true
+	}
+	if commit != nil {
+		if err := commit(*m); err != nil {
+			return fmt.Errorf("commit log: %w", err)
+		}
+	}
+	for _, name := range m.Remove {
+		s.lake.RemoveTable(name)
+	}
+	for _, t := range m.Add {
+		if err := s.lake.Add(t); err != nil {
+			return err // unreachable: names pre-checked, tables validated
+		}
+	}
+	if v := s.lake.Version(); v != m.Version {
+		return fmt.Errorf("burst left the lake at version %d", v)
+	}
+	return nil
 }
 
 // rejectReadOnly writes the follower-mode 403 and reports whether the

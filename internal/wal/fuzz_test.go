@@ -22,8 +22,8 @@ func FuzzDecodeRecord(f *testing.F) {
 			table.New("cats").AddColumn("cat", "jaguar", "puma"),
 		},
 	}
-	payload := EncodeRecord(nil, rec)
-	frame := AppendFrame(nil, payload)
+	payload := encodeRecord(nil, rec)
+	frame := appendFrame(nil, payload)
 	f.Add(frame)
 	f.Add(payload)
 	f.Add([]byte{})

@@ -3,15 +3,17 @@
 // that closes the durability gap between two snapshot checkpoints. The
 // serving layer appends (and fsyncs) every burst *before* applying it in
 // memory, so an acknowledged mutation is durable even if the process dies the
-// next instant; recovery is snapshot-load + Replay of the records past the
-// snapshot's version.
+// next instant. Recovery is persist.Load and serve.NewWithOptions, then
+// Replay of the records past the snapshot's version into serve.Server.Replay,
+// the path a replication follower applies the same records through.
 //
 // A Record is one atomic burst — the tables removed and added together under
 // the serving layer's write lock — stamped with the lake version it applies
-// on top of (PrevVersion) and the version it produces (Version). Versions
-// chain: replay and the replication feed (internal/repl) verify that each
-// applied record's PrevVersion equals the current state version, so a missing
-// segment surfaces as ErrGap instead of silent divergence.
+// on top of (PrevVersion) and the version it produces (Version). It is the
+// serving layer's burst type too (serve.Mutation is an alias). Versions
+// chain: Replay and ReadFrames verify the chain of the records they read, so
+// a missing segment surfaces as ErrGap instead of silent divergence, and
+// serve.Server.Replay checks each record's PrevVersion against the lake.
 //
 // On-disk layout: one directory of segment files named wal-<prevversion>.seg,
 // each holding a 4-byte magic + uvarint format version header followed by
@@ -60,7 +62,8 @@ const maxFrameBytes = 256 << 20
 var ErrGap = errors.New("wal: requested version is behind the log horizon")
 
 // Record is one atomic lake mutation burst: the tables removed and then
-// added under one write-lock acquisition. Versions stamp the lake's update
+// added under one write-lock acquisition, and the one type that declares a
+// burst (serve.Mutation is this type). Versions stamp the lake's update
 // counter — PrevVersion before the burst, Version after it (the lake bumps
 // once per removed and once per added table, so Version-PrevVersion equals
 // len(Remove)+len(Add)).
@@ -71,8 +74,9 @@ type Record struct {
 	Add         []*table.Table
 }
 
-// EncodeRecord appends the record's payload encoding (no frame) to b.
-func EncodeRecord(b []byte, rec *Record) []byte {
+// encodeRecord appends the record's payload encoding (no frame) to b. Only
+// Append encodes: the replication feed sends the frames it stored.
+func encodeRecord(b []byte, rec *Record) []byte {
 	b = binary.AppendUvarint(b, rec.PrevVersion)
 	b = binary.AppendUvarint(b, rec.Version)
 	b = binary.AppendUvarint(b, uint64(len(rec.Remove)))
@@ -86,7 +90,7 @@ func EncodeRecord(b []byte, rec *Record) []byte {
 	return b
 }
 
-// DecodeRecord decodes a payload written by EncodeRecord. Corrupt input
+// DecodeRecord decodes a payload written by encodeRecord. Corrupt input
 // yields an error, never a panic.
 func DecodeRecord(payload []byte) (*Record, error) {
 	r := persist.NewReader(payload)
@@ -110,10 +114,10 @@ func DecodeRecord(payload []byte) (*Record, error) {
 	return rec, nil
 }
 
-// AppendFrame appends a framed payload — uint32 length, payload bytes,
-// uint32 CRC-32 — to b. The replication feed reuses the frame format on the
-// wire, so a follower parses /repl/changes with ReadFrame.
-func AppendFrame(b, payload []byte) []byte {
+// appendFrame appends a framed payload — uint32 length, payload bytes,
+// uint32 CRC-32 — to b. The replication feed sends these frames on the wire,
+// so a follower parses /repl/changes with ReadFrame.
+func appendFrame(b, payload []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
 	b = append(b, payload...)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
@@ -169,7 +173,7 @@ type segment struct {
 }
 
 // Log is an append-only mutation log over one directory. It is safe for
-// concurrent use, and reads do not block appends: ReadFrom/Replay take a
+// concurrent use, and reads do not block appends: ReadFrames/Replay take a
 // consistent snapshot of the segment list and the committed size under the
 // mutex, then do all file I/O and decoding outside it — segments are
 // immutable once rotated, and the active one only grows past the committed
@@ -220,7 +224,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	// during segment creation, before rotate's sync) is removed outright so
 	// the append path never writes records into a header-less file.
 	lastVersion := func(path string) (last uint64, any bool, validLen int64, err error) {
-		validLen, _, err = scanSegmentLen(path, -1, func(_, ver uint64, _ []byte) (bool, error) {
+		validLen, _, err = scanSegment(path, -1, func(_, ver uint64, _ []byte) (bool, error) {
 			last, any = ver, true
 			return true, nil
 		})
@@ -328,7 +332,7 @@ func (l *Log) Append(rec *Record) ([]byte, error) {
 			return nil, err
 		}
 	}
-	frame := AppendFrame(nil, EncodeRecord(nil, rec))
+	frame := appendFrame(nil, encodeRecord(nil, rec))
 	if _, err := l.active.Write(frame); err != nil {
 		// The frame may be partially in the file: committing more records
 		// after it would interleave an unacknowledged burst into the
@@ -418,50 +422,52 @@ func (l *Log) Truncate(version uint64) error {
 	return firstErr
 }
 
-// maxReadBatch caps the records one ReadFrom call returns, bounding the
+// maxReadBatch caps the records one ReadFrames call returns, bounding the
 // memory a far-behind reader (a follower at version 0 against a deep log)
 // can pin. Readers loop: the next call continues from the batch's last
 // version.
 const maxReadBatch = 512
 
-// ReadFrom returns committed records with Version > from in commit order —
-// at most maxReadBatch of them; call again from the last returned version
-// for more — verifying the version chain. It returns ErrGap when the log's
-// retained records cannot bridge from: the caller's state is older than the
-// horizon.
-func (l *Log) ReadFrom(from uint64) ([]*Record, error) {
-	var out []*Record
-	err := l.iterate(from, maxReadBatch, func(rec *Record) error {
-		out = append(out, rec)
+// ReadFrames returns the committed frames of the records with Version >
+// from, in commit order and as stored — CRC-checked, not decoded — with the
+// Version of the last one: at most maxReadBatch of them; call again from
+// last for more. The replication feed sends them as they are, so a burst is
+// encoded once, by Append. It returns ErrGap when the log's retained records
+// cannot bridge from: the caller's state is older than the horizon.
+func (l *Log) ReadFrames(from uint64) (frames [][]byte, last uint64, err error) {
+	err = l.iterate(from, maxReadBatch, func(ver uint64, frame []byte) error {
+		frames = append(frames, slices.Clone(frame))
+		last = ver
 		return nil
 	})
-	return out, err
+	return frames, last, err
 }
 
-// Replay streams every committed record with Version > from through fn in
-// commit order, verifying the version chain, and reports the version of the
-// state after the last applied record. Recovery is persist.Load (or an empty
-// lake) followed by Replay(lake.Version(), apply).
-func (l *Log) Replay(from uint64, fn func(*Record) error) (uint64, error) {
-	last := from
-	err := l.iterate(from, 0, func(rec *Record) error {
-		if err := fn(rec); err != nil {
-			return err
+// Replay decodes every committed record with Version > from, in commit
+// order, verifying the version chain. Recovery is persist.Load (or an empty
+// lake) and serve.NewWithOptions, then Replay from the server's version into
+// one Server.Replay call, which applies the records the way a follower does.
+func (l *Log) Replay(from uint64) ([]*Record, error) {
+	var recs []*Record
+	err := l.iterate(from, 0, func(ver uint64, frame []byte) error {
+		rec, err := DecodeRecord(frame[4 : len(frame)-4]) // the payload, between length and CRC
+		if err != nil {
+			return fmt.Errorf("wal: checksummed record at version %d does not decode: %w", ver, err)
 		}
-		last = rec.Version
+		recs = append(recs, rec)
 		return nil
 	})
-	return last, err
+	return recs, err
 }
 
-// iterate drives ReadFrom and Replay: records with Version > from, in
-// commit order, at most limit of them when limit > 0. Only the segment-list
-// snapshot and the committed tail size are taken under the mutex; all file
-// reads and decoding happen outside it, so a deep history scan never stalls
-// the append path. That is safe because rotated segments are immutable and
-// the active segment only grows past the committed size the scan caps
-// itself to.
-func (l *Log) iterate(from uint64, limit int, fn func(*Record) error) error {
+// iterate drives ReadFrames and Replay: the frames of records with Version >
+// from, in commit order, at most limit of them when limit > 0. Only the
+// segment-list snapshot and the committed tail size are taken under the
+// mutex; all file reads happen outside it, so a deep history scan never
+// stalls the append path. That is safe because rotated segments are
+// immutable and the active segment only grows past the committed size the
+// scan caps itself to.
+func (l *Log) iterate(from uint64, limit int, fn func(ver uint64, frame []byte) error) error {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segs...)
 	activeSize := int64(-1)
@@ -488,11 +494,11 @@ func (l *Log) iterate(from uint64, limit int, fn func(*Record) error) error {
 		}
 		path := filepath.Join(l.dir, segs[i].name)
 		done := false
-		clean, err := scanSegment(path, capSize, func(prev, ver uint64, payload []byte) (bool, error) {
+		_, clean, err := scanSegment(path, capSize, func(prev, ver uint64, frame []byte) (bool, error) {
 			// Records already reflected in the caller's state are skipped
 			// on their peeked version stamps alone — no table decode — so
-			// resuming a chunked catch-up pays CRC-scan cost for the
-			// segment prefix, not decode cost.
+			// resuming a catch-up pays CRC-scan cost for the segment
+			// prefix, not decode cost.
 			if ver <= from {
 				return true, nil
 			}
@@ -504,11 +510,7 @@ func (l *Log) iterate(from uint64, limit int, fn func(*Record) error) error {
 				return false, fmt.Errorf("wal: %s: record chain broken (expected version %d, record applies at %d)",
 					path, expect, prev)
 			}
-			rec, err := DecodeRecord(payload)
-			if err != nil {
-				return false, fmt.Errorf("wal: %s: checksummed record at version %d does not decode: %w", path, ver, err)
-			}
-			if err := fn(rec); err != nil {
+			if err := fn(ver, frame); err != nil {
 				return false, err
 			}
 			expect = ver
@@ -657,21 +659,16 @@ func resyncFindsValidFrame(buf []byte, off int64) bool {
 }
 
 // scanSegment walks one segment's committed frames in order, handing each
-// record's peeked version stamps and raw (not yet decoded) payload to fn;
+// record's peeked version stamps and its whole frame (not yet decoded) to fn;
 // fn returns false to stop the scan early. capSize >= 0 restricts the scan
 // to the committed prefix of the active segment (bytes past it may belong
 // to an in-flight append). A torn tail stops the scan with clean=false —
 // that is the expected shape of a crash and Open may truncate it — but
 // corruption in front of valid records is an error: silently dropping
 // acknowledged history would break the "a 2xx survives kill -9" contract.
-func scanSegment(path string, capSize int64, fn func(prev, ver uint64, payload []byte) (bool, error)) (clean bool, err error) {
-	_, clean, err = scanSegmentLen(path, capSize, fn)
-	return clean, err
-}
-
-// scanSegmentLen is scanSegment, additionally reporting the byte length of
-// the segment's valid prefix (what Open truncates a torn tail back to).
-func scanSegmentLen(path string, capSize int64, fn func(prev, ver uint64, payload []byte) (bool, error)) (validLen int64, clean bool, err error) {
+// validLen is the byte length of the segment's valid prefix (what Open
+// truncates a torn tail back to).
+func scanSegment(path string, capSize int64, fn func(prev, ver uint64, frame []byte) (bool, error)) (validLen int64, clean bool, err error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return 0, false, fmt.Errorf("wal: %w", err)
@@ -704,7 +701,7 @@ func scanSegmentLen(path string, capSize int64, fn func(prev, ver uint64, payloa
 		if !ok {
 			return 0, false, fmt.Errorf("wal: %s: checksummed record at offset %d has no version stamps", path, off)
 		}
-		cont, err := fn(prev, ver, payload)
+		cont, err := fn(prev, ver, buf[off:end])
 		if err != nil {
 			return 0, false, err
 		}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -43,6 +44,25 @@ func appendN(t *testing.T, l *Log, from, n int) {
 	}
 }
 
+// readFrom decodes what ReadFrames returns: the records past from, at most
+// maxReadBatch of them.
+func readFrom(l *Log, from uint64) ([]*Record, error) {
+	frames, _, err := l.ReadFrames(from)
+	var recs []*Record
+	for _, frame := range frames {
+		payload, ferr := ReadFrame(bytes.NewReader(frame))
+		if ferr != nil {
+			return nil, ferr
+		}
+		rec, derr := DecodeRecord(payload)
+		if derr != nil {
+			return nil, derr
+		}
+		recs = append(recs, rec)
+	}
+	return recs, err
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	rec := &Record{
 		PrevVersion: 7,
@@ -52,7 +72,7 @@ func TestRecordRoundTrip(t *testing.T) {
 			table.New("cars").AddColumn("make", "jaguar", "fiat").AddColumn("city", "turin"),
 		},
 	}
-	got, err := DecodeRecord(EncodeRecord(nil, rec))
+	got, err := DecodeRecord(encodeRecord(nil, rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +93,7 @@ func TestDecodeRecordOwnsItsInput(t *testing.T) {
 			table.New("cars").AddColumn("make", "jaguar", "fiat").AddColumn("city", "turin"),
 		},
 	}
-	payload := EncodeRecord(nil, rec)
+	payload := encodeRecord(nil, rec)
 	got, err := DecodeRecord(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -87,14 +107,14 @@ func TestDecodeRecordOwnsItsInput(t *testing.T) {
 }
 
 // TestStampReadCopiesNothing: a segment scan reads the version stamps of
-// every record it passes, the ones ReadFrom skips included, so reading them
+// every record it passes, the ones ReadFrames skips included, so reading them
 // must not copy the payload; only DecodeRecord copies, once per record kept.
 func TestStampReadCopiesNothing(t *testing.T) {
 	cells := make([]string, 1<<14)
 	for i := range cells {
 		cells[i] = fmt.Sprintf("value-%d", i)
 	}
-	payload := EncodeRecord(nil, &Record{PrevVersion: 300, Version: 301,
+	payload := encodeRecord(nil, &Record{PrevVersion: 300, Version: 301,
 		Add: []*table.Table{table.New("big").AddColumn("v", cells...)}})
 	var prev, ver uint64
 	var ok bool
@@ -111,7 +131,7 @@ func TestStampReadCopiesNothing(t *testing.T) {
 
 func TestDecodeRecordRejectsVersionDrift(t *testing.T) {
 	rec := &Record{PrevVersion: 3, Version: 9, Remove: []string{"only-one-mutation"}}
-	if _, err := DecodeRecord(EncodeRecord(nil, rec)); err == nil {
+	if _, err := DecodeRecord(encodeRecord(nil, rec)); err == nil {
 		t.Fatal("record claiming 6 version bumps for 1 mutation decoded without error")
 	}
 }
@@ -121,30 +141,28 @@ func TestAppendReplay(t *testing.T) {
 	l := openLog(t, dir, Options{})
 	appendN(t, l, 0, 5)
 
-	var got []uint64
-	last, err := l.Replay(0, func(rec *Record) error {
-		got = append(got, rec.Version)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	versions := func(from uint64) []uint64 {
+		t.Helper()
+		recs, err := l.Replay(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []uint64
+		for _, rec := range recs {
+			got = append(got, rec.Version)
+		}
+		return got
 	}
-	if last != 5 || !reflect.DeepEqual(got, []uint64{1, 2, 3, 4, 5}) {
-		t.Errorf("replay from 0: last=%d versions=%v", last, got)
+	if got := versions(0); !reflect.DeepEqual(got, []uint64{1, 2, 3, 4, 5}) {
+		t.Errorf("replay from 0: versions=%v", got)
 	}
-
 	// Replay from mid-history skips already-applied records.
-	got = got[:0]
-	if last, err = l.Replay(3, func(rec *Record) error { got = append(got, rec.Version); return nil }); err != nil {
-		t.Fatal(err)
+	if got := versions(3); !reflect.DeepEqual(got, []uint64{4, 5}) {
+		t.Errorf("replay from 3: versions=%v", got)
 	}
-	if last != 5 || !reflect.DeepEqual(got, []uint64{4, 5}) {
-		t.Errorf("replay from 3: last=%d versions=%v", last, got)
-	}
-
-	// Replay from the tip applies nothing.
-	if last, err = l.Replay(5, func(*Record) error { t.Fatal("unexpected record"); return nil }); err != nil || last != 5 {
-		t.Errorf("replay from tip: last=%d err=%v", last, err)
+	// Replay from the tip returns nothing.
+	if got := versions(5); got != nil {
+		t.Errorf("replay from tip: versions=%v", got)
 	}
 }
 
@@ -159,9 +177,9 @@ func TestReopenContinues(t *testing.T) {
 		t.Fatalf("reopened bounds last=%d ok=%v, want 3", last, ok)
 	}
 	appendN(t, l2, 3, 2)
-	recs, err := l2.ReadFrom(0)
+	recs, err := readFrom(l2, 0)
 	if err != nil || len(recs) != 5 {
-		t.Fatalf("ReadFrom(0) after reopen = %d records, err %v; want 5", len(recs), err)
+		t.Fatalf("readFrom(0) after reopen = %d records, err %v; want 5", len(recs), err)
 	}
 }
 
@@ -185,9 +203,9 @@ func TestRotationAndTruncate(t *testing.T) {
 	}
 
 	// Everything must replay across the segment boundaries.
-	recs, err := l.ReadFrom(0)
+	recs, err := readFrom(l, 0)
 	if err != nil || len(recs) != 6 {
-		t.Fatalf("ReadFrom(0) = %d records, err %v; want 6", len(recs), err)
+		t.Fatalf("readFrom(0) = %d records, err %v; want 6", len(recs), err)
 	}
 
 	// A snapshot at version 4 makes segments fully below it garbage.
@@ -200,13 +218,13 @@ func TestRotationAndTruncate(t *testing.T) {
 	}
 
 	// Replays from at-or-after the snapshot still work…
-	if recs, err = l.ReadFrom(4); err != nil || len(recs) != 2 {
-		t.Fatalf("ReadFrom(4) after truncate = %d records, err %v; want 2", len(recs), err)
+	if recs, err = readFrom(l, 4); err != nil || len(recs) != 2 {
+		t.Fatalf("readFrom(4) after truncate = %d records, err %v; want 2", len(recs), err)
 	}
 	// …and replays from before the horizon report the gap instead of
 	// silently skipping lost history.
-	if _, err = l.ReadFrom(0); !errors.Is(err, ErrGap) {
-		t.Fatalf("ReadFrom(0) after truncate = %v, want ErrGap", err)
+	if _, err = readFrom(l, 0); !errors.Is(err, ErrGap) {
+		t.Fatalf("readFrom(0) after truncate = %v, want ErrGap", err)
 	}
 }
 
@@ -235,9 +253,9 @@ func TestTornTailRecovery(t *testing.T) {
 	// The torn bytes are gone: appends go to a clean tail and everything
 	// replays.
 	appendN(t, l2, 3, 1)
-	recs, err := l2.ReadFrom(0)
+	recs, err := readFrom(l2, 0)
 	if err != nil || len(recs) != 4 {
-		t.Fatalf("ReadFrom(0) after torn-tail recovery = %d records, err %v; want 4", len(recs), err)
+		t.Fatalf("readFrom(0) after torn-tail recovery = %d records, err %v; want 4", len(recs), err)
 	}
 }
 
@@ -308,8 +326,8 @@ func TestTruncateToleratesMissingSegments(t *testing.T) {
 	if err := l.Truncate(4); err != nil {
 		t.Fatalf("Truncate over a missing segment = %v", err)
 	}
-	if recs, err := l.ReadFrom(4); err != nil || len(recs) != 2 {
-		t.Fatalf("ReadFrom(4) = %d records, err %v; want 2", len(recs), err)
+	if recs, err := readFrom(l, 4); err != nil || len(recs) != 2 {
+		t.Fatalf("readFrom(4) = %d records, err %v; want 2", len(recs), err)
 	}
 }
 
@@ -337,9 +355,9 @@ func TestBitFlipInFinalRecordIsATornTail(t *testing.T) {
 		t.Fatalf("bounds after tail flip: last=%d ok=%v, want 3", last, ok)
 	}
 	appendN(t, l2, 3, 1)
-	recs, err := l2.ReadFrom(0)
+	recs, err := readFrom(l2, 0)
 	if err != nil || len(recs) != 4 {
-		t.Fatalf("ReadFrom(0) = %d records, err %v; want 4 (3 intact + 1 new)", len(recs), err)
+		t.Fatalf("readFrom(0) = %d records, err %v; want 4 (3 intact + 1 new)", len(recs), err)
 	}
 }
 
@@ -353,10 +371,10 @@ func TestFreshSegmentAfterSnapshotAheadOfLog(t *testing.T) {
 	if _, err := l.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	if recs, err := l.ReadFrom(100); err != nil || len(recs) != 1 {
-		t.Fatalf("ReadFrom(100) = %d records, err %v", len(recs), err)
+	if recs, err := readFrom(l, 100); err != nil || len(recs) != 1 {
+		t.Fatalf("readFrom(100) = %d records, err %v", len(recs), err)
 	}
-	if _, err := l.ReadFrom(50); !errors.Is(err, ErrGap) {
-		t.Fatalf("ReadFrom(50) = %v, want ErrGap", err)
+	if _, err := readFrom(l, 50); !errors.Is(err, ErrGap) {
+		t.Fatalf("readFrom(50) = %v, want ErrGap", err)
 	}
 }
