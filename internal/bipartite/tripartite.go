@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"domainnet/internal/lake"
+	"domainnet/internal/table"
 )
 
 // FromLakeWithRows builds the tripartite variant discussed in §3.2 ("Tables
@@ -21,8 +22,9 @@ func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 	// Collect every row's distinct retained values into one flat slice: row
 	// r lists rowVals[rowEnd[r]:rowEnd[r+1]]. Missing cells and singleton-
 	// filtered values have no node, and a row left with no value gets no
-	// node. Every cell was interned by Attributes, so Intern only looks up. Both slices are sized for every cell and row up
-	// front, so collection never reallocates.
+	// node. Attributes interned every cell's value, so each is looked up
+	// after the same normalization ingest ran. Both slices are sized for
+	// every cell and row up front, so collection never reallocates.
 	cells, rows := 0, 0
 	for _, t := range l.Tables() {
 		nr := t.NumRows()
@@ -32,6 +34,7 @@ func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 	rowVals := make([]int32, 0, cells)
 	rowEnd := make([]int, 1, rows+1)
 	lastRow := make([]int, nVal) // 1 + the last row listing each value
+	var norm []byte
 	for _, t := range l.Tables() {
 		for r := range t.NumRows() {
 			row := len(rowEnd)
@@ -40,7 +43,11 @@ func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 				if r >= len(col) {
 					continue
 				}
-				id, ok := syms.Intern(col[r])
+				norm = table.AppendNormalized(norm[:0], col[r])
+				if table.IsMissing(norm) {
+					continue
+				}
+				id, ok := syms.Lookup(norm)
 				if !ok {
 					continue
 				}

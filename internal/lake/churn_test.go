@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -135,7 +136,12 @@ func TestSymbolsAcrossChunks(t *testing.T) {
 // while a writer uploads and deletes tables of new values, growing the
 // writer's symbol table and compacting it. Published snapshots carry their
 // own value strings, so under -race no reader may touch the symbol table.
+// Each upload's five columns go through ingest's worker passes, on at least
+// two workers.
 func TestServeReadersWhileWriterInternsNewValues(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	srv := serve.New(datagen.Figure1Lake(), domainnet.Config{Measure: domainnet.DegreeBaseline})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)

@@ -5,11 +5,19 @@
 // rest of the system needs: a flat iteration over attributes (table columns)
 // and per-attribute sets of normalized values. Each lake interns every
 // normalized value once, in its Symbols, and attributes carry value IDs.
+//
+// Ingest runs on every core. Workers normalize, hash and de-duplicate the
+// new tables' columns, each claiming the next column as it finishes one;
+// the writer alone numbers each column's distinct values, in table, column,
+// first-appearance order, so a value's ID does not depend on the worker
+// count; workers then sort each column into its Attribute.
 package lake
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -49,7 +57,6 @@ type Lake struct {
 	syms  *Symbols
 	live  []int32 // per ID: the number of cached attributes holding it
 	nLive int     // IDs with a nonzero live count
-	b     builder // reused ingest scratch, bound to syms
 }
 
 // symbolFloor is the dead-ID count below which a lake never compacts its
@@ -58,8 +65,7 @@ const symbolFloor = 4096
 
 // New returns an empty lake with the given name.
 func New(name string) *Lake {
-	syms := NewSymbols()
-	return &Lake{Name: name, syms: syms, b: builder{syms: syms}}
+	return &Lake{Name: name, syms: NewSymbols()}
 }
 
 // Symbols returns the lake's current symbol table generation.
@@ -132,7 +138,7 @@ func Rehydrate(name string, version uint64, syms *Symbols, tables []*table.Table
 		return nil, fmt.Errorf("lake %q: %d attribute slices for %d tables", name, len(attrs), len(tables))
 	}
 	l := New(name)
-	l.syms, l.b = syms, builder{syms: syms}
+	l.syms = syms
 	for i, t := range tables {
 		if err := l.Add(t); err != nil {
 			return nil, err
@@ -148,10 +154,11 @@ func Rehydrate(name string, version uint64, syms *Symbols, tables []*table.Table
 			}
 			as[j] = Attribute{ID: sa.ID, Table: t.Name, Column: sa.Column, syms: syms, ids: sa.IDs, freqs: sa.Freqs}
 			if !ascending {
+				pairs := make([]uint64, len(sa.IDs))
 				for k, id := range sa.IDs {
-					l.b.add(id, int(sa.Freqs[k]))
+					pairs[k] = uint64(id)<<32 | uint64(sa.Freqs[k])
 				}
-				as[j] = l.b.end(sa.ID, t.Name, sa.Column)
+				as[j] = syms.attribute(sa.ID, t.Name, sa.Column, pairs)
 			}
 		}
 		l.tableAttrs[i] = as
@@ -196,8 +203,8 @@ func (l *Lake) TableAttributes() [][]Attribute {
 // version, tables, attributes and symbol strings — that l's later mutations
 // leave untouched, so other goroutines may read it while l's writer goes on.
 // It shares l's arrays, costing O(tables) once l's attributes are computed.
-// Its Symbols supports only String and Len: it has no index, so any Lookup,
-// Add, AddBytes or Intern on it panics.
+// Its Symbols supports only String and Len: it has no index, so a Lookup or
+// Add on it panics.
 func (l *Lake) Frozen() *Lake {
 	attrs, n := l.Attributes(), len(l.tables)
 	return &Lake{Name: l.Name, version: l.version,
@@ -247,40 +254,149 @@ func (l *Lake) NumTables() int { return len(l.tables) }
 // are memoized, so after an update only the new tables' cells are
 // normalized — the stitched result reuses the cached slices (and their
 // backing arrays) of every untouched table — and the stitched slice itself
-// is memoized until the next version bump.
+// is memoized until the next version bump. The new tables are normalized on
+// GOMAXPROCS workers, one column at a time (see ingest); the IDs they get
+// do not depend on the worker count.
 func (l *Lake) Attributes() []Attribute {
 	if l.attrsOK {
 		return l.attrs
 	}
+	l.ingest()
 	attrs := make([]Attribute, 0, len(l.attrs))
-	for i, t := range l.tables {
-		if l.tableAttrs[i] == nil {
-			l.tableAttrs[i] = l.tableAttributes(t)
-		}
-		attrs = append(attrs, l.tableAttrs[i]...)
+	for _, as := range l.tableAttrs {
+		attrs = append(attrs, as...)
 	}
 	l.attrs = attrs
 	l.attrsOK = true
 	return attrs
 }
 
-// tableAttributes interns one table into its Attribute slice. The result is
-// never nil, so a nil cache entry unambiguously means "not yet computed".
-func (l *Lake) tableAttributes(t *table.Table) []Attribute {
-	attrs := make([]Attribute, 0, len(t.Columns))
-	for ci := range t.Columns {
-		col := &t.Columns[ci]
-		for _, raw := range col.Values {
-			if id, ok := l.syms.Intern(raw); ok {
-				l.b.add(id, 1)
-			}
+// column is one column of an ingest batch on its way to an Attribute. Its
+// offsets are 32-bit: a column's distinct values total under 4 GiB.
+type column struct {
+	t     *table.Table
+	ci    int
+	vals  string   // the distinct normalized values, back to back
+	cells []uint64 // per distinct value: hash<<32 | end in vals, then ID<<32 | count
+	freqs []int32  // per distinct value: its cell count
+}
+
+// ingest builds the attributes of every table not yet cached, in three
+// passes over their columns. Workers normalize, hash and de-duplicate each
+// column (normalizer.column), reading nothing of the symbol table but its
+// seed. The writer alone then interns each column's distinct values in
+// table, column, first-appearance order — the order per-cell interning
+// would meet them in, so every value gets the same ID — into an index sized
+// once for the batch. Workers last sort each column's (ID, count) pairs into
+// its Attribute. A column of only missing cells contributes no attribute;
+// every table gets a non-nil slice, so nil still means "not yet computed".
+func (l *Lake) ingest() {
+	var cols []column
+	maxCells := 0
+	for ti, t := range l.tables {
+		if l.tableAttrs[ti] != nil {
+			continue
 		}
-		if len(l.b.cells) > 0 { // a column of only empty cells contributes nothing
-			attrs = append(attrs, l.b.end(table.AttributeID(t.Name, ci, col.Name), t.Name, col.Name))
+		for ci := range t.Columns {
+			cols = append(cols, column{t: t, ci: ci})
+			maxCells = max(maxCells, len(t.Columns[ci].Values))
 		}
 	}
+	if len(cols) == 0 {
+		return
+	}
+	seed := l.syms.seed
+	ws := make([]normalizer, engine.Opts{}.EffectiveWorkers(len(cols)))
+	engine.Each(len(ws), len(cols), func(w, i int) { ws[w].column(seed, &cols[i], maxCells) })
+
+	distinct := 0
+	for i := range cols {
+		distinct += len(cols[i].cells)
+	}
+	l.syms.reserve(distinct)
+	for i := range cols {
+		l.syms.internColumn(cols[i].vals, cols[i].cells, cols[i].freqs)
+	}
+
+	attrs := make([]Attribute, len(cols))
+	engine.Each(len(ws), len(cols), func(_, i int) {
+		if c := &cols[i]; len(c.cells) > 0 {
+			name := c.t.Columns[c.ci].Name
+			attrs[i] = l.syms.attribute(table.AttributeID(c.t.Name, c.ci, name), c.t.Name, name, c.cells)
+		}
+	})
 	l.retain(attrs)
-	return attrs
+	for ti, i := 0, 0; i < len(cols); ti++ {
+		if l.tableAttrs[ti] != nil {
+			continue
+		}
+		as := make([]Attribute, 0, len(l.tables[ti].Columns))
+		for range l.tables[ti].Columns {
+			if len(cols[i].cells) > 0 {
+				as = append(as, attrs[i])
+			}
+			i++
+		}
+		l.tableAttrs[ti] = as
+	}
+}
+
+// normalizer is one ingest worker's scratch, reused across the columns it
+// claims; each column's result is copied out at its exact size.
+type normalizer struct {
+	vals  []byte
+	cells []uint64
+	freqs []int32
+	slots []int32 // open addressing over cells: index+1, 0 when empty
+}
+
+// column normalizes c's cells (table.AppendNormalized), drops missing ones
+// and merges repeats, keeping first-appearance order and counting each
+// distinct value's cells. It hashes with seed, the lake's Symbols seed, so
+// the writer slots each value by the hash computed here. maxCells bounds
+// every column of the batch, so the probe table is allocated once.
+func (w *normalizer) column(seed maphash.Seed, c *column, maxCells int) {
+	raw := c.t.Columns[c.ci].Values
+	if w.slots == nil {
+		w.slots = make([]int32, 1<<bits.Len(uint(2*maxCells)))
+		w.cells, w.freqs = make([]uint64, 0, maxCells), make([]int32, 0, maxCells)
+	}
+	slots := w.slots[:1<<bits.Len(uint(2*len(raw)))] // under half full
+	clear(slots)
+	mask := len(slots) - 1
+	w.vals, w.cells, w.freqs = w.vals[:0], w.cells[:0], w.freqs[:0]
+	for _, cell := range raw {
+		start := len(w.vals)
+		w.vals = table.AppendNormalized(w.vals, cell)
+		v := w.vals[start:]
+		if table.IsMissing(v) {
+			continue
+		}
+		h := uint32(maphash.Bytes(seed, v))
+		for i := int(h) & mask; ; i = (i + 1) & mask {
+			k := int(slots[i]) - 1
+			if k < 0 {
+				slots[i] = int32(len(w.cells) + 1)
+				w.cells = append(w.cells, uint64(h)<<32|uint64(len(w.vals)))
+				w.freqs = append(w.freqs, 1)
+				break
+			}
+			if x := w.cells[k]; uint32(x>>32) == h && string(w.vals[w.end(k-1):uint32(x)]) == string(v) {
+				w.freqs[k]++
+				w.vals = w.vals[:start]
+				break
+			}
+		}
+	}
+	c.vals, c.cells, c.freqs = string(w.vals), slices.Clone(w.cells), slices.Clone(w.freqs)
+}
+
+// end is the end offset in vals of the k-th distinct value; -1 gives 0.
+func (w *normalizer) end(k int) uint32 {
+	if k < 0 {
+		return 0
+	}
+	return uint32(w.cells[k])
 }
 
 // retain counts attrs' values as live.
@@ -342,7 +458,7 @@ func (l *Lake) compact() {
 		}
 		tableAttrs[ti] = re
 	}
-	l.tableAttrs, l.syms, l.live, l.b = tableAttrs, syms, live, builder{syms: syms}
+	l.tableAttrs, l.syms, l.live = tableAttrs, syms, live
 	l.attrsOK = false
 }
 

@@ -11,6 +11,59 @@ import (
 	"domainnet/internal/table"
 )
 
+// Intern is the per-cell path ingest replaced, kept as its test reference:
+// it normalizes a raw cell as ingest does and interns the result, with ok
+// false for a missing cell. Interning a value already present allocates
+// nothing.
+func (s *Symbols) Intern(raw string) (id uint32, ok bool) {
+	var buf [64]byte
+	b := table.AppendNormalized(buf[:0], raw)
+	if table.IsMissing(b) {
+		return 0, false
+	}
+	if id, ok := s.Lookup(b); ok {
+		return id, true
+	}
+	return s.Add(string(b)), true
+}
+
+// ReferenceAttributes is Attributes through the per-cell loop ingest
+// replaced: the writer interns every cell of each uncached table, in table,
+// column, row order, and merges each column's (ID, 1) pairs.
+// TestParallelIngestMatchesSequential holds ingest to it.
+func (l *Lake) ReferenceAttributes() []Attribute {
+	if l.attrsOK {
+		return l.attrs
+	}
+	var pairs []uint64
+	for i, t := range l.tables {
+		if l.tableAttrs[i] != nil {
+			continue
+		}
+		attrs := make([]Attribute, 0, len(t.Columns))
+		for ci := range t.Columns {
+			col := &t.Columns[ci]
+			pairs = pairs[:0]
+			for _, raw := range col.Values {
+				if id, ok := l.syms.Intern(raw); ok {
+					pairs = append(pairs, uint64(id)<<32|1)
+				}
+			}
+			if len(pairs) > 0 {
+				attrs = append(attrs, l.syms.attribute(table.AttributeID(t.Name, ci, col.Name), t.Name, col.Name, pairs))
+			}
+		}
+		l.retain(attrs)
+		l.tableAttrs[i] = attrs
+	}
+	attrs := make([]Attribute, 0, len(l.attrs))
+	for _, as := range l.tableAttrs {
+		attrs = append(attrs, as...)
+	}
+	l.attrs, l.attrsOK = attrs, true
+	return attrs
+}
+
 func twoTableLake(t *testing.T) *Lake {
 	t.Helper()
 	l := New("test")

@@ -6,25 +6,29 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"unicode/utf8"
-
-	"domainnet/internal/table"
 )
 
 // Symbols is a lake's symbol table: it maps every normalized value to a
 // dense uint32 ID, assigned in first-appearance order and never reused (a
-// lake that shed enough values compacts into a new Symbols instead). It is
-// owned by one writer and not safe for concurrent use: published state
-// (graphs, rankings) carries its own strings. The index is open-addressed
-// over IDs, not a map: 4 bytes a slot at under half load against about 50 a
-// map entry, for a table that under churn holds up to twice the live values.
-// The strings sit in fixed chunks, so growth never re-copies them.
+// lake that shed enough values compacts into a new Symbols instead). IDs
+// follow first appearance — table, then column, then row — because the
+// lake's ingest interns one batch's values in that order after its workers
+// normalize them in parallel, so IDs do not depend on the worker count or
+// schedule. It is owned by one writer and not safe for concurrent use:
+// published state (graphs, rankings) carries its own strings. The one field
+// ingest workers read while the writer waits is seed, which they hash with.
+// The index is open-addressed over IDs, not a map: 4 bytes a slot at under
+// half load against about 50 a map entry, for a table that under churn
+// holds up to twice the live values. The strings sit in fixed chunks, so
+// growth never re-copies them. A value Add interns is copied; a value an
+// ingest batch interns is a substring of its column's string of distinct
+// values, which stays pinned until compaction, whose Add clones the live
+// values.
 type Symbols struct {
 	strs  []*[symChunk]string // ID i is at strs[i/symChunk][i%symChunk]
 	n     int                 // IDs issued
 	index []uint32            // linear probing; ID+1 per slot, 0 when empty
 	seed  maphash.Seed
-	buf   []byte // Intern's normalization scratch
 }
 
 const symChunk = 4096 // strings per chunk of a Symbols
@@ -40,7 +44,7 @@ func AdoptSymbols(n int, next func() string) (*Symbols, error) {
 	s := &Symbols{seed: maphash.MakeSeed(), index: make([]uint32, max(64, 2<<bits.Len(uint(n))))}
 	for range n {
 		v := next()
-		i := slot(s, v, maphash.String(s.seed, v))
+		i := slot(s, v, uint32(maphash.String(s.seed, v)))
 		if s.index[i] != 0 {
 			return nil, fmt.Errorf("lake: symbol %q repeated", v)
 		}
@@ -62,7 +66,7 @@ func (s *Symbols) String(id uint32) string { return s.strs[id/symChunk][id%symCh
 
 // Lookup reports the ID of an interned normalized value, without allocating.
 func (s *Symbols) Lookup(b []byte) (uint32, bool) {
-	id := s.index[slot(s, b, maphash.Bytes(s.seed, b))]
+	id := s.index[slot(s, b, uint32(maphash.Bytes(s.seed, b)))]
 	return id - 1, id != 0
 }
 
@@ -70,24 +74,16 @@ func (s *Symbols) Lookup(b []byte) (uint32, bool) {
 // ID. Adding a value that is already present allocates nothing; a new one is
 // copied, so the table never pins the memory v was sliced from.
 func (s *Symbols) Add(v string) uint32 {
-	i := slot(s, v, maphash.String(s.seed, v))
+	i := slot(s, v, uint32(maphash.String(s.seed, v)))
 	if s.index[i] == 0 {
 		return s.insert(i, strings.Clone(v))
 	}
 	return s.index[i] - 1
 }
 
-// AddBytes is Add for a byte slice.
-func (s *Symbols) AddBytes(b []byte) uint32 {
-	i := slot(s, b, maphash.Bytes(s.seed, b))
-	if s.index[i] == 0 {
-		return s.insert(i, string(b))
-	}
-	return s.index[i] - 1
-}
-
-// slot finds the slot holding v's ID, or the empty one where v belongs.
-func slot[T string | []byte](s *Symbols, v T, h uint64) int {
+// slot finds the slot holding v's ID, or the empty one where v belongs; h is
+// the low half of v's hash under s.seed.
+func slot[T string | []byte](s *Symbols, v T, h uint32) int {
 	mask := len(s.index) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		if id := s.index[i]; id == 0 || s.String(id-1) == string(v) {
@@ -105,55 +101,45 @@ func (s *Symbols) insert(i int, v string) uint32 {
 	s.n++
 	s.index[i] = uint32(s.n)
 	if 2*s.n > len(s.index) {
-		s.rehash()
+		s.rehash(2 * len(s.index))
 	}
 	return uint32(s.n - 1)
 }
 
-// rehash doubles the index and re-slots every ID.
-func (s *Symbols) rehash() {
-	s.index = make([]uint32, 2*len(s.index))
+// reserve sizes the index for m more values, so interning them never
+// rehashes.
+func (s *Symbols) reserve(m int) {
+	if need := 2 * (s.n + m); need > len(s.index) {
+		s.rehash(1 << bits.Len(uint(need-1)))
+	}
+}
+
+// rehash re-slots every ID into an index of size slots, a power of two.
+func (s *Symbols) rehash(size int) {
+	s.index = make([]uint32, size)
 	for id := range uint32(s.n) {
 		v := s.String(id)
-		s.index[slot(s, v, maphash.String(s.seed, v))] = id + 1
+		s.index[slot(s, v, uint32(maphash.String(s.seed, v)))] = id + 1
 	}
 }
 
-// Intern normalizes a raw cell exactly as table.Normalize does and interns
-// the result; ok is false for a missing cell. ASCII cells are upper-cased and
-// trimmed in a reused buffer, so re-interning one allocates nothing; other
-// input goes through table.Normalize, which owns the Unicode rules.
-func (s *Symbols) Intern(raw string) (id uint32, ok bool) {
-	b := s.buf[:0]
-	for i := 0; i < len(raw); i++ {
-		c := raw[i]
-		if c >= utf8.RuneSelf {
-			if v := table.Normalize(raw); !table.IsMissing(v) {
-				return s.Add(v), true
-			}
-			return 0, false
+// internColumn interns one column's distinct values in order, as an ingest
+// worker left them (see column): vals holds them back to back, and cells[k]
+// is the k-th one's hash<<32 | end offset in vals, which internColumn
+// replaces with its ID<<32 | freqs[k]. A new value is interned as a
+// substring of vals.
+func (s *Symbols) internColumn(vals string, cells []uint64, freqs []int32) {
+	start := 0
+	for k, c := range cells {
+		v := vals[start:uint32(c)]
+		start = int(uint32(c))
+		i := slot(s, v, uint32(c>>32))
+		id := s.index[i]
+		if id == 0 {
+			id = s.insert(i, v) + 1
 		}
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		b = append(b, c)
+		cells[k] = uint64(id-1)<<32 | uint64(uint32(freqs[k]))
 	}
-	s.buf = b
-	for len(b) > 0 && asciiSpace(b[0]) {
-		b = b[1:]
-	}
-	for len(b) > 0 && asciiSpace(b[len(b)-1]) {
-		b = b[:len(b)-1]
-	}
-	if len(b) == 0 {
-		return 0, false
-	}
-	return s.AddBytes(b), true
-}
-
-// asciiSpace reports the ASCII bytes strings.TrimSpace removes.
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 // Attribute is a single column of a single table, identified lake-wide by ID
@@ -233,56 +219,43 @@ func NewAttributes(specs []Spec) []Attribute { return NewSymbols().Attributes(sp
 // can be mixed with attributes already built against s. A value repeated
 // within a spec has its counts merged.
 func (s *Symbols) Attributes(specs []Spec) []Attribute {
-	b := builder{syms: s}
-	return b.specs(specs)
-}
-
-// builder turns column value streams into Attributes. It de-duplicates
-// through a sparse set indexed by symbol ID rather than a map, and sorts a
-// column's (ID, count) pairs as packed integers rather than strings.
-type builder struct {
-	syms  *Symbols
-	at    []int32  // per ID: its slot in cells, valid when that cell holds the ID
-	cells []uint64 // id<<32 | count, for the open column
-}
-
-// add counts n cells of value id in the open column.
-func (b *builder) add(id uint32, n int) {
-	if int(id) >= len(b.at) {
-		b.at = append(b.at, make([]int32, int(id)+1-len(b.at))...)
-	}
-	if i := b.at[id]; int(i) < len(b.cells) && uint32(b.cells[i]>>32) == id {
-		b.cells[i] += uint64(n)
-		return
-	}
-	b.at[id] = int32(len(b.cells))
-	b.cells = append(b.cells, uint64(id)<<32|uint64(n))
-}
-
-// end closes the open column as an attribute and opens the next one.
-func (b *builder) end(id, tableName, column string) Attribute {
-	slices.Sort(b.cells)
-	a := Attribute{ID: id, Table: tableName, Column: column, syms: b.syms,
-		ids: make([]uint32, len(b.cells)), freqs: make([]int32, len(b.cells))}
-	for i, c := range b.cells {
-		a.ids[i], a.freqs[i] = uint32(c>>32), int32(uint32(c))
-	}
-	b.cells = b.cells[:0]
-	return a
-}
-
-// specs interns specs, in order.
-func (b *builder) specs(specs []Spec) []Attribute {
 	attrs := make([]Attribute, len(specs))
+	var pairs []uint64
 	for i, sp := range specs {
+		pairs = pairs[:0]
 		for j, v := range sp.Values {
 			n := 1
 			if sp.Freqs != nil {
 				n = sp.Freqs[j]
 			}
-			b.add(b.syms.Add(v), n)
+			pairs = append(pairs, uint64(s.Add(v))<<32|uint64(n))
 		}
-		attrs[i] = b.end(sp.ID, sp.Table, sp.Column)
+		attrs[i] = s.attribute(sp.ID, sp.Table, sp.Column, pairs)
 	}
 	return attrs
+}
+
+// attribute builds an Attribute of s's values from (ID, count) pairs packed
+// as ID<<32 | count, which it sorts in place — as integers, not strings.
+// Repeated IDs have their counts merged; the IDs and counts are allocated at
+// their exact size.
+func (s *Symbols) attribute(id, tableName, column string, pairs []uint64) Attribute {
+	slices.Sort(pairs)
+	n := 0
+	for k := range pairs {
+		if k == 0 || pairs[k]>>32 != pairs[k-1]>>32 {
+			n++
+		}
+	}
+	a := Attribute{ID: id, Table: tableName, Column: column, syms: s,
+		ids: make([]uint32, 0, n), freqs: make([]int32, 0, n)}
+	for k, p := range pairs {
+		if k > 0 && p>>32 == pairs[k-1]>>32 {
+			a.freqs[len(a.freqs)-1] += int32(uint32(p))
+			continue
+		}
+		a.ids = append(a.ids, uint32(p>>32))
+		a.freqs = append(a.freqs, int32(uint32(p)))
+	}
+	return a
 }

@@ -10,8 +10,10 @@ import (
 	"domainnet/internal/table"
 )
 
-// FuzzIntern holds Intern to table.Normalize: the ASCII fast path must
-// agree byte for byte, and everything else goes through Normalize itself.
+// FuzzIntern holds Intern to table.Normalize. Intern normalizes with
+// table.AppendNormalized, as ingest's workers and the tripartite builder's
+// row lookups do: its ASCII fast path must agree byte for byte, and
+// everything else goes through Normalize itself.
 //
 //	go test -fuzz=FuzzIntern -fuzztime=10s -run '^$' ./internal/lake
 func FuzzIntern(f *testing.F) {

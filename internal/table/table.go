@@ -10,6 +10,7 @@ package table
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Column is a single attribute of a table: a name (possibly empty or
@@ -93,9 +94,41 @@ func Normalize(v string) string {
 	return strings.ToUpper(strings.TrimSpace(v))
 }
 
+// AppendNormalized appends Normalize(v) to dst and returns the extended
+// slice; a missing cell appends nothing. It is the one normalization every
+// ingest path runs. ASCII cells are trimmed and upper-cased in dst itself,
+// so normalizing into a reused buffer allocates nothing; other input goes
+// through Normalize, which owns the Unicode rules.
+func AppendNormalized(dst []byte, v string) []byte {
+	for len(v) > 0 && asciiSpace(v[0]) {
+		v = v[1:]
+	}
+	for len(v) > 0 && asciiSpace(v[len(v)-1]) {
+		v = v[:len(v)-1]
+	}
+	start := len(dst)
+	dst = append(dst, v...)
+	b := dst[start:]
+	for i, c := range b {
+		if c >= utf8.RuneSelf {
+			return append(dst[:start], Normalize(v)...)
+		}
+		if c-'a' < 26 {
+			b[i] = c - ('a' - 'A')
+		}
+	}
+	return dst
+}
+
+// asciiSpace reports the ASCII bytes strings.TrimSpace removes.
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
 // IsMissing reports whether a normalized value should be treated as an empty
 // cell and skipped during graph construction. Only the truly empty string is
 // treated as missing: explicit null markers such as "NA", "-" or "." are
 // genuine data values in a lake — indeed the paper shows "." is one of the
-// strongest homographs in TUS — so they are kept.
-func IsMissing(norm string) bool { return norm == "" }
+// strongest homographs in TUS — so they are kept. It takes bytes too, for
+// values normalized with AppendNormalized.
+func IsMissing[T string | []byte](norm T) bool { return len(norm) == 0 }
