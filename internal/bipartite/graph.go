@@ -181,12 +181,17 @@ func universe(attrs []lake.Attribute, opts Options) (*Graph, []int32) {
 		}
 	}
 	g := &Graph{attrs: attrIDs(attrs), syms: syms, srcAttrs: attrs, occ: occ, keepSingletons: opts.KeepSingletons}
-	minOcc := minOccurrence(opts)
-	var kept []uint32
-	for id, c := range occ {
+	minOcc, nKept := minOccurrence(opts), 0
+	for _, c := range occ {
 		if c > 0 {
 			g.nSource++
 		}
+		if c >= minOcc {
+			nKept++
+		}
+	}
+	kept := make([]uint32, 0, nKept)
+	for id, c := range occ {
 		if c >= minOcc {
 			kept = append(kept, uint32(id))
 		}
@@ -238,7 +243,7 @@ func valueKey(v string) uint64 {
 }
 
 // valueOrder returns the permutation that puts ids into lexicographic order
-// of their strings, and their keys in ids' order. IDs already in order (a
+// of their strings, and their keys in that order. IDs already in order (a
 // symbol table loaded from a snapshot numbers its values in byte order) get
 // the identity, checked in one pass that compares strings only where keys
 // tie; others get a radix sort on the keys, then a string sort within each

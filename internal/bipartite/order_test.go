@@ -115,7 +115,7 @@ func TestValueOrderPresorted(t *testing.T) {
 		if keys[i] == keys[i+1] {
 			ties++
 		}
-		want := engine.RadixOrder(keys, func(a, b uint32) int {
+		want := engine.RadixOrder(slices.Clone(keys), func(a, b uint32) int {
 			return strings.Compare(syms.String(ids[a]), syms.String(ids[b]))
 		})
 		if got, _ := valueOrder(syms, ids); !slices.Equal(got, want) {

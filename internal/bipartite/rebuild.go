@@ -266,10 +266,10 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 	var dropped, patch []int32
 	order, keys := valueOrder(syms, find)
 	at := 0
-	for _, j := range order {
+	for i, j := range order {
 		k := findK[j]
 		was := before[k] >= minOcc
-		lo, hi := seek(pkeys, at, keys[j])
+		lo, hi := seek(pkeys, at, keys[i])
 		at = lo
 		if n := hi - lo; n > 1 || n == 1 && !was {
 			i, _ := slices.BinarySearch(prev.values[lo:hi], syms.String(find[j]))
@@ -277,7 +277,7 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 		}
 		switch {
 		case !was:
-			added = append(added, crossing{int32(at), k, keys[j]})
+			added = append(added, crossing{int32(at), k, keys[i]})
 		case !findNow[j]:
 			dropped = append(dropped, int32(at))
 		default:

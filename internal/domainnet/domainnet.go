@@ -391,7 +391,7 @@ func (d *Detector) rank(ctx context.Context) ([]int32, error) {
 	var r []int32
 	carried := false
 	if p := d.prior; p != nil && d.incremental && p.ranking != nil {
-		r, carried = rank.Carry(p.kept(d.carry, len(values)), values, order)
+		r, carried = rank.Carry(p.ranking, p.kept(d.carry, len(values)), values, order)
 	}
 	if !carried {
 		r = rank.Nodes(values, order)
@@ -402,16 +402,20 @@ func (d *Detector) rank(ctx context.Context) ([]int32, error) {
 	return r, nil
 }
 
-// kept lists, in the predecessor's rank order, the value nodes that survived
-// the rebuild with a raw score bit-equal to their previous one.
+// kept maps each of the predecessor's value nodes to its value node here
+// when it survived the rebuild with a raw score bit-equal to its previous
+// one, and to -1 otherwise: rank.Carry's to. It walks the nodes in ID
+// order, which the rebuild's monotone node mapping keeps, so every read is
+// sequential.
 func (p *scorePrior) kept(carry engine.Carry, nValues int) []int32 {
-	prevToNew, prevCarry := p.diff.PrevToNew, p.carry
-	out := make([]int32, 0, len(p.ranking))
-	for _, q := range p.ranking {
-		if u := prevToNew[q]; u >= 0 && int(u) < nValues &&
-			math.Float64bits(carry[u].Raw) == math.Float64bits(prevCarry[q].Raw) {
-			out = append(out, u)
+	nPrev := len(p.ranking)
+	prevToNew, prevCarry, carry := p.diff.PrevToNew[:nPrev], p.carry[:nPrev], carry[:nValues]
+	out := make([]int32, nPrev)
+	for q, u := range prevToNew {
+		if uint(u) >= uint(len(carry)) || math.Float64bits(carry[u].Raw) != math.Float64bits(prevCarry[q].Raw) {
+			u = -1
 		}
+		out[q] = u
 	}
 	return out
 }

@@ -3,7 +3,8 @@
 // consume, the single options struct every measure is parameterized by, the
 // Scorer interface every measure implements, the reusable per-worker BFS
 // arena that makes repeated graph traversals allocation-free, and the radix
-// sort that orders value nodes and rankings.
+// sort that orders value nodes and rankings (RadixOrder, which sorts a key
+// slice the caller owns in place and returns the permutation it applied).
 //
 // The package has no dependencies beyond the standard library and imports
 // nothing else from this repository, so every layer — centrality algorithms,

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"cmp"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,6 +18,21 @@ func refOrder(keys []uint64) []uint32 {
 	}
 	slices.SortStableFunc(perm, func(a, b uint32) int { return cmp.Compare(keys[a], keys[b]) })
 	return perm
+}
+
+// checkOrder runs RadixOrder on a copy of keys and fails unless it returns
+// want and leaves the copy sorted by it, keys[want[i]] at i.
+func checkOrder(t *testing.T, what string, keys []uint64, tie func(a, b uint32) int, want []uint32) {
+	t.Helper()
+	sorted := slices.Clone(keys)
+	if got := RadixOrder(sorted, tie); !slices.Equal(got, want) {
+		t.Fatalf("%s: RadixOrder %v, the stable comparison sort %v", what, got, want)
+	}
+	for i, p := range want {
+		if sorted[i] != keys[p] {
+			t.Fatalf("%s: key %d is %#x after the sort, want %#x", what, i, sorted[i], keys[p])
+		}
+	}
 }
 
 // TestRadixOrderMatchesStableSort covers empty and one-key inputs, keys
@@ -38,9 +56,7 @@ func TestRadixOrderMatchesStableSort(t *testing.T) {
 			for i := range keys {
 				keys[i] = gen(i)
 			}
-			if got, want := RadixOrder(keys, nil), refOrder(keys); !slices.Equal(got, want) {
-				t.Fatalf("%s n=%d: RadixOrder differs from the stable comparison sort", name, n)
-			}
+			checkOrder(t, fmt.Sprintf("%s n=%d", name, n), keys, nil, refOrder(keys))
 		}
 	}
 }
@@ -60,7 +76,33 @@ func TestRadixOrderTieBreak(t *testing.T) {
 	slices.SortStableFunc(want, func(a, b uint32) int {
 		return cmp.Or(cmp.Compare(keys[a], keys[b]), tie(a, b))
 	})
-	if got := RadixOrder(keys, tie); !slices.Equal(got, want) {
-		t.Fatal("RadixOrder with a tie-break differs from the stable comparison sort")
-	}
+	checkOrder(t, "tie-break", keys, tie, want)
+}
+
+// FuzzRadixOrder checks RadixOrder against the stable comparison sort, with
+// and without a tie-break, on keys cut from the input: each pair of bytes
+// (a, r) gives the key a·mul rotated left by r bits, so keys repeat
+// whenever pairs do, and land on one byte, several or all of the word. The
+// tie-break orders equal keys by descending r%3.
+//
+//	go test -fuzz=FuzzRadixOrder -fuzztime=10s -run '^$' ./internal/engine
+func FuzzRadixOrder(f *testing.F) {
+	f.Add([]byte("aAbBaAbBaAcC\x00\x00\xff\xff"), uint64(1))
+	f.Add([]byte("\x01\x08\x01\x10\x01\x08\x02\x3f\x01\x10"), uint64(0x0101_0101_0101_0101))
+	f.Add(bytes.Repeat([]byte{7, 9, 7, 9, 8, 1}, 100), uint64(0x9E37_79B9_7F4A_7C15))
+	f.Add([]byte{}, uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, mul uint64) {
+		data = data[:min(len(data), 2048)]
+		keys := make([]uint64, len(data)/2)
+		for i := range keys {
+			keys[i] = bits.RotateLeft64(uint64(data[2*i])*mul, int(data[2*i+1]))
+		}
+		tie := func(a, b uint32) int { return cmp.Compare(data[2*b+1]%3, data[2*a+1]%3) }
+		checkOrder(t, "no tie-break", keys, nil, refOrder(keys))
+		want := refOrder(keys)
+		slices.SortStableFunc(want, func(a, b uint32) int {
+			return cmp.Or(cmp.Compare(keys[a], keys[b]), tie(a, b))
+		})
+		checkOrder(t, "tie-break", keys, tie, want)
+	})
 }

@@ -2,6 +2,7 @@ package lake_test
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -202,5 +203,42 @@ func BenchmarkAttributesSB(b *testing.B) {
 		}
 		b.StartTimer()
 		attributesSink = l.Attributes()
+	}
+}
+
+// BenchmarkAddTableSB normalizes one write-sized table added to the SB seed
+// 1 lake: 3 columns of 200 cells, 70% of them SB values and the rest values
+// of its own, the shape of the repository benchmark's uploads. An iteration
+// is one Attributes call over the new table (the add and the removal that
+// follows are untimed), which is below the cell count that wakes workers.
+//
+//	go test -run '^$' -bench AddTableSB -benchmem -cpu 1,2 ./internal/lake
+func BenchmarkAddTableSB(b *testing.B) {
+	l := datagen.NewSB(1).Lake
+	l.Attributes()
+	syms := l.Symbols()
+	rng := rand.New(rand.NewSource(1))
+	tb := table.New("upload")
+	for c := range 3 {
+		col := make([]string, 200)
+		for r := range col {
+			if rng.Float64() < 0.7 {
+				col[r] = syms.String(uint32(rng.Intn(syms.Len())))
+			} else {
+				col[r] = fmt.Sprintf("W_%d_%d", c, rng.Intn(1000))
+			}
+		}
+		tb.AddColumn(fmt.Sprintf("c%d", c), col...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		l.MustAdd(tb)
+		b.StartTimer()
+		attributesSink = l.Attributes()
+		b.StopTimer()
+		l.RemoveTable(tb.Name)
+		b.StartTimer()
 	}
 }

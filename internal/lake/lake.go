@@ -292,7 +292,7 @@ type column struct {
 // every table gets a non-nil slice, so nil still means "not yet computed".
 func (l *Lake) ingest() {
 	var cols []column
-	maxCells := 0
+	maxCells, cells := 0, 0
 	for ti, t := range l.tables {
 		if l.tableAttrs[ti] != nil {
 			continue
@@ -300,13 +300,18 @@ func (l *Lake) ingest() {
 		for ci := range t.Columns {
 			cols = append(cols, column{t: t, ci: ci})
 			maxCells = max(maxCells, len(t.Columns[ci].Values))
+			cells += len(t.Columns[ci].Values)
 		}
 	}
 	if len(cols) == 0 {
 		return
 	}
 	seed := l.syms.seed
-	ws := make([]normalizer, engine.Opts{}.EffectiveWorkers(len(cols)))
+	workers := 1 // a small batch costs less than waking workers for it
+	if cells >= inlineCells {
+		workers = engine.Opts{}.EffectiveWorkers(len(cols))
+	}
+	ws := make([]normalizer, workers)
 	engine.Each(len(ws), len(cols), func(w, i int) { ws[w].column(seed, &cols[i], maxCells) })
 
 	distinct := 0
@@ -341,8 +346,18 @@ func (l *Lake) ingest() {
 	}
 }
 
+// inlineCells is the cell count below which an ingest batch runs on the
+// calling goroutine: for a table of a few hundred cells, two rounds of
+// goroutine wake-ups and per-worker scratch cost more than a second core
+// saves.
+const inlineCells = 1024
+
 // normalizer is one ingest worker's scratch, reused across the columns it
-// claims; each column's result is copied out at its exact size.
+// claims; each column's result is copied out at its exact size. A
+// normalizer lives on the heap, so column keeps its slices in locals while
+// it walks the cells and stores them back once per column: a slice header
+// written to the heap on every cell would pay a GC write barrier whenever
+// marking runs, as it often does during ingest.
 type normalizer struct {
 	vals  []byte
 	cells []uint64
@@ -354,21 +369,26 @@ type normalizer struct {
 // and merges repeats, keeping first-appearance order and counting each
 // distinct value's cells. It hashes with seed, the lake's Symbols seed, so
 // the writer slots each value by the hash computed here. maxCells bounds
-// every column of the batch, so the probe table is allocated once.
+// every column of the batch, so the probe table is allocated once; the
+// value buffer grows to the largest column's cell bytes.
 func (w *normalizer) column(seed maphash.Seed, c *column, maxCells int) {
 	raw := c.t.Columns[c.ci].Values
 	if w.slots == nil {
 		w.slots = make([]int32, 1<<bits.Len(uint(2*maxCells)))
 		w.cells, w.freqs = make([]uint64, 0, maxCells), make([]int32, 0, maxCells)
 	}
+	size := 0
+	for _, cell := range raw {
+		size += len(cell)
+	}
 	slots := w.slots[:1<<bits.Len(uint(2*len(raw)))] // under half full
 	clear(slots)
 	mask := len(slots) - 1
-	w.vals, w.cells, w.freqs = w.vals[:0], w.cells[:0], w.freqs[:0]
+	vals, cells, freqs := slices.Grow(w.vals[:0], size), w.cells[:0], w.freqs[:0]
 	for _, cell := range raw {
-		start := len(w.vals)
-		w.vals = table.AppendNormalized(w.vals, cell)
-		v := w.vals[start:]
+		start := len(vals)
+		vals = table.AppendNormalized(vals, cell)
+		v := vals[start:]
 		if table.IsMissing(v) {
 			continue
 		}
@@ -376,27 +396,29 @@ func (w *normalizer) column(seed maphash.Seed, c *column, maxCells int) {
 		for i := int(h) & mask; ; i = (i + 1) & mask {
 			k := int(slots[i]) - 1
 			if k < 0 {
-				slots[i] = int32(len(w.cells) + 1)
-				w.cells = append(w.cells, uint64(h)<<32|uint64(len(w.vals)))
-				w.freqs = append(w.freqs, 1)
+				slots[i] = int32(len(cells) + 1)
+				cells = append(cells, uint64(h)<<32|uint64(len(vals)))
+				freqs = append(freqs, 1)
 				break
 			}
-			if x := w.cells[k]; uint32(x>>32) == h && string(w.vals[w.end(k-1):uint32(x)]) == string(v) {
-				w.freqs[k]++
-				w.vals = w.vals[:start]
+			if x := cells[k]; uint32(x>>32) == h && string(vals[end(cells, k-1):uint32(x)]) == string(v) {
+				freqs[k]++
+				vals = vals[:start]
 				break
 			}
 		}
 	}
-	c.vals, c.cells, c.freqs = string(w.vals), slices.Clone(w.cells), slices.Clone(w.freqs)
+	w.vals, w.cells, w.freqs = vals, cells, freqs
+	c.vals, c.cells, c.freqs = string(vals), slices.Clone(cells), slices.Clone(freqs)
 }
 
-// end is the end offset in vals of the k-th distinct value; -1 gives 0.
-func (w *normalizer) end(k int) uint32 {
+// end is the end offset in vals of the k-th distinct value of cells; -1
+// gives 0.
+func end(cells []uint64, k int) uint32 {
 	if k < 0 {
 		return 0
 	}
-	return uint32(w.cells[k])
+	return uint32(cells[k])
 }
 
 // retain counts attrs' values as live.

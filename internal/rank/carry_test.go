@@ -35,7 +35,9 @@ func TestNodesMatchValues(t *testing.T) {
 // others land where the full sort puts them, ties by node.
 func TestCarryInsertsChangedNodes(t *testing.T) {
 	scores := []float64{5, 1, 3, 3, 9, 0}
-	got, ok := Carry([]int32{4, 0, 1}, scores, Descending)
+	// The predecessor ranked its nodes 2, 0, 1, 3; they are 4, 0, 1 here,
+	// and its node 3 is gone.
+	got, ok := Carry([]int32{2, 0, 1, 3}, []int32{0, 1, 4, -1}, scores, Descending)
 	if want := []int32{4, 0, 2, 3, 1, 5}; !ok || !slices.Equal(got, want) {
 		t.Errorf("Carry = %v, %v; want %v, true", got, ok, want)
 	}
@@ -52,12 +54,37 @@ func TestCarryFallsBackOnRescaleTie(t *testing.T) {
 	if scores[0] != scores[1] || !slices.Equal(prevOrder, []int32{1, 0}) {
 		t.Fatalf("test setup: scores %v, previous order %v", scores, prevOrder)
 	}
-	if got, ok := Carry(prevOrder, scores, Descending); ok {
+	if got, ok := Carry(prevOrder, []int32{0, 1}, scores, Descending); ok {
 		t.Errorf("Carry = %v over a rescale tie, want the fallback", got)
 	}
-	for _, kept := range [][]int32{{0, 0}, {2}, {-1}} {
-		if got, ok := Carry(kept, scores, Descending); ok {
-			t.Errorf("Carry(%v) = %v, want the fallback", kept, got)
+	// Two nodes mapped to one, a node out of range here, and predecessor
+	// nodes out of to's range.
+	for _, c := range []struct{ prev, to []int32 }{
+		{[]int32{0, 1}, []int32{0, 0}}, {[]int32{0}, []int32{2}}, {[]int32{1}, []int32{0}}, {[]int32{-1}, []int32{0}},
+	} {
+		if got, ok := Carry(c.prev, c.to, scores, Descending); ok {
+			t.Errorf("Carry(%v, %v) = %v, want the fallback", c.prev, c.to, got)
+		}
+	}
+}
+
+// TestCarryChecksTieOrder: kept nodes with tied scores, NaNs included, carry
+// when the map keeps them in node order, and make Carry report the fallback,
+// in either order, when it does not; a NaN before a number must too.
+func TestCarryChecksTieOrder(t *testing.T) {
+	for _, scores := range [][]float64{{2, 2}, {math.NaN(), math.NaN()}, {0, math.Copysign(0, -1)}} {
+		for _, order := range []Order{Descending, Ascending} {
+			if got, ok := Carry([]int32{0, 1}, []int32{0, 1}, scores, order); !ok || !slices.Equal(got, []int32{0, 1}) {
+				t.Errorf("Carry over tied scores %v in node order = %v, %v; want [0 1], true", scores, got, ok)
+			}
+			if got, ok := Carry([]int32{0, 1}, []int32{1, 0}, scores, order); ok {
+				t.Errorf("Carry over tied scores %v = %v, want the fallback", scores, got)
+			}
+		}
+	}
+	for _, order := range []Order{Descending, Ascending} {
+		if got, ok := Carry([]int32{0, 1}, []int32{0, 1}, []float64{math.NaN(), 1}, order); ok {
+			t.Errorf("Carry with a NaN first = %v, want the fallback", got)
 		}
 	}
 }
@@ -67,13 +94,15 @@ func TestCarryFallsBackOnRescaleTie(t *testing.T) {
 // (NaN, ±0, ±Inf, subnormals, ties) and whether it keeps it, rescaled by
 // the fuzzed factor (which can round distinct scores into ties, or flip
 // them), or takes a new one. The seed adds new nodes, numbers the survivors
-// in order or shuffled, and sometimes corrupts kept with a repeat or an
-// out-of-range node.
+// in order or shuffled, and sometimes corrupts the carry with a node mapped
+// to a survivor's, a node out of range, or a predecessor node outside the
+// map.
 func FuzzRankCarry(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x2f, 0x09, 0x31}, math.Float64bits(0.5), int64(1))
 	f.Add([]byte("ties and zeros \x00\x01\x02\x03"), math.Float64bits(math.SmallestNonzeroFloat64), int64(2))
 	f.Add(bytes.Repeat([]byte{0x0b, 0x1b, 0x0e}, 30), math.Float64bits(1), int64(3))
 	f.Add([]byte{0x09, 0x0a, 0x0b, 0x0c}, math.Float64bits(-2), int64(12))
+	f.Add([]byte{0x01, 0x02, 0x03}, math.Float64bits(1), int64(8|64|128))
 	f.Fuzz(func(t *testing.T, data []byte, scaleBits uint64, seed int64) {
 		data = data[:min(len(data), 300)]
 		rng := rand.New(rand.NewSource(seed))
@@ -107,22 +136,27 @@ func FuzzRankCarry(f *testing.F) {
 				scores[to[q]] = prevScores[q] * scale
 			}
 		}
-		for _, order := range []Order{Descending, Ascending} {
-			var kept []int32
-			for _, q := range Nodes(prevScores, order) {
-				if data[q]&32 == 0 {
-					kept = append(kept, to[q])
-				}
+		// kept is Carry's to: the survivors that kept their score.
+		kept := slices.Clone(to)
+		for q, b := range data {
+			if b&32 != 0 {
+				kept[q] = -1
 			}
-			if seed&8 != 0 && len(kept) > 0 {
-				kept = append(kept, kept[rng.Intn(len(kept))])
+		}
+		for _, order := range []Order{Descending, Ascending} {
+			prev, kept := Nodes(prevScores, order), slices.Clone(kept)
+			if seed&8 != 0 && n > 0 {
+				prev, kept = append(prev, int32(len(kept))), append(kept, to[rng.Intn(n)])
 			}
 			if seed&64 != 0 {
-				kept = append(kept, int32(len(scores)+rng.Intn(3)))
+				prev, kept = append(prev, int32(len(kept))), append(kept, int32(len(scores)+rng.Intn(3)))
 			}
-			got, ok := Carry(kept, scores, order)
+			if seed&128 != 0 {
+				prev = append(prev, int32(len(kept)+rng.Intn(3)))
+			}
+			got, ok := Carry(prev, kept, scores, order)
 			if want := Nodes(scores, order); ok && !slices.Equal(got, want) {
-				t.Fatalf("order %d: Carry(%v) = %v, full sort %v (scores %v)", order, kept, got, want, scores)
+				t.Fatalf("order %d: Carry(%v, %v) = %v, full sort %v (scores %v)", order, prev, kept, got, want, scores)
 			}
 		}
 	})

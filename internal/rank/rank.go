@@ -5,6 +5,7 @@ package rank
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -71,51 +72,77 @@ func Nodes(scores []float64, order Order) []int32 {
 	return out
 }
 
-// Carry ranks the nodes [0, len(scores)) like Nodes, reusing an order known
-// from a predecessor: kept lists distinct nodes in the order that ranking
-// gave them (its survivors whose scores did not change), and only the other
-// nodes are sorted, then inserted. One pass checks that kept is strictly
-// ordered by (score key, node), so a result is always Nodes' order. When it
-// is not — say because a rescale tied two of its nodes — or kept repeats a
-// node or holds one out of range, ok is false and the caller must sort with
-// Nodes.
-func Carry(kept []int32, scores []float64, order Order) (ranked []int32, ok bool) {
-	keyOf := func(u int32) uint64 { return scoreKey(scores[u], order) }
-	isKept := make([]bool, len(scores))
-	var last uint64
-	for i, u := range kept {
-		if u < 0 || int(u) >= len(scores) || isKept[u] {
-			return nil, false
-		}
-		isKept[u] = true
-		k := scoreKey(scores[u], order)
-		if i > 0 && (k < last || k == last && u < kept[i-1]) {
-			return nil, false
-		}
-		last = k
+// Carry ranks the nodes [0, len(scores)) like Nodes, reusing the order of a
+// predecessor's ranking: prev is that ranking, and to maps each of its
+// nodes to the node here that kept its score, or to -1 (gone, or its score
+// changed). The kept nodes keep prev's order and only the others are
+// sorted, then inserted. The walk of prev that collects the kept nodes
+// also checks that they are strictly ordered by (score key, node), so a
+// result is always Nodes' order. When they are not — say because a rescale
+// tied two of them — or two map to one node, or a node is out of range, ok
+// is false and the caller must sort with Nodes.
+func Carry(prev, to []int32, scores []float64, order Order) (ranked []int32, ok bool) {
+	n := len(scores)
+	kept := make([]uint64, (n+63)/64) // a bit per node
+	ranked = make([]int32, n)         // the kept nodes first, merged in place below
+	// The order check compares scores as floats, which is cheaper than
+	// their keys: negated for Ascending, each kept score must be below the
+	// last, or equal to it (−0 == +0) at a higher node. A NaN fails both
+	// comparisons; it ranks last, after any number or a NaN of a lower node.
+	sign := 1.0
+	if order == Ascending {
+		sign = -1
 	}
-	var rest []int32
-	var restKeys []uint64
-	for u, k := range isKept {
-		if !k {
+	nKept := 0
+	last, lastU := math.Inf(1), int32(-1)
+	for _, q := range prev {
+		if uint(q) >= uint(len(to)) {
+			return nil, false
+		}
+		u := to[q]
+		if u < 0 {
+			continue
+		}
+		if int(u) >= n || kept[u>>6]&(1<<(u&63)) != 0 {
+			return nil, false
+		}
+		kept[u>>6] |= 1 << (u & 63)
+		s := sign * scores[u]
+		if !(s < last || s == last && u > lastU) && !(s != s && (last == last || u > lastU)) {
+			return nil, false
+		}
+		ranked[nKept] = u
+		nKept++
+		last, lastU = s, u
+	}
+	rest, restKeys := make([]int32, 0, n-nKept), make([]uint64, 0, n-nKept)
+	for w, word := range kept {
+		for free := ^word; free != 0; free &= free - 1 {
+			u := w<<6 | bits.TrailingZeros64(free)
+			if u >= n {
+				break
+			}
 			rest = append(rest, int32(u))
-			restKeys = append(restKeys, keyOf(int32(u)))
+			restKeys = append(restKeys, scoreKey(scores[u], order))
 		}
 	}
-	// Each of the others goes before the first kept node that ranks after
-	// it; kept runs between them are copied whole.
-	ranked = make([]int32, 0, len(scores))
-	from := 0
-	for _, p := range engine.RadixOrder(restKeys, nil) {
-		u, k := rest[p], restKeys[p]
-		at := from + sort.Search(len(kept)-from, func(i int) bool {
-			ki := keyOf(kept[from+i])
-			return ki > k || ki == k && kept[from+i] > u
+	// From the back, each of the others goes after the last kept node that
+	// ranks before it; the kept runs between them move up whole.
+	perm := engine.RadixOrder(restKeys, nil)
+	from, at := nKept, n
+	for i := len(perm) - 1; i >= 0; i-- {
+		u, k := rest[perm[i]], restKeys[i]
+		lo := sort.Search(from, func(j int) bool {
+			kj := scoreKey(scores[ranked[j]], order)
+			return kj > k || kj == k && ranked[j] > u
 		})
-		ranked = append(append(ranked, kept[from:at]...), u)
-		from = at
+		at -= from - lo
+		copy(ranked[at:], ranked[lo:from])
+		at--
+		ranked[at] = u
+		from = lo
 	}
-	return append(ranked, kept[from:]...), true
+	return ranked, true
 }
 
 // scoreKeys maps every score to its scoreKey.
@@ -129,18 +156,19 @@ func scoreKeys(scores []float64, order Order) []uint64 {
 
 // scoreKey maps a score to a uint64 whose unsigned order is the ranking
 // order: the IEEE bits with the sign bit flipped (every bit for negatives),
-// complemented for Descending, with −0 folded into +0 and NaN last.
+// complemented for Descending, with −0 folded into +0 and NaN last. Its
+// only branch that data can mispredict is NaN's.
 func scoreKey(s float64, order Order) uint64 {
-	if math.IsNaN(s) {
-		return math.MaxUint64
-	}
-	if s == 0 {
-		s = 0 // −0 == 0: this stores +0
-	}
 	k := math.Float64bits(s)
+	if s == 0 {
+		k = 0 // −0 == 0: this is +0's key
+	}
 	k ^= uint64(int64(k)>>63) | 1<<63
 	if order == Descending {
 		k = ^k
+	}
+	if s != s {
+		k = math.MaxUint64
 	}
 	return k
 }

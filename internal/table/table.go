@@ -8,6 +8,7 @@
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"unicode/utf8"
@@ -98,7 +99,10 @@ func Normalize(v string) string {
 // slice; a missing cell appends nothing. It is the one normalization every
 // ingest path runs. ASCII cells are trimmed and upper-cased in dst itself,
 // so normalizing into a reused buffer allocates nothing; other input goes
-// through Normalize, which owns the Unicode rules.
+// through Normalize, which owns the Unicode rules. The copy is upper-cased
+// eight bytes at a time: one test per word finds a byte of 0x80 or above
+// (the fallback), and a word-parallel range test finds the bytes a–z and
+// clears their 0x20 bit; the last len%8 bytes go one at a time.
 func AppendNormalized(dst []byte, v string) []byte {
 	for len(v) > 0 && asciiSpace(v[0]) {
 		v = v[1:]
@@ -109,6 +113,17 @@ func AppendNormalized(dst []byte, v string) []byte {
 	start := len(dst)
 	dst = append(dst, v...)
 	b := dst[start:]
+	for len(b) >= 8 {
+		w := binary.LittleEndian.Uint64(b)
+		if w&highBits != 0 {
+			return append(dst[:start], Normalize(v)...)
+		}
+		// With every byte below 0x80, adding 0x80-c to each byte sets its
+		// high bit exactly when the byte is at least c, and never carries.
+		lower := (w + lanes*(0x80-'a')) &^ (w + lanes*(0x80-'z'-1)) & highBits
+		binary.LittleEndian.PutUint64(b, w^lower>>2)
+		b = b[8:]
+	}
 	for i, c := range b {
 		if c >= utf8.RuneSelf {
 			return append(dst[:start], Normalize(v)...)
@@ -119,6 +134,12 @@ func AppendNormalized(dst []byte, v string) []byte {
 	}
 	return dst
 }
+
+// lanes has a one in every byte; highBits has every byte's high bit.
+const (
+	lanes    = 0x0101_0101_0101_0101
+	highBits = 0x80 * lanes
+)
 
 // asciiSpace reports the ASCII bytes strings.TrimSpace removes.
 func asciiSpace(c byte) bool {

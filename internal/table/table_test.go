@@ -94,3 +94,46 @@ func TestIsMissing(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendNormalizedLanes puts every byte 0x00–0x80 at every offset 0–16
+// of a cell, so each byte meets each lane of the word loop and the
+// byte-at-a-time tail. The cell's other bytes sit at the edges of the a–z
+// range, it is padded with spaces, and the result is appended to a
+// non-empty dst whose prefix must survive; it must equal Normalize.
+func TestAppendNormalizedLanes(t *testing.T) {
+	const filler = "`az{@AZ["
+	dst := []byte("prefix")
+	for c := 0; c <= 0x80; c++ {
+		for off := 0; off <= 16; off++ {
+			for tail := 0; tail <= 9; tail += 3 {
+				cell := make([]byte, 0, off+1+tail)
+				for i := range off + 1 + tail {
+					cell = append(cell, filler[(i+c)%len(filler)])
+				}
+				cell[off] = byte(c)
+				v := "  " + string(cell) + " "
+				got := AppendNormalized(dst, v)
+				if want := "prefix" + Normalize(v); string(got) != want {
+					t.Fatalf("AppendNormalized(%q, %q) = %q, want %q", dst, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzAppendNormalized holds AppendNormalized to Normalize on any cell
+// appended to any prefix, which must survive; the seeds put a non-ASCII or
+// lower-case byte in the first word, the last word and the tail.
+//
+//	go test -fuzz=FuzzAppendNormalized -fuzztime=10s -run '^$' ./internal/table
+func FuzzAppendNormalized(f *testing.F) {
+	for _, s := range []string{"", " a ", "abcdefgh", "ABCDEFGHijklmnop", " `az{@AZ[`az{@AZ[x ",
+		"\xffbcdefgh", "abcdefg\x80", "abcdefghijklmnopq\xc3\xa9", "\t0123456789:;<=>?@[\\]^_`{|}~\x7f\n"} {
+		f.Add("prefix", s)
+	}
+	f.Fuzz(func(t *testing.T, prefix, cell string) {
+		if got, want := string(AppendNormalized([]byte(prefix), cell)), prefix+Normalize(cell); got != want {
+			t.Fatalf("AppendNormalized(%q, %q) = %q, want %q", prefix, cell, got, want)
+		}
+	})
+}
