@@ -19,8 +19,8 @@ import (
 // between the caller's slices and a pooled key slice and permutation.
 func RadixOrder(keys []uint64, tie func(a, b uint32) int) []uint32 {
 	n := len(keys)
-	if n < insertionMax {
-		return insertionOrder(keys, tie)
+	if n == 0 {
+		return []uint32{}
 	}
 	var counts [8][256]uint32 // unrolled below: a loop over the eight ran a quarter slower
 	c0, c1, c2, c3 := &counts[0], &counts[1], &counts[2], &counts[3]
@@ -89,22 +89,3 @@ type radixScratch struct {
 }
 
 var radixPool = sync.Pool{New: func() any { return new(radixScratch) }}
-
-// insertionMax is the key count below which RadixOrder sorts by insertion:
-// a radix sort's fixed cost, eight 256-entry histograms and their prefix
-// sums, dwarfs a few dozen comparisons.
-const insertionMax = 32
-
-// insertionOrder is RadixOrder by stable insertion sort.
-func insertionOrder(keys []uint64, tie func(a, b uint32) int) []uint32 {
-	perm := make([]uint32, len(keys))
-	for i := range perm {
-		perm[i] = uint32(i)
-		for j := i; j > 0 && (keys[j] < keys[j-1] ||
-			keys[j] == keys[j-1] && tie != nil && tie(perm[j], perm[j-1]) < 0); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-		}
-	}
-	return perm
-}

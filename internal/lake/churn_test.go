@@ -136,8 +136,8 @@ func TestSymbolsAcrossChunks(t *testing.T) {
 // while a writer uploads and deletes tables of new values, growing the
 // writer's symbol table and compacting it. Published snapshots carry their
 // own value strings, so under -race no reader may touch the symbol table.
-// Each upload's five columns go through ingest's worker passes, on at least
-// two workers.
+// Each upload has at least lake.InlineCells cells, so its five columns go
+// through ingest's worker passes, on at least two workers.
 func TestServeReadersWhileWriterInternsNewValues(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -174,11 +174,12 @@ func TestServeReadersWhileWriterInternsNewValues(t *testing.T) {
 		}(i)
 	}
 
+	rows := lake.InlineCells/5 + 1
 	var b strings.Builder
 	for round := 0; round < 30; round++ {
 		b.Reset()
 		b.WriteString("a,b,c,d,e\n")
-		for r := 0; r < 60; r++ {
+		for r := 0; r < rows; r++ {
 			fmt.Fprintf(&b, "fresh%d_%d_%d,fresh%d_%d_1,fresh%d_%d_2,fresh%d_%d_3,Jaguar\n",
 				round, r, 0, round, r, round, r, round, r)
 		}

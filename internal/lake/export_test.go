@@ -5,3 +5,6 @@ const SymbolFloor = symbolFloor
 
 // SymChunk exposes symChunk to the external tests.
 const SymChunk = symChunk
+
+// InlineCells exposes inlineCells to the external tests.
+const InlineCells = inlineCells
