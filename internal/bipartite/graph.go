@@ -27,21 +27,27 @@ import (
 // Graph is an undirected CSR graph over value, attribute and (optionally)
 // row nodes. It is immutable after construction.
 type Graph struct {
-	values []string // value node id -> normalized value
-	attrs  []string // attribute node id - NumValues() -> attribute ID
-	nRows  int      // number of row nodes (tripartite variant only)
+	// vals maps value node id -> the symbol ID of its normalized value, and
+	// names, a Frozen view of syms, maps the ID to the string. Readers of a
+	// published graph may read names while the writer keeps interning. IDs
+	// hold no pointers, so a rebuild copies them with no write barrier and
+	// the collector never scans them.
+	vals  []uint32
+	names *lake.Symbols
+	attrs []string // attribute node id - NumValues() -> attribute ID
+	nRows int      // number of row nodes (tripartite variant only)
 
 	offsets []int64 // len NumNodes()+1
 	adj     []int32 // concatenated sorted neighbor lists
 
 	// Incremental-rebuild state (see RebuildDiff), writer-side only: readers
-	// of a published graph use values, never syms. srcAttrs aliases the
+	// of a published graph use names, never syms. srcAttrs aliases the
 	// attributes the graph was built from and syms is their symbol table.
 	// occ holds every value's total cell count by symbol ID — including
 	// values the singleton filter dropped, since an update can push them over
 	// the threshold — and nSource counts the nonzero ones. No symbol ID →
 	// node map is kept: a rebuild finds the few nodes it needs by value.
-	// keys holds each value's valueKey, parallel to values, so a rebuild
+	// keys holds each value's valueKey, parallel to vals, so a rebuild
 	// searches the values mostly without touching their bytes. A full build
 	// leaves it nil; a rebuild derives it when its prev has none.
 	// incremental marks graphs with this state populated: every
@@ -63,7 +69,7 @@ type Graph struct {
 }
 
 // NumValues reports the number of value nodes.
-func (g *Graph) NumValues() int { return len(g.values) }
+func (g *Graph) NumValues() int { return len(g.vals) }
 
 // NumAttrs reports the number of attribute nodes.
 func (g *Graph) NumAttrs() int { return len(g.attrs) }
@@ -77,17 +83,17 @@ func (g *Graph) NumRows() int { return g.nRows }
 func (g *Graph) KeepsSingletons() bool { return g.keepSingletons }
 
 // NumNodes reports the total node count.
-func (g *Graph) NumNodes() int { return len(g.values) + len(g.attrs) + g.nRows }
+func (g *Graph) NumNodes() int { return len(g.vals) + len(g.attrs) + g.nRows }
 
 // NumEdges reports the number of undirected edges.
 func (g *Graph) NumEdges() int { return len(g.adj) / 2 }
 
 // IsValue reports whether node u is a value node.
-func (g *Graph) IsValue(u int32) bool { return int(u) < len(g.values) }
+func (g *Graph) IsValue(u int32) bool { return int(u) < len(g.vals) }
 
 // IsAttr reports whether node u is an attribute node.
 func (g *Graph) IsAttr(u int32) bool {
-	return int(u) >= len(g.values) && int(u) < len(g.values)+len(g.attrs)
+	return int(u) >= len(g.vals) && int(u) < len(g.vals)+len(g.attrs)
 }
 
 // Value returns the normalized data value of value node u.
@@ -96,7 +102,7 @@ func (g *Graph) Value(u int32) string {
 	if !g.IsValue(u) {
 		panic(fmt.Sprintf("bipartite: node %d is not a value node", u))
 	}
-	return g.values[u]
+	return g.names.String(g.vals[u])
 }
 
 // AttrID returns the attribute identifier of attribute node u.
@@ -105,20 +111,22 @@ func (g *Graph) AttrID(u int32) string {
 	if !g.IsAttr(u) {
 		panic(fmt.Sprintf("bipartite: node %d is not an attribute node", u))
 	}
-	return g.attrs[int(u)-len(g.values)]
+	return g.attrs[int(u)-len(g.vals)]
 }
 
 // ValueNode returns the node id of a normalized value, if present. It
 // binary-searches the graph's own sorted values, so it is safe on published
 // graphs while the writer keeps interning.
 func (g *Graph) ValueNode(value string) (int32, bool) {
-	i, ok := slices.BinarySearch(g.values, value)
+	i, ok := slices.BinarySearchFunc(g.vals, value, func(id uint32, v string) int {
+		return strings.Compare(g.names.String(id), v)
+	})
 	return int32(i), ok
 }
 
 // AttrNode returns the node id of the i-th attribute (0-based, in the order
 // attributes were presented to the builder).
-func (g *Graph) AttrNode(i int) int32 { return int32(len(g.values) + i) }
+func (g *Graph) AttrNode(i int) int32 { return int32(len(g.vals) + i) }
 
 // Neighbors returns the sorted neighbor list of node u. The slice aliases
 // internal storage and must not be modified.
@@ -133,8 +141,14 @@ func (g *Graph) Degree(u int32) int {
 
 // Values returns the normalized values of all value nodes, indexed by node
 // id and strictly ascending: every builder numbers values in lexicographic
-// order. The slice aliases internal storage and must not be modified.
-func (g *Graph) Values() []string { return g.values }
+// order. It allocates the slice; Value reads one value.
+func (g *Graph) Values() []string {
+	vals := make([]string, len(g.vals))
+	for u, id := range g.vals {
+		vals[u] = g.names.String(id)
+	}
+	return vals
+}
 
 // Options configure graph construction.
 type Options struct {
@@ -161,7 +175,7 @@ func FromLake(l *lake.Lake, opts Options) *Graph {
 // opts.Workers, and the graph is bit-identical for every worker count.
 func FromAttributes(attrs []lake.Attribute, opts Options) *Graph {
 	g, node := universe(attrs, opts)
-	g.offsets, g.adj = assemble(len(g.values), len(attrs), opts.Workers, func(i int, dst []int32) []int32 {
+	g.offsets, g.adj = assemble(len(g.vals), len(attrs), opts.Workers, func(i int, dst []int32) []int32 {
 		return appendNodes(dst, attrs[i].IDs(), node)
 	})
 	g.incremental = true
@@ -196,8 +210,8 @@ func universe(attrs []lake.Attribute, opts Options) (*Graph, []int32) {
 			kept = append(kept, uint32(id))
 		}
 	}
-	var node []int32
-	g.values, node = number(syms, kept, len(occ))
+	node := number(syms, kept, len(occ))
+	g.vals, g.names = kept, syms.Frozen()
 	return g, node
 }
 
@@ -209,18 +223,16 @@ func minOccurrence(opts Options) int64 {
 	return 2
 }
 
-// number sorts the retained symbol IDs by value string and returns the
-// value node strings with the symbol ID → node map (-1 when not retained)
-// over nSyms IDs.
-func number(syms *lake.Symbols, kept []uint32, nSyms int) ([]string, []int32) {
+// number sorts the retained symbol IDs by value string, in place, so kept
+// becomes the value nodes' IDs, and returns the symbol ID → node map (-1
+// when not retained) over nSyms IDs.
+func number(syms *lake.Symbols, kept []uint32, nSyms int) []int32 {
 	SortByValue(syms, kept)
-	values := make([]string, len(kept))
 	node := slices.Repeat([]int32{-1}, nSyms)
 	for i, id := range kept {
-		values[i] = syms.String(id)
 		node[id] = int32(i)
 	}
-	return values, node
+	return node
 }
 
 // SortByValue sorts distinct symbol IDs into byte order of their strings,
@@ -352,7 +364,7 @@ func attrIDs(attrs []lake.Attribute) []string {
 // rather than a hash set: O(NumValues/64) words of scratch, branch-free
 // marking, and the sorted output falls out of the ascending bit scan.
 func (g *Graph) ValueNeighbors(u int32) []int32 {
-	nVal := len(g.values)
+	nVal := len(g.vals)
 	set := make([]uint64, (nVal+63)/64)
 	count := 0
 	for _, a := range g.Neighbors(u) {

@@ -56,7 +56,12 @@ func TestNumberMatchesReference(t *testing.T) {
 	check := func(what string, syms *lake.Symbols, kept []uint32) {
 		t.Helper()
 		wantValues, wantNode := refNumber(syms, slices.Clone(kept), syms.Len())
-		values, node := number(syms, slices.Clone(kept), syms.Len())
+		ids := slices.Clone(kept)
+		node := number(syms, ids, syms.Len())
+		values := make([]string, len(ids))
+		for i, id := range ids {
+			values[i] = syms.String(id)
+		}
 		if !slices.Equal(values, wantValues) || !slices.Equal(node, wantNode) {
 			t.Fatalf("%s: number differs from the string sort", what)
 		}
@@ -133,9 +138,10 @@ func TestValueOrderPresorted(t *testing.T) {
 // invariant ValueNode, RebuildDiff and rank.Values rely on.
 func checkStrictlyAscending(t *testing.T, what string, g *Graph) {
 	t.Helper()
-	for i := 1; i < g.NumValues(); i++ {
-		if g.Values()[i-1] >= g.Values()[i] {
-			t.Fatalf("%s: value %d (%q) does not sort after %q", what, i, g.Values()[i], g.Values()[i-1])
+	vals := g.Values()
+	for i := 1; i < len(vals); i++ {
+		if vals[i-1] >= vals[i] {
+			t.Fatalf("%s: value %d (%q) does not sort after %q", what, i, vals[i], vals[i-1])
 		}
 	}
 }

@@ -37,11 +37,20 @@ func parentFromAttributes(attrs []lake.Attribute, opts Options) *parentGraph {
 	pg := &parentGraph{Graph: g, syms: g.syms, srcAttrs: attrs, occ: slices.Clone(g.occ),
 		nSource: g.nSource, keepSingletons: opts.KeepSingletons, incremental: true}
 	pg.node = slices.Repeat([]int32{-1}, len(pg.occ))
-	for u, v := range g.values {
+	for u, v := range g.Values() {
 		id, _ := g.syms.Lookup([]byte(v))
 		pg.node[id] = int32(u)
 	}
 	return pg
+}
+
+// valueIDs returns the symbol IDs of values, interned in syms.
+func valueIDs(syms *lake.Symbols, values []string) []uint32 {
+	ids := make([]uint32, len(values))
+	for i, v := range values {
+		ids[i], _ = syms.Lookup([]byte(v))
+	}
+	return ids
 }
 
 // nodeOf returns the value node of symbol id, or -1 when it is not retained.
@@ -223,7 +232,7 @@ func parentRebuildDiff(prev *parentGraph, attrs []lake.Attribute, opts Options) 
 	// otherwise merge the additions, in value order, into the survivors —
 	// id order is lexicographic order, so the remap of surviving ids is
 	// monotone.
-	oldVals := prev.values
+	oldVals := prev.Values()
 	values, node := oldVals, prev.node
 	var oldToNew []int32 // nil means identity
 	if len(addedIDs) > 0 || len(droppedOld) > 0 {
@@ -281,7 +290,7 @@ func parentRebuildDiff(prev *parentGraph, attrs []lake.Attribute, opts Options) 
 		return dst
 	})
 	g := &parentGraph{
-		Graph:          &Graph{values: values, attrs: attrIDs(attrs), offsets: offsets, adj: adj},
+		Graph:          &Graph{vals: valueIDs(syms, values), names: syms.Frozen(), attrs: attrIDs(attrs), offsets: offsets, adj: adj},
 		syms:           syms,
 		srcAttrs:       attrs,
 		occ:            occ,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"domainnet/internal/lake"
 )
@@ -165,9 +166,9 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 	nValPrev, nPrev, nAttr := prev.NumValues(), len(prev.srcAttrs), len(attrs)
 	pkeys := prev.keys // a full build's graph has none yet
 	if pkeys == nil {
-		pkeys = make([]uint64, nValPrev)
-		for vo, v := range prev.values {
-			pkeys[vo] = valueKey(v)
+		pkeys = make([]uint64, nValPrev, nValPrev+nValPrev/16+16) // room for values crossing in
+		for vo, id := range prev.vals {
+			pkeys[vo] = valueKey(syms.String(id))
 		}
 	}
 	stale := func(p int) bool { i := m.newOf[p]; return i < 0 || m.changed[i] }
@@ -178,7 +179,7 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 		occ = slices.Grow(occ, n-old)[:n]
 		clear(occ[old:])
 	}
-	prev.occ, prev.incremental = nil, false
+	prev.occ, prev.keys, prev.incremental = nil, nil, false
 
 	// Re-count the touched IDs: subtract the cells of stale previous
 	// attributes (gone or modified), then add those of changed ones. tids
@@ -258,10 +259,6 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 			findNow = append(findNow, now >= minOcc)
 		}
 	}
-	type crossing struct {
-		at, k int32
-		key   uint64
-	}
 	var added []crossing
 	var dropped, patch []int32
 	order, keys := valueOrder(syms, find)
@@ -272,7 +269,10 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 		lo, hi := seek(pkeys, at, keys[i])
 		at = lo
 		if n := hi - lo; n > 1 || n == 1 && !was {
-			i, _ := slices.BinarySearch(prev.values[lo:hi], syms.String(find[j]))
+			v := syms.String(find[j])
+			i, _ := slices.BinarySearchFunc(prev.vals[lo:hi], v, func(id uint32, v string) int {
+				return strings.Compare(syms.String(id), v)
+			})
 			at += i
 		}
 		switch {
@@ -292,12 +292,13 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 	// are immutable) and value ids do not move. Otherwise the additions
 	// merge into the survivors run by run, and oldToNew, the value part of
 	// the Diff's PrevToNew, maps every previous node to its new one (-1 when
-	// dropped). Node ids are lexicographic, so the map is monotone.
+	// dropped). Node ids are lexicographic, so the map is monotone. The keys
+	// are writer-side, so they merge in place of prev's (mergeKeys).
 	diff := &Diff{PrevToNew: make([]int32, nValPrev+nPrev)}
-	values, vkeys := prev.values, pkeys
+	vals, vkeys := prev.vals, pkeys
 	var oldToNew []int32 // nil means identity
 	if len(added) > 0 || len(dropped) > 0 {
-		values, vkeys = make([]string, nVal), make([]uint64, nVal)
+		vals, vkeys = make([]uint32, nVal), mergeKeys(pkeys, added, dropped)
 		oldToNew = diff.PrevToNew[:nValPrev]
 		u, a, d := 0, 0, 0
 		for vo := 0; vo <= nValPrev; {
@@ -308,8 +309,7 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 			if d < len(dropped) {
 				end = min(end, int(dropped[d]))
 			}
-			copy(values[u:], prev.values[vo:end])
-			copy(vkeys[u:], pkeys[vo:end])
+			copy(vals[u:], prev.vals[vo:end])
 			for j := range oldToNew[vo:end] {
 				oldToNew[vo+j] = int32(u + j)
 			}
@@ -317,7 +317,7 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 			switch {
 			case a < len(added) && int(added[a].at) == vo:
 				k := added[a].k
-				values[u], vkeys[u], tnode[k] = syms.String(tids[k]), added[a].key, int32(u)
+				vals[u], tnode[k] = tids[k], int32(u)
 				u, a = u+1, a+1
 			case d < len(dropped) && int(dropped[d]) == vo:
 				oldToNew[vo] = -1
@@ -559,7 +559,8 @@ stream:
 		panic("bipartite: RebuildDiff miscounted the edges")
 	}
 	next := &Graph{
-		values:         values,
+		vals:           vals,
+		names:          syms.Frozen(),
 		attrs:          attrIDs(attrs),
 		offsets:        offsets,
 		adj:            adj,
@@ -644,6 +645,45 @@ stream:
 	return next, diff
 }
 
+// crossing is a value crossing into the graph: its index into the touched
+// IDs, its key, and the previous value node it goes before.
+type crossing struct {
+	at, k int32
+	key   uint64
+}
+
+// mergeKeys turns keys, the keys of a graph's values, into those of its
+// rebuild's: it drops the keys at the ascending previous nodes dropped and
+// puts each crossing's key before its previous node at (before a dropped
+// one there). It works in place, compacting from the front and then
+// spreading from the back, and grows the array only when it lacks room.
+func mergeKeys(keys []uint64, added []crossing, dropped []int32) []uint64 {
+	if len(dropped) > 0 {
+		w := int(dropped[0])
+		for d, vo := range dropped {
+			end := len(keys)
+			if d+1 < len(dropped) {
+				end = int(dropped[d+1])
+			}
+			w += copy(keys[w:], keys[vo+1:end])
+		}
+		keys = keys[:w]
+	}
+	end, d := len(keys), len(dropped)
+	keys = slices.Grow(keys, len(added))[:len(keys)+len(added)]
+	for a := len(added) - 1; a >= 0; a-- {
+		at := int(added[a].at)
+		for d > 0 && int(dropped[d-1]) >= at {
+			d--
+		}
+		at -= d // its place among the survivors
+		copy(keys[at+a+1:], keys[at:end])
+		keys[at+a] = added[a].key
+		end = at
+	}
+	return keys
+}
+
 // seek returns the run [lo, hi) of the ascending keys equal to key, at or
 // after from, where every key below from is below key. A value known to be
 // present is the one value of a run of one; a value known to be absent goes
@@ -687,10 +727,15 @@ func gallop[E cmp.Ordered](s []E, lo int, x E) int {
 // in the incremental path cannot hide behind an identical topology. It reads
 // both graphs' symbol tables, so it is writer-side only.
 func (g *Graph) Equal(o *Graph) bool {
-	if !(slices.Equal(g.values, o.values) && slices.Equal(g.attrs, o.attrs) &&
+	if !(len(g.vals) == len(o.vals) && slices.Equal(g.attrs, o.attrs) &&
 		g.nRows == o.nRows && slices.Equal(g.offsets, o.offsets) &&
 		slices.Equal(g.adj, o.adj)) {
 		return false
+	}
+	for u := range int32(len(g.vals)) {
+		if g.Value(u) != o.Value(u) {
+			return false
+		}
 	}
 	if !g.incremental || !o.incremental {
 		return true

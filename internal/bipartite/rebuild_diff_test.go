@@ -266,7 +266,7 @@ func FuzzRebuildDiff(f *testing.F) {
 			if !g.Equal(FromAttributes(attrs, opts)) {
 				t.Fatalf("step %d: rebuilt graph differs from a scratch build", step)
 			}
-			for u, v := range g.values {
+			for u, v := range g.Values() {
 				if g.keys != nil && g.keys[u] != valueKey(v) {
 					t.Fatalf("step %d: value %d (%q) carries key %x", step, u, v, g.keys[u])
 				}

@@ -3,6 +3,8 @@ package bipartite
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"domainnet/internal/datagen"
@@ -217,5 +219,109 @@ func TestRebuildDiffHandsOffCounts(t *testing.T) {
 	less := attrs[:len(attrs)-1]
 	if next, diff := RebuildDiff(g, less, Options{}); diff == nil || diff.Full || !next.Equal(FromAttributes(less, Options{})) {
 		t.Fatalf("rebuild after a fallback: diff %+v", diff)
+	}
+}
+
+// TestMergeKeys holds the in-place key merge of RebuildDiff to a merge into
+// a new array: random drops and crossings, an addition before a dropped
+// node at the same place included, with and without room to grow in place.
+func TestMergeKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := range 500 {
+		n := rng.Intn(40)
+		keys := make([]uint64, n, n+rng.Intn(8))
+		for i := range keys {
+			keys[i] = uint64(i) << 8
+		}
+		var dropped []int32
+		for i := range n {
+			if rng.Intn(4) == 0 {
+				dropped = append(dropped, int32(i))
+			}
+		}
+		var added []crossing
+		for at := 0; at <= n; at++ {
+			for rng.Intn(5) == 0 {
+				added = append(added, crossing{at: int32(at), key: uint64(at)<<8 | uint64(len(added)+1)})
+			}
+		}
+		var want []uint64
+		a, d := 0, 0
+		for vo := 0; vo <= n; vo++ {
+			for ; a < len(added) && int(added[a].at) == vo; a++ {
+				want = append(want, added[a].key)
+			}
+			switch {
+			case vo == n:
+			case d < len(dropped) && int(dropped[d]) == vo:
+				d++
+			default:
+				want = append(want, keys[vo])
+			}
+		}
+		inPlace := cap(keys)-n+len(dropped) >= len(added)
+		var first *uint64
+		if cap(keys) > 0 {
+			first = &keys[:1][0]
+		}
+		got := mergeKeys(keys, added, dropped)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: merged %v, want %v (dropped %v, added %v)", trial, got, want, dropped, added)
+		}
+		if inPlace && len(got) > 0 && &got[0] != first {
+			t.Fatalf("trial %d: the merge reallocated with room in place", trial)
+		}
+	}
+}
+
+// TestValuesReadWhileWriterInterns: a published graph reads its value
+// strings through a frozen view of the lake's symbol table, so readers on
+// other goroutines keep seeing its values while the writer interns more
+// into that table — past a symbol chunk, through index rehashes — and
+// rebuilds from it. Run with -race.
+func TestValuesReadWhileWriterInterns(t *testing.T) {
+	l := lake.New("interning")
+	l.MustAdd(table.New("base").AddColumn("c", "JAGUAR", "JAGUAR", "PUMA", "PUMA"))
+	g := FromLake(l, Options{})
+	want := g.Values()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for u, v := range want {
+					if got := g.Value(int32(u)); got != v {
+						t.Errorf("value node %d reads %q, want %q", u, got, v)
+						return
+					}
+					if n, ok := g.ValueNode(v); !ok || n != int32(u) {
+						t.Errorf("ValueNode(%q) = %d, %v; want %d", v, n, ok, u)
+						return
+					}
+				}
+			}
+		}()
+	}
+	next := g
+	for round := range 50 {
+		col := make([]string, 0, 200)
+		for i := range 100 {
+			v := fmt.Sprintf("V%d_%d", round, i)
+			col = append(col, v, v)
+		}
+		l.MustAdd(table.New(fmt.Sprintf("t%02d", round)).AddColumn("c", col...))
+		next, _ = RebuildDiff(next, l.Attributes(), Options{})
+	}
+	close(stop)
+	wg.Wait()
+	if got := next.NumValues(); got != 2+50*100 {
+		t.Fatalf("%d values after the rounds, want %d", got, 2+50*100)
 	}
 }

@@ -118,8 +118,8 @@ func refBuild(attrs []refAttr, opts Options) refGraph {
 func checkAgainstReference(t *testing.T, what string, g *Graph, ref refGraph) {
 	t.Helper()
 	switch {
-	case !slices.Equal(g.values, ref.values):
-		t.Fatalf("%s: value nodes differ from the reference (%d vs %d)", what, len(g.values), len(ref.values))
+	case !slices.Equal(g.Values(), ref.values):
+		t.Fatalf("%s: value nodes differ from the reference (%d vs %d)", what, g.NumValues(), len(ref.values))
 	case !slices.Equal(g.offsets, ref.offsets):
 		t.Fatalf("%s: offsets differ from the reference", what)
 	case !slices.Equal(g.adj, ref.adj):

@@ -16,7 +16,7 @@ import (
 func FromLakeWithRows(l *lake.Lake, opts Options) *Graph {
 	attrs := l.Attributes()
 	g, node := universe(attrs, opts)
-	nVal, nAttr := len(g.values), len(attrs)
+	nVal, nAttr := len(g.vals), len(attrs)
 	syms := l.Symbols()
 
 	// Collect every row's distinct retained values into one flat slice: row

@@ -35,7 +35,9 @@ type Graph = engine.Graph
 // quotient (see twins), so runtime is O(c·q) for c classes joined by q class
 // edges; classes are sharded across opts.Workers, one reused arena each.
 func Betweenness(g Graph, opts engine.Opts) []float64 {
-	bc := exactBetweenness(quotient(g, opts), nil, opts)
+	t := quotient(g, opts)
+	defer t.release()
+	bc := t.members(exactBetweenness(t, nil, opts))
 	if opts.Normalized {
 		normalize(bc, g.NumNodes())
 	}
@@ -43,12 +45,12 @@ func Betweenness(g Graph, opts engine.Opts) []float64 {
 }
 
 // exactBetweenness is the one source plan of every exact Brandes entry point:
-// raw scores from the representatives of g's twin quotient t. A non-nil
-// affected mask skips the classes outside it; since it filters inside the
-// shards, the shard boundaries — and with them the float summation grouping
-// — stay those of the full run.
+// raw scores, one per class, from the representatives of g's twin quotient
+// t. A non-nil affected mask skips the classes outside it; since it filters
+// inside the shards, the shard boundaries — and with them the float
+// summation grouping — stay those of the full run.
 func exactBetweenness(t twins, affected []bool, opts engine.Opts) []float64 {
-	return accumulate(t, t.reps, t.weight, affected, opts)
+	return accumulateClasses(t, t.reps, t.weight, affected, opts)
 }
 
 // quotient is the twin quotient Brandes traverses: twin classes never
@@ -86,7 +88,9 @@ func ApproxBetweenness(g Graph, opts engine.Opts) []float64 {
 	for i := range weight {
 		weight[i] = float64(n) / float64(s)
 	}
-	bc := accumulate(quotient(g, opts), sources, weight, nil, opts)
+	t := quotient(g, opts)
+	defer t.release()
+	bc := accumulate(t, sources, weight, nil, opts)
 	if opts.Normalized {
 		normalize(bc, n)
 	}
@@ -146,32 +150,40 @@ func sampleByDegree(g Graph, s int, rng *rand.Rand) []int32 {
 }
 
 func normalize(bc []float64, n int) {
-	if n < 3 {
-		return
-	}
-	scale := 1.0 / (float64(n-1) * float64(n-2))
-	for i := range bc {
-		bc[i] *= scale
+	if scale, ok := normalizer(n); ok {
+		for i := range bc {
+			bc[i] *= scale
+		}
 	}
 }
 
-// accumulate runs Brandes' dependency accumulation from the given sources
-// over the twin quotient t, scaling source i's contribution by weight[i],
-// sharded across workers. A non-nil affected mask skips the sources outside
-// it without moving the shard boundaries. Each worker owns one pooled arena
-// and one partial result vector of one entry per class (plus the source),
-// so total scratch is O(workers·c); each class's score is then copied to
-// its members.
+// normalizer is the factor normalize scales an n-node graph's scores by,
+// and false when it leaves them raw (n < 3).
+func normalizer(n int) (float64, bool) {
+	if n < 3 {
+		return 1, false
+	}
+	return 1.0 / (float64(n-1) * float64(n-2)), true
+}
+
+// accumulate is accumulateClasses with each class's score copied to its
+// members: one score per node.
 func accumulate(t twins, sources []int32, weight []float64, affected []bool, opts engine.Opts) []float64 {
-	byClass := engine.ShardSumCtx(opts.Context(), opts.Workers, len(t.reps)+1, len(sources),
+	return t.members(accumulateClasses(t, sources, weight, affected, opts))
+}
+
+// accumulateClasses runs Brandes' dependency accumulation from the given
+// sources over the twin quotient t, scaling source i's contribution by
+// weight[i], sharded across workers, and returns one score per class. A
+// non-nil affected mask skips the sources outside it without moving the
+// shard boundaries. Each worker owns one pooled arena and one partial result
+// vector of one entry per class (plus the source), so total scratch is
+// O(workers·c).
+func accumulateClasses(t twins, sources []int32, weight []float64, affected []bool, opts engine.Opts) []float64 {
+	return engine.ShardSumCtx(opts.Context(), opts.Workers, len(t.reps)+1, len(sources),
 		func(a *engine.Arena, lo, hi int, out []float64) {
 			brandesQuotient(&t, sources[lo:hi], weight[lo:hi], affected, opts, a, out)
 		})
-	bc := make([]float64, len(t.classOf))
-	for u, k := range t.classOf {
-		bc[u] = byClass[k]
-	}
-	return bc
 }
 
 // brandesQuotient processes a slice of sources, adding weighted dependency

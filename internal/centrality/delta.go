@@ -47,14 +47,29 @@ func (BetweennessExact) Score(g Graph, opts engine.Opts) []float64 {
 	return Betweenness(g, opts)
 }
 
-// finishBetweenness splits a raw Brandes vector into the carry, which keeps
-// the raw scores, and the final scores, normalized in place when opts asks.
-func finishBetweenness(raw []float64, t twins, opts engine.Opts) (scores []float64, carry engine.Carry) {
-	carry = t.carry(raw)
-	if opts.Normalized {
-		normalize(raw, len(raw))
+// finishBetweenness writes, in one pass over the nodes, the carry and the
+// final scores (normalized when opts asks) from each node's raw score:
+// byClass[k] of its class k, or for a node with a pre-image p in prevOf
+// (nil: none has), the raw score prev carried for p.
+func finishBetweenness(t twins, byClass []float64, prevOf []int32, prev engine.Carry, opts engine.Opts) (scores []float64, carry engine.Carry) {
+	n := len(t.classOf)
+	scale, scaled := normalizer(n)
+	scaled = scaled && opts.Normalized
+	scores, carry = make([]float64, n), make(engine.Carry, n)
+	for u, k := range t.classOf {
+		var raw float64
+		if prevOf != nil && prevOf[u] >= 0 {
+			raw = prev[prevOf[u]].Raw
+		} else {
+			raw = byClass[k]
+		}
+		carry[u] = engine.CarryNode{Raw: raw, Class: k}
+		if scaled {
+			raw *= scale
+		}
+		scores[u] = raw
 	}
-	return raw, carry
+	return scores, carry
 }
 
 // ScoreFull implements engine.DeltaScorer: a from-scratch computation that
@@ -65,7 +80,8 @@ func (BetweennessExact) ScoreFull(g Graph, opts engine.Opts) (scores []float64, 
 		return Betweenness(g, opts), nil
 	}
 	t := twinClasses(g, 0)
-	return finishBetweenness(exactBetweenness(t, nil, opts), t, opts)
+	defer t.release()
+	return finishBetweenness(t, exactBetweenness(t, nil, opts), nil, nil, opts)
 }
 
 // affectedMask marks the nodes the plan must rescore.
@@ -100,19 +116,13 @@ func (BetweennessExact) ScoreDelta(g Graph, d *engine.Delta, opts engine.Opts) (
 	if !ok {
 		return nil, nil, false
 	}
-	n := g.NumNodes()
-	var raw []float64
-	if plan.NumAffected() == 0 {
-		raw = make([]float64, n) // pure carry: no BFS, no sharded scan
-	} else {
-		raw = exactBetweenness(t, affectedMask(plan, n), opts)
+	defer plan.Release()
+	defer t.release()
+	var byClass []float64 // pure carry: no BFS, no sharded scan
+	if plan.NumAffected() > 0 {
+		byClass = exactBetweenness(t, affectedMask(plan, g.NumNodes()), opts)
 	}
-	for u, p := range plan.PrevOf {
-		if p >= 0 {
-			raw[u] = d.PrevCarry[p].Raw
-		}
-	}
-	scores, carry = finishBetweenness(raw, t, opts)
+	scores, carry = finishBetweenness(t, byClass, plan.PrevOf, d.PrevCarry, opts)
 	return scores, carry, true
 }
 
@@ -136,6 +146,7 @@ func (h HarmonicScorer) ScoreFull(g Graph, opts engine.Opts) (scores []float64, 
 		return ApproxHarmonic(g, opts), nil
 	}
 	t := twinClasses(g, 0)
+	defer t.release()
 	out := make([]float64, g.NumNodes())
 	harmonicExact(g, t, nil, out, opts)
 	return out, t.carry(out)
@@ -154,6 +165,8 @@ func (HarmonicScorer) ScoreDelta(g Graph, d *engine.Delta, opts engine.Opts) (sc
 	if !ok {
 		return nil, nil, false
 	}
+	defer plan.Release()
+	defer t.release()
 	out := make([]float64, n)
 	for u, p := range plan.PrevOf {
 		if p >= 0 {

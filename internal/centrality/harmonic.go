@@ -16,7 +16,9 @@ import (
 // entry, so the parallel result is bit-identical to the serial one.
 func Harmonic(g Graph, opts engine.Opts) []float64 {
 	out := make([]float64, g.NumNodes())
-	harmonicExact(g, twinClasses(g, 0), nil, out, opts)
+	t := twinClasses(g, 0)
+	defer t.release()
+	harmonicExact(g, t, nil, out, opts)
 	return out
 }
 

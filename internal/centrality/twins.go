@@ -2,6 +2,7 @@ package centrality
 
 import (
 	"slices"
+	"sync"
 
 	"domainnet/internal/engine"
 )
@@ -43,7 +44,7 @@ type twins struct {
 // from the previous round's classes, and a hash collision costs a longer
 // chain walk, never a different grouping.
 func twinClasses(g Graph, split int) twins {
-	t := twins{classOf: make([]int32, g.NumNodes())}
+	t := newTwins(g.NumNodes())
 	var gr grouper
 	for u := range int32(len(t.classOf)) {
 		t.classOf[u] = gr.class(&t, g, u, split)
@@ -60,8 +61,13 @@ func twinClasses(g Graph, split int) twins {
 // and opening a class at its first member numbers the classes by smallest
 // member, as twinClasses does, so the two quotients are identical.
 func carriedTwins(g Graph, plan *engine.DeltaPlan, prev engine.Carry) twins {
-	t := twins{classOf: make([]int32, g.NumNodes())}
-	renum := make([]int32, len(prev)) // previous class → its new index + 1
+	t := newTwins(g.NumNodes())
+	// renum maps a previous class to its new index + 1. Classes number
+	// fewer than the nodes, but how many the carry does not say.
+	rp := engine.Int32s(len(prev))
+	defer engine.PutInt32s(rp)
+	renum := *rp
+	clear(renum)
 	var gr grouper
 	for u, p := range plan.PrevOf {
 		if p < 0 {
@@ -124,6 +130,25 @@ func (gr *grouper) class(t *twins, g Graph, u int32, split int) int32 {
 	}
 }
 
+// twinsPool recycles the arrays of quotients: one lives for one scoring
+// call, and its arrays are sized by the graph (classOf) or its classes.
+var twinsPool = sync.Pool{New: func() any { return new(twins) }}
+
+// newTwins returns an empty quotient of n nodes on pooled arrays, which
+// release hands back.
+func newTwins(n int) twins {
+	p := twinsPool.Get().(*twins)
+	return twins{reps: p.reps[:0], weight: p.weight[:0], classOf: slices.Grow(p.classOf[:0], n)[:n],
+		off: p.off[:0], adj: p.adj[:0]}
+}
+
+// release hands t's arrays to a later newTwins; t must not be used
+// afterwards. A quotient never released is collected as usual.
+func (t *twins) release() {
+	p := *t
+	twinsPool.Put(&p)
+}
+
 // open starts a class with representative u and returns its index.
 func (t *twins) open(u int32) int32 {
 	t.reps = append(t.reps, u)
@@ -135,8 +160,11 @@ func (t *twins) open(u int32) int32 {
 // a stamp array keeping the first of the several members a neighbor class
 // has.
 func (t *twins) link(g Graph) {
-	stamp := make([]int32, len(t.reps))
-	t.off = make([]int32, len(t.reps)+1)
+	sp := engine.Int32s(len(t.reps))
+	defer engine.PutInt32s(sp)
+	stamp := *sp
+	clear(stamp)
+	t.off = append(t.off[:0], 0)
 	for i, r := range t.reps {
 		for _, w := range g.Neighbors(r) {
 			if c := t.classOf[w]; stamp[c] != int32(i)+1 {
@@ -144,8 +172,17 @@ func (t *twins) link(g Graph) {
 				t.adj = append(t.adj, c)
 			}
 		}
-		t.off[i+1] = int32(len(t.adj))
+		t.off = append(t.off, int32(len(t.adj)))
 	}
+}
+
+// members expands one score per class into one per node.
+func (t *twins) members(byClass []float64) []float64 {
+	out := make([]float64, len(t.classOf))
+	for u, k := range t.classOf {
+		out[u] = byClass[k]
+	}
+	return out
 }
 
 // carry pairs each node's raw score with its class, for the next round.

@@ -98,7 +98,7 @@ func TestCarriedRankingSB(t *testing.T) {
 		}
 		sorted := len(scores) // rank.Nodes sorts every value node
 		if carried, _ := next.RankPath(); carried {
-			for _, u := range p.kept(next.carry, len(scores)) {
+			for _, u := range p.kept(nil, next.carry, len(scores)) {
 				if u >= 0 {
 					sorted--
 				}
@@ -120,7 +120,7 @@ func TestCarriedRankingSB(t *testing.T) {
 		}
 		runtime.GC() // no collection of the lake's garbage runs beside the timings
 		carried, full := minDurations(200,
-			func() { rank.Carry(p.ranking, p.kept(next.carry, len(scores)), scores, rank.Descending) },
+			func() { rank.Carry(p.ranking, p.kept(nil, next.carry, len(scores)), scores, rank.Descending) },
 			func() { rank.Nodes(scores, rank.Descending) })
 		t.Logf("carried ranking %v, full sort %v", carried, full)
 		if carried*4 >= full {

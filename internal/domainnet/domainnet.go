@@ -391,7 +391,10 @@ func (d *Detector) rank(ctx context.Context) ([]int32, error) {
 	var r []int32
 	carried := false
 	if p := d.prior; p != nil && d.incremental && p.ranking != nil {
-		r, carried = rank.Carry(p.ranking, p.kept(d.carry, len(values)), values, order)
+		to := engine.Int32s(len(p.ranking))
+		*to = p.kept(*to, d.carry, len(values))
+		r, carried = rank.Carry(p.ranking, *to, values, order)
+		engine.PutInt32s(to)
 	}
 	if !carried {
 		r = rank.Nodes(values, order)
@@ -404,13 +407,14 @@ func (d *Detector) rank(ctx context.Context) ([]int32, error) {
 
 // kept maps each of the predecessor's value nodes to its value node here
 // when it survived the rebuild with a raw score bit-equal to its previous
-// one, and to -1 otherwise: rank.Carry's to. It walks the nodes in ID
-// order, which the rebuild's monotone node mapping keeps, so every read is
-// sequential.
-func (p *scorePrior) kept(carry engine.Carry, nValues int) []int32 {
+// one, and to -1 otherwise: rank.Carry's to, written over dst's array (rank
+// passes pooled scratch, since the map lives for one rank.Carry call). It
+// walks the nodes in ID order, which the rebuild's monotone node mapping
+// keeps, so every read is sequential.
+func (p *scorePrior) kept(dst []int32, carry engine.Carry, nValues int) []int32 {
 	nPrev := len(p.ranking)
 	prevToNew, prevCarry, carry := p.diff.PrevToNew[:nPrev], p.carry[:nPrev], carry[:nValues]
-	out := make([]int32, nPrev)
+	out := slices.Grow(dst[:0], nPrev)[:nPrev]
 	for q, u := range prevToNew {
 		if uint(u) >= uint(len(carry)) || math.Float64bits(carry[u].Raw) != math.Float64bits(prevCarry[q].Raw) {
 			u = -1
@@ -422,9 +426,9 @@ func (p *scorePrior) kept(carry engine.Carry, nValues int) []int32 {
 
 // scored pairs ranked value nodes with their values and scores.
 func (d *Detector) scored(nodes []int32) []rank.Scored {
-	values, out := d.graph.Values(), make([]rank.Scored, len(nodes))
+	out := make([]rank.Scored, len(nodes))
 	for i, u := range nodes {
-		out[i] = rank.Scored{Value: values[u], Score: d.scores[u]}
+		out[i] = rank.Scored{Value: d.graph.Value(u), Score: d.scores[u]}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -50,6 +51,23 @@ func AcquireArena(n int) *Arena {
 
 // Release returns the arena to the pool.
 func (a *Arena) Release() { arenaPool.Put(a) }
+
+// int32Pool recycles the graph-sized int32 scratch of the delta path: arrays
+// that one call fills and drops, such as a delta's twin classes and its
+// ranking's node map.
+var int32Pool = sync.Pool{New: func() any { return new([]int32) }}
+
+// Int32s returns a pooled array of n int32s with undefined contents. Hand
+// it back with PutInt32s once nothing reads it; one never handed back is
+// collected as usual.
+func Int32s(n int) *[]int32 {
+	p := int32Pool.Get().(*[]int32)
+	*p = slices.Grow((*p)[:0], n)[:n]
+	return p
+}
+
+// PutInt32s returns an array from Int32s to the pool.
+func PutInt32s(p *[]int32) { int32Pool.Put(p) }
 
 // ResetTouched zeroes the Dist/Sigma/Delta entries of the given nodes —
 // typically the previous source's Queue — and empties the queue.

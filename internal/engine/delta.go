@@ -1,5 +1,11 @@
 package engine
 
+import (
+	"math/bits"
+	"slices"
+	"sync"
+)
+
 // Delta describes how a graph evolved from a previous build, in enough
 // detail for a scorer to reuse prior per-node results. It is produced by the
 // graph layer (bipartite.RebuildDiff) and consumed by DeltaScorer
@@ -72,10 +78,21 @@ type DeltaPlan struct {
 	// nodes (which must be rescored, not carried). Clean entries always have
 	// a valid pre-image.
 	PrevOf []int32
+
+	seen []uint64 // the flood fill's visited set, a bit per node
 }
 
 // NumAffected returns the number of nodes that must be rescored.
 func (p *DeltaPlan) NumAffected() int { return len(p.Affected) }
+
+// planPool recycles plans, whose arrays are sized by the graph: a plan
+// lives for one ScoreDelta call.
+var planPool = sync.Pool{New: func() any { return new(DeltaPlan) }}
+
+// Release hands the plan's arrays to a later PlanDelta. The plan and its
+// slices must not be used afterwards; a plan that is never released is
+// collected as usual.
+func (p *DeltaPlan) Release() { planPool.Put(p) }
 
 // PlanDelta resolves d against g at component granularity. A connected
 // component with no dirty node is, edge for edge, the image of a previous
@@ -90,6 +107,9 @@ func (p *DeltaPlan) NumAffected() int { return len(p.Affected) }
 // depends on how the measure reduces per-source contributions; the scorers
 // document which.)
 //
+// Beyond inverting PrevToNew, the plan costs the affected components: the
+// flood fill reads only their lists, and a bit per node is all it clears.
+//
 // PlanDelta reports ok=false when the delta is malformed (sizes do not cover
 // the graph, a clean node lacks a pre-image) or when the affected share
 // exceeds the churn threshold — the caller must fall back to full scoring.
@@ -98,69 +118,72 @@ func PlanDelta(g Graph, d *Delta) (*DeltaPlan, bool) {
 	if d == nil || len(d.PrevCarry) != len(d.PrevToNew) {
 		return nil, false
 	}
-	prevOf := make([]int32, n)
+	p := planPool.Get().(*DeltaPlan)
+	fail := func() (*DeltaPlan, bool) {
+		p.Release()
+		return nil, false
+	}
+	prevOf := slices.Grow(p.PrevOf[:0], n)[:n]
 	for i := range prevOf {
 		prevOf[i] = -1
 	}
+	p.PrevOf = prevOf
 	surviving := 0
-	for p, nw := range d.PrevToNew {
+	for q, nw := range d.PrevToNew {
 		if nw < 0 {
 			continue
 		}
 		if int(nw) >= n || prevOf[nw] >= 0 {
-			return nil, false // out of range or non-injective
+			return fail() // out of range or non-injective
 		}
-		prevOf[nw] = int32(p)
+		prevOf[nw] = int32(q)
 		surviving++
 	}
 
-	if len(d.Dirty) == 0 {
-		// Fast path: identical structure. Every node must have a pre-image.
-		if surviving != n {
-			return nil, false
+	// Flood-fill the components containing dirty nodes, queueing each node
+	// as it is first seen; the queue is then rewritten in node order.
+	seen := slices.Grow(p.seen[:0], (n+63)/64)[:(n+63)/64]
+	clear(seen)
+	p.seen = seen
+	queue := p.Affected[:0]
+	visit := func(u int32) {
+		if seen[u>>6]&(1<<(u&63)) == 0 {
+			seen[u>>6] |= 1 << (u & 63)
+			queue = append(queue, u)
 		}
-		return &DeltaPlan{Affected: nil, PrevOf: prevOf}, true
 	}
-
-	// Flood-fill the components containing dirty nodes. The arena's Dist
-	// array doubles as the visited bitmap (+1 offset convention: 0 means
-	// unvisited).
-	a := AcquireArena(n)
-	defer a.Release()
 	for _, s := range d.Dirty {
 		if s < 0 || int(s) >= n {
-			return nil, false
+			p.Affected = queue
+			return fail()
 		}
-		if a.Dist[s] != 0 {
-			continue
-		}
-		a.Dist[s] = 1
-		a.Queue = append(a.Queue, s)
-		for head := len(a.Queue) - 1; head < len(a.Queue); head++ {
-			u := a.Queue[head]
-			for _, v := range g.Neighbors(u) {
-				if a.Dist[v] == 0 {
-					a.Dist[v] = 1
-					a.Queue = append(a.Queue, v)
-				}
+		head := len(queue)
+		for visit(s); head < len(queue); head++ {
+			for _, v := range g.Neighbors(queue[head]) {
+				visit(v)
 			}
 		}
 	}
-	affected := len(a.Queue)
-	if affected*deltaMaxChurn > n {
-		return nil, false
+	p.Affected = queue
+	if len(queue)*deltaMaxChurn > n {
+		return fail()
 	}
-	plan := &DeltaPlan{
-		Affected: make([]int32, 0, affected),
-		PrevOf:   prevOf,
-	}
-	for u := 0; u < n; u++ {
-		if a.Dist[u] != 0 {
-			plan.Affected = append(plan.Affected, int32(u))
-			plan.PrevOf[u] = -1
-		} else if plan.PrevOf[u] < 0 {
-			return nil, false // clean node with no prior score to carry
+	// Every clean node needs a pre-image to carry: the survivors mapped to
+	// clean nodes must number the clean nodes.
+	affected, carried := queue[:0], surviving
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			u := int32(w<<6 + bits.TrailingZeros64(word))
+			affected = append(affected, u)
+			if prevOf[u] >= 0 {
+				prevOf[u] = -1
+				carried--
+			}
 		}
 	}
-	return plan, true
+	if carried != n-len(affected) {
+		return fail() // a clean node with no prior score to carry
+	}
+	p.Affected = affected
+	return p, true
 }

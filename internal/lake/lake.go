@@ -57,6 +57,9 @@ type Lake struct {
 	syms  *Symbols
 	live  []int32 // per ID: the number of cached attributes holding it
 	nLive int     // IDs with a nonzero live count
+	// nAttrs and cells count the cached attributes and their cells, kept
+	// by retain and release so Stats costs O(1).
+	nAttrs, cells int
 }
 
 // symbolFloor is the dead-ID count below which a lake never compacts its
@@ -209,8 +212,8 @@ func (l *Lake) Frozen() *Lake {
 	attrs, n := l.Attributes(), len(l.tables)
 	return &Lake{Name: l.Name, version: l.version,
 		tables: l.tables[:n:n], tableAttrs: l.tableAttrs[:n:n],
-		attrs: attrs, attrsOK: true, nLive: l.nLive,
-		syms: &Symbols{strs: l.syms.strs, n: l.syms.n}}
+		attrs: attrs, attrsOK: true, nLive: l.nLive, nAttrs: l.nAttrs, cells: l.cells,
+		syms: l.syms.Frozen()}
 }
 
 // Tables returns the tables in insertion order. The slice is shared; callers
@@ -421,12 +424,17 @@ func end(cells []uint64, k int) uint32 {
 	return uint32(cells[k])
 }
 
-// retain counts attrs' values as live.
+// retain counts attrs' values as live, and attrs and their cells in Stats.
+// A column of only missing cells has no IDs and is no attribute.
 func (l *Lake) retain(attrs []Attribute) {
 	if n := l.syms.Len(); n > len(l.live) {
 		l.live = append(l.live, make([]int32, n-len(l.live))...)
 	}
 	for i := range attrs {
+		if len(attrs[i].ids) > 0 {
+			l.nAttrs++
+			l.cells += attrs[i].Cells()
+		}
 		for _, id := range attrs[i].ids {
 			if l.live[id] == 0 {
 				l.nLive++
@@ -440,6 +448,8 @@ func (l *Lake) retain(attrs []Attribute) {
 // table once its dead IDs outnumber the live ones beyond symbolFloor.
 func (l *Lake) release(attrs []Attribute) {
 	for i := range attrs {
+		l.nAttrs--
+		l.cells -= attrs[i].Cells()
 		for _, id := range attrs[i].ids {
 			if l.live[id]--; l.live[id] == 0 {
 				l.nLive--
@@ -495,17 +505,15 @@ type Stats struct {
 // Stats computes summary statistics over the lake. Cells counts every
 // non-empty cell (via each attribute's frequencies), not just distinct
 // values — a column holding the same value twice contributes two cells.
+// Once the lake's attributes are computed it costs O(1): the counts are
+// kept as attributes are cached and released.
 func (l *Lake) Stats() Stats {
-	attrs := l.Attributes()
-	cells := 0
-	for i := range attrs {
-		cells += attrs[i].Cells()
-	}
+	l.Attributes()
 	return Stats{
 		Tables:     len(l.tables),
-		Attributes: len(attrs),
+		Attributes: l.nAttrs,
 		Values:     l.nLive,
-		Cells:      cells,
+		Cells:      l.cells,
 	}
 }
 
@@ -514,10 +522,11 @@ func (s Stats) String() string {
 }
 
 // LoadDir reads every *.csv file under dir (non-recursively) into a lake
-// named after the directory. Files are parsed in parallel and added in
-// directory order. Files that fail to parse abort the load with an error
-// naming the first such file in directory order, because silently skipping
-// tables would change experiment ground truth.
+// named after the directory. Files are parsed in parallel, each worker
+// claiming the next file as it finishes one, and added in directory order.
+// Files that fail to parse abort the load with an error naming the first
+// such file in directory order, because silently skipping tables would
+// change experiment ground truth.
 func LoadDir(dir string) (*Lake, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -531,10 +540,8 @@ func LoadDir(dir string) (*Lake, error) {
 	}
 	tables := make([]*table.Table, len(names))
 	errs := make([]error, len(names))
-	engine.Parallel(0, len(names), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			tables[i], errs[i] = table.ReadCSVFile(filepath.Join(dir, names[i]))
-		}
+	engine.Each(0, len(names), func(_, i int) {
+		tables[i], errs[i] = table.ReadCSVFile(filepath.Join(dir, names[i]))
 	})
 	l := New(filepath.Base(dir))
 	for i, t := range tables {

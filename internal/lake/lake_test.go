@@ -2,10 +2,12 @@ package lake
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"domainnet/internal/table"
@@ -379,5 +381,69 @@ func TestLoadDirSkipsNonCSV(t *testing.T) {
 	}
 	if l.NumTables() != 1 {
 		t.Errorf("tables = %d, want 1", l.NumTables())
+	}
+}
+
+// TestStatsTrackChurn: Stats, kept as attributes are cached and released,
+// equals a count over Attributes after every add and removal of a churn
+// that compacts the symbol table, on the lake and on its Frozen view.
+func TestStatsTrackChurn(t *testing.T) {
+	l, rng := New("churn"), rand.New(rand.NewSource(4))
+	var live []string
+	for step := range 300 {
+		if len(live) > 3 && rng.Intn(2) == 0 {
+			i := rng.Intn(len(live))
+			l.RemoveTable(live[i])
+			live = append(live[:i], live[i+1:]...)
+		} else {
+			name := fmt.Sprintf("t%d", step)
+			tb := table.New(name)
+			for c := range 1 + rng.Intn(3) {
+				col := make([]string, 1+rng.Intn(40))
+				for r := range col {
+					col[r] = fmt.Sprintf("v%d_%d", step, rng.Intn(30)) // mostly fresh: compactions come
+					if rng.Intn(8) == 0 {
+						col[r] = ""
+					}
+				}
+				tb.AddColumn(fmt.Sprintf("c%d", c), col...)
+			}
+			l.MustAdd(tb)
+			live = append(live, name)
+		}
+		attrs, cells, values := l.Attributes(), 0, map[uint32]bool{}
+		for i := range attrs {
+			cells += attrs[i].Cells()
+			for _, id := range attrs[i].IDs() {
+				values[id] = true
+			}
+		}
+		want := Stats{Tables: len(live), Attributes: len(attrs), Values: len(values), Cells: cells}
+		if got := l.Stats(); got != want {
+			t.Fatalf("step %d: Stats %+v, counted %+v", step, got, want)
+		}
+		if got := l.Frozen().Stats(); got != want {
+			t.Fatalf("step %d: Frozen Stats %+v, counted %+v", step, got, want)
+		}
+	}
+}
+
+// TestLoadDirNamesFirstFailingFile: with files parsed by workers claiming
+// them in any order, a load with several bad files names the first of them
+// in directory order.
+func TestLoadDirNamesFirstFailingFile(t *testing.T) {
+	dir := t.TempDir()
+	for i := range 12 {
+		body := fmt.Sprintf("c\nv%d\nv%d\n", i, i)
+		if i == 5 || i == 9 {
+			body = "" // an empty file fails to parse
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("t%02d.csv", i)), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := LoadDir(dir)
+	if err == nil || !strings.Contains(err.Error(), "t05.csv") {
+		t.Fatalf("LoadDir error %v, want one naming t05.csv", err)
 	}
 }

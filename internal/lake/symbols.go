@@ -15,7 +15,8 @@ import (
 // lake's ingest interns one batch's values in that order after its workers
 // normalize them in parallel, so IDs do not depend on the worker count or
 // schedule. It is owned by one writer and not safe for concurrent use:
-// published state (graphs, rankings) carries its own strings. The one field
+// published state reads it through a Frozen view (a graph's values) or
+// carries its own strings. The one field
 // ingest workers read while the writer waits is seed, which they hash with.
 // The index is open-addressed over IDs, not a map: 4 bytes a slot at under
 // half load against about 50 a map entry, for a table that under churn
@@ -51,6 +52,17 @@ func AdoptSymbols(n int, next func() string) (*Symbols, error) {
 		s.insert(i, v)
 	}
 	return s, nil
+}
+
+// Frozen returns a read-only view of the IDs issued so far: their strings,
+// which s's later interning leaves in place, so other goroutines may read
+// the view while s's writer goes on. It supports only String and Len: it
+// has no index, so a Lookup or Add on it panics. A nil s gives nil.
+func (s *Symbols) Frozen() *Symbols {
+	if s == nil {
+		return nil
+	}
+	return &Symbols{strs: s.strs, n: s.n}
 }
 
 // Len reports the number of interned values, which bounds every ID.

@@ -269,10 +269,10 @@ func checkDeltaScores(t *testing.T, step int, m domainnet.Measure, d, cold *doma
 	}
 }
 
-// TestRebuildPaths: each publish counts the path its rebuild took. The
-// first build is full; a table of values found nowhere else rebuilds
-// incrementally; a table of empty cells leaves the attributes as they were;
-// replacing nearly the whole lake builds from scratch.
+// TestRebuildPaths: each publish counts the path its rebuild took, and is
+// timed once. The first build is full; a table of values found nowhere else
+// rebuilds incrementally; a table of empty cells leaves the attributes as
+// they were; replacing nearly the whole lake builds from scratch.
 func TestRebuildPaths(t *testing.T) {
 	s := New(datagen.NewSB(1).Lake, domainnet.Config{Measure: domainnet.DegreeBaseline})
 	t.Cleanup(s.Close)
@@ -294,8 +294,12 @@ func TestRebuildPaths(t *testing.T) {
 		if step.add != nil {
 			apply(t, s, []*table.Table{step.add}, step.remove)
 		}
-		if got := s.RebuildStats(); got != step.want {
+		got := s.RebuildStats()
+		if paths := [3]int64{got.Unchanged, got.Full, got.Incremental}; paths != [3]int64{step.want.Unchanged, step.want.Full, step.want.Incremental} {
 			t.Errorf("after %s: rebuilds %+v, want %+v", step.what, got, step.want)
+		}
+		if n := got.Unchanged + got.Full + got.Incremental; got.Publish.Count != n || got.Publish.Sum <= 0 {
+			t.Errorf("after %s: %d publishes timed, total %d ns; want %d timed", step.what, got.Publish.Count, got.Publish.Sum, n)
 		}
 	}
 }

@@ -62,6 +62,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"domainnet/internal/bipartite"
 	"domainnet/internal/domainnet"
@@ -162,12 +163,16 @@ type counters struct {
 	dirty             obs.Hist
 	rankCarried       atomic.Int64
 	rankSorted        atomic.Int64
+	// The warmer's time per warmed measure, by score path (see WarmStats).
+	warmIncrementalNS obs.Hist
+	warmFullNS        obs.Hist
 
 	// Rebuild path accounting, one count per publish that rebuilt the
-	// graph from the lake (see RebuildStats).
+	// graph from the lake (see RebuildStats), and each such publish's time.
 	rebuildUnchanged   atomic.Int64
 	rebuildFull        atomic.Int64
 	rebuildIncremental atomic.Int64
+	publishNS          obs.Hist
 }
 
 // Options extend New for warm starts and operational hooks.
@@ -408,6 +413,8 @@ func (s *Server) withWrite(fn func() error) (uint64, error) {
 // graph; when the graph comes back unchanged the previous snapshot's warm
 // detectors are carried over.
 func (s *Server) publish() {
+	start := time.Now()
+	defer func() { s.ctr.publishNS.Observe(time.Since(start).Nanoseconds()) }()
 	attrs := s.lake.Attributes()
 	prev := s.snap.Load()
 	var g *bipartite.Graph
@@ -513,14 +520,16 @@ func (s *Server) scheduleWarm(sn *snapshot, carried bool) {
 		for _, m := range s.warmMeasures {
 			sp := wa.StartSpan(m.String())
 			d := sn.detector(m, s.cfg)
+			start := time.Now()
 			err := d.Warm(ctx)
+			took := time.Since(start)
 			sp.End()
 			if err != nil {
 				s.ctr.warmsCancelled.Add(1)
 				s.tracer.Finish(wa, http.StatusServiceUnavailable)
 				return
 			}
-			s.recordWarmPath(sn.dc, m, d)
+			s.recordWarmPath(sn.dc, m, d, took)
 		}
 		s.ctr.warmsCompleted.Add(1)
 		s.tracer.Finish(wa, http.StatusOK)
@@ -530,10 +539,12 @@ func (s *Server) scheduleWarm(sn *snapshot, carried bool) {
 // recordWarmPath counts, once per measure per rebuilt snapshot, whether the
 // warmed measure's score computation went through the incremental delta
 // path (observing its dirty-set size) or fell back to the full recompute,
-// and whether its ranking was carried from the predecessor's or sorted.
+// and whether its ranking was carried from the predecessor's or sorted, and
+// observes the warmer's time on the measure, took, under its score path.
 // The computation may have happened on a reader's goroutine before the
-// warmer got there; the paths are recorded all the same.
-func (s *Server) recordWarmPath(dc *detCache, m domainnet.Measure, d *domainnet.Detector) {
+// warmer got there; the paths are recorded all the same, and took is then
+// the warmer's wait for it.
+func (s *Server) recordWarmPath(dc *detCache, m domainnet.Measure, d *domainnet.Detector, took time.Duration) {
 	incremental, dirty, computed := d.ScorePath()
 	carried, ranked := d.RankPath()
 	if !computed || !ranked {
@@ -554,8 +565,10 @@ func (s *Server) recordWarmPath(dc *detCache, m domainnet.Measure, d *domainnet.
 	if incremental {
 		s.ctr.warmsIncremental.Add(1)
 		s.ctr.dirty.Observe(int64(dirty))
+		s.ctr.warmIncrementalNS.Observe(took.Nanoseconds())
 	} else {
 		s.ctr.warmsFullFallback.Add(1)
+		s.ctr.warmFullNS.Observe(took.Nanoseconds())
 	}
 	if carried {
 		s.ctr.rankCarried.Add(1)
@@ -606,6 +619,12 @@ type WarmStats struct {
 	// check).
 	RankCarried int64 `json:"rank_carried" prom:"warm_rank_paths_total,path=carried"`
 	RankSorted  int64 `json:"rank_sorted" prom:"warm_rank_paths_total,path=sorted"`
+	// WarmIncremental and WarmFull time the warmer on each warmed measure
+	// (scores and ranking, the benchmark's serve.warm stage) by the path
+	// its scores took, so their counts equal Incremental and FullFallback.
+	// A measure a reader computed first is timed by the warmer's wait.
+	WarmIncremental obs.HistSnapshot `json:"warm_incremental" prom:"warm_seconds,path=incremental"`
+	WarmFull        obs.HistSnapshot `json:"warm_full" prom:"warm_seconds,path=full"`
 }
 
 // WarmStats reports the warmer's counters; see the WarmStats type.
@@ -622,6 +641,9 @@ func (s *Server) WarmStats() WarmStats {
 		Dirty:        s.ctr.dirty.Snapshot(),
 		RankCarried:  s.ctr.rankCarried.Load(),
 		RankSorted:   s.ctr.rankSorted.Load(),
+
+		WarmIncremental: s.ctr.warmIncrementalNS.Snapshot(),
+		WarmFull:        s.ctr.warmFullNS.Snapshot(),
 	}
 }
 
@@ -630,11 +652,15 @@ func (s *Server) WarmStats() WarmStats {
 // rebuild section of /metrics. Unchanged is an update that left the
 // attributes as they were, so the previous graph stays (a nil Diff); Full
 // is a from-scratch build, the first one included; Incremental is the
-// rest. A snapshot published from a loaded graph is no rebuild.
+// rest. A snapshot published from a loaded graph is no rebuild. Publish
+// times each rebuild's publish (the benchmark's serve.publish stage): the
+// new tables' normalization, the rebuild, the swap and the AfterPublish
+// hook; its count is the sum of the three paths.
 type RebuildStats struct {
-	Unchanged   int64 `json:"unchanged" prom:"rebuild_paths_total,path=unchanged"`
-	Full        int64 `json:"full" prom:"rebuild_paths_total,path=full"`
-	Incremental int64 `json:"incremental" prom:"rebuild_paths_total,path=incremental"`
+	Unchanged   int64            `json:"unchanged" prom:"rebuild_paths_total,path=unchanged"`
+	Full        int64            `json:"full" prom:"rebuild_paths_total,path=full"`
+	Incremental int64            `json:"incremental" prom:"rebuild_paths_total,path=incremental"`
+	Publish     obs.HistSnapshot `json:"publish" prom:"publish_seconds"`
 }
 
 // RebuildStats reports the rebuild path counters; see the RebuildStats type.
@@ -643,6 +669,7 @@ func (s *Server) RebuildStats() RebuildStats {
 		Unchanged:   s.ctr.rebuildUnchanged.Load(),
 		Full:        s.ctr.rebuildFull.Load(),
 		Incremental: s.ctr.rebuildIncremental.Load(),
+		Publish:     s.ctr.publishNS.Snapshot(),
 	}
 }
 
