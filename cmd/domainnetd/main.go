@@ -36,10 +36,11 @@
 // With -wal set, every acknowledged mutation burst is appended (and fsynced)
 // to a segmented write-ahead log *before* it is applied, so recovery loses
 // nothing even on kill -9 or power failure. Recovery treats the restarting
-// leader as a lagging follower of its own log: it builds the server from the
-// snapshot's lake and graph, then hands it every logged burst past that
-// version in one serve.Server.Replay call, the path a follower's change feed
-// takes. Each successful checkpoint truncates the segments it made obsolete.
+// leader as a lagging follower of its own log: serve.Recover applies every
+// logged burst past the snapshot's version to the snapshot's lake, with the
+// checks a follower's change feed passes, and then publishes once,
+// rebuilding from the snapshot's graph. Each successful checkpoint truncates
+// the segments it made obsolete.
 // Without -wal, a crash loses the mutations since the last checkpoint;
 // without either flag, the lake is memory-only.
 //
@@ -52,9 +53,10 @@
 // Replication: -wal also enables the leader endpoints under /repl/.
 // A replica runs `domainnetd -follow http://leader:8080`: it bootstraps from
 // the leader's snapshot stream, tails the change feed (long-poll), applies
-// each burst with serve.Server.Replay, through the checks, mutation code and
-// incremental rebuild the leader's writes take, and serves reads at the
-// leader's versions; its own mutation endpoints answer 403. A replica that
+// the bursts of each poll with one serve.Server.Replay, through the checks
+// and mutation code the leader's writes take and one incremental rebuild,
+// and serves reads at the leader's versions; its own mutation endpoints
+// answer 403. A replica that
 // falls behind the leader's truncated log re-bootstraps from the snapshot
 // stream automatically.
 //
@@ -302,9 +304,8 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 			l, warmGraph = sn.Lake, sn.Graph
 			snapshotLoaded = true
 			if warmGraph != nil && warmGraph.KeepsSingletons() != c.keep {
-				// Don't let the serving layer reject the graph silently: a
-				// flag change voiding the snapshot's graph costs the restart a
-				// second full build, and the operator should see why.
+				// A flag change voiding the snapshot's graph costs the restart
+				// a second full build, and the operator should see why.
 				log.Printf("domainnetd: snapshot graph was built with keep-singletons=%v but -keep-singletons=%v; discarding it and cold-building",
 					warmGraph.KeepsSingletons(), c.keep)
 				warmGraph = nil
@@ -332,8 +333,11 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 
 	// The write-ahead log: every future burst goes through the leader's
 	// OnCommit, and what outlived the last checkpoint is replayed below.
+	// Recovery: a restarting leader is a lagging follower of its own log,
+	// whose tail past the snapshot serve.Recover applies before publishing.
 	var wlog *wal.Log
 	var leader *repl.Leader
+	var tail []*serve.Mutation
 	if c.walDir != "" {
 		if c.snapshot == "" {
 			// Legal — the WAL alone is full durability (recovery replays
@@ -361,6 +365,9 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 				c.walDir, c.snapshot)
 		}
 		leader = repl.NewLeader(wlog)
+		if tail, err = wlog.Replay(l.Version()); err != nil {
+			return err
+		}
 	}
 
 	// The periodic checkpointer: AfterPublish signals (non-blocking, write
@@ -387,21 +394,14 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 		}
 	}
 
-	s := serve.NewWithOptions(l, c.detectorConfig(), opts)
+	s, err := serve.Recover(l, c.detectorConfig(), opts, tail)
+	if err != nil {
+		return fmt.Errorf("domainnetd: wal replay (snapshot and log disagree): %w", err)
+	}
+	if len(tail) > 0 {
+		log.Printf("domainnetd: replayed %d wal burst(s), lake at version %d", len(tail), s.Version())
+	}
 	if leader != nil {
-		// Recovery: a restarting leader is a lagging follower of its own
-		// log. The server holds the snapshot's state; every logged burst
-		// past it is applied in one Replay call, with one publish.
-		recs, err := wlog.Replay(s.Version())
-		if err != nil {
-			return err
-		}
-		if err := s.Replay(recs...); err != nil {
-			return fmt.Errorf("domainnetd: wal replay (snapshot and log disagree): %w", err)
-		}
-		if len(recs) > 0 {
-			log.Printf("domainnetd: replayed %d wal burst(s), lake at version %d", len(recs), s.Version())
-		}
 		leader.Attach(s)
 	}
 
@@ -454,10 +454,9 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 		}
 	}()
 
-	err := serveUntilShutdown(ctx, c, stop, s,
+	if err := serveUntilShutdown(ctx, c, stop, s,
 		fmt.Sprintf("domainnetd: serving lake %q (%d tables, snapshot version %d, wal %v)",
-			l.Name, l.NumTables(), s.Version(), wlog != nil))
-	if err != nil {
+			l.Name, l.NumTables(), s.Version(), wlog != nil)); err != nil {
 		return err
 	}
 	s.Close()              // stop any in-flight warm; the checkpoint needs the CPU

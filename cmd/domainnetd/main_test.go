@@ -242,6 +242,22 @@ func (d *daemon) version(t *testing.T) float64 {
 	return v
 }
 
+// publishedOnce checks that the daemon has published once and cancelled no
+// warm, as a restart does: its log tail is applied before the first publish.
+func (d *daemon) publishedOnce(t *testing.T) {
+	t.Helper()
+	var m struct {
+		Publishes int64
+		Warm      struct{ Cancelled int64 }
+	}
+	if err := json.Unmarshal([]byte(d.get(t, "/metrics")), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Publishes != 1 || m.Warm.Cancelled != 0 {
+		t.Errorf("after a restart: %d publishes and %d cancelled warms, want 1 and 0", m.Publishes, m.Warm.Cancelled)
+	}
+}
+
 // waitVersion polls until the daemon serves the wanted version, tolerating
 // 503s while a follower bootstraps.
 func (d *daemon) waitVersion(t *testing.T, want float64, timeout time.Duration) {
@@ -301,6 +317,7 @@ func TestProcessCrashRecovery(t *testing.T) {
 	if got := d2.version(t); got != preVersion {
 		t.Errorf("post-crash version = %v, want %v", got, preVersion)
 	}
+	d2.publishedOnce(t)
 
 	// The recovered leader keeps accepting writes (the WAL chain continues
 	// past the replayed history) and survives a second crash.
@@ -311,6 +328,7 @@ func TestProcessCrashRecovery(t *testing.T) {
 	if got := d3.get(t, "/topk?k=30&measure=degree"); got != preTopk {
 		t.Errorf("second recovery /topk differs:\npre:  %s\npost: %s", preTopk, got)
 	}
+	d3.publishedOnce(t)
 	d3.shutdown(t)
 }
 

@@ -130,14 +130,13 @@ type Stored struct {
 // stays valid across a process restart. The version must be at least the
 // table count, since every Add bumped it once in the original process.
 //
-// The lake takes syms as its symbol table. Loaders that persisted the
-// normalized attributes pass them as attrs, parallel to tables (a nil entry
-// is normalized on first use). Ascending IDs are adopted as they are; others
-// are sorted, and repeats merged. Attributes are trusted — persist checksums
+// The lake takes syms as its symbol table, and attrs, parallel to tables,
+// as each table's normalized attributes. Ascending IDs are adopted as they
+// are; others are sorted, and repeats merged. Attributes are trusted — persist checksums
 // them — beyond sanity checks: every ID is in syms, and a column's counts are
 // positive and sum to at most math.MaxInt32.
 func Rehydrate(name string, version uint64, syms *Symbols, tables []*table.Table, attrs [][]Stored) (*Lake, error) {
-	if attrs != nil && len(attrs) != len(tables) {
+	if len(attrs) != len(tables) {
 		return nil, fmt.Errorf("lake %q: %d attribute slices for %d tables", name, len(attrs), len(tables))
 	}
 	l := New(name)
@@ -145,9 +144,6 @@ func Rehydrate(name string, version uint64, syms *Symbols, tables []*table.Table
 	for i, t := range tables {
 		if err := l.Add(t); err != nil {
 			return nil, err
-		}
-		if attrs == nil || attrs[i] == nil {
-			continue
 		}
 		as := make([]Attribute, len(attrs[i]))
 		for j, sa := range attrs[i] {

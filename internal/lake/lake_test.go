@@ -300,10 +300,31 @@ func TestFrozenSurvivesRemovalAndCompaction(t *testing.T) {
 	}()
 }
 
+// stored returns l's tables' attributes as a snapshot stores them, with a
+// copy of the symbol table their IDs index, for Rehydrate.
+func stored(t *testing.T, l *Lake) (*Symbols, [][]Stored) {
+	t.Helper()
+	var attrs [][]Stored
+	for _, as := range l.TableAttributes() { // interns the values first
+		ss := make([]Stored, len(as))
+		for j, a := range as {
+			ss[j] = Stored{ID: a.ID, Column: a.Column, IDs: a.IDs(), Freqs: a.Freqs()}
+		}
+		attrs = append(attrs, ss)
+	}
+	id := uint32(0)
+	syms, err := AdoptSymbols(l.Symbols().Len(), func() string { id++; return l.Symbols().String(id - 1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return syms, attrs
+}
+
 func TestRehydrateRestoresVersion(t *testing.T) {
 	src := twoTableLake(t)
 	src.RemoveTable("t2") // version 3: two adds + one removal
-	l, err := Rehydrate(src.Name, src.Version(), NewSymbols(), src.Tables(), nil)
+	syms, attrs := stored(t, src)
+	l, err := Rehydrate(src.Name, src.Version(), syms, src.Tables(), attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +334,10 @@ func TestRehydrateRestoresVersion(t *testing.T) {
 	if l.NumTables() != 1 || l.Tables()[0].Name != "t1" {
 		t.Errorf("tables = %v", l.Tables())
 	}
-	if _, err := Rehydrate("bad", 1, NewSymbols(), twoTableLake(t).Tables(), nil); err == nil {
-		t.Error("version below table count not rejected")
+	two := twoTableLake(t)
+	syms, attrs = stored(t, two)
+	if _, err := Rehydrate("bad", 1, syms, two.Tables(), attrs); err == nil || !strings.Contains(err.Error(), "below table count") {
+		t.Errorf("version below table count: Rehydrate = %v, want it refused", err)
 	}
 }
 

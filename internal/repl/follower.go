@@ -39,9 +39,10 @@ const (
 // Follower replicates a leader's lake: it bootstraps from /repl/snapshot
 // (chunked, per-chunk-gzipped and resumable — a transfer torn at
 // raw offset N re-requests from N instead of starting over), then tails
-// /repl/changes and applies each burst with serve.Server.Replay — the same
-// checks, mutation code and incremental rebuild the leader's writes took, so
-// replica state is bit-identical at every version. It implements
+// /repl/changes, applying each poll's bursts with one serve.Server.Replay:
+// the leader's checks and mutation code, then one publish for the backlog.
+// So a replica skips the versions inside a poll, and is bit-identical to
+// the leader at every version it serves. It implements
 // http.Handler, serving the read endpoints from its current replica (503
 // until the first bootstrap completes, except /repl/status, which always
 // answers) and rejecting mutations (the replica server is read-only). A
@@ -452,10 +453,11 @@ func (f *Follower) fetch(ctx context.Context) ([]byte, error) {
 }
 
 // Poll runs one change-feed cycle: long-poll the leader for bursts past the
-// replica's version and Replay each one, which checks the version chain. It
-// returns the number of bursts applied (zero for an idle 204), and
-// ErrBehindHorizon or ErrDiverged (a burst Replay refused) when only a
-// re-bootstrap can help.
+// replica's version and apply every whole frame of the answer with one
+// Replay, which checks the version chain and publishes once. It returns the
+// number of bursts applied (zero for an idle 204), then the error of a torn
+// or undecodable frame, if any, or ErrBehindHorizon or ErrDiverged (a burst
+// Replay refused) when only a re-bootstrap can help.
 func (f *Follower) Poll(ctx context.Context) (int, error) {
 	srv := f.srv.Load()
 	if srv == nil {
@@ -490,28 +492,35 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 		return 0, fmt.Errorf("repl: change feed: %s: %s", resp.Status, body)
 	}
 
-	applied := 0
+	var recs []*wal.Record
+	var readErr error
 	for {
 		payload, err := wal.ReadFrame(resp.Body)
 		if err == io.EOF {
-			return applied, nil
+			break
 		}
 		if err != nil {
-			// A record made it onto the wire torn (connection cut
-			// mid-frame): everything before it applied cleanly, the next
-			// poll picks up from there.
+			// The connection was cut mid-frame: the leader is not reliably
+			// reachable, but the whole frames before it still apply.
 			f.noteLeader(nil)
-			return applied, fmt.Errorf("repl: %w", err)
+			readErr = fmt.Errorf("repl: %w", err)
+			break
 		}
 		rec, err := wal.DecodeRecord(payload)
 		if err != nil {
-			return applied, err
+			readErr = err
+			break
 		}
-		if err := srv.Replay(rec); err != nil {
-			return applied, fmt.Errorf("%w: %v", ErrDiverged, err)
-		}
-		applied++
+		recs = append(recs, rec)
 	}
+	if err := srv.Replay(recs...); err != nil {
+		n := 0 // the applied bursts chain from the old version to the new one
+		for v := from; v < srv.Version(); n++ {
+			v = recs[n].Version
+		}
+		return n, fmt.Errorf("%w: %v", ErrDiverged, err)
+	}
+	return len(recs), readErr
 }
 
 // backoffDelay computes the wait before retry number failures (1-based):

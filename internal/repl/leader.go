@@ -1,12 +1,11 @@
 // Package repl is the leader/follower replication layer over the serving
 // stack: a leader exposes its mutation history (internal/wal) and state
 // (internal/persist) over two HTTP endpoints, and any number of followers
-// tail the change feed, applying each burst with serve.Server.Replay — the
-// checks, mutation code and incremental rebuild the leader's writes took,
-// and the path a restarting leader's recovery takes through its own log —
-// so a follower's snapshots are bit-identical to the leader's at every
-// version, and `/topk`, `/score` and `/stats` scale horizontally by adding
-// replicas.
+// tail the change feed, applying each poll's bursts with one
+// serve.Server.Replay — the checks and mutation code the leader's writes
+// took, then one incremental rebuild — so a follower's snapshots are
+// bit-identical to the leader's at every version it serves, and `/topk`,
+// `/score` and `/stats` scale horizontally by adding replicas.
 //
 // The protocol is two endpoints, zero dependencies:
 //

@@ -159,3 +159,55 @@ func TestChangesSendStoredFrames(t *testing.T) {
 		t.Fatalf("Poll = %d, %v, follower at %d; want 4 bursts up to the leader's %d", n, err, f.Version(), leader.Version())
 	}
 }
+
+// TestRecoverPublishesOnce: a leader recovering a 4-burst log tail from a
+// checkpoint applies the tail before its first publish, so it publishes and
+// warms once, cancels no warm, and serves the leader's bytes and ranking.
+func TestRecoverPublishesOnce(t *testing.T) {
+	cfg := domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true}
+	log, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	ld := NewLeader(log)
+	leader := serve.NewWithOptions(datagen.Figure1Lake(), cfg, serve.Options{OnCommit: ld.OnCommit})
+	defer leader.Close()
+	ld.Attach(leader)
+	checkpoint := marshal(t, leader)
+	for i := range 4 {
+		addTable(t, leader, fmt.Sprintf("tail%d", i))
+	}
+
+	sn, err := persist.Unmarshal(checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := log.Replay(sn.Lake.Version())
+	if err != nil || len(tail) != 4 {
+		t.Fatalf("the log holds %d bursts past the checkpoint (%v), want 4", len(tail), err)
+	}
+	recovered, err := serve.Recover(sn.Lake, cfg, serve.Options{Graph: sn.Graph}, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if got, want := topk(t, recovered), topk(t, leader); got != want {
+		t.Errorf("recovered /topk differs from the leader's:\n%s\nleader:\n%s", got, want)
+	}
+	if got, want := marshal(t, recovered), marshal(t, leader); !bytes.Equal(got, want) {
+		t.Errorf("recovered snapshot (%d bytes) differs from the leader's (%d bytes)", len(got), len(want))
+	}
+	if p, ws := recovered.Publishes(), recovered.WarmStats(); p != 1 || ws.Started != 1 || ws.Cancelled != 0 {
+		t.Errorf("recovery published %d times and warmed %+v, want one publish, one warm, none cancelled", p, ws)
+	}
+
+	// A tail that does not chain from the checkpoint is refused.
+	sn, err = persist.Unmarshal(checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := serve.Recover(sn.Lake, cfg, serve.Options{Graph: sn.Graph}, tail[1:]); err == nil || s != nil {
+		t.Errorf("Recover over a tail with a gap = %v, %v; want no server and an error", s, err)
+	}
+}

@@ -395,10 +395,11 @@ func TestRebootstrapKeepsCounters(t *testing.T) {
 			}
 		}
 	}
-	addTable(t, leader, "cars")
-	addTable(t, leader, "cities")
-	if _, err := f.Poll(ctx); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"cars", "cities"} { // one publish per poll
+		addTable(t, leader, name)
+		if _, err := f.Poll(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	idle()
 	body(t, fts.URL+"/topk?k=3")

@@ -177,18 +177,17 @@ type counters struct {
 
 // Options extend New for warm starts and operational hooks.
 type Options struct {
-	// Graph, when non-nil, publishes the initial snapshot from an
-	// already-built graph (the one persist.Load derives from a snapshot)
-	// instead of running a second full build. The graph must reflect the
-	// lake's current contents — persist.Load guarantees this — and must
-	// have been built with the same KeepSingletons setting as the Config;
-	// on a mismatch the graph is ignored and the server cold-builds.
+	// Graph, when non-nil, is the graph persist.Load derived from the lake,
+	// which the server then owns: its first publish runs RebuildDiff from it
+	// like every later publish, so a matching graph is published as it is
+	// (an unchanged rebuild), a recovered log tail rebuilds from it, and one
+	// built with another KeepSingletons setting falls back to a full build.
 	Graph *bipartite.Graph
 	// AfterPublish, when non-nil, runs after every snapshot swap (including
-	// the initial publish) with the published lake version. It is called on
-	// the write path with the write lock held, so every queued writer waits
-	// for it (see the write lock's contract in the package doc): keep it
-	// non-blocking — e.g. a non-blocking send to a checkpointing goroutine.
+	// the initial publish, after any recovered log tail) with the published
+	// lake version. It is called on the write path with the write lock held,
+	// so every queued writer waits for it (see the package doc's write lock
+	// contract): keep it non-blocking, e.g. a send to a checkpointer.
 	AfterPublish func(version uint64)
 	// OnCommit, when non-nil, runs under the write lock after an Apply
 	// burst (never a Replay one) has been checked but before any of it is
@@ -293,12 +292,25 @@ func New(l *lake.Lake, cfg domainnet.Config) *Server {
 }
 
 // NewWithOptions is New with a warm-start graph and operational hooks; see
-// Options. With Options.Graph set (and compatible), the initial snapshot
-// publishes that graph itself, without building another.
+// Options. It is Recover with no log tail.
 func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
+	s, _ := Recover(l, cfg, opts, nil) // no burst to refuse
+	return s
+}
+
+// Recover is a restarting leader's catch-up: it applies tail, the bursts
+// logged past the lake's version (wal.Log.Replay), in order and with
+// Replay's checks, and only then builds the server and publishes, so a
+// restart publishes and warms once, rebuilding from Options.Graph. A
+// refused burst means the lake and the log disagree: Recover returns its
+// error and no server, and the lake is left at the last whole burst.
+func Recover(l *lake.Lake, cfg domainnet.Config, opts Options, tail []*Mutation) (*Server, error) {
 	s := &Server{cfg: cfg, lake: l, afterPublish: opts.AfterPublish,
 		onCommit: opts.OnCommit, readOnly: opts.ReadOnly,
 		obs: opts.Obs, tracer: opts.Tracer, replication: opts.Replication}
+	if err := s.replay(tail); err != nil {
+		return nil, err
+	}
 	if s.obs == nil {
 		s.obs = &obs.Endpoints{}
 	}
@@ -312,11 +324,7 @@ func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
 			s.warmed = append(s.warmed, m.String())
 		}
 	}
-	if g := opts.Graph; g != nil && g.KeepsSingletons() == cfg.KeepSingletons {
-		s.publishGraph(g, nil)
-	} else {
-		s.publish()
-	}
+	s.publish(opts.Graph)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /topk", s.read("topk", s.handleTopK))
@@ -331,7 +339,7 @@ func NewWithOptions(l *lake.Lake, cfg domainnet.Config, opts Options) *Server {
 	mux.HandleFunc("POST /tables/{name}", s.instrument("add_table", s.handleAddTable))
 	mux.HandleFunc("DELETE /tables/{name}", s.instrument("remove_table", s.handleRemoveTable))
 	s.mux = mux
-	return s
+	return s, nil
 }
 
 // instrument wraps a handler with the endpoint's accounting and tracing
@@ -360,16 +368,10 @@ func (s *Server) read(name string, h readHandler) http.HandlerFunc {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Handle registers an additional handler on the server's mux — the
-// replication endpoints (internal/repl) mount themselves here so leader and
-// follower traffic share one listener. Register handlers before the server
-// starts receiving requests.
-func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
-
-// HandleInstrumented is Handle with the server's endpoint accounting and
-// tracing wrapped around the handler, under the given endpoint name — the
-// replication endpoints register through this so /repl/changes latency shows
-// up in /metrics next to the read endpoints.
+// HandleInstrumented registers h on the server's mux, wrapped in the
+// server's accounting and tracing as endpoint name; call it before the
+// server takes requests. The replication endpoints (internal/repl) mount
+// here, so they share the listener and /repl/changes shows in /metrics.
 func (s *Server) HandleInstrumented(pattern, name string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, s.instrument(name, h))
 }
@@ -401,47 +403,30 @@ func (s *Server) withWrite(fn func() error) (uint64, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	err := fn()
-	if s.pending.Add(-1) == 0 && s.snap.Load().version != s.lake.Version() {
-		s.publish()
+	if prev := s.snap.Load(); s.pending.Add(-1) == 0 && prev.version != s.lake.Version() {
+		s.publish(prev.graph)
 	}
 	return s.lake.Version(), err
 }
 
-// publish rebuilds derived state from the lake and swaps in a new snapshot.
-// Callers must hold writeMu (or be the constructor, before the server
-// escapes). The rebuild is incremental against the previous snapshot's
-// graph; when the graph comes back unchanged the previous snapshot's warm
-// detectors are carried over.
-func (s *Server) publish() {
+// publish, the one way a snapshot is published, rebuilds the graph from base
+// (the published graph, or for the first publish Options.Graph) and swaps
+// in a new snapshot. Callers hold writeMu (or are Recover). An unchanged
+// graph carries the warm detectors over; otherwise the rebuild's diff links
+// each warmed detector to its predecessor for delta scoring.
+func (s *Server) publish(base *bipartite.Graph) {
 	start := time.Now()
 	defer func() { s.ctr.publishNS.Observe(time.Since(start).Nanoseconds()) }()
-	attrs := s.lake.Attributes()
-	prev := s.snap.Load()
-	var g *bipartite.Graph
-	var diff *bipartite.Diff
-	bopts := bipartite.Options{KeepSingletons: s.cfg.KeepSingletons, Workers: s.cfg.Workers}
-	if prev == nil {
-		g = bipartite.FromAttributes(attrs, bopts)
-	} else {
-		g, diff = bipartite.RebuildDiff(prev.graph, attrs, bopts)
-	}
+	g, diff := bipartite.RebuildDiff(base, s.lake.Attributes(),
+		bipartite.Options{KeepSingletons: s.cfg.KeepSingletons, Workers: s.cfg.Workers})
 	switch {
-	case prev != nil && diff == nil:
+	case diff == nil:
 		s.ctr.rebuildUnchanged.Add(1)
-	case prev == nil || diff.Full:
+	case diff.Full:
 		s.ctr.rebuildFull.Add(1)
 	default:
 		s.ctr.rebuildIncremental.Add(1)
 	}
-	s.publishGraph(g, diff)
-}
-
-// publishGraph swaps in a new snapshot holding g, which must reflect the
-// lake's current contents, under publish's locking contract. diff is the
-// rebuild's structural diff against the previous snapshot's graph (nil when
-// unknown), which links each warmed detector to its predecessor for delta
-// scoring.
-func (s *Server) publishGraph(g *bipartite.Graph, diff *bipartite.Diff) {
 	prev := s.snap.Load()
 	lk := s.lake.Frozen()
 	next := &snapshot{
@@ -647,15 +632,15 @@ func (s *Server) WarmStats() WarmStats {
 	}
 }
 
-// RebuildStats counts the publishes that rebuilt the graph from the lake by
-// the path bipartite.RebuildDiff took, and is the declaration of the
-// rebuild section of /metrics. Unchanged is an update that left the
-// attributes as they were, so the previous graph stays (a nil Diff); Full
-// is a from-scratch build, the first one included; Incremental is the
-// rest. A snapshot published from a loaded graph is no rebuild. Publish
-// times each rebuild's publish (the benchmark's serve.publish stage): the
-// new tables' normalization, the rebuild, the swap and the AfterPublish
-// hook; its count is the sum of the three paths.
+// RebuildStats counts publishes by the path their bipartite.RebuildDiff
+// took, and is the declaration of the rebuild section of /metrics.
+// Unchanged is an update that left the attributes as they were, so the
+// previous graph stays (a nil Diff), and also a first publish seeded with an
+// Options.Graph that matches the lake; Full is a from-scratch build, an
+// unseeded first one included; Incremental is the rest. Publish times each
+// publish (the benchmark's serve.publish stage): the new tables'
+// normalization, the rebuild, the swap and the AfterPublish hook; its count
+// is the sum of the three paths.
 type RebuildStats struct {
 	Unchanged   int64            `json:"unchanged" prom:"rebuild_paths_total,path=unchanged"`
 	Full        int64            `json:"full" prom:"rebuild_paths_total,path=full"`
@@ -882,20 +867,24 @@ func (s *Server) Apply(add []*table.Table, remove []string) (uint64, error) {
 	})
 }
 
-// Replay applies logged bursts (a follower's change feed, a restart's
-// recovery) in order under the write lock, then publishes once. Each passes
-// Apply's checks, without OnCommit: it is logged already. A refused burst
-// leaves the lake at the last whole burst before it, and Replay says why.
+// Replay applies logged bursts (a follower's change feed) in order under
+// the write lock, then publishes once. Each passes Apply's checks, without
+// OnCommit: it is logged already. A refused burst leaves the lake at the
+// last whole burst before it, published, and Replay says why.
 func (s *Server) Replay(recs ...*Mutation) error {
-	_, err := s.withWrite(func() error {
-		for _, m := range recs {
-			if err := s.apply(m, nil); err != nil {
-				return fmt.Errorf("burst %d→%d: %w", m.PrevVersion, m.Version, err)
-			}
-		}
-		return nil
-	})
+	_, err := s.withWrite(func() error { return s.replay(recs) })
 	return err
+}
+
+// replay applies logged bursts in order, stopping at the first refused one.
+// Callers hold writeMu (or are Recover).
+func (s *Server) replay(recs []*Mutation) error {
+	for _, m := range recs {
+		if err := s.apply(m, nil); err != nil {
+			return fmt.Errorf("burst %d→%d: %w", m.PrevVersion, m.Version, err)
+		}
+	}
+	return nil
 }
 
 // apply is the one way a burst reaches the lake. Before any mutation it

@@ -464,6 +464,9 @@ func TestWarmStartServesWithoutFullBuild(t *testing.T) {
 	if s.snap.Load().graph != sn.Graph {
 		t.Fatal("the warm-start graph was not adopted: the server built its own")
 	}
+	if rs := s.RebuildStats(); rs.Unchanged != 1 || rs.Full != 0 || rs.Incremental != 0 {
+		t.Errorf("the seeded first publish counted as %+v, want one unchanged rebuild", rs)
+	}
 	warm := httptest.NewServer(s)
 	t.Cleanup(warm.Close)
 
@@ -498,6 +501,9 @@ func TestWarmStartServesWithoutFullBuild(t *testing.T) {
 	t.Cleanup(s2.Close)
 	if s2.snap.Load().graph == sn2.Graph {
 		t.Error("KeepSingletons-mismatched warm-start graph was not rejected")
+	}
+	if rs := s2.RebuildStats(); rs.Full != 1 || rs.Unchanged != 0 {
+		t.Errorf("the mismatched seed's first publish counted as %+v, want one full build", rs)
 	}
 }
 

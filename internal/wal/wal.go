@@ -445,8 +445,8 @@ func (l *Log) ReadFrames(from uint64) (frames [][]byte, last uint64, err error) 
 
 // Replay decodes every committed record with Version > from, in commit
 // order, verifying the version chain. Recovery is persist.Load (or an empty
-// lake) and serve.NewWithOptions, then Replay from the server's version into
-// one Server.Replay call, which applies the records the way a follower does.
+// lake), then Replay from the lake's version into serve.Recover, which
+// applies the records the way a follower does and then publishes once.
 func (l *Log) Replay(from uint64) ([]*Record, error) {
 	var recs []*Record
 	err := l.iterate(from, 0, func(ver uint64, frame []byte) error {
