@@ -145,7 +145,8 @@ func matchAttrs(prev, attrs []lake.Attribute) (match, bool) {
 //
 // The returned Diff describes what the update touched, so scoring layers can
 // carry prior per-node results. It is nil exactly when the update is a no-op
-// and prev itself is returned; it has Full set on every path that rebuilt
+// (attrs is the slice prev was built from, or matches it attribute for
+// attribute) and prev itself is returned; it has Full set on every path that rebuilt
 // from scratch.
 func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Diff) {
 	full := func() (*Graph, *Diff) {
@@ -155,6 +156,12 @@ func RebuildDiff(prev *Graph, attrs []lake.Attribute, opts Options) (*Graph, *Di
 	if prev == nil || !prev.incremental || prev.nRows != 0 ||
 		prev.keepSingletons != opts.KeepSingletons || prev.syms != syms {
 		return full()
+	}
+	if len(attrs) == len(prev.srcAttrs) && (len(attrs) == 0 || &attrs[0] == &prev.srcAttrs[0]) {
+		// The very slice prev was built from (Lake.Attributes makes a new
+		// one on every mutation): the seeded first publish of a restart or
+		// a follower join.
+		return prev, nil
 	}
 	m, ok := matchAttrs(prev.srcAttrs, attrs)
 	switch {

@@ -87,6 +87,24 @@ func TestRebuildNoChangeReturnsPrev(t *testing.T) {
 	}
 }
 
+// TestRebuildDiffOwnAttributesAllocatesNothing: handed the attribute slice
+// its graph was built from — a server's seeded first publish — RebuildDiff
+// returns the graph without matching the attributes one by one.
+func TestRebuildDiffOwnAttributesAllocatesNothing(t *testing.T) {
+	for _, opts := range []Options{{}, {KeepSingletons: true}} {
+		l := rebuildLake(t)
+		prev := FromAttributes(l.Attributes(), opts)
+		allocs := testing.AllocsPerRun(20, func() {
+			if g, d := RebuildDiff(prev, l.Attributes(), opts); g != prev || d != nil {
+				t.Fatalf("RebuildDiff over the graph's own attributes = %p, %+v; want prev, nil", g, d)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("keep=%v: RebuildDiff over the graph's own attributes allocated %v times", opts.KeepSingletons, allocs)
+		}
+	}
+}
+
 func TestRebuildFallsBackSafely(t *testing.T) {
 	l := rebuildLake(t)
 	attrs := l.Attributes()

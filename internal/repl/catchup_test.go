@@ -68,7 +68,7 @@ func splitFrames(t *testing.T, body []byte) [][]byte {
 }
 
 // restamped returns frame's burst stamped one version later, framed as the
-// log frames it.
+// log frames it: appended to a scratch log and read back.
 func restamped(t *testing.T, frame []byte) []byte {
 	t.Helper()
 	rec, err := wal.DecodeRecord(frame[4 : len(frame)-4])
@@ -82,11 +82,14 @@ func restamped(t *testing.T, frame []byte) []byte {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	out, err := log.Append(rec)
-	if err != nil {
+	if err := log.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	frames, _, err := log.ReadFrames(rec.PrevVersion)
+	if err != nil || len(frames) != 1 {
+		t.Fatalf("ReadFrames after one Append = %d frames, %v", len(frames), err)
+	}
+	return frames[0]
 }
 
 // TestPollAppliesWholeFramesOnce: the first change-feed answer of a

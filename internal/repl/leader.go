@@ -9,8 +9,9 @@
 //
 // The protocol is two endpoints, zero dependencies:
 //
-//	GET /repl/changes?from=<version>   long-poll; streams the wal frames, as
-//	                                   Append stored them, of every burst
+//	GET /repl/changes?from=<version>   long-poll; streams the wal frames,
+//	                                   read back from the log as Append
+//	                                   stored them, of every burst
 //	                                   past <version>, 204 when caught
 //	                                   up, 410 Gone when <version> is behind
 //	                                   the log horizon (fetch a snapshot)
@@ -67,29 +68,22 @@ const (
 // connection churn against how long a dead leader pins follower requests.
 const PollTimeout = 25 * time.Second
 
-// tailRing bounds the in-memory ring of recent commits a leader keeps so
-// that followers at (or near) the tip are fed without touching the log's
-// segment files — the steady-state poll costs one mutex and a slice copy,
-// not a disk scan per commit per follower.
-const tailRing = 256
-
 // Leader publishes a server's mutation history to followers. Create with
 // NewLeader, wire OnCommit (and Stats, as Replication) into serve.Options,
-// then Attach to the server. It long-polls for PollTimeout, keeps the last
-// 256 commits in memory, and serves its snapshot as one gzip chunk stream
-// per version, cut at persist.DefaultChunkBytes.
+// then Attach to the server. It long-polls for PollTimeout, feeds followers
+// the frames the log stored (it keeps no commit in memory), and serves its
+// snapshot as one gzip chunk stream per version, cut at
+// persist.DefaultChunkBytes.
 type Leader struct {
 	log *wal.Log
 	srv *serve.Server
-	// Tests shrink these to run fast; zero means PollTimeout, tailRing and
+	// Tests shrink these to run fast; zero means PollTimeout and
 	// persist.DefaultChunkBytes.
 	pollTimeout time.Duration
-	tailCap     int
 	chunkBytes  int
 
-	mu   sync.Mutex
-	ch   chan struct{} // closed and replaced on every commit (broadcast)
-	tail []tailEntry   // ring of the most recent commits, oldest first
+	mu sync.Mutex
+	ch chan struct{} // closed and replaced on every commit (broadcast)
 
 	// snapMu guards one version's marshaled bytes and their gzip chunk
 	// stream, built by the first request at that version while concurrent
@@ -121,14 +115,6 @@ func (ld *Leader) Stats() LeaderStats {
 	return LeaderStats{Encodes: marshal.Count, Marshal: marshal, Frame: ld.frameNS.Snapshot()}
 }
 
-// tailEntry is one ring slot: the burst's version stamps plus its frame
-// bytes, encoded once at commit time so every follower poll that hits the
-// ring is a plain byte-slice write, not a re-encoding of the burst's tables.
-type tailEntry struct {
-	prev, ver uint64
-	frame     []byte
-}
-
 // NewLeader returns a leader over the given write-ahead log.
 func NewLeader(log *wal.Log) *Leader {
 	return &Leader{log: log, ch: make(chan struct{})}
@@ -138,66 +124,14 @@ func NewLeader(log *wal.Log) *Leader {
 // durably appends the burst to the WAL before the lake applies it, then
 // wakes every long-polling follower. An append error aborts the burst.
 func (ld *Leader) OnCommit(m serve.Mutation) error {
-	frame, err := ld.log.Append(&m)
-	if err != nil {
+	if err := ld.log.Append(&m); err != nil {
 		return err
 	}
-	cache := ld.tailCap
-	if cache <= 0 {
-		cache = tailRing
-	}
-	entry := tailEntry{prev: m.PrevVersion, ver: m.Version, frame: frame}
 	ld.mu.Lock()
-	ld.tail = append(ld.tail, entry)
-	if len(ld.tail) > cache {
-		// Copy down instead of re-slicing so the dropped entries' frames
-		// do not stay reachable through the backing array.
-		n := copy(ld.tail, ld.tail[len(ld.tail)-cache:])
-		clear(ld.tail[n:])
-		ld.tail = ld.tail[:n]
-	}
 	close(ld.ch)
 	ld.ch = make(chan struct{})
 	ld.mu.Unlock()
 	return nil
-}
-
-// fromTail serves the change feed's hot path from the in-memory ring,
-// returning the pre-encoded frames past from and the version of the last
-// one. ok is false when from predates the ring (or misses a burst boundary
-// inside it): the caller falls back to the log, whose chain verification
-// produces the right answer — more history, ErrGap, or a chain-break error.
-func (ld *Leader) fromTail(from uint64) (frames [][]byte, last uint64, ok bool) {
-	ld.mu.Lock()
-	defer ld.mu.Unlock()
-	if len(ld.tail) == 0 {
-		return nil, 0, false
-	}
-	if from >= ld.tail[len(ld.tail)-1].ver {
-		return nil, from, true // caught up; park on the commit signal
-	}
-	if from < ld.tail[0].prev {
-		return nil, 0, false
-	}
-	for i := range ld.tail {
-		if ld.tail[i].prev == from {
-			for _, e := range ld.tail[i:] {
-				frames = append(frames, e.frame)
-				last = e.ver
-			}
-			return frames, last, true
-		}
-	}
-	return nil, 0, false
-}
-
-// commitSignal returns a channel that is closed by the next commit. Grab it
-// before checking the log so a commit between the check and the wait cannot
-// be missed.
-func (ld *Leader) commitSignal() <-chan struct{} {
-	ld.mu.Lock()
-	defer ld.mu.Unlock()
-	return ld.ch
 }
 
 // Attach mounts the replication endpoints on the server. Call once, before
@@ -210,9 +144,9 @@ func (ld *Leader) Attach(s *serve.Server) {
 	s.HandleInstrumented("GET /repl/snapshot", "repl_snapshot", ld.handleSnapshot)
 }
 
-// handleChanges serves the change feed: every burst past ?from=, as wal
-// frames. With nothing to send it parks until a commit lands or the poll
-// timeout elapses (204).
+// handleChanges serves the change feed: every burst past ?from=, as the
+// wal frames ReadFrames returns. With nothing to send it parks until a
+// commit lands or the poll timeout elapses (204).
 func (ld *Leader) handleChanges(w http.ResponseWriter, r *http.Request) {
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
@@ -243,51 +177,26 @@ func (ld *Leader) handleChanges(w http.ResponseWriter, r *http.Request) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
-		signal := ld.commitSignal()
-		// A caught-up follower (the steady state) parks on the commit
-		// signal without touching the ring or the log: after a leader
-		// restart the ring is empty, and falling through to a disk read
-		// here would rescan the tail segment once per poll per follower
-		// for as long as no writes arrive. But "the log has nothing past
-		// from" only means caught up when from has also reached the served
-		// version — an emptied or swapped WAL directory behind a still-
-		// advanced leader is an unbridgeable gap, and parking the follower
-		// would leave it serving stale data with no resync.
-		if _, last, ok := ld.log.Bounds(); !ok || from >= last {
-			if from < ld.srv.Version() {
-				http.Error(w, fmt.Sprintf("%v (need version %d, log is empty past %d)", wal.ErrGap, from, from),
-					http.StatusGone)
-				return
-			}
-			select {
-			case <-signal:
-				continue
-			case <-deadline.C:
-				// The version stamp on an empty poll is what lets followers
-				// report accurate lag (they are, by construction, caught up).
-				w.Header().Set(VersionHeader, strconv.FormatUint(ld.srv.Version(), 10))
-				w.WriteHeader(http.StatusNoContent)
-				return
-			case <-r.Context().Done():
-				return
-			}
-		}
-		frames, last, ok := ld.fromTail(from)
-		if !ok {
-			// Past the ring: send the log's frames as stored.
-			frames, last, err = ld.log.ReadFrames(from)
-			switch {
-			case errors.Is(err, wal.ErrGap):
-				// The history bridging the follower's version is truncated;
-				// only a full snapshot can help.
-				http.Error(w, err.Error(), http.StatusGone)
-				return
-			case err != nil:
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
-		if len(frames) > 0 {
+		// Take the commit signal and the served version before reading the
+		// log: a commit between the read and the wait then cannot be
+		// missed, and every version served by then is already in the log.
+		// A caught-up follower (the steady state) costs ReadFrames no file
+		// access.
+		ld.mu.Lock()
+		signal := ld.ch
+		ld.mu.Unlock()
+		served := ld.srv.Version()
+		frames, last, err := ld.log.ReadFrames(from)
+		switch {
+		case errors.Is(err, wal.ErrGap):
+			// The history bridging the follower's version is truncated;
+			// only a full snapshot can help.
+			http.Error(w, err.Error(), http.StatusGone)
+			return
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		case len(frames) > 0:
 			w.Header().Set("Content-Type", "application/x-domainnet-changes")
 			w.Header().Set(VersionHeader, strconv.FormatUint(last, 10))
 			for _, frame := range frames {
@@ -296,10 +205,20 @@ func (ld *Leader) handleChanges(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			return
+		case from < served:
+			// The log has nothing past from, yet the leader serves a later
+			// version: an emptied or swapped WAL directory is an
+			// unbridgeable gap, and parking the follower would leave it
+			// serving stale data with no resync.
+			http.Error(w, fmt.Sprintf("%v (need version %d, log is empty past %d)", wal.ErrGap, from, from),
+				http.StatusGone)
+			return
 		}
 		select {
 		case <-signal:
 		case <-deadline.C:
+			// The version stamp on an empty poll is what lets followers
+			// report accurate lag (they are, by construction, caught up).
 			w.Header().Set(VersionHeader, strconv.FormatUint(ld.srv.Version(), 10))
 			w.WriteHeader(http.StatusNoContent)
 			return

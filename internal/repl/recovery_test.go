@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -43,11 +45,12 @@ func topk(t *testing.T, s *serve.Server) string {
 }
 
 // TestRecoveryReplaysLikeAFollower: a leader restarting from a checkpoint
-// and its log recovers in process, the way the daemon does — persist
+// and its log recovers in process by construct-then-Replay — persist
 // decode, a server over the snapshot's lake and graph, then every logged
 // burst past the checkpoint in one Server.Replay call — and reaches the
 // bytes and the ranking of the leader and of a caught-up follower. The
 // replayed bursts remove, re-add a removed name in one burst, and batch.
+// The daemon's own path, serve.Recover, is TestRecoverPublishesOnce's.
 func TestRecoveryReplaysLikeAFollower(t *testing.T) {
 	cfg := domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true}
 	walDir := t.TempDir()
@@ -134,26 +137,41 @@ func TestRecoveryReplaysLikeAFollower(t *testing.T) {
 	}
 }
 
-// TestChangesSendStoredFrames: a follower further behind than the tail
-// ring reaches, with the log still bridging it, is fed from the log. The
-// body is the frames Append stored, byte for byte, and the follower
-// catches up on it.
+// TestChangesSendStoredFrames: a follower 4 bursts behind, with 2 older
+// bursts in the same segment, is sent the segment file's bytes past its
+// version, byte for byte, and catches up on them.
 func TestChangesSendStoredFrames(t *testing.T) {
-	leader, ld, ts := newLeader(t)
-	ld.tailCap = 2
+	dir := t.TempDir()
+	leader, _, ts := newLeaderIn(t, dir, datagen.Figure1Lake(),
+		domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true})
+	for i := range 2 {
+		addTable(t, leader, fmt.Sprintf("before%d", i))
+	}
 	ctx := context.Background()
 	f := newFollower(ts)
 	if err := f.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
 	from := f.Version()
-	var appended []byte
+	segment := func() []byte {
+		t.Helper()
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("the log holds %d segments (%v), want 1", len(segs), err)
+		}
+		buf, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	seen := len(segment())
 	for i := range 4 {
 		addTable(t, leader, fmt.Sprintf("behind%d", i))
-		appended = append(appended, ld.tail[len(ld.tail)-1].frame...) // what Append returned
 	}
-	if got := body(t, fmt.Sprintf("%s/repl/changes?from=%d", ts.URL, from)); got != string(appended) {
-		t.Errorf("the change feed sent %d bytes, not the %d bytes of the 4 frames Append stored", len(got), len(appended))
+	stored := segment()[seen:]
+	if got := body(t, fmt.Sprintf("%s/repl/changes?from=%d", ts.URL, from)); got != string(stored) {
+		t.Errorf("the change feed sent %d bytes, not the %d bytes the segment holds past version %d", len(got), len(stored), from)
 	}
 	if n, err := f.Poll(ctx); err != nil || n != 4 || f.Version() != leader.Version() {
 		t.Fatalf("Poll = %d, %v, follower at %d; want 4 bursts up to the leader's %d", n, err, f.Version(), leader.Version())

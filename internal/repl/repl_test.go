@@ -31,7 +31,13 @@ func newLeader(t *testing.T) (*serve.Server, *Leader, *httptest.Server) {
 // newLeaderOver is newLeader over any lake and detector configuration.
 func newLeaderOver(t testing.TB, l *lake.Lake, cfg domainnet.Config) (*serve.Server, *Leader, *httptest.Server) {
 	t.Helper()
-	log, err := wal.Open(t.TempDir(), wal.Options{})
+	return newLeaderIn(t, t.TempDir(), l, cfg)
+}
+
+// newLeaderIn is newLeaderOver with its WAL in dir.
+func newLeaderIn(t testing.TB, dir string, l *lake.Lake, cfg domainnet.Config) (*serve.Server, *Leader, *httptest.Server) {
+	t.Helper()
+	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +178,6 @@ func TestBehindHorizonFallsBackToSnapshot(t *testing.T) {
 	defer log.Close()
 	ld := NewLeader(log)
 	ld.pollTimeout = 100 * time.Millisecond
-	// A tiny tail ring: the records bridging the follower's version must
-	// age out of memory too, or the ring would (correctly) bridge the
-	// truncated log and the horizon path would never run.
-	ld.tailCap = 2
 	leader := serve.NewWithOptions(datagen.Figure1Lake(),
 		domainnet.Config{Measure: domainnet.BetweennessExact, KeepSingletons: true},
 		serve.Options{OnCommit: ld.OnCommit})

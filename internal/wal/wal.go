@@ -23,6 +23,11 @@
 // deletes segments wholly covered by the latest durable snapshot. A torn
 // final frame (crash mid-append) is detected by its CRC and truncated away on
 // Open; torn frames anywhere else mean real corruption and fail Replay.
+//
+// The log is also the replication change feed's only source: the Log keeps
+// the Version and end offset of every record in the active segment, so
+// ReadFrames serves a follower one burst behind the tip by reading just the
+// frames it lacks, and a caught-up follower without opening a file.
 package wal
 
 import (
@@ -49,6 +54,10 @@ const FormatVersion = 1
 
 // magic identifies a DomainNet WAL segment file.
 var magic = [4]byte{'D', 'N', 'W', 'L'}
+
+// hdrLen is a segment header's length: magic plus the single-byte uvarint
+// FormatVersion. The first frame starts there.
+const hdrLen = 5
 
 // maxFrameBytes bounds a single record frame (a burst's encoded tables); a
 // corrupt length prefix must not trigger a multi-gigabyte allocation before
@@ -174,11 +183,11 @@ type segment struct {
 
 // Log is an append-only mutation log over one directory. It is safe for
 // concurrent use, and reads do not block appends: ReadFrames/Replay take a
-// consistent snapshot of the segment list and the committed size under the
-// mutex, then do all file I/O and decoding outside it — segments are
-// immutable once rotated, and the active one only grows past the committed
-// size they cap themselves to. The replication feed can therefore stream
-// history while the write path commits new bursts.
+// consistent snapshot of the segment list and the index under the mutex,
+// then do all file I/O and decoding outside it — segments are immutable
+// once rotated, and the last one only grows past the indexed records they
+// stop at. The replication feed can therefore stream history while the
+// write path commits new bursts.
 type Log struct {
 	dir  string
 	opts Options
@@ -186,10 +195,21 @@ type Log struct {
 	mu       sync.Mutex
 	segs     []segment
 	active   *os.File // append handle for the last segment; nil until first Append
-	size     int64    // committed size of the active segment
+	size     int64    // committed size of the last segment
 	last     uint64   // Version of the newest record, valid when nonEmpty
 	nonEmpty bool
 	broken   error // sticky: a partial append poisons the tail for further appends
+	// index lists the last segment's committed records in order. Append
+	// only appends to it and rotate starts a new slice, so a reader's copy
+	// of the slice header stays valid without the mutex.
+	index []indexEntry
+}
+
+// indexEntry locates one record of the last segment: its Version and the
+// offset its frame ends at (the next frame, if any, starts there).
+type indexEntry struct {
+	ver uint64
+	end int64
 }
 
 // Open opens (creating if needed) the log directory, scans existing
@@ -223,17 +243,19 @@ func Open(dir string, opts Options) (*Log, error) {
 	// segment can end mid-frame; one with no readable header at all (crash
 	// during segment creation, before rotate's sync) is removed outright so
 	// the append path never writes records into a header-less file.
-	lastVersion := func(path string) (last uint64, any bool, validLen int64, err error) {
-		validLen, _, err = scanSegment(path, -1, func(_, ver uint64, _ []byte) (bool, error) {
-			last, any = ver, true
+	indexOf := func(path string) (index []indexEntry, validLen int64, err error) {
+		end := int64(hdrLen)
+		validLen, _, err = scanSegment(path, 0, -1, func(_, ver uint64, frame []byte) (bool, error) {
+			end += int64(len(frame))
+			index = append(index, indexEntry{ver: ver, end: end})
 			return true, nil
 		})
-		return last, any, validLen, err
+		return index, validLen, err
 	}
 	for len(l.segs) > 0 {
 		i := len(l.segs) - 1
 		path := filepath.Join(dir, l.segs[i].name)
-		last, any, validLen, err := lastVersion(path)
+		index, validLen, err := indexOf(path)
 		if err != nil {
 			return nil, err
 		}
@@ -249,8 +271,9 @@ func Open(dir string, opts Options) (*Log, error) {
 				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
 			}
 		}
-		if any {
-			l.last = last
+		l.index = index
+		if len(index) > 0 {
+			l.last = index[len(index)-1].ver
 			l.nonEmpty = true
 		}
 		break
@@ -259,12 +282,12 @@ func Open(dir string, opts Options) (*Log, error) {
 	// after a rotation); the newest committed version then lives further
 	// back.
 	for i := len(l.segs) - 2; i >= 0 && !l.nonEmpty; i-- {
-		last, any, _, err := lastVersion(filepath.Join(dir, l.segs[i].name))
+		index, _, err := indexOf(filepath.Join(dir, l.segs[i].name))
 		if err != nil {
 			return nil, err
 		}
-		if any {
-			l.last = last
+		if len(index) > 0 {
+			l.last = index[len(index)-1].ver
 			l.nonEmpty = true
 		}
 	}
@@ -313,23 +336,21 @@ func (l *Log) Bounds() (horizon, last uint64, ok bool) {
 // must be called before the mutation is applied in memory or acknowledged —
 // write-ahead, not write-behind. Records must chain forward: appending a
 // record whose PrevVersion precedes the newest committed Version would fork
-// history and is rejected. The committed frame bytes are returned so a
-// caller feeding replicas (internal/repl's tail ring) reuses them instead
-// of re-encoding the burst — Append runs on the write path, where every
-// redundant encode of a large batch extends the lock hold.
-func (l *Log) Append(rec *Record) ([]byte, error) {
+// history and is rejected. The frame Append writes is the one the
+// replication feed sends: ReadFrames reads it back by its indexed offset.
+func (l *Log) Append(rec *Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.broken != nil {
-		return nil, l.broken
+		return l.broken
 	}
 	if l.nonEmpty && rec.PrevVersion < l.last {
-		return nil, fmt.Errorf("wal: record at version %d→%d forks history (log is at %d)",
+		return fmt.Errorf("wal: record at version %d→%d forks history (log is at %d)",
 			rec.PrevVersion, rec.Version, l.last)
 	}
 	if l.active == nil || l.size >= l.opts.SegmentBytes {
 		if err := l.rotate(rec.PrevVersion); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	frame := appendFrame(nil, encodeRecord(nil, rec))
@@ -339,16 +360,17 @@ func (l *Log) Append(rec *Record) ([]byte, error) {
 		// replayable history. Poison the log; the owner must restart (and
 		// recover through Open's torn-tail truncation).
 		l.broken = fmt.Errorf("wal: append failed, log needs reopening: %w", err)
-		return nil, l.broken
+		return l.broken
 	}
 	if err := l.active.Sync(); err != nil {
 		l.broken = fmt.Errorf("wal: fsync failed, log needs reopening: %w", err)
-		return nil, l.broken
+		return l.broken
 	}
 	l.size += int64(len(frame))
+	l.index = append(l.index, indexEntry{ver: rec.Version, end: l.size})
 	l.last = rec.Version
 	l.nonEmpty = true
-	return frame, nil
+	return nil
 }
 
 // rotate closes the active segment and starts a fresh one whose first
@@ -391,7 +413,8 @@ func (l *Log) rotate(start uint64) error {
 		}
 	}
 	l.segs = append(l.segs, segment{start: start, name: name})
-	l.active, l.size = f, int64(len(header))
+	// A new index slice, never l.index[:0]: readers still hold the old one.
+	l.active, l.size, l.index = f, int64(len(header)), nil
 	return nil
 }
 
@@ -431,12 +454,17 @@ const maxReadBatch = 512
 // ReadFrames returns the committed frames of the records with Version >
 // from, in commit order and as stored — CRC-checked, not decoded — with the
 // Version of the last one: at most maxReadBatch of them; call again from
-// last for more. The replication feed sends them as they are, so a burst is
-// encoded once, by Append. It returns ErrGap when the log's retained records
-// cannot bridge from: the caller's state is older than the horizon.
+// last for more. It is the replication feed's only source: the feed sends
+// the frames as they are, so a burst is encoded once, by Append. A caller
+// at or past the newest version gets nothing without a file being opened;
+// one inside the active segment gets a positioned read of just the frames
+// it lacks, found through the index; an older one gets a scan of the
+// rotated segments. The frames alias a buffer read for this call. It
+// returns ErrGap when the log's retained records cannot bridge from: the
+// caller's state is older than the horizon.
 func (l *Log) ReadFrames(from uint64) (frames [][]byte, last uint64, err error) {
 	err = l.iterate(from, maxReadBatch, func(ver uint64, frame []byte) error {
-		frames = append(frames, slices.Clone(frame))
+		frames = append(frames, frame)
 		last = ver
 		return nil
 	})
@@ -462,18 +490,19 @@ func (l *Log) Replay(from uint64) ([]*Record, error) {
 
 // iterate drives ReadFrames and Replay: the frames of records with Version >
 // from, in commit order, at most limit of them when limit > 0. Only the
-// segment-list snapshot and the committed tail size are taken under the
-// mutex; all file reads happen outside it, so a deep history scan never
-// stalls the append path. That is safe because rotated segments are
-// immutable and the active segment only grows past the committed size the
-// scan caps itself to.
+// segment list and the index are taken under the mutex; all file reads
+// happen outside it, so a deep history scan never stalls the append path.
+// That is safe because rotated segments are immutable, the last one only
+// grows past the indexed records the reads stop at, and the index entries
+// a reader holds are never rewritten. Everything read is committed, so a
+// torn frame is corruption.
 func (l *Log) iterate(from uint64, limit int, fn func(ver uint64, frame []byte) error) error {
 	l.mu.Lock()
-	segs := append([]segment(nil), l.segs...)
-	activeSize := int64(-1)
-	if l.active != nil {
-		activeSize = l.size
+	if !l.nonEmpty || from >= l.last {
+		l.mu.Unlock()
+		return nil
 	}
+	segs, index := append([]segment(nil), l.segs...), l.index
 	l.mu.Unlock()
 
 	// Start at the last segment whose first record could still be needed:
@@ -488,13 +517,28 @@ func (l *Log) iterate(from uint64, limit int, fn func(ver uint64, frame []byte) 
 	expect := from
 	applied := 0
 	for i := first; i < len(segs); i++ {
-		capSize := int64(-1)
+		// A rotated segment is scanned whole. The last one is read only
+		// between indexed offsets, from the end of the last record at or
+		// below from to the end of the last record the batch takes, so the
+		// bytes of an in-flight append are never read.
+		start, capSize := int64(0), int64(-1)
 		if i == len(segs)-1 {
-			capSize = activeSize
+			k := sort.Search(len(index), func(j int) bool { return index[j].ver > from })
+			n := len(index)
+			if limit > 0 {
+				n = min(n, k+limit-applied)
+			}
+			start, capSize = hdrLen, hdrLen
+			if k > 0 {
+				start = index[k-1].end
+			}
+			if n > 0 {
+				capSize = index[n-1].end
+			}
 		}
 		path := filepath.Join(l.dir, segs[i].name)
 		done := false
-		_, clean, err := scanSegment(path, capSize, func(prev, ver uint64, frame []byte) (bool, error) {
+		_, clean, err := scanSegment(path, start, capSize, func(prev, ver uint64, frame []byte) (bool, error) {
 			// Records already reflected in the caller's state are skipped
 			// on their peeked version stamps alone — no table decode — so
 			// resuming a catch-up pays CRC-scan cost for the segment
@@ -532,7 +576,7 @@ func (l *Log) iterate(from uint64, limit int, fn func(ver uint64, frame []byte) 
 		if done {
 			return nil
 		}
-		if !clean && i != len(segs)-1 {
+		if !clean {
 			return fmt.Errorf("wal: %s: torn record before the end of the log", path)
 		}
 	}
@@ -658,59 +702,77 @@ func resyncFindsValidFrame(buf []byte, off int64) bool {
 	return false
 }
 
-// scanSegment walks one segment's committed frames in order, handing each
-// record's peeked version stamps and its whole frame (not yet decoded) to fn;
-// fn returns false to stop the scan early. capSize >= 0 restricts the scan
-// to the committed prefix of the active segment (bytes past it may belong
-// to an in-flight append). A torn tail stops the scan with clean=false —
-// that is the expected shape of a crash and Open may truncate it — but
-// corruption in front of valid records is an error: silently dropping
-// acknowledged history would break the "a 2xx survives kill -9" contract.
-// validLen is the byte length of the segment's valid prefix (what Open
-// truncates a torn tail back to).
-func scanSegment(path string, capSize int64, fn func(prev, ver uint64, frame []byte) (bool, error)) (validLen int64, clean bool, err error) {
-	buf, err := os.ReadFile(path)
+// scanSegment walks one segment's committed frames in order from offset
+// start (0 for the whole segment, header included; otherwise the offset a
+// frame starts at), handing each record's peeked version stamps and its
+// whole frame (not yet decoded, aliasing the bytes read) to fn; fn returns
+// false to stop the scan early. capSize >= 0 restricts the scan to the
+// committed prefix of the active segment (bytes past it may belong to an
+// in-flight append). A torn tail stops the scan with clean=false — that is
+// the expected shape of a crash and Open may truncate it — but corruption
+// in front of valid records is an error: silently dropping acknowledged
+// history would break the "a 2xx survives kill -9" contract. validLen is the
+// byte length of the segment's valid prefix (what Open truncates a torn
+// tail back to).
+func scanSegment(path string, start, capSize int64, fn func(prev, ver uint64, frame []byte) (bool, error)) (validLen int64, clean bool, err error) {
+	buf, err := readSegment(path, start, capSize)
 	if err != nil {
 		return 0, false, fmt.Errorf("wal: %w", err)
 	}
-	if capSize >= 0 && int64(len(buf)) > capSize {
-		buf = buf[:capSize]
+	off := int64(0)
+	if start == 0 {
+		if len(buf) < hdrLen {
+			// A header-less file can only be a crash during segment
+			// creation; treat it as an empty torn segment.
+			return 0, false, nil
+		}
+		if [4]byte(buf[:4]) != magic {
+			return 0, false, fmt.Errorf("wal: %s is not a WAL segment", path)
+		}
+		if v := buf[4]; v != FormatVersion {
+			return 0, false, fmt.Errorf("wal: %s: segment format %d, this build reads %d", path, v, FormatVersion)
+		}
+		off = hdrLen
 	}
-	const hdrLen = 5 // magic + single-byte uvarint format version
-	if len(buf) < hdrLen {
-		// A header-less file can only be a crash during segment creation;
-		// treat it as an empty torn segment.
-		return 0, false, nil
-	}
-	if [4]byte(buf[:4]) != magic {
-		return 0, false, fmt.Errorf("wal: %s is not a WAL segment", path)
-	}
-	if v := buf[4]; v != FormatVersion {
-		return 0, false, fmt.Errorf("wal: %s: segment format %d, this build reads %d", path, v, FormatVersion)
-	}
-	off := int64(hdrLen)
 	for off < int64(len(buf)) {
 		payload, end, status := parseFrame(buf, off)
 		switch status {
 		case frameTorn:
-			return off, false, nil
+			return start + off, false, nil
 		case frameCorrupt:
-			return 0, false, fmt.Errorf("wal: %s: corrupt record at offset %d ahead of intact history; refusing to drop acknowledged mutations", path, off)
+			return 0, false, fmt.Errorf("wal: %s: corrupt record at offset %d ahead of intact history; refusing to drop acknowledged mutations", path, start+off)
 		}
 		prev, ver, ok := stamps(payload)
 		if !ok {
-			return 0, false, fmt.Errorf("wal: %s: checksummed record at offset %d has no version stamps", path, off)
+			return 0, false, fmt.Errorf("wal: %s: checksummed record at offset %d has no version stamps", path, start+off)
 		}
 		cont, err := fn(prev, ver, buf[off:end])
 		if err != nil {
 			return 0, false, err
 		}
 		if !cont {
-			return end, true, nil
+			return start + end, true, nil
 		}
 		off = end
 	}
-	return off, true, nil
+	return start + off, true, nil
+}
+
+// readSegment reads a segment's bytes from offset start up to capSize, or
+// the whole file when capSize < 0 (and start is 0). A file that ends before
+// capSize is an error: its committed records are gone.
+func readSegment(path string, start, capSize int64) ([]byte, error) {
+	if capSize < 0 {
+		return os.ReadFile(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, capSize-start)
+	_, err = f.ReadAt(buf, start)
+	return buf, err
 }
 
 // stamps reads a record payload's version stamps. It hands the Reader only

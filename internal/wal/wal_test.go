@@ -38,7 +38,7 @@ func openLog(t *testing.T, dir string, opts Options) *Log {
 func appendN(t *testing.T, l *Log, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
-		if _, err := l.Append(burst(i)); err != nil {
+		if err := l.Append(burst(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +186,7 @@ func TestReopenContinues(t *testing.T) {
 func TestAppendRejectsFork(t *testing.T) {
 	l := openLog(t, t.TempDir(), Options{})
 	appendN(t, l, 0, 3)
-	if _, err := l.Append(burst(1)); err == nil {
+	if err := l.Append(burst(1)); err == nil {
 		t.Fatal("append at version 1 onto a log at version 3 succeeded")
 	}
 }
@@ -368,7 +368,7 @@ func TestFreshSegmentAfterSnapshotAheadOfLog(t *testing.T) {
 	l := openLog(t, t.TempDir(), Options{})
 	rec := &Record{PrevVersion: 100, Version: 101,
 		Add: []*table.Table{table.New("t").AddColumn("c", "v")}}
-	if _, err := l.Append(rec); err != nil {
+	if err := l.Append(rec); err != nil {
 		t.Fatal(err)
 	}
 	if recs, err := readFrom(l, 100); err != nil || len(recs) != 1 {
