@@ -33,6 +33,8 @@
 // Durability: with -snapshot set, the daemon warm-starts from the snapshot
 // file when it exists and checkpoints back to it on graceful shutdown
 // (SIGINT/SIGTERM) and, with -checkpoint-every K, after every K-th publish.
+// A publish is the start's one publish or one acknowledged mutation burst:
+// every burst is published before it is acknowledged.
 // With -wal set, every acknowledged mutation burst is appended (and fsynced)
 // to a segmented write-ahead log *before* it is applied, so recovery loses
 // nothing even on kill -9 or power failure. Recovery treats the restarting
@@ -129,7 +131,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&c.dir, "dir", "", "directory of CSV tables to pre-load (ignored when -snapshot exists; empty starts an empty lake)")
 	fs.StringVar(&c.name, "name", "lake", "lake name when starting empty")
 	fs.StringVar(&c.snapshot, "snapshot", "", "snapshot file: warm-start from it when present, checkpoint to it on shutdown")
-	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 0, "also checkpoint after every K publishes (0 = only on shutdown; needs -snapshot)")
+	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 0, "also checkpoint after every K publishes, one per acknowledged burst plus the initial one (0 = only on shutdown; needs -snapshot)")
 	fs.StringVar(&c.walDir, "wal", "", "write-ahead log directory: fsync every mutation burst before acknowledging it, replay on startup, serve /repl/ to followers")
 	fs.StringVar(&c.follow, "follow", "", "run as a read-only replica of the leader at this base URL (conflicts with the mutation/durability flags)")
 	fs.StringVar(&measure, "measure", "bc", "default scoring measure")
@@ -469,7 +471,6 @@ func runFollower(ctx context.Context, c *config, stop func()) error {
 		Leader:       strings.TrimRight(c.follow, "/"),
 		Config:       c.detectorConfig(),
 		WarmMeasures: c.warmMeasures,
-		Client:       &http.Client{Timeout: repl.PollTimeout + 15*time.Second},
 		Logf:         log.Printf,
 		Tracer:       &obs.Tracer{SlowThreshold: c.traceSlow},
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -213,19 +214,25 @@ func (d *daemon) get(t *testing.T, path string) string {
 	return string(b)
 }
 
-// post uploads one CSV table and fails the test unless the daemon
-// acknowledged it (an acknowledged mutation is the unit of durability).
-func (d *daemon) post(t *testing.T, name, csv string) {
+// post uploads one CSV table, fails the test unless the daemon acknowledged
+// it (an acknowledged mutation is the unit of durability), and returns the
+// version the 201 acknowledged.
+func (d *daemon) post(t *testing.T, name, csv string) uint64 {
 	t.Helper()
 	resp, err := http.Post(d.url+"/tables/"+name, "text/csv", strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusCreated {
-		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("POST /tables/%s = %d (%s)", name, resp.StatusCode, b)
 	}
+	var ack struct{ Version uint64 }
+	if err := json.Unmarshal(b, &ack); err != nil {
+		t.Fatalf("POST /tables/%s: %v (%s)", name, err, b)
+	}
+	return ack.Version
 }
 
 // version reads the daemon's current snapshot version from /stats.
@@ -333,8 +340,9 @@ func TestProcessCrashRecovery(t *testing.T) {
 }
 
 // TestProcessLeaderFollower runs a two-process replication pair: the
-// follower must converge to the leader's version and serve bit-identical
-// rankings, live-tail later mutations, and reject direct writes.
+// leader serves every version it acknowledges, and the follower must
+// converge to the leader's version and serve bit-identical rankings,
+// live-tail later mutations, and reject direct writes.
 func TestProcessLeaderFollower(t *testing.T) {
 	dir := t.TempDir()
 	leader := startDaemon(t,
@@ -342,8 +350,23 @@ func TestProcessLeaderFollower(t *testing.T) {
 		"-measure", "degree",
 		"-name", "repltest",
 	)
+	// Read-your-writes on the leader: the first /topk after a 201 is served
+	// at or above the version the 201 acknowledged.
+	post := func(name, csv string) {
+		t.Helper()
+		acked := leader.post(t, name, csv)
+		resp, err := http.Get(leader.url + "/topk?k=30&measure=degree")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		got := resp.Header.Get("X-Domainnet-Version")
+		if v, err := strconv.ParseUint(got, 10, 64); resp.StatusCode != http.StatusOK || err != nil || v < acked {
+			t.Errorf("/topk after the 201 for version %d: status %d from version %q", acked, resp.StatusCode, got)
+		}
+	}
 	for i := 0; i < 4; i++ {
-		leader.post(t, fmt.Sprintf("t%d", i), csvTable(i))
+		post(fmt.Sprintf("t%d", i), csvTable(i))
 	}
 	follower := startDaemon(t, "-follow", leader.url, "-measure", "degree")
 	follower.waitVersion(t, leader.version(t), 15*time.Second)
@@ -352,7 +375,7 @@ func TestProcessLeaderFollower(t *testing.T) {
 	}
 
 	// Live tail: a mutation after the follower attached propagates.
-	leader.post(t, "late", csvTable(99))
+	post("late", csvTable(99))
 	follower.waitVersion(t, leader.version(t), 15*time.Second)
 	if l, f := leader.get(t, "/topk?k=30&measure=degree"), follower.get(t, "/topk?k=30&measure=degree"); l != f {
 		t.Errorf("follower /topk diverges after live tail:\nleader:   %s\nfollower: %s", l, f)

@@ -67,11 +67,6 @@ type Follower struct {
 	// serve.Options.WarmMeasures on a primary: every replica server warms
 	// Config.Measure after each applied burst, and these measures too.
 	WarmMeasures []domainnet.Measure
-	// Obs, when non-nil, is the endpoint-accounting registry shared with
-	// every replica server this follower installs. Nil gets a private
-	// registry created on first use. Either way the registry outlives
-	// re-bootstraps: /metrics counters survive snapshot re-installs.
-	Obs *obs.Endpoints
 	// Tracer, when non-nil, is the slow-request tracer shared with every
 	// installed replica server (and the follower's own /repl/status
 	// handler). Nil gets a private zero-value tracer.
@@ -81,11 +76,15 @@ type Follower struct {
 	// means retryDelay.
 	retryBase time.Duration
 
-	// obsOnce latches the defaults above and the instrumented status
-	// handler, so a zero-value Follower still shares one registry across
-	// every server it installs.
+	// obsOnce latches the registry, the Tracer default and the instrumented
+	// status handler, so a zero-value Follower still shares one registry
+	// across every server it installs.
 	obsOnce sync.Once
 	statusH http.HandlerFunc
+	// obs is the endpoint-accounting registry shared with every replica
+	// server this follower installs. It outlives re-bootstraps: /metrics
+	// counters survive snapshot re-installs.
+	obs *obs.Endpoints
 
 	srv atomic.Pointer[serve.Server]
 
@@ -187,19 +186,17 @@ func (f *Follower) handleStatus(w http.ResponseWriter, r *http.Request) {
 	obs.WriteMetrics(w, r, st)
 }
 
-// initObs latches the observability defaults: a private registry and tracer
-// when none were injected, and the instrumented /repl/status handler. Safe
-// on a zero-value Follower; everything it creates lives for the follower's
-// lifetime, not a single replica server's.
+// initObs latches the observability state: the follower's registry, a
+// private tracer when none was injected, and the instrumented /repl/status
+// handler. Safe on a zero-value Follower; everything it creates lives for
+// the follower's lifetime, not a single replica server's.
 func (f *Follower) initObs() {
 	f.obsOnce.Do(func() {
-		if f.Obs == nil {
-			f.Obs = &obs.Endpoints{}
-		}
+		f.obs = &obs.Endpoints{}
 		if f.Tracer == nil {
 			f.Tracer = &obs.Tracer{}
 		}
-		f.statusH = obs.Instrumented(f.Obs, f.Tracer, "repl_status", f.handleStatus)
+		f.statusH = obs.Instrumented(f.obs, f.Tracer, "repl_status", f.handleStatus)
 	})
 }
 
@@ -299,7 +296,7 @@ func (f *Follower) install(sn *persist.Snapshot) {
 		serve.Options{Graph: sn.Graph, ReadOnly: true, WarmMeasures: f.WarmMeasures,
 			// Accounting, tracing and the replication section are the
 			// follower's: they survive this replica being re-bootstrapped.
-			Obs: f.Obs, Tracer: f.Tracer,
+			Obs: f.obs, Tracer: f.Tracer,
 			Replication: func() any { return f.Status() }})
 	if old := f.srv.Swap(srv); old != nil {
 		old.Close() // stop the replaced replica's in-flight warm, if any

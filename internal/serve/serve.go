@@ -11,7 +11,10 @@
 // snapshot (bipartite.RebuildDiff — only the touched table's attributes are
 // re-processed), and publish the result with one atomic store. In-flight
 // readers keep the old snapshot alive until they finish; new requests see
-// the new version.
+// the new version. Every burst that changes the lake is published before
+// Apply or Replay returns, so the version they return is already served: a
+// client that got a 201 or 200 for version v reads v or later from this
+// server.
 //
 // The write lock's contract: writers serialize on writeMu through
 // validation, the write-ahead commit (Options.OnCommit, fsync included) and
@@ -104,11 +107,6 @@ type Server struct {
 
 	writeMu sync.Mutex // serializes lake mutations and snapshot swaps
 	lake    *lake.Lake // guarded by writeMu
-	// pending counts writers queued on writeMu. A writer that decrements it
-	// to a non-zero value skips its publish — the last writer of the burst
-	// publishes the combined state — so N concurrent single-table writes
-	// coalesce into far fewer than N rebuilds.
-	pending atomic.Int64
 
 	snap atomic.Pointer[snapshot]
 	mux  *http.ServeMux
@@ -381,8 +379,8 @@ func (s *Server) Version() uint64 { return s.snap.Load().version }
 
 // Publishes reports how many snapshots the server has published, including
 // the initial one, counted on from the servers it replaced when they shared
-// its Options.Obs registry. Batch-ingest tests assert that N-table batches
-// cost one publish, not N.
+// its Options.Obs registry. Each Apply or Replay that changes the lake costs
+// exactly one, however many tables it carries.
 func (s *Server) Publishes() int64 { return s.ctr.publishes.Load() }
 
 // Checkpoint runs fn on the published snapshot's frozen lake and its graph,
@@ -393,17 +391,15 @@ func (s *Server) Checkpoint(fn func(l *lake.Lake, g *bipartite.Graph) error) err
 	return fn(sn.lake, sn.graph)
 }
 
-// withWrite runs one lake mutation under the write lock, then publishes —
-// unless more writers are already queued, in which case the publish is left
-// to the burst's last writer (write coalescing). It returns the lake version
-// after the mutation; the published snapshot reaches at least that version
-// once the burst drains.
+// withWrite runs one lake mutation under the write lock and, if it changed
+// the lake, publishes before it unlocks. It returns the lake version after
+// the mutation, which is then the served version: a caller acknowledges
+// only what the server already serves.
 func (s *Server) withWrite(fn func() error) (uint64, error) {
-	s.pending.Add(1)
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	err := fn()
-	if prev := s.snap.Load(); s.pending.Add(-1) == 0 && prev.version != s.lake.Version() {
+	if prev := s.snap.Load(); prev.version != s.lake.Version() {
 		s.publish(prev.graph)
 	}
 	return s.lake.Version(), err
@@ -859,7 +855,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, sn *snaps
 // calls would cost. It is all-or-nothing: every removal target must exist
 // and no added name may collide (with the lake or within the batch), checked
 // before any mutation, so a failed Apply leaves the lake untouched. Returns
-// the lake version after the batch.
+// the lake version after the batch, which the server serves by then.
 func (s *Server) Apply(add []*table.Table, remove []string) (uint64, error) {
 	return s.withWrite(func() error {
 		v := s.lake.Version()

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -507,80 +506,46 @@ func TestWarmStartServesWithoutFullBuild(t *testing.T) {
 	}
 }
 
-func TestWriteCoalescing(t *testing.T) {
-	s := New(datagen.Figure1Lake(), domainnet.Config{
-		Measure:        domainnet.DegreeBaseline,
-		KeepSingletons: true,
-	})
-	base := s.Publishes()
-
-	// Hold the write lock so both writers are queued before either runs;
-	// the first to drain must defer its publish to the last.
-	s.writeMu.Lock()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tb := table.New(fmt.Sprintf("co%d", i)).
-				AddColumn("animal", "Jaguar", "Puma").
-				AddColumn("city", "Memphis", "Lima")
-			if _, err := s.Apply([]*table.Table{tb}, nil); err != nil {
-				t.Error(err)
-			}
-		}(i)
+// checkpointServes checks the torn-checkpoint regression once an Apply that
+// returned version v is back: the published and lake versions are both v,
+// and a checkpoint persists that pair and loads with its graph.
+func checkpointServes(t *testing.T, s *Server, v uint64) {
+	t.Helper()
+	if pub, lk := s.Version(), s.lake.Version(); pub != v || lk != v {
+		t.Fatalf("after Apply returned %d: published version %d, lake version %d", v, pub, lk)
 	}
-	for s.pending.Load() != 2 {
-		runtime.Gosched()
-	}
-	s.writeMu.Unlock()
-	wg.Wait()
-
-	if got := s.Publishes() - base; got != 1 {
-		t.Errorf("2 coalesced writes cost %d publishes, want 1", got)
-	}
-	sn := s.snap.Load()
-	if sn.stats.Tables != 6 || sn.version != 6 {
-		t.Errorf("published state = %d tables v%d, want 6 tables v6", sn.stats.Tables, sn.version)
-	}
-}
-
-// TestCheckpointDuringDeferredPublish is the torn-checkpoint regression: a
-// coalescing burst can leave the lake ahead of the published snapshot, and a
-// checkpoint in that window must not persist a lake/graph pair at different
-// versions — a snapshot persist.Load rejects, overwriting the last good one.
-// Checkpoint reads the published pair, so it writes the published version.
-func TestCheckpointDuringDeferredPublish(t *testing.T) {
-	s := New(datagen.Figure1Lake(), domainnet.Config{
-		Measure:        domainnet.DegreeBaseline,
-		KeepSingletons: true,
-	})
-	// Pose as a queued writer so Apply defers its publish.
-	s.pending.Add(1)
-	tb := table.New("torn").AddColumn("animal", "Jaguar", "Puma")
-	if _, err := s.Apply([]*table.Table{tb}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if s.snap.Load().version == s.lake.Version() {
-		t.Fatal("setup: publish was not deferred")
-	}
-
 	path := filepath.Join(t.TempDir(), "lake.snapshot")
-	err := s.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
+	if err := s.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
 		return persist.Save(path, l, g)
-	})
-	s.pending.Add(-1)
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	sn, err := persist.Load(path)
 	if err != nil {
-		t.Fatalf("mid-burst checkpoint is unloadable: %v", err)
+		t.Fatalf("checkpoint after Apply is unloadable: %v", err)
 	}
-	if sn.Graph == nil || sn.Lake.Version() != 4 {
-		t.Errorf("loaded snapshot = graph %v, version %d; want graph at the published version 4",
-			sn.Graph != nil, sn.Lake.Version())
+	if sn.Graph == nil || sn.Lake.Version() != v {
+		t.Errorf("loaded snapshot = graph %v, version %d; want a graph at version %d",
+			sn.Graph != nil, sn.Lake.Version(), v)
 	}
+}
+
+// TestCheckpointAfterApply is the torn-checkpoint regression: a checkpoint
+// must never persist a lake/graph pair at different versions, a snapshot
+// persist.Load rejects. Apply publishes before it returns, so a checkpoint
+// taken then writes the version Apply returned.
+func TestCheckpointAfterApply(t *testing.T) {
+	s := New(datagen.Figure1Lake(), domainnet.Config{
+		Measure:        domainnet.DegreeBaseline,
+		KeepSingletons: true,
+	})
+	t.Cleanup(s.Close)
+	tb := table.New("torn").AddColumn("animal", "Jaguar", "Puma")
+	v, err := s.Apply([]*table.Table{tb}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpointServes(t, s, v)
 }
 
 // TestCheckpointParkedDuringWrite parks a Checkpoint callback mid-marshal

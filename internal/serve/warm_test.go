@@ -5,8 +5,8 @@ package serve
 // and the warm set holds each measure once; a newer publish provably cancels
 // the superseded warm (counter-asserted, never timing-asserted); superseded
 // snapshots are released; a mutation storm with the warmer active never
-// serves a stale snapshot's ranking; and Checkpoint stays consistent while a
-// coalesced burst races the warmer.
+// serves a stale snapshot's ranking; and a checkpoint taken after Apply
+// returns is consistent while the warmer runs.
 
 import (
 	"encoding/json"
@@ -25,8 +25,6 @@ import (
 	"domainnet/internal/bipartite"
 	"domainnet/internal/datagen"
 	"domainnet/internal/domainnet"
-	"domainnet/internal/lake"
-	"domainnet/internal/persist"
 	"domainnet/internal/table"
 )
 
@@ -410,13 +408,19 @@ func TestMutationStormServesFreshRankings(t *testing.T) {
 				tb := table.New(name).
 					AddColumn("animal", "Jaguar", fmt.Sprintf("beast%d", w)).
 					AddColumn("city", "Memphis", fmt.Sprintf("town%d", r))
-				if _, err := s.Apply([]*table.Table{tb}, nil); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := s.Apply(nil, []string{name}); err != nil {
-					t.Error(err)
-					return
+				for _, burst := range []struct {
+					add    []*table.Table
+					remove []string
+				}{{add: []*table.Table{tb}}, {remove: []string{name}}} {
+					v, err := s.Apply(burst.add, burst.remove)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if served := s.Version(); served < v {
+						t.Errorf("Apply returned version %d while the server serves %d", v, served)
+						return
+					}
 				}
 			}
 		}(w)
@@ -543,44 +547,23 @@ func TestWarmIncrementalPathAndMetrics(t *testing.T) {
 	}
 }
 
-// TestCheckpointRacesCoalescedBurstWithWarmer is the warm-pipeline variant
-// of the torn-checkpoint regression: a coalescing burst leaves the lake
-// ahead of the snapshot while a warm runs, and a checkpoint in that window
-// persists the published pair. It must load, and the warm books must
-// balance.
-func TestCheckpointRacesCoalescedBurstWithWarmer(t *testing.T) {
+// TestCheckpointAfterApplyWithWarmer is the warm-pipeline variant of the
+// torn-checkpoint regression: with a warm running on the new snapshot, a
+// checkpoint taken once Apply returns persists the version Apply returned.
+// It must load, and the warm books must balance.
+func TestCheckpointAfterApplyWithWarmer(t *testing.T) {
 	s := NewWithOptions(datagen.Figure1Lake(), domainnet.Config{
 		Measure:        domainnet.DegreeBaseline,
 		KeepSingletons: true,
 	}, Options{WarmMeasures: []domainnet.Measure{domainnet.DegreeBaseline}})
 	t.Cleanup(s.Close)
 
-	// Pose as a queued writer so Apply defers its publish.
-	s.pending.Add(1)
 	tb := table.New("torn").AddColumn("animal", "Jaguar", "Puma")
-	if _, err := s.Apply([]*table.Table{tb}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if s.snap.Load().version == s.lake.Version() {
-		t.Fatal("setup: publish was not deferred")
-	}
-
-	path := t.TempDir() + "/lake.snapshot"
-	err := s.Checkpoint(func(l *lake.Lake, g *bipartite.Graph) error {
-		return persist.Save(path, l, g)
-	})
-	s.pending.Add(-1)
+	v, err := s.Apply([]*table.Table{tb}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := persist.Load(path)
-	if err != nil {
-		t.Fatalf("checkpoint during warm-enabled burst is unloadable: %v", err)
-	}
-	if sn.Graph == nil || sn.Lake.Version() != 4 {
-		t.Errorf("loaded snapshot = graph %v, version %d; want graph at the published version 4",
-			sn.Graph != nil, sn.Lake.Version())
-	}
+	checkpointServes(t, s, v)
 	waitWarm(t, s, "warms to settle", func(w WarmStats) bool {
 		return w.Started == w.Completed+w.Cancelled
 	})

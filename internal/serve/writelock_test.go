@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,5 +140,70 @@ func TestTricklingUploadDelaysNoWriter(t *testing.T) {
 	})
 	if s.Version() != version+1 {
 		t.Errorf("version after the upload = %d, want %d", s.Version(), version+1)
+	}
+}
+
+// queuedWriters counts the goroutines blocked taking writeMu in withWrite,
+// read from every goroutine's stack: the server keeps no count of them.
+func queuedWriters() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, ").withWrite(") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestQueuedWritesAreServedWhenAcknowledged parks one Apply inside OnCommit
+// with writeMu held and queues a second behind it. Each must return a
+// version the server already serves, so the two cost two publishes: a
+// queued writer never leaves its publish to the writer behind it.
+func TestQueuedWritesAreServedWhenAcknowledged(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var park, unpark sync.Once
+	s := NewWithOptions(datagen.Figure1Lake(), domainnet.Config{Measure: domainnet.DegreeBaseline}, Options{
+		OnCommit: func(Mutation) error {
+			park.Do(func() {
+				close(entered)
+				<-release
+			})
+			return nil
+		},
+	})
+	t.Cleanup(func() {
+		unpark.Do(func() { close(release) })
+		s.Close()
+	})
+	before, publishes := s.Version(), s.Publishes()
+
+	acked := make(chan error, 2)
+	write := func(i int) {
+		v, err := s.Apply([]*table.Table{pairTable("queued", i)}, nil)
+		if served := s.Version(); err == nil && served < v {
+			err = fmt.Errorf("Apply returned version %d while the server serves %d", v, served)
+		}
+		acked <- err
+	}
+	go write(0)
+	within(t, "the first write reaching OnCommit", func() error { <-entered; return nil })
+	go write(1)
+	for deadline := time.Now().Add(contractBound); queuedWriters() != 1; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the second write did not queue on writeMu within %v", contractBound)
+		}
+	}
+
+	unpark.Do(func() { close(release) })
+	for i := 0; i < 2; i++ {
+		within(t, "a queued write", func() error { return <-acked })
+	}
+	if got := s.Publishes() - publishes; got != 2 {
+		t.Errorf("2 queued writes cost %d publishes, want 2", got)
+	}
+	if s.Version() != before+2 {
+		t.Errorf("version after both writes = %d, want %d", s.Version(), before+2)
 	}
 }
