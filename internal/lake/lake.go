@@ -94,6 +94,14 @@ func (l *Lake) Add(t *table.Table) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("lake %q: %w", l.Name, err)
 	}
+	return l.add(t)
+}
+
+// add appends a table that is named but may hold no cells.
+func (l *Lake) add(t *table.Table) error {
+	if strings.TrimSpace(t.Name) == "" {
+		return fmt.Errorf("lake %q: empty table name", l.Name)
+	}
 	if _, dup := l.names[t.Name]; dup {
 		return fmt.Errorf("lake %q: duplicate table %q", l.Name, t.Name)
 	}
@@ -124,25 +132,28 @@ type Stored struct {
 	Freqs      []int32
 }
 
-// Rehydrate reconstructs a lake from persisted state (internal/persist): the
-// given tables are added in order and the version counter is restored, so
-// derived state cached against the saved version (graph snapshots, rankings)
-// stays valid across a process restart. The version must be at least the
-// table count, since every Add bumped it once in the original process.
+// Rehydrate reconstructs a lake from persisted state (internal/persist): a
+// table of each given name is added in order and the version counter is
+// restored, so derived state cached against the saved version (graph
+// snapshots, rankings) stays valid across a process restart. The version
+// must be at least the table count, since every Add bumped it once in the
+// original process.
 //
-// The lake takes syms as its symbol table, and attrs, parallel to tables,
-// as each table's normalized attributes. Ascending IDs are adopted as they
-// are; others are sorted, and repeats merged. Attributes are trusted — persist checksums
-// them — beyond sanity checks: every ID is in syms, and a column's counts are
+// A restored table is its name only, table.New(name): the lake keeps
+// attrs, parallel to tables, as each table's normalized attributes, and no
+// cells. Names must be non-empty and distinct. The lake takes syms as its
+// symbol table. Ascending IDs are adopted as they are; others are sorted,
+// and repeats merged. Attributes are trusted — persist checksums them —
+// beyond sanity checks: every ID is in syms, and a column's counts are
 // positive and sum to at most math.MaxInt32.
-func Rehydrate(name string, version uint64, syms *Symbols, tables []*table.Table, attrs [][]Stored) (*Lake, error) {
+func Rehydrate(name string, version uint64, syms *Symbols, tables []string, attrs [][]Stored) (*Lake, error) {
 	if len(attrs) != len(tables) {
 		return nil, fmt.Errorf("lake %q: %d attribute slices for %d tables", name, len(attrs), len(tables))
 	}
 	l := New(name)
 	l.syms = syms
-	for i, t := range tables {
-		if err := l.Add(t); err != nil {
+	for i, tn := range tables {
+		if err := l.add(table.New(tn)); err != nil {
 			return nil, err
 		}
 		as := make([]Attribute, len(attrs[i]))
@@ -151,13 +162,13 @@ func Rehydrate(name string, version uint64, syms *Symbols, tables []*table.Table
 			if !valid {
 				return nil, fmt.Errorf("lake %q: malformed persisted attribute %q", name, sa.ID)
 			}
-			as[j] = Attribute{ID: sa.ID, Table: t.Name, Column: sa.Column, syms: syms, ids: sa.IDs, freqs: sa.Freqs}
+			as[j] = Attribute{ID: sa.ID, Table: tn, Column: sa.Column, syms: syms, ids: sa.IDs, freqs: sa.Freqs}
 			if !ascending {
 				pairs := make([]uint64, len(sa.IDs))
 				for k, id := range sa.IDs {
 					pairs[k] = uint64(id)<<32 | uint64(sa.Freqs[k])
 				}
-				as[j] = syms.attribute(sa.ID, t.Name, sa.Column, pairs)
+				as[j] = syms.attribute(sa.ID, tn, sa.Column, pairs)
 			}
 		}
 		l.tableAttrs[i] = as
@@ -213,7 +224,9 @@ func (l *Lake) Frozen() *Lake {
 }
 
 // Tables returns the tables in insertion order. The slice is shared; callers
-// must not mutate it.
+// must not mutate it. A lake built by Add holds the tables it was handed; a
+// table Rehydrate restored is its name only, with no columns, since a
+// snapshot keeps each table's normalized attributes and not its cells.
 func (l *Lake) Tables() []*table.Table { return l.tables }
 
 // RemoveTable deletes the named table and reports whether it existed. Lakes
@@ -554,8 +567,15 @@ func LoadDir(dir string) (*Lake, error) {
 	return l, nil
 }
 
-// SaveDir writes every table of the lake as a CSV file under dir.
+// SaveDir writes every table of the lake as a CSV file under dir. A table
+// LoadDir would reject, such as one Rehydrate restored without its cells,
+// fails the save before anything is written.
 func (l *Lake) SaveDir(dir string) error {
+	for _, t := range l.tables {
+		if err := t.Validate(); err != nil {
+			return fmt.Errorf("lake %q: %w", l.Name, err)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

@@ -320,24 +320,47 @@ func stored(t *testing.T, l *Lake) (*Symbols, [][]Stored) {
 	return syms, attrs
 }
 
+// names returns the names of l's tables, as a snapshot stores them.
+func names(l *Lake) []string {
+	var out []string
+	for _, tb := range l.Tables() {
+		out = append(out, tb.Name)
+	}
+	return out
+}
+
 func TestRehydrateRestoresVersion(t *testing.T) {
 	src := twoTableLake(t)
 	src.RemoveTable("t2") // version 3: two adds + one removal
 	syms, attrs := stored(t, src)
-	l, err := Rehydrate(src.Name, src.Version(), syms, src.Tables(), attrs)
+	l, err := Rehydrate(src.Name, src.Version(), syms, names(src), attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.Version() != 3 {
 		t.Errorf("version = %d, want 3", l.Version())
 	}
-	if l.NumTables() != 1 || l.Tables()[0].Name != "t1" {
-		t.Errorf("tables = %v", l.Tables())
+	if l.NumTables() != 1 || l.Tables()[0].Name != "t1" || l.Tables()[0].NumColumns() != 0 {
+		t.Errorf("tables = %v, want t1 with no columns", l.Tables())
+	}
+	if !reflect.DeepEqual(attrValueSet(l), attrValueSet(src)) {
+		t.Errorf("attributes = %v, want %v", attrValueSet(l), attrValueSet(src))
 	}
 	two := twoTableLake(t)
 	syms, attrs = stored(t, two)
-	if _, err := Rehydrate("bad", 1, syms, two.Tables(), attrs); err == nil || !strings.Contains(err.Error(), "below table count") {
+	if _, err := Rehydrate("bad", 1, syms, names(two), attrs); err == nil || !strings.Contains(err.Error(), "below table count") {
 		t.Errorf("version below table count: Rehydrate = %v, want it refused", err)
+	}
+	for _, tc := range []struct {
+		names []string
+		want  string
+	}{
+		{[]string{"t1", " "}, "empty table name"},
+		{[]string{"t1", "t1"}, "duplicate table"},
+	} {
+		if _, err := Rehydrate("bad", 2, syms, tc.names, attrs); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("tables %q: Rehydrate = %v, want %q", tc.names, err, tc.want)
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"domainnet/internal/table"
 )
 
-// FuzzLoad fuzzes the snapshot decoder in the four formats it reads:
-// whatever bytes arrive — a valid format 1 to 4 snapshot, a truncation, a
+// FuzzLoad fuzzes the snapshot decoder in the five formats it reads:
+// whatever bytes arrive — a valid format 1 to 5 snapshot, a truncation, a
 // bit flip that survives the CRC, or garbage — the decoder must return an
 // error or a usable snapshot, never panic. The WAL
 // replays and follower bootstraps feed this decoder with bytes from disk and
@@ -23,13 +23,14 @@ func FuzzLoad(f *testing.F) {
 
 	f.Add(withGraph)
 	f.Add(lakeOnly)
-	// Formats 1 and 3: the reference encoders' bytes; formats 1 to 3: the
-	// files earlier builds wrote. Marshal's bytes above are format 4.
+	// Formats 1, 3 and 4: the reference encoders' bytes; formats 1 to 4:
+	// the files earlier builds wrote. Marshal's bytes above are format 5.
 	for _, g := range []*bipartite.Graph{bipartite.FromLake(l, bipartite.Options{KeepSingletons: true}), nil} {
 		f.Add(marshalV1(l, g))
 		f.Add(marshalV3(l, g))
+		f.Add(marshalV4(l, g))
 	}
-	for _, name := range []string{"parent-v1", "parent-v2", "parent-v3"} {
+	for _, name := range []string{"parent-v1", "parent-v2", "parent-v3", "parent-v4"} {
 		parent, err := os.ReadFile("testdata/" + name + ".snapshot")
 		if err != nil {
 			f.Fatal(err)

@@ -3,56 +3,61 @@
 // was served with a bipartite.Graph, so a process restart warm-starts from
 // disk instead of re-reading and re-normalizing a lake's CSVs.
 //
-// What is persisted is the lake: its raw tables and, beside each, the
-// normalized attributes with their cell counts, so a load skips
-// re-normalizing every cell. The DomainNet graph is a pure function of those
-// attributes and the singleton filter, so a snapshot records only that a
-// graph was saved and its KeepSingletons setting; the loader derives the
-// graph with the one build path, bipartite.FromAttributes, over the
-// rehydrated lake's live Attributes() slice. The first incremental rebuild
-// after a warm start (bipartite.RebuildDiff) then detects unchanged
-// attributes by pointer identity, as if the process had never restarted.
+// What is persisted is the normalized lake: each table's name and its
+// attributes, every attribute's values with their cell counts. The raw
+// cells are not kept: the DomainNet graph, and with it every ranking, is
+// built from the attributes alone, so a restored table is its name only
+// (see lake.Rehydrate) and cannot be written back out as a CSV. The graph
+// is a pure function of those attributes and the singleton filter, so a
+// snapshot records only that a graph was saved and its KeepSingletons
+// setting; the loader derives the graph with the one build path,
+// bipartite.FromAttributes, over the rehydrated lake's live Attributes()
+// slice. The first incremental rebuild after a warm start
+// (bipartite.RebuildDiff) then detects unchanged attributes by pointer
+// identity, as if the process had never restarted.
 //
 // Format: a 4-byte magic, a uvarint format version, the body (lake header,
-// symbol section, cell-string section, tables with their attributes, then a
-// graph marker), and a CRC-32 trailer over everything after the magic. All
-// integers are unsigned varints; strings are a uvarint length followed by
-// raw bytes. The symbol section holds each live value of the lake once, in
-// byte order, which is the graph's value order; the cell-string section
-// holds every other distinct cell string once, in order of first
-// appearance. A table is its name and, per column, its name and each cell
-// as a reference into the symbols followed by the cell strings. An
-// attribute writes its ranks in the symbol section, ascending, each as the
-// ranks it skips, then its cell counts. The decoder checks that the symbols
-// strictly ascend and adopts them as the rehydrated lake's Symbols without
-// copying them, and the graph build finds its values already in order
-// instead of sorting them. The graph marker is 0 for a lake-only snapshot,
-// or 1 followed by the KeepSingletons byte (0 or 1); nothing follows it.
+// symbol section, tables with their attributes, then a graph marker), and a
+// CRC-32 trailer over everything after the magic. All integers are unsigned
+// varints; strings are a uvarint length followed by raw bytes. The symbol
+// section holds each live value of the lake once, in byte order, which is
+// the graph's value order. A table is its name and its attributes. An
+// attribute writes its ID and column name, then its ranks in the symbol
+// section, ascending, each as the ranks it skips, then its cell counts. The
+// decoder checks that the symbols strictly ascend and adopts them as the
+// rehydrated lake's Symbols without copying them, and the graph build finds
+// its values already in order instead of sorting them. The graph marker is
+// 0 for a lake-only snapshot, or 1 followed by the KeepSingletons byte (0
+// or 1); nothing follows it.
 //
-// The encoding is canonical: it depends on the lake's tables and
+// The encoding is canonical: it depends on the lake's table names and
 // attributes, not on the IDs its symbol table happened to assign, so a
 // decoded snapshot re-encodes to its own bytes, and a follower that applied
 // the same bursts as its leader encodes to the leader's bytes.
 //
-// The decoder also reads formats 1 to 3, which wrote every cell as a string
-// (the layout AppendTable still writes for internal/wal). Format 1 wrote a
-// value's string wherever the value appeared and had no symbol section;
-// formats 2 and 3 numbered their symbols in the writer's ID order, so the
-// decoder rejects a repeat by hashing alone, and the graph build sorts
-// their values. Formats 1 and 2 wrote a copy of
-// the graph (value list, CSR offsets and adjacency, occurrence counts)
-// after the keep byte, which the decoder skips: it is derived data, and the
-// CRC already covers it. Marshal writes only format 4. Saves are atomic
-// (temp file + rename + sync) so a crash mid-checkpoint never clobbers the
-// previous snapshot.
+// The decoder also reads formats 1 to 4, which wrote every table's columns
+// and cells too; it reads and range-checks those cells and keeps none of
+// them, so a lake restored from any format has the same shape. Formats 1
+// to 3 wrote each cell as a string (the layout AppendTable still writes for
+// internal/wal); format 4 wrote the symbols as format 5 does, then every
+// other distinct cell string once, and each cell as a reference into the
+// two. Format 1 wrote a value's string wherever the value appeared and had
+// no symbol section; formats 2 and 3 numbered their symbols in the writer's
+// ID order, so the decoder rejects a repeat by hashing alone, and the graph
+// build sorts their values. Formats 1 and 2 wrote a copy of the graph
+// (value list, CSR offsets and adjacency, occurrence counts) after the keep
+// byte, which the decoder skips: it is derived data, and the CRC already
+// covers it. Marshal writes only format 5. Saves are atomic (temp file +
+// rename + sync) so a crash mid-checkpoint never clobbers the previous
+// snapshot.
 //
 // Decoding copies its input once, into one string, and every decoded string
-// (symbols, table and column names, cells, attribute IDs) is a substring of
-// that copy, so the caller may reuse its buffer as soon as Unmarshal
-// returns. Any one substring keeps the whole copy live: its non-string bytes
-// (lengths, cell references, ranks, counts; 121 KB of the 297 KB snapshot of
-// SB seed 1) stay until the decoded tables are gone and the lake's symbol
-// table has compacted. internal/wal decodes its records the same way.
+// (symbols, table names, attribute IDs and columns) is a substring of that
+// copy, so the caller may reuse its buffer as soon as Unmarshal returns.
+// Any one substring keeps the whole copy live: its non-string bytes
+// (lengths, ranks, counts; 38 KB of the 140 KB snapshot of SB seed 1) stay
+// until the decoded tables are gone and the lake's symbol table has
+// compacted. internal/wal decodes its records the same way.
 package persist
 
 import (
@@ -70,8 +75,8 @@ import (
 )
 
 // FormatVersion is the snapshot format Marshal writes. Loaders read it and
-// formats 1 to 3, and reject a newer one instead of mis-parsing it.
-const FormatVersion = 4
+// formats 1 to 4, and reject a newer one instead of mis-parsing it.
+const FormatVersion = 5
 
 // magic identifies a DomainNet snapshot file.
 var magic = [4]byte{'D', 'N', 'E', 'T'}
@@ -203,54 +208,18 @@ func appendBody(b []byte, l *lake.Lake, g *bipartite.Graph) []byte {
 		}
 	}
 	bipartite.SortByValue(syms, live)
-	ref := make(map[string]uint32, len(live)) // a cell string's reference
 	b = binary.AppendUvarint(b, uint64(len(live)))
 	for i, id := range live {
 		rank[id] = uint32(i + 1)
-		ref[syms.String(id)] = uint32(i)
 		b = AppendString(b, syms.String(id))
-	}
-
-	// The cell-string section: every other distinct cell, in order of first
-	// appearance. A cell then goes out as its reference into the symbols
-	// followed by those strings.
-	var cells []string
-	var refs []uint32 // every cell's reference, in table, column, row order
-	for _, t := range tables {
-		for ci := range t.Columns {
-			for _, v := range t.Columns[ci].Values {
-				r, ok := ref[v]
-				if !ok {
-					r = uint32(len(ref))
-					ref[v] = r
-					cells = append(cells, v)
-				}
-				refs = append(refs, r)
-			}
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(cells)))
-	for _, v := range cells {
-		b = AppendString(b, v)
 	}
 
 	var pairs []uint64 // rank<<32 | count, for one attribute
 	b = binary.AppendUvarint(b, uint64(len(tables)))
 	for ti, t := range tables {
 		b = AppendString(b, t.Name)
-		b = binary.AppendUvarint(b, uint64(len(t.Columns)))
-		for ci := range t.Columns {
-			col := &t.Columns[ci]
-			b = AppendString(b, col.Name)
-			b = binary.AppendUvarint(b, uint64(len(col.Values)))
-			for _, ref := range refs[:len(col.Values)] {
-				b = binary.AppendUvarint(b, uint64(ref))
-			}
-			refs = refs[len(col.Values):]
-		}
-		// The table's normalized attribute slice rides along so a warm
-		// start skips re-normalizing every cell — on large lakes that scan
-		// costs as much as the graph build itself.
+		// The table's normalized attributes are all a restored lake
+		// keeps of it: the graph is built from them alone.
 		attrs := tableAttrs[ti]
 		b = binary.AppendUvarint(b, uint64(len(attrs)))
 		for ai := range attrs {
@@ -296,9 +265,9 @@ func AppendString(b []byte, s string) []byte {
 }
 
 // AppendTable encodes one table — name, then each column's name and cell
-// values — for internal/wal's mutation records. Snapshots of format 3 and
-// earlier wrote their tables in this layout too; format 4 writes each cell
-// as a reference instead.
+// values — for internal/wal's mutation records, which keep raw tables
+// because a follower normalizes what it applies. Snapshots of format 3 and
+// earlier wrote their tables in this layout too.
 func AppendTable(b []byte, t *table.Table) []byte {
 	b = AppendString(b, t.Name)
 	b = binary.AppendUvarint(b, uint64(len(t.Columns)))
@@ -391,31 +360,35 @@ func (r *Reader) below(n uint64, what string) uint32 {
 	return uint32(v)
 }
 
-// strings reads a count and that many length-prefixed strings.
-func (r *Reader) strings(what string) []string {
-	strs := make([]string, r.Length(what))
-	for i := 0; i < len(strs) && r.err == nil; i++ {
-		strs[i] = r.String()
-	}
-	return strs
-}
-
 // Table reads one table written by AppendTable.
-func (r *Reader) Table() *table.Table { return r.table(r.String) }
-
-// table reads one table whose cells each come from cell.
-func (r *Reader) table(cell func() string) *table.Table {
+func (r *Reader) Table() *table.Table {
 	t := table.New(r.String())
 	nCols := r.Length("column")
 	for ci := 0; ci < nCols && r.err == nil; ci++ {
 		colName := r.String()
 		vals := make([]string, r.Length("cell"))
 		for i := 0; i < len(vals) && r.err == nil; i++ {
-			vals[i] = cell()
+			vals[i] = r.String()
 		}
 		t.AddColumn(colName, vals...)
 	}
 	return t
+}
+
+// skip reads one length-prefixed string and keeps nothing.
+func (r *Reader) skip() { r.off += r.Length("string") }
+
+// skipColumns reads one table's columns as formats 1 to 4 wrote them, each
+// cell by cell, and keeps nothing.
+func (r *Reader) skipColumns(cell func()) {
+	nCols := r.Length("column")
+	for ci := 0; ci < nCols && r.err == nil; ci++ {
+		r.skip()
+		nCells := r.Length("cell")
+		for i := 0; i < nCells && r.err == nil; i++ {
+			cell()
+		}
+	}
 }
 
 func (r *Reader) byte() byte {
@@ -441,11 +414,9 @@ func decodeBody(body []byte) (*Snapshot, error) {
 	name := r.String()
 	version := r.Uvarint()
 
-	// Format 1 interns each value string where it reads it; format 4 holds
-	// its symbols in byte order, then the other cell strings, and each cell
-	// as a reference into the two.
+	// Format 1 interns each value string where it reads it; formats 4 and
+	// 5 hold their symbols in byte order.
 	syms, err := lake.NewSymbols(), error(nil)
-	var cells []string
 	switch {
 	case format >= 4:
 		prev, i := "", 0
@@ -457,7 +428,6 @@ func decodeBody(body []byte) (*Snapshot, error) {
 			prev, i = v, i+1
 			return v
 		})
-		cells = r.strings("cell string")
 	case v2:
 		syms, err = lake.AdoptSymbols(r.Length("symbol"), r.String)
 	}
@@ -468,24 +438,25 @@ func decodeBody(body []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	nSyms := uint64(syms.Len())
-	cell := r.String
-	if format >= 4 {
-		cell = func() string {
-			ref := uint64(r.below(nSyms+uint64(len(cells)), "cell reference"))
-			switch {
-			case r.err != nil:
-				return ""
-			case ref < nSyms:
-				return syms.String(uint32(ref))
-			}
-			return cells[ref-nSyms]
+	// Formats 1 to 4 wrote every table's cells: each a string, or in format
+	// 4 a reference into the symbols and the cell strings that follow them.
+	// They are read and range-checked, and none is kept.
+	cell := r.skip
+	if format == 4 {
+		refs := nSyms + uint64(r.Length("cell string"))
+		for i := nSyms; i < refs && r.err == nil; i++ {
+			r.skip()
 		}
+		cell = func() { r.below(refs, "cell reference") }
 	}
 	nTables := r.Length("table")
-	tables := make([]*table.Table, 0, nTables)
+	names := make([]string, 0, nTables)
 	tableAttrs := make([][]lake.Stored, 0, nTables)
 	for ti := 0; ti < nTables && r.err == nil; ti++ {
-		t := r.table(cell)
+		names = append(names, r.String())
+		if format < 5 {
+			r.skipColumns(cell)
+		}
 		nAttrs := r.Length("attribute")
 		attrs := make([]lake.Stored, 0, nAttrs)
 		for ai := 0; ai < nAttrs && r.err == nil; ai++ {
@@ -506,13 +477,12 @@ func decodeBody(body []byte) (*Snapshot, error) {
 			}
 			attrs = append(attrs, a)
 		}
-		tables = append(tables, t)
 		tableAttrs = append(tableAttrs, attrs)
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	l, err := lake.Rehydrate(name, version, syms, tables, tableAttrs)
+	l, err := lake.Rehydrate(name, version, syms, names, tableAttrs)
 	if err != nil {
 		return nil, err
 	}

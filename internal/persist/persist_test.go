@@ -155,6 +155,24 @@ func TestLakeOnlySnapshot(t *testing.T) {
 	}
 }
 
+// TestSaveDirRefusesDecodedLake: a snapshot keeps no cells, so a decoded
+// table cannot be written back out as a CSV. SaveDir returns an error naming
+// the first table, and writes nothing, instead of CSVs LoadDir would reject.
+func TestSaveDirRefusesDecodedLake(t *testing.T) {
+	l := datagen.Figure1Lake()
+	sn, err := Unmarshal(Marshal(l, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "lake")
+	if err := sn.Lake.SaveDir(dir); err == nil || !strings.Contains(err.Error(), `"T1"`) {
+		t.Errorf("SaveDir of a decoded lake = %v, want an error naming T1", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("a refused SaveDir left %s behind: %v", dir, err)
+	}
+}
+
 func TestCorruptionDetected(t *testing.T) {
 	l := datagen.Figure1Lake()
 	g := bipartite.FromLake(l, bipartite.Options{})
@@ -437,7 +455,8 @@ func lakeBodyV4(symbols []string, nStrs uint64, strs []string, refs, gaps, freqs
 // TestDecodeRejectsMalformedV4 covers what format 4 adds: symbols that must
 // strictly ascend, the cell-string section, and cells as references into
 // the two. Each corruption must be an error, never a panic; the intact body
-// must decode to the table and lake it describes.
+// must decode to the lake it describes, whose table keeps its name and none
+// of its cells.
 func TestDecodeRejectsMalformedV4(t *testing.T) {
 	syms := []string{"JAGUAR", "PUMA"}
 	strs := []string{"puma", "jaguar"}
@@ -447,8 +466,8 @@ func TestDecodeRejectsMalformedV4(t *testing.T) {
 	if err != nil {
 		t.Fatalf("intact body: %v", err)
 	}
-	if cells := sn.Lake.Tables()[0].Columns[0].Values; !slices.Equal(cells, []string{"puma", "jaguar", "JAGUAR"}) {
-		t.Errorf("intact body decoded cells %q", cells)
+	if tb := sn.Lake.Tables()[0]; tb.Name != "t" || tb.NumColumns() != 0 {
+		t.Errorf("intact body decoded table %q with %d columns, want t with none", tb.Name, tb.NumColumns())
 	}
 	if got := sn.Graph.Values(); sn.Lake.Stats().Cells != 3 || !slices.Equal(got, []string{"JAGUAR", "PUMA"}) {
 		t.Fatalf("intact body decoded to %v, values %v", sn.Lake.Stats(), got)
@@ -464,6 +483,66 @@ func TestDecodeRejectsMalformedV4(t *testing.T) {
 		{"wrapping cell reference", lakeBodyV4(syms, 2, strs, []uint64{math.MaxUint64, 3, 0}, gaps, freqs)},
 		{"cell reference into no cell strings", lakeBodyV4(syms, 0, nil, refs, gaps, freqs)},
 		{"cell-string count beyond the remaining bytes", lakeBodyV4(syms, 1<<20, strs, refs, gaps, freqs)},
+	} {
+		if _, err := decodeBody(tc.body); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// lakeBodyV5 builds a format 5 body of the tables named, each holding one
+// attribute "c" of the given value ID gaps and counts, saved with a graph
+// that keeps singletons, then tail.
+func lakeBodyV5(symbols, tables []string, gaps, freqs []uint64, tail ...byte) []byte {
+	b := binary.AppendUvarint(nil, 5)
+	b = AppendString(b, "v5")
+	b = binary.AppendUvarint(b, uint64(len(tables)))
+	b = binary.AppendUvarint(b, uint64(len(symbols)))
+	for _, s := range symbols {
+		b = AppendString(b, s)
+	}
+	b = binary.AppendUvarint(b, uint64(len(tables)))
+	for _, name := range tables {
+		b = AppendString(b, name)
+		b = binary.AppendUvarint(b, 1)
+		b = AppendString(b, name+".c")
+		b = AppendString(b, "c")
+		b = binary.AppendUvarint(b, uint64(len(gaps)))
+		for _, g := range gaps {
+			b = binary.AppendUvarint(b, g)
+		}
+		for _, f := range freqs {
+			b = binary.AppendUvarint(b, f)
+		}
+	}
+	return append(append(b, 1, 1), tail...)
+}
+
+// TestDecodeRejectsMalformedV5: format 5 holds tables by name and their
+// attributes only. The intact body must decode to the lake it describes;
+// symbols out of order, an attribute value beyond them, an empty or repeated
+// table name and bytes after the keep byte must each be an error.
+func TestDecodeRejectsMalformedV5(t *testing.T) {
+	syms := []string{"JAGUAR", "PUMA"}
+	gaps, freqs := []uint64{0, 0}, []uint64{2, 1}
+	sn, err := decodeBody(lakeBodyV5(syms, []string{"t", "u"}, gaps, freqs))
+	if err != nil {
+		t.Fatalf("intact body: %v", err)
+	}
+	if got := sn.Graph.Values(); sn.Lake.Stats() != (lake.Stats{Tables: 2, Attributes: 2, Values: 2, Cells: 6}) ||
+		!slices.Equal(got, syms) {
+		t.Fatalf("intact body decoded to %v, values %v", sn.Lake.Stats(), got)
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"symbols out of order", lakeBodyV5([]string{"PUMA", "JAGUAR"}, []string{"t"}, gaps, freqs)},
+		{"repeated symbol", lakeBodyV5([]string{"PUMA", "PUMA"}, []string{"t"}, gaps, freqs)},
+		{"attribute value beyond the symbols", lakeBodyV5(syms, []string{"t"}, []uint64{0, 1}, freqs)},
+		{"empty table name", lakeBodyV5(syms, []string{""}, gaps, freqs)},
+		{"repeated table name", lakeBodyV5(syms, []string{"t", "t"}, gaps, freqs)},
+		{"bytes after the keep byte", lakeBodyV5(syms, []string{"t"}, gaps, freqs, 0)},
 	} {
 		if _, err := decodeBody(tc.body); err == nil {
 			t.Errorf("%s: accepted", tc.name)

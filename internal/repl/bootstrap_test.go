@@ -867,7 +867,7 @@ func TestBootstrapResumesAtLastWholeFrame(t *testing.T) {
 	leader, ld, ts := newLeader(t)
 	const chunk = 512
 	ld.chunkBytes = chunk
-	growLake(t, leader, 10)
+	growLake(t, leader, 20)
 	raw, version, cs, err := ld.snapshot(chunk)
 	if err != nil {
 		t.Fatal(err)
@@ -943,7 +943,7 @@ func TestBootstrapFailsOnFrameThatWillNotInflate(t *testing.T) {
 	leader, ld, _ := newLeader(t)
 	const chunk = 512
 	ld.chunkBytes = chunk
-	growLake(t, leader, 10)
+	growLake(t, leader, 20)
 	raw, version, cs, err := ld.snapshot(chunk)
 	if err != nil {
 		t.Fatal(err)
